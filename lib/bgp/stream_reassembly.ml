@@ -9,8 +9,12 @@ type t = {
   mutable received : (int * int) list;
       (* Sorted disjoint [lo, hi) intervals of received stream offsets. *)
   mutable frontier : int; (* First offset not yet contiguous. *)
-  mutable deliveries : (int * Tdat_timerange.Time_us.t) list;
-      (* Reverse-ordered (new_frontier, time) frontier advances. *)
+  mutable advances : int array;
+  mutable advance_ts : Tdat_timerange.Time_us.t array;
+      (* Frontier advances in arrival order: the [i]th advance moved the
+         frontier to [advances.(i)] at [advance_ts.(i)].  Only the first
+         [n_advances] slots are used; the frontiers strictly increase. *)
+  mutable n_advances : int;
   mutable duplicate_bytes : int;
 }
 
@@ -23,7 +27,9 @@ let create ?scratch () =
     scratch;
     received = [];
     frontier = 0;
-    deliveries = [];
+    advances = [||];
+    advance_ts = [||];
+    n_advances = 0;
     duplicate_bytes = 0;
   }
 
@@ -56,6 +62,21 @@ let insert_interval intervals lo hi =
   in
   go [] 0 lo hi intervals
 
+let record_advance t hi ts =
+  let n = t.n_advances in
+  if n = Array.length t.advances then begin
+    let grow a fill =
+      let b = Array.make (max 64 (2 * n)) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.advances <- grow t.advances 0;
+    t.advance_ts <- grow t.advance_ts Tdat_timerange.Time_us.zero
+  end;
+  t.advances.(n) <- hi;
+  t.advance_ts.(n) <- ts;
+  t.n_advances <- n + 1
+
 let feed ?(rebase = 0) t (seg : Tdat_pkt.Tcp_segment.t) =
   if seg.len > 0 then begin
     let lo = seg.seq - rebase in
@@ -80,7 +101,7 @@ let feed ?(rebase = 0) t (seg : Tdat_pkt.Tcp_segment.t) =
     match t.received with
     | (0, hi0) :: _ when hi0 > t.frontier ->
         t.frontier <- hi0;
-        t.deliveries <- (hi0, seg.ts) :: t.deliveries
+        record_advance t hi0 seg.ts
     | _ -> ()
   end
 
@@ -100,15 +121,17 @@ let contiguous_slice t = Tdat_pkt.Slice.of_bytes ~len:t.frontier t.data
 let delivery_time t off =
   if off >= t.frontier then
     invalid_arg "Stream_reassembly.delivery_time: offset beyond frontier";
-  (* deliveries are reverse-ordered by frontier; find the earliest advance
-     covering [off]. *)
-  let rec search best = function
-    | [] -> best
-    | (hi, ts) :: rest -> if hi > off then search ts rest else best
-  in
-  match t.deliveries with
-  | [] -> invalid_arg "Stream_reassembly.delivery_time: no deliveries"
-  | (_, latest) :: _ -> search latest t.deliveries
+  if t.n_advances = 0 then
+    invalid_arg "Stream_reassembly.delivery_time: no deliveries";
+  (* The byte became deliverable at the first advance whose frontier is
+     past it.  Invariant: advances.(hi) > off, and every index below lo
+     is <= off. *)
+  let lo = ref 0 and hi = ref (t.n_advances - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.advances.(mid) > off then hi := mid else lo := mid + 1
+  done;
+  t.advance_ts.(!lo)
 
 let total_gaps t =
   match t.received with

@@ -36,6 +36,7 @@ val contiguous_length : t -> int
 
 val delivery_time : t -> int -> Tdat_timerange.Time_us.t
 (** [delivery_time t off]: when the byte at [off] became deliverable.
+    A binary search over the frontier advances, O(log advances).
     @raise Invalid_argument if [off >= contiguous_length t]. *)
 
 val total_gaps : t -> int

@@ -12,7 +12,8 @@ val l_method : (float * float) array -> (int * float) option
 (** [l_method points] fits every split of the curve into a left and right
     straight line and returns [(index, x)] of the split minimizing the
     length-weighted RMSE — the knee.  [None] when the curve has fewer than
-    4 points (no non-trivial split exists). *)
+    4 points (no non-trivial split exists).  O(n): each split's two fits
+    come from running sums.  Among splits of equal cost the first wins. *)
 
 val knee_of_sorted : float list -> float option
 (** Convenience for the paper's use: given raw gap lengths, build the

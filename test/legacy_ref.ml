@@ -5,8 +5,10 @@
    copies; these references pin the old behavior — records produced,
    diagnostics emitted, salvage stats — so the rewrite is checked
    byte-for-byte against what shipped before, including on malformed
-   input.  Do not "improve" this file: its value is that it does not
-   change. *)
+   input.  The quadratic L-method and the list-scan delivery-time lookup
+   at the end are kept the same way, as oracles for their linear
+   replacements.  Do not "improve" this file: its value is that it does
+   not change. *)
 
 open Tdat_bgp
 module Seg = Tdat_pkt.Tcp_segment
@@ -675,3 +677,120 @@ let mrt_decode_result ?(strict = false) s =
       (fun acc e -> e :: acc)
   in
   { M.entries = List.rev entries; diags = List.rev !diags; stats }
+
+(* --- legacy L-method knee (O(n^2)) ---------------------------------------- *)
+
+(* [Tdat_stats.Knee.l_method] as it was before the prefix-sum rewrite:
+   every split refits both halves from scratch over fresh copies.  The
+   oracle for the knee-equivalence property and the quadratic kernel
+   the size-ratio guard must reject. *)
+
+type knee_fit = { slope : float; intercept : float; rmse : float }
+
+let knee_linear_fit points =
+  let n = Array.length points in
+  if n < 2 then invalid_arg "Knee.linear_fit: need at least 2 points";
+  let fn = float_of_int n in
+  let sx = ref 0. and sy = ref 0. and sxx = ref 0. and sxy = ref 0. in
+  Array.iter
+    (fun (x, y) ->
+      sx := !sx +. x;
+      sy := !sy +. y;
+      sxx := !sxx +. (x *. x);
+      sxy := !sxy +. (x *. y))
+    points;
+  let denom = (fn *. !sxx) -. (!sx *. !sx) in
+  let slope =
+    if abs_float denom < 1e-12 then 0.
+    else ((fn *. !sxy) -. (!sx *. !sy)) /. denom
+  in
+  let intercept = (!sy -. (slope *. !sx)) /. fn in
+  let se = ref 0. in
+  Array.iter
+    (fun (x, y) ->
+      let e = y -. ((slope *. x) +. intercept) in
+      se := !se +. (e *. e))
+    points;
+  { slope; intercept; rmse = sqrt (!se /. fn) }
+
+let l_method points =
+  let n = Array.length points in
+  if n < 4 then None
+  else begin
+    let fn = float_of_int n in
+    let best = ref None in
+    (* Split c (1-based count of left points) from 2 to n-2 so both sides
+       hold at least two points. *)
+    for c = 2 to n - 2 do
+      let left = Array.sub points 0 c in
+      let right = Array.sub points c (n - c) in
+      let fl = knee_linear_fit left and fr = knee_linear_fit right in
+      let cost =
+        (float_of_int c /. fn *. fl.rmse)
+        +. (float_of_int (n - c) /. fn *. fr.rmse)
+      in
+      match !best with
+      | Some (_, best_cost) when best_cost <= cost -> ()
+      | _ -> best := Some (c, cost)
+    done;
+    match !best with
+    | None -> None
+    | Some (c, _) ->
+        let x, _ = points.(c - 1) in
+        Some (c - 1, x)
+  end
+
+(* --- legacy reassembly delivery bookkeeping (list scan) ------------------- *)
+
+(* The frontier tracking of [Stream_reassembly] before the advances moved
+   into arrays: every frontier advance is consed onto a reverse-ordered
+   list and [delivery_time] walks the whole list.  Only the interval and
+   delivery bookkeeping is kept; the byte buffer does not affect when a
+   byte becomes deliverable. *)
+
+type reasm = {
+  mutable received : (int * int) list;
+  mutable frontier : int;
+  mutable deliveries : (int * Tdat_timerange.Time_us.t) list;
+}
+
+let reasm_create () = { received = []; frontier = 0; deliveries = [] }
+
+let insert_interval intervals lo hi =
+  let rec go acc overlap lo hi = function
+    | [] -> (List.rev ((lo, hi) :: acc), overlap)
+    | (a, b) :: rest when b < lo -> go ((a, b) :: acc) overlap lo hi rest
+    | (a, b) :: rest when hi < a ->
+        (List.rev_append acc ((lo, hi) :: (a, b) :: rest), overlap)
+    | (a, b) :: rest ->
+        let ov = max 0 (min hi b - max lo a) in
+        go acc (overlap + ov) (min lo a) (max hi b) rest
+  in
+  go [] 0 lo hi intervals
+
+let reasm_feed ?(rebase = 0) t (seg : Seg.t) =
+  if seg.len > 0 then begin
+    let lo = seg.seq - rebase in
+    let hi = lo + seg.len in
+    if lo < 0 then invalid_arg "Stream_reassembly.feed: negative offset";
+    let received, _overlap = insert_interval t.received lo hi in
+    t.received <- received;
+    match t.received with
+    | (0, hi0) :: _ when hi0 > t.frontier ->
+        t.frontier <- hi0;
+        t.deliveries <- (hi0, seg.ts) :: t.deliveries
+    | _ -> ()
+  end
+
+let delivery_time t off =
+  if off >= t.frontier then
+    invalid_arg "Stream_reassembly.delivery_time: offset beyond frontier";
+  (* deliveries are reverse-ordered by frontier; find the earliest advance
+     covering [off]. *)
+  let rec search best = function
+    | [] -> best
+    | (hi, ts) :: rest -> if hi > off then search ts rest else best
+  in
+  match t.deliveries with
+  | [] -> invalid_arg "Stream_reassembly.delivery_time: no deliveries"
+  | (_, latest) :: _ -> search latest t.deliveries

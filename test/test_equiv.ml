@@ -294,8 +294,8 @@ let transfer_props =
    a full-table transfer.  Feed the streaming scan hundreds of
    sequential /24s and require both the exact distinct-prefix count and
    agreement with the extract-then-scan pipeline; a clustering
-   regression would also blow the generous wall-clock bound below long
-   before it failed a count. *)
+   regression would also trip the size-ratio guard below long before it
+   failed a count. *)
 let sequential_slash24_trace n =
   let buf = Buffer.create (n * 64) in
   for i = 0 to n - 1 do
@@ -340,22 +340,19 @@ let test_sequential_slash24_clustering () =
       Alcotest.(check int) "every update attributed" n r.Mct.updates
 
 let test_sequential_slash24_linear_time () =
-  let n = 30_000 in
-  let t = sequential_slash24_trace n in
-  let t0 = Unix.gettimeofday () in
-  let streaming =
+  let scan t =
     Mct.transfer_end_of_reasm ~start:0 (Msg_reader.reassemble_from_trace t ~flow)
   in
-  let dt = Unix.gettimeofday () -. t0 in
-  (match streaming with
+  (match scan (sequential_slash24_trace 30_000) with
   | None -> Alcotest.fail "no transfer end on a pure update stream"
   | Some r ->
-      Alcotest.(check int) "distinct prefixes at scale" n r.Mct.prefixes);
-  (* O(n) with the high-bit hash finishes in milliseconds; the low-bit
-     clustering regression this locks against took minutes at this n. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "30k sequential /24s scanned in %.2fs (bound 10s)" dt)
-    true (dt < 10.)
+      Alcotest.(check int) "distinct prefixes at scale" 30_000 r.Mct.prefixes);
+  (* O(n) with the high-bit hash and the binary-searched delivery times;
+     a low-bit hash clusters on this input and a per-message linear
+     delivery lookup grows with the stream, and either makes the scan
+     quadratic. *)
+  Size_ratio.check "Mct.transfer_end_of_reasm" ~n:3_750
+    ~setup:sequential_slash24_trace scan
 
 (* --- Scratch arena ------------------------------------------------------ *)
 

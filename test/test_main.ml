@@ -22,4 +22,5 @@ let () =
       ("experiment", Test_experiment.suite);
       ("obs", Test_obs.suite);
       ("misc", Test_misc.suite);
+      ("scaling", Test_scaling.suite);
     ]

@@ -116,6 +116,27 @@ let reassembly_props =
           then ok := false
         done;
         !ok);
+    prop ~count:300 "delivery_time equals the legacy list scan" arb_stream
+      (fun (_, order) ->
+        let segs =
+          List.mapi
+            (fun i (off, payload) ->
+              Seg.v ~ts:(i + 1) ~src:ep1 ~dst:ep2 ~seq:off ~ack:0
+                ~flags:Seg.data_flags ~payload ())
+            order
+        in
+        let r = Stream_reassembly.of_segments segs in
+        let legacy = Legacy_ref.reasm_create () in
+        List.iter (Legacy_ref.reasm_feed legacy) segs;
+        let n = Stream_reassembly.contiguous_length r in
+        let ok = ref (n = legacy.Legacy_ref.frontier) in
+        for off = 0 to n - 1 do
+          if
+            Stream_reassembly.delivery_time r off
+            <> Legacy_ref.delivery_time legacy off
+          then ok := false
+        done;
+        !ok);
   ]
 
 (* --- analyzer invariants on random scenarios ------------------------------ *)

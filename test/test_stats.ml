@@ -115,6 +115,82 @@ let qcheck_suite =
         abs_float (Descriptive.mean xs -. naive) < 1e-6);
   ]
 
+(* --- L-method against the frozen O(n^2) kernel ------------------------ *)
+
+(* The cost the L-method minimizes at split [c], as the frozen kernel
+   computes it. *)
+let legacy_cost points c =
+  let n = Array.length points in
+  let fit a = (Legacy_ref.knee_linear_fit a).Legacy_ref.rmse in
+  let fn = float_of_int n in
+  (float_of_int c /. fn *. fit (Array.sub points 0 c))
+  +. (float_of_int (n - c) /. fn *. fit (Array.sub points c (n - c)))
+
+let curve ys = Array.mapi (fun i y -> (float_of_int i, y)) ys
+
+(* Each case is (the input to [Knee.l_method], the same curve for the
+   oracle).  The two differ only for the offset curves, where the oracle
+   gets the curve without the offset: its unshifted sums of x² lose
+   every significant digit at x near 1e9, the cancellation the rewrite's
+   shift avoids.  The offset values are integers, so adding them is
+   exact. *)
+let gen_knee_case =
+  QCheck.Gen.(
+    let sorted g =
+      let* n = int_range 4 300 in
+      let* ys = array_repeat n g in
+      Array.sort Float.compare ys;
+      return ys
+    in
+    let plain ys = (curve ys, curve ys) in
+    frequency
+      [
+        (1, map plain (sorted (float_range 0. 1e6)));
+        (* Few distinct values: long runs of equal y and tied splits. *)
+        ( 1,
+          map plain
+            (sorted
+               (map float_of_int
+                  (oneofl [ 200_000; 200_000; 400_000; 1_000_000 ]))) );
+        ( 1,
+          let* ys = sorted (map float_of_int (int_bound 100_000)) in
+          return
+            ( Array.mapi (fun i y -> (1e9 +. float_of_int i, 1e9 +. y)) ys,
+              curve ys ) );
+      ])
+
+let arb_knee_case =
+  QCheck.make
+    ~print:(fun (pts, _) ->
+      String.concat " "
+        (Array.to_list
+           (Array.map (fun (x, y) -> Printf.sprintf "(%g,%g)" x y) pts)))
+    gen_knee_case
+
+(* Same split as the oracle, or a tied one: the oracle's cost at the new
+   split agrees with its optimum to 1e-9 of the curve's largest value
+   (the scale of a weighted RMSE; a cost of 0 has no scale of its own). *)
+let knee_matches_oracle (pts, oracle_pts) =
+  match (Knee.l_method pts, Legacy_ref.l_method oracle_pts) with
+  | None, None -> true
+  | Some (i, _), Some (j, _) when i = j -> true
+  | Some (i, _), Some (j, _) ->
+      let scale =
+        Array.fold_left
+          (fun m (_, y) -> Float.max m (abs_float y))
+          0. oracle_pts
+      in
+      let cost c = legacy_cost oracle_pts (c + 1) in
+      abs_float (cost i -. cost j) <= 1e-9 *. scale
+  | _ -> false
+
+let knee_oracle_suite =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"l_method picks the frozen kernel's split"
+         ~count:400 arb_knee_case knee_matches_oracle);
+  ]
+
 let suite =
   [
     Alcotest.test_case "summarize" `Quick test_summarize;
@@ -128,4 +204,4 @@ let suite =
     Alcotest.test_case "knee too few" `Quick test_knee_too_few;
     Alcotest.test_case "ascii plots" `Quick test_ascii_plots_render;
   ]
-  @ qcheck_suite
+  @ qcheck_suite @ knee_oracle_suite
