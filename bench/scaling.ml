@@ -4,9 +4,7 @@
    monitored sessions merged into one capture, then measures the two
    fleet-path optimizations:
 
-     - single-pass trace partitioning (Trace.partition_connections)
-       against the legacy per-connection rescan it replaced
-       (O(connections x packets));
+     - single-pass trace partitioning (Trace.partition_connections);
      - Analyzer.analyze_all at jobs in {1,2,4,8} on the Domain pool,
        with the byte-identical-output check across jobs values.
 
@@ -66,17 +64,6 @@ let fleet_trace ~sessions ~prefixes ~seed =
   let outcomes = List.init sessions (fun i -> session (i + 1)) in
   Trace.of_segments
     (List.concat_map (fun o -> Trace.segments o.Scenario.trace) outcomes)
-
-(* The fleet preparation the partition replaced: enumerate connections,
-   then rescan the whole trace once per connection (orientation included,
-   as the old analyze_all did). *)
-let legacy_rescan trace =
-  Trace.connections trace
-  |> List.map (fun key ->
-         let flow = Trace.infer_sender trace key in
-         ( key,
-           Trace.split_connection trace ~sender:flow.Tdat_pkt.Flow.sender
-             ~receiver:flow.Tdat_pkt.Flow.receiver ))
 
 let report_digest results =
   List.map (fun (_, a) -> Tdat.Report.to_string a) results
@@ -145,10 +132,7 @@ let run_config ~label ~out ~sessions ~prefixes ~jobs_list () =
   let partition_s =
     min_time_of ~repeat:3 (fun () -> ignore (Trace.partition_connections trace))
   in
-  let rescan_s = min_time_of ~repeat:3 (fun () -> ignore (legacy_rescan trace)) in
-  Printf.printf
-    "partition (single pass) %.4f s | legacy rescan %.4f s | %.1fx\n%!"
-    partition_s rescan_s (rescan_s /. partition_s);
+  Printf.printf "partition (single pass) %.4f s\n%!" partition_s;
   (* Warm the allocator and code paths once so the first measured
      configuration does not pay the heap-growth cost alone. *)
   ignore (Tdat.Analyzer.analyze_all ~audit:true ~jobs:1 trace);
@@ -275,9 +259,7 @@ let run_config ~label ~out ~sessions ~prefixes ~jobs_list () =
   p "  \"connections\": %d,\n" connections;
   p "  \"packets\": %d,\n" packets;
   p "  \"stages\": {\n";
-  p "    \"partition_single_pass_s\": %.6f,\n" partition_s;
-  p "    \"legacy_per_connection_rescan_s\": %.6f,\n" rescan_s;
-  p "    \"partition_speedup\": %.3f\n" (rescan_s /. partition_s);
+  p "    \"partition_single_pass_s\": %.6f\n" partition_s;
   p "  },\n";
   p "  \"alloc_words\": [\n";
   List.iteri

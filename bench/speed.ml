@@ -76,7 +76,7 @@ let tests =
              ~flow:o.Tdat_bgpsim.Scenario.flow)));
     Test.make ~name:"pcap decode" (Staged.stage (fun () ->
         let _, _, _, _, pcap = Lazy.force prepared in
-        ignore (Tdat_pkt.Pcap.decode pcap)));
+        ignore (Tdat_pkt.Pcap.decode_result ~strict:true pcap)));
   ]
 
 let run () =

@@ -26,13 +26,8 @@ let extract trace (stats : Tdat_pkt.Pcap.stats) connections out_path peer_as
     local_as =
   let per_conn =
     List.map
-      (fun key ->
+      (fun (key, sub) ->
         let flow = Tdat_pkt.Trace.infer_sender trace key in
-        let sub =
-          Tdat_pkt.Trace.split_connection trace
-            ~sender:flow.Tdat_pkt.Flow.sender
-            ~receiver:flow.Tdat_pkt.Flow.receiver
-        in
         let msgs =
           Tdat_bgp.Msg_reader.extract_from_trace sub ~flow
           |> List.map (fun (m : Tdat_bgp.Msg_reader.timed_msg) ->
@@ -83,7 +78,7 @@ let convert obs pcap_path out_path peer_as local_as strict =
       if not (report_capture r) then 2
       else begin
         let trace = r.Tdat_pkt.Pcap.trace in
-        let connections = Tdat_pkt.Trace.connections trace in
+        let connections = Tdat_pkt.Trace.partition_connections trace in
         if connections = [] then begin
           prerr_endline "no TCP connections found";
           1

@@ -13,77 +13,29 @@ type result = {
   updates : int;
 }
 
-let transfer_end ?(config = default_config) ~start updates =
-  let seen : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let relevant = List.filter (fun (ts, _) -> ts >= start) updates in
-  let finish last n_updates =
-    match last with
-    | None -> None
-    | Some ts ->
-        Some { end_ts = ts; prefixes = Hashtbl.length seen; updates = n_updates }
-  in
-  let rec scan last n_updates = function
-    | [] -> finish last n_updates
-    | (ts, prefixes) :: rest ->
-        let quiet =
-          match last with
-          | Some prev -> ts - prev > config.quiet_gap
-          | None -> false
-        in
-        if quiet then finish last n_updates
-        else begin
-          let total = List.length prefixes in
-          let dups =
-            List.length (List.filter (Hashtbl.mem seen) prefixes)
-          in
-          let churn =
-            total > 0
-            && Hashtbl.length seen >= config.min_seen
-            && float_of_int dups >= config.dup_fraction *. float_of_int total
-          in
-          if churn then finish last n_updates
-          else begin
-            List.iter
-              (fun p -> if not (Hashtbl.mem seen p) then Hashtbl.add seen p ())
-              prefixes;
-            scan (Some ts) (n_updates + 1) rest
-          end
-        end
-  in
-  scan None 0 relevant
-
-(* --- streaming scan over a reassembled byte stream ------------------- *)
-
-(* [transfer_end_of_reasm] computes the same answer as
-   [extract_from_trace] → [of_timed_msgs] → [transfer_end] without
-   materializing any of the intermediate structures: no [timed_msg]
-   list, no decoded [Msg.t], no [Prefix.t] values, no per-update
-   prefix lists.  It walks the contiguous stream once, validating each
-   message exactly as [Msg.decode_slice] would (any violation ends the
-   scan, like [Msg_reader.extract] stopping at the first decode error)
-   and folding announced prefixes as packed ints into an open-addressed
-   set.  The equivalence is locked down by the decode-equivalence test
-   suite. *)
-
 module Slice = Tdat_pkt.Slice
 
-(* Local validation failure: the stream stops being (or never was) BGP
-   at this message, exactly where the legacy path raises
-   [Bgp_error.Decode_error]. *)
-exception Bad
+(* --- packed prefix set --------------------------------------------------- *)
 
 (* A prefix packed into one immediate: masked 32-bit address in the high
    bits, prefix length in the low 6.  Injective on what [Prefix.compare]
    distinguishes (masked address, length), so set membership and
    cardinality agree with a [(Prefix.t, unit) Hashtbl.t]. *)
+let[@inline] pack ~addr plen =
+  let m = if plen = 0 then 0 else 0xFFFFFFFF lsl (32 - plen) land 0xFFFFFFFF in
+  ((addr land m) lsl 6) lor plen
+
+(* An NLRI entry read in place: length byte at [o], address bytes after. *)
 let[@inline] pack_prefix s o plen =
   let nbytes = (plen + 7) / 8 in
   let u = ref 0 in
   for i = 0 to nbytes - 1 do
     u := !u lor (Slice.u8 s (o + 1 + i) lsl (24 - (8 * i)))
   done;
-  let m = if plen = 0 then 0 else 0xFFFFFFFF lsl (32 - plen) land 0xFFFFFFFF in
-  ((!u land m) lsl 6) lor plen
+  pack ~addr:!u plen
+
+let pack_prefix_t p =
+  pack ~addr:(Int32.to_int (Prefix.addr p) land 0xFFFFFFFF) (Prefix.len p)
 
 (* Open-addressed int set, linear probing, -1 = empty.  Lives on the
    major heap (the table exceeds [Max_young_wosize]); the per-insert
@@ -120,6 +72,88 @@ let pset_add t x =
     t.count <- t.count + 1;
     if 4 * t.count > 3 * Array.length t.slots then pset_grow t
   end
+
+(* --- the MCT rule ---------------------------------------------------------- *)
+
+(* One scan's state.  Both scans below feed it the same way, one
+   announcement batch at a time: [admit] applies the start filter and the
+   quiet gap to the batch's timestamp; on [`Open] the caller counts the
+   batch's packed prefixes and the ones already in [seen], asks [churn],
+   and unless it says stop, adds the prefixes to [seen] and calls
+   [commit].  [outcome] is the result at whichever point the scan ends. *)
+type scan = {
+  config : config;
+  start : Tdat_timerange.Time_us.t;
+  seen : pset;
+  mutable last : Tdat_timerange.Time_us.t;  (* [min_int]: no batch yet *)
+  mutable updates : int;
+}
+
+let scan_create config ~start =
+  { config; start; seen = pset_create (); last = min_int; updates = 0 }
+
+let[@inline] admit st ts =
+  if ts < st.start then `Skip
+  else if st.last <> min_int && ts - st.last > st.config.quiet_gap then `Stop
+  else `Open
+
+let[@inline] churn st ~total ~dups =
+  total > 0
+  && st.seen.count >= st.config.min_seen
+  && float_of_int dups >= st.config.dup_fraction *. float_of_int total
+
+let[@inline] commit st ts =
+  st.last <- ts;
+  st.updates <- st.updates + 1
+
+let outcome st =
+  if st.last = min_int then None
+  else Some { end_ts = st.last; prefixes = st.seen.count; updates = st.updates }
+
+(* --- list scan (archive input) ------------------------------------------- *)
+
+let transfer_end ?(config = default_config) ~start updates =
+  let st = scan_create config ~start in
+  let rec go = function
+    | [] -> outcome st
+    | (_, []) :: rest -> go rest
+    | (ts, prefixes) :: rest -> (
+        match admit st ts with
+        | `Skip -> go rest
+        | `Stop -> outcome st
+        | `Open ->
+            let total = ref 0 and dups = ref 0 in
+            List.iter
+              (fun p ->
+                incr total;
+                if pset_mem st.seen (pack_prefix_t p) then incr dups)
+              prefixes;
+            if churn st ~total:!total ~dups:!dups then outcome st
+            else begin
+              List.iter (fun p -> pset_add st.seen (pack_prefix_t p)) prefixes;
+              commit st ts;
+              go rest
+            end)
+  in
+  go updates
+
+(* --- streaming scan over a reassembled byte stream ----------------------- *)
+
+(* [transfer_end_of_reasm] computes the same answer as extracting the
+   stream's messages and running [transfer_end] on their announcements,
+   without materializing any of the intermediate structures: no
+   [timed_msg] list, no decoded [Msg.t], no [Prefix.t] values, no
+   per-update prefix lists.  It walks the contiguous stream once,
+   validating each message exactly as [Msg.decode_slice] would (any
+   violation ends the scan, like [Msg_reader.extract] stopping at the
+   first decode error) and feeding each announcement batch to the shared
+   rule as packed ints.  The equivalence is locked down by the
+   decode-equivalence test suite. *)
+
+(* Local validation failure: the stream stops being (or never was) BGP
+   at this message, exactly where the decoder raises
+   [Bgp_error.Decode_error]. *)
+exception Bad
 
 (* The checkers below mirror the corresponding decoders' validation
    byte for byte (Prefix.decode_slice, As_path.decode_slice,
@@ -193,73 +227,55 @@ let check_message s ~boff ~blen ~ty =
 let transfer_end_of_reasm ?(config = default_config) ~start reasm =
   let stream = Stream_reassembly.contiguous_slice reasm in
   let len = Slice.length stream in
-  let seen = pset_create () in
-  (* [last = min_int] encodes "no update attributed yet". *)
-  let finish last n_updates =
-    if last = min_int then None
-    else Some { end_ts = last; prefixes = seen.count; updates = n_updates }
-  in
-  let rec scan off last n =
-    if off >= len then finish last n
+  let st = scan_create config ~start in
+  let seen = st.seen in
+  let rec scan off =
+    if off >= len then outcome st
     else
       match Msg.peek_length_slice stream off with
-      | None -> finish last n
-      | exception Bgp_error.Decode_error _ -> finish last n
+      | None -> outcome st
+      | exception Bgp_error.Decode_error _ -> outcome st
       | Some total ->
-          if off + total > len then finish last n
+          if off + total > len then outcome st
           else begin
             let ty = Slice.u8 stream (off + 18) in
             let boff = off + Msg.header_size in
             let blen = total - Msg.header_size in
             match check_message stream ~boff ~blen ~ty with
-            | exception Bad -> finish last n
-            | `Skip -> scan (off + total) last n
+            | exception Bad -> outcome st
+            | `Skip -> scan (off + total)
             | `Update nlri_off ->
                 let limit = boff + blen in
                 if nlri_off = limit then
                   (* Empty NLRI: not an announcement batch. *)
-                  scan (off + total) last n
+                  scan (off + total)
                 else begin
                   let ts = Stream_reassembly.delivery_time reasm (off + total - 1) in
-                  if ts < start then scan (off + total) last n
-                  else if last <> min_int && ts - last > config.quiet_gap then
-                    finish last n
-                  else begin
-                    let total_p = ref 0 in
-                    let dups = ref 0 in
-                    let o = ref nlri_off in
-                    while !o < limit do
-                      let plen = Slice.u8 stream !o in
-                      incr total_p;
-                      if pset_mem seen (pack_prefix stream !o plen) then incr dups;
-                      o := !o + 1 + ((plen + 7) / 8)
-                    done;
-                    let churn =
-                      !total_p > 0
-                      && seen.count >= config.min_seen
-                      && float_of_int !dups
-                         >= config.dup_fraction *. float_of_int !total_p
-                    in
-                    if churn then finish last n
-                    else begin
+                  match admit st ts with
+                  | `Skip -> scan (off + total)
+                  | `Stop -> outcome st
+                  | `Open ->
+                      let total_p = ref 0 in
+                      let dups = ref 0 in
                       let o = ref nlri_off in
                       while !o < limit do
                         let plen = Slice.u8 stream !o in
-                        pset_add seen (pack_prefix stream !o plen);
+                        incr total_p;
+                        if pset_mem seen (pack_prefix stream !o plen) then incr dups;
                         o := !o + 1 + ((plen + 7) / 8)
                       done;
-                      scan (off + total) ts (n + 1)
-                    end
-                  end
+                      if churn st ~total:!total_p ~dups:!dups then outcome st
+                      else begin
+                        let o = ref nlri_off in
+                        while !o < limit do
+                          let plen = Slice.u8 stream !o in
+                          pset_add seen (pack_prefix stream !o plen);
+                          o := !o + 1 + ((plen + 7) / 8)
+                        done;
+                        commit st ts;
+                        scan (off + total)
+                      end
                 end
           end
   in
-  scan 0 min_int 0
-
-let of_timed_msgs msgs =
-  List.filter_map
-    (fun (m : Msg_reader.timed_msg) ->
-      match m.msg with
-      | Msg.Update u when u.Msg.nlri <> [] -> Some (m.ts, u.Msg.nlri)
-      | Msg.Update _ | Msg.Open _ | Msg.Keepalive | Msg.Notification _ -> None)
-    msgs
+  scan 0

@@ -38,21 +38,21 @@ val transfer_end :
   result option
 (** [transfer_end ~start updates] scans timestamped announcement batches
     (in time order; entries before [start] are skipped) and returns the
-    inferred transfer end, or [None] if no update follows [start]. *)
-
-val of_timed_msgs : Msg_reader.timed_msg list ->
-  (Tdat_timerange.Time_us.t * Prefix.t list) list
-(** Adapter from extracted messages: UPDATE announcements only. *)
+    inferred transfer end, or [None] if no update follows [start].  A
+    batch with no prefixes is skipped like one before [start], as the
+    streaming scan skips an UPDATE with an empty NLRI; callers pass
+    only UPDATEs that announce something. *)
 
 val transfer_end_of_reasm :
   ?config:config ->
   start:Tdat_timerange.Time_us.t ->
   Stream_reassembly.t ->
   result option
-(** Streaming equivalent of
-    [transfer_end ~start (of_timed_msgs (Msg_reader.extract reasm))]:
-    one pass over the contiguous stream, validating messages exactly as
-    the decoder would and folding announced prefixes as packed ints —
-    no intermediate messages, prefix values, or lists are built.  The
-    answer is identical to the three-stage pipeline (checked by the
+(** Streaming equivalent of {!transfer_end} over the announcements of
+    the messages {!Msg_reader.extract} would decode from [reasm]: one
+    pass over the contiguous stream, validating messages exactly as the
+    decoder would and feeding announced prefixes, packed as ints, to the
+    same decision rule — no intermediate messages, prefix values, or
+    lists are built.  The answer is identical to extract-then-scan
+    (checked against a frozen copy of the list pipeline by the
     decode-equivalence tests). *)

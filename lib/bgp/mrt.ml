@@ -143,8 +143,6 @@ let encode_entries entries =
   List.iter (encode_entry buf) entries;
   Buffer.contents buf
 
-let encode records = encode_entries (List.map (fun r -> Message r) records)
-
 (* --- streaming decode ----------------------------------------------------- *)
 
 module Slice = Tdat_pkt.Slice
@@ -386,8 +384,6 @@ let decode_result ?(strict = false) s =
 let read_file ?(strict = false) path =
   result_of_fold (fun ~on_diag ~init f -> fold_file ~strict ~on_diag path ~init f)
 
-let decode s = messages (decode_result ~strict:true s).entries
-
 let to_file_entries path entries =
   let oc = open_out_bin path in
   Fun.protect
@@ -396,5 +392,3 @@ let to_file_entries path entries =
 
 let to_file path records =
   to_file_entries path (List.map (fun r -> Message r) records)
-
-let of_file path = messages (read_file ~strict:true path).entries

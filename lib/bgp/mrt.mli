@@ -16,8 +16,7 @@
     processed in memory proportional to its largest record.  Malformed
     input degrades gracefully: each problem produces a typed {!Diag.t}
     ([M0xx] codes, see DESIGN.md "Measurement study") and the reader
-    salvages every decodable record.  [?strict:true] — and the legacy
-    {!decode} / {!of_file} — instead raise
+    salvages every decodable record.  [?strict:true] instead raises
     [Bgp_error.Decode_error] with context ["Mrt.decode"] on the first
     error- or warning-severity diagnostic, message-compatible with the
     historical whole-file decoder. *)
@@ -101,17 +100,8 @@ type stats = {
 
 type result = { entries : entry list; diags : Diag.t list; stats : stats }
 
-val encode : record list -> string
-(** Message records only (legacy). *)
-
 val encode_entries : entry list -> string
 (** Messages and state changes, as BGP4MP_ET records. *)
-
-val decode : string -> record list
-(** Strict whole-buffer parse returning the [Message] records only —
-    state-change and unsupported records are skipped, as the historical
-    decoder did.
-    @raise Bgp_error.Decode_error on malformed input. *)
 
 val decode_result : ?strict:bool -> string -> result
 (** Fault-tolerant by default: salvages every decodable record and
@@ -168,10 +158,6 @@ val fold_file :
 
 val to_file : string -> record list -> unit
 val to_file_entries : string -> entry list -> unit
-
-val of_file : string -> record list
-(** Strict streaming read (legacy interface).
-    @raise Bgp_error.Decode_error on malformed input. *)
 
 val read_file : ?strict:bool -> string -> result
 (** Streaming read collecting the salvaged entries, all diagnostics and

@@ -100,17 +100,22 @@ let setup_router ~engine ~rng ~collector r =
          Speaker.start speaker));
   (table, conn, speaker, member)
 
-let finalize_outcome ~site_trace ~peer_ip (r, table, conn, _speaker, member) =
+(* [connection_trace site_trace] partitions the site's trace once and
+   returns the lookup of one flow's sub-trace in it.  A flow that never
+   put a segment on the wire still gets an empty sub-trace carrying the
+   site's voids. *)
+let connection_trace site_trace =
+  let parts = Trace.partition_connections site_trace in
+  let empty = Trace.of_segments ~voids:(Trace.voids site_trace) [] in
+  fun flow ->
+    Option.value ~default:empty (List.assoc_opt (Flow.key flow) parts)
+
+let finalize_outcome ~trace_of (r, table, conn, _speaker, member) =
   let flow = Connection.flow conn in
-  let trace =
-    Trace.split_connection site_trace
-      ~sender:flow.Flow.sender ~receiver:flow.Flow.receiver
-  in
-  ignore peer_ip;
   {
     spec = r;
     flow;
-    trace;
+    trace = trace_of flow;
     tcp_start = r.start_at;
     mrt = [];
     sender_counters = Sender.counters (Connection.sender conn);
@@ -148,13 +153,12 @@ let run ?(seed = 1) ?(collector_kind = Collector.Quagga) ?collector_tcp
   in
   Engine.run ~until:deadline engine;
   let site_trace = Connection.Site.trace (Collector.site collector) in
+  let trace_of = connection_trace site_trace in
   let all_mrt = Collector.mrt collector in
   let outcomes =
     List.map
       (fun ((r, _, conn, _, _) as setup) ->
-        let o =
-          finalize_outcome ~site_trace ~peer_ip:0l setup
-        in
+        let o = finalize_outcome ~trace_of setup in
         let flow = Connection.flow conn in
         let peer_ip = flow.Flow.sender.Endpoint.ip in
         let mrt =
@@ -243,14 +247,10 @@ let run_peer_group ?(seed = 1) ?vendor_fail_at ?quagga_fail_at
   let outcome_of collector conn member =
     let site_trace = Connection.Site.trace (Collector.site collector) in
     let flow = Connection.flow conn in
-    let trace =
-      Trace.split_connection site_trace ~sender:flow.Flow.sender
-        ~receiver:flow.Flow.receiver
-    in
     {
       spec = r;
       flow;
-      trace;
+      trace = connection_trace site_trace flow;
       tcp_start = r.start_at;
       mrt = Collector.mrt collector;
       sender_counters = Sender.counters (Connection.sender conn);

@@ -1,7 +1,7 @@
-(* The variant registry.  Every entry pairs two implementations that the
-   codebase claims are equivalent — the claim each past optimization PR
-   rested on — and projects both onto a canonical Doc so the Diff kernel
-   can adjudicate field by field.
+(* The variant registry.  Every entry pairs two implementations that both
+   run in production and that the codebase claims are equivalent — the
+   claim each past optimization rested on — and projects both onto a
+   canonical Doc so the Diff kernel can adjudicate field by field.
 
    Variant closures run inside an Engine worker domain, so everything
    here is sequential ([~jobs:1]): the experiment parallelizes across
@@ -79,25 +79,6 @@ let transfer_doc_of_file path estimate =
 
 (* --- concrete control/candidate pairs ------------------------------------ *)
 
-(* PR-7 replaced the legacy whole-buffer byte-string decode with the
-   streaming record-at-a-time reader on the ingestion path. *)
-let pcap_ingest =
-  {
-    name = "pcap-ingest";
-    input = Pcap;
-    control_name = "whole-buffer-decode";
-    candidate_name = "streaming-read";
-    summary =
-      "legacy strict whole-buffer Pcap.decode vs the streaming \
-       record-at-a-time reader, compared on the full analysis document";
-    self_test = false;
-    control =
-      (fun path ->
-        Doc.analysis_doc (analyze_trace (Tdat_pkt.Pcap.decode (read_all path))));
-    candidate =
-      (fun path -> analysis_of_result (Tdat_pkt.Pcap.read_file path));
-  }
-
 let strict_pcap =
   {
     name = "strict-pcap";
@@ -132,66 +113,6 @@ let mrt_ingest =
         in
         Doc.study_doc { fr with Tdat_study.Archive.stats = r.Tdat_bgp.Mrt.stats });
     candidate = (fun path -> Doc.study_doc (Tdat_study.Archive.scan_file path));
-  }
-
-(* PR-5 replaced the per-connection rescan (O(connections × packets))
-   with the single-pass partition. *)
-let partition =
-  {
-    name = "partition";
-    input = Pcap;
-    control_name = "rescan-split";
-    candidate_name = "single-pass-partition";
-    summary =
-      "per-connection Trace.split_connection rescan vs the single-pass \
-       Trace.partition_connections used by analyze_all";
-    self_test = false;
-    control =
-      (fun path ->
-        let trace = (Tdat_pkt.Pcap.read_file path).Tdat_pkt.Pcap.trace in
-        let results =
-          List.map
-            (fun ((sender, receiver) as key) ->
-              let sub =
-                Tdat_pkt.Trace.split_connection trace ~sender ~receiver
-              in
-              let flow = Tdat_pkt.Trace.infer_sender sub key in
-              (flow, Tdat.Analyzer.analyze sub ~flow))
-            (Tdat_pkt.Trace.connections trace)
-        in
-        Doc.analysis_doc results);
-    candidate =
-      (fun path -> analysis_of_result (Tdat_pkt.Pcap.read_file path));
-  }
-
-(* PR-7 replaced list extraction (reassemble → extract messages →
-   prefix lists → MCT) with the fused one-pass streaming scan. *)
-let transfer_end =
-  {
-    name = "transfer-end";
-    input = Pcap;
-    control_name = "extract-lists";
-    candidate_name = "streaming-mct";
-    summary =
-      "three-stage extract/of_timed_msgs/transfer_end pipeline vs the \
-       fused Mct.transfer_end_of_reasm streaming scan";
-    self_test = false;
-    control =
-      (fun path ->
-        transfer_doc_of_file path (fun sub ~flow ~start_ts ->
-            let msgs = Tdat_bgp.Msg_reader.extract_from_trace sub ~flow in
-            Tdat_bgp.Mct.transfer_end ~start:start_ts
-              (Tdat_bgp.Mct.of_timed_msgs msgs)));
-    candidate =
-      (fun path ->
-        transfer_doc_of_file path (fun sub ~flow ~start_ts ->
-            Tdat_parallel.Scratch.(with_bytes ~slot:slot_reassembly 4096)
-              (fun cell ->
-                let reasm =
-                  Tdat_bgp.Msg_reader.reassemble_from_trace ~scratch:cell sub
-                    ~flow
-                in
-                Tdat_bgp.Mct.transfer_end_of_reasm ~start:start_ts reasm)));
   }
 
 (* PR-8 routed reassembly buffers through the per-domain scratch arena. *)
@@ -294,11 +215,8 @@ let perturb =
 
 let all =
   [
-    pcap_ingest;
     strict_pcap;
     mrt_ingest;
-    partition;
-    transfer_end;
     reasm_scratch;
     perturb;
   ]

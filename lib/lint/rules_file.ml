@@ -185,7 +185,7 @@ let default_hot_paths =
       Funcs [ "parse_body"; "fold_fill"; "fill_of_read"; "fold_string";
               "fold_channel"; "fold_fd"; "fold_file" ] );
     ("Span_set", All);
-    ("Trace", Funcs [ "conn_key"; "partition_connections"; "split_connection" ]);
+    ("Trace", Funcs [ "conn_key"; "partition_connections" ]);
     ("Slice", All);
     ( "Series_gen",
       Funcs [ "series_of_spans"; "flight_series"; "episode_series";

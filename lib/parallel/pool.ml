@@ -141,7 +141,7 @@ let publish_busy t =
         Obs.Gauge.set g (Atomic.get busy))
       t.busy_us
 
-let map ?chunk t f xs =
+let map ?chunk ?(on_done = ignore) t f xs =
   if t.stop then invalid_arg "Pool.map: pool is shut down";
   (match chunk with
   | Some c when c < 1 ->
@@ -158,9 +158,13 @@ let map ?chunk t f xs =
       Obs.Counter.add m_submitted n;
       (* The documented degenerate mode IS List.map: the allocation is
          exactly the result list the caller asked for. *)
-      let ys = (List.map f xs [@tdat.lint.allow "L009"]) in
-      Obs.Counter.add m_completed n;
-      ys
+      (List.map
+         (fun x ->
+           let y = f x in
+           Obs.Counter.incr m_completed;
+           on_done y;
+           y)
+         xs [@tdat.lint.allow "L009"])
   | xs ->
       let input = Array.of_list xs in
       let n = Array.length input in
@@ -169,10 +173,13 @@ let map ?chunk t f xs =
       let results = Array.make n None in
       let error = Atomic.make None in
       let run i =
-        match f input.(i) with
-        | y ->
-            results.(i) <- Some y;
-            Obs.Counter.incr m_completed
+        match
+          let y = f input.(i) in
+          results.(i) <- Some y;
+          Obs.Counter.incr m_completed;
+          on_done y
+        with
+        | () -> ()
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             (* Keep the first failure; later ones add no information. *)

@@ -50,9 +50,16 @@ val create : ?jobs:int -> unit -> t
 val jobs : t -> int
 (** The parallelism this pool was created with (after clamping). *)
 
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map :
+  ?chunk:int -> ?on_done:('b -> unit) -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs], on up to
     [jobs pool] domains, and returns the results in input order.
+
+    [on_done y] (default: nothing) runs on the same executor right after
+    [f] returned [y] and the [pool.jobs_completed] counter has counted
+    it — the point at which a job can publish its result knowing that
+    every stable counter for it has landed.  An exception from
+    [on_done] is treated like one from [f].
 
     [chunk] is the number of consecutive elements handed to an executor
     per dequeue (default: enough for four chunks per executor,

@@ -30,7 +30,11 @@ let h_queue_wait =
   Obs.Histogram.make ~stable:false
     ~buckets:Obs.Histogram.time_us_buckets "service.queue_wait_us"
 
-type job = { run : unit -> unit; enqueued_us : float; trace : string option }
+type job = {
+  run : unit -> unit -> unit;
+  enqueued_us : float;
+  trace : string option;
+}
 
 type t = {
   m : Mutex.t;
@@ -63,7 +67,9 @@ let in_flight t =
 (* One guarded thunk: a raising job must not poison its whole batch
    (Pool.map re-raises), so exceptions stop at the job boundary — the
    submitter is expected to encode failures into its own completion
-   path (the serve layer turns them into error responses). *)
+   path (the serve layer turns them into error responses).  Returns the
+   job's publication, which [Pool.map] runs once it has counted the job
+   as completed. *)
 let run_body job =
   (* The job's queue wait is only known once it starts, so it records
      retroactively as an "X" complete event — a B event with a past
@@ -74,8 +80,9 @@ let run_body job =
     Tdat_obs.Tracer.complete_span ~name:"service.queue_wait"
       ~begin_us:job.enqueued_us
       ~dur_us:(Tdat_obs.Clock.now_us () -. job.enqueued_us);
-  (try job.run () with _ -> ());
-  Obs.Counter.incr m_completed
+  let publish = try job.run () with _ -> ignore in
+  Obs.Counter.incr m_completed;
+  publish
 
 let run_guarded job =
   match job.trace with
@@ -117,7 +124,11 @@ let dispatcher_loop t =
           jobs
       end;
       Mutex.unlock t.m;
-      ignore (Pool.map t.pool run_guarded jobs : unit list);
+      ignore
+        (Pool.map
+           ~on_done:(fun publish -> try publish () with _ -> ())
+           t.pool run_guarded jobs
+          : (unit -> unit) list);
       Mutex.lock t.m;
       t.in_flight <- 0;
       Condition.broadcast t.idle;

@@ -31,8 +31,13 @@ val create : ?jobs:int -> ?capacity:int -> unit -> t
     number of queued-but-not-yet-running jobs.
     @raise Invalid_argument if [capacity < 1]. *)
 
-val submit : ?trace:string -> t -> (unit -> unit) -> outcome
+val submit : ?trace:string -> t -> (unit -> unit -> unit) -> outcome
 (** Non-blocking admission.  Safe to call from any domain.
+
+    The job runs in two steps: [job ()] does the work and returns the
+    job's publication (e.g. posting its response), which runs only after
+    the pool has counted the job as completed — so a client that sees
+    the publication also sees every stable counter the job bumped.
 
     With [trace], the worker runs the job inside
     {!Tdat_obs.Tracer.with_context}[ (Some trace)], and (when tracing

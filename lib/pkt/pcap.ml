@@ -479,13 +479,9 @@ let decode_result ?(strict = false) data =
   result_of_fold (fun ~on_diag ~init f ->
       fold_string ~strict ~on_diag data ~init f)
 
-let decode data = (decode_result ~strict:true data).trace
-
 let read_file ?(strict = false) path =
   result_of_fold (fun ~on_diag ~init f ->
       fold_file ~strict ~on_diag path ~init f)
-
-let of_file path = (read_file ~strict:true path).trace
 
 let to_file path trace =
   let oc = open_out_bin path in

@@ -19,15 +19,15 @@
     {!Diag.t} ([P0xx] codes, see DESIGN.md "Ingestion robustness") and the
     reader salvages every decodable record — a capture whose final record
     was cut off by killing tcpdump mid-write still yields all prior
-    packets.  [?strict:true] (and the legacy {!decode} / {!of_file})
-    instead fail on the first error- or warning-severity diagnostic.
+    packets.  [?strict:true] instead fails on the first error- or
+    warning-severity diagnostic, raising {!Decode_error} with a
+    ["Pcap.decode: "] message.
 
     Sequence numbers are wrapped to 32 bits on write; reads return the raw
     32-bit values (traces produced by this repository never wrap). *)
 
 exception Decode_error of string
-(** Raised on malformed pcap input by {!decode} / {!of_file}, and by the
-    other readers when [~strict:true]. *)
+(** Raised on malformed pcap input by the readers when [~strict:true]. *)
 
 exception Encode_error of string
 (** Raised by {!encode} / {!to_file} on segments that cannot be
@@ -73,16 +73,12 @@ val encode : Trace.t -> string
 (** Serializes a trace to pcap file bytes.
     @raise Encode_error on unrepresentable segments. *)
 
-val decode : string -> Trace.t
-(** Strict parse of pcap file bytes (both little- and big-endian files,
-    µs or ns resolution; ns timestamps are truncated to µs).
-    @raise Decode_error on malformed input.  Non-TCP packets are
-    skipped. *)
-
 val decode_result : ?strict:bool -> string -> result
-(** Like {!decode} but fault-tolerant by default: salvages every
-    decodable record and reports problems as diagnostics.  [~strict:true]
-    raises {!Decode_error} on the first error/warning diagnostic. *)
+(** Parse pcap file bytes (both little- and big-endian files, µs or ns
+    resolution; ns timestamps are truncated to µs; non-TCP packets are
+    skipped).  Fault-tolerant by default: salvages every decodable
+    record and reports problems as diagnostics.  [~strict:true] raises
+    {!Decode_error} on the first error/warning diagnostic. *)
 
 val fold_string :
   ?strict:bool ->
@@ -146,10 +142,6 @@ val fold_file :
 
 val to_file : string -> Trace.t -> unit
 (** @raise Encode_error on unrepresentable segments. *)
-
-val of_file : string -> Trace.t
-(** Strict streaming read (legacy interface).
-    @raise Decode_error on malformed input. *)
 
 val read_file : ?strict:bool -> string -> result
 (** Streaming read collecting the salvaged trace, all diagnostics (plus a

@@ -74,30 +74,6 @@ let partition_connections t =
       (k, { segments = Array.sub b.arr 0 b.len; voids = t.voids }))
     !order
 
-let split_connection t ~sender ~receiver =
-  (* Thin single-connection wrapper: count, then fill a pre-sized
-     array.  Callers wanting every connection should use
-     [partition_connections], which does all of them in one pass. *)
-  let flow = Flow.v ~sender ~receiver in
-  let n = Array.length t.segments in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if Flow.matches flow t.segments.(i) then incr count
-  done;
-  if !count = 0 then { segments = [||]; voids = t.voids }
-  else begin
-    let out = Array.make !count t.segments.(0) in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      let seg = t.segments.(i) in
-      if Flow.matches flow seg then begin
-        out.(!k) <- seg;
-        incr k
-      end
-    done;
-    { segments = out; voids = t.voids }
-  end
-
 let filter f t =
   { t with segments = Array.of_list (List.filter f (segments t)) }
 

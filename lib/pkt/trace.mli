@@ -32,15 +32,9 @@ val connections : t -> (Endpoint.t * Endpoint.t) list
 val partition_connections : t -> ((Endpoint.t * Endpoint.t) * t) list
 (** Bucket every segment into its connection in a single pass over the
     trace: one sub-trace (both directions, time order and voids
-    inherited) per distinct unordered endpoint pair, in first-appearance
-    order — the same keys, order and sub-traces that {!connections}
-    followed by {!split_connection} would produce, at O(packets) instead
-    of O(connections × packets). *)
-
-val split_connection : t -> sender:Endpoint.t -> receiver:Endpoint.t -> t
-(** Sub-trace of one connection (both directions); voids inherited.
-    One O(packets) scan per call; prefer {!partition_connections} when
-    extracting more than one connection. *)
+    inherited) per distinct unordered endpoint pair, keyed as
+    {!connections} keys it and in the same first-appearance order, at
+    O(packets) for all connections together. *)
 
 val filter : (Tcp_segment.t -> bool) -> t -> t
 val merge : t -> t -> t

@@ -364,8 +364,11 @@ let with_timings result timings =
 
 (* Runs on a pool worker, inside the request's trace context (the
    service sets it from [submit ~trace] before the job body runs).
-   The response must reach the outbox BEFORE [pending] is decremented:
-   the drain check exits only at
+   Returns the response's publication, which the service runs once the
+   pool has counted the job as completed, so a [metrics] request sent
+   after the response never reads a stable counter short of it.  The
+   response must reach the outbox BEFORE [pending] is decremented: the
+   drain check exits only at
    [pending = 0 && outbox empty && output buffers flushed], so this
    order guarantees no accepted job's response is dropped. *)
 let run_job t conn_id id ~trace ~timings ~raw ~enqueued_us req =
@@ -424,9 +427,10 @@ let run_job t conn_id id ~trace ~timings ~raw ~enqueued_us req =
         Obs.Counter.incr m_errors;
         Protocol.response_error ~id err
   in
-  push_outbox t conn_id line;
-  Atomic.decr t.pending;
-  wake t
+  fun () ->
+    push_outbox t conn_id line;
+    Atomic.decr t.pending;
+    wake t
 
 (* --- the event loop ----------------------------------------------------- *)
 

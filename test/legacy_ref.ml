@@ -5,9 +5,9 @@
    copies; these references pin the old behavior — records produced,
    diagnostics emitted, salvage stats — so the rewrite is checked
    byte-for-byte against what shipped before, including on malformed
-   input.  The quadratic L-method and the list-scan delivery-time lookup
-   at the end are kept the same way, as oracles for their linear
-   replacements.  Do not "improve" this file: its value is that it does
+   input.  The quadratic L-method, the list-scan delivery-time lookup,
+   the per-connection split and the list-based MCT scan at the end are
+   kept the same way, as oracles for the code that replaced them.  Do not "improve" this file: its value is that it does
    not change. *)
 
 open Tdat_bgp
@@ -794,3 +794,85 @@ let delivery_time t off =
   match t.deliveries with
   | [] -> invalid_arg "Stream_reassembly.delivery_time: no deliveries"
   | (_, latest) :: _ -> search latest t.deliveries
+
+(* --- per-connection split (one O(packets) rescan per connection) ---------- *)
+
+(* [Trace.split_connection], which [Trace.partition_connections]
+   replaced: count the connection's segments, then fill a pre-sized
+   array.  [Trace.t] is abstract here, so the array is read through
+   [Trace.get] and handed back through [Trace.of_segments], whose stable
+   sort keeps the already time-ordered segments in place. *)
+let split_connection t ~sender ~receiver =
+  let flow = Tdat_pkt.Flow.v ~sender ~receiver in
+  let n = Trace.length t in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if Tdat_pkt.Flow.matches flow (Trace.get t i) then incr count
+  done;
+  if !count = 0 then Trace.of_segments ~voids:(Trace.voids t) []
+  else begin
+    let out = Array.make !count (Trace.get t 0) in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      let seg = Trace.get t i in
+      if Tdat_pkt.Flow.matches flow seg then begin
+        out.(!k) <- seg;
+        incr k
+      end
+    done;
+    Trace.of_segments ~voids:(Trace.voids t) (Array.to_list out)
+  end
+
+(* --- list-based MCT transfer end ------------------------------------------ *)
+
+(* [Mct.transfer_end] over a [(Prefix.t, unit) Hashtbl.t], with its own
+   copy of the decision rule, and the [of_timed_msgs] adapter that fed it
+   extracted messages: the reference the streaming scan and the shared
+   rule of [Mct] are both checked against. *)
+let transfer_end ?(config = Mct.default_config) ~start updates :
+    Mct.result option =
+  let seen : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let relevant = List.filter (fun (ts, _) -> ts >= start) updates in
+  let finish last n_updates =
+    match last with
+    | None -> None
+    | Some ts ->
+        Some { Mct.end_ts = ts; prefixes = Hashtbl.length seen; updates = n_updates }
+  in
+  let rec scan last n_updates = function
+    | [] -> finish last n_updates
+    | (ts, prefixes) :: rest ->
+        let quiet =
+          match last with
+          | Some prev -> ts - prev > config.Mct.quiet_gap
+          | None -> false
+        in
+        if quiet then finish last n_updates
+        else begin
+          let total = List.length prefixes in
+          let dups =
+            List.length (List.filter (Hashtbl.mem seen) prefixes)
+          in
+          let churn =
+            total > 0
+            && Hashtbl.length seen >= config.Mct.min_seen
+            && float_of_int dups >= config.Mct.dup_fraction *. float_of_int total
+          in
+          if churn then finish last n_updates
+          else begin
+            List.iter
+              (fun p -> if not (Hashtbl.mem seen p) then Hashtbl.add seen p ())
+              prefixes;
+            scan (Some ts) (n_updates + 1) rest
+          end
+        end
+  in
+  scan None 0 relevant
+
+let of_timed_msgs msgs =
+  List.filter_map
+    (fun (m : Msg_reader.timed_msg) ->
+      match m.msg with
+      | Msg.Update u when u.Msg.nlri <> [] -> Some (m.ts, u.Msg.nlri)
+      | Msg.Update _ | Msg.Open _ | Msg.Keepalive | Msg.Notification _ -> None)
+    msgs

@@ -256,7 +256,12 @@ let test_mrt_roundtrip () =
         peer_ip = 0x0A000001l; local_ip = 0x0A000002l; msg = Msg.Keepalive };
     ]
   in
-  let back = Mrt.decode (Mrt.encode records) in
+  let back =
+    Mrt.messages
+      (Mrt.decode_result ~strict:true
+         (Mrt.encode_entries (List.map (fun r -> Mrt.Message r) records)))
+        .Mrt.entries
+  in
   Alcotest.(check int) "count" 2 (List.length back);
   List.iter2
     (fun (a : Mrt.record) (b : Mrt.record) ->

@@ -2,9 +2,9 @@
    byte-for-byte indistinguishable from the frozen pre-slice references
    in [Legacy_ref] — same records, same diagnostics, same salvage stats
    — over random valid captures AND randomly corrupted ones (truncated,
-   bit-flipped, garbage-extended).  Plus the streaming transfer-end scan
-   vs the extract-then-scan pipeline, and the [Scratch] arena's
-   cross-domain isolation. *)
+   bit-flipped, garbage-extended).  Plus the streaming and list
+   transfer-end scans vs the frozen extract-then-scan pipeline, and the
+   [Scratch] arena's cross-domain isolation. *)
 
 open Tdat_bgp
 module Seg = Tdat_pkt.Tcp_segment
@@ -267,17 +267,19 @@ let tight_config =
   { Mct.dup_fraction = 0.5; min_seen = 4; quiet_gap = 5_000_000 }
 
 let transfer_props =
+  (* Both production scans share [Mct]'s rule, so each is checked
+     against the frozen list pipeline rather than against the other. *)
   let check config t =
     let start = 0 in
-    let legacy =
-      Mct.transfer_end ?config ~start
-        (Mct.of_timed_msgs (Msg_reader.extract_from_trace t ~flow))
+    let updates =
+      Legacy_ref.of_timed_msgs (Msg_reader.extract_from_trace t ~flow)
     in
+    let legacy = Legacy_ref.transfer_end ?config ~start updates in
     let streaming =
       Mct.transfer_end_of_reasm ?config ~start
         (Msg_reader.reassemble_from_trace t ~flow)
     in
-    legacy = streaming
+    legacy = streaming && legacy = Mct.transfer_end ?config ~start updates
   in
   [
     prop ~count:200 "streaming transfer end == extract-then-scan (default)"
@@ -327,8 +329,8 @@ let test_sequential_slash24_clustering () =
     Mct.transfer_end_of_reasm ~start (Msg_reader.reassemble_from_trace t ~flow)
   in
   let legacy =
-    Mct.transfer_end ~start
-      (Mct.of_timed_msgs (Msg_reader.extract_from_trace t ~flow))
+    Legacy_ref.transfer_end ~start
+      (Legacy_ref.of_timed_msgs (Msg_reader.extract_from_trace t ~flow))
   in
   Alcotest.(check bool) "streaming == extract-then-scan" true
     (streaming = legacy);

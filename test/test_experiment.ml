@@ -169,10 +169,9 @@ let test_fleet_equivalence () =
     Alcotest.(check int) (name ^ ": A008 clean") 0
       (List.length report.Engine.audit)
   in
-  (* Four real pairs: three over the captures, one over the archives. *)
-  check_variant "pcap-ingest" pcaps;
-  check_variant "partition" pcaps;
-  check_variant "transfer-end" pcaps;
+  (* The three real pairs: two over the captures, one over the archives. *)
+  check_variant "strict-pcap" pcaps;
+  check_variant "reasm-scratch" pcaps;
   check_variant "mrt-ingest" mrts
 
 let test_report_identical_across_jobs () =
@@ -303,7 +302,7 @@ let test_cli_experiment () =
   let corp = Filename.concat dir "corpus" in
   Alcotest.(check int) "equivalent variant exits 0" 0
     (run_quiet
-       (Printf.sprintf "%s experiment run %s --variant transfer-end --jobs 2"
+       (Printf.sprintf "%s experiment run %s --variant reasm-scratch --jobs 2"
           (Filename.quote tdat_exe) (Filename.quote pcap)));
   Alcotest.(check int) "perturb self-test exits 1" 1
     (run_quiet
@@ -326,7 +325,7 @@ let test_cli_experiment () =
     Alcotest.(check int) "json run exit" 0
       (Sys.command
          (Printf.sprintf
-            "%s experiment run %s --variant transfer-end --json --jobs %d \
+            "%s experiment run %s --variant reasm-scratch --json --jobs %d \
              > %s 2>/dev/null"
             (Filename.quote tdat_exe) (Filename.quote pcap) jobs
             (Filename.quote f)));

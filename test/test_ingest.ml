@@ -94,7 +94,7 @@ let test_truncated_final_record () =
   Alcotest.(check (list string)) "warning severity" [ "warning" ] (severities r);
   Alcotest.check_raises "strict still fails"
     (Pcap.Decode_error "Pcap.decode: truncated packet") (fun () ->
-      ignore (Pcap.decode cut))
+      ignore (Pcap.decode_result ~strict:true cut))
 
 let test_trailing_record_header () =
   let data = Pcap.encode (Trace.of_segments (three_data_segs ())) in
@@ -115,7 +115,7 @@ let test_fatal_errors () =
   Alcotest.(check (list string)) "unsupported link type" [ "P003" ] (codes r);
   Alcotest.check_raises "strict link type"
     (Pcap.Decode_error "Pcap.decode: unsupported link type") (fun () ->
-      ignore (Pcap.decode (patch data 20 101)))
+      ignore (Pcap.decode_result ~strict:true (patch data 20 101)))
 
 (* --- malformed headers skip the record, salvage the rest --------------- *)
 
@@ -226,7 +226,8 @@ let test_snaplen_clipped_capture () =
     (Trace.total_bytes clipped.Pcap.trace);
   (* Clipping is not a decode problem: strict mode accepts it too. *)
   Alcotest.(check int) "strict decode works" 3
-    (Trace.length (Pcap.decode (clip_capture 54 data)));
+    (Trace.length
+       (Pcap.decode_result ~strict:true (clip_capture 54 data)).Pcap.trace);
   (* Reassembly zero-fills the missing tails and keeps offsets exact. *)
   let data_segs tr =
     List.filter
@@ -290,7 +291,10 @@ let test_timestamp_encoding () =
   (* Post-2038 seconds (>= 2^31) round-trip through the unsigned field. *)
   let ts = (2_200_000_000 * 1_000_000) + 123 in
   let t = Trace.of_segments [ seg ~ts ~payload:"x" ~src:ep1 ~dst:ep2 () ] in
-  (match Trace.segments (Pcap.decode (Pcap.encode t)) with
+  (match
+     Trace.segments
+       (Pcap.decode_result ~strict:true (Pcap.encode t)).Pcap.trace
+   with
   | [ s ] -> Alcotest.(check int) "post-2038 ts round-trips" ts s.Seg.ts
   | _ -> Alcotest.fail "expected one segment");
   let rejects ts =
@@ -333,7 +337,9 @@ let test_clipped_scenario_equivalence () =
   let o = List.hd result.Scenario.outcomes in
   let full_bytes = Pcap.encode o.Scenario.trace in
   Alcotest.(check bool) "decode/encode byte-exact on simulator output" true
-    (String.equal (Pcap.encode (Pcap.decode full_bytes)) full_bytes);
+    (String.equal
+       (Pcap.encode (Pcap.decode_result ~strict:true full_bytes).Pcap.trace)
+       full_bytes);
   (* tcpdump -s 58 keeps Ethernet + IPv4 + TCP incl. the MSS option. *)
   let full = Pcap.decode_result full_bytes in
   let clipped = Pcap.decode_result (clip_capture 58 full_bytes) in
@@ -492,7 +498,9 @@ let qcheck_suite =
   [
     prop "decode . encode is byte-exact" arb_trace (fun segs ->
         let data = Pcap.encode (Trace.of_segments segs) in
-        String.equal (Pcap.encode (Pcap.decode data)) data);
+        String.equal
+          (Pcap.encode (Pcap.decode_result ~strict:true data).Pcap.trace)
+          data);
     prop "snaplen clipping preserves seq/len accounting"
       (QCheck.pair arb_trace (QCheck.int_range 54 400))
       (fun (segs, snaplen) ->

@@ -131,7 +131,10 @@ let test_pcap_big_endian () =
   in
   swap32 0; swap16 4; swap16 6; swap32 8; swap32 12; swap32 16; swap32 20;
   swap32 24; swap32 28; swap32 32; swap32 36;
-  let decoded = Tdat_pkt.Pcap.decode (Bytes.to_string le) in
+  let decoded =
+    (Tdat_pkt.Pcap.decode_result ~strict:true (Bytes.to_string le))
+      .Tdat_pkt.Pcap.trace
+  in
   Alcotest.(check int) "big-endian file read" 1 (Tdat_pkt.Trace.length decoded);
   Alcotest.(check int) "timestamp preserved" 1_000_000
     (List.hd (Tdat_pkt.Trace.segments decoded)).Seg.ts

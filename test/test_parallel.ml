@@ -169,17 +169,34 @@ let test_scratch_geometric_growth () =
 
 (* --- Service: the bounded admission queue ------------------------------- *)
 
+(* Each job's publication also checks that the pool had already counted
+   the job when it ran: [pool.jobs_completed] must exceed the number of
+   publications finished before this one (read first, so the counter
+   read after it covers all of them). *)
 let test_service_runs_everything () =
+  let module Obs = Tdat_obs.Metrics in
+  Obs.reset Obs.default;
+  Obs.set_enabled Obs.default true;
+  let completed = Obs.Counter.make "pool.jobs_completed" in
   let s = Service.create ~jobs:2 ~capacity:64 () in
   let count = Atomic.make 0 in
+  let early = Atomic.make 0 in
   for _ = 1 to 50 do
-    match Service.submit s (fun () -> Atomic.incr count) with
+    match
+      Service.submit s (fun () () ->
+          let before = Atomic.get count in
+          if Obs.Counter.value completed <= before then Atomic.incr early;
+          Atomic.incr count)
+    with
     | Service.Accepted -> ()
     | Service.Rejected_full | Service.Rejected_draining ->
         Alcotest.fail "submission rejected below capacity"
   done;
   Service.drain s;
-  Alcotest.(check int) "every accepted job ran" 50 (Atomic.get count)
+  Obs.set_enabled Obs.default false;
+  Alcotest.(check int) "every accepted job ran" 50 (Atomic.get count);
+  Alcotest.(check int) "every job counted before its publication" 0
+    (Atomic.get early)
 
 let test_service_backpressure_and_drain () =
   let s = Service.create ~jobs:1 ~capacity:1 () in
@@ -195,7 +212,8 @@ let test_service_backpressure_and_drain () =
       Condition.wait gate_c gate_m
     done;
     Mutex.unlock gate_m;
-    Atomic.incr ran
+    Atomic.incr ran;
+    ignore
   in
   (match Service.submit s blocking with
   | Service.Accepted -> ()
@@ -210,11 +228,11 @@ let test_service_backpressure_and_drain () =
       end
   in
   spin 1_000;
-  (match Service.submit s (fun () -> Atomic.incr ran) with
+  (match Service.submit s (fun () () -> Atomic.incr ran) with
   | Service.Accepted -> ()
   | _ -> Alcotest.fail "job 2 should fill the queue");
   Alcotest.(check int) "queue full" 1 (Service.depth s);
-  (match Service.submit s (fun () -> Atomic.incr ran) with
+  (match Service.submit s (fun () () -> Atomic.incr ran) with
   | Service.Rejected_full -> ()
   | Service.Accepted | Service.Rejected_draining ->
       Alcotest.fail "job 3 must be rejected while the queue is full");
@@ -225,7 +243,7 @@ let test_service_backpressure_and_drain () =
   Mutex.unlock gate_m;
   Service.drain s;
   Alcotest.(check int) "accepted jobs all ran" 2 (Atomic.get ran);
-  match Service.submit s (fun () -> ()) with
+  match Service.submit s (fun () () -> ()) with
   | Service.Rejected_draining -> ()
   | Service.Accepted | Service.Rejected_full ->
       Alcotest.fail "post-drain submission must be rejected"
@@ -236,7 +254,7 @@ let test_service_job_exception_contained () =
   (match Service.submit s (fun () -> failwith "job blew up") with
   | Service.Accepted -> ()
   | _ -> Alcotest.fail "not accepted");
-  (match Service.submit s (fun () -> Atomic.incr ran) with
+  (match Service.submit s (fun () () -> Atomic.incr ran) with
   | Service.Accepted -> ()
   | _ -> Alcotest.fail "not accepted");
   Service.drain s;

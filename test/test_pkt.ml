@@ -78,13 +78,13 @@ let test_trace_split () =
       ]
   in
   Alcotest.(check int) "two connections" 2 (List.length (Trace.connections t));
-  let sub = Trace.split_connection t ~sender:ep1 ~receiver:ep2 in
+  let sub = Legacy_ref.split_connection t ~sender:ep1 ~receiver:ep2 in
   Alcotest.(check int) "split keeps both directions" 2 (Trace.length sub)
 
 let test_trace_partition () =
-  (* partition_connections must agree with connections + split_connection
-     — same keys, same first-appearance order, same sub-traces — while
-     scanning the trace only once. *)
+  (* partition_connections must agree with connections + the frozen
+     per-connection split — same keys, same first-appearance order, same
+     sub-traces — while scanning the trace only once. *)
   let ep3 = Endpoint.of_quad 10 9 9 9 5000 in
   let ep4 = Endpoint.of_quad 172 16 0 7 33000 in
   let t =
@@ -106,7 +106,7 @@ let test_trace_partition () =
        (Trace.connections t) (List.map fst parts));
   List.iter
     (fun ((a, b), sub) ->
-      let reference = Trace.split_connection t ~sender:a ~receiver:b in
+      let reference = Legacy_ref.split_connection t ~sender:a ~receiver:b in
       Alcotest.(check int)
         (Format.asprintf "bucket %a<->%a size" Endpoint.pp a Endpoint.pp b)
         (Trace.length reference) (Trace.length sub);
@@ -135,7 +135,7 @@ let test_pcap_roundtrip () =
     ]
   in
   let t = Trace.of_segments segs in
-  let decoded = Pcap.decode (Pcap.encode t) in
+  let decoded = (Pcap.decode_result ~strict:true (Pcap.encode t)).Pcap.trace in
   Alcotest.(check int) "packet count" 4 (Trace.length decoded);
   let d = List.nth (Trace.segments decoded) 2 in
   Alcotest.(check string) "payload survives" "table transfer" d.Seg.payload;
@@ -148,10 +148,10 @@ let test_pcap_roundtrip () =
 
 let test_pcap_rejects_garbage () =
   Alcotest.check_raises "bad magic" (Pcap.Decode_error "Pcap.decode: bad magic")
-    (fun () -> ignore (Pcap.decode (String.make 32 'z')));
+    (fun () -> ignore (Pcap.decode_result ~strict:true (String.make 32 'z')));
   Alcotest.check_raises "truncated"
     (Pcap.Decode_error "Pcap.decode: truncated header") (fun () ->
-      ignore (Pcap.decode "abc"))
+      ignore (Pcap.decode_result ~strict:true "abc"))
 
 let test_pcap_file_io () =
   let t =
@@ -162,7 +162,7 @@ let test_pcap_file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Pcap.to_file path t;
-      let back = Pcap.of_file path in
+      let back = (Pcap.read_file ~strict:true path).Pcap.trace in
       Alcotest.(check int) "read back" 1 (Trace.length back))
 
 let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:100 arb f)
@@ -190,7 +190,7 @@ let qcheck_suite =
       (QCheck.list_of_size (QCheck.Gen.int_range 0 20) arb_segment)
       (fun segs ->
         let t = Trace.of_segments segs in
-        let back = Pcap.decode (Pcap.encode t) in
+        let back = (Pcap.decode_result ~strict:true (Pcap.encode t)).Pcap.trace in
         List.for_all2
           (fun (a : Seg.t) (b : Seg.t) ->
             a.Seg.ts = b.Seg.ts && a.Seg.seq = b.Seg.seq

@@ -1,7 +1,8 @@
 (* Size-ratio guards ([Size_ratio]) on every layer whose cost grows with
    the input: the L-method knee, stream reassembly with its delivery-time
-   lookups, the streaming transfer-end scan, connection partitioning,
-   series generation and the span-set kernels.  Each guard that has a
+   lookups, the streaming and list transfer-end scans, the MRT archive
+   scan, connection partitioning, series generation and the span-set
+   kernels.  Each guard that has a
    quadratic counterpart — the frozen kernels in [Legacy_ref], the
    per-connection rescan, the pairwise span-set reference — is run
    against it too, to show the guard rejects it. *)
@@ -90,6 +91,63 @@ let test_reassembly_legacy_rejected () =
    in [Test_equiv], which times [Mct.transfer_end_of_reasm] at 3750 and
    30000 messages. *)
 
+(* --- MRT archive scan and the list transfer-end scan --------------------- *)
+
+(* An archive of [n] records: the peer reaching Established, then [n - 1]
+   UPDATEs 10 ms apart, each announcing four /24s no earlier one did. *)
+let archive_entries n =
+  let peer_ip = 0x0A000001l and local_ip = 0x0A000002l in
+  let prefix k = Prefix.of_quad (11 + (k / 65536)) (k / 256 mod 256) (k mod 256) 0 24 in
+  Mrt.State
+    {
+      Mrt.sc_ts = 1_000_000;
+      sc_peer_as = 64500;
+      sc_local_as = 65000;
+      sc_peer_ip = peer_ip;
+      sc_local_ip = local_ip;
+      old_state = Mrt.Open_confirm;
+      new_state = Mrt.Established;
+    }
+  :: List.init (n - 1) (fun i ->
+         Mrt.Message
+           {
+             Mrt.ts = 1_010_000 + (10_000 * i);
+             peer_as = 64500;
+             local_as = 65000;
+             peer_ip;
+             local_ip;
+             msg = Msg.update ~nlri:(List.init 4 (fun j -> prefix ((4 * i) + j))) ();
+           })
+
+(* [Archive.scan_file] reads each size-[n] archive from a file written
+   with [Mrt.to_file_entries]. *)
+let test_archive_scan_linear () =
+  let files = ref [] in
+  let archive_file n =
+    let path = Filename.temp_file "tdat_scaling" ".mrt" in
+    files := path :: !files;
+    Mrt.to_file_entries path (archive_entries n);
+    path
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove !files)
+    (fun () ->
+      Size_ratio.check "Archive.scan_file" ~n:2_000 ~setup:archive_file
+        (fun path -> Tdat_study.Archive.scan_file path))
+
+(* The same archive as the announcement batches [Transfer_id] hands the
+   list scan for --mrt input. *)
+let archive_batches n =
+  List.filter_map
+    (function
+      | Mrt.Message { Mrt.ts; msg = Msg.Update u; _ } -> Some (ts, u.Msg.nlri)
+      | Mrt.Message _ | Mrt.State _ -> None)
+    (archive_entries n)
+
+let test_list_transfer_end_linear () =
+  Size_ratio.check "Mct.transfer_end" ~n:4_000 ~setup:archive_batches
+    (fun batches -> Mct.transfer_end ~start:0 batches)
+
 (* --- partition ---------------------------------------------------------- *)
 
 (* [n] segments over [n / 16] connections, interleaved in time. *)
@@ -109,12 +167,12 @@ let test_partition_linear () =
     ~setup:multi_connection_trace Trace.partition_connections
 
 (* The per-connection rescan the single pass replaced: one O(packets)
-   split per connection. *)
+   frozen split per connection. *)
 let test_partition_rescan_rejected () =
   Size_ratio.check_rejects "connections + split_connection rescan" ~n:2_000
     ~setup:multi_connection_trace (fun t ->
       List.map
-        (fun (a, b) -> Trace.split_connection t ~sender:a ~receiver:b)
+        (fun (a, b) -> Legacy_ref.split_connection t ~sender:a ~receiver:b)
         (Trace.connections t))
 
 (* --- series generation -------------------------------------------------- *)
@@ -186,6 +244,10 @@ let suite =
       test_reassembly_linear;
     Alcotest.test_case "reassembly: guard rejects the list scan" `Quick
       test_reassembly_legacy_rejected;
+    Alcotest.test_case "archive scan is linear" `Quick
+      test_archive_scan_linear;
+    Alcotest.test_case "list transfer-end scan is linear" `Quick
+      test_list_transfer_end_linear;
     Alcotest.test_case "partition is linear" `Quick test_partition_linear;
     Alcotest.test_case "partition: guard rejects the rescan" `Quick
       test_partition_rescan_rejected;

@@ -80,7 +80,11 @@ let test_entry_roundtrip () =
   Alcotest.(check int) "skipped" 0 r.Mrt.stats.Mrt.skipped
 
 let test_legacy_decode_skips_state_changes () =
-  let records = Mrt.decode (Mrt.encode_entries sample_entries) in
+  let records =
+    Mrt.messages
+      (Mrt.decode_result ~strict:true (Mrt.encode_entries sample_entries))
+        .Mrt.entries
+  in
   Alcotest.(check int) "messages only" 3 (List.length records);
   Alcotest.(check bool) "same as messages" true
     (records = Mrt.messages sample_entries)
@@ -93,7 +97,7 @@ let codes (r : Mrt.result) =
 let has_code c r = List.exists (fun x -> String.equal x c) (codes r)
 
 let strict_message data =
-  match Mrt.decode data with
+  match Mrt.decode_result ~strict:true data with
   | _ -> None
   | exception Bgp_error.Decode_error { context; message } ->
       Some (context, message)
@@ -187,7 +191,8 @@ let test_unsupported_type_skipped () =
          | Mrt.Diag.Error | Mrt.Diag.Warning -> false)
        r.Mrt.diags);
   Alcotest.(check int) "strict still decodes" 2
-    (List.length (Mrt.decode data))
+    (List.length
+       (Mrt.messages (Mrt.decode_result ~strict:true data).Mrt.entries))
 
 let test_bad_state_change () =
   let body = Buffer.create 64 in
@@ -228,7 +233,8 @@ let test_fold_file_matches_decode_result () =
     (List.rev entries = sample_entries);
   Alcotest.(check int) "records" 5 stats.Mrt.records;
   Alcotest.(check bool) "of_file messages" true
-    (Mrt.of_file path = Mrt.messages sample_entries)
+    (Mrt.messages (Mrt.read_file ~strict:true path).Mrt.entries
+    = Mrt.messages sample_entries)
 
 let test_fold_fd_pipe_fed () =
   (* A pipe delivers the archive in dribs and drabs — short reads land
