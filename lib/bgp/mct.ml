@@ -14,123 +14,196 @@ type result = {
 }
 
 module Slice = Tdat_pkt.Slice
+module Scratch = Tdat_parallel.Scratch
 
-(* --- packed prefix set --------------------------------------------------- *)
+(* --- packed prefixes ------------------------------------------------------ *)
 
-(* A prefix packed into one immediate: masked 32-bit address in the high
-   bits, prefix length in the low 6.  Injective on what [Prefix.compare]
+(* A prefix packed into one immediate: masked 32-bit address in bits
+   6..37, prefix length in the low 6.  Injective on what [Prefix.compare]
    distinguishes (masked address, length), so set membership and
    cardinality agree with a [(Prefix.t, unit) Hashtbl.t]. *)
+let key_bits = 38
+let key_mask = (1 lsl key_bits) - 1
+
 let[@inline] pack ~addr plen =
   let m = if plen = 0 then 0 else 0xFFFFFFFF lsl (32 - plen) land 0xFFFFFFFF in
   ((addr land m) lsl 6) lor plen
 
-(* An NLRI entry read in place: length byte at [o], address bytes after. *)
-let[@inline] pack_prefix s o plen =
-  let nbytes = (plen + 7) / 8 in
-  let u = ref 0 in
-  for i = 0 to nbytes - 1 do
-    u := !u lor (Slice.u8 s (o + 1 + i) lsl (24 - (8 * i)))
-  done;
-  pack ~addr:!u plen
-
 let pack_prefix_t p =
   pack ~addr:(Int32.to_int (Prefix.addr p) land 0xFFFFFFFF) (Prefix.len p)
 
-(* Open-addressed int set, linear probing, -1 = empty.  Lives on the
-   major heap (the table exceeds [Max_young_wosize]); the per-insert
-   path allocates nothing. *)
-type pset = { mutable slots : int array; mutable count : int }
+(* --- the seen set ---------------------------------------------------------- *)
 
-let pset_create () = { slots = Array.make 2048 (-1); count = 0 }
+(* Open-addressed set of packed prefixes with linear probing over the
+   first [size] slots of [slots] ([size] a power of two, 0 = empty).  A
+   slot holds [tag lsl key_bits lor key], where [tag] >= 1 numbers the
+   announcement batch that inserted [key].  One probe per prefix then
+   tells the three cases MCT distinguishes apart: a key an earlier batch
+   inserted (a duplicate), a key this batch already inserted (a repeat
+   inside one UPDATE, which is not a duplicate), and a new key. *)
+type seen = {
+  mutable slots : int array;
+  mutable size : int;
+  mutable shift : int;  (* [Sys.int_size - log2 size]: see [home] *)
+  mutable count : int;  (* distinct keys *)
+  mutable tag : int;  (* the open batch's tag *)
+  max_tag : int;
+}
 
-let[@inline] pset_slot slots x =
-  let mask = Array.length slots - 1 in
-  (* Multiplicative hash keeping the HIGH product bits: the low bits of
-     [x * c] are periodic in [x] (packed prefixes step by 1 lsl 14 for
-     consecutive /24s, collapsing a low-bits hash to one slot), while
-     bits 40..62 mix every input bit.  Holds as long as the table stays
-     under [2 lsl 23] slots — a full IPv4 table is ~2^20. *)
-  let i = ref ((x * 0x2545F4914F6CDD1D) lsr 40 land mask) in
-  while slots.(!i) <> -1 && slots.(!i) <> x do
-    i := (!i + 1) land mask
+(* The largest tag the bits above a key can hold. *)
+let max_tag = (1 lsl (Sys.int_size - key_bits)) - 1
+
+(* Multiplicative hash keeping the TOP log2(size) bits of the product:
+   the low bits of [key * c] are periodic in [key] (consecutive /24s pack
+   1 lsl 14 apart and would share one low-bits slot), while the top bits
+   mix every input bit, at every table size. *)
+let[@inline] home s key = (key * 0x2545F4914F6CDD1D) lsr s.shift
+
+let grow s =
+  let old = s.slots and old_size = s.size in
+  let size = 2 * old_size in
+  let slots = Array.make size 0 in
+  s.slots <- slots;
+  s.size <- size;
+  s.shift <- s.shift - 1;
+  for j = 0 to old_size - 1 do
+    let v = old.(j) in
+    if v <> 0 then begin
+      let i = ref (home s (v land key_mask)) in
+      while slots.(!i) <> 0 do
+        i := (!i + 1) land (size - 1)
+      done;
+      slots.(!i) <- v
+    end
+  done
+
+(* Insert [key] under the open batch's tag: 1 when an earlier batch
+   inserted it (a duplicate), 0 when it is new or this batch already
+   inserted it.  A key keeps the tag of the batch that first inserted
+   it, so a duplicate repeated inside one batch counts every time. *)
+let[@inline] add s key =
+  let slots = s.slots and mask = s.size - 1 in
+  let i = ref (home s key) in
+  let v = ref slots.(!i) in
+  while !v <> 0 && !v land key_mask <> key do
+    i := (!i + 1) land mask;
+    v := slots.(!i)
   done;
-  !i
-
-let[@inline] pset_mem t x = t.slots.(pset_slot t.slots x) = x
-
-let pset_grow t =
-  let old = t.slots in
-  let slots = Array.make (2 * Array.length old) (-1) in
-  Array.iter (fun x -> if x <> -1 then slots.(pset_slot slots x) <- x) old;
-  t.slots <- slots
-
-let pset_add t x =
-  let i = pset_slot t.slots x in
-  if t.slots.(i) <> x then begin
-    t.slots.(i) <- x;
-    t.count <- t.count + 1;
-    if 4 * t.count > 3 * Array.length t.slots then pset_grow t
+  if !v = 0 then begin
+    slots.(!i) <- (s.tag lsl key_bits) lor key;
+    s.count <- s.count + 1;
+    if 4 * s.count > 3 * s.size then grow s;
+    0
   end
+  else if !v lsr key_bits = s.tag then 0
+  else 1
+
+(* Close the open batch.  When the tags run out every key present
+   belongs to an earlier batch, so they are all re-tagged 1 and the next
+   batch takes 2. *)
+let next_batch s =
+  if s.tag < s.max_tag then s.tag <- s.tag + 1
+  else begin
+    let slots = s.slots in
+    for i = 0 to s.size - 1 do
+      let v = slots.(i) in
+      if v <> 0 then slots.(i) <- (1 lsl key_bits) lor (v land key_mask)
+    done;
+    s.tag <- 2
+  end
+
+let table_size n =
+  let size = ref 256 and bits = ref 8 in
+  while !size < n do
+    size := 2 * !size;
+    incr bits
+  done;
+  (!size, !bits)
+
+(* Run [f] over an empty set of at least [n] slots, drawn from this
+   domain's scratch arena: the array is reused across connections, and
+   each scan clears only the prefix it uses, so nothing one scan inserted
+   is visible to the next. *)
+let with_seen ~max_tag n f =
+  let size, bits = table_size n in
+  Scratch.with_ints ~slot:Scratch.slot_mct_seen size (fun slots ->
+      Array.fill slots 0 size 0;
+      f
+        {
+          slots;
+          size;
+          shift = Sys.int_size - bits;
+          count = 0;
+          tag = 1;
+          max_tag;
+        })
 
 (* --- the MCT rule ---------------------------------------------------------- *)
 
 (* One scan's state.  Both scans below feed it the same way, one
    announcement batch at a time: [admit] applies the start filter and the
-   quiet gap to the batch's timestamp; on [`Open] the caller counts the
-   batch's packed prefixes and the ones already in [seen], asks [churn],
-   and unless it says stop, adds the prefixes to [seen] and calls
-   [commit].  [outcome] is the result at whichever point the scan ends. *)
+   quiet gap to the batch's timestamp; on [`Open] the caller passes each
+   of the batch's packed prefixes through [add seen], summing the
+   duplicates, and asks [churn] with the set's size from before the
+   batch.  On churn the scan ends with that size (the batch's inserts are
+   never read again); otherwise [commit] closes the batch.  [outcome] is
+   the result at whichever point the scan ends. *)
 type scan = {
   config : config;
   start : Tdat_timerange.Time_us.t;
-  seen : pset;
+  seen : seen;
   mutable last : Tdat_timerange.Time_us.t;  (* [min_int]: no batch yet *)
   mutable updates : int;
 }
 
-let scan_create config ~start =
-  { config; start; seen = pset_create (); last = min_int; updates = 0 }
+let scan_create config ~start seen =
+  { config; start; seen; last = min_int; updates = 0 }
 
 let[@inline] admit st ts =
   if ts < st.start then `Skip
   else if st.last <> min_int && ts - st.last > st.config.quiet_gap then `Stop
   else `Open
 
-let[@inline] churn st ~total ~dups =
+let[@inline] churn st ~before ~total ~dups =
   total > 0
-  && st.seen.count >= st.config.min_seen
+  && before >= st.config.min_seen
   && float_of_int dups >= st.config.dup_fraction *. float_of_int total
 
-let[@inline] commit st ts =
+let commit st ts =
   st.last <- ts;
-  st.updates <- st.updates + 1
+  st.updates <- st.updates + 1;
+  next_batch st.seen
 
-let outcome st =
+let outcome st ~prefixes =
   if st.last = min_int then None
-  else Some { end_ts = st.last; prefixes = st.seen.count; updates = st.updates }
+  else Some { end_ts = st.last; prefixes; updates = st.updates }
 
 (* --- list scan (archive input) ------------------------------------------- *)
 
-let transfer_end ?(config = default_config) ~start updates =
-  let st = scan_create config ~start in
+let rec add_all seen dups = function
+  | [] -> dups
+  | p :: rest -> add_all seen (dups + add seen (pack_prefix_t p)) rest
+
+let list_scan ~max_tag ?(config = default_config) ~start updates =
+  (* The announcement count bounds the distinct count the set must hold. *)
+  let announced =
+    List.fold_left (fun n (_, ps) -> n + List.length ps) 0 updates
+  in
+  with_seen ~max_tag announced @@ fun seen ->
+  let st = scan_create config ~start seen in
   let rec go = function
-    | [] -> outcome st
+    | [] -> outcome st ~prefixes:seen.count
     | (_, []) :: rest -> go rest
     | (ts, prefixes) :: rest -> (
         match admit st ts with
         | `Skip -> go rest
-        | `Stop -> outcome st
+        | `Stop -> outcome st ~prefixes:seen.count
         | `Open ->
-            let total = ref 0 and dups = ref 0 in
-            List.iter
-              (fun p ->
-                incr total;
-                if pset_mem st.seen (pack_prefix_t p) then incr dups)
-              prefixes;
-            if churn st ~total:!total ~dups:!dups then outcome st
+            let before = seen.count in
+            let dups = add_all seen 0 prefixes in
+            if churn st ~before ~total:(List.length prefixes) ~dups then
+              outcome st ~prefixes:before
             else begin
-              List.iter (fun p -> pset_add st.seen (pack_prefix_t p)) prefixes;
               commit st ts;
               go rest
             end)
@@ -139,143 +212,175 @@ let transfer_end ?(config = default_config) ~start updates =
 
 (* --- streaming scan over a reassembled byte stream ----------------------- *)
 
-(* [transfer_end_of_reasm] computes the same answer as extracting the
-   stream's messages and running [transfer_end] on their announcements,
-   without materializing any of the intermediate structures: no
-   [timed_msg] list, no decoded [Msg.t], no [Prefix.t] values, no
-   per-update prefix lists.  It walks the contiguous stream once,
-   validating each message exactly as [Msg.decode_slice] would (any
-   violation ends the scan, like [Msg_reader.extract] stopping at the
-   first decode error) and feeding each announcement batch to the shared
-   rule as packed ints.  The equivalence is locked down by the
-   decode-equivalence test suite. *)
+(* [reasm_scan] computes the same answer as extracting the stream's
+   messages and running the list scan on their announcements, in one pass
+   over the contiguous stream that builds nothing: no [timed_msg] list, no
+   decoded [Msg.t], no [Prefix.t] values, no per-update lists.  Each
+   message is validated exactly as [Msg.decode_slice] would (any violation
+   ends the scan, like [Msg_reader.extract] stopping at the first decode
+   error), and each announcement batch feeds the shared rule as packed
+   ints.  The decode-equivalence tests lock the equivalence down.
 
-(* Local validation failure: the stream stops being (or never was) BGP
-   at this message, exactly where the decoder raises
-   [Bgp_error.Decode_error]. *)
+   One bounds proof per message: once the header shows
+   [off + total <= len], every read below goes straight to the borrowed
+   buffer.  Each checker reads only below a [limit] that never exceeds
+   the message's end, which is the same condition the decoder's
+   per-section slices enforce, so no read needs its own check. *)
+
 exception Bad
 
-(* The checkers below mirror the corresponding decoders' validation
-   byte for byte (Prefix.decode_slice, As_path.decode_slice,
-   Attr.decode_all_slice, Msg.decode_slice) while building nothing. *)
+let[@inline] byte buf p = Char.code (Bytes.unsafe_get buf p)
+let[@inline] u16 buf p = (byte buf p lsl 8) lor byte buf (p + 1)
 
-let check_prefixes s ~off ~limit =
-  let o = ref off in
+(* The checkers take absolute positions in [buf] and mirror the
+   decoders' validation byte for byte (Prefix.decode_slice,
+   As_path.decode_slice, Attr.decode_all_slice, Msg.decode_slice). *)
+
+let check_prefixes buf ~pos ~limit =
+  let o = ref pos in
   while !o < limit do
-    let plen = Slice.u8 s !o in
+    let plen = byte buf !o in
     if plen > 32 then raise Bad;
     let nbytes = (plen + 7) / 8 in
     if !o + 1 + nbytes > limit then raise Bad;
     o := !o + 1 + nbytes
   done
 
-let check_as_path s ~off ~limit =
-  let o = ref off in
+let check_as_path buf ~pos ~limit =
+  let o = ref pos in
   while !o < limit do
     if !o + 2 > limit then raise Bad;
-    let ty = Slice.u8 s !o in
-    let n = Slice.u8 s (!o + 1) in
+    let ty = byte buf !o in
+    let n = byte buf (!o + 1) in
     if !o + 2 + (2 * n) > limit then raise Bad;
     if ty <> 1 && ty <> 2 then raise Bad;
     o := !o + 2 + (2 * n)
   done
 
-let check_attrs s ~off ~limit =
-  let o = ref off in
+let check_attrs buf ~pos ~limit =
+  let o = ref pos in
   while !o < limit do
     if !o + 3 > limit then raise Bad;
-    let flags = Slice.u8 s !o in
-    let code = Slice.u8 s (!o + 1) in
+    let flags = byte buf !o in
+    let code = byte buf (!o + 1) in
     let vlen, voff =
       if flags land 0x10 <> 0 then begin
         if !o + 4 > limit then raise Bad;
-        (Slice.u16be s (!o + 2), !o + 4)
+        (u16 buf (!o + 2), !o + 4)
       end
-      else (Slice.u8 s (!o + 2), !o + 3)
+      else (byte buf (!o + 2), !o + 3)
     in
     if voff + vlen > limit then raise Bad;
-    if code = 2 then check_as_path s ~off:voff ~limit:(voff + vlen);
+    if code = 2 then check_as_path buf ~pos:voff ~limit:(voff + vlen);
     o := voff + vlen
   done
 
-(* Validate one message body; [`Update nlri_off] carries the absolute
-   offset of the (possibly empty) NLRI section. *)
-let check_message s ~boff ~blen ~ty =
+(* Validate the body [boff, limit) of a message of type [ty]: for an
+   UPDATE, everything before the NLRI, returning the NLRI's position
+   (checked by the caller as it reads it); -1 for any other type. *)
+let check_body buf ~ty ~boff ~limit =
+  let blen = limit - boff in
   match ty with
-  | 1 ->
-      if blen < 10 then raise Bad;
-      `Skip
+  | 1 -> if blen < 10 then raise Bad else -1
   | 2 ->
       if blen < 4 then raise Bad;
-      let wlen = Slice.u16be s boff in
+      let wlen = u16 buf boff in
       if 2 + wlen + 2 > blen then raise Bad;
-      check_prefixes s ~off:(boff + 2) ~limit:(boff + 2 + wlen);
-      let alen = Slice.u16be s (boff + 2 + wlen) in
+      check_prefixes buf ~pos:(boff + 2) ~limit:(boff + 2 + wlen);
+      let alen = u16 buf (boff + 2 + wlen) in
       if 4 + wlen + alen > blen then raise Bad;
-      check_attrs s ~off:(boff + 4 + wlen) ~limit:(boff + 4 + wlen + alen);
-      let nlri_off = boff + 4 + wlen + alen in
-      check_prefixes s ~off:nlri_off ~limit:(boff + blen);
-      `Update nlri_off
-  | 3 ->
-      if blen < 2 then raise Bad;
-      `Skip
-  | 4 ->
-      if blen <> 0 then raise Bad;
-      `Skip
+      check_attrs buf ~pos:(boff + 4 + wlen) ~limit:(boff + 4 + wlen + alen);
+      boff + 4 + wlen + alen
+  | 3 -> if blen < 2 then raise Bad else -1
+  | 4 -> if blen <> 0 then raise Bad else -1
   | _ -> raise Bad
 
-let transfer_end_of_reasm ?(config = default_config) ~start reasm =
+(* The packed key of the NLRI entry whose length byte [plen] sits at [p]. *)
+let[@inline] pack_at buf p plen =
+  let u = ref 0 in
+  for i = 0 to ((plen + 7) / 8) - 1 do
+    u := !u lor (byte buf (p + 1 + i) lsl (24 - (8 * i)))
+  done;
+  pack ~addr:!u plen
+
+(* A message's length field, or -1 when the header is not BGP's: a marker
+   byte other than 0xff or a length outside [header_size, max_size]. *)
+let header_length buf p =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < 16 do
+    if byte buf (p + !i) <> 0xff then ok := false;
+    incr i
+  done;
+  let total = u16 buf (p + 16) in
+  if !ok && total >= Msg.header_size && total <= Msg.max_size then total
+  else -1
+
+let reasm_scan ~max_tag ?(config = default_config) ~start reasm =
   let stream = Stream_reassembly.contiguous_slice reasm in
-  let len = Slice.length stream in
-  let st = scan_create config ~start in
-  let seen = st.seen in
+  let buf = stream.Slice.buf and base = stream.Slice.off in
+  let len = stream.Slice.len in
+  (* About one slot per 8 stream bytes: a full-table stream carries ~12
+     bytes per distinct prefix, which keeps the load between 1/3 and 2/3
+     without growing; a denser stream grows the table. *)
+  with_seen ~max_tag (len / 8) @@ fun seen ->
+  let st = scan_create config ~start seen in
   let rec scan off =
-    if off >= len then outcome st
+    if off + Msg.header_size > len then outcome st ~prefixes:seen.count
     else
-      match Msg.peek_length_slice stream off with
-      | None -> outcome st
-      | exception Bgp_error.Decode_error _ -> outcome st
-      | Some total ->
-          if off + total > len then outcome st
-          else begin
-            let ty = Slice.u8 stream (off + 18) in
-            let boff = off + Msg.header_size in
-            let blen = total - Msg.header_size in
-            match check_message stream ~boff ~blen ~ty with
-            | exception Bad -> outcome st
-            | `Skip -> scan (off + total)
-            | `Update nlri_off ->
-                let limit = boff + blen in
-                if nlri_off = limit then
-                  (* Empty NLRI: not an announcement batch. *)
-                  scan (off + total)
+      let p = base + off in
+      let total = header_length buf p in
+      if total < 0 || off + total > len then outcome st ~prefixes:seen.count
+      else
+        let limit = p + total in
+        match
+          check_body buf ~ty:(byte buf (p + 18)) ~boff:(p + Msg.header_size)
+            ~limit
+        with
+        | exception Bad -> outcome st ~prefixes:seen.count
+        | nlri when nlri < 0 || nlri = limit ->
+            (* Not an UPDATE, or one with an empty NLRI: not an
+               announcement batch. *)
+            scan (off + total)
+        | nlri -> (
+            let ts = Stream_reassembly.delivery_time reasm (off + total - 1) in
+            match admit st ts with
+            | `Stop -> outcome st ~prefixes:seen.count
+            | `Skip -> (
+                match check_prefixes buf ~pos:nlri ~limit with
+                | exception Bad -> outcome st ~prefixes:seen.count
+                | () -> scan (off + total))
+            | `Open ->
+                (* Validate, pack and insert in one walk.  A bad entry
+                   ends the scan before this message, so the count from
+                   before it stands. *)
+                let before = seen.count in
+                let n = ref 0 and dups = ref 0 and o = ref nlri in
+                while !o < limit do
+                  let plen = byte buf !o in
+                  let next = !o + 1 + ((plen + 7) / 8) in
+                  if plen > 32 || next > limit then o := max_int
+                  else begin
+                    incr n;
+                    dups := !dups + add seen (pack_at buf !o plen);
+                    o := next
+                  end
+                done;
+                if !o = max_int || churn st ~before ~total:!n ~dups:!dups then
+                  outcome st ~prefixes:before
                 else begin
-                  let ts = Stream_reassembly.delivery_time reasm (off + total - 1) in
-                  match admit st ts with
-                  | `Skip -> scan (off + total)
-                  | `Stop -> outcome st
-                  | `Open ->
-                      let total_p = ref 0 in
-                      let dups = ref 0 in
-                      let o = ref nlri_off in
-                      while !o < limit do
-                        let plen = Slice.u8 stream !o in
-                        incr total_p;
-                        if pset_mem seen (pack_prefix stream !o plen) then incr dups;
-                        o := !o + 1 + ((plen + 7) / 8)
-                      done;
-                      if churn st ~total:!total_p ~dups:!dups then outcome st
-                      else begin
-                        let o = ref nlri_off in
-                        while !o < limit do
-                          let plen = Slice.u8 stream !o in
-                          pset_add seen (pack_prefix stream !o plen);
-                          o := !o + 1 + ((plen + 7) / 8)
-                        done;
-                        commit st ts;
-                        scan (off + total)
-                      end
-                end
-          end
+                  commit st ts;
+                  scan (off + total)
+                end)
   in
   scan 0
+
+let transfer_end ?config ~start updates =
+  list_scan ~max_tag ?config ~start updates
+
+let transfer_end_of_reasm ?config ~start reasm =
+  reasm_scan ~max_tag ?config ~start reasm
+
+module Private = struct
+  let transfer_end = list_scan
+  let transfer_end_of_reasm = reasm_scan
+end

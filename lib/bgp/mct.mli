@@ -53,6 +53,29 @@ val transfer_end_of_reasm :
     pass over the contiguous stream, validating messages exactly as the
     decoder would and feeding announced prefixes, packed as ints, to the
     same decision rule — no intermediate messages, prefix values, or
-    lists are built.  The answer is identical to extract-then-scan
-    (checked against a frozen copy of the list pipeline by the
-    decode-equivalence tests). *)
+    lists are built, and each prefix costs one probe of a seen set
+    drawn from the domain's scratch arena.  The answer is identical to
+    extract-then-scan (checked against a frozen copy of the list
+    pipeline by the decode-equivalence tests). *)
+
+(**/**)
+
+(** The two scans with the number of batch tags of the seen set as a
+    parameter ([max_tag] >= 2; the public scans use every tag the bits
+    above a packed prefix hold).  Tests only: a small [max_tag] makes
+    the set run out of tags and re-tag within a few batches. *)
+module Private : sig
+  val transfer_end :
+    max_tag:int ->
+    ?config:config ->
+    start:Tdat_timerange.Time_us.t ->
+    (Tdat_timerange.Time_us.t * Prefix.t list) list ->
+    result option
+
+  val transfer_end_of_reasm :
+    max_tag:int ->
+    ?config:config ->
+    start:Tdat_timerange.Time_us.t ->
+    Stream_reassembly.t ->
+    result option
+end

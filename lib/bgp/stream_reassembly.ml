@@ -1,14 +1,19 @@
 module Scratch = Tdat_parallel.Scratch
 
+module Ends = Map.Make (Int)
+
 type t = {
   mutable data : Bytes.t;
   scratch : Scratch.cell option;
       (* When present, [data] is the cell's buffer and growth goes
          through the arena so the high-water mark is reused across
          connections on the same domain. *)
-  mutable received : (int * int) list;
-      (* Sorted disjoint [lo, hi) intervals of received stream offsets. *)
-  mutable frontier : int; (* First offset not yet contiguous. *)
+  mutable frontier : int;
+      (* First offset not yet contiguous: [0, frontier) is received. *)
+  mutable islands : int Ends.t;
+      (* The received intervals past the frontier, [lo, hi) keyed by
+         [lo]: disjoint, not adjacent to each other, and all starting
+         beyond [frontier], so a hole precedes each. *)
   mutable advances : int array;
   mutable advance_ts : Tdat_timerange.Time_us.t array;
       (* Frontier advances in arrival order: the [i]th advance moved the
@@ -25,8 +30,8 @@ let create ?scratch () =
       | Some cell -> Scratch.ensure cell 4096
       | None -> Bytes.create 4096);
     scratch;
-    received = [];
     frontier = 0;
+    islands = Ends.empty;
     advances = [||];
     advance_ts = [||];
     n_advances = 0;
@@ -47,20 +52,46 @@ let ensure_capacity t needed =
         Bytes.blit t.data 0 bigger 0 cap;
         t.data <- bigger
 
-(* Insert [lo, hi) into the sorted disjoint interval list, returning the
-   new list and the number of bytes that were already present. *)
-let insert_interval intervals lo hi =
-  let rec go acc overlap lo hi = function
-    | [] -> (List.rev ((lo, hi) :: acc), overlap)
-    | (a, b) :: rest when b < lo -> go ((a, b) :: acc) overlap lo hi rest
-    | (a, b) :: rest when hi < a ->
-        (List.rev_append acc ((lo, hi) :: (a, b) :: rest), overlap)
-    | (a, b) :: rest ->
-        (* Overlapping or adjacent: merge, accumulating the overlap. *)
-        let ov = max 0 (min hi b - max lo a) in
-        go acc (overlap + ov) (min lo a) (max hi b) rest
-  in
-  go [] 0 lo hi intervals
+(* Merge [lo, hi) into the islands that overlap or touch it, starting
+   with the last one that begins at or before [lo]; returns the merged
+   island's end and adds the bytes already present to [overlap].  Each
+   island is merged away at most once, so an insert costs O(log islands)
+   amortized. *)
+let rec absorb t lo hi overlap =
+  match Ends.find_first_opt (fun a -> a >= lo) t.islands with
+  | Some (a, b) when a <= hi ->
+      t.islands <- Ends.remove a t.islands;
+      overlap := !overlap + max 0 (min hi b - a);
+      absorb t lo (max hi b) overlap
+  | Some _ | None -> hi
+
+(* Add [lo, hi) to the received set and return the number of its bytes
+   that were already present.  In-order arrival, a segment that starts
+   at or before the frontier with no island beyond, is O(1) and
+   allocates nothing. *)
+let insert t lo hi =
+  let frontier = t.frontier in
+  if lo <= frontier then begin
+    let overlap = ref (max 0 (min hi frontier - lo)) in
+    let hi = max hi frontier in
+    let hi = if Ends.is_empty t.islands then hi else absorb t lo hi overlap in
+    t.frontier <- hi;
+    !overlap
+  end
+  else begin
+    let overlap = ref 0 in
+    let lo, hi =
+      match Ends.find_last_opt (fun a -> a <= lo) t.islands with
+      | Some (a, b) when b >= lo ->
+          t.islands <- Ends.remove a t.islands;
+          overlap := min hi b - lo;
+          (a, max hi b)
+      | Some _ | None -> (lo, hi)
+    in
+    let hi = absorb t lo hi overlap in
+    t.islands <- Ends.add lo hi t.islands;
+    !overlap
+  end
 
 let record_advance t hi ts =
   let n = t.n_advances in
@@ -83,7 +114,8 @@ let feed ?(rebase = 0) t (seg : Tdat_pkt.Tcp_segment.t) =
     let hi = lo + seg.len in
     if lo < 0 then invalid_arg "Stream_reassembly.feed: negative offset";
     ensure_capacity t hi;
-    let received, overlap = insert_interval t.received lo hi in
+    let frontier = t.frontier in
+    let overlap = insert t lo hi in
     (* Only blit the genuinely new part when the segment is entirely new
        or extends past what we had; overlapping rewrites with identical
        content are harmless, so blit unconditionally for simplicity —
@@ -95,14 +127,8 @@ let feed ?(rebase = 0) t (seg : Tdat_pkt.Tcp_segment.t) =
     let copy = min (String.length seg.payload) seg.len in
     if copy > 0 then Bytes.blit_string seg.payload 0 t.data lo copy;
     if copy < seg.len then Bytes.fill t.data (lo + copy) (seg.len - copy) '\000';
-    t.received <- received;
     t.duplicate_bytes <- t.duplicate_bytes + overlap;
-    (* Advance the contiguous frontier. *)
-    match t.received with
-    | (0, hi0) :: _ when hi0 > t.frontier ->
-        t.frontier <- hi0;
-        record_advance t hi0 seg.ts
-    | _ -> ()
+    if t.frontier > frontier then record_advance t t.frontier seg.ts
   end
 
 let of_segments segs =
@@ -134,8 +160,7 @@ let delivery_time t off =
   t.advance_ts.(!lo)
 
 let total_gaps t =
-  match t.received with
-  | [] -> 0
-  | (_, _) :: rest -> List.length rest
+  let islands = Ends.cardinal t.islands in
+  if t.frontier > 0 then islands else max 0 (islands - 1)
 
 let duplicate_bytes t = t.duplicate_bytes

@@ -21,7 +21,9 @@ val feed : ?rebase:int -> t -> Tdat_pkt.Tcp_segment.t -> unit
     come from [seq] minus [rebase] (default 0); the stream starts at
     offset 0.  A payload shorter than the segment's declared [len]
     (snaplen-truncated capture, or not materialized) is zero-filled to
-    [len], keeping offsets exact. *)
+    [len], keeping offsets exact.  A segment that extends the contiguous
+    part while no hole is open costs O(1); any other costs
+    O(log holes), amortized. *)
 
 val of_segments : Tdat_pkt.Tcp_segment.t list -> t
 

@@ -16,18 +16,18 @@ let duration t = max 0 (t.end_ts - t.start_ts)
 let span t =
   Tdat_timerange.Span.v t.start_ts (max (t.start_ts + 1) (t.end_ts + 1))
 
+(* The sender's SYN, else the first segment: found by index, without
+   building the trace's segment list. *)
 let connection_start trace ~flow =
-  let segs = Tdat_pkt.Trace.segments trace in
-  let syn =
-    List.find_opt
-      (fun (s : Seg.t) ->
-        s.flags.Seg.syn && Tdat_pkt.Flow.is_to_receiver flow s)
-      segs
+  let n = Tdat_pkt.Trace.length trace in
+  let rec find i =
+    if i = n then (Tdat_pkt.Trace.get trace 0).Seg.ts
+    else
+      let (s : Seg.t) = Tdat_pkt.Trace.get trace i in
+      if s.flags.Seg.syn && Tdat_pkt.Flow.is_to_receiver flow s then s.Seg.ts
+      else find (i + 1)
   in
-  match (syn, segs) with
-  | Some s, _ -> Some s.Seg.ts
-  | None, first :: _ -> Some first.Seg.ts
-  | None, [] -> None
+  if n = 0 then None else Some (find 0)
 
 let identify ?mct ?mrt trace ~flow =
   match connection_start trace ~flow with

@@ -44,6 +44,7 @@ let slot_series_data_ts = 0
 let slot_series_ack_ts = 1
 let slot_series_all_ts = 2
 let slot_series_small_ts = 3
+let slot_mct_seen = 4
 
 let key =
   Domain.DLS.new_key (fun () -> { cells = [||]; icells = [||] })

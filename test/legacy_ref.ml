@@ -6,9 +6,10 @@
    diagnostics emitted, salvage stats — so the rewrite is checked
    byte-for-byte against what shipped before, including on malformed
    input.  The quadratic L-method, the list-scan delivery-time lookup,
-   the per-connection split and the list-based MCT scan at the end are
-   kept the same way, as oracles for the code that replaced them.  Do not "improve" this file: its value is that it does
-   not change. *)
+   the list-interval reassembler, the per-connection split and the
+   list-based MCT scan at the end are kept the same way, as oracles for
+   the code that replaced them.  Do not "improve" this file: its value
+   is that it does not change. *)
 
 open Tdat_bgp
 module Seg = Tdat_pkt.Tcp_segment
@@ -794,6 +795,103 @@ let delivery_time t off =
   match t.deliveries with
   | [] -> invalid_arg "Stream_reassembly.delivery_time: no deliveries"
   | (_, latest) :: _ -> search latest t.deliveries
+
+(* --- list-interval stream reassembly -------------------------------------- *)
+
+(* [Stream_reassembly] before its received set moved into a map of the
+   intervals past the frontier: every segment walks and rebuilds the
+   whole sorted interval list through [insert_interval] above, which is
+   quadratic when holes stay open (a lossy capture).  Kept whole, byte
+   buffer and all, minus the scratch arena, as the oracle for
+   [contiguous], [delivery_time], [total_gaps] and [duplicate_bytes]. *)
+module List_reasm = struct
+  type t = {
+    mutable data : Bytes.t;
+    mutable received : (int * int) list;
+    mutable frontier : int;
+    mutable advances : int array;
+    mutable advance_ts : Tdat_timerange.Time_us.t array;
+    mutable n_advances : int;
+    mutable duplicate_bytes : int;
+  }
+
+  let create () =
+    {
+      data = Bytes.create 4096;
+      received = [];
+      frontier = 0;
+      advances = [||];
+      advance_ts = [||];
+      n_advances = 0;
+      duplicate_bytes = 0;
+    }
+
+  let ensure_capacity t needed =
+    let cap = Bytes.length t.data in
+    if needed > cap then begin
+      let cap' = ref cap in
+      while needed > !cap' do
+        cap' := !cap' * 2
+      done;
+      let bigger = Bytes.create !cap' in
+      Bytes.blit t.data 0 bigger 0 cap;
+      t.data <- bigger
+    end
+
+  let record_advance t hi ts =
+    let n = t.n_advances in
+    if n = Array.length t.advances then begin
+      let grow a fill =
+        let b = Array.make (max 64 (2 * n)) fill in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      t.advances <- grow t.advances 0;
+      t.advance_ts <- grow t.advance_ts Tdat_timerange.Time_us.zero
+    end;
+    t.advances.(n) <- hi;
+    t.advance_ts.(n) <- ts;
+    t.n_advances <- n + 1
+
+  let feed ?(rebase = 0) t (seg : Seg.t) =
+    if seg.len > 0 then begin
+      let lo = seg.seq - rebase in
+      let hi = lo + seg.len in
+      if lo < 0 then invalid_arg "Stream_reassembly.feed: negative offset";
+      ensure_capacity t hi;
+      let received, overlap = insert_interval t.received lo hi in
+      let copy = min (String.length seg.payload) seg.len in
+      if copy > 0 then Bytes.blit_string seg.payload 0 t.data lo copy;
+      if copy < seg.len then
+        Bytes.fill t.data (lo + copy) (seg.len - copy) '\000';
+      t.received <- received;
+      t.duplicate_bytes <- t.duplicate_bytes + overlap;
+      match t.received with
+      | (0, hi0) :: _ when hi0 > t.frontier ->
+          t.frontier <- hi0;
+          record_advance t hi0 seg.ts
+      | _ -> ()
+    end
+
+  let contiguous t = Bytes.sub_string t.data 0 t.frontier
+
+  let delivery_time t off =
+    if off >= t.frontier then
+      invalid_arg "Stream_reassembly.delivery_time: offset beyond frontier";
+    if t.n_advances = 0 then
+      invalid_arg "Stream_reassembly.delivery_time: no deliveries";
+    let lo = ref 0 and hi = ref (t.n_advances - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.advances.(mid) > off then hi := mid else lo := mid + 1
+    done;
+    t.advance_ts.(!lo)
+
+  let total_gaps t =
+    match t.received with [] -> 0 | (_, _) :: rest -> List.length rest
+
+  let duplicate_bytes t = t.duplicate_bytes
+end
 
 (* --- per-connection split (one O(packets) rescan per connection) ---------- *)
 

@@ -211,6 +211,87 @@ let decode_props =
         | _ -> false);
   ]
 
+(* --- stream reassembly == the list-interval reassembler ------------------ *)
+
+(* Segments of a random stream arriving reordered within a window, with
+   some dropped, some duplicated, some retransmitted over other segments'
+   boundaries and some carrying a payload shorter than their length (a
+   clipped capture, zero-filled by both reassemblers). *)
+let gen_reasm_segments =
+  QCheck.Gen.(
+    let* len = int_range 1 3000 in
+    let* stream = string_size ~gen:printable (return len) in
+    let* chunk = int_range 1 300 in
+    let chunks = List.init ((len + chunk - 1) / chunk) (fun i -> i * chunk) in
+    let seg_of (lo, l) =
+      let* clip = frequency [ (8, return l); (1, int_bound l) ] in
+      return (lo, l, String.sub stream lo clip)
+    in
+    let* kept =
+      flatten_l
+        (List.map
+           (fun lo ->
+             let l = min chunk (len - lo) in
+             frequency
+               [
+                 (8, map (fun s -> [ s ]) (seg_of (lo, l)));
+                 (1, return []);
+                 (1, map (fun s -> [ s; s ]) (seg_of (lo, l)));
+               ])
+           chunks)
+    in
+    let* retx =
+      list_size (int_range 0 5)
+        (let* lo = int_bound (len - 1) in
+         let* l = int_range 1 (min 600 (len - lo)) in
+         seg_of (lo, l))
+    in
+    let* keyed =
+      flatten_l
+        (List.mapi
+           (fun i s -> map (fun d -> (i + d, s)) (int_bound 6))
+           (List.concat kept @ retx))
+    in
+    let order = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) keyed in
+    return
+      (List.mapi
+         (fun i (_, (lo, l, payload)) ->
+           Seg.v ~ts:(1_000 * (i + 1)) ~src:ep2 ~dst:ep1 ~seq:lo ~ack:0 ~len:l
+             ~flags:Seg.data_flags ~payload ())
+         order))
+
+let arb_reasm_segments =
+  QCheck.make
+    ~print:(fun segs ->
+      String.concat " "
+        (List.map
+           (fun (s : Seg.t) -> Printf.sprintf "[%d,+%d)" s.Seg.seq s.Seg.len)
+           segs))
+    gen_reasm_segments
+
+let reasm_props =
+  [
+    prop ~count:300 "reassembly == list-interval reassembler"
+      arb_reasm_segments (fun segs ->
+        let r = Stream_reassembly.create () in
+        let l = Legacy_ref.List_reasm.create () in
+        List.iter
+          (fun seg ->
+            Stream_reassembly.feed r seg;
+            Legacy_ref.List_reasm.feed l seg)
+          segs;
+        let n = Stream_reassembly.contiguous_length r in
+        Stream_reassembly.contiguous r = Legacy_ref.List_reasm.contiguous l
+        && List.for_all
+             (fun off ->
+               Stream_reassembly.delivery_time r off
+               = Legacy_ref.List_reasm.delivery_time l off)
+             (List.init n Fun.id)
+        && Stream_reassembly.total_gaps r = Legacy_ref.List_reasm.total_gaps l
+        && Stream_reassembly.duplicate_bytes r
+           = Legacy_ref.List_reasm.duplicate_bytes l);
+  ]
+
 (* --- streaming transfer-end == extract-then-scan ------------------------ *)
 
 let flow = Flow.v ~sender:ep2 ~receiver:ep1
@@ -219,7 +300,7 @@ let flow = Flow.v ~sender:ep2 ~receiver:ep1
    can fire, optional trailing garbage so the malformed-stop path is
    exercised) cut into in-order TCP segments with random sizes and
    inter-arrival gaps. *)
-let gen_transfer_trace =
+let gen_transfer_trace_of gen_prefix =
   QCheck.Gen.(
     let* n_msgs = int_range 0 30 in
     let* msgs =
@@ -258,10 +339,18 @@ let gen_transfer_trace =
     in
     return (Trace.of_segments (cut 0 [])))
 
+let print_trace t = Printf.sprintf "trace of %d segments" (Trace.length t)
 let arb_transfer_trace =
-  QCheck.make
-    ~print:(fun t -> Printf.sprintf "trace of %d segments" (Trace.length t))
-    gen_transfer_trace
+  QCheck.make ~print:print_trace (gen_transfer_trace_of gen_prefix)
+
+(* Prefixes drawn from a pool of 2 to 40, so a prefix repeated inside one
+   UPDATE and one re-announced by a later UPDATE are both common; the
+   full /0-/32 generator above almost never repeats one. *)
+let arb_small_pool_trace =
+  QCheck.make ~print:print_trace
+    QCheck.Gen.(
+      let* pool = array_size (int_range 2 40) gen_prefix in
+      gen_transfer_trace_of (oneofa pool))
 
 let tight_config =
   { Mct.dup_fraction = 0.5; min_seen = 4; quiet_gap = 5_000_000 }
@@ -281,12 +370,35 @@ let transfer_props =
     in
     legacy = streaming && legacy = Mct.transfer_end ?config ~start updates
   in
+  (* The same under both configs, and again with the seen set limited to
+     2 and 3 batch tags so it runs out of tags and re-tags every few
+     batches. *)
+  let check_small_pool t =
+    let start = 0 in
+    let updates =
+      Legacy_ref.of_timed_msgs (Msg_reader.extract_from_trace t ~flow)
+    in
+    List.for_all
+      (fun config ->
+        let legacy = Legacy_ref.transfer_end ?config ~start updates in
+        check config t
+        && List.for_all
+             (fun max_tag ->
+               legacy
+               = Mct.Private.transfer_end_of_reasm ~max_tag ?config ~start
+                   (Msg_reader.reassemble_from_trace t ~flow)
+               && legacy = Mct.Private.transfer_end ~max_tag ?config ~start updates)
+             [ 2; 3 ])
+      [ None; Some tight_config ]
+  in
   [
     prop ~count:200 "streaming transfer end == extract-then-scan (default)"
       arb_transfer_trace (check None);
     prop ~count:200 "streaming transfer end == extract-then-scan (tight)"
       arb_transfer_trace
       (check (Some tight_config));
+    prop ~count:200 "both transfer-end scans == extract-then-scan (small pool)"
+      arb_small_pool_trace check_small_pool;
   ]
 
 (* Regression for the pset-hash precedence fix: consecutive /24
@@ -355,6 +467,111 @@ let test_sequential_slash24_linear_time () =
      quadratic. *)
   Size_ratio.check "Mct.transfer_end_of_reasm" ~n:3_750
     ~setup:sequential_slash24_trace scan
+
+(* --- targeted MCT cases -------------------------------------------------- *)
+
+(* A trace carrying [batches], one UPDATE per batch, each in its own
+   segment at the batch's timestamp. *)
+let trace_of_batches batches =
+  let _, segs =
+    List.fold_left
+      (fun (off, acc) (ts, nlri) ->
+        let payload = Msg.encode (Msg.update ~nlri ()) in
+        let seg =
+          Seg.v ~ts ~src:ep2 ~dst:ep1 ~seq:off ~ack:0 ~flags:Seg.data_flags
+            ~payload ()
+        in
+        (off + String.length payload, seg :: acc))
+      (0, []) batches
+  in
+  Trace.of_segments (List.rev segs)
+
+(* Run both scans (with [max_tag] batch tags, if given) and the oracle
+   over [batches]; all three must agree and the answer is returned. *)
+let scan_both ?max_tag ~config batches =
+  let list, streaming =
+    let reasm = Msg_reader.reassemble_from_trace (trace_of_batches batches) ~flow in
+    match max_tag with
+    | None ->
+        ( Mct.transfer_end ~config ~start:0 batches,
+          Mct.transfer_end_of_reasm ~config ~start:0 reasm )
+    | Some max_tag ->
+        ( Mct.Private.transfer_end ~max_tag ~config ~start:0 batches,
+          Mct.Private.transfer_end_of_reasm ~max_tag ~config ~start:0 reasm )
+  in
+  let legacy = Legacy_ref.transfer_end ~config ~start:0 batches in
+  Alcotest.(check bool) "list scan == oracle" true (list = legacy);
+  Alcotest.(check bool) "streaming scan == oracle" true (streaming = legacy);
+  list
+
+let p24 i = Prefix.of_quad 10 (i / 256 mod 256) (i mod 256) 0 24
+
+let check_result what ~end_ts ~prefixes ~updates = function
+  | None -> Alcotest.failf "%s: no transfer end" what
+  | Some r ->
+      Alcotest.(check int) (what ^ ": end") end_ts r.Mct.end_ts;
+      Alcotest.(check int) (what ^ ": prefixes") prefixes r.Mct.prefixes;
+      Alcotest.(check int) (what ^ ": updates") updates r.Mct.updates
+
+(* Churn arms at once ([min_seen = 0]): were the repeats of [p24 0]
+   counted as duplicates, 3 of the first batch's 5 prefixes would be,
+   and the scan would end before it. *)
+let test_repeat_in_own_nlri () =
+  let config = { Mct.dup_fraction = 0.5; min_seen = 0; quiet_gap = 5_000_000 } in
+  scan_both ~config
+    [ (1_000, [ p24 0; p24 0; p24 1; p24 0; p24 0 ]); (2_000, [ p24 2 ]) ]
+  |> check_result "repeat" ~end_ts:2_000 ~prefixes:3 ~updates:2
+
+(* The churn batch re-announces two of three prefixes and brings a new
+   one; the result counts the prefixes from before it. *)
+let test_churn_keeps_pre_batch_count () =
+  let config = { Mct.dup_fraction = 0.5; min_seen = 3; quiet_gap = 5_000_000 } in
+  scan_both ~config
+    [
+      (1_000, [ p24 0; p24 1; p24 2 ]);
+      (2_000, [ p24 3 ]);
+      (3_000, [ p24 0; p24 4; p24 1 ]);
+      (4_000, [ p24 5 ]);
+    ]
+  |> check_result "churn" ~end_ts:2_000 ~prefixes:4 ~updates:2
+
+(* With 2 or 3 tags the set re-tags every batch or two: a prefix from a
+   batch before the re-tag must still count as a duplicate (each time it
+   appears), and one first seen in the open batch must not. *)
+let test_tag_exhaustion () =
+  let config = { Mct.dup_fraction = 0.5; min_seen = 0; quiet_gap = 5_000_000 } in
+  let batches =
+    List.init 40 (fun i -> (1_000 * (i + 1), [ p24 (2 * i); p24 (2 * i + 1) ]))
+    @ [ (50_000, [ p24 80; p24 81; p24 80; p24 3 ]);
+        (51_000, [ p24 82; p24 5; p24 83; p24 5 ]) ]
+  in
+  List.iter
+    (fun max_tag ->
+      scan_both ~max_tag ~config batches
+      |> check_result
+           (Printf.sprintf "max_tag %d" max_tag)
+           ~end_ts:50_000 ~prefixes:82 ~updates:41)
+    [ 2; 3; 4 ]
+
+(* The seen set is reused across scans on a domain: scanning a large
+   connection first must not change the answer for a small one that
+   re-announces the large one's prefixes. *)
+let test_no_state_across_scans () =
+  let config = { Mct.dup_fraction = 0.5; min_seen = 4; quiet_gap = 5_000_000 } in
+  let small =
+    Msg_reader.reassemble_from_trace
+      (trace_of_batches (List.init 20 (fun i -> (1_000 * (i + 1), [ p24 i ]))))
+      ~flow
+  in
+  let large =
+    Msg_reader.reassemble_from_trace (sequential_slash24_trace 5_000) ~flow
+  in
+  let scan r = Mct.transfer_end_of_reasm ~config ~start:0 r in
+  let alone = Domain.join (Domain.spawn (fun () -> scan small)) in
+  ignore (scan large : Mct.result option);
+  let after = scan small in
+  check_result "small alone" ~end_ts:20_000 ~prefixes:20 ~updates:20 alone;
+  Alcotest.(check bool) "small after large == small alone" true (after = alone)
 
 (* --- Scratch arena ------------------------------------------------------ *)
 
@@ -441,6 +658,14 @@ let scratch_suite =
       test_sequential_slash24_clustering;
     Alcotest.test_case "MCT: 30k sequential /24s scan in linear time" `Slow
       test_sequential_slash24_linear_time;
+    Alcotest.test_case "MCT: a prefix repeated in its own NLRI is no duplicate"
+      `Quick test_repeat_in_own_nlri;
+    Alcotest.test_case "MCT: churn reports the pre-batch prefix count" `Quick
+      test_churn_keeps_pre_batch_count;
+    Alcotest.test_case "MCT: running out of batch tags re-tags" `Quick
+      test_tag_exhaustion;
+    Alcotest.test_case "MCT: no state leaks between scans on a domain" `Quick
+      test_no_state_across_scans;
     Alcotest.test_case "scratch: buffer reused across checkouts" `Quick
       test_scratch_reuse;
     Alcotest.test_case "scratch: reentrant checkout degrades safely" `Quick
@@ -453,4 +678,4 @@ let scratch_suite =
       test_perf_gate_rejects_tight_baseline;
   ]
 
-let suite = decode_props @ transfer_props @ scratch_suite
+let suite = decode_props @ reasm_props @ transfer_props @ scratch_suite

@@ -1,6 +1,6 @@
 (* Size-ratio guards ([Size_ratio]) on every layer whose cost grows with
    the input: the L-method knee, stream reassembly with its delivery-time
-   lookups, the streaming and list transfer-end scans, the MRT archive
+   lookups and under permanent holes, the streaming and list transfer-end scans, the MRT archive
    scan, connection partitioning, series generation and the span-set
    kernels.  Each guard that has a
    quadratic counterpart — the frozen kernels in [Legacy_ref], the
@@ -86,6 +86,28 @@ let test_reassembly_linear () =
 let test_reassembly_legacy_rejected () =
   Size_ratio.check_rejects "legacy feed + list-scan delivery_time" ~n:1_000
     ~setup:reordered_segments legacy_reassemble_and_query
+
+(* A lossy capture: [n] segments of which every other one never
+   arrives, so every segment opens a hole of its own and no hole ever
+   closes. *)
+let lossy_segments n =
+  List.init n (fun i ->
+      Seg.v ~ts:(1_000 * (i + 1)) ~src:ep1 ~dst:ep2 ~seq:(2 * i * seg_len)
+        ~ack:0 ~flags:Seg.data_flags ~payload ())
+
+let test_reassembly_holes_linear () =
+  Size_ratio.check "Stream_reassembly feed under permanent holes" ~n:5_000
+    ~setup:lossy_segments (fun segs ->
+      let r = Stream_reassembly.create () in
+      List.iter (Stream_reassembly.feed r) segs;
+      Stream_reassembly.total_gaps r)
+
+let test_reassembly_holes_legacy_rejected () =
+  Size_ratio.check_rejects "list-interval feed under permanent holes" ~n:500
+    ~setup:lossy_segments (fun segs ->
+      let r = Legacy_ref.List_reasm.create () in
+      List.iter (Legacy_ref.List_reasm.feed r) segs;
+      Legacy_ref.List_reasm.total_gaps r)
 
 (* The streaming transfer-end scan is guarded by the sequential-/24 test
    in [Test_equiv], which times [Mct.transfer_end_of_reasm] at 3750 and
@@ -244,6 +266,10 @@ let suite =
       test_reassembly_linear;
     Alcotest.test_case "reassembly: guard rejects the list scan" `Quick
       test_reassembly_legacy_rejected;
+    Alcotest.test_case "reassembly: feed under permanent holes is linear"
+      `Quick test_reassembly_holes_linear;
+    Alcotest.test_case "reassembly: guard rejects the list-interval feed"
+      `Quick test_reassembly_holes_legacy_rejected;
     Alcotest.test_case "archive scan is linear" `Quick
       test_archive_scan_linear;
     Alcotest.test_case "list transfer-end scan is linear" `Quick
