@@ -2,8 +2,9 @@
    `dune runtest`).
 
    The allocation-light refactor's headline numbers — minor words per
-   packet on the analyze and decode paths — are protected by explicit
-   budgets in bench/alloc_baseline.json.  The gate replays a small
+   packet on the analyze and decode paths, and minor words per archive
+   record in the study scan — are protected by explicit budgets in
+   bench/alloc_baseline.json.  The gate replays a small
    deterministic fleet at jobs=1 (no worker domains, so [Gc.minor_words]
    sees every allocation) and fails the build when a path exceeds its
    budget.  Budgets carry ~50% headroom over the measured steady state:
@@ -54,13 +55,62 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Minor words allocated by [f], after one warm-up run so one-time heap
-   and code-path costs (pool setup, scratch growth) are excluded. *)
-let minor_per_packet ~packets f =
+(* Minor words allocated by one run of [f], after one warm-up run so
+   one-time heap and code-path costs (pool setup, scratch growth) are
+   excluded. *)
+let minor_words f =
   ignore (f ());
   let m0 = Gc.minor_words () in
   ignore (f ());
-  (Gc.minor_words () -. m0) /. float_of_int packets
+  Gc.minor_words () -. m0
+
+let minor_per_packet ~packets f = minor_words f /. float_of_int packets
+
+(* A small deterministic archive in the shape the study scans: three
+   peers, each establishing, then sending [updates] messages (UPDATEs of
+   1-16 /24s with the usual attributes, every 50th a keepalive), then
+   resetting.  Every size gives the same three transfers. *)
+let study_archive ~updates =
+  let open Tdat_bgp in
+  let local_ip = 0x0A000064l in
+  let entries =
+    List.concat_map
+      (fun peer ->
+        let peer_as = 64500 + peer and peer_ip = Int32.of_int (0x0A000001 + peer) in
+        let t0 = peer * 1_000_000_000 in
+        let state ts old_state new_state =
+          Mrt.State
+            { Mrt.sc_ts = ts; sc_peer_as = peer_as; sc_local_as = 65000;
+              sc_peer_ip = peer_ip; sc_local_ip = local_ip; old_state;
+              new_state }
+        in
+        let message ts msg =
+          Mrt.Message
+            { Mrt.ts; peer_as; local_as = 65000; peer_ip; local_ip; msg }
+        in
+        let attrs =
+          [ Attr.Origin Attr.Igp;
+            Attr.As_path (As_path.of_asns [ peer_as; 3356; 15169 ]);
+            Attr.Next_hop peer_ip ]
+        in
+        let update i =
+          let nlri =
+            List.init (1 + (i mod 16)) (fun j ->
+                let k = (16 * i) + j in
+                Prefix.of_quad (11 + peer) (k / 256 mod 256) (k mod 256) 0 24)
+          in
+          message (t0 + 10_000 + (i * 5_000)) (Msg.update ~attrs ~nlri ())
+        in
+        (state t0 Mrt.Open_confirm Mrt.Established
+        :: List.init updates (fun i ->
+               if i mod 50 = 49 then message (t0 + 10_000 + (i * 5_000)) Msg.keepalive
+               else update i))
+        @ [ state (t0 + 5_000_000) Mrt.Established Mrt.Idle ])
+      [ 0; 1; 2 ]
+  in
+  let path = Filename.temp_file "tdat_gate" ".mrt" in
+  Mrt.to_file_entries path entries;
+  (path, List.length entries)
 
 let run () =
   let data =
@@ -79,6 +129,21 @@ let run () =
   let decode =
     minor_per_packet ~packets (fun () -> Tdat_pkt.Pcap.decode_result pcap)
   in
+  (* Per record, as the difference between scans of two archives that
+     differ only in length: the scan's fixed cost per file (detector,
+     peer table, transfers, result) cancels, so the budget prices only
+     what each record adds. *)
+  let (long, long_records), (short, short_records) =
+    (study_archive ~updates:600, study_archive ~updates:60)
+  in
+  let records = long_records - short_records in
+  let study =
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove [ long; short ])
+      (fun () ->
+        let scan path = minor_words (fun () -> Tdat_study.Archive.scan_file path) in
+        (scan long -. scan short) /. float_of_int records)
+  in
   let failures = ref 0 in
   let check name measured =
     match budget_of data name with
@@ -87,7 +152,7 @@ let run () =
         incr failures
     | Some budget ->
         let ok = measured <= budget in
-        Printf.printf "[perf-gate] %-36s %8.1f  (budget %8.1f)  %s\n" name
+        Printf.printf "[perf-gate] %-36s %8.2f  (budget %8.2f)  %s\n" name
           measured budget
           (if ok then "ok" else "FAIL");
         if not ok then incr failures
@@ -96,6 +161,9 @@ let run () =
     !baseline;
   check "analyze_minor_words_per_packet_max" analyze;
   check "decode_minor_words_per_packet_max" decode;
+  Printf.printf "[perf-gate] study: %d-record archive minus a %d-record one\n%!"
+    long_records short_records;
+  check "study_minor_words_per_record_max" study;
   if !failures > 0 then begin
     Printf.eprintf
       "[perf-gate] %d budget(s) exceeded: the hot path allocates more per \

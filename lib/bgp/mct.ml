@@ -216,84 +216,18 @@ let list_scan ~max_tag ?(config = default_config) ~start updates =
    messages and running the list scan on their announcements, in one pass
    over the contiguous stream that builds nothing: no [timed_msg] list, no
    decoded [Msg.t], no [Prefix.t] values, no per-update lists.  Each
-   message is validated exactly as [Msg.decode_slice] would (any violation
-   ends the scan, like [Msg_reader.extract] stopping at the first decode
-   error), and each announcement batch feeds the shared rule as packed
-   ints.  The decode-equivalence tests lock the equivalence down.
+   message passes the shared validator ([Msg.header_length],
+   [Msg.check_body], then the NLRI walk below), which checks exactly what
+   [Msg.decode_slice] checks (any violation ends the scan, like
+   [Msg_reader.extract] stopping at the first decode error), and each
+   announcement batch feeds the shared rule as packed ints.  The
+   decode-equivalence tests lock the equivalence down.
 
    One bounds proof per message: once the header shows
    [off + total <= len], every read below goes straight to the borrowed
-   buffer.  Each checker reads only below a [limit] that never exceeds
-   the message's end, which is the same condition the decoder's
-   per-section slices enforce, so no read needs its own check. *)
-
-exception Bad
+   buffer, under section limits that never exceed the message's end. *)
 
 let[@inline] byte buf p = Char.code (Bytes.unsafe_get buf p)
-let[@inline] u16 buf p = (byte buf p lsl 8) lor byte buf (p + 1)
-
-(* The checkers take absolute positions in [buf] and mirror the
-   decoders' validation byte for byte (Prefix.decode_slice,
-   As_path.decode_slice, Attr.decode_all_slice, Msg.decode_slice). *)
-
-let check_prefixes buf ~pos ~limit =
-  let o = ref pos in
-  while !o < limit do
-    let plen = byte buf !o in
-    if plen > 32 then raise Bad;
-    let nbytes = (plen + 7) / 8 in
-    if !o + 1 + nbytes > limit then raise Bad;
-    o := !o + 1 + nbytes
-  done
-
-let check_as_path buf ~pos ~limit =
-  let o = ref pos in
-  while !o < limit do
-    if !o + 2 > limit then raise Bad;
-    let ty = byte buf !o in
-    let n = byte buf (!o + 1) in
-    if !o + 2 + (2 * n) > limit then raise Bad;
-    if ty <> 1 && ty <> 2 then raise Bad;
-    o := !o + 2 + (2 * n)
-  done
-
-let check_attrs buf ~pos ~limit =
-  let o = ref pos in
-  while !o < limit do
-    if !o + 3 > limit then raise Bad;
-    let flags = byte buf !o in
-    let code = byte buf (!o + 1) in
-    let vlen, voff =
-      if flags land 0x10 <> 0 then begin
-        if !o + 4 > limit then raise Bad;
-        (u16 buf (!o + 2), !o + 4)
-      end
-      else (byte buf (!o + 2), !o + 3)
-    in
-    if voff + vlen > limit then raise Bad;
-    if code = 2 then check_as_path buf ~pos:voff ~limit:(voff + vlen);
-    o := voff + vlen
-  done
-
-(* Validate the body [boff, limit) of a message of type [ty]: for an
-   UPDATE, everything before the NLRI, returning the NLRI's position
-   (checked by the caller as it reads it); -1 for any other type. *)
-let check_body buf ~ty ~boff ~limit =
-  let blen = limit - boff in
-  match ty with
-  | 1 -> if blen < 10 then raise Bad else -1
-  | 2 ->
-      if blen < 4 then raise Bad;
-      let wlen = u16 buf boff in
-      if 2 + wlen + 2 > blen then raise Bad;
-      check_prefixes buf ~pos:(boff + 2) ~limit:(boff + 2 + wlen);
-      let alen = u16 buf (boff + 2 + wlen) in
-      if 4 + wlen + alen > blen then raise Bad;
-      check_attrs buf ~pos:(boff + 4 + wlen) ~limit:(boff + 4 + wlen + alen);
-      boff + 4 + wlen + alen
-  | 3 -> if blen < 2 then raise Bad else -1
-  | 4 -> if blen <> 0 then raise Bad else -1
-  | _ -> raise Bad
 
 (* The packed key of the NLRI entry whose length byte [plen] sits at [p]. *)
 let[@inline] pack_at buf p plen =
@@ -302,18 +236,6 @@ let[@inline] pack_at buf p plen =
     u := !u lor (byte buf (p + 1 + i) lsl (24 - (8 * i)))
   done;
   pack ~addr:!u plen
-
-(* A message's length field, or -1 when the header is not BGP's: a marker
-   byte other than 0xff or a length outside [header_size, max_size]. *)
-let header_length buf p =
-  let ok = ref true and i = ref 0 in
-  while !ok && !i < 16 do
-    if byte buf (p + !i) <> 0xff then ok := false;
-    incr i
-  done;
-  let total = u16 buf (p + 16) in
-  if !ok && total >= Msg.header_size && total <= Msg.max_size then total
-  else -1
 
 let reasm_scan ~max_tag ?(config = default_config) ~start reasm =
   let stream = Stream_reassembly.contiguous_slice reasm in
@@ -328,15 +250,13 @@ let reasm_scan ~max_tag ?(config = default_config) ~start reasm =
     if off + Msg.header_size > len then outcome st ~prefixes:seen.count
     else
       let p = base + off in
-      let total = header_length buf p in
+      let total = Msg.header_length buf p in
       if total < 0 || off + total > len then outcome st ~prefixes:seen.count
       else
         let limit = p + total in
-        match
-          check_body buf ~ty:(byte buf (p + 18)) ~boff:(p + Msg.header_size)
-            ~limit
-        with
-        | exception Bad -> outcome st ~prefixes:seen.count
+        let ty = byte buf (p + 18) in
+        match Msg.check_body buf ~ty ~boff:(p + Msg.header_size) ~limit with
+        | exception Msg.Malformed -> outcome st ~prefixes:seen.count
         | nlri when nlri < 0 || nlri = limit ->
             (* Not an UPDATE, or one with an empty NLRI: not an
                announcement batch. *)
@@ -346,9 +266,9 @@ let reasm_scan ~max_tag ?(config = default_config) ~start reasm =
             match admit st ts with
             | `Stop -> outcome st ~prefixes:seen.count
             | `Skip -> (
-                match check_prefixes buf ~pos:nlri ~limit with
-                | exception Bad -> outcome st ~prefixes:seen.count
-                | () -> scan (off + total))
+                match Msg.check_prefixes buf ~pos:nlri ~limit with
+                | exception Msg.Malformed -> outcome st ~prefixes:seen.count
+                | _ -> scan (off + total))
             | `Open ->
                 (* Validate, pack and insert in one walk.  A bad entry
                    ends the scan before this message, so the count from

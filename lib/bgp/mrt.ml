@@ -147,69 +147,87 @@ let encode_entries entries =
 
 module Slice = Tdat_pkt.Slice
 
-(* Cold branch of [parse_body], hoisted out of the hot set so the
-   formatting allocation stays off the per-record path (L009). *)
-let skipped_note ~idx ~ty ~subtype =
-  `Diag
-    {
-      Diag.code = "M005";
-      severity = Diag.Info;
-      record = Some idx;
-      message = Printf.sprintf "skipped record (type %d, subtype %d)" ty subtype;
-    }
+module Kind = struct
+  type t = Open | Update | Notification | Keepalive | Up | Down
 
-(* Parse one complete record body (a borrowed [Slice.t] over the reused
-   record buffer) into an entry, or a diagnostic.  The header has
-   already framed the record, so every problem here is skippable:
-   salvage continues at the next record. *)
-let parse_body ~idx ~sec ~ty ~subtype body =
-  let len = Slice.length body in
+  let of_type_code = function
+    | 1 -> Open
+    | 2 -> Update
+    | 3 -> Notification
+    | 4 -> Keepalive
+    | _ -> invalid_arg "Mrt.Kind.of_type_code: not a BGP message type"
+
+  let of_msg = function
+    | Msg.Open _ -> Open
+    | Msg.Update _ -> Update
+    | Msg.Notification _ -> Notification
+    | Msg.Keepalive -> Keepalive
+
+  let of_new_state s = if equal_fsm_state s Established then Up else Down
+end
+
+(* What one complete record body came to: an entry, or the reason it
+   was skipped.  Constant constructors, so the per-record path
+   allocates nothing to report it. *)
+type outcome =
+  | Message_entry
+  | State_entry
+  | Short_body  (* M003 *)
+  | Bad_message  (* M004 *)
+  | Unsupported  (* M005 *)
+  | Bad_state  (* M006 *)
+
+(* The diagnostic of a skipped record: cold, outside the hot set, so the
+   formatting allocation stays off the per-record path (L009). *)
+let skip_diag ~idx ~ty ~subtype outcome =
   let warn code message =
-    `Diag { Diag.code; severity = Diag.Warning; record = Some idx; message }
+    { Diag.code; severity = Diag.Warning; record = Some idx; message }
   in
-  if ty <> bgp4mp && ty <> bgp4mp_et then skipped_note ~idx ~ty ~subtype
+  match outcome with
+  | Short_body -> warn "M003" "short BGP4MP body"
+  | Bad_message -> warn "M004" "bad embedded BGP message"
+  | Bad_state -> warn "M006" "bad state-change body"
+  | Unsupported ->
+      {
+        Diag.code = "M005";
+        severity = Diag.Info;
+        record = Some idx;
+        message =
+          Printf.sprintf "skipped record (type %d, subtype %d)" ty subtype;
+      }
+  | Message_entry | State_entry -> invalid_arg "Mrt.skip_diag: not a skip"
+
+let[@inline] byte buf p = Char.code (Bytes.unsafe_get buf p)
+let[@inline] u16 buf p = (byte buf p lsl 8) lor byte buf (p + 1)
+let[@inline] u32 buf p = (u16 buf p lsl 16) lor u16 buf (p + 2)
+
+(* Parse the BGP4MP fixed part of one complete record body, [len] bytes
+   of the reused buffer [body], and hand what follows it to the fold's
+   own [message] or [state] step.  The header has already framed the
+   record, so every problem here is skippable: salvage continues at the
+   next record.  Every read is below [len], which the framing loop has
+   proved to lie inside [body]; [p] is the offset of the peer fields,
+   past an ET record's microsecond field, and the embedded BGP message
+   of a [message] record starts at [p + 16]. *)
+let parse_body ~message ~state ~sec ~ty ~subtype body len =
+  if ty <> bgp4mp && ty <> bgp4mp_et then Unsupported
   else if subtype <> subtype_message && subtype <> subtype_state_change then
-    skipped_note ~idx ~ty ~subtype
-  else if ty = bgp4mp_et && len < 4 then warn "M003" "short BGP4MP body"
+    Unsupported
   else begin
-    let usec, p = if ty = bgp4mp_et then (Slice.u32be body 0, 4) else (0, 0) in
-    let ts = (sec * 1_000_000) + usec in
-    if subtype = subtype_message then begin
-      if p + 16 > len then warn "M003" "short BGP4MP body"
-      else begin
-        let peer_as = Slice.u16be body p in
-        let local_as = Slice.u16be body (p + 2) in
-        let peer_ip = Slice.i32be body (p + 8) in
-        let local_ip = Slice.i32be body (p + 12) in
-        match Msg.decode_slice body (p + 16) with
-        | Some (msg, _) ->
-            `Entry (Message { ts; peer_as; local_as; peer_ip; local_ip; msg })
-        | None -> warn "M004" "bad embedded BGP message"
-        | exception Bgp_error.Decode_error _ ->
-            warn "M004" "bad embedded BGP message"
-      end
-    end
+    let p = if ty = bgp4mp_et then 4 else 0 in
+    let fixed = if subtype = subtype_message then 16 else 20 in
+    if p + fixed > len then Short_body
     else begin
-      (* BGP4MP_STATE_CHANGE *)
-      if p + 20 > len then warn "M003" "short BGP4MP body"
-      else begin
-        let old_code = Slice.u16be body (p + 16) in
-        let new_code = Slice.u16be body (p + 18) in
-        match (fsm_state_of_code old_code, fsm_state_of_code new_code) with
-        | Some old_state, Some new_state ->
-            `Entry
-              (State
-                 {
-                   sc_ts = ts;
-                   sc_peer_as = Slice.u16be body p;
-                   sc_local_as = Slice.u16be body (p + 2);
-                   sc_peer_ip = Slice.i32be body (p + 8);
-                   sc_local_ip = Slice.i32be body (p + 12);
-                   old_state;
-                   new_state;
-                 })
-        | _ -> warn "M006" "bad state-change body"
-      end
+      let usec = if p = 4 then u32 body 0 else 0 in
+      let ts = (sec * 1_000_000) + usec in
+      if subtype = subtype_message then message ~ts body p len
+      else
+        match
+          ( fsm_state_of_code (u16 body (p + 16)),
+            fsm_state_of_code (u16 body (p + 18)) )
+        with
+        | Some old_state, Some new_state -> state ~ts body p ~old_state ~new_state
+        | _ -> Bad_state
     end
   end
 
@@ -226,9 +244,13 @@ let m_skipped = Obs.Counter.make "mrt.skipped"
 let m_bytes = Obs.Counter.make "mrt.bytes"
 let g_records_per_s = Obs.Gauge.make ~stable:false "mrt.records_per_s"
 
-(* [fill buf n] reads up to [n] bytes into [buf] and returns the count
-   actually read — the only primitive the two input sources differ in. *)
-let fold_fill ?(strict = false) ?(on_diag = fun _ -> ()) fill ~init f =
+(* The one framing loop behind every fold: frame each record, emit the
+   M001/M002/M007 framing diagnostics and the skip diagnostics, raise in
+   strict mode, and keep the [stats] and the [mrt.*] counters.  [fill buf
+   n] reads up to [n] bytes into [buf] and returns the count actually
+   read — the only primitive the input sources differ in; [body] is the
+   fold's [parse_body] step, which delivers its entries itself. *)
+let frame ?(strict = false) ?(on_diag = fun _ -> ()) fill body =
   let emit d =
     on_diag d;
     if strict then
@@ -242,122 +264,216 @@ let fold_fill ?(strict = false) ?(on_diag = fun _ -> ()) fill ~init f =
      one high-water-mark buffer instead of allocating per record. *)
   Tdat_parallel.Scratch.(with_bytes ~slot:slot_mrt_body 4096) @@ fun bcell ->
   let hdr = Bytes.create 12 in
-  let hdr_s = Slice.of_bytes hdr in
   let records = ref 0 in
   let bgp_messages = ref 0 in
   let state_changes = ref 0 in
   let skipped = ref 0 in
-  let rec go acc =
+  let framing code message =
+    emit { Diag.code; severity = Diag.Warning; record = Some !records; message }
+  in
+  let rec go () =
     let got = fill hdr 12 in
-    if got = 0 then acc
-    else if got < 12 then begin
-      emit
-        {
-          Diag.code = "M001";
-          severity = Diag.Warning;
-          record = Some !records;
-          message = "truncated header";
-        };
-      acc
-    end
+    if got = 0 then ()
+    else if got < 12 then framing "M001" "truncated header"
     else begin
-      let sec = Slice.u32be hdr_s 0 in
-      let ty = Slice.u16be hdr_s 4 in
-      let subtype = Slice.u16be hdr_s 6 in
-      let rec_len = Slice.u32be hdr_s 8 in
-      if rec_len > max_record_len then begin
-        emit
-          {
-            Diag.code = "M007";
-            severity = Diag.Warning;
-            record = Some !records;
-            message = "oversized record";
-          };
-        acc
-      end
+      let sec = u32 hdr 0 in
+      let ty = u16 hdr 4 in
+      let subtype = u16 hdr 6 in
+      let rec_len = u32 hdr 8 in
+      if rec_len > max_record_len then framing "M007" "oversized record"
       else begin
-        let body = Tdat_parallel.Scratch.ensure bcell rec_len in
-        let got = fill body rec_len in
-        if got < rec_len then begin
-          emit
-            {
-              Diag.code = "M002";
-              severity = Diag.Warning;
-              record = Some !records;
-              message = "truncated record";
-            };
-          acc
-        end
+        let buf = Tdat_parallel.Scratch.ensure bcell rec_len in
+        if fill buf rec_len < rec_len then framing "M002" "truncated record"
         else begin
           let idx = !records in
           incr records;
           Obs.Counter.incr m_records;
           (* +12: the MRT common header travels with the body. *)
           Obs.Counter.add m_bytes (rec_len + 12);
-          match
-            parse_body ~idx ~sec ~ty ~subtype (Slice.of_bytes ~len:rec_len body)
-          with
-          | `Entry e ->
-              (match e with
-              | Message _ ->
-                  incr bgp_messages;
-                  Obs.Counter.incr m_messages
-              | State _ ->
-                  incr state_changes;
-                  Obs.Counter.incr m_state_changes);
-              go (f acc e)
-          | `Diag d ->
+          (match body ~sec ~ty ~subtype buf rec_len with
+          | Message_entry ->
+              incr bgp_messages;
+              Obs.Counter.incr m_messages
+          | State_entry ->
+              incr state_changes;
+              Obs.Counter.incr m_state_changes
+          | (Short_body | Bad_message | Unsupported | Bad_state) as skip ->
               incr skipped;
               Obs.Counter.incr m_skipped;
-              emit d;
-              go acc
+              emit (skip_diag ~idx ~ty ~subtype skip));
+          go ()
         end
       end
     end
   in
   let t_read = if Obs.enabled Obs.default then Tdat_obs.Clock.now_s () else 0. in
-  let acc = Tdat_obs.Span.with_ ~name:"mrt-read" (fun () -> go init) in
+  Tdat_obs.Span.with_ ~name:"mrt-read" go;
   if Obs.enabled Obs.default then begin
     let dt = Tdat_obs.Clock.now_s () -. t_read in
     if dt > 0. then Obs.Gauge.set g_records_per_s (float_of_int !records /. dt)
   end;
-  ( acc,
-    {
-      records = !records;
-      bgp_messages = !bgp_messages;
-      state_changes = !state_changes;
-      skipped = !skipped;
-    } )
+  {
+    records = !records;
+    bgp_messages = !bgp_messages;
+    state_changes = !state_changes;
+    skipped = !skipped;
+  }
 
-let fold_string ?strict ?on_diag s ~init f =
+(* The entry fold: each record decoded to an [entry], its embedded
+   message through [Msg.decode_slice]. *)
+let fold_fill ?strict ?on_diag fill ~init f =
+  let acc = ref init in
+  let message ~ts body p len =
+    match Msg.decode_slice (Slice.of_bytes ~len body) (p + 16) with
+    | Some (msg, _) ->
+        let peer_ip = Int32.of_int (u32 body (p + 8)) in
+        let local_ip = Int32.of_int (u32 body (p + 12)) in
+        acc :=
+          f !acc
+            (Message
+               {
+                 ts;
+                 peer_as = u16 body p;
+                 local_as = u16 body (p + 2);
+                 peer_ip;
+                 local_ip;
+                 msg;
+               });
+        Message_entry
+    | None -> Bad_message
+    | exception Bgp_error.Decode_error _ -> Bad_message
+  in
+  let state ~ts body p ~old_state ~new_state =
+    acc :=
+      f !acc
+        (State
+           {
+             sc_ts = ts;
+             sc_peer_as = u16 body p;
+             sc_local_as = u16 body (p + 2);
+             sc_peer_ip = Int32.of_int (u32 body (p + 8));
+             sc_local_ip = Int32.of_int (u32 body (p + 12));
+             old_state;
+             new_state;
+           });
+    State_entry
+  in
+  let stats = frame ?strict ?on_diag fill (parse_body ~message ~state) in
+  (!acc, stats)
+
+(* The summary fold: each record reduced to immediates, its embedded
+   message checked by the shared validator ([Msg.validate]) instead of
+   decoded.  Nothing per record is allocated. *)
+let summary_fill ?strict ?on_diag fill ~init f =
+  let acc = ref init in
+  let message ~ts body p len =
+    let v = Msg.validate body ~pos:(p + 16) ~limit:len in
+    if v < 0 then Bad_message
+    else begin
+      acc :=
+        f !acc ~ts ~peer_as:(u16 body p) ~peer_ip:(u32 body (p + 8))
+          ~kind:(Kind.of_type_code (v land 7))
+          ~nlri:(v lsr 3);
+      Message_entry
+    end
+  in
+  let state ~ts body p ~old_state:_ ~new_state =
+    acc :=
+      f !acc ~ts ~peer_as:(u16 body p) ~peer_ip:(u32 body (p + 8))
+        ~kind:(Kind.of_new_state new_state) ~nlri:0;
+    State_entry
+  in
+  let stats = frame ?strict ?on_diag fill (parse_body ~message ~state) in
+  (!acc, stats)
+
+let string_fill s =
   let pos = ref 0 in
   let len = String.length s in
-  let fill buf n =
+  fun buf n ->
     let take = Stdlib.min n (len - !pos) in
     Bytes.blit_string s !pos buf 0 take;
     pos := !pos + take;
     take
-  in
-  fold_fill ?strict ?on_diag fill ~init f
 
-(* Turn an [Ingest_io] reader into the [fill buf n] primitive the fold
-   wants: loop short reads until the frame is complete or the reader
+(* Turn an [Ingest_io] reader into the [fill buf n] primitive the folds
+   want: loop short reads until the frame is complete or the reader
    reports a true EOF.  The reader itself retries EINTR and (with
    [~follow]) polls a still-growing source, so a partial [fill] result
-   here really is end-of-capture, never a transient condition. *)
-let fill_of_read (read : Tdat_pkt.Ingest_io.read) buf n =
-  let rec go pos =
-    if pos >= n then pos
-    else
-      let r = read buf pos (n - pos) in
-      if r = 0 then pos else go (pos + r)
-  in
-  go 0
+   here really is end-of-capture, never a transient condition.  A
+   top-level loop, so a fill allocates no closure. *)
+let rec fill_from (read : Tdat_pkt.Ingest_io.read) buf n pos =
+  if pos >= n then pos
+  else
+    let r = read buf pos (n - pos) in
+    if r = 0 then pos else fill_from read buf n (pos + r)
 
-let fold_channel ?strict ?on_diag ?follow ic ~init f =
-  fold_fill ?strict ?on_diag
-    (fill_of_read (Tdat_pkt.Ingest_io.of_channel ?follow ic))
-    ~init f
+let fill_of_read read buf n = fill_from read buf n 0
+
+(* A file the fold opens itself is read through its descriptor, in
+   16 KiB chunks of an arena buffer, so framing a record costs two blits
+   instead of two channel reads (each a C call taking the channel's
+   lock).  Reading ahead is harmless: nobody else reads the file, and it
+   is closed on return.  A caller's descriptor ({!fold_fd}) is read as
+   asked, never past the last record framed.
+
+   The descriptor must come from [open_in_bin], and the channel must
+   stay open until the fold returns, though its own buffer is never
+   read.  Two things rest on that.  A file that cannot be opened raises
+   [open_in_bin]'s [Sys_error], as the pcap reader does.  And the
+   runtime counts every open channel's buffer against the pace of the
+   major GC: the summary fold allocates nothing per record, so without
+   that count a study's major collections lapse and the garbage of its
+   reports lingers.  Measured on perfbench [study] (DESIGN.md,
+   "Performance & parallelism"): a bare [Unix.openfile] descriptor, or
+   reading through the channel itself (which touches its 64 KiB buffer),
+   puts the peak resident set outside the benchmark's 10% memory bound.
+   Read errors are re-raised as the [Sys_error] [input] would raise. *)
+type chunks = {
+  source : Tdat_pkt.Ingest_io.read;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable avail : int;
+}
+
+let rec chunk_fill c buf n got =
+  if got >= n then got
+  else if c.pos < c.avail then begin
+    let take = Stdlib.min (n - got) (c.avail - c.pos) in
+    Bytes.blit c.chunk c.pos buf got take;
+    c.pos <- c.pos + take;
+    chunk_fill c buf n (got + take)
+  end
+  else begin
+    let r = c.source c.chunk 0 (Bytes.length c.chunk) in
+    if r = 0 then got
+    else begin
+      c.pos <- 0;
+      c.avail <- r;
+      chunk_fill c buf n got
+    end
+  end
+
+let with_file_fill ?follow path k =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let read =
+        Tdat_pkt.Ingest_io.of_fd ?follow (Unix.descr_of_in_channel ic)
+      in
+      let source buf off len =
+        try read buf off len
+        with Unix.Unix_error (e, _, _) -> raise (Sys_error (Unix.error_message e))
+      in
+      Tdat_parallel.Scratch.(with_bytes ~slot:slot_mrt_chunk 16384)
+      @@ fun cell ->
+      let c =
+        { source; chunk = cell.Tdat_parallel.Scratch.buf; pos = 0; avail = 0 }
+      in
+      k (fun buf n -> chunk_fill c buf n 0))
+
+let fold_string ?strict ?on_diag s ~init f =
+  fold_fill ?strict ?on_diag (string_fill s) ~init f
 
 let fold_fd ?strict ?on_diag ?follow fd ~init f =
   fold_fill ?strict ?on_diag
@@ -365,10 +481,14 @@ let fold_fd ?strict ?on_diag ?follow fd ~init f =
     ~init f
 
 let fold_file ?strict ?on_diag ?follow path ~init f =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> fold_channel ?strict ?on_diag ?follow ic ~init f)
+  with_file_fill ?follow path (fun fill -> fold_fill ?strict ?on_diag fill ~init f)
+
+let fold_summary_string ?strict ?on_diag s ~init f =
+  summary_fill ?strict ?on_diag (string_fill s) ~init f
+
+let fold_summary_file ?strict ?on_diag ?follow path ~init f =
+  with_file_fill ?follow path (fun fill ->
+      summary_fill ?strict ?on_diag fill ~init f)
 
 let result_of_fold fold =
   let diags = ref [] in

@@ -11,7 +11,7 @@
     detector anchors transfer starts on.  Other record types and
     subtypes are skipped losslessly.
 
-    Reading is {e streaming}: {!fold_file} / {!fold_channel} decode one
+    Reading is {e streaming}: {!fold_file} / {!fold_fd} decode one
     record at a time from a reused buffer, so a year-long archive is
     processed in memory proportional to its largest record.  Malformed
     input degrades gracefully: each problem produces a typed {!Diag.t}
@@ -119,22 +119,6 @@ val fold_string :
     folding [f] over the entries in archive order.  Diagnostics are
     streamed to [on_diag] instead of being accumulated. *)
 
-val fold_channel :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Tdat_pkt.Ingest_io.follow ->
-  in_channel ->
-  init:'a ->
-  ('a -> entry -> 'a) ->
-  'a * stats
-(** Streaming fold over a (binary) channel in bounded memory: the
-    channel is read record by record into a reused buffer that never
-    exceeds the largest record.  Reads are [EINTR]-safe and short reads
-    are looped, so pipes and sockets never truncate a record; with
-    [~follow] (see {!Tdat_pkt.Ingest_io.follow_idle}) EOF polls the
-    source instead of ending the archive — the tailing mode for a
-    still-growing file. *)
-
 val fold_fd :
   ?strict:bool ->
   ?on_diag:(Diag.t -> unit) ->
@@ -143,8 +127,14 @@ val fold_fd :
   init:'a ->
   ('a -> entry -> 'a) ->
   'a * stats
-(** {!fold_channel} over a raw descriptor ([Unix.read]) — the right
-    entry point for pipes, sockets and tailed files. *)
+(** Streaming fold over a raw descriptor ([Unix.read]) in bounded
+    memory — the right entry point for pipes, sockets and tailed files.
+    The descriptor is read record by record into a reused buffer that
+    never exceeds the largest record, and never past the last record
+    framed.  Reads are [EINTR]-safe and short reads are looped, so pipes
+    and sockets never truncate a record; with [~follow] (see
+    {!Tdat_pkt.Ingest_io.follow_idle}) EOF polls the source instead of
+    ending the archive — the tailing mode for a still-growing file. *)
 
 val fold_file :
   ?strict:bool ->
@@ -154,7 +144,55 @@ val fold_file :
   init:'a ->
   ('a -> entry -> 'a) ->
   'a * stats
-(** {!fold_channel} on a freshly opened file, closed on return. *)
+(** The streaming fold over a freshly opened file, closed on return,
+    with {!fold_fd}'s [~follow].  The file is read in 16 KiB chunks (it
+    may be read past the last record framed); failing to open or read it
+    raises the [Sys_error] [open_in_bin] or [input] would. *)
+
+(** What one archived record says about its session, as the summary
+    folds report it: the type of a received BGP message, or a state
+    change. *)
+module Kind : sig
+  type t =
+    | Open
+    | Update
+    | Notification
+    | Keepalive
+    | Up  (** A state change entering [Established]. *)
+    | Down  (** Any other state change. *)
+
+  val of_msg : Msg.t -> t
+  val of_new_state : fsm_state -> t
+  (** [Up] for [Established], [Down] otherwise. *)
+end
+
+val fold_summary_string :
+  ?strict:bool ->
+  ?on_diag:(Diag.t -> unit) ->
+  string ->
+  init:'a ->
+  ('a -> ts:Tdat_timerange.Time_us.t -> peer_as:int -> peer_ip:int ->
+   kind:Kind.t -> nlri:int -> 'a) ->
+  'a * stats
+(** The summary fold: the same framing loop, diagnostics, strict-mode
+    errors and [stats] as {!fold_string}, but each entry reaches [f] as
+    immediates instead of an {!entry}: its timestamp, the peer's AS and
+    IPv4 address (as an unsigned 32-bit int), its {!Kind.t} and, for an
+    UPDATE, the number of announced prefixes ({!Msg.nlri_count}; 0
+    otherwise).  The embedded message is checked by {!Msg.validate}, so
+    a record the entry fold would skip with M004 is skipped here too,
+    and nothing per record is allocated. *)
+
+val fold_summary_file :
+  ?strict:bool ->
+  ?on_diag:(Diag.t -> unit) ->
+  ?follow:Tdat_pkt.Ingest_io.follow ->
+  string ->
+  init:'a ->
+  ('a -> ts:Tdat_timerange.Time_us.t -> peer_as:int -> peer_ip:int ->
+   kind:Kind.t -> nlri:int -> 'a) ->
+  'a * stats
+(** {!fold_summary_string} streamed from a file, as {!fold_file}. *)
 
 val to_file : string -> record list -> unit
 val to_file_entries : string -> entry list -> unit

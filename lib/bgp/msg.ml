@@ -168,6 +168,113 @@ let decode_slice s off =
 
 let decode s off = decode_slice (Slice.of_string s) off
 
+(* --- validation without decoding ------------------------------------------ *)
+
+(* The checks [decode_slice] makes, byte for byte and in its order
+   (Prefix.decode_slice, As_path.decode_slice, Attr.decode_all_slice and
+   the per-type body rules above), over absolute positions in a borrowed
+   buffer, building nothing.  Each checker reads only below a [limit]
+   that never exceeds the message's end, the condition the decoder's
+   per-section slices enforce, so once an entry point has checked its
+   range against the buffer ([in_buffer]) no read needs its own bounds
+   check. *)
+
+exception Malformed
+
+let[@inline] byte buf p = Char.code (Bytes.unsafe_get buf p)
+let[@inline] u16 buf p = (byte buf p lsl 8) lor byte buf (p + 1)
+
+let in_buffer what buf ~pos ~limit =
+  if pos < 0 || limit > Bytes.length buf then
+    invalid_arg (what ^ ": range outside the buffer")
+
+let check_prefixes buf ~pos ~limit =
+  in_buffer "Msg.check_prefixes" buf ~pos ~limit;
+  let o = ref pos and n = ref 0 in
+  while !o < limit do
+    let plen = byte buf !o in
+    if plen > 32 then raise Malformed;
+    let nbytes = (plen + 7) / 8 in
+    if !o + 1 + nbytes > limit then raise Malformed;
+    o := !o + 1 + nbytes;
+    incr n
+  done;
+  !n
+
+let check_as_path buf ~pos ~limit =
+  let o = ref pos in
+  while !o < limit do
+    if !o + 2 > limit then raise Malformed;
+    let ty = byte buf !o in
+    let n = byte buf (!o + 1) in
+    if !o + 2 + (2 * n) > limit then raise Malformed;
+    if ty <> 1 && ty <> 2 then raise Malformed;
+    o := !o + 2 + (2 * n)
+  done
+
+let check_attrs buf ~pos ~limit =
+  let o = ref pos in
+  while !o < limit do
+    if !o + 3 > limit then raise Malformed;
+    let flags = byte buf !o in
+    let code = byte buf (!o + 1) in
+    let vlen, voff =
+      if flags land 0x10 <> 0 then begin
+        if !o + 4 > limit then raise Malformed;
+        (u16 buf (!o + 2), !o + 4)
+      end
+      else (byte buf (!o + 2), !o + 3)
+    in
+    if voff + vlen > limit then raise Malformed;
+    if code = 2 then check_as_path buf ~pos:voff ~limit:(voff + vlen);
+    o := voff + vlen
+  done
+
+let check_body buf ~ty ~boff ~limit =
+  in_buffer "Msg.check_body" buf ~pos:boff ~limit;
+  let blen = limit - boff in
+  match ty with
+  | 1 -> if blen < 10 then raise Malformed else -1
+  | 2 ->
+      if blen < 4 then raise Malformed;
+      let wlen = u16 buf boff in
+      if 2 + wlen + 2 > blen then raise Malformed;
+      ignore (check_prefixes buf ~pos:(boff + 2) ~limit:(boff + 2 + wlen) : int);
+      let alen = u16 buf (boff + 2 + wlen) in
+      if 4 + wlen + alen > blen then raise Malformed;
+      check_attrs buf ~pos:(boff + 4 + wlen) ~limit:(boff + 4 + wlen + alen);
+      boff + 4 + wlen + alen
+  | 3 -> if blen < 2 then raise Malformed else -1
+  | 4 -> if blen <> 0 then raise Malformed else -1
+  | _ -> raise Malformed
+
+let header_length buf p =
+  in_buffer "Msg.header_length" buf ~pos:p ~limit:(p + header_size);
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < 16 do
+    if byte buf (p + !i) <> 0xff then ok := false;
+    incr i
+  done;
+  let total = u16 buf (p + 16) in
+  if !ok && total >= header_size && total <= max_size then total else -1
+
+let validate buf ~pos ~limit =
+  in_buffer "Msg.validate" buf ~pos ~limit;
+  if pos + header_size > limit then -1
+  else
+    let total = header_length buf pos in
+    if total < 0 || pos + total > limit then -1
+    else
+      let ty = byte buf (pos + 18) in
+      let mend = pos + total in
+      match check_body buf ~ty ~boff:(pos + header_size) ~limit:mend with
+      | exception Malformed -> -1
+      | nlri when nlri < 0 -> ty
+      | nlri -> (
+          match check_prefixes buf ~pos:nlri ~limit:mend with
+          | exception Malformed -> -1
+          | n -> (n lsl 3) lor ty)
+
 let nlri_count = function Update u -> List.length u.nlri | _ -> 0
 
 let pp ppf = function

@@ -20,6 +20,10 @@ type t = {
          frontier to [advances.(i)] at [advance_ts.(i)].  Only the first
          [n_advances] slots are used; the frontiers strictly increase. *)
   mutable n_advances : int;
+  mutable cursor : int;
+      (* The advance that answered the last [delivery_time] query: both
+         message scans ask in increasing offset order, so the next
+         answer is this one or a few past it. *)
   mutable duplicate_bytes : int;
 }
 
@@ -35,6 +39,7 @@ let create ?scratch () =
     advances = [||];
     advance_ts = [||];
     n_advances = 0;
+    cursor = 0;
     duplicate_bytes = 0;
   }
 
@@ -144,20 +149,43 @@ let contiguous t = Bytes.sub_string t.data 0 t.frontier
    streaming message scans. *)
 let contiguous_slice t = Tdat_pkt.Slice.of_bytes ~len:t.frontier t.data
 
+(* The first advance in [lo, n_advances) whose frontier is past [off],
+   given that one exists.  Invariant: advances.(hi) > off, and every
+   index below lo is <= off. *)
+let search t ~lo off =
+  let lo = ref lo and hi = ref (t.n_advances - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.advances.(mid) > off then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* How far the cursor walks before a forward query falls back to the
+   binary search over what is left. *)
+let cursor_steps = 8
+
 let delivery_time t off =
   if off >= t.frontier then
     invalid_arg "Stream_reassembly.delivery_time: offset beyond frontier";
   if t.n_advances = 0 then
     invalid_arg "Stream_reassembly.delivery_time: no deliveries";
   (* The byte became deliverable at the first advance whose frontier is
-     past it.  Invariant: advances.(hi) > off, and every index below lo
-     is <= off. *)
-  let lo = ref 0 and hi = ref (t.n_advances - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.advances.(mid) > off then hi := mid else lo := mid + 1
-  done;
-  t.advance_ts.(!lo)
+     past it.  A query at or past the last answer's byte range walks
+     forward from the cursor; an earlier one binary-searches from 0. *)
+  let c = t.cursor in
+  let i =
+    if c > 0 && t.advances.(c - 1) > off then search t ~lo:0 off
+    else begin
+      let i = ref c and steps = ref 0 in
+      while t.advances.(!i) <= off && !steps < cursor_steps do
+        incr i;
+        incr steps
+      done;
+      if t.advances.(!i) > off then !i else search t ~lo:!i off
+    end
+  in
+  t.cursor <- i;
+  t.advance_ts.(i)
 
 let total_gaps t =
   let islands = Ends.cardinal t.islands in

@@ -38,7 +38,9 @@ val contiguous_length : t -> int
 
 val delivery_time : t -> int -> Tdat_timerange.Time_us.t
 (** [delivery_time t off]: when the byte at [off] became deliverable.
-    A binary search over the frontier advances, O(log advances).
+    O(1) amortized when successive queries ask at non-decreasing
+    offsets (a cursor walks forward from the last answer), a binary
+    search over the frontier advances, O(log advances), otherwise.
     @raise Invalid_argument if [off >= contiguous_length t]. *)
 
 val total_gaps : t -> int

@@ -179,11 +179,19 @@ type hot_scope = All | Funcs of string list
 let default_hot_paths =
   [
     ( "Pcap",
-      Funcs [ "decode_frame"; "fold_read"; "fold_string"; "fold_channel";
-              "fold_fd"; "fold_file" ] );
-    ( "Mrt",
-      Funcs [ "parse_body"; "fold_fill"; "fill_of_read"; "fold_string";
+      Funcs [ "decode_frame"; "read_from"; "fold_read"; "fold_string";
               "fold_channel"; "fold_fd"; "fold_file" ] );
+    ( "Mrt",
+      Funcs [ "parse_body"; "frame"; "fold_fill"; "summary_fill";
+              "fill_from"; "fill_of_read"; "chunk_fill"; "fold_string";
+              "fold_fd"; "fold_file"; "fold_summary_string";
+              "fold_summary_file" ] );
+    (* The one BGP message validator, run per record by the study scan
+       and per message by the streaming MCT scan. *)
+    ( "Msg",
+      Funcs [ "validate"; "header_length"; "check_body"; "check_prefixes";
+              "check_attrs"; "check_as_path" ] );
+    ("Detect", Funcs [ "observe"; "peer"; "update"; "anchor"; "close" ]);
     ("Span_set", All);
     ("Trace", Funcs [ "conn_key"; "partition_connections" ]);
     ("Slice", All);
@@ -196,7 +204,7 @@ let default_hot_paths =
     ( "Server",
       Funcs [ "conn_lines"; "handle_readable"; "flush_conn"; "drain_outbox";
               "reap" ] );
-    ("Ingest_io", Funcs [ "of_read"; "retry_eintr" ]);
+    ("Ingest_io", Funcs [ "of_read"; "retry_eintr"; "follow_read" ]);
     (* The experiment diff kernel walks every field of every report of
        every corpus file; paths stay cons-lists until a divergence is
        actually recorded. *)

@@ -40,6 +40,7 @@ type t = { mutable cells : cell array; mutable icells : icell array }
 let slot_pcap_frame = 0
 let slot_mrt_body = 1
 let slot_reassembly = 2
+let slot_mrt_chunk = 3
 let slot_series_data_ts = 0
 let slot_series_ack_ts = 1
 let slot_series_all_ts = 2

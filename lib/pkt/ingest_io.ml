@@ -34,33 +34,36 @@ let sys_error_is_eintr msg =
   in
   scan 0
 
-let rec retry_eintr f =
-  match f () with
+(* The arguments travel with the function, so a retried read builds no
+   thunk: per-read cost is one exception handler, no allocation. *)
+let rec retry_eintr f a b c =
+  match f a b c with
   | v -> v
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
-  | exception Sys_error msg when sys_error_is_eintr msg -> retry_eintr f
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f a b c
+  | exception Sys_error msg when sys_error_is_eintr msg -> retry_eintr f a b c
+
+(* One read under a [follow] policy: retry EINTR; on a 0-byte read poll
+   again while [keep_waiting] says the source may still grow.  [total]
+   is the reader's running byte count. *)
+let rec follow_read read keep_waiting poll_interval_s total buf off len =
+  let n = retry_eintr read buf off len in
+  if n > 0 then begin
+    total := !total + n;
+    n
+  end
+  else if len > 0 && keep_waiting !total then begin
+    (* [sleepf] returning early on a signal only tightens the poll;
+       correctness never depends on the interval. *)
+    Unix.sleepf poll_interval_s;
+    follow_read read keep_waiting poll_interval_s total buf off len
+  end
+  else 0
 
 let of_read ?follow ?(poll_interval_s = 0.02) (read : read) : read =
   match follow with
-  | None -> fun buf off len -> retry_eintr (fun () -> read buf off len)
+  | None -> retry_eintr read
   | Some keep_waiting ->
-      let total = ref 0 in
-      fun buf off len ->
-        let rec attempt () =
-          let n = retry_eintr (fun () -> read buf off len) in
-          if n > 0 then begin
-            total := !total + n;
-            n
-          end
-          else if len > 0 && keep_waiting !total then begin
-            (* [sleepf] returning early on a signal only tightens the
-               poll; correctness never depends on the interval. *)
-            Unix.sleepf poll_interval_s;
-            attempt ()
-          end
-          else 0
-        in
-        attempt ()
+      follow_read read keep_waiting poll_interval_s (ref 0)
 
 let of_fd ?follow ?poll_interval_s fd : read =
   of_read ?follow ?poll_interval_s (fun buf off len ->

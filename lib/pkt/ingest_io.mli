@@ -1,7 +1,7 @@
 (** Input plumbing shared by the streaming readers.
 
-    The record-framing folds ({!Pcap.fold_channel},
-    [Tdat_bgp.Mrt.fold_channel], their [fold_fd] variants) terminate a
+    The record-framing folds ({!Pcap.fold_channel}, {!Pcap.fold_fd},
+    [Tdat_bgp.Mrt.fold_fd], [Tdat_bgp.Mrt.fold_file]) terminate a
     capture only when their [read] function returns [0].  The readers
     built here make that a safe contract over every source:
 
@@ -15,9 +15,11 @@
       the capture — the tailing mode the serve daemon uses on
       still-growing pcap/MRT files. *)
 
-val retry_eintr : (unit -> 'a) -> 'a
-(** Run [f], retrying while it raises [EINTR] (as [Unix_error] or as
-    the channel layer's [Sys_error]). *)
+val retry_eintr : ('a -> 'b -> 'c -> 'd) -> 'a -> 'b -> 'c -> 'd
+(** [retry_eintr f a b c] runs [f a b c], retrying while it raises
+    [EINTR] (as [Unix_error] or as the channel layer's [Sys_error]).
+    The arguments are passed along rather than closed over, so a retried
+    [read buf off len] allocates nothing. *)
 
 type read = Bytes.t -> int -> int -> int
 (** [read buf off len] fills at most [len] bytes at [off], returning

@@ -308,6 +308,14 @@ let decode_frame ~emit ~clipped ~ri ~ts frame =
          ~seq ~ack ~len ~window ~flags ?mss_opt ~payload ())
   with Skip_record -> None
 
+(* Read until [len] bytes sit in [buf] or [read] reports EOF; the count
+   read.  A top-level loop, so a record read allocates no closure. *)
+let rec read_from (read : Ingest_io.read) buf len off =
+  if off >= len then off
+  else
+    let n = read buf off (len - off) in
+    if n = 0 then off else read_from read buf len (off + n)
+
 (* The streaming core: pull records one at a time from [read] (a
    [Stdlib.input]-style function) into a reused, bounded frame buffer, so
    arbitrarily large captures decode in memory proportional to the
@@ -327,15 +335,7 @@ let fold_read ?(strict = false) ?(on_diag = fun (_ : Diag.t) -> ()) ~read ~init
     emit d;
     raise_notrace Stop_reading
   in
-  let read_upto buf len =
-    let rec go off =
-      if off >= len then off
-      else
-        let n = read buf off (len - off) in
-        if n = 0 then off else go (off + n)
-    in
-    go 0
-  in
+  let read_upto buf len = read_from read buf len 0 in
   let acc = ref init in
   let t_read = if Obs.enabled Obs.default then Tdat_obs.Clock.now_s () else 0. in
   Tdat_obs.Span.with_ ~name:"pcap-read" @@ fun () ->

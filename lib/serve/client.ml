@@ -44,8 +44,8 @@ let send_line t line =
   let off = ref 0 in
   while !off < len do
     let n =
-      Tdat_pkt.Ingest_io.retry_eintr (fun () ->
-          Unix.write_substring t.fd payload !off (len - !off))
+      Tdat_pkt.Ingest_io.retry_eintr (Unix.write_substring t.fd) payload !off
+        (len - !off)
     in
     if n = 0 then raise End_of_file;
     off := !off + n
@@ -66,8 +66,8 @@ let recv_line t =
         Some line
     | None -> (
         match
-          Tdat_pkt.Ingest_io.retry_eintr (fun () ->
-              Unix.read t.fd t.chunk 0 (Bytes.length t.chunk))
+          Tdat_pkt.Ingest_io.retry_eintr (Unix.read t.fd) t.chunk 0
+            (Bytes.length t.chunk)
         with
         | 0 -> if String.length data = 0 then None else Some data
         | n ->

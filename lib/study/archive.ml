@@ -11,10 +11,11 @@ let scan_file ?(strict = false) ?config path =
   let detector = Detect.create ?config ~source:path () in
   let diags = ref [] in
   let (), stats =
-    Mrt.fold_file ~strict
+    Mrt.fold_summary_file ~strict
       ~on_diag:(fun d -> diags := d :: !diags)
       path ~init:()
-      (fun () entry -> Detect.feed detector entry)
+      (fun () ~ts ~peer_as ~peer_ip ~kind ~nlri ->
+        Detect.observe detector ~ts ~peer_as ~peer_ip ~kind ~nlri)
   in
   {
     path;

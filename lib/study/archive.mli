@@ -1,6 +1,8 @@
-(** Scanning one MRT archive file: stream it through the streaming
-    {!Tdat_bgp.Mrt} reader and the {!Detect} state machine in bounded
-    memory, collecting transfers, diagnostics and counters. *)
+(** Scanning one MRT archive file: stream it through the summary fold
+    of the {!Tdat_bgp.Mrt} reader ({!Tdat_bgp.Mrt.fold_summary_file},
+    which validates each embedded BGP message without decoding it) and
+    the {!Detect} state machine in bounded memory, collecting transfers,
+    diagnostics and counters. *)
 
 type file_report = {
   path : string;

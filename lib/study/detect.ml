@@ -9,150 +9,136 @@ type config = {
 
 let default_config = { quiet_gap = 200_000_000; min_prefixes = 32 }
 
-(* An open (not yet closed) candidate transfer for one peer. *)
-type candidate = {
-  c_start : Time_us.t;  (* anchor time, or first update for unanchored *)
-  c_anchored : bool;
-  mutable c_first : Time_us.t option;  (* first update *)
-  mutable c_last : Time_us.t option;  (* last update *)
-  mutable c_prefixes : int;
-  mutable c_messages : int;
-}
-
+(* One peer and its open (not yet closed) candidate transfer, kept in
+   place in mutable fields so an update allocates nothing.  [first] and
+   [last] are meaningful once [messages > 0]. *)
 type peer = {
   p_as : int;
   p_ip : int32;
-  mutable p_open : candidate option;
+  mutable is_open : bool;
+  mutable anchored : bool;
+  mutable start : Time_us.t;  (* anchor time, or first update for unanchored *)
+  mutable first : Time_us.t;  (* first update *)
+  mutable last : Time_us.t;  (* last update *)
+  mutable prefixes : int;
+  mutable messages : int;
 }
+
+(* Peers keyed by [peer_as lsl 32 lor peer_ip]. *)
+module Peers = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lxor (k lsr 32)
+end)
 
 type t = {
   config : config;
   source : string;
-  peers : (int * int32, peer) Hashtbl.t;
+  peers : peer Peers.t;
   mutable found : Transfer.t list;
   mutable finished : bool;
 }
 
 let create ?(config = default_config) ?(source = "") () =
-  {
-    config;
-    source;
-    peers = Hashtbl.create 16;
-    found = [];
-    finished = false;
-  }
+  { config; source; peers = Peers.create 16; found = []; finished = false }
 
 let peer t ~peer_as ~peer_ip =
-  let key = (peer_as, peer_ip) in
-  match Hashtbl.find_opt t.peers key with
-  | Some p -> p
-  | None ->
-      let p = { p_as = peer_as; p_ip = peer_ip; p_open = None } in
-      Hashtbl.add t.peers key p;
+  let key = (peer_as lsl 32) lor peer_ip in
+  match Peers.find t.peers key with
+  | p -> p
+  | exception Not_found ->
+      let p =
+        {
+          p_as = peer_as;
+          p_ip = Int32.of_int peer_ip;
+          is_open = false;
+          anchored = false;
+          start = 0;
+          first = 0;
+          last = 0;
+          prefixes = 0;
+          messages = 0;
+        }
+      in
+      Peers.add t.peers key p;
       p
 
 (* Close the peer's open candidate, emitting it when it carried a real
-   burst (some updates, enough prefixes). *)
+   burst (some updates, enough announced prefixes). *)
 let close t p =
-  (match p.p_open with
-  | Some c when c.c_messages > 0 && c.c_prefixes >= t.config.min_prefixes ->
-      let start_ts =
-        if c.c_anchored then c.c_start
-        else match c.c_first with Some ts -> ts | None -> c.c_start
-      in
-      let end_ts = match c.c_last with Some ts -> ts | None -> start_ts in
-      t.found <-
-        {
-          Transfer.source = t.source;
-          peer_as = p.p_as;
-          peer_ip = p.p_ip;
-          start_ts;
-          end_ts;
-          prefixes = c.c_prefixes;
-          messages = c.c_messages;
-          anchored = c.c_anchored;
-        }
-        :: t.found
-  | Some _ | None -> ());
-  p.p_open <- None
+  if p.is_open && p.messages > 0 && p.prefixes >= t.config.min_prefixes then
+    t.found <-
+      {
+        Transfer.source = t.source;
+        peer_as = p.p_as;
+        peer_ip = p.p_ip;
+        start_ts = (if p.anchored then p.start else p.first);
+        end_ts = p.last;
+        prefixes = p.prefixes;
+        messages = p.messages;
+        anchored = p.anchored;
+      }
+      :: t.found;
+  p.is_open <- false
+
+let reopen p ~anchored ts =
+  p.is_open <- true;
+  p.anchored <- anchored;
+  p.start <- ts;
+  p.prefixes <- 0;
+  p.messages <- 0
 
 (* A session-establishment event.  First anchor wins while the open
    candidate is still empty, so STATE_CHANGE-to-Established immediately
    followed by the archived OPEN keeps the earlier start. *)
 let anchor t p ts =
-  (match p.p_open with
-  | Some c when c.c_messages = 0 && c.c_anchored -> ()
-  | Some _ | None ->
-      close t p;
-      p.p_open <-
-        Some
-          {
-            c_start = ts;
-            c_anchored = true;
-            c_first = None;
-            c_last = None;
-            c_prefixes = 0;
-            c_messages = 0;
-          })
+  if not (p.is_open && p.messages = 0 && p.anchored) then begin
+    close t p;
+    reopen p ~anchored:true ts
+  end
 
 let update t p ts ~nlri =
-  let fresh () =
-    {
-      c_start = ts;
-      c_anchored = false;
-      c_first = None;
-      c_last = None;
-      c_prefixes = 0;
-      c_messages = 0;
-    }
-  in
-  let c =
-    match p.p_open with
-    | None ->
-        let c = fresh () in
-        p.p_open <- Some c;
-        c
-    | Some c ->
-        let last_activity =
-          match c.c_last with Some l -> l | None -> c.c_start
-        in
-        (* Inclusive boundary: a silence of exactly [quiet_gap] already
-           splits — DESIGN.md specifies "gaps of 200 s or more" end a
-           transfer. *)
-        if Time_us.(ts - last_activity) >= t.config.quiet_gap then begin
-          close t p;
-          let c = fresh () in
-          p.p_open <- Some c;
-          c
-        end
-        else c
-  in
-  if c.c_first = None then c.c_first <- Some ts;
-  c.c_last <- Some ts;
-  c.c_prefixes <- c.c_prefixes + nlri;
-  c.c_messages <- c.c_messages + 1
+  if not p.is_open then reopen p ~anchored:false ts
+  else begin
+    let last_activity = if p.messages > 0 then p.last else p.start in
+    (* Inclusive boundary: a silence of exactly [quiet_gap] already
+       splits — DESIGN.md specifies "gaps of 200 s or more" end a
+       transfer. *)
+    if Time_us.(ts - last_activity) >= t.config.quiet_gap then begin
+      close t p;
+      reopen p ~anchored:false ts
+    end
+  end;
+  if p.messages = 0 then p.first <- ts;
+  p.last <- ts;
+  p.prefixes <- p.prefixes + nlri;
+  p.messages <- p.messages + 1
+
+let observe t ~ts ~peer_as ~peer_ip ~kind ~nlri =
+  if t.finished then invalid_arg "Detect.observe: detector already finished";
+  match (kind : Mrt.Kind.t) with
+  | Update -> update t (peer t ~peer_as ~peer_ip) ts ~nlri
+  | Open | Up -> anchor t (peer t ~peer_as ~peer_ip) ts
+  | Notification | Down -> close t (peer t ~peer_as ~peer_ip)
+  | Keepalive -> ()
 
 let feed t entry =
   if t.finished then invalid_arg "Detect.feed: detector already finished";
+  let ip a = Int32.to_int a land 0xFFFF_FFFF in
   match entry with
   | Mrt.State s ->
-      let p = peer t ~peer_as:s.Mrt.sc_peer_as ~peer_ip:s.Mrt.sc_peer_ip in
-      if Mrt.equal_fsm_state s.Mrt.new_state Mrt.Established then
-        anchor t p s.Mrt.sc_ts
-      else close t p
-  | Mrt.Message r -> (
-      let p = peer t ~peer_as:r.Mrt.peer_as ~peer_ip:r.Mrt.peer_ip in
-      match r.Mrt.msg with
-      | Msg.Update _ ->
-          update t p r.Mrt.ts ~nlri:(Msg.nlri_count r.Mrt.msg)
-      | Msg.Open _ -> anchor t p r.Mrt.ts
-      | Msg.Notification _ -> close t p
-      | Msg.Keepalive -> ())
+      observe t ~ts:s.Mrt.sc_ts ~peer_as:s.Mrt.sc_peer_as
+        ~peer_ip:(ip s.Mrt.sc_peer_ip)
+        ~kind:(Mrt.Kind.of_new_state s.Mrt.new_state) ~nlri:0
+  | Mrt.Message r ->
+      observe t ~ts:r.Mrt.ts ~peer_as:r.Mrt.peer_as ~peer_ip:(ip r.Mrt.peer_ip)
+        ~kind:(Mrt.Kind.of_msg r.Mrt.msg) ~nlri:(Msg.nlri_count r.Mrt.msg)
 
 let finish t =
   if t.finished then invalid_arg "Detect.finish: detector already finished";
   t.finished <- true;
-  Hashtbl.iter (fun _ p -> close t p) t.peers;
+  Peers.iter (fun _ p -> close t p) t.peers;
   List.sort Transfer.compare t.found
 
 let over_entries ?config ?source entries =

@@ -17,8 +17,12 @@
       longer than [quiet_gap] closes it and starts a new {e unanchored}
       transfer whose start is its first update.
     - KEEPALIVEs are ignored: they neither extend nor split a transfer.
-    - On close, bursts announcing fewer than [min_prefixes] distinct
-      NLRI entries are discarded as steady-state churn.
+    - On close, bursts announcing fewer than [min_prefixes] NLRI
+      entries are discarded as steady-state churn.  The count is the
+      sum of every UPDATE's NLRI entries ({!Tdat_bgp.Msg.nlri_count}),
+      so a prefix announced twice counts twice: 20 prefixes each
+      announced twice make a 40-entry burst, which passes the default
+      threshold of 32.
 
     Feed entries in archive order; the detector assumes per-peer
     timestamps are non-decreasing (MRT archives are written in arrival
@@ -43,7 +47,24 @@ type t
 val create : ?config:config -> ?source:string -> unit -> t
 (** A fresh detector; [source] is stamped into emitted transfers. *)
 
+val observe :
+  t ->
+  ts:Tdat_timerange.Time_us.t ->
+  peer_as:int ->
+  peer_ip:int ->
+  kind:Tdat_bgp.Mrt.Kind.t ->
+  nlri:int ->
+  unit
+(** Feed one archive record as the immediates
+    {!Tdat_bgp.Mrt.fold_summary_file} passes: the peer's AS (at most 30
+    bits; MRT BGP4MP records carry 16) and IPv4 address (an unsigned
+    32-bit int), the record's kind and its announced-prefix count.
+    Allocates nothing unless a peer is seen for the first time or a
+    transfer is emitted. *)
+
 val feed : t -> Tdat_bgp.Mrt.entry -> unit
+(** {!observe} on a decoded entry: the same rule, for callers that hold
+    entries (the serve daemon's study verb, {!Archive.scan_entries}). *)
 
 val finish : t -> Transfer.t list
 (** Closes every open transfer and returns all detected transfers in

@@ -8,9 +8,13 @@ let pct part whole =
 
 (* --- text ----------------------------------------------------------------- *)
 
+(* The report's pieces are collected as a list and joined once: a
+   growing [Buffer] would leave a trail of large (major-heap) copies per
+   report, which the study scan, allocating next to nothing, no longer
+   gives the GC a reason to collect promptly. *)
 let to_text ?(plot = true) (r : Aggregate.report) =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let parts = ref [] in
+  let pf fmt = Printf.ksprintf (fun s -> parts := s :: !parts) fmt in
   let n_transfers = List.length r.Aggregate.transfers in
   let n_slow = List.length r.Aggregate.slow in
   pf "measurement study: %d file(s), %d transfer(s) from %d peer(s)\n"
@@ -62,12 +66,14 @@ let to_text ?(plot = true) (r : Aggregate.report) =
       r.Aggregate.peers;
     if plot && n_transfers >= 2 then begin
       let cdf = Cdf.of_samples durations in
-      pf "duration CDF:\n%s"
-        (Ascii_plot.cdf ~x_label:"transfer duration (s)"
-           [ ("duration", Cdf.points cdf) ])
+      pf "duration CDF:\n";
+      parts :=
+        Ascii_plot.cdf ~x_label:"transfer duration (s)"
+          [ ("duration", Cdf.points cdf) ]
+        :: !parts
     end
   end;
-  Buffer.contents b
+  String.concat "" (List.rev !parts)
 
 (* --- JSON ----------------------------------------------------------------- *)
 

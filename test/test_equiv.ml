@@ -281,15 +281,40 @@ let reasm_props =
             Legacy_ref.List_reasm.feed l seg)
           segs;
         let n = Stream_reassembly.contiguous_length r in
+        let same off =
+          Stream_reassembly.delivery_time r off
+          = Legacy_ref.List_reasm.delivery_time l off
+        in
+        (* A forward walk at every offset (the cursor), then strides that
+           jump past the cursor's short walk, then a backward walk and a
+           scattered order (the binary search), on one reassembler whose
+           cursor carries over from query to query. *)
+        let scattered = List.init n (fun i -> i * 7919 mod max 1 n) in
         Stream_reassembly.contiguous r = Legacy_ref.List_reasm.contiguous l
-        && List.for_all
-             (fun off ->
-               Stream_reassembly.delivery_time r off
-               = Legacy_ref.List_reasm.delivery_time l off)
-             (List.init n Fun.id)
+        && List.for_all same (List.init n Fun.id)
+        && List.for_all same (List.init ((n + 36) / 37) (fun i -> i * 37))
+        && List.for_all same (List.init n (fun i -> n - 1 - i))
+        && List.for_all same scattered
         && Stream_reassembly.total_gaps r = Legacy_ref.List_reasm.total_gaps l
         && Stream_reassembly.duplicate_bytes r
            = Legacy_ref.List_reasm.duplicate_bytes l);
+    prop ~count:300 "delivery-time cursor survives interleaved feeds"
+      arb_reasm_segments (fun segs ->
+        (* Query the newest contiguous byte after every feed, so the
+           cursor is left mid-array while later feeds append advances. *)
+        let r = Stream_reassembly.create () in
+        let l = Legacy_ref.List_reasm.create () in
+        List.for_all
+          (fun seg ->
+            Stream_reassembly.feed r seg;
+            Legacy_ref.List_reasm.feed l seg;
+            let n = Stream_reassembly.contiguous_length r in
+            n = 0
+            || Stream_reassembly.delivery_time r (n - 1)
+               = Legacy_ref.List_reasm.delivery_time l (n - 1)
+               && Stream_reassembly.delivery_time r (n / 2)
+                  = Legacy_ref.List_reasm.delivery_time l (n / 2))
+          segs);
   ]
 
 (* --- streaming transfer-end == extract-then-scan ------------------------ *)
@@ -627,6 +652,233 @@ let test_scratch_ints_isolation () =
         "distinct int arrays across domains" true (theirs != mine);
       Alcotest.(check int) "caller's ints untouched" 7 mine.(0))
 
+(* --- the shared validator and the summary fold ----------------------------- *)
+
+module Detect = Tdat_study.Detect
+
+(* One targeted corruption of a valid encoded message: the header
+   (marker, length field, type), the UPDATE's section lengths, the
+   AS_PATH segment framing, NLRI lengths above 32 or overrunning the
+   message, and trailing bytes past the length field.  [which] picks the
+   field, [a] and [b] the damage; a choice that does not apply to the
+   message leaves it valid. *)
+let mutate_msg s ~which ~a ~b =
+  let bt = Bytes.of_string s in
+  let total = String.length s in
+  let set8 i v = Bytes.set_uint8 bt i (v land 0xff) in
+  let set16 i v = Bytes.set_uint16_be bt i (v land 0xffff) in
+  let u8 i = Bytes.get_uint8 bt i and u16 i = Bytes.get_uint16_be bt i in
+  let update = total > 18 && u8 18 = 2 in
+  let wlen = if update then u16 19 else 0 in
+  let apos = 21 + wlen in
+  let alen = if update then u16 apos else 0 in
+  let nlri = apos + 2 + alen in
+  (* Start offsets of the NLRI entries. *)
+  let rec entries o acc =
+    if o >= total then List.rev acc
+    else entries (o + 1 + ((u8 o + 7) / 8)) (o :: acc)
+  in
+  let rec as_path o =
+    if o >= nlri then None
+    else
+      let ext = u8 o land 0x10 <> 0 in
+      let vlen = if ext then u16 (o + 2) else u8 (o + 2) in
+      let voff = o + if ext then 4 else 3 in
+      if u8 (o + 1) = 2 && vlen >= 2 then Some voff else as_path (voff + vlen)
+  in
+  let tail = ref "" in
+  (match which with
+  | 0 -> set8 (a mod 16) (b mod 255)
+  | 1 -> set16 16 (b mod 4200)
+  | 2 -> set16 16 (max 0 (total - 1 - (a mod 4)))
+  | 3 -> set8 18 (a mod 8)
+  | 4 when update -> set16 19 (wlen + (a mod 7) - 3)
+  | 5 when update -> set16 apos (alen + (a mod 7) - 3)
+  | 6 when update -> (
+      match as_path (apos + 2) with
+      | Some seg ->
+          if a mod 2 = 0 then set8 seg (b mod 4) else set8 (seg + 1) (b mod 256)
+      | None -> ())
+  | 7 when update && nlri < total ->
+      let es = entries nlri [] in
+      set8 (List.nth es (a mod List.length es)) (33 + (b mod 223))
+  | 8 when update && nlri < total ->
+      let es = entries nlri [] in
+      let last = List.nth es (List.length es - 1) in
+      set8 last (u8 last + (8 * (1 + (a mod 3))))
+  | 9 -> tail := String.make (1 + (a mod 8)) (Char.chr (b land 0xff))
+  | _ -> ());
+  Bytes.to_string bt ^ !tail
+
+let gen_damage =
+  QCheck.Gen.(
+    let* which = frequency [ (3, return (-1)); (10, int_bound 9) ] in
+    let* a = int_bound 1000 in
+    let* b = int_bound 0xffff in
+    return (which, a, b))
+
+(* Validator input: one message, maybe damaged, at a random position in
+   a buffer with random bytes around it, and a random cut. *)
+let gen_validate_input =
+  QCheck.Gen.(
+    let* msg = gen_msg in
+    let* which, a, b = gen_damage in
+    let m = mutate_msg (Msg.encode msg) ~which ~a ~b in
+    let* pre = string_size ~gen:char (int_bound 4) in
+    let* post = string_size ~gen:char (int_bound 6) in
+    let buf = pre ^ m ^ post in
+    let pos = String.length pre in
+    let* limit =
+      frequency
+        [ (4, return (pos + String.length m)); (1, int_range pos (String.length buf)) ]
+    in
+    return (buf, pos, limit))
+
+let arb_validate_input =
+  QCheck.make
+    ~print:(fun (buf, pos, limit) ->
+      Printf.sprintf "pos %d limit %d: %S" pos limit buf)
+    gen_validate_input
+
+let validator_props =
+  [
+    prop ~count:1000 "validator accepts iff decode_slice decodes"
+      arb_validate_input (fun (buf, pos, limit) ->
+        let v = Msg.validate (Bytes.of_string buf) ~pos ~limit in
+        match
+          Msg.decode_slice (Tdat_pkt.Slice.of_string ~len:limit buf) pos
+        with
+        | Some (msg, _) ->
+            let ty = match msg with
+              | Msg.Open _ -> 1 | Msg.Update _ -> 2
+              | Msg.Notification _ -> 3 | Msg.Keepalive -> 4
+            in
+            v >= 0 && v land 7 = ty && v lsr 3 = Msg.nlri_count msg
+        | None -> v = -1
+        | exception _ -> v = -1);
+  ]
+
+(* Archives for the summary-fold parity: a few peers' sessions (state
+   changes, OPENs, UPDATEs, NOTIFICATIONs, KEEPALIVEs) over time, with
+   some records damaged — their embedded message (as above), their
+   state-change codes, their subtype, or their body cut short — and,
+   now and then, the whole archive truncated, bit-flipped or extended. *)
+let gen_study_archive =
+  QCheck.Gen.(
+    let* n = int_range 0 40 in
+    let* steps =
+      list_repeat n
+        (let* gap = frequency [ (6, int_bound 2_000_000); (1, return 8_000_000) ] in
+         let* peer = int_bound 2 in
+         let* entry = gen_entry in
+         let* damage = gen_damage in
+         let* record_damage = frequency [ (12, return 0); (1, return 1); (1, return 2) ] in
+         let* cut = int_bound 19 in
+         return (gap, peer, entry, damage, record_damage, cut))
+    in
+    let ts = ref 0 in
+    let records =
+      List.map
+        (fun (gap, peer, entry, (which, a, b), record_damage, cut) ->
+          ts := !ts + gap;
+          let peer_as = 64500 + peer and peer_ip = Int32.of_int (0x0A000001 + peer) in
+          let entry =
+            match entry with
+            | Mrt.Message r -> Mrt.Message { r with Mrt.ts = !ts; peer_as; peer_ip }
+            | Mrt.State s ->
+                Mrt.State
+                  { s with Mrt.sc_ts = !ts; sc_peer_as = peer_as; sc_peer_ip = peer_ip }
+          in
+          let r = Mrt.encode_entries [ entry ] in
+          (* ET header (12), microseconds (4), peer fields (16), then the
+             message or the two state codes. *)
+          let head = String.sub r 0 32 and rest = String.sub r 32 (String.length r - 32) in
+          let rest =
+            match entry with
+            | Mrt.Message _ -> mutate_msg rest ~which ~a ~b
+            | Mrt.State _ when which >= 0 ->
+                let bt = Bytes.of_string rest in
+                Bytes.set_uint16_be bt (2 * (a mod 2)) (b mod 9);
+                Bytes.to_string bt
+            | Mrt.State _ -> rest
+          in
+          let record = Bytes.of_string (head ^ rest) in
+          let record =
+            match record_damage with
+            | 1 -> Bytes.set_uint16_be record 6 (2 + (a mod 4)); record
+            | 2 -> Bytes.sub record 0 (12 + cut)
+            | _ -> record
+          in
+          Bytes.set_int32_be record 8 (Int32.of_int (Bytes.length record - 12));
+          Bytes.to_string record)
+        steps
+    in
+    let data = String.concat "" records in
+    frequency [ (5, return data); (1, gen_mutated data) ])
+
+let arb_study_archive =
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "archive of %d bytes" (String.length s))
+    gen_study_archive
+
+let study_config =
+  { Detect.quiet_gap = 5_000_000; min_prefixes = 3 }
+
+(* Both paths over one archive: the entry fold feeding [Detect.feed]
+   (what [Archive.scan_entries] runs) and the summary fold feeding
+   [Detect.observe] (what [Archive.scan_file] runs).  Each returns the
+   records' immediates, the diagnostics, the stats and the transfers. *)
+let via_entries ~strict ~config data =
+  let d = Detect.create ~config ~source:"a" () in
+  let diags = ref [] in
+  let seen, stats =
+    Mrt.fold_string ~strict ~on_diag:(fun x -> diags := x :: !diags) data
+      ~init:[] (fun acc e ->
+        Detect.feed d e;
+        let ip a = Int32.to_int a land 0xFFFF_FFFF in
+        match e with
+        | Mrt.Message r ->
+            ( r.Mrt.ts, r.Mrt.peer_as, ip r.Mrt.peer_ip,
+              Mrt.Kind.of_msg r.Mrt.msg, Msg.nlri_count r.Mrt.msg )
+            :: acc
+        | Mrt.State s ->
+            ( s.Mrt.sc_ts, s.Mrt.sc_peer_as, ip s.Mrt.sc_peer_ip,
+              Mrt.Kind.of_new_state s.Mrt.new_state, 0 )
+            :: acc)
+  in
+  (List.rev seen, List.rev !diags, stats, Detect.finish d)
+
+let via_summary ~strict ~config data =
+  let d = Detect.create ~config ~source:"a" () in
+  let diags = ref [] in
+  let seen, stats =
+    Mrt.fold_summary_string ~strict ~on_diag:(fun x -> diags := x :: !diags)
+      data ~init:[] (fun acc ~ts ~peer_as ~peer_ip ~kind ~nlri ->
+        Detect.observe d ~ts ~peer_as ~peer_ip ~kind ~nlri;
+        (ts, peer_as, peer_ip, kind, nlri) :: acc)
+  in
+  (List.rev seen, List.rev !diags, stats, Detect.finish d)
+
+let summary_props =
+  let same ~strict data =
+    List.for_all
+      (fun config ->
+        match
+          ( outcome (fun () -> via_entries ~strict ~config data),
+            outcome (fun () -> via_summary ~strict ~config data) )
+        with
+        | Ok a, Ok b -> a = b
+        | Error ea, Error eb -> ea = eb
+        | _ -> false)
+      [ study_config; Detect.default_config ]
+  in
+  [
+    prop ~count:400 "summary fold == entry fold + Detect.feed (salvage mode)"
+      arb_study_archive (same ~strict:false);
+    prop ~count:400 "summary fold == entry fold + Detect.feed (strict mode)"
+      arb_study_archive (same ~strict:true);
+  ]
+
 (* --- perf gate negative control ----------------------------------------- *)
 
 let bench_exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
@@ -652,6 +904,39 @@ let test_perf_gate_rejects_tight_baseline () =
       let rc = Sys.command cmd in
       Alcotest.(check bool) "tightened baseline fails the gate" true (rc <> 0))
 
+(* The study budget on its own: with the packet budgets out of reach,
+   an impossible per-record budget must still fail the gate, by name.
+   The scan measures 0 words per record, so only a budget below 0 is
+   impossible. *)
+let test_perf_gate_rejects_tight_study_budget () =
+  let tight = Filename.temp_file "tdat_gate" ".json" in
+  let out = Filename.temp_file "tdat_gate" ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ tight; out ])
+    (fun () ->
+      let oc = open_out tight in
+      output_string oc
+        "{ \"analyze_minor_words_per_packet_max\": 1e9,\n\
+        \  \"decode_minor_words_per_packet_max\": 1e9,\n\
+        \  \"study_minor_words_per_record_max\": -1 }\n";
+      close_out oc;
+      let cmd =
+        Printf.sprintf "%s perf_gate --baseline %s > %s 2>&1"
+          (Filename.quote bench_exe) (Filename.quote tight) (Filename.quote out)
+      in
+      let rc = Sys.command cmd in
+      let failed =
+        In_channel.with_open_bin out In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (String.ends_with ~suffix:"FAIL")
+      in
+      Alcotest.(check bool) "tight study budget fails the gate" true (rc <> 0);
+      Alcotest.(check (list string)) "only the study budget fails"
+        [ "study_minor_words_per_record_max" ]
+        (List.map
+           (fun l -> List.nth (String.split_on_char ' ' l) 1)
+           failed))
+
 let scratch_suite =
   [
     Alcotest.test_case "MCT: sequential /24s count distinctly" `Quick
@@ -676,6 +961,10 @@ let scratch_suite =
       test_scratch_ints_isolation;
     Alcotest.test_case "perf gate rejects a tightened baseline" `Quick
       test_perf_gate_rejects_tight_baseline;
+    Alcotest.test_case "perf gate rejects a tightened study budget" `Quick
+      test_perf_gate_rejects_tight_study_budget;
   ]
 
-let suite = decode_props @ reasm_props @ transfer_props @ scratch_suite
+let suite =
+  decode_props @ reasm_props @ transfer_props @ validator_props
+  @ summary_props @ scratch_suite

@@ -236,6 +236,55 @@ let test_fold_file_matches_decode_result () =
     (Mrt.messages (Mrt.read_file ~strict:true path).Mrt.entries
     = Mrt.messages sample_entries)
 
+(* A file fold reads in 16 KiB chunks: records straddle chunk
+   boundaries, one record (an unsupported type, skipped) is larger than
+   a chunk, and the file ends mid-record.  Both file folds must see what
+   the string folds see. *)
+let test_file_folds_across_chunks () =
+  let updates k =
+    List.init 400 (fun i ->
+        message ((k * 10_000_000) + (i * 1_000)) (update_msg (i * 7) 7))
+  in
+  let data =
+    Mrt.encode_entries (updates 0)
+    ^ raw_record ~ty:12 ~subtype:1 (String.make 150_000 '\x01')
+    ^ Mrt.encode_entries (updates 1)
+  in
+  let data = String.sub data 0 (String.length data - 3) in
+  let path = Filename.concat (tmpdir ()) "chunks.mrt" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+  let collect fold =
+    let diags = ref [] in
+    let acc, stats =
+      fold ~on_diag:(fun d -> diags := d :: !diags) ~init:[] (fun acc e ->
+          e :: acc)
+    in
+    (List.rev acc, List.rev !diags, stats)
+  in
+  let summary fold =
+    let diags = ref [] in
+    let acc, stats =
+      fold ~on_diag:(fun d -> diags := d :: !diags) ~init:[]
+        (fun acc ~ts ~peer_as ~peer_ip ~kind ~nlri ->
+          (ts, peer_as, peer_ip, kind, nlri) :: acc)
+    in
+    (List.rev acc, List.rev !diags, stats)
+  in
+  let ((entries, _, stats) as from_string) =
+    collect (fun ~on_diag ~init f -> Mrt.fold_string ~on_diag data ~init f)
+  in
+  Alcotest.(check bool) "archive spans several chunks" true
+    (String.length data > 3 * 65536 && List.length entries = 799);
+  Alcotest.(check int) "the large record is skipped" 1 stats.Mrt.skipped;
+  Alcotest.(check bool) "fold_file == fold_string" true
+    (collect (fun ~on_diag ~init f -> Mrt.fold_file ~on_diag path ~init f)
+    = from_string);
+  Alcotest.(check bool) "fold_summary_file == fold_summary_string" true
+    (summary (fun ~on_diag ~init f ->
+         Mrt.fold_summary_file ~on_diag path ~init f)
+    = summary (fun ~on_diag ~init f ->
+          Mrt.fold_summary_string ~on_diag data ~init f))
+
 let test_fold_fd_pipe_fed () =
   (* A pipe delivers the archive in dribs and drabs — short reads land
      mid-header and mid-record, and the writer pacing makes some reads
@@ -259,8 +308,8 @@ let test_fold_fd_pipe_fed () =
         while !pos < len do
           let n = min 97 (len - !pos) in
           let wrote =
-            Tdat_pkt.Ingest_io.retry_eintr (fun () ->
-                Unix.write_substring w archive !pos n)
+            Tdat_pkt.Ingest_io.retry_eintr (Unix.write_substring w) archive
+              !pos n
           in
           pos := !pos + wrote;
           if !pos mod (97 * 13) < 97 then Unix.sleepf 0.001
@@ -479,6 +528,28 @@ let test_detect_churn_filtered () =
   let config = { Study.Detect.default_config with Study.Detect.min_prefixes = 8 } in
   Alcotest.(check int) "threshold is configurable" 1
     (List.length (detect ~config entries))
+
+(* The churn threshold sums NLRI entries, it does not count distinct
+   prefixes: 20 prefixes announced twice are a 40-entry burst and pass
+   the default threshold of 32.  Pinned on both detector inputs — decoded
+   entries and the archive scan's summary fold. *)
+let test_detect_repeats_count () =
+  let entries =
+    [ message 1_000_000 (update_msg 0 20); message 2_000_000 (update_msg 0 20) ]
+  in
+  let check what = function
+    | [ t ] ->
+        Alcotest.(check int) (what ^ ": prefixes") 40 t.Study.Transfer.prefixes;
+        Alcotest.(check int) (what ^ ": messages") 2 t.Study.Transfer.messages
+    | ts -> Alcotest.failf "%s: expected 1 transfer, got %d" what (List.length ts)
+  in
+  check "entries" (detect entries);
+  let path = Filename.temp_file "tdat_repeats" ".mrt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Mrt.to_file_entries path entries;
+      check "archive scan" (Study.Archive.scan_file path).Study.Archive.transfers)
 
 let test_detect_notification_closes () =
   let entries =
@@ -754,6 +825,8 @@ let suite =
       test_oversized_record;
     Alcotest.test_case "fold_file streaming" `Quick
       test_fold_file_matches_decode_result;
+    Alcotest.test_case "file folds across read chunks" `Quick
+      test_file_folds_across_chunks;
     Alcotest.test_case "fold_fd pipe-fed stream" `Quick test_fold_fd_pipe_fed;
     qcheck_roundtrip;
     Alcotest.test_case "detector: anchored start" `Quick test_detect_anchored;
@@ -765,6 +838,8 @@ let suite =
       test_detect_reset_closes;
     Alcotest.test_case "detector: churn filtered" `Quick
       test_detect_churn_filtered;
+    Alcotest.test_case "detector: repeated prefixes count toward the threshold"
+      `Quick test_detect_repeats_count;
     Alcotest.test_case "detector: notification closes" `Quick
       test_detect_notification_closes;
     Alcotest.test_case "detector: multi-peer" `Quick test_detect_multi_peer;
