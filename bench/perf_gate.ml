@@ -16,44 +16,9 @@
    it must fail. *)
 
 module Trace = Tdat_pkt.Trace
+module Json = Tdat_json.Json
 
 let baseline = ref "bench/alloc_baseline.json"
-
-(* Minimal one-key-per-line JSON number extraction, so the gate needs no
-   JSON dependency.  Budget files are machine-written and flat. *)
-let budget_of data key =
-  let needle = "\"" ^ key ^ "\"" in
-  let nlen = String.length needle in
-  let len = String.length data in
-  let rec find i =
-    if i + nlen > len then None
-    else if String.sub data i nlen = needle then Some (i + nlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some p ->
-      let p = ref p in
-      while !p < len && (data.[!p] = ':' || data.[!p] = ' ') do
-        incr p
-      done;
-      let q = ref !p in
-      while
-        !q < len
-        && (match data.[!q] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr q
-      done;
-      if !q = !p then None
-      else float_of_string_opt (String.sub data !p (!q - !p))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Minor words allocated by one run of [f], after one warm-up run so
    one-time heap and code-path costs (pool setup, scratch growth) are
@@ -114,10 +79,13 @@ let study_archive ~updates =
 
 let run () =
   let data =
-    try read_file !baseline
-    with Sys_error e ->
-      Printf.eprintf "[perf-gate] cannot read baseline %s: %s\n" !baseline e;
-      exit 2
+    match
+      Json.parse (In_channel.with_open_bin !baseline In_channel.input_all)
+    with
+    | Ok data -> data
+    | Error e | (exception Sys_error e) ->
+        Printf.eprintf "[perf-gate] cannot read baseline %s: %s\n" !baseline e;
+        exit 2
   in
   let trace = Scaling.fleet_trace ~sessions:2 ~prefixes:3_000 ~seed:7 in
   let packets = Trace.length trace in
@@ -146,7 +114,7 @@ let run () =
   in
   let failures = ref 0 in
   let check name measured =
-    match budget_of data name with
+    match Option.bind (Json.member name data) Json.to_float_opt with
     | None ->
         Printf.eprintf "[perf-gate] baseline %s lacks key %S\n" !baseline name;
         incr failures

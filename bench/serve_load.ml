@@ -12,7 +12,7 @@
 module Scenario = Tdat_bgpsim.Scenario
 module Server = Tdat_serve.Server
 module Client = Tdat_serve.Client
-module Json = Tdat_serve.Json
+module Json = Tdat_json.Json
 
 let clients = 4
 let requests_per_client = 12

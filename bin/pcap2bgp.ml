@@ -89,7 +89,7 @@ let convert obs pcap_path out_path peer_as local_as strict =
       end
 
 let pcap_arg =
-  Arg.(required & pos 0 (some file) None
+  Arg.(required & pos 0 (some non_dir_file) None
        & info [] ~docv:"TRACE.pcap" ~doc:"Input packet trace.")
 
 let out_arg =

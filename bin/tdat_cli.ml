@@ -203,7 +203,8 @@ let study_files obs paths jobs strict gap_s min_prefixes slow_threshold_s json
 
 let pcap_arg =
   let doc = "Packet trace to analyze (libpcap format, Ethernet/IPv4/TCP)." in
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE.pcap" ~doc)
+  Arg.(
+    required & pos 0 (some non_dir_file) None & info [] ~docv:"TRACE.pcap" ~doc)
 
 let mrt_arg =
   let doc =
@@ -211,7 +212,10 @@ let mrt_arg =
      drives the MCT transfer-end estimation instead of in-trace \
      reconstruction."
   in
-  Arg.(value & opt (some file) None & info [ "mrt" ] ~docv:"ARCHIVE.mrt" ~doc)
+  Arg.(
+    value
+    & opt (some non_dir_file) None
+    & info [ "mrt" ] ~docv:"ARCHIVE.mrt" ~doc)
 
 let series_arg =
   let doc = "Also print the square-wave event-series timeline (Fig. 11)." in
@@ -309,7 +313,8 @@ let check_cmd =
 let study_cmd =
   let archives_arg =
     let doc = "MRT update archives to mine (BGP4MP / BGP4MP_ET)." in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"ARCHIVE.mrt" ~doc)
+    Arg.(
+      non_empty & pos_all non_dir_file [] & info [] ~docv:"ARCHIVE.mrt" ~doc)
   in
   let gap_arg =
     let doc =
@@ -483,7 +488,7 @@ let top_loop socket host port interval once =
     | `Unix path -> path
     | `Tcp (h, p) -> Printf.sprintf "%s:%d" h p
   in
-  let module Json = Tdat_serve.Json in
+  let module Json = Tdat_json.Json in
   let poll_stats () =
     let client = Tdat_serve.Client.connect address in
     Fun.protect
@@ -688,7 +693,7 @@ let experiment_cmd =
         "Corpus inputs: pcap captures and/or MRT archives.  Each variant \
          runs over the inputs matching its kind (sniffed by magic)."
       in
-      Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
+      Arg.(non_empty & pos_all non_dir_file [] & info [] ~docv:"FILE" ~doc)
     in
     let variant_arg =
       let doc =

@@ -1,4 +1,4 @@
-module Json = Tdat_serve.Json
+module Json = Tdat_json.Json
 
 type entry = { input : string; source : string; mismatches : int }
 
@@ -50,7 +50,7 @@ let diff_json (report : Engine.t) (r : Engine.file_result) =
       ("candidate", Json.Str v.Variant.candidate_name);
       ("tolerance", Json.Num report.Engine.tolerance);
       ("source", Json.Str r.Engine.file);
-      ("fields_compared", Json.Num (float_of_int r.Engine.fields));
+      ("fields_compared", Json.int r.Engine.fields);
       ("mismatches", Json.Arr (List.map mismatch_json r.Engine.mismatches));
     ]
 
@@ -62,9 +62,9 @@ let index_json (report : Engine.t) entries =
       ("control", Json.Str v.Variant.control_name);
       ("candidate", Json.Str v.Variant.candidate_name);
       ("tolerance", Json.Num report.Engine.tolerance);
-      ("total_fields", Json.Num (float_of_int report.Engine.total_fields));
+      ("total_fields", Json.int report.Engine.total_fields);
       ( "total_mismatches",
-        Json.Num (float_of_int report.Engine.total_mismatches) );
+        Json.int report.Engine.total_mismatches );
       ( "entries",
         Json.Arr
           (List.map
@@ -74,7 +74,7 @@ let index_json (report : Engine.t) entries =
                    ("input", Json.Str e.input);
                    ("diff", Json.Str (e.input ^ ".diff.json"));
                    ("source", Json.Str e.source);
-                   ("mismatches", Json.Num (float_of_int e.mismatches));
+                   ("mismatches", Json.int e.mismatches);
                  ])
              entries) );
     ]

@@ -25,7 +25,7 @@ type index = {
   entries : entry list;
 }
 
-val mismatch_json : Diff.entry -> Tdat_serve.Json.t
+val mismatch_json : Diff.entry -> Tdat_json.Json.t
 (** The drill-down rendering of one divergence (shared with {!Report}). *)
 
 val write : dir:string -> Engine.t -> int

@@ -7,7 +7,7 @@
    recorded, entries accumulate by consing, and the agree/count fast
    path allocates nothing. *)
 
-module Json = Tdat_serve.Json
+module Json = Tdat_json.Json
 
 type kind =
   | Value_mismatch

@@ -2,7 +2,7 @@
     documents (control vs candidate), the diff kernel of the
     differential-analysis harness (DESIGN.md, "Differential analysis").
 
-    Documents are {!Tdat_serve.Json} values built by {!Doc}; the diff
+    Documents are {!Tdat_json.Json} values built by {!Doc}; the diff
     walks both trees together and addresses every divergence by path —
     [connections[3].factors.ratios.tcp_adv_window] — so a mismatch
     names the exact field, not just the file. *)
@@ -30,8 +30,8 @@ val compare_entry : entry -> entry -> int
 
 val run :
   ?tolerance:float ->
-  control:Tdat_serve.Json.t ->
-  candidate:Tdat_serve.Json.t ->
+  control:Tdat_json.Json.t ->
+  candidate:Tdat_json.Json.t ->
   unit ->
   entry list * int
 (** [run ~control ~candidate] returns the divergences in document order

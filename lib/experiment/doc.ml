@@ -7,16 +7,15 @@
    across files and runs.  Numbers go through Json's canonical float
    rendering; time values are integral microseconds. *)
 
-module Json = Tdat_serve.Json
+module Json = Tdat_json.Json
 module Span = Tdat_timerange.Span
 
-let num_int n = Json.Num (float_of_int n)
 
-let num_int_opt = function None -> Json.Null | Some n -> num_int n
+let num_int_opt = function None -> Json.Null | Some n -> Json.int n
 
 let span_obj s =
   Json.Obj
-    [ ("start_us", num_int (Span.start s)); ("stop_us", num_int (Span.stop s)) ]
+    [ ("start_us", Json.int (Span.start s)); ("stop_us", Json.int (Span.stop s)) ]
 
 let flow_str flow = Format.asprintf "%a" Tdat_pkt.Flow.pp flow
 
@@ -25,11 +24,11 @@ let flow_str flow = Format.asprintf "%a" Tdat_pkt.Flow.pp flow
 let transfer_obj (t : Tdat.Transfer_id.t) =
   Json.Obj
     [
-      ("start_us", num_int t.Tdat.Transfer_id.start_ts);
-      ("end_us", num_int t.Tdat.Transfer_id.end_ts);
-      ("duration_us", num_int (Tdat.Transfer_id.duration t));
-      ("prefixes", num_int t.Tdat.Transfer_id.prefixes);
-      ("updates", num_int t.Tdat.Transfer_id.updates);
+      ("start_us", Json.int t.Tdat.Transfer_id.start_ts);
+      ("end_us", Json.int t.Tdat.Transfer_id.end_ts);
+      ("duration_us", Json.int (Tdat.Transfer_id.duration t));
+      ("prefixes", Json.int t.Tdat.Transfer_id.prefixes);
+      ("updates", Json.int t.Tdat.Transfer_id.updates);
       ( "source",
         Json.Str
           (match t.Tdat.Transfer_id.source with
@@ -47,22 +46,22 @@ let profile_obj (p : Tdat.Conn_profile.t) =
            Json.Obj
              [
                ("span", span_obj e.Tdat.Conn_profile.span);
-               ("packets", num_int e.Tdat.Conn_profile.packets);
-               ("bytes", num_int e.Tdat.Conn_profile.bytes);
+               ("packets", Json.int e.Tdat.Conn_profile.packets);
+               ("bytes", Json.int e.Tdat.Conn_profile.bytes);
              ])
          es)
   in
   Json.Obj
     [
-      ("start_us", num_int p.Tdat.Conn_profile.start_time);
-      ("end_us", num_int p.Tdat.Conn_profile.end_time);
+      ("start_us", Json.int p.Tdat.Conn_profile.start_time);
+      ("end_us", Json.int p.Tdat.Conn_profile.end_time);
       ("syn_rtt_us", num_int_opt p.Tdat.Conn_profile.syn_rtt);
       ("upstream_rtt_us", num_int_opt p.Tdat.Conn_profile.upstream_rtt);
-      ("rtt_us", num_int p.Tdat.Conn_profile.rtt);
-      ("mss", num_int p.Tdat.Conn_profile.mss);
-      ("max_adv_window", num_int p.Tdat.Conn_profile.max_adv_window);
-      ("data_packets", num_int (Array.length p.Tdat.Conn_profile.data));
-      ("acks", num_int (Array.length p.Tdat.Conn_profile.acks));
+      ("rtt_us", Json.int p.Tdat.Conn_profile.rtt);
+      ("mss", Json.int p.Tdat.Conn_profile.mss);
+      ("max_adv_window", Json.int p.Tdat.Conn_profile.max_adv_window);
+      ("data_packets", Json.int (Array.length p.Tdat.Conn_profile.data));
+      ("acks", Json.int (Array.length p.Tdat.Conn_profile.acks));
       ("upstream_episodes", episodes p.Tdat.Conn_profile.upstream_episodes);
       ("downstream_episodes", episodes p.Tdat.Conn_profile.downstream_episodes);
     ]
@@ -90,14 +89,14 @@ let factors_obj (f : Tdat.Factors.result) =
         match f.dominant_group with
         | None -> Json.Null
         | Some g -> Json.Str (group_name g) );
-      ("analysis_period_us", num_int f.analysis_period);
+      ("analysis_period_us", Json.int f.analysis_period);
     ]
 
 let series_obj series =
   Json.Obj
     (List.map
        (fun s ->
-         (Tdat.Series_defs.to_string s, num_int (Tdat.Series_gen.size series s)))
+         (Tdat.Series_defs.to_string s, Json.int (Tdat.Series_gen.size series s)))
        Tdat.Series_defs.all)
 
 let problems_obj (p : Tdat.Analyzer.problems) =
@@ -107,9 +106,9 @@ let problems_obj (p : Tdat.Analyzer.problems) =
     | Some (t : Tdat.Detect_timer.result) ->
         Json.Obj
           [
-            ("timer_us", num_int t.Tdat.Detect_timer.timer);
-            ("gaps", num_int t.Tdat.Detect_timer.gaps);
-            ("induced_delay_us", num_int t.Tdat.Detect_timer.induced_delay);
+            ("timer_us", Json.int t.Tdat.Detect_timer.timer);
+            ("gaps", Json.int t.Tdat.Detect_timer.gaps);
+            ("induced_delay_us", Json.int t.Tdat.Detect_timer.induced_delay);
           ]
   in
   let losses =
@@ -123,10 +122,10 @@ let problems_obj (p : Tdat.Analyzer.problems) =
                  Json.Obj
                    [
                      ("span", span_obj e.Tdat.Detect_loss.span);
-                     ("packets", num_int e.Tdat.Detect_loss.packets);
+                     ("packets", Json.int e.Tdat.Detect_loss.packets);
                    ])
                r.Tdat.Detect_loss.episodes) );
-        ("induced_delay_us", num_int r.Tdat.Detect_loss.induced_delay);
+        ("induced_delay_us", Json.int r.Tdat.Detect_loss.induced_delay);
       ]
   in
   let peer_group =
@@ -136,7 +135,7 @@ let problems_obj (p : Tdat.Analyzer.problems) =
            Json.Obj
              [
                ("span", span_obj s.Tdat.Detect_peer_group.span);
-               ("keepalives", num_int s.Tdat.Detect_peer_group.keepalives);
+               ("keepalives", Json.int s.Tdat.Detect_peer_group.keepalives);
              ])
          p.Tdat.Analyzer.peer_group_suspects)
   in
@@ -147,11 +146,11 @@ let problems_obj (p : Tdat.Analyzer.problems) =
         Json.Obj
           [
             ( "spans",
-              num_int
+              Json.int
                 (List.length
                    (Tdat_timerange.Span_set.to_list r.Tdat.Detect_zero_ack.spans))
             );
-            ("total_us", num_int r.Tdat.Detect_zero_ack.total);
+            ("total_us", Json.int r.Tdat.Detect_zero_ack.total);
           ]
   in
   Json.Obj
@@ -167,7 +166,7 @@ let connection_obj (flow, (a : Tdat.Analyzer.t)) =
     [
       ("flow", Json.Str (flow_str flow));
       ("profile", profile_obj a.Tdat.Analyzer.profile);
-      ("shifts", num_int (List.length a.Tdat.Analyzer.shifts));
+      ("shifts", Json.int (List.length a.Tdat.Analyzer.shifts));
       ("transfer", transfer_opt a.Tdat.Analyzer.transfer);
       ("factors", factors_obj a.Tdat.Analyzer.factors);
       ("series_sizes_us", series_obj a.Tdat.Analyzer.series);
@@ -203,15 +202,15 @@ let study_doc (fr : Tdat_study.Archive.file_report) =
   let transfer_entry (t : Tdat_study.Transfer.t) =
     Json.Obj
       [
-        ("peer_as", num_int t.Tdat_study.Transfer.peer_as);
+        ("peer_as", Json.int t.Tdat_study.Transfer.peer_as);
         ( "peer_ip",
           Json.Str
             (Format.asprintf "%a" Tdat_study.Transfer.pp_ip
                t.Tdat_study.Transfer.peer_ip) );
-        ("start_us", num_int t.Tdat_study.Transfer.start_ts);
-        ("end_us", num_int t.Tdat_study.Transfer.end_ts);
-        ("prefixes", num_int t.Tdat_study.Transfer.prefixes);
-        ("messages", num_int t.Tdat_study.Transfer.messages);
+        ("start_us", Json.int t.Tdat_study.Transfer.start_ts);
+        ("end_us", Json.int t.Tdat_study.Transfer.end_ts);
+        ("prefixes", Json.int t.Tdat_study.Transfer.prefixes);
+        ("messages", Json.int t.Tdat_study.Transfer.messages);
         ("anchored", Json.Bool t.Tdat_study.Transfer.anchored);
       ]
   in
@@ -223,10 +222,10 @@ let study_doc (fr : Tdat_study.Archive.file_report) =
       ( "stats",
         Json.Obj
           [
-            ("records", num_int s.Tdat_bgp.Mrt.records);
-            ("bgp_messages", num_int s.Tdat_bgp.Mrt.bgp_messages);
-            ("state_changes", num_int s.Tdat_bgp.Mrt.state_changes);
-            ("skipped", num_int s.Tdat_bgp.Mrt.skipped);
+            ("records", Json.int s.Tdat_bgp.Mrt.records);
+            ("bgp_messages", Json.int s.Tdat_bgp.Mrt.bgp_messages);
+            ("state_changes", Json.int s.Tdat_bgp.Mrt.state_changes);
+            ("skipped", Json.int s.Tdat_bgp.Mrt.skipped);
           ] );
     ]
 

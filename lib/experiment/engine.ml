@@ -26,7 +26,7 @@ let c_mismatches = M.Counter.make ~stable:true "experiment.mismatches"
 let c_errors = M.Counter.make "experiment.side_errors"
 
 let is_error_doc = function
-  | Tdat_serve.Json.Obj [ ("error", _) ] -> true
+  | Tdat_json.Json.Obj [ ("error", _) ] -> true
   | _ -> false
 
 let side run path =

@@ -1,4 +1,4 @@
-module Json = Tdat_serve.Json
+module Json = Tdat_json.Json
 
 let diag_json (d : Tdat_audit.Diag.t) =
   Json.Obj
@@ -14,7 +14,7 @@ let file_json (r : Engine.file_result) =
   Json.Obj
     [
       ("file", Json.Str r.Engine.file);
-      ("fields_compared", Json.Num (float_of_int r.Engine.fields));
+      ("fields_compared", Json.int r.Engine.fields);
       ("errors", Json.Bool r.Engine.errors);
       ("mismatches", Json.Arr (List.map Corpus.mismatch_json r.Engine.mismatches));
     ]
@@ -29,10 +29,10 @@ let to_json (t : Engine.t) =
          ("control", Json.Str v.Variant.control_name);
          ("candidate", Json.Str v.Variant.candidate_name);
          ("tolerance", Json.Num t.Engine.tolerance);
-         ("files_compared", Json.Num (float_of_int (List.length t.Engine.files)));
-         ("total_fields", Json.Num (float_of_int t.Engine.total_fields));
+         ("files_compared", Json.int (List.length t.Engine.files));
+         ("total_fields", Json.int t.Engine.total_fields);
          ( "total_mismatches",
-           Json.Num (float_of_int t.Engine.total_mismatches) );
+           Json.int t.Engine.total_mismatches );
          ("files", Json.Arr (List.map file_json t.Engine.files));
          ("audit", Json.Arr (List.map diag_json t.Engine.audit));
        ])
@@ -48,7 +48,7 @@ let to_text (t : Engine.t) =
   line "  files=%d fields=%d mismatches=%d tolerance=%s"
     (List.length t.Engine.files)
     t.Engine.total_fields t.Engine.total_mismatches
-    (Tdat_obs.Canon.to_string t.Engine.tolerance);
+    (Tdat_json.Canon.to_string t.Engine.tolerance);
   List.iter
     (fun (r : Engine.file_result) ->
       if r.Engine.mismatches <> [] then begin

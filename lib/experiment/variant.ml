@@ -7,7 +7,7 @@
    here is sequential ([~jobs:1]): the experiment parallelizes across
    corpus files, not within one. *)
 
-module Json = Tdat_serve.Json
+module Json = Tdat_json.Json
 
 type input_kind = Pcap | Mrt
 

@@ -20,8 +20,8 @@ type t = {
   self_test : bool;
       (** Deliberately diverging harness self-test; excluded from the
           default variant set. *)
-  control : string -> Tdat_serve.Json.t;
-  candidate : string -> Tdat_serve.Json.t;
+  control : string -> Tdat_json.Json.t;
+  candidate : string -> Tdat_json.Json.t;
 }
 
 val all : t list

@@ -1,25 +1,12 @@
-(* Report emitters.  JSON is hand-rolled (no external dependency) with
-   full string escaping; the SARIF output targets the 2.1.0 schema with
-   the minimal shape CI viewers need: tool.driver.rules metadata from
-   the registry plus one result per finding. *)
+(* Report emitters.  JSON and SARIF are built as documents and written
+   by the shared codec (Tdat_json.Json), so escaping is complete and the
+   output valid by construction; the SARIF output targets the 2.1.0
+   schema with the minimal shape CI viewers need: tool.driver.rules
+   metadata from the registry plus one result per finding. *)
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+module Json = Tdat_json.Json
 
-let add_sep b first = if !first then first := false else Buffer.add_string b ","
+let document doc = Json.to_string doc ^ "\n"
 
 (* --- text ----------------------------------------------------------------- *)
 
@@ -35,30 +22,24 @@ let text findings =
 (* --- json ----------------------------------------------------------------- *)
 
 let json ~files_scanned findings =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"tool\":\"tdat-lint\",\"files_scanned\":";
-  Buffer.add_string b (string_of_int files_scanned);
-  Buffer.add_string b ",\"findings\":[";
-  let first = ref true in
-  List.iter
-    (fun (f : Finding.t) ->
-      add_sep b first;
-      Buffer.add_string b "{\"file\":";
-      buf_add_json_string b f.file;
-      Buffer.add_string b ",\"line\":";
-      Buffer.add_string b (string_of_int f.line);
-      Buffer.add_string b ",\"col\":";
-      Buffer.add_string b (string_of_int f.col);
-      Buffer.add_string b ",\"code\":";
-      buf_add_json_string b f.code;
-      Buffer.add_string b ",\"severity\":";
-      buf_add_json_string b (Finding.severity_name f.severity);
-      Buffer.add_string b ",\"message\":";
-      buf_add_json_string b f.message;
-      Buffer.add_string b "}")
-    findings;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let finding (f : Finding.t) =
+    Json.Obj
+      [
+        ("file", Json.Str f.file);
+        ("line", Json.int f.line);
+        ("col", Json.int f.col);
+        ("code", Json.Str f.code);
+        ("severity", Json.Str (Finding.severity_name f.severity));
+        ("message", Json.Str f.message);
+      ]
+  in
+  document
+    (Json.Obj
+       [
+         ("tool", Json.Str "tdat-lint");
+         ("files_scanned", Json.int files_scanned);
+         ("findings", Json.Arr (List.map finding findings));
+       ])
 
 (* --- sarif ---------------------------------------------------------------- *)
 
@@ -69,61 +50,78 @@ let sarif_level = function
 let sarif_uri file =
   String.map (fun c -> if c = '\\' then '/' else c) file
 
+let text_obj s = Json.Obj [ ("text", Json.Str s) ]
+
 let sarif findings =
   let rules = Registry.all in
   let rule_index id =
     let rec go i = function
-      | [] -> -1
+      | [] -> None
       | (r : Registry.rule) :: rest ->
-          if String.equal r.id id then i else go (i + 1) rest
+          if String.equal r.id id then Some i else go (i + 1) rest
     in
     go 0 rules
   in
-  let b = Buffer.create 8192 in
-  Buffer.add_string b
-    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-     \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-     \"name\":\"tdat-lint\",\"informationUri\":\
-     \"https://example.invalid/tdat\",\"rules\":[";
-  let first = ref true in
-  List.iter
-    (fun (r : Registry.rule) ->
-      add_sep b first;
-      Buffer.add_string b "{\"id\":";
-      buf_add_json_string b r.id;
-      Buffer.add_string b ",\"shortDescription\":{\"text\":";
-      buf_add_json_string b r.summary;
-      Buffer.add_string b "},\"fullDescription\":{\"text\":";
-      buf_add_json_string b r.doc;
-      Buffer.add_string b "},\"defaultConfiguration\":{\"level\":";
-      buf_add_json_string b (sarif_level r.severity);
-      Buffer.add_string b "}}")
-    rules;
-  Buffer.add_string b "]}},\"results\":[";
-  let first = ref true in
-  List.iter
-    (fun (f : Finding.t) ->
-      add_sep b first;
-      Buffer.add_string b "{\"ruleId\":";
-      buf_add_json_string b f.code;
-      let idx = rule_index f.code in
-      if idx >= 0 then (
-        Buffer.add_string b ",\"ruleIndex\":";
-        Buffer.add_string b (string_of_int idx));
-      Buffer.add_string b ",\"level\":";
-      buf_add_json_string b (sarif_level f.severity);
-      Buffer.add_string b ",\"message\":{\"text\":";
-      buf_add_json_string b f.message;
-      Buffer.add_string b
-        "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\
-         \"uri\":";
-      buf_add_json_string b (sarif_uri f.file);
-      Buffer.add_string b "},\"region\":{\"startLine\":";
-      Buffer.add_string b (string_of_int (max 1 f.line));
-      Buffer.add_string b ",\"startColumn\":";
-      (* findings carry 0-based columns; SARIF regions are 1-based *)
-      Buffer.add_string b (string_of_int (f.col + 1));
-      Buffer.add_string b "}}}]}")
-    findings;
-  Buffer.add_string b "]}]}\n";
-  Buffer.contents b
+  let rule (r : Registry.rule) =
+    Json.Obj
+      [
+        ("id", Json.Str r.id);
+        ("shortDescription", text_obj r.summary);
+        ("fullDescription", text_obj r.doc);
+        ( "defaultConfiguration",
+          Json.Obj [ ("level", Json.Str (sarif_level r.severity)) ] );
+      ]
+  in
+  let result (f : Finding.t) =
+    let location =
+      Json.Obj
+        [
+          ( "physicalLocation",
+            Json.Obj
+              [
+                ( "artifactLocation",
+                  Json.Obj [ ("uri", Json.Str (sarif_uri f.file)) ] );
+                ( "region",
+                  Json.Obj
+                    [
+                      ("startLine", Json.int (max 1 f.line));
+                      (* findings carry 0-based columns; SARIF's are 1-based *)
+                      ("startColumn", Json.int (f.col + 1));
+                    ] );
+              ] );
+        ]
+    in
+    Json.Obj
+      ([ ("ruleId", Json.Str f.code) ]
+      @ (match rule_index f.code with
+        | Some idx -> [ ("ruleIndex", Json.int idx) ]
+        | None -> [])
+      @ [
+          ("level", Json.Str (sarif_level f.severity));
+          ("message", text_obj f.message);
+          ("locations", Json.Arr [ location ]);
+        ])
+  in
+  let driver =
+    Json.Obj
+      [
+        ("name", Json.Str "tdat-lint");
+        ("informationUri", Json.Str "https://example.invalid/tdat");
+        ("rules", Json.Arr (List.map rule rules));
+      ]
+  in
+  document
+    (Json.Obj
+       [
+         ("$schema", Json.Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", Json.Str "2.1.0");
+         ( "runs",
+           Json.Arr
+             [
+               Json.Obj
+                 [
+                   ("tool", Json.Obj [ ("driver", driver) ]);
+                   ("results", Json.Arr (List.map result findings));
+                 ];
+             ] );
+       ])

@@ -256,70 +256,37 @@ let reset r =
 
 (* --- snapshot ---------------------------------------------------------- *)
 
-let add_escaped buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Tdat_json.Json
 
-(* Gauge values, histogram sums and bucket bounds print in the
-   canonical shortest round-trip form ([Canon]): the old [%.6f]
-   truncation could render two distinct sums identically (masking an
-   A007 divergence) and two equal-valued snapshots are still
-   byte-identical.  The [.0] suffix keeps whole-valued floats visibly
-   floats in the snapshot. *)
-let add_float buf v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.1f" v)
-  else if Float.is_nan v || Float.abs v = Float.infinity then
-    Buffer.add_string buf (Printf.sprintf "\"%h\"" v)
-  else Buffer.add_string buf (Canon.to_string v)
-
-let add_instr buf instr =
-  match instr with
-  | C c -> Buffer.add_string buf (Printf.sprintf
-        "{ \"type\": \"counter\", \"value\": %d }" (Atomic.get c.c_v))
+(* Numbers go through the codec: gauge values, histogram sums and
+   bucket bounds print in the canonical shortest round-trip form, so
+   two distinct sums never render identically (masking an A007
+   divergence) and two equal-valued snapshots are byte-identical. *)
+let instr_json = function
+  | C c ->
+      Json.Obj
+        [ ("type", Json.Str "counter"); ("value", Json.int (Atomic.get c.c_v)) ]
   | G g ->
-      Buffer.add_string buf "{ \"type\": \"gauge\", \"value\": ";
-      add_float buf (Atomic.get g.g_v);
-      Buffer.add_string buf " }"
+      Json.Obj
+        [ ("type", Json.Str "gauge"); ("value", Json.Num (Atomic.get g.g_v)) ]
   | H h ->
-      Buffer.add_string buf
-        (Printf.sprintf "{ \"type\": \"histogram\", \"count\": %d, \"sum\": "
-           (Atomic.get h.h_count));
-      add_float buf (Atomic.get h.h_sum);
-      Buffer.add_string buf ", \"buckets\": [";
-      Array.iteri
-        (fun i a ->
-          if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf "{ \"le\": ";
-          if i < Array.length h.bounds then add_float buf h.bounds.(i)
-          else Buffer.add_string buf "\"inf\"";
-          Buffer.add_string buf (Printf.sprintf ", \"count\": %d }" (Atomic.get a)))
-        h.counts;
-      Buffer.add_string buf "] }"
+      let bucket i a =
+        let le =
+          if i < Array.length h.bounds then Json.Num h.bounds.(i)
+          else Json.Str "inf"
+        in
+        Json.Obj [ ("le", le); ("count", Json.int (Atomic.get a)) ]
+      in
+      Json.Obj
+        [
+          ("type", Json.Str "histogram");
+          ("count", Json.int (Atomic.get h.h_count));
+          ("sum", Json.Num (Atomic.get h.h_sum));
+          ("buckets", Json.Arr (Array.to_list (Array.mapi bucket h.counts)));
+        ]
 
-let add_section buf label entries =
-  Buffer.add_string buf "  ";
-  add_escaped buf label;
-  Buffer.add_string buf ": {";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    ";
-      add_escaped buf e.name;
-      Buffer.add_string buf ": ";
-      add_instr buf e.instr)
-    entries;
-  Buffer.add_string buf "\n  }"
+let section entries =
+  Json.Obj (List.map (fun e -> (e.name, instr_json e.instr)) entries)
 
 let snapshot_json ?(stable_only = false) r =
   Mutex.lock r.rmutex;
@@ -328,12 +295,8 @@ let snapshot_json ?(stable_only = false) r =
   in
   Mutex.unlock r.rmutex;
   let stable, volatile = List.partition (fun e -> e.stable) entries in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  add_section buf "stable" stable;
-  if not stable_only then begin
-    Buffer.add_string buf ",\n";
-    add_section buf "volatile" volatile
-  end;
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       (("stable", section stable)
+       :: (if stable_only then [] else [ ("volatile", section volatile) ])))
+  ^ "\n"

@@ -118,6 +118,6 @@ val fold_entries :
     without quiescing writers — exact only when nothing is updating. *)
 
 val snapshot_json : ?stable_only:bool -> registry -> string
-(** The registry as a deterministic JSON object: metrics sorted by
-    name, fixed number formatting, a ["stable"] section and (unless
-    [stable_only]) a ["volatile"] one. *)
+(** The registry as a deterministic one-line JSON object written by
+    the shared codec: metrics sorted by name, a ["stable"] section and
+    (unless [stable_only]) a ["volatile"] one. *)

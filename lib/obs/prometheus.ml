@@ -2,9 +2,9 @@
    registry, plus low-level helpers for ad-hoc series (the serve
    daemon's rolling-window gauges).
 
-   Formatting discipline matches [Metrics.snapshot_json]: floats print
-   in canonical shortest round-trip form ([Canon], integer-valued ones
-   as [x.0]), instruments are emitted in name order, and the stable
+   Floats print in canonical shortest round-trip form
+   ([Tdat_json.Canon], integer-valued ones as [x.0]), instruments are
+   emitted in name order, and the stable
    section of a quiesced registry is therefore byte-identical across
    [--jobs]. *)
 
@@ -30,7 +30,7 @@ let add_float buf v =
   else if v = Float.neg_infinity then Buffer.add_string buf "-Inf"
   else if Float.is_integer v && Float.abs v < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%.1f" v)
-  else Buffer.add_string buf (Canon.to_string v)
+  else Buffer.add_string buf (Tdat_json.Canon.to_string v)
 
 (* Label values escape backslash, double quote and newline. *)
 let add_label_value buf s =

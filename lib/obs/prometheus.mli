@@ -4,8 +4,9 @@
     series such as the serve daemon's rolling-window gauges — as
     Prometheus exposition text.  Formatting is deterministic: metrics
     in name order, floats in canonical shortest round-trip form
-    ({!Canon}, integer-valued ones as [x.0]), so the stable section of
-    a quiesced registry is byte-identical across [--jobs]. *)
+    ({!Tdat_json.Canon}, integer-valued ones as [x.0]), so the stable
+    section of a quiesced registry is byte-identical across
+    [--jobs]. *)
 
 val mangle : string -> string
 (** A dotted lowercase instrument name as a Prometheus metric name:

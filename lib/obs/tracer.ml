@@ -114,20 +114,26 @@ let balanced () =
   Hashtbl.iter (fun _ stack -> if stack <> [] then ok := false) stacks;
   !ok
 
-let add_escaped buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Tdat_json.Json
 
+let event_json e =
+  let ph = match e.ph with B -> "B" | E -> "E" | X -> "X" in
+  Json.Obj
+    ([
+       ("name", Json.Str e.name);
+       ("cat", Json.Str "tdat");
+       ("ph", Json.Str ph);
+       ("ts", Json.Num e.ts);
+     ]
+    @ (match e.ph with X -> [ ("dur", Json.Num e.dur) ] | B | E -> [])
+    @ (match e.trace with
+      | Some t -> [ ("args", Json.Obj [ ("trace", Json.Str t) ]) ]
+      | None -> [])
+    @ [ ("pid", Json.int 0); ("tid", Json.int e.tid) ])
+
+(* Written event by event through the codec's writer: a long trace
+   never exists as one document tree, only as one small tree per
+   event. *)
 let to_json () =
   let evs = events () in
   let buf = Buffer.create (256 + (96 * List.length evs)) in
@@ -135,22 +141,8 @@ let to_json () =
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n{\"name\":";
-      add_escaped buf e.name;
-      Buffer.add_string buf ",\"cat\":\"tdat\",\"ph\":";
-      Buffer.add_string buf
-        (match e.ph with B -> "\"B\"" | E -> "\"E\"" | X -> "\"X\"");
-      Buffer.add_string buf (Printf.sprintf ",\"ts\":%.3f" e.ts);
-      (match e.ph with
-      | X -> Buffer.add_string buf (Printf.sprintf ",\"dur\":%.3f" e.dur)
-      | B | E -> ());
-      (match e.trace with
-      | Some t ->
-          Buffer.add_string buf ",\"args\":{\"trace\":";
-          add_escaped buf t;
-          Buffer.add_char buf '}'
-      | None -> ());
-      Buffer.add_string buf (Printf.sprintf ",\"pid\":0,\"tid\":%d}" e.tid))
+      Buffer.add_char buf '\n';
+      Json.add buf (event_json e))
     evs;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

@@ -59,7 +59,8 @@ val balanced : unit -> bool
     with matching names ([X] events are self-contained and ignored). *)
 
 val to_json : unit -> string
-(** The Chrome trace: [{"traceEvents": [...]}]. *)
+(** The Chrome trace: [{"traceEvents": [...]}], one event per line,
+    each written by the shared JSON codec. *)
 
 val write : string -> unit
 (** {!to_json} to a file. *)

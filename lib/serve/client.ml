@@ -3,6 +3,8 @@
    One request at a time per connection is the simple mode; the
    line-level [send_line]/[recv_line] pair supports pipelining. *)
 
+module Json = Tdat_json.Json
+
 type t = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (* received bytes not yet returned as lines *)

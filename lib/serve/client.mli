@@ -8,7 +8,7 @@ val connect : [ `Unix of string | `Tcp of string * int ] -> t
 
 val close : t -> unit
 
-val rpc : t -> Json.t -> (Json.t, string) result
+val rpc : t -> Tdat_json.Json.t -> (Tdat_json.Json.t, string) result
 (** One request, one response.  [Error] means transport or framing
     broke — protocol-level failures come back as [Ok] responses with
     [ok:false]. *)

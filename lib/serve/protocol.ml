@@ -8,6 +8,8 @@
    with HTTP-flavoured status numbers: 400 malformed, 404 unreadable
    path, 429 admission queue full, 503 draining, 500 internal. *)
 
+module Json = Tdat_json.Json
+
 type error = { code : string; status : int; message : string }
 
 let err_bad_json message = { code = "bad_json"; status = 400; message }
@@ -255,7 +257,7 @@ let response_error ~id err =
            Json.Obj
              [
                ("code", Json.Str err.code);
-               ("status", Json.Num (float_of_int err.status));
+               ("status", Json.int err.status);
                ("message", Json.Str err.message);
              ] );
        ])

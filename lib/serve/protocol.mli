@@ -49,7 +49,7 @@ val is_job : request -> bool
     verbs (ping/stats/shutdown) answer inline on the event loop. *)
 
 type parsed = {
-  id : Json.t;
+  id : Tdat_json.Json.t;
   trace : string option;
       (** Client-supplied trace id (["trace"]), validated non-empty and
           at most 128 bytes.  The server generates one when absent. *)
@@ -64,8 +64,8 @@ val parse_line : string -> parsed
     [error] (the connection survives).  [id] is echoed when the line
     carried one, [Null] otherwise. *)
 
-val response_ok : id:Json.t -> cmd:string -> ?trace:string -> Json.t -> string
+val response_ok : id:Tdat_json.Json.t -> cmd:string -> ?trace:string -> Tdat_json.Json.t -> string
 (** [trace] (job verbs) echoes the request's trace id — client-supplied
     or server-generated — as a top-level ["trace"] member. *)
 
-val response_error : id:Json.t -> error -> string
+val response_error : id:Tdat_json.Json.t -> error -> string

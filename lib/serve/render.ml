@@ -3,6 +3,8 @@
    member) call this, so the daemon's answer is byte-identical to the
    batch CLI's by construction — the acceptance bar for PR 8. *)
 
+module Json = Tdat_json.Json
+
 (* --- the `tdat top` dashboard ------------------------------------------- *)
 
 (* One frame of the live dashboard, rendered from a `stats` result.

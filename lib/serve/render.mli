@@ -1,4 +1,4 @@
-val dashboard : ?address:string -> Json.t -> string
+val dashboard : ?address:string -> Tdat_json.Json.t -> string
 (** One frame of the [tdat top] dashboard, rendered from a [stats]
     result object: request/error/queue/connection totals, cache hit
     ratios, the per-endpoint rolling-window percentile table, and the

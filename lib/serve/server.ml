@@ -23,6 +23,7 @@
    service's job.  Results are identical either way (the analyzer is
    deterministic in [jobs]). *)
 
+module Json = Tdat_json.Json
 module Log = Tdat_obs.Log
 module Obs = Tdat_obs.Metrics
 module Window = Tdat_obs.Window
@@ -192,15 +193,14 @@ let fail_on_pcap_errors (r : Tdat_pkt.Pcap.result) =
   | Some d -> raise (Fail (Protocol.err_bad_request d.Tdat_pkt.Pcap.Diag.message))
   | None -> ()
 
-let num_int n = Json.Num (float_of_int n)
 
 let pcap_salvage (s : Tdat_pkt.Pcap.stats) =
   Json.Obj
     [
-      ("records", num_int s.records);
-      ("decoded", num_int s.decoded);
-      ("skipped", num_int s.skipped);
-      ("clipped", num_int s.clipped);
+      ("records", Json.int s.records);
+      ("decoded", Json.int s.decoded);
+      ("skipped", Json.int s.skipped);
+      ("clipped", Json.int s.clipped);
     ]
 
 let series_config ~sender_side =
@@ -232,7 +232,7 @@ let execute_analyze t st ~path ~series ~sender_side ~follow =
   Json.Obj
     [
       ("output", Json.Str output);
-      ("connections", num_int (List.length results));
+      ("connections", Json.int (List.length results));
       ("cache_hit", Json.Bool cache_hit);
       ("salvage", pcap_salvage r.Tdat_pkt.Pcap.stats);
     ]
@@ -266,9 +266,9 @@ let execute_check t st ~path =
         Json.Obj
           [
             ("ok", Json.Bool (not failed));
-            ("capture_findings", num_int (List.length ingest));
-            ("connection_findings", num_int conn_findings);
-            ("connections", num_int (List.length results));
+            ("capture_findings", Json.int (List.length ingest));
+            ("connection_findings", Json.int conn_findings);
+            ("connections", Json.int (List.length results));
             ("cache_hit", Json.Bool cache_hit);
           ])
   in
@@ -310,17 +310,13 @@ let execute_study t st ~paths ~gap_s ~min_prefixes ~slow_threshold_s ~follow =
         Tdat_study.Aggregate.of_reports ?slow_threshold_s reports)
   in
   let report_json =
-    st.stage "serve.render" (fun () ->
-        match Json.parse (Tdat_study.Report.to_json report) with
-        | Ok j -> j
-        | Error msg ->
-            raise (Fail (Protocol.err_internal ("report json: " ^ msg))))
+    st.stage "serve.render" (fun () -> Tdat_study.Report.to_json_value report)
   in
   Json.Obj
     [
       ("report", report_json);
-      ("cache_hits", num_int !hits);
-      ("cache_misses", num_int !misses);
+      ("cache_hits", Json.int !hits);
+      ("cache_misses", Json.int !misses);
     ]
 
 let execute t st (req : Protocol.request) =
@@ -441,10 +437,10 @@ let enqueue_conn conn line =
 let cache_stats_json (s : Cache.stats) =
   Json.Obj
     [
-      ("entries", num_int s.entries);
-      ("hits", num_int s.hits);
-      ("misses", num_int s.misses);
-      ("evictions", num_int s.evictions);
+      ("entries", Json.int s.entries);
+      ("hits", Json.int s.hits);
+      ("misses", Json.int s.misses);
+      ("evictions", Json.int s.evictions);
     ]
 
 (* The scratch arena's spill counter (lib/parallel) is registered in
@@ -459,7 +455,7 @@ let window_json w =
   Json.Obj
     [
       ("window_s", Json.Num (Window.window_s w));
-      ("count", num_int (Window.count w));
+      ("count", Json.int (Window.count w));
       ("rps", Json.Num (Window.rate w));
       ("p50_us", Json.Num (Window.percentile w 0.5));
       ("p95_us", Json.Num (Window.percentile w 0.95));
@@ -483,16 +479,16 @@ let stats_json t conns =
   Json.Obj
     [
       ("uptime_s", Json.Num (Unix.gettimeofday () -. t.started_s));
-      ("jobs", num_int (Service.jobs t.service));
-      ("queue_capacity", num_int (Service.capacity t.service));
-      ("queue_depth", num_int (Service.depth t.service));
-      ("in_flight", num_int (Service.in_flight t.service));
-      ("pending", num_int (Atomic.get t.pending));
-      ("connections", num_int (Hashtbl.length conns));
+      ("jobs", Json.int (Service.jobs t.service));
+      ("queue_capacity", Json.int (Service.capacity t.service));
+      ("queue_depth", Json.int (Service.depth t.service));
+      ("in_flight", Json.int (Service.in_flight t.service));
+      ("pending", Json.int (Atomic.get t.pending));
+      ("connections", Json.int (Hashtbl.length conns));
       ("draining", Json.Bool (Atomic.get t.draining));
-      ("requests", num_int (Atomic.get t.req_total));
-      ("errors", num_int (Atomic.get t.err_total));
-      ("scratch_fallbacks", num_int (scratch_fallbacks ()));
+      ("requests", Json.int (Atomic.get t.req_total));
+      ("errors", Json.int (Atomic.get t.err_total));
+      ("scratch_fallbacks", Json.int (scratch_fallbacks ()));
       ( "cache",
         Json.Obj
           [

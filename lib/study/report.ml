@@ -77,96 +77,101 @@ let to_text ?(plot = true) (r : Aggregate.report) =
 
 (* --- JSON ----------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Tdat_json.Json
 
-let json_float x =
-  if Float.is_nan x || Float.is_integer x && Float.abs x < 1e15 then
-    if Float.is_nan x then "null" else Printf.sprintf "%.1f" x
-  else Printf.sprintf "%.6g" x
+(* Floats keep the report's 6-significant-digit precision (whole
+   numbers below 1e15 stay exact): [num] rounds to the double that
+   [%.6g] denotes, and the codec spells that double.  Non-finite values
+   reach the codec as they are, so an infinite fixed threshold is
+   [1e999] and a NaN [null], never a bare [inf]. *)
+let num x =
+  Json.Num
+    (if (Float.is_integer x && Float.abs x < 1e15) || not (Float.is_finite x)
+     then x
+     else float_of_string (Printf.sprintf "%.6g" x))
 
-let json_list f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
+let ip a = Json.Str (Format.asprintf "%a" Transfer.pp_ip a)
 
 let json_of_diag (d : Mrt.Diag.t) =
-  Printf.sprintf "{\"code\":\"%s\",\"severity\":\"%s\",\"record\":%s,\"message\":\"%s\"}"
-    d.Mrt.Diag.code
-    (Mrt.Diag.severity_name d.Mrt.Diag.severity)
-    (match d.Mrt.Diag.record with Some i -> string_of_int i | None -> "null")
-    (json_escape d.Mrt.Diag.message)
+  Json.Obj
+    [
+      ("code", Json.Str d.Mrt.Diag.code);
+      ("severity", Json.Str (Mrt.Diag.severity_name d.Mrt.Diag.severity));
+      ( "record",
+        match d.Mrt.Diag.record with Some i -> Json.int i | None -> Json.Null );
+      ("message", Json.Str d.Mrt.Diag.message);
+    ]
 
 let json_of_file (f : Archive.file_report) =
   let s = f.Archive.stats in
-  Printf.sprintf
-    "{\"path\":\"%s\",\"records\":%d,\"bgp_messages\":%d,\"state_changes\":%d,\
-     \"skipped\":%d,\"transfers\":%d,\"diags\":%s}"
-    (json_escape f.Archive.path)
-    s.Mrt.records s.Mrt.bgp_messages s.Mrt.state_changes s.Mrt.skipped
-    (List.length f.Archive.transfers)
-    (json_list json_of_diag f.Archive.diags)
+  Json.Obj
+    [
+      ("path", Json.Str f.Archive.path);
+      ("records", Json.int s.Mrt.records);
+      ("bgp_messages", Json.int s.Mrt.bgp_messages);
+      ("state_changes", Json.int s.Mrt.state_changes);
+      ("skipped", Json.int s.Mrt.skipped);
+      ("transfers", Json.int (List.length f.Archive.transfers));
+      ("diags", Json.Arr (List.map json_of_diag f.Archive.diags));
+    ]
 
 let json_of_transfer ~threshold (t : Transfer.t) =
-  Printf.sprintf
-    "{\"source\":\"%s\",\"peer_as\":%d,\"peer_ip\":\"%s\",\"start_us\":%d,\
-     \"end_us\":%d,\"duration_s\":%s,\"prefixes\":%d,\"messages\":%d,\
-     \"rate_pfx_s\":%s,\"anchored\":%b,\"slow\":%b}"
-    (json_escape t.Transfer.source)
-    t.Transfer.peer_as
-    (Format.asprintf "%a" Transfer.pp_ip t.Transfer.peer_ip)
-    t.Transfer.start_ts t.Transfer.end_ts
-    (json_float (Transfer.duration_s t))
-    t.Transfer.prefixes t.Transfer.messages
-    (json_float (Transfer.rate t))
-    t.Transfer.anchored
-    ((not (Float.is_nan threshold)) && Transfer.duration_s t > threshold)
+  Json.Obj
+    [
+      ("source", Json.Str t.Transfer.source);
+      ("peer_as", Json.int t.Transfer.peer_as);
+      ("peer_ip", ip t.Transfer.peer_ip);
+      ("start_us", Json.int t.Transfer.start_ts);
+      ("end_us", Json.int t.Transfer.end_ts);
+      ("duration_s", num (Transfer.duration_s t));
+      ("prefixes", Json.int t.Transfer.prefixes);
+      ("messages", Json.int t.Transfer.messages);
+      ("rate_pfx_s", num (Transfer.rate t));
+      ("anchored", Json.Bool t.Transfer.anchored);
+      ( "slow",
+        Json.Bool
+          ((not (Float.is_nan threshold)) && Transfer.duration_s t > threshold) );
+    ]
 
 let json_of_peer (p : Aggregate.peer_summary) =
-  Printf.sprintf
-    "{\"peer_as\":%d,\"peer_ip\":\"%s\",\"transfers\":%d,\"anchored\":%d,\
-     \"slow\":%d,\"prefixes_total\":%d,\"duration_mean_s\":%s,\
-     \"duration_max_s\":%s}"
-    p.Aggregate.peer_as
-    (Format.asprintf "%a" Transfer.pp_ip p.Aggregate.peer_ip)
-    p.Aggregate.transfers p.Aggregate.anchored p.Aggregate.slow
-    p.Aggregate.prefixes_total
-    (json_float p.Aggregate.duration.Descriptive.mean)
-    (json_float p.Aggregate.duration.Descriptive.max)
+  Json.Obj
+    [
+      ("peer_as", Json.int p.Aggregate.peer_as);
+      ("peer_ip", ip p.Aggregate.peer_ip);
+      ("transfers", Json.int p.Aggregate.transfers);
+      ("anchored", Json.int p.Aggregate.anchored);
+      ("slow", Json.int p.Aggregate.slow);
+      ("prefixes_total", Json.int p.Aggregate.prefixes_total);
+      ("duration_mean_s", num p.Aggregate.duration.Descriptive.mean);
+      ("duration_max_s", num p.Aggregate.duration.Descriptive.max);
+    ]
 
-let to_json (r : Aggregate.report) =
+let to_json_value (r : Aggregate.report) =
   let threshold = r.Aggregate.slow_threshold_s in
   let durations = List.map Transfer.duration_s r.Aggregate.transfers in
   let quantiles =
     match durations with
-    | [] -> "null"
+    | [] -> Json.Null
     | _ ->
-        let q p = json_float (Descriptive.percentile p durations) in
-        Printf.sprintf
-          "{\"p50\":%s,\"p90\":%s,\"p99\":%s,\"max\":%s}"
-          (q 50.) (q 90.) (q 99.) (q 100.)
+        let q p = num (Descriptive.percentile p durations) in
+        Json.Obj
+          [ ("p50", q 50.); ("p90", q 90.); ("p99", q 99.); ("max", q 100.) ]
   in
-  Printf.sprintf
-    "{\"files\":%s,\"transfers\":%s,\"slow_threshold_s\":%s,\
-     \"threshold\":\"%s\",\"duration_knee_s\":%s,\"slow_transfers\":%d,\
-     \"peers\":%s,\"duration_quantiles_s\":%s}"
-    (json_list json_of_file r.Aggregate.files)
-    (json_list (json_of_transfer ~threshold) r.Aggregate.transfers)
-    (json_float threshold)
-    (if r.Aggregate.threshold_auto then "auto" else "fixed")
-    (match r.Aggregate.duration_knee_s with
-    | Some k -> json_float k
-    | None -> "null")
-    (List.length r.Aggregate.slow)
-    (json_list json_of_peer r.Aggregate.peers)
-    quantiles
+  Json.Obj
+    [
+      ("files", Json.Arr (List.map json_of_file r.Aggregate.files));
+      ( "transfers",
+        Json.Arr (List.map (json_of_transfer ~threshold) r.Aggregate.transfers) );
+      ("slow_threshold_s", num threshold);
+      ( "threshold",
+        Json.Str (if r.Aggregate.threshold_auto then "auto" else "fixed") );
+      ( "duration_knee_s",
+        match r.Aggregate.duration_knee_s with
+        | Some k -> num k
+        | None -> Json.Null );
+      ("slow_transfers", Json.int (List.length r.Aggregate.slow));
+      ("peers", Json.Arr (List.map json_of_peer r.Aggregate.peers));
+      ("duration_quantiles_s", quantiles);
+    ]
+
+let to_json r = Json.to_string (to_json_value r)

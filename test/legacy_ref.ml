@@ -7,8 +7,8 @@
    byte-for-byte against what shipped before, including on malformed
    input.  The quadratic L-method, the list-scan delivery-time lookup,
    the list-interval reassembler, the per-connection split and the
-   list-based MCT scan at the end are kept the same way, as oracles for
-   the code that replaced them.  Do not "improve" this file: its value
+   list-based MCT scan and the printf-built study report JSON at the end
+   are kept the same way, as oracles for the code that replaced them.  Do not "improve" this file: its value
    is that it does not change. *)
 
 open Tdat_bgp
@@ -974,3 +974,110 @@ let of_timed_msgs msgs =
       | Msg.Update u when u.Msg.nlri <> [] -> Some (m.ts, u.Msg.nlri)
       | Msg.Update _ | Msg.Open _ | Msg.Keepalive | Msg.Notification _ -> None)
     msgs
+
+(* --- printf-built study report JSON --------------------------------------- *)
+
+(* [Tdat_study.Report.to_json] as it printed the report before the
+   shared codec wrote it: every number with [%.1f] (whole values below
+   1e15) or [%.6g], so the codec's spelling must parse to the same
+   doubles.  Not valid JSON for a non-finite threshold ([inf]). *)
+module Study_json = struct
+  module Archive = Tdat_study.Archive
+  module Aggregate = Tdat_study.Aggregate
+  module Transfer = Tdat_study.Transfer
+  module Descriptive = Tdat_stats.Descriptive
+
+  let escape s =
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+
+  let json_float x =
+    if Float.is_nan x || Float.is_integer x && Float.abs x < 1e15 then
+      if Float.is_nan x then "null" else Printf.sprintf "%.1f" x
+    else Printf.sprintf "%.6g" x
+
+  let json_list f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
+
+  let json_of_diag (d : Mrt.Diag.t) =
+    Printf.sprintf "{\"code\":\"%s\",\"severity\":\"%s\",\"record\":%s,\"message\":\"%s\"}"
+      d.Mrt.Diag.code
+      (Mrt.Diag.severity_name d.Mrt.Diag.severity)
+      (match d.Mrt.Diag.record with Some i -> string_of_int i | None -> "null")
+      (escape d.Mrt.Diag.message)
+
+  let json_of_file (f : Archive.file_report) =
+    let s = f.Archive.stats in
+    Printf.sprintf
+      "{\"path\":\"%s\",\"records\":%d,\"bgp_messages\":%d,\"state_changes\":%d,\
+       \"skipped\":%d,\"transfers\":%d,\"diags\":%s}"
+      (escape f.Archive.path)
+      s.Mrt.records s.Mrt.bgp_messages s.Mrt.state_changes s.Mrt.skipped
+      (List.length f.Archive.transfers)
+      (json_list json_of_diag f.Archive.diags)
+
+  let json_of_transfer ~threshold (t : Transfer.t) =
+    Printf.sprintf
+      "{\"source\":\"%s\",\"peer_as\":%d,\"peer_ip\":\"%s\",\"start_us\":%d,\
+       \"end_us\":%d,\"duration_s\":%s,\"prefixes\":%d,\"messages\":%d,\
+       \"rate_pfx_s\":%s,\"anchored\":%b,\"slow\":%b}"
+      (escape t.Transfer.source)
+      t.Transfer.peer_as
+      (Format.asprintf "%a" Transfer.pp_ip t.Transfer.peer_ip)
+      t.Transfer.start_ts t.Transfer.end_ts
+      (json_float (Transfer.duration_s t))
+      t.Transfer.prefixes t.Transfer.messages
+      (json_float (Transfer.rate t))
+      t.Transfer.anchored
+      ((not (Float.is_nan threshold)) && Transfer.duration_s t > threshold)
+
+  let json_of_peer (p : Aggregate.peer_summary) =
+    Printf.sprintf
+      "{\"peer_as\":%d,\"peer_ip\":\"%s\",\"transfers\":%d,\"anchored\":%d,\
+       \"slow\":%d,\"prefixes_total\":%d,\"duration_mean_s\":%s,\
+       \"duration_max_s\":%s}"
+      p.Aggregate.peer_as
+      (Format.asprintf "%a" Transfer.pp_ip p.Aggregate.peer_ip)
+      p.Aggregate.transfers p.Aggregate.anchored p.Aggregate.slow
+      p.Aggregate.prefixes_total
+      (json_float p.Aggregate.duration.Descriptive.mean)
+      (json_float p.Aggregate.duration.Descriptive.max)
+
+  let to_json (r : Aggregate.report) =
+    let threshold = r.Aggregate.slow_threshold_s in
+    let durations = List.map Transfer.duration_s r.Aggregate.transfers in
+    let quantiles =
+      match durations with
+      | [] -> "null"
+      | _ ->
+          let q p = json_float (Descriptive.percentile p durations) in
+          Printf.sprintf
+            "{\"p50\":%s,\"p90\":%s,\"p99\":%s,\"max\":%s}"
+            (q 50.) (q 90.) (q 99.) (q 100.)
+    in
+    Printf.sprintf
+      "{\"files\":%s,\"transfers\":%s,\"slow_threshold_s\":%s,\
+       \"threshold\":\"%s\",\"duration_knee_s\":%s,\"slow_transfers\":%d,\
+       \"peers\":%s,\"duration_quantiles_s\":%s}"
+      (json_list json_of_file r.Aggregate.files)
+      (json_list (json_of_transfer ~threshold) r.Aggregate.transfers)
+      (json_float threshold)
+      (if r.Aggregate.threshold_auto then "auto" else "fixed")
+      (match r.Aggregate.duration_knee_s with
+      | Some k -> json_float k
+      | None -> "null")
+      (List.length r.Aggregate.slow)
+      (json_list json_of_peer r.Aggregate.peers)
+      quantiles
+end

@@ -883,43 +883,15 @@ let summary_props =
 
 let bench_exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
 
-(* The allocation gate is only trustworthy if it can actually fail: run
-   it against a deliberately impossible baseline and require a non-zero
-   exit.  (The positive direction — the real baseline passing — is
-   covered by `dune runtest` itself via the @perf-gate alias.) *)
-let test_perf_gate_rejects_tight_baseline () =
-  let tight = Filename.temp_file "tdat_gate" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tight)
-    (fun () ->
-      let oc = open_out tight in
-      output_string oc
-        "{ \"analyze_minor_words_per_packet_max\": 1,\n\
-        \  \"decode_minor_words_per_packet_max\": 1 }\n";
-      close_out oc;
-      let cmd =
-        Printf.sprintf "%s perf_gate --baseline %s > /dev/null 2>&1"
-          (Filename.quote bench_exe) (Filename.quote tight)
-      in
-      let rc = Sys.command cmd in
-      Alcotest.(check bool) "tightened baseline fails the gate" true (rc <> 0))
-
-(* The study budget on its own: with the packet budgets out of reach,
-   an impossible per-record budget must still fail the gate, by name.
-   The scan measures 0 words per record, so only a budget below 0 is
-   impossible. *)
-let test_perf_gate_rejects_tight_study_budget () =
+(* Run the gate against [baseline] (JSON text); its exit code and the
+   budget names on its FAIL lines. *)
+let run_gate baseline =
   let tight = Filename.temp_file "tdat_gate" ".json" in
   let out = Filename.temp_file "tdat_gate" ".out" in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ tight; out ])
     (fun () ->
-      let oc = open_out tight in
-      output_string oc
-        "{ \"analyze_minor_words_per_packet_max\": 1e9,\n\
-        \  \"decode_minor_words_per_packet_max\": 1e9,\n\
-        \  \"study_minor_words_per_record_max\": -1 }\n";
-      close_out oc;
+      Out_channel.with_open_bin tight (fun oc -> output_string oc baseline);
       let cmd =
         Printf.sprintf "%s perf_gate --baseline %s > %s 2>&1"
           (Filename.quote bench_exe) (Filename.quote tight) (Filename.quote out)
@@ -929,13 +901,43 @@ let test_perf_gate_rejects_tight_study_budget () =
         In_channel.with_open_bin out In_channel.input_all
         |> String.split_on_char '\n'
         |> List.filter (String.ends_with ~suffix:"FAIL")
+        |> List.map (fun l -> List.nth (String.split_on_char ' ' l) 1)
       in
-      Alcotest.(check bool) "tight study budget fails the gate" true (rc <> 0);
-      Alcotest.(check (list string)) "only the study budget fails"
-        [ "study_minor_words_per_record_max" ]
-        (List.map
-           (fun l -> List.nth (String.split_on_char ' ' l) 1)
-           failed))
+      (rc, failed))
+
+(* The allocation gate is only trustworthy if it can actually fail: run
+   it against a deliberately impossible baseline and require it to fail
+   on exactly the budgets made impossible — not on a missing key, and
+   not because the executable is missing.  (The positive direction — the
+   real baseline passing — is covered by `dune runtest` itself via the
+   @perf-gate alias.) *)
+let test_perf_gate_rejects_tight_baseline () =
+  let rc, failed =
+    run_gate
+      "{ \"analyze_minor_words_per_packet_max\": 1,\n\
+      \  \"decode_minor_words_per_packet_max\": 1,\n\
+      \  \"study_minor_words_per_record_max\": 1e9 }\n"
+  in
+  Alcotest.(check bool) "tightened baseline fails the gate" true (rc <> 0);
+  Alcotest.(check (list string)) "only the packet budgets fail"
+    [ "analyze_minor_words_per_packet_max"; "decode_minor_words_per_packet_max" ]
+    failed
+
+(* The study budget on its own: with the packet budgets out of reach,
+   an impossible per-record budget must still fail the gate, by name.
+   The scan measures 0 words per record, so only a budget below 0 is
+   impossible. *)
+let test_perf_gate_rejects_tight_study_budget () =
+  let rc, failed =
+    run_gate
+      "{ \"analyze_minor_words_per_packet_max\": 1e9,\n\
+      \  \"decode_minor_words_per_packet_max\": 1e9,\n\
+      \  \"study_minor_words_per_record_max\": -1 }\n"
+  in
+  Alcotest.(check bool) "tight study budget fails the gate" true (rc <> 0);
+  Alcotest.(check (list string)) "only the study budget fails"
+    [ "study_minor_words_per_record_max" ]
+    failed
 
 let scratch_suite =
   [

@@ -6,7 +6,7 @@
    one-sided decode failure, and the A008 report self-consistency
    audit. *)
 
-module Json = Tdat_serve.Json
+module Json = Tdat_json.Json
 module Diff = Tdat_experiment.Diff
 module Variant = Tdat_experiment.Variant
 module Engine = Tdat_experiment.Engine

@@ -249,118 +249,9 @@ let test_rules_unknown_id_is_usage_error () =
 
 (* --- JSON / SARIF emitters -------------------------------------------------- *)
 
-(* A deliberately tiny JSON syntax checker — no semantics, just the
-   grammar — enough to catch unescaped quotes, trailing commas and
-   unbalanced brackets in the emitters. *)
-exception Bad_json
-
-let json_valid s =
-  let n = String.length s in
-  let i = ref 0 in
-  let peek () = if !i < n then s.[!i] else raise Bad_json in
-  let next () =
-    let c = peek () in
-    incr i;
-    c
-  in
-  let rec ws () =
-    if
-      !i < n
-      && match s.[!i] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false
-    then (
-      incr i;
-      ws ())
-  in
-  let expect c = if next () <> c then raise Bad_json in
-  let lit l = String.iter expect l in
-  let str () =
-    expect '"';
-    let rec go () =
-      match next () with
-      | '"' -> ()
-      | '\\' -> (
-          match next () with
-          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> go ()
-          | 'u' ->
-              for _ = 1 to 4 do
-                match next () with
-                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-                | _ -> raise Bad_json
-              done;
-              go ()
-          | _ -> raise Bad_json)
-      | c when Char.code c < 0x20 -> raise Bad_json
-      | _ -> go ()
-    in
-    go ()
-  in
-  let digits () =
-    let d = ref 0 in
-    while !i < n && match s.[!i] with '0' .. '9' -> true | _ -> false do
-      incr i;
-      incr d
-    done;
-    if !d = 0 then raise Bad_json
-  in
-  let number () =
-    if peek () = '-' then incr i;
-    digits ();
-    if !i < n && s.[!i] = '.' then (
-      incr i;
-      digits ());
-    if !i < n && (s.[!i] = 'e' || s.[!i] = 'E') then (
-      incr i;
-      if !i < n && (s.[!i] = '+' || s.[!i] = '-') then incr i;
-      digits ())
-  in
-  let rec value () =
-    ws ();
-    match peek () with
-    | '{' ->
-        incr i;
-        ws ();
-        if peek () = '}' then incr i
-        else
-          let rec member () =
-            ws ();
-            str ();
-            ws ();
-            expect ':';
-            value ();
-            ws ();
-            match next () with
-            | ',' -> member ()
-            | '}' -> ()
-            | _ -> raise Bad_json
-          in
-          member ()
-    | '[' ->
-        incr i;
-        ws ();
-        if peek () = ']' then incr i
-        else
-          let rec element () =
-            value ();
-            ws ();
-            match next () with
-            | ',' -> element ()
-            | ']' -> ()
-            | _ -> raise Bad_json
-          in
-          element ()
-    | '"' -> str ()
-    | 't' -> lit "true"
-    | 'f' -> lit "false"
-    | 'n' -> lit "null"
-    | _ -> number ()
-  in
-  match
-    value ();
-    ws ();
-    !i = n
-  with
-  | ok -> ok
-  | exception Bad_json -> false
+(* Validity is the shared codec's strict parser accepting the whole
+   document. *)
+let json_ok doc = Result.is_ok (Tdat_json.Json.parse doc)
 
 let test_sarif_shape () =
   let exit_code, lines =
@@ -368,7 +259,7 @@ let test_sarif_shape () =
   in
   Alcotest.(check int) "findings still set the exit code" 1 exit_code;
   let doc = String.concat "\n" lines in
-  Alcotest.(check bool) "SARIF output is valid JSON" true (json_valid doc);
+  Alcotest.(check bool) "SARIF output is valid JSON" true (json_ok doc);
   Alcotest.(check bool) "declares SARIF 2.1.0" true
     (contains_substring doc "\"version\":\"2.1.0\"");
   Alcotest.(check bool) "runs[0].results populated" true
@@ -384,7 +275,7 @@ let test_json_shape () =
   in
   Alcotest.(check int) "findings still set the exit code" 1 exit_code;
   let doc = String.concat "\n" lines in
-  Alcotest.(check bool) "JSON output is valid JSON" true (json_valid doc);
+  Alcotest.(check bool) "JSON output is valid JSON" true (json_ok doc);
   Alcotest.(check bool) "findings array populated" true
     (contains_substring doc "\"findings\":[{\"file\":")
 

@@ -8,6 +8,7 @@ module Obs = Tdat_obs.Metrics
 module Tracer = Tdat_obs.Tracer
 module Span = Tdat_obs.Span
 module Log = Tdat_obs.Log
+module Json = Tdat_json.Json
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -201,7 +202,9 @@ let test_trace_json_shape () =
   Alcotest.(check int) "two end events" 2
     (count_occurrences json "\"ph\":\"E\"");
   Alcotest.(check int) "every event carries a tid" 4
-    (count_occurrences json "\"tid\":")
+    (count_occurrences json "\"tid\":");
+  Alcotest.(check bool) "the trace is one JSON document" true
+    (Result.is_ok (Json.parse json))
 
 (* --- trace context and X (complete) events ------------------------------ *)
 
@@ -267,7 +270,20 @@ let test_complete_span_is_selfcontained () =
   let json = Tracer.to_json () in
   Tracer.clear ();
   Alcotest.(check int) "ph X rendered" 2 (count_occurrences json "\"ph\":\"X\"");
-  Alcotest.(check bool) "dur rendered" true (contains json "\"dur\":120.000")
+  let durs =
+    match Result.map (Json.member "traceEvents") (Json.parse json) with
+    | Ok (Some (Json.Arr evs)) ->
+        List.filter_map
+          (fun ev ->
+            match (Json.member "name" ev, Json.member "dur" ev) with
+            | Some (Json.Str name), Some (Json.Num d) -> Some (name, d)
+            | _ -> None)
+          evs
+    | _ -> Alcotest.fail "trace is not a traceEvents document"
+  in
+  Alcotest.(check (list (pair string (float 0.)))) "dur rendered"
+    [ ("queue-wait", 120.); ("clamped", 0.) ]
+    durs
 
 (* --- rolling time-windowed histogram ------------------------------------ *)
 
@@ -568,7 +584,7 @@ let test_canon_roundtrip_exact () =
   in
   List.iter
     (fun v ->
-      let s = Tdat_obs.Canon.to_string v in
+      let s = Tdat_json.Canon.to_string v in
       Alcotest.(check bool)
         (Printf.sprintf "%s round-trips %h" s v)
         true
@@ -585,7 +601,7 @@ let test_canon_shortest () =
       Alcotest.(check string)
         (Printf.sprintf "canonical form of %h" v)
         expected
-        (Tdat_obs.Canon.to_string v))
+        (Tdat_json.Canon.to_string v))
     [ (0.1, "0.1"); (0.5, "0.5"); (1., "1"); (1e300, "1e+300");
       (0.30000000000000004, "0.30000000000000004") ]
 
@@ -596,7 +612,7 @@ let canon_roundtrip_prop =
        QCheck.(map (fun (a, b) -> a *. (2. ** float_of_int b))
                  (pair (float_range (-1.) 1.) (int_range (-300) 300)))
        (fun v ->
-         let s = Tdat_obs.Canon.to_string v in
+         let s = Tdat_json.Canon.to_string v in
          Int64.equal
            (Int64.bits_of_float (float_of_string s))
            (Int64.bits_of_float v)))

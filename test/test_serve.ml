@@ -5,7 +5,7 @@
    graceful drain — in-process via the shutdown verb and out-of-process
    via SIGTERM on a spawned `tdat serve`. *)
 
-module Json = Tdat_serve.Json
+module Json = Tdat_json.Json
 module Protocol = Tdat_serve.Protocol
 module Server = Tdat_serve.Server
 module Client = Tdat_serve.Client
@@ -61,7 +61,7 @@ let test_json_roundtrip () =
                 ("fixpoint of " ^ src) emitted (Json.to_string j2)))
     cases
 
-let test_json_escapes () =
+let test_json_strings () =
   (* Control characters and non-ASCII survive a round trip. *)
   let s = "a\nb\tc\r\x01d\xe2\x82\xac" in
   let emitted = Json.to_string (Json.Str s) in
@@ -99,9 +99,103 @@ let test_json_numbers () =
       Alcotest.(check (float 0.)) "int" 42. n;
       Alcotest.(check string) "int emits bare" "42" (Json.to_string (Json.Num n))
   | Ok _ | Error _ -> Alcotest.fail "42");
-  match Json.parse "-1.5e2" with
+  (match Json.parse "-1.5e2" with
   | Ok (Json.Num n) -> Alcotest.(check (float 1e-9)) "sci" (-150.) n
-  | Ok _ | Error _ -> Alcotest.fail "-1.5e2"
+  | Ok _ | Error _ -> Alcotest.fail "-1.5e2");
+  (* Integers print as integers up to 2^53 (microsecond epoch stamps
+     are ~1.7e15); -0 keeps its sign. *)
+  List.iter
+    (fun (n, want) ->
+      Alcotest.(check string) want want (Json.to_string (Json.Num n)))
+    [
+      (1.7e15, "1700000000000000");
+      (0x1p53 -. 1., "9007199254740991");
+      (-0., "-0");
+      (Float.infinity, "1e999");
+      (Float.neg_infinity, "-1e999");
+      (Float.nan, "null");
+    ];
+  match Json.parse "-0" with
+  | Ok (Json.Num n) ->
+      Alcotest.(check bool) "-0 parses negative" true (Float.sign_bit n)
+  | Ok _ | Error _ -> Alcotest.fail "-0"
+
+(* Structural equality that also tells -0. from 0. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.equal
+        (fun (k, v) (k', v') -> String.equal k k' && json_equal v v')
+        xs ys
+  | _ -> a = b
+
+let gen_json =
+  let open QCheck.Gen in
+  let str =
+    frequency
+      [
+        (2, string_size ~gen:char (int_bound 10));
+        ( 1,
+          map (String.concat "")
+            (list_size (int_bound 5)
+               (oneofl
+                  [ "\""; "\\"; "\b"; "\012"; "\n"; "\x00"; "\x1f"; "\x7f";
+                    "\xe2\x82\xac"; "/" ])) );
+      ]
+  in
+  let num =
+    frequency
+      [
+        (3, map (fun x -> if Float.is_nan x then 0. else x) float);
+        (2, map float_of_int small_signed_int);
+        ( 1,
+          map
+            (fun (neg, n) -> float_of_int (if neg then -n else n))
+            (pair bool (int_range 1_000_000_000_000_000 ((1 lsl 53) - 1))) );
+        ( 1,
+          oneofl
+            [ -0.; 0.; 0.1; 1e-300; 0x1p53; Float.infinity; Float.neg_infinity ]
+        );
+      ]
+  in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (3, map (fun n -> Json.Num n) num);
+        (3, map (fun s -> Json.Str s) str);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun xs -> Json.Arr xs) (list_size (int_bound 4) (self (n / 2)))
+               );
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 4) (pair str (self (n / 2)))) );
+             ])
+
+(* Every document the repository writes goes through this writer, so
+   what it writes must read back as the same value. *)
+let qcheck_json_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"json: parse (to_string v) = Ok v" ~count:500
+       (QCheck.make ~print:Json.to_string gen_json)
+       (fun v ->
+         match Json.parse (Json.to_string v) with
+         | Ok v' -> json_equal v v'
+         | Error _ -> false))
 
 (* --- protocol parsing --------------------------------------------------- *)
 
@@ -544,7 +638,7 @@ let test_server_study () =
   Tdat_bgp.Mrt.to_file path o.Scenario.mrt;
   (* The reference: the batch aggregator over the same file. *)
   let expected =
-    Tdat_study.Report.to_json
+    Tdat_study.Report.to_json_value
       (Tdat_study.Aggregate.run ~jobs:1 [ path ])
   in
   let server = start_server () in
@@ -555,12 +649,12 @@ let test_server_study () =
   in
   let resp = study () in
   Alcotest.(check bool) "study ok" true (is_ok resp);
-  (match (result_member resp "report", Json.parse expected) with
-  | Some got, Ok want ->
+  (match result_member resp "report" with
+  | Some got ->
       Alcotest.(check string)
-        "study report equals batch aggregate" (Json.to_string want)
+        "study report equals batch aggregate" (Json.to_string expected)
         (Json.to_string got)
-  | _ -> Alcotest.fail "study response shape");
+  | None -> Alcotest.fail "study response shape");
   (match result_member resp "cache_misses" with
   | Some (Json.Num 1.) -> ()
   | _ -> Alcotest.fail "first study misses");
@@ -568,6 +662,37 @@ let test_server_study () =
   (match result_member resp "cache_hits" with
   | Some (Json.Num 1.) -> ()
   | _ -> Alcotest.fail "second study hits");
+  Client.close client;
+  stop_server server;
+  Sys.remove path;
+  Unix.rmdir dir
+
+(* A threshold the request spells 1e999 is infinite: the report must
+   still be a document, not a 500 from re-reading printed text. *)
+let test_server_study_infinite_threshold () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "updates.mrt" in
+  let result =
+    Scenario.run ~seed:34 [ Scenario.router ~table_prefixes:200 1 ]
+  in
+  Tdat_bgp.Mrt.to_file path (List.hd result.Scenario.outcomes).Scenario.mrt;
+  let server = start_server () in
+  let client = Client.connect (Server.address server) in
+  let resp =
+    rpc client
+      [
+        ("cmd", Json.Str "study");
+        ("paths", Json.Arr [ Json.Str path ]);
+        ("slow_threshold_s", Json.Num Float.infinity);
+      ]
+  in
+  Alcotest.(check bool) "study ok" true (is_ok resp);
+  (match
+     Option.bind (result_member resp "report") (Json.member "slow_threshold_s")
+   with
+  | Some (Json.Num t) ->
+      Alcotest.(check bool) "threshold infinite" true (t = Float.infinity)
+  | _ -> Alcotest.fail "study response shape");
   Client.close client;
   stop_server server;
   Sys.remove path;
@@ -905,9 +1030,10 @@ let test_sigterm_flushes_trace () =
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
-    Alcotest.test_case "json escapes" `Quick test_json_escapes;
+    Alcotest.test_case "json escapes" `Quick test_json_strings;
     Alcotest.test_case "json malformed" `Quick test_json_malformed;
     Alcotest.test_case "json numbers" `Quick test_json_numbers;
+    qcheck_json_roundtrip;
     Alcotest.test_case "protocol malformed" `Quick test_protocol_malformed;
     Alcotest.test_case "protocol requests" `Quick test_protocol_requests;
     Alcotest.test_case "server round-trip" `Quick test_server_roundtrip;
@@ -922,6 +1048,8 @@ let suite =
     Alcotest.test_case "SIGTERM drain (subprocess)" `Quick
       test_server_sigterm_drain;
     Alcotest.test_case "study via cache" `Quick test_server_study;
+    Alcotest.test_case "study with an infinite threshold" `Quick
+      test_server_study_infinite_threshold;
     Alcotest.test_case "protocol envelope (trace/timings)" `Quick
       test_protocol_envelope;
     Alcotest.test_case "trace propagation end to end" `Quick

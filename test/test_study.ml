@@ -808,6 +808,104 @@ let test_cli_strict_salvage () =
            f.Study.Archive.diags)
   | fs -> Alcotest.failf "expected 1 file report, got %d" (List.length fs)
 
+(* --- the JSON report --------------------------------------------------- *)
+
+module Json = Tdat_json.Json
+
+let json_t =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Json.to_string v))
+    ( = )
+
+let parse_or_fail what text =
+  match Json.parse text with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s is not JSON: %s" what e
+
+(* The codec may spell a number differently from the printf-built
+   report it replaced ([13] for [13.0], [1234570] for [1.23457e+06]),
+   but every number must be the same double: both documents parse to
+   equal trees, on clean and on damaged archives. *)
+let test_report_json_matches_legacy () =
+  let dir = tmpdir () in
+  let files, _ = emit_fleet dir ~routers:3 ~prefixes:300 ~seed:41 in
+  let data = read_all (List.hd files) in
+  let damaged name f =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (f (Bytes.of_string data)));
+    path
+  in
+  let clipped =
+    damaged "clipped.mrt" (fun b -> Bytes.sub_string b 0 (Bytes.length b / 2))
+  in
+  let flipped =
+    damaged "flipped.mrt" (fun b ->
+        let i = Bytes.length b / 3 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+        Bytes.to_string b)
+  in
+  (* Whole-second durations, printed [%.1f] by the old report. *)
+  let whole = fleet_archives dir in
+  List.iter
+    (fun (name, paths, slow_threshold_s) ->
+      let r = Study.Aggregate.run ~jobs:1 ?slow_threshold_s paths in
+      Alcotest.check json_t name
+        (parse_or_fail "legacy report" (Legacy_ref.Study_json.to_json r))
+        (parse_or_fail "report" (Study.Report.to_json r)))
+    [
+      ("clean archives", files, None);
+      ("damaged archives", clipped :: flipped :: files, None);
+      ("whole-second durations", whole, None);
+      ("whole-second threshold", whole, Some 13.);
+      ("six-digit threshold", files, Some 1234567.8);
+    ]
+
+let run_study dir args =
+  let out = Filename.concat dir "study.out" in
+  let err = Filename.concat dir "study.err" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote tdat_exe) args
+         (Filename.quote out) (Filename.quote err))
+  in
+  (rc, read_all out, read_all err)
+
+(* JSON has no [inf]: an infinite fixed threshold must still yield a
+   document a strict parser accepts, carrying the same infinity. *)
+let test_cli_infinite_threshold_json () =
+  let dir = tmpdir () in
+  let files, _ = emit_fleet dir ~routers:1 ~prefixes:200 ~seed:31 in
+  let rc, out, _ =
+    run_study dir
+      ("study --slow-threshold inf --json " ^ Filename.quote (List.hd files))
+  in
+  Alcotest.(check int) "tdat study exit" 0 rc;
+  let doc = parse_or_fail "tdat study --json" out in
+  Alcotest.(check (option json_t)) "threshold is infinite"
+    (Some (Json.Num Float.infinity)) (Json.member "slow_threshold_s" doc);
+  Alcotest.(check (option json_t)) "nothing is slower than infinity"
+    (Some (Json.Num 0.)) (Json.member "slow_transfers" doc)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A directory where a file belongs is a usage error (cmdliner's 124),
+   not an uncaught [Sys_error] (125). *)
+let test_cli_directory_argument () =
+  let dir = tmpdir () in
+  List.iter
+    (fun cmd ->
+      let rc, _, err = run_study dir (cmd ^ " " ^ Filename.quote dir) in
+      Alcotest.(check int) (cmd ^ " DIR exit") 124 rc;
+      Alcotest.(check bool) (cmd ^ " DIR raises nothing") false
+        (contains err "uncaught exception"))
+    [ "study"; "analyze"; "check" ]
+
 let suite =
   [
     Alcotest.test_case "mrt entry roundtrip" `Quick test_entry_roundtrip;
@@ -857,4 +955,10 @@ let suite =
       test_cli_jobs_byte_identical;
     Alcotest.test_case "e2e: salvage vs --strict" `Quick
       test_cli_strict_salvage;
+    Alcotest.test_case "json report equals the printf-built one" `Quick
+      test_report_json_matches_legacy;
+    Alcotest.test_case "e2e: --slow-threshold inf --json parses" `Quick
+      test_cli_infinite_threshold_json;
+    Alcotest.test_case "e2e: a directory argument is a usage error" `Quick
+      test_cli_directory_argument;
   ]
