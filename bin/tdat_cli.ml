@@ -249,6 +249,19 @@ let strict_arg =
 
 let clamp_jobs n = if n < 1 then 1 else n
 
+(* A number of seconds, checked by the study's option check: a bad value
+   is a usage error (exit 124) naming the option. *)
+let seconds ~positive =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Error _ as e -> e
+    | Ok x ->
+        Result.map_error
+          (fun why -> `Msg why)
+          (Tdat_study.Aggregate.check_seconds ~positive x)
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let analyze_term =
   Term.(
     const (fun obs p m s side j strict ->
@@ -322,7 +335,10 @@ let study_cmd =
        exceeds the usual BGP hold time so a transfer paused by peer-group \
        blocking still counts as one transfer."
     in
-    Arg.(value & opt float 200. & info [ "gap" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value
+      & opt (seconds ~positive:true) 200.
+      & info [ "gap" ] ~docv:"SECONDS" ~doc)
   in
   let min_prefixes_arg =
     let doc =
@@ -338,7 +354,7 @@ let study_cmd =
     in
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (seconds ~positive:false)) None
       & info [ "slow-threshold" ] ~docv:"SECONDS" ~doc)
   in
   let json_arg =
@@ -537,7 +553,10 @@ let top_cmd =
   in
   let interval_arg =
     let doc = "Seconds between polls." in
-    Arg.(value & opt float 2. & info [ "interval" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value
+      & opt (seconds ~positive:true) 2.
+      & info [ "interval" ] ~docv:"SECONDS" ~doc)
   in
   let once_arg =
     let doc =
@@ -567,211 +586,12 @@ let top_cmd =
           top_loop socket host port (Float.max 0.1 interval) once)
       $ socket_arg $ host_arg $ port_arg $ interval_arg $ once_arg)
 
-(* --- tdat experiment ----------------------------------------------------- *)
-
-let experiment_exit (reports : Tdat_experiment.Engine.t list) =
-  if
-    List.for_all
-      (fun (r : Tdat_experiment.Engine.t) ->
-        r.Tdat_experiment.Engine.total_mismatches = 0
-        && r.Tdat_experiment.Engine.audit = [])
-      reports
-  then 0
-  else 1
-
-let print_report json (r : Tdat_experiment.Engine.t) =
-  if json then print_endline (Tdat_experiment.Report.to_json r)
-  else print_string (Tdat_experiment.Report.to_text r)
-
-let experiment_list () =
-  List.iter
-    (fun (v : Tdat_experiment.Variant.t) ->
-      Printf.printf "%-14s %-4s %s vs %s%s\n    %s\n" v.name
-        (Tdat_experiment.Variant.kind_name v.input)
-        v.control_name v.candidate_name
-        (if v.self_test then "  [self-test]" else "")
-        v.summary)
-    Tdat_experiment.Variant.all;
-  0
-
-let experiment_run obs names files jobs tolerance json corpus_dir =
-  Tdat_obs_cli.with_obs obs @@ fun () ->
-  let variants =
-    match names with
-    | [] -> Ok Tdat_experiment.Variant.defaults
-    | names ->
-        List.fold_left
-          (fun acc name ->
-            match (acc, Tdat_experiment.Variant.find name) with
-            | (Error _ as e), _ -> e
-            | Ok _, None -> Error name
-            | Ok vs, Some v -> Ok (vs @ [ v ]))
-          (Ok []) names
-  in
-  match variants with
-  | Error name ->
-      Printf.eprintf
-        "tdat: experiment: unknown variant %S (see `tdat experiment list`)\n"
-        name;
-      2
-  | Ok variants ->
-      let kinds =
-        List.map (fun f -> (f, Tdat_experiment.Variant.kind_of_file f)) files
-      in
-      let reports =
-        List.filter_map
-          (fun (v : Tdat_experiment.Variant.t) ->
-            let matching =
-              List.filter_map
-                (fun (f, k) ->
-                  if Tdat_experiment.Variant.equal_kind k v.input then Some f
-                  else None)
-                kinds
-            in
-            if matching = [] then begin
-              Printf.eprintf
-                "tdat: experiment: %s: no %s input in the corpus, skipped\n"
-                v.name
-                (Tdat_experiment.Variant.kind_name v.input);
-              None
-            end
-            else
-              Some
-                (Tdat_experiment.Engine.run ~jobs ~tolerance v ~files:matching))
-          variants
-      in
-      List.iter (print_report json) reports;
-      Option.iter
-        (fun dir ->
-          if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-          List.iter
-            (fun (r : Tdat_experiment.Engine.t) ->
-              let sub =
-                Filename.concat dir
-                  r.Tdat_experiment.Engine.variant.Tdat_experiment.Variant.name
-              in
-              let n = Tdat_experiment.Corpus.write ~dir:sub r in
-              if n > 0 then
-                Printf.eprintf "tdat: experiment: %d mismatch entr%s under %s\n"
-                  n
-                  (if n = 1 then "y" else "ies")
-                  sub)
-            reports)
-        corpus_dir;
-      experiment_exit reports
-
-let experiment_replay obs dir jobs tolerance json =
-  Tdat_obs_cli.with_obs obs @@ fun () ->
-  match Tdat_experiment.Corpus.replay ~jobs ?tolerance ~dir () with
-  | Error msg ->
-      Printf.eprintf "tdat: experiment: %s\n" msg;
-      2
-  | Ok report ->
-      print_report json report;
-      experiment_exit [ report ]
-
-let experiment_cmd =
-  let tolerance_arg =
-    let doc =
-      "Relative tolerance for numeric field comparison (relative to \
-       $(i,max(1, |a|, |b|))).  The default, 0, demands bit-exact \
-       agreement — the variants under experiment are exact equivalences."
-    in
-    Arg.(value & opt float 0. & info [ "tolerance" ] ~docv:"T" ~doc)
-  in
-  let json_arg =
-    let doc = "Emit one JSON report object per variant, one per line." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let list_cmd =
-    let doc = "List the registered control/candidate variants" in
-    Cmd.v (Cmd.info "list" ~doc) Term.(const experiment_list $ const ())
-  in
-  let run_cmd =
-    let files_arg =
-      let doc =
-        "Corpus inputs: pcap captures and/or MRT archives.  Each variant \
-         runs over the inputs matching its kind (sniffed by magic)."
-      in
-      Arg.(non_empty & pos_all non_dir_file [] & info [] ~docv:"FILE" ~doc)
-    in
-    let variant_arg =
-      let doc =
-        "Variant(s) to run (repeatable; see $(b,tdat experiment list)).  \
-         Default: every registered variant except the self-tests."
-      in
-      Arg.(
-        value & opt_all string [] & info [ "variant" ] ~docv:"NAME" ~doc)
-    in
-    let corpus_arg =
-      let doc =
-        "Capture diverging inputs as a replayable mismatch corpus under \
-         $(docv)/$(i,variant)/ (input copy + field-by-field drill-down + \
-         manifest)."
-      in
-      Arg.(
-        value & opt (some string) None & info [ "corpus" ] ~docv:"DIR" ~doc)
-    in
-    let doc = "Run control vs candidate over a corpus and diff every field" in
-    let man =
-      [
-        `S Manpage.s_description;
-        `P
-          "For each selected variant, runs the trusted control \
-           implementation and the optimized candidate on every matching \
-           corpus file (farmed over $(b,--jobs) worker domains, one file \
-           per task) and compares the resulting canonical report \
-           documents field by field.  Every divergence is addressed by \
-           path — e.g. \
-           $(i,report.connections[3].factors.ratios.tcp_adv_window) — \
-           and with $(b,--corpus) the diverging input is copied next to \
-           a JSON drill-down for $(b,tdat experiment replay).  The \
-           report is byte-identical for every $(b,--jobs) value.  Exits \
-           non-zero when any variant diverges.  See DESIGN.md, \
-           \"Differential analysis\".";
-      ]
-    in
-    Cmd.v
-      (Cmd.info "run" ~doc ~man)
-      Term.(
-        const (fun obs names files j tol json corpus ->
-            experiment_run obs names files (clamp_jobs j) tol json corpus)
-        $ Tdat_obs_cli.term $ variant_arg $ files_arg $ jobs_arg
-        $ tolerance_arg $ json_arg $ corpus_arg)
-  in
-  let replay_cmd =
-    let dir_arg =
-      let doc = "Mismatch corpus directory written by $(b,--corpus)." in
-      Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR" ~doc)
-    in
-    let replay_tolerance_arg =
-      let doc =
-        "Override the recorded comparison tolerance (default: replay \
-         with the tolerance the corpus was captured with)."
-      in
-      Arg.(
-        value
-        & opt (some float) None
-        & info [ "tolerance" ] ~docv:"T" ~doc)
-    in
-    let doc = "Re-run a variant over a captured mismatch corpus" in
-    Cmd.v
-      (Cmd.info "replay" ~doc)
-      Term.(
-        const (fun obs dir j tol json ->
-            experiment_replay obs dir (clamp_jobs j) tol json)
-        $ Tdat_obs_cli.term $ dir_arg $ jobs_arg $ replay_tolerance_arg
-        $ json_arg)
-  in
-  let doc = "Differential analysis: control vs candidate over a corpus" in
-  Cmd.group (Cmd.info "experiment" ~doc) [ list_cmd; run_cmd; replay_cmd ]
-
 let cmd =
   let doc = "TCP delay analysis for BGP table transfers (T-DAT)" in
   Cmd.group
     (Cmd.info "tdat" ~version:"1.0.0" ~doc)
     ~default:analyze_term
-    [ analyze_cmd; check_cmd; study_cmd; serve_cmd; top_cmd; experiment_cmd ]
+    [ analyze_cmd; check_cmd; study_cmd; serve_cmd; top_cmd ]
 
 (* Backward compatibility: `tdat TRACE.pcap ...` (the pre-subcommand
    spelling, still what README documents first) means `tdat analyze
@@ -785,7 +605,6 @@ let argv =
     && (not (String.equal argv.(1) "study"))
     && (not (String.equal argv.(1) "serve"))
     && (not (String.equal argv.(1) "top"))
-    && (not (String.equal argv.(1) "experiment"))
     && String.length argv.(1) > 0
     && argv.(1).[0] <> '-'
   then

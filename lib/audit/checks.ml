@@ -255,56 +255,3 @@ let stable_snapshots_equal ?(subject = "metrics") ~reference ~candidate () =
          lint rule L007"
         i (excerpt reference i) (excerpt candidate i);
     ]
-
-(* --- A008: experiment report self-consistency ------------------------------ *)
-
-(* The differential-analysis engine (Tdat_experiment) publishes per-file
-   field/mismatch counts plus totals, and the mismatch corpus mirrors
-   the diverging files.  Each quantity is derived independently (the
-   totals by the aggregation barrier, the per-file counts by the pool
-   workers, the corpus by the writer), so any disagreement means the
-   experiment harness itself — the safety rail for every hot-path
-   refactor — is lying about what it compared. *)
-
-let experiment_consistent ?(subject = "experiment") ~files ~total_fields
-    ~total_mismatches () =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let sum_fields = ref 0 and sum_mismatches = ref 0 in
-  let rec walk prev = function
-    | [] -> ()
-    | (file, fields, mismatches) :: rest ->
-        if fields < 0 || mismatches < 0 then
-          add
-            (Diag.error ~code:"A008" ~subject
-               "%s: negative accounting (%d fields, %d mismatches)" file
-               fields mismatches);
-        if mismatches > fields then
-          add
-            (Diag.error ~code:"A008" ~subject
-               "%s: %d mismatches out of only %d compared fields — every \
-                mismatch must correspond to one compared field path"
-               file mismatches fields);
-        (match prev with
-        | Some p when String.compare p file >= 0 ->
-            add
-              (Diag.error ~code:"A008" ~subject
-                 "file order not strictly sorted: %S then %S — the report \
-                  would not be byte-identical across --jobs" p file)
-        | _ -> ());
-        sum_fields := !sum_fields + fields;
-        sum_mismatches := !sum_mismatches + mismatches;
-        walk (Some file) rest
-  in
-  walk None files;
-  if !sum_fields <> total_fields then
-    add
-      (Diag.error ~code:"A008" ~subject
-         "total_fields = %d but per-file fields sum to %d" total_fields
-         !sum_fields);
-  if !sum_mismatches <> total_mismatches then
-    add
-      (Diag.error ~code:"A008" ~subject
-         "total_mismatches = %d but per-file mismatches sum to %d"
-         total_mismatches !sum_mismatches);
-  List.rev !diags

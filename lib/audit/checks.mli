@@ -25,11 +25,7 @@
     - [A007] — cross-[--jobs] determinism: the stable section of a
       metrics snapshot is byte-identical whatever [--jobs] value
       produced it — the runtime backstop for lint rule L007's static
-      reachability approximation;
-    - [A008] — experiment report self-consistency: the differential
-      harness's per-file field/mismatch accounting agrees with its own
-      totals and deterministic ordering (see DESIGN.md, "Differential
-      analysis").
+      reachability approximation.
 
     [Analyzer.analyze ~audit:true] runs all of them over a full analysis;
     [tdat_cli check] exposes them on the command line
@@ -90,18 +86,3 @@ val stable_snapshots_equal :
     both excerpts) means a jobs-dependent value leaked into a stable
     instrument or worker-shared mutable state raced — the dynamic
     failure mode lint rule L007 approximates statically. *)
-
-val experiment_consistent :
-  ?subject:string ->
-  files:(string * int * int) list ->
-  total_fields:int ->
-  total_mismatches:int ->
-  unit ->
-  Diag.t list
-(** [A008] — differential-experiment report self-consistency: per-file
-    [(file, fields_compared, mismatches)] triples must be strictly
-    sorted by file (the deterministic report order), non-negative, with
-    [mismatches <= fields_compared] (every mismatch is one compared
-    field path), and the totals must equal the per-file sums.
-    [Tdat_experiment.Engine] runs this over every report it builds;
-    [tdat experiment run] fails on any finding. *)

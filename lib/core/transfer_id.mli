@@ -20,14 +20,6 @@ type t = {
 val duration : t -> Tdat_timerange.Time_us.t
 val span : t -> Tdat_timerange.Span.t
 
-val connection_start :
-  Tdat_pkt.Trace.t -> flow:Tdat_pkt.Flow.t -> Tdat_timerange.Time_us.t option
-(** The transfer-start anchor {!identify} uses: the first
-    sender→receiver SYN, else the first segment; [None] on an empty
-    trace.  Exposed so alternative transfer-end estimators (the
-    [Tdat_experiment] control/candidate variants) anchor on the exact
-    same instant. *)
-
 val identify :
   ?mct:Tdat_bgp.Mct.config ->
   ?mrt:Tdat_bgp.Mrt.record list ->

@@ -2,14 +2,13 @@
 
    Every JSON document T-DAT reads or writes goes through here: the
    serve protocol, the study report, the metrics snapshot, the Chrome
-   trace, the lint reports, the experiment documents and the perf-gate
-   baseline.  This is a complete, strict RFC 8259 value codec —
-   objects, arrays, strings with escapes (including \uXXXX, encoded
-   back to UTF-8), numbers, booleans, null — with two deliberate
-   simplifications: numbers are floats (integers are exact up to 2^53,
-   which covers microsecond epoch timestamps), and object member order
-   is preserved as parsed/built, so emitted documents are
-   deterministic. *)
+   trace, the lint reports and the perf-gate baseline.  This is a
+   complete, strict RFC 8259 value codec — objects, arrays, strings
+   with escapes (including \uXXXX, encoded back to UTF-8), numbers,
+   booleans, null — with two deliberate simplifications: numbers are
+   floats (integers are exact up to 2^53, which covers microsecond
+   epoch timestamps), and object member order is preserved as
+   parsed/built, so emitted documents are deterministic. *)
 
 type t =
   | Null

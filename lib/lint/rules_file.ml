@@ -6,14 +6,12 @@
 
 (* The measurement-study layer (lib/study) adds [Transfer] (detected
    table transfers, ordered by [Transfer.compare]) and [Mrt] (archive
-   records and FSM states, [Mrt.equal_fsm_state]) to the fence; the
-   differential harness (lib/experiment) adds [Diff] (mismatch kinds
-   and entries, [Diff.equal_kind] / [Diff.compare_entry]). *)
+   records and FSM states, [Mrt.equal_fsm_state]) to the fence. *)
 let fenced_modules =
   [
     "Time_us"; "Span"; "Span_set"; "Series"; "Transfer_id"; "Flow";
     "Endpoint"; "Prefix"; "As_path"; "Attr"; "Factors"; "Series_defs";
-    "Transfer"; "Mrt"; "Diff";
+    "Transfer"; "Mrt";
   ]
 
 (* Factor-taxonomy constructors counted as evidence that a [match]
@@ -205,11 +203,6 @@ let default_hot_paths =
       Funcs [ "conn_lines"; "handle_readable"; "flush_conn"; "drain_outbox";
               "reap" ] );
     ("Ingest_io", Funcs [ "of_read"; "retry_eintr"; "follow_read" ]);
-    (* The experiment diff kernel walks every field of every report of
-       every corpus file; paths stay cons-lists until a divergence is
-       actually recorded. *)
-    ( "Diff",
-      Funcs [ "value"; "run"; "record"; "render_path"; "nums_agree"; "leaf" ] );
   ]
 
 (* (last qualifying module, ident) pairs whose minor-heap appetite is the

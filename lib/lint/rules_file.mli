@@ -11,9 +11,8 @@ type hot_scope =
 
 val default_hot_paths : (string * hot_scope) list
 (** The protected set the allocation-light ROADMAP item names: pcap and
-    MRT streaming decode, the Span_set kernels,
-    [Trace.partition_connections], plus the experiment harness's [Diff]
-    walk (it visits every field of every report of every corpus file). *)
+    MRT streaming decode, the Span_set kernels and
+    [Trace.partition_connections]. *)
 
 val fenced_modules : string list
 (** Modules whose abstract values fence L002. *)

@@ -1,8 +1,7 @@
 (* Slow-request exemplar buffer: the K worst requests observed so far,
    each carrying its trace id, per-stage timings and the raw request
    JSON line — so a slow request in a long-running daemon is
-   explainable (and replayable, like the experiment mismatch corpus)
-   after the fact.
+   explainable (and replayable) after the fact.
 
    The list stays sorted worst-first and is capped at [capacity], so
    [note] is O(K) under one mutex — negligible at request rate. *)

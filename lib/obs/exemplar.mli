@@ -1,10 +1,9 @@
 (** Slow-request exemplar buffer.
 
     Keeps the K worst requests seen so far, worst first, each with its
-    trace id, per-stage timings and the raw request JSON line — the
-    serve analogue of the experiment mismatch corpus: a slow request in
-    a long-running daemon stays explainable (and replayable) after the
-    fact.
+    trace id, per-stage timings and the raw request JSON line, so a
+    slow request in a long-running daemon stays explainable (and
+    replayable) after the fact.
 
     Entries carry wall-clock durations, so everything here is
     {e volatile} in the {!Metrics} stable/volatile discipline. *)

@@ -110,6 +110,16 @@ let field_bool json name =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
+(* A number of seconds that must pass the study's own option check. *)
+let field_seconds json name ~positive =
+  let* v = field_float json name in
+  match v with
+  | None -> Ok None
+  | Some s -> (
+      match Tdat_study.Aggregate.check_seconds ~positive s with
+      | Ok s -> Ok (Some s)
+      | Error why -> Error (err_bad_request (name ^ " " ^ why)))
+
 let required name = function
   | Some v -> Ok v
   | None -> Error (err_bad_request ("missing required field " ^ name))
@@ -183,9 +193,11 @@ let parse_request json =
       in
       if paths = [] then Error (err_bad_request "paths must be non-empty")
       else
-        let* gap_s = field_float json "gap_s" in
+        let* gap_s = field_seconds json "gap_s" ~positive:true in
         let* min_prefixes = field_int json "min_prefixes" in
-        let* slow_threshold_s = field_float json "slow_threshold_s" in
+        let* slow_threshold_s =
+          field_seconds json "slow_threshold_s" ~positive:false
+        in
         let* follow = parse_follow json in
         if follow <> None && List.length paths > 1 then
           Error (err_bad_request "follow_idle_s requires a single path")

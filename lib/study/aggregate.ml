@@ -59,6 +59,17 @@ let peer_summaries ~threshold transfers =
          let c = Int.compare a.peer_as b.peer_as in
          if c <> 0 then c else Int32.compare a.peer_ip b.peer_ip)
 
+let check_seconds ~positive s =
+  if positive then
+    (* Counted in whole microseconds ([Time_us.of_s]): at least one, and
+       within the int range ([max_int] microseconds is about 4.6e12 s;
+       past it the count wraps negative and every update splits). *)
+    if s >= 1e-6 && s <= 4e12 then Ok s
+    else Error "must be a number of seconds from 1e-06 to 4e12"
+  else if Float.is_nan s || s < 0. then
+    Error "must be a number of seconds at least 0"
+  else Ok s
+
 let of_reports ?slow_threshold_s files =
   let transfers =
     List.concat_map (fun r -> r.Archive.transfers) files

@@ -30,6 +30,15 @@ type report = {
   peers : peer_summary list;  (** Sorted by (AS, IP). *)
 }
 
+val check_seconds : positive:bool -> float -> (float, string) result
+(** The one check on a user-supplied number of seconds, shared by the
+    command line's converters and the daemon's request parser, with the
+    reason on [Error].  [~positive:true] (a quiet gap, a poll interval):
+    from 1e-06 to 4e12, so that {!Tdat_timerange.Time_us.of_s} counts
+    at least one microsecond and stays within the int range.
+    [~positive:false] (a fixed slow-transfer threshold): not NaN and at
+    least 0; [infinity] is allowed and classifies nothing as slow. *)
+
 val of_reports : ?slow_threshold_s:float -> Archive.file_report list -> report
 (** Pure aggregation of already-scanned files. *)
 

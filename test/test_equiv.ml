@@ -324,10 +324,11 @@ let flow = Flow.v ~sender:ep2 ~receiver:ep1
 (* A BGP byte stream (some duplicate announcements so churn detection
    can fire, optional trailing garbage so the malformed-stop path is
    exercised) cut into in-order TCP segments with random sizes and
-   inter-arrival gaps. *)
-let gen_transfer_trace_of gen_prefix =
+   inter-arrival gaps, one of which is exactly the tight config's quiet
+   gap (the boundary the scans must agree on). *)
+let gen_transfer_trace_of ?(max_msgs = 30) gen_prefix =
   QCheck.Gen.(
-    let* n_msgs = int_range 0 30 in
+    let* n_msgs = int_range 0 max_msgs in
     let* msgs =
       list_repeat n_msgs
         (frequency
@@ -347,7 +348,7 @@ let gen_transfer_trace_of gen_prefix =
     in
     let stream = stream ^ garbage in
     let* seg_size = int_range 1 200 in
-    let* gap = oneofl [ 1_000; 50_000; 1_000_000; 6_000_000 ] in
+    let* gap = oneofl [ 1_000; 50_000; 1_000_000; 5_000_000; 6_000_000 ] in
     let rec cut off acc =
       if off >= String.length stream then List.rev acc
       else begin
@@ -370,12 +371,14 @@ let arb_transfer_trace =
 
 (* Prefixes drawn from a pool of 2 to 40, so a prefix repeated inside one
    UPDATE and one re-announced by a later UPDATE are both common; the
-   full /0-/32 generator above almost never repeats one. *)
+   full /0-/32 generator above almost never repeats one.  Up to 150
+   messages, so many streams outgrow the reassembly buffer's initial
+   4 KiB. *)
 let arb_small_pool_trace =
   QCheck.make ~print:print_trace
     QCheck.Gen.(
       let* pool = array_size (int_range 2 40) gen_prefix in
-      gen_transfer_trace_of (oneofa pool))
+      gen_transfer_trace_of ~max_msgs:150 (oneofa pool))
 
 let tight_config =
   { Mct.dup_fraction = 0.5; min_seen = 4; quiet_gap = 5_000_000 }
@@ -397,16 +400,24 @@ let transfer_props =
   in
   (* The same under both configs, and again with the seen set limited to
      2 and 3 batch tags so it runs out of tags and re-tags every few
-     batches. *)
+     batches.  The streaming scan also runs over a reassembly backed by
+     a scratch cell, as [Transfer_id.identify] runs it: the cell starts
+     holding stale bytes and must grow, contents kept, past them. *)
   let check_small_pool t =
     let start = 0 in
     let updates =
       Legacy_ref.of_timed_msgs (Msg_reader.extract_from_trace t ~flow)
     in
+    let scratch_scan config =
+      let cell = { Scratch.buf = Bytes.make 4096 '\xff'; busy = true } in
+      Mct.transfer_end_of_reasm ?config ~start
+        (Msg_reader.reassemble_from_trace ~scratch:cell t ~flow)
+    in
     List.for_all
       (fun config ->
         let legacy = Legacy_ref.transfer_end ?config ~start updates in
         check config t
+        && legacy = scratch_scan config
         && List.for_all
              (fun max_tag ->
                legacy

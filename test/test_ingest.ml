@@ -285,6 +285,143 @@ let test_streaming_multi_chunk_file () =
           Alcotest.(check (list string)) "truncation warning" [ "P005" ]
             (codes r)))
 
+(* --- strict and salvage reads of clean captures ------------------------- *)
+
+(* On a clean capture the strict reader and the salvaging one are two
+   modes of one decode, so everything downstream must agree: the
+   uninstrumented analyses structurally (profiles, transfer bounds, the
+   8 factor and 3 group ratios, the 34 series, the detector verdicts)
+   and the rendered report byte for byte, series timeline included.
+   The captures cover a timer-paced sender, an upstream-lossy path and
+   a shallow receiver-local buffer, so every part of the analysis is
+   populated somewhere. *)
+let test_strict_salvage_analyze_identically () =
+  let lossy =
+    Tdat_tcpsim.Connection.path ~delay:5_000
+      ~data_loss:
+        (Tdat_netsim.Loss.gilbert (Tdat_rng.Rng.create 99) ~p_enter:0.05
+           ~p_exit:0.3 ~p_loss_bad:0.9)
+      ()
+  in
+  let captures =
+    [
+      ( "site: timer + lossy upstream",
+        (Scenario.run ~seed:21
+           [
+             Scenario.router ~table_prefixes:3000 ~timer_interval:200_000
+               ~quota:20 1;
+             Scenario.router ~table_prefixes:3000 ~upstream:lossy 2;
+           ])
+          .Scenario.site_trace );
+      ( "site: receiver-local loss",
+        (Scenario.run ~seed:25
+           ~collector_local:
+             (Tdat_tcpsim.Connection.path ~delay:50 ~bandwidth_bps:20_000_000
+                ~buffer_pkts:6 ())
+           [ Scenario.router ~table_prefixes:4000 1 ])
+          .Scenario.site_trace );
+    ]
+  in
+  let timers = ref 0 and losses = ref 0 in
+  List.iter
+    (fun (name, trace) ->
+      let path = Filename.temp_file "tdat_strict" ".pcap" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Pcap.to_file path trace;
+          let strict = Pcap.read_file ~strict:true path in
+          let salvage = Pcap.read_file path in
+          Alcotest.(check (list string)) (name ^ ": clean") [] (codes salvage);
+          let analyze (r : Pcap.result) =
+            Tdat.Analyzer.analyze_all ~jobs:1 r.Pcap.trace
+          in
+          let a = analyze strict and b = analyze salvage in
+          Alcotest.(check bool) (name ^ ": connections") true (a <> []);
+          Alcotest.(check bool)
+            (name ^ ": analyses structurally equal")
+            true
+            (compare a b = 0);
+          Alcotest.(check string)
+            (name ^ ": rendered reports identical")
+            (Tdat_serve.Render.analysis ~series:true a)
+            (Tdat_serve.Render.analysis ~series:true b);
+          List.iter
+            (fun (_, (x : Tdat.Analyzer.t)) ->
+              let p = x.Tdat.Analyzer.problems in
+              if p.Tdat.Analyzer.timer <> None then incr timers;
+              let prof = x.Tdat.Analyzer.profile in
+              if
+                prof.Tdat.Conn_profile.upstream_episodes <> []
+                || prof.Tdat.Conn_profile.downstream_episodes <> []
+              then incr losses)
+            a))
+    captures;
+  Alcotest.(check bool) "a timer was detected" true (!timers > 0);
+  Alcotest.(check bool) "loss episodes were profiled" true (!losses > 0)
+
+(* Salvage keeps every whole record of a cut capture: its read of a
+   capture cut inside a record header or a record body is the strict
+   read of the capture up to that record, segment for segment and
+   analysis for analysis, with the one P004/P005 warning.  Cuts are
+   made at a third, two thirds and the last of the records of a lossy
+   two-router site capture: inside the record header, early in the
+   frame, and one byte short of the record's end. *)
+let test_cut_capture_salvages_whole_records () =
+  let lossy =
+    Tdat_tcpsim.Connection.path ~delay:5_000
+      ~data_loss:
+        (Tdat_netsim.Loss.gilbert (Tdat_rng.Rng.create 7) ~p_enter:0.05
+           ~p_exit:0.3 ~p_loss_bad:0.9)
+      ()
+  in
+  let data =
+    Pcap.encode
+      (Scenario.run ~seed:23
+         [
+           Scenario.router ~table_prefixes:1500 1;
+           Scenario.router ~table_prefixes:1500 ~upstream:lossy 2;
+         ])
+        .Scenario.site_trace
+  in
+  (* Record offsets: a 24-byte global header, then 16-byte record
+     headers each followed by [incl_len] bytes. *)
+  let rec offsets off acc =
+    if off >= String.length data then Array.of_list (List.rev acc)
+    else offsets (off + 16 + u32le data (off + 8)) (off :: acc)
+  in
+  let records = offsets 24 [] in
+  let n = Array.length records in
+  (* A cut one byte short of the end of record [k]. *)
+  let short k = 16 + u32le data (records.(k) + 8) - 1 in
+  let render r =
+    Tdat_serve.Render.analysis ~series:true
+      (Tdat.Analyzer.analyze_all ~jobs:1 r.Pcap.trace)
+  in
+  List.iter
+    (fun (k, into, code) ->
+      let what = Printf.sprintf "record %d/%d, cut at +%d" k n into in
+      let whole = String.sub data 0 records.(k) in
+      let cut = String.sub data 0 (records.(k) + into) in
+      let strict = Pcap.decode_result ~strict:true whole in
+      let salvage = Pcap.decode_result cut in
+      Alcotest.(check (list string)) (what ^ ": warning") [ code ]
+        (codes salvage);
+      Alcotest.(check int) (what ^ ": records") k
+        salvage.Pcap.stats.Pcap.records;
+      Alcotest.(check string) (what ^ ": segments")
+        (Pcap.encode strict.Pcap.trace)
+        (Pcap.encode salvage.Pcap.trace);
+      Alcotest.(check string) (what ^ ": analysis") (render strict)
+        (render salvage))
+    [
+      (n / 3, 7, "P004");
+      (n / 3, 16 + 20, "P005");
+      (2 * n / 3, short (2 * n / 3), "P005");
+      (n - 1, 3, "P004");
+      (n - 1, short (n - 1), "P005");
+    ]
+
 (* --- timestamp encoding ----------------------------------------------- *)
 
 let test_timestamp_encoding () =
@@ -535,6 +672,10 @@ let suite =
       test_snaplen_clipped_capture;
     Alcotest.test_case "streaming multi-chunk file" `Quick
       test_streaming_multi_chunk_file;
+    Alcotest.test_case "strict and salvage reads analyze identically" `Quick
+      test_strict_salvage_analyze_identically;
+    Alcotest.test_case "a cut capture salvages its whole records" `Quick
+      test_cut_capture_salvages_whole_records;
     Alcotest.test_case "timestamp encoding" `Quick test_timestamp_encoding;
     Alcotest.test_case "audit ingest lifting" `Quick test_audit_ingest_lifting;
     Alcotest.test_case "clipped scenario equivalence" `Slow

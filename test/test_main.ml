@@ -19,7 +19,6 @@ let () =
       ("lint", Test_lint.suite);
       ("study", Test_study.suite);
       ("serve", Test_serve.suite);
-      ("experiment", Test_experiment.suite);
       ("obs", Test_obs.suite);
       ("misc", Test_misc.suite);
       ("scaling", Test_scaling.suite);

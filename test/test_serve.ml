@@ -219,7 +219,20 @@ let test_protocol_malformed () =
   let e =
     request_error "{\"cmd\":\"analyze\",\"path\":\"x\",\"follow_idle_s\":-1}"
   in
-  Alcotest.(check string) "negative follow" "bad_request" e.Protocol.code
+  Alcotest.(check string) "negative follow" "bad_request" e.Protocol.code;
+  List.iter
+    (fun (what, field) ->
+      let e =
+        request_error
+          (Printf.sprintf "{\"cmd\":\"study\",\"paths\":[\"a\"],%s}" field)
+      in
+      Alcotest.(check string) what "bad_request" e.Protocol.code)
+    [
+      ("gap 1e999", "\"gap_s\":1e999");
+      ("gap -5", "\"gap_s\":-5");
+      ("gap 0", "\"gap_s\":0");
+      ("threshold -1", "\"slow_threshold_s\":-1");
+    ]
 
 let test_protocol_requests () =
   (match Protocol.parse_line "{\"id\":7,\"cmd\":\"ping\"}" with
@@ -251,6 +264,88 @@ let test_protocol_requests () =
     ->
       ()
   | _ -> Alcotest.fail "study fields"
+
+(* The study's seconds at the ends of the option check: absent fields
+   take the defaults, the smallest and largest gap and a zero or
+   infinite threshold parse as given, and every value just past an end
+   (or not a number at all) is a 400 naming its field. *)
+let test_protocol_study_seconds () =
+  let study fields =
+    (Protocol.parse_line
+       (Printf.sprintf "{\"cmd\":\"study\",\"paths\":[\"a\"]%s}" fields))
+      .Protocol.request
+  in
+  (match study "" with
+  | Ok (Protocol.Study { gap_s = 200.; slow_threshold_s = None; _ }) -> ()
+  | _ -> Alcotest.fail "defaults");
+  (match study ",\"gap_s\":1e-6,\"slow_threshold_s\":0" with
+  | Ok (Protocol.Study { gap_s; slow_threshold_s = Some 0.; _ })
+    when gap_s = 1e-6 ->
+      ()
+  | _ -> Alcotest.fail "smallest gap, zero threshold");
+  (match study ",\"gap_s\":4e12,\"slow_threshold_s\":1e999" with
+  | Ok (Protocol.Study { gap_s = 4e12; slow_threshold_s = Some t; _ })
+    when t = Float.infinity ->
+      ()
+  | _ -> Alcotest.fail "largest gap, infinite threshold");
+  List.iter
+    (fun (field, value) ->
+      match study (Printf.sprintf ",\"%s\":%s" field value) with
+      | Ok _ -> Alcotest.failf "accepted %s %s" field value
+      | Error e ->
+          Alcotest.(check string) (field ^ " " ^ value) "bad_request"
+            e.Protocol.code;
+          Alcotest.(check bool)
+            (field ^ " " ^ value ^ " names the field")
+            true
+            (contains e.Protocol.message field))
+    [
+      ("gap_s", "9.99e-7"); ("gap_s", "4.0001e12"); ("gap_s", "9e12");
+      ("gap_s", "-1e999"); ("gap_s", "\"200\"");
+      ("slow_threshold_s", "-1e-300"); ("slow_threshold_s", "-1e999");
+      ("slow_threshold_s", "\"inf\"");
+    ]
+
+(* The command line and the daemon share one check, so every spelling
+   of a gap or a threshold that both can read is accepted by both or
+   refused by both: the CLI exits 0 or 124, the daemon parses the
+   request or answers 400. *)
+let test_cli_and_daemon_agree () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "updates.mrt" in
+  let result =
+    Scenario.run ~seed:34 [ Scenario.router ~table_prefixes:200 1 ]
+  in
+  Tdat_bgp.Mrt.to_file path (List.hd result.Scenario.outcomes).Scenario.mrt;
+  let accepted = ref 0 and refused = ref 0 in
+  List.iter
+    (fun (opt, field) ->
+      List.iter
+        (fun value ->
+          let daemon =
+            Result.is_ok
+              (Protocol.parse_line
+                 (Printf.sprintf
+                    "{\"cmd\":\"study\",\"paths\":[\"a\"],\"%s\":%s}"
+                    field value))
+                .Protocol.request
+          in
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s study %s=%s %s >/dev/null 2>&1"
+                 (Filename.quote tdat_exe) opt value (Filename.quote path))
+          in
+          let what = Printf.sprintf "%s=%s" opt value in
+          if daemon then incr accepted else incr refused;
+          Alcotest.(check int) what (if daemon then 0 else 124) rc)
+        [
+          "1e999"; "-1e999"; "-5"; "-1e-300"; "0"; "1e-9"; "1e-6"; "0.5";
+          "200"; "4e12"; "4.0001e12"; "9e12";
+        ])
+    [ ("--gap", "gap_s"); ("--slow-threshold", "slow_threshold_s") ];
+  Alcotest.(check bool) "both ends seen" true (!accepted > 0 && !refused > 0);
+  Sys.remove path;
+  Unix.rmdir dir
 
 (* --- server helpers ----------------------------------------------------- *)
 
@@ -698,6 +793,122 @@ let test_server_study_infinite_threshold () =
   Sys.remove path;
   Unix.rmdir dir
 
+(* The values the study's option check refuses, served: a gap that is
+   not a number of seconds from 1e-06 to 4e12, a negative threshold. *)
+let test_server_study_bad_options () =
+  let server = start_server () in
+  let client = Client.connect (Server.address server) in
+  List.iter
+    (fun (what, field, v) ->
+      let resp =
+        rpc client
+          [
+            ("cmd", Json.Str "study");
+            ("paths", Json.Arr [ Json.Str "unread.mrt" ]);
+            (field, Json.Num v);
+          ]
+      in
+      Alcotest.(check (option string)) what (Some "bad_request")
+        (error_code resp);
+      let status =
+        Option.bind (Json.member "error" resp) (Json.member "status")
+      in
+      Alcotest.(check bool) (what ^ ": status 400") true
+        (status = Some (Json.Num 400.)))
+    [
+      ("infinite gap", "gap_s", Float.infinity);
+      ("negative gap", "gap_s", -5.);
+      ("zero gap", "gap_s", 0.);
+      ("negative threshold", "slow_threshold_s", -1.);
+    ];
+  Alcotest.(check bool) "the daemon still answers" true
+    (is_ok (rpc client [ ("cmd", Json.Str "ping") ]));
+  Client.close client;
+  stop_server server
+
+(* The ends of the option check, served: the largest gap and a zero
+   threshold run, and the report equals the batch aggregate under the
+   same config (one transfer, marked slow). *)
+let test_server_study_bounds () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "updates.mrt" in
+  let result =
+    Scenario.run ~seed:34 [ Scenario.router ~table_prefixes:200 1 ]
+  in
+  Tdat_bgp.Mrt.to_file path (List.hd result.Scenario.outcomes).Scenario.mrt;
+  let config =
+    {
+      Tdat_study.Detect.quiet_gap = Tdat_timerange.Time_us.of_s 4e12;
+      min_prefixes = 1;
+    }
+  in
+  let expected =
+    Tdat_study.Report.to_json_value
+      (Tdat_study.Aggregate.run ~jobs:1 ~config ~slow_threshold_s:0. [ path ])
+  in
+  let server = start_server () in
+  let client = Client.connect (Server.address server) in
+  let resp =
+    rpc client
+      [
+        ("cmd", Json.Str "study");
+        ("paths", Json.Arr [ Json.Str path ]);
+        ("gap_s", Json.Num 4e12);
+        ("min_prefixes", Json.Num 1.);
+        ("slow_threshold_s", Json.Num 0.);
+      ]
+  in
+  Alcotest.(check bool) "study ok" true (is_ok resp);
+  (match result_member resp "report" with
+  | Some got ->
+      Alcotest.(check string)
+        "study report equals batch aggregate" (Json.to_string expected)
+        (Json.to_string got);
+      Alcotest.(check bool) "one transfer, slow" true
+        (Json.member "slow_transfers" got = Some (Json.Num 1.)
+        &&
+        match Json.member "transfers" got with
+        | Some (Json.Arr [ _ ]) -> true
+        | _ -> false)
+  | None -> Alcotest.fail "study response shape");
+  Client.close client;
+  stop_server server;
+  Sys.remove path;
+  Unix.rmdir dir
+
+(* [tdat top] checks its poll interval before it connects: with no
+   daemon to reach, a bad interval is still a usage error (124) naming
+   the option, while a good one gets as far as the failed connection. *)
+let test_top_interval_before_connect () =
+  let dir = tmpdir () in
+  let sock = Filename.concat dir "absent.sock" in
+  let top interval =
+    let err = Filename.concat dir "top.err" in
+    let rc =
+      Sys.command
+        (Printf.sprintf
+           "%s top --once --socket %s --interval=%s >/dev/null 2>%s"
+           (Filename.quote tdat_exe) (Filename.quote sock) interval
+           (Filename.quote err))
+    in
+    let msg = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    (rc, msg)
+  in
+  List.iter
+    (fun interval ->
+      let rc, msg = top interval in
+      Alcotest.(check int) ("--interval " ^ interval ^ " exit") 124 rc;
+      Alcotest.(check bool)
+        ("--interval " ^ interval ^ " names the option")
+        true
+        (contains msg "--interval"))
+    [ "nan"; "inf"; "0"; "-1"; "1e-9"; "9e12" ];
+  let rc, msg = top "0.5" in
+  Alcotest.(check bool) "a good interval reaches the connection" true
+    (rc <> 0 && rc <> 124 && not (contains msg "--interval"));
+  Unix.rmdir dir
+
 (* --- protocol: request envelope (trace / timings) ------------------------- *)
 
 let test_protocol_envelope () =
@@ -956,6 +1167,26 @@ let test_server_rolling_and_top () =
     (contains out "worst requests");
   Alcotest.(check bool) "top shows the sleep exemplar" true
     (contains out "sleep");
+  (* A poll interval that is NaN, infinite or not above 0 is a usage
+     error. *)
+  List.iter
+    (fun interval ->
+      let err = Filename.temp_file "tdat_top" ".err" in
+      let rc =
+        Sys.command
+          (Printf.sprintf
+             "%s top --once --host 127.0.0.1 --port %d --interval=%s \
+              >/dev/null 2>%s"
+             (Filename.quote tdat_exe) port interval (Filename.quote err))
+      in
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove err;
+      Alcotest.(check int) ("--interval " ^ interval ^ " exit") 124 rc;
+      Alcotest.(check bool)
+        ("--interval " ^ interval ^ " names the option")
+        true
+        (contains msg "--interval"))
+    [ "nan"; "0"; "-1"; "inf" ];
   Client.close client;
   stop_server server
 
@@ -1036,6 +1267,10 @@ let suite =
     qcheck_json_roundtrip;
     Alcotest.test_case "protocol malformed" `Quick test_protocol_malformed;
     Alcotest.test_case "protocol requests" `Quick test_protocol_requests;
+    Alcotest.test_case "protocol: study seconds at the check's ends" `Quick
+      test_protocol_study_seconds;
+    Alcotest.test_case "CLI and daemon accept the same seconds" `Quick
+      test_cli_and_daemon_agree;
     Alcotest.test_case "server round-trip" `Quick test_server_roundtrip;
     Alcotest.test_case "analyze + cache" `Quick test_server_analyze_and_cache;
     Alcotest.test_case "cache eviction accounting" `Quick
@@ -1050,6 +1285,12 @@ let suite =
     Alcotest.test_case "study via cache" `Quick test_server_study;
     Alcotest.test_case "study with an infinite threshold" `Quick
       test_server_study_infinite_threshold;
+    Alcotest.test_case "study: a bad gap or threshold is a 400" `Quick
+      test_server_study_bad_options;
+    Alcotest.test_case "study at the option check's ends" `Quick
+      test_server_study_bounds;
+    Alcotest.test_case "top: a bad --interval is refused before connecting"
+      `Quick test_top_interval_before_connect;
     Alcotest.test_case "protocol envelope (trace/timings)" `Quick
       test_protocol_envelope;
     Alcotest.test_case "trace propagation end to end" `Quick

@@ -19,10 +19,20 @@ let bin_exe name =
 let simgen_exe = bin_exe "simgen.exe"
 let tdat_exe = bin_exe "tdat_cli.exe"
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A fresh directory, removed with everything in it when the suite
+   exits. *)
 let tmpdir () =
   let f = Filename.temp_file "tdat_study" "" in
   Sys.remove f;
   Sys.mkdir f 0o700;
+  at_exit (fun () -> try rm_rf f with Sys_error _ -> ());
   f
 
 let read_all path = In_channel.with_open_bin path In_channel.input_all
@@ -374,13 +384,14 @@ let gen_fsm_state =
     [ Mrt.Idle; Mrt.Connect; Mrt.Active; Mrt.Open_sent; Mrt.Open_confirm;
       Mrt.Established ]
 
-let gen_entries =
+(* Up to 30 entries, [peers] distinct peer ASes. *)
+let gen_entries_of ~peers =
   QCheck.Gen.(
     let* n = int_range 0 30 in
     let* raw =
       list_repeat n
         (let* dt = int_range 1 5_000_000 in
-         let* peer_as = int_range 1 65535 in
+         let* peer_as = int_range 1 peers in
          let* is_state = int_bound 4 in
          if is_state = 0 then
            let* old_state = gen_fsm_state in
@@ -401,6 +412,8 @@ let gen_entries =
         (0, []) raw
     in
     return (List.rev entries))
+
+let gen_entries = gen_entries_of ~peers:65535
 
 let arb_entries =
   QCheck.make
@@ -726,10 +739,169 @@ let emit_fleet dir ~routers ~prefixes ~seed =
   in
   (files, Study.Truth.of_file (Filename.concat archives "ground_truth.tsv"))
 
+(* Quiet gaps equal to gaps the archive really has between two of one
+   peer's updates: the largest, the median and the smallest, so a scan
+   that puts the inclusive boundary one microsecond off splits where the
+   other does not. *)
+let boundary_gaps entries =
+  let last = Hashtbl.create 4 in
+  let gaps =
+    List.filter_map
+      (function
+        | Mrt.Message { Mrt.ts; peer_as; peer_ip; msg = Msg.Update _; _ } ->
+            let key = (peer_as, peer_ip) in
+            let gap =
+              Option.map (fun t -> ts - t) (Hashtbl.find_opt last key)
+            in
+            Hashtbl.replace last key ts;
+            Option.bind gap (fun g -> if g > 0 then Some g else None)
+        | Mrt.Message _ | Mrt.State _ -> None)
+      entries
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  let n = Array.length gaps in
+  if n = 0 then []
+  else List.sort_uniq Int.compare [ gaps.(0); gaps.(n / 2); gaps.(n - 1) ]
+
+(* The streaming archive scan ([Archive.scan_file]: summary fold and
+   [Detect.observe]) must equal the in-memory scan of the strict
+   whole-buffer decode ([Archive.scan_entries] over
+   [Mrt.decode_result ~strict:true]): the same transfers under the
+   default config and under boundary configs, and the decode's stats
+   with no diagnostics on a clean archive. *)
+let check_scans_agree path =
+  let r = Mrt.decode_result ~strict:true (read_all path) in
+  let configs =
+    Study.Detect.default_config
+    :: List.map
+         (fun gap -> { Study.Detect.quiet_gap = gap; min_prefixes = 1 })
+         (boundary_gaps r.Mrt.entries)
+  in
+  Alcotest.(check bool) (path ^ ": boundary configs") true
+    (List.length configs > 1);
+  List.iter
+    (fun (config : Study.Detect.config) ->
+      let what =
+        Printf.sprintf "%s (gap %d us)" path config.Study.Detect.quiet_gap
+      in
+      let file = Study.Archive.scan_file ~config path in
+      let mem =
+        Study.Archive.scan_entries ~config ~source:path r.Mrt.entries
+      in
+      Alcotest.(check bool) (what ^ ": transfers") true
+        (file.Study.Archive.transfers = mem.Study.Archive.transfers);
+      Alcotest.(check bool) (what ^ ": stats") true
+        (file.Study.Archive.stats = r.Mrt.stats);
+      Alcotest.(check int) (what ^ ": diagnostics") 0
+        (List.length file.Study.Archive.diags))
+    configs
+
+(* The same oracle on random archives from two peers, so updates build
+   up into transfers, with state changes, OPENs and NOTIFICATIONs, so
+   anchors and closes fire: 100 archives from a fixed seed, each scanned
+   under the default config and under quiet gaps equal to gaps it has,
+   at two prefix thresholds. *)
+let test_scans_agree_random () =
+  let rand = Random.State.make [| 2021 |] in
+  let detected = ref 0 in
+  List.iteri
+    (fun i entries ->
+      let path = Filename.temp_file "tdat_scan" ".mrt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Mrt.to_file_entries path entries;
+          let r = Mrt.decode_result ~strict:true (read_all path) in
+          let configs =
+            Study.Detect.default_config
+            :: List.concat_map
+                 (fun gap ->
+                   List.map
+                     (fun min_prefixes ->
+                       { Study.Detect.quiet_gap = gap; min_prefixes })
+                     [ 1; 20 ])
+                 (boundary_gaps r.Mrt.entries)
+          in
+          List.iter
+            (fun (config : Study.Detect.config) ->
+              let what =
+                Printf.sprintf "archive %d (gap %d us, min %d)" i
+                  config.Study.Detect.quiet_gap
+                  config.Study.Detect.min_prefixes
+              in
+              let file = Study.Archive.scan_file ~config path in
+              let mem =
+                Study.Archive.scan_entries ~config ~source:path r.Mrt.entries
+              in
+              detected := !detected + List.length file.Study.Archive.transfers;
+              Alcotest.(check bool) (what ^ ": transfers") true
+                (file.Study.Archive.transfers = mem.Study.Archive.transfers);
+              Alcotest.(check bool) (what ^ ": stats") true
+                (file.Study.Archive.stats = r.Mrt.stats);
+              Alcotest.(check int) (what ^ ": diagnostics") 0
+                (List.length file.Study.Archive.diags))
+            configs))
+    (QCheck.Gen.generate ~rand ~n:100 (gen_entries_of ~peers:2));
+  Alcotest.(check bool) "transfers were detected" true (!detected > 0)
+
+(* On a damaged archive the file scan must equal the in-memory scan of
+   the salvage decode of the same bytes: the same transfers, stats and
+   M0xx findings. *)
+let test_scans_agree_damaged () =
+  let dir = tmpdir () in
+  let files, _ = emit_fleet dir ~routers:1 ~prefixes:300 ~seed:17 in
+  let data = read_all (List.hd files) in
+  let n = String.length data in
+  let flip at =
+    String.mapi
+      (fun i c -> if i = at then Char.chr (Char.code c lxor 0xff) else c)
+      data
+  in
+  List.iter
+    (fun (name, bytes) ->
+      let path = Filename.concat dir (name ^ ".mrt") in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc bytes);
+      let r = Mrt.decode_result bytes in
+      Alcotest.(check bool) (name ^ ": damaged") true (r.Mrt.diags <> []);
+      let configs =
+        Study.Detect.default_config
+        :: List.map
+             (fun gap -> { Study.Detect.quiet_gap = gap; min_prefixes = 1 })
+             (boundary_gaps r.Mrt.entries)
+      in
+      List.iter
+        (fun (config : Study.Detect.config) ->
+          let what =
+            Printf.sprintf "%s (gap %d us)" name config.Study.Detect.quiet_gap
+          in
+          let file = Study.Archive.scan_file ~config path in
+          let mem =
+            Study.Archive.scan_entries ~config ~source:path r.Mrt.entries
+          in
+          Alcotest.(check bool) (what ^ ": transfers") true
+            (file.Study.Archive.transfers = mem.Study.Archive.transfers);
+          Alcotest.(check bool) (what ^ ": stats") true
+            (file.Study.Archive.stats = r.Mrt.stats);
+          Alcotest.(check bool) (what ^ ": diagnostics") true
+            (file.Study.Archive.diags = r.Mrt.diags))
+        configs)
+    [
+      ("clipped", String.sub data 0 (n / 2));
+      ("cut mid-record", String.sub data 0 (n - 3));
+      ("flipped", flip (n / 3));
+      ( "zeroed run",
+        String.mapi
+          (fun i c -> if i >= n / 2 && i < (n / 2) + 64 then '\x00' else c)
+          data );
+      ("garbage tail", data ^ String.make 9 '\x00');
+    ]
+
 let test_ground_truth_recall () =
   let dir = tmpdir () in
   let files, truth = emit_fleet dir ~routers:4 ~prefixes:250 ~seed:11 in
   Alcotest.(check int) "one archive per router" 4 (List.length files);
+  List.iter check_scans_agree files;
   Alcotest.(check int) "truth covers the fleet" 4 (List.length truth);
   let report = Study.Aggregate.run ~jobs:1 files in
   Alcotest.(check int) "every transfer detected" 4
@@ -906,6 +1078,116 @@ let test_cli_directory_argument () =
         (contains err "uncaught exception"))
     [ "study"; "analyze"; "check" ]
 
+(* The study's option check on the command line: a gap that is not a
+   number of seconds from 1e-06 to 4e12 (1e-9 would count 0 us), or a
+   NaN or negative threshold, is a usage error naming the option. *)
+let test_cli_bad_option_values () =
+  let dir = tmpdir () in
+  let files, _ = emit_fleet dir ~routers:1 ~prefixes:200 ~seed:31 in
+  let archive = Filename.quote (List.hd files) in
+  List.iter
+    (fun (opt, v) ->
+      let arg = Printf.sprintf "%s=%s" opt v in
+      let rc, out, err =
+        run_study dir (Printf.sprintf "study %s %s" arg archive)
+      in
+      Alcotest.(check int) (arg ^ " exit") 124 rc;
+      Alcotest.(check string) (arg ^ " prints no report") "" out;
+      Alcotest.(check bool) (arg ^ " names the option") true (contains err opt);
+      Alcotest.(check bool) (arg ^ " raises nothing") false
+        (contains err "uncaught exception"))
+    [
+      ("--gap", "nan"); ("--gap", "inf"); ("--gap", "-5"); ("--gap", "0");
+      ("--gap", "1e-9"); ("--gap", "9e12");
+      ("--slow-threshold", "nan"); ("--slow-threshold", "-1");
+    ]
+
+(* --- the study's option check ---------------------------------------- *)
+
+let check_seconds = Study.Aggregate.check_seconds
+
+(* A quiet gap (or a poll interval) is counted in whole microseconds:
+   every value the check accepts comes back unchanged and counts from 1
+   to [max_int] microseconds, and every value it refuses is NaN,
+   infinite, below 1e-06 or above 4e12 s.  A log-uniform sweep from
+   1e-12 to 1e20, both signs, on top of the edges. *)
+let test_check_gap_seconds () =
+  let accepted x = Result.is_ok (check_seconds ~positive:true x) in
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) (Printf.sprintf "%g accepted" x) true (accepted x))
+    [ 1e-6; 1e-3; 1.; 200.; 4e12 ];
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) (Printf.sprintf "%g refused" x) false (accepted x))
+    [
+      Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; -5.; 1e-9;
+      9.99e-7; 4.0001e12; 9e12; Float.max_float;
+    ];
+  let rand = Random.State.make [| 4 |] in
+  for _ = 1 to 20_000 do
+    let x =
+      (if Random.State.int rand 8 = 0 then -1. else 1.)
+      *. (10. ** (Random.State.float rand 32. -. 12.))
+    in
+    match check_seconds ~positive:true x with
+    | Ok s ->
+        let us = Tdat_timerange.Time_us.of_s s in
+        if s <> x || us < 1 then
+          Alcotest.failf "%h accepted as %h, counting %d us" x s us
+    | Error _ ->
+        if x >= 1e-6 && x <= 4e12 then Alcotest.failf "%h refused" x
+  done
+
+(* A fixed slow threshold is any number of seconds at least 0; infinity
+   stays valid and classifies nothing as slow. *)
+let test_check_threshold_seconds () =
+  let accepted x = Result.is_ok (check_seconds ~positive:false x) in
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) (Printf.sprintf "%g accepted" x) true (accepted x))
+    [ 0.; -0.; 1e-9; 13.; 1e300; Float.infinity ];
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) (Printf.sprintf "%g refused" x) false (accepted x))
+    [ Float.nan; -1.; -1e-300; Float.neg_infinity ];
+  match (check_seconds ~positive:false 1., check_seconds ~positive:true 0.) with
+  | Ok 1., Error why ->
+      Alcotest.(check bool) "the reason names the range" true
+        (contains why "1e-06")
+  | _ -> Alcotest.fail "check_seconds results"
+
+(* The accepted ends of the check on the command line.  The largest gap
+   still counts within the int range, so the session stays one transfer
+   (a gap that wrapped negative would split it at every update); the
+   smallest splits it at every update that is a microsecond or more
+   after the last; a zero threshold marks every transfer slow. *)
+let test_cli_option_bounds () =
+  let dir = tmpdir () in
+  let files, _ = emit_fleet dir ~routers:1 ~prefixes:200 ~seed:31 in
+  let archive = Filename.quote (List.hd files) in
+  let study args =
+    let rc, out, err =
+      run_study dir
+        (Printf.sprintf "study --json --min-prefixes 1 %s %s" args archive)
+    in
+    Alcotest.(check int) (args ^ " exit") 0 rc;
+    Alcotest.(check string) (args ^ " stderr") "" err;
+    let doc = parse_or_fail ("study " ^ args) out in
+    match (Json.member "transfers" doc, Json.member "slow_transfers" doc) with
+    | Some (Json.Arr ts), Some (Json.Num slow) -> (List.length ts, slow)
+    | _ -> Alcotest.failf "study %s: report shape" args
+  in
+  let default, _ = study "" in
+  Alcotest.(check int) "one transfer by default" 1 default;
+  let widest, _ = study "--gap 4e12" in
+  Alcotest.(check int) "--gap 4e12 keeps one transfer" 1 widest;
+  let narrowest, _ = study "--gap 1e-06" in
+  Alcotest.(check bool) "--gap 1e-06 splits it" true (narrowest > 1);
+  let n, slow = study "--slow-threshold 0" in
+  Alcotest.(check int) "--slow-threshold 0 marks every transfer slow" n
+    (int_of_float slow)
+
 let suite =
   [
     Alcotest.test_case "mrt entry roundtrip" `Quick test_entry_roundtrip;
@@ -961,4 +1243,16 @@ let suite =
       test_cli_infinite_threshold_json;
     Alcotest.test_case "e2e: a directory argument is a usage error" `Quick
       test_cli_directory_argument;
+    Alcotest.test_case "e2e: a bad --gap or --slow-threshold is a usage error"
+      `Quick test_cli_bad_option_values;
+    Alcotest.test_case "scan_file == strict scan_entries (random archives)"
+      `Quick test_scans_agree_random;
+    Alcotest.test_case "scan_file == salvage scan_entries (damaged archives)"
+      `Quick test_scans_agree_damaged;
+    Alcotest.test_case "option check: an accepted gap counts 1 us to max_int"
+      `Quick test_check_gap_seconds;
+    Alcotest.test_case "option check: a threshold is any number at least 0"
+      `Quick test_check_threshold_seconds;
+    Alcotest.test_case "e2e: --gap and --slow-threshold at their bounds"
+      `Quick test_cli_option_bounds;
   ]
