@@ -122,8 +122,7 @@ let run () =
   let server =
     Server.start
       {
-        Server.default_config with
-        address = `Tcp ("127.0.0.1", 0);
+        Server.address = `Tcp ("127.0.0.1", 0);
         jobs = 4;
         queue_capacity = 128;
         cache_capacity = 8;

@@ -406,8 +406,7 @@ let serve_daemon obs socket host port jobs queue cache =
   in
   let config =
     {
-      Tdat_serve.Server.default_config with
-      address;
+      Tdat_serve.Server.address;
       jobs;
       queue_capacity = queue;
       cache_capacity = cache;
@@ -455,8 +454,8 @@ let serve_cmd =
   in
   let cache_arg =
     let doc =
-      "Decoded captures/archives kept in the LRU cache, per input kind \
-       (entries are invalidated when the file's mtime or size changes)."
+      "Decoded captures kept in the LRU cache (entries are invalidated \
+       when the file's mtime or size changes)."
     in
     Arg.(value & opt int 16 & info [ "cache" ] ~docv:"N" ~doc)
   in
@@ -470,7 +469,7 @@ let serve_cmd =
          $(b,cmd) of $(b,analyze), $(b,check), $(b,study), $(b,ping), \
          $(b,stats) or $(b,shutdown).  Analysis jobs run on a bounded \
          admission queue in front of $(b,--jobs) worker domains; decoded \
-         inputs are cached and revalidated by file mtime+size; a full \
+         captures are cached and revalidated by file mtime+size; a full \
          queue answers $(b,busy) (429) instead of stalling the socket.  \
          SIGTERM (or the $(b,shutdown) verb) drains gracefully: accepted \
          jobs finish and their responses flush before the process exits.  \

@@ -26,7 +26,7 @@ let extract reasm =
 let[@inline] is_data_to_receiver flow seg =
   Tdat_pkt.Flow.is_to_receiver flow seg && Tdat_pkt.Tcp_segment.is_data seg
 
-let reassemble_from_trace ?scratch trace ~flow =
+let reassemble_from_trace ~scratch trace ~flow =
   let n = Tdat_pkt.Trace.length trace in
   (* Rebase stream offsets so the first observed data byte is 0. *)
   let base = ref max_int in
@@ -35,7 +35,7 @@ let reassemble_from_trace ?scratch trace ~flow =
     if is_data_to_receiver flow seg && seg.Tdat_pkt.Tcp_segment.seq < !base then
       base := seg.Tdat_pkt.Tcp_segment.seq
   done;
-  let reasm = Stream_reassembly.create ?scratch () in
+  let reasm = Stream_reassembly.create ~scratch () in
   if !base < max_int then
     for i = 0 to n - 1 do
       let seg = Tdat_pkt.Trace.get trace i in
@@ -44,5 +44,8 @@ let reassemble_from_trace ?scratch trace ~flow =
     done;
   reasm
 
+(* [extract] copies the stream out through [contiguous], so nothing it
+   returns refers to the cell after the checkout ends. *)
 let extract_from_trace trace ~flow =
-  extract (reassemble_from_trace trace ~flow)
+  Tdat_parallel.Scratch.(with_bytes ~slot:slot_reassembly 4096) @@ fun scratch ->
+  extract (reassemble_from_trace ~scratch trace ~flow)

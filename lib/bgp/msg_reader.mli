@@ -21,12 +21,12 @@ val extract_from_trace :
     Stream offsets start at the first data byte observed. *)
 
 val reassemble_from_trace :
-  ?scratch:Tdat_parallel.Scratch.cell ->
+  scratch:Tdat_parallel.Scratch.cell ->
   Tdat_pkt.Trace.t ->
   flow:Tdat_pkt.Flow.t ->
   Stream_reassembly.t
 (** The reassembly half of {!extract_from_trace}: feed every
     sender→receiver data segment, rebased to the first observed data
-    byte, without materializing segment lists.  [?scratch] backs the
+    byte, without materializing segment lists.  [~scratch] backs the
     stream buffer (see {!Stream_reassembly.create}).  Streaming scans
     ({!Mct.transfer_end_of_reasm}) consume this directly. *)

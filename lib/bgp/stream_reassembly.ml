@@ -4,10 +4,10 @@ module Ends = Map.Make (Int)
 
 type t = {
   mutable data : Bytes.t;
-  scratch : Scratch.cell option;
-      (* When present, [data] is the cell's buffer and growth goes
-         through the arena so the high-water mark is reused across
-         connections on the same domain. *)
+  scratch : Scratch.cell;
+      (* [data] is the cell's buffer, and growth goes through the arena
+         so the high-water mark is reused across connections on the
+         same domain. *)
   mutable frontier : int;
       (* First offset not yet contiguous: [0, frontier) is received. *)
   mutable islands : int Ends.t;
@@ -27,12 +27,9 @@ type t = {
   mutable duplicate_bytes : int;
 }
 
-let create ?scratch () =
+let create ~scratch () =
   {
-    data =
-      (match scratch with
-      | Some cell -> Scratch.ensure cell 4096
-      | None -> Bytes.create 4096);
+    data = Scratch.ensure scratch 4096;
     scratch;
     frontier = 0;
     islands = Ends.empty;
@@ -44,18 +41,8 @@ let create ?scratch () =
   }
 
 let ensure_capacity t needed =
-  let cap = Bytes.length t.data in
-  if needed > cap then
-    match t.scratch with
-    | Some cell -> t.data <- Scratch.ensure_keep cell needed
-    | None ->
-        let cap' = ref cap in
-        while needed > !cap' do
-          cap' := !cap' * 2
-        done;
-        let bigger = Bytes.create !cap' in
-        Bytes.blit t.data 0 bigger 0 cap;
-        t.data <- bigger
+  if needed > Bytes.length t.data then
+    t.data <- Scratch.ensure_keep t.scratch needed
 
 (* Merge [lo, hi) into the islands that overlap or touch it, starting
    with the last one that begins at or before [lo]; returns the merged
@@ -135,11 +122,6 @@ let feed ?(rebase = 0) t (seg : Tdat_pkt.Tcp_segment.t) =
     t.duplicate_bytes <- t.duplicate_bytes + overlap;
     if t.frontier > frontier then record_advance t t.frontier seg.ts
   end
-
-let of_segments segs =
-  let t = create () in
-  List.iter (feed t) segs;
-  t
 
 let contiguous_length t = t.frontier
 let contiguous t = Bytes.sub_string t.data 0 t.frontier

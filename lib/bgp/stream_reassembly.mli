@@ -10,11 +10,13 @@
 
 type t
 
-val create : ?scratch:Tdat_parallel.Scratch.cell -> unit -> t
-(** [?scratch] backs the stream buffer with a caller-provided per-domain
+val create : scratch:Tdat_parallel.Scratch.cell -> unit -> t
+(** [~scratch] backs the stream buffer with a caller-provided per-domain
     arena cell (checked out via {!Tdat_parallel.Scratch.with_bytes}), so
     repeated reassemblies on one domain reuse a single high-water-mark
-    buffer instead of allocating 4 KiB + doublings per connection. *)
+    buffer instead of allocating 4 KiB + doublings per connection.  The
+    reassembler borrows the cell: its buffer is valid only while the
+    cell stays checked out. *)
 
 val feed : ?rebase:int -> t -> Tdat_pkt.Tcp_segment.t -> unit
 (** Feed a data segment (non-data segments are ignored).  Stream offsets
@@ -24,8 +26,6 @@ val feed : ?rebase:int -> t -> Tdat_pkt.Tcp_segment.t -> unit
     [len], keeping offsets exact.  A segment that extends the contiguous
     part while no hole is open costs O(1); any other costs
     O(log holes), amortized. *)
-
-val of_segments : Tdat_pkt.Tcp_segment.t list -> t
 
 val contiguous : t -> string
 (** The reconstructed stream from offset 0 up to the first gap. *)

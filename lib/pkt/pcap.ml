@@ -479,9 +479,9 @@ let decode_result ?(strict = false) data =
   result_of_fold (fun ~on_diag ~init f ->
       fold_string ~strict ~on_diag data ~init f)
 
-let read_file ?(strict = false) path =
+let read_file ?(strict = false) ?follow path =
   result_of_fold (fun ~on_diag ~init f ->
-      fold_file ~strict ~on_diag path ~init f)
+      fold_file ~strict ~on_diag ?follow path ~init f)
 
 let to_file path trace =
   let oc = open_out_bin path in

@@ -143,7 +143,8 @@ val fold_file :
 val to_file : string -> Trace.t -> unit
 (** @raise Encode_error on unrepresentable segments. *)
 
-val read_file : ?strict:bool -> string -> result
+val read_file : ?strict:bool -> ?follow:Ingest_io.follow -> string -> result
 (** Streaming read collecting the salvaged trace, all diagnostics (plus a
     final [P011] snaplen-clipping summary when applicable) and counters.
-    Fault-tolerant unless [~strict:true]. *)
+    Fault-tolerant unless [~strict:true]; [~follow] tails a still-growing
+    file, as {!fold_file}'s. *)

@@ -1,12 +1,11 @@
-(* The decoded-input LRU cache (DESIGN.md, "Service architecture").
+(* The decoded-capture LRU cache (DESIGN.md, "Service architecture").
 
    Decoding dominates a small analysis request, and a daemon sees the
-   same captures again and again (monitoring replays, dashboards,
-   repeated studies over a growing archive set).  Entries are keyed by
-   path and validated against [(mtime, size)] at every lookup, so a
-   rewritten or appended file is never served stale — it simply misses
-   and re-decodes, which also makes tailed files safe: their stat
-   changes with every append.
+   same captures again and again (monitoring replays, dashboards).
+   Entries are keyed by path and validated against [(mtime, size)] at
+   every lookup, so a rewritten or appended file is never served stale
+   — it simply misses and re-decodes, which also makes tailed files
+   safe: their stat changes with every append.
 
    Concurrency: lookups come from worker-pool domains.  The table is
    mutex-guarded, but the [load] callback runs outside the lock (it is

@@ -60,11 +60,6 @@ let dashboard ?(address = "") stats =
       (match Json.member "pcap" cache with
       | Some c -> cache_cell buf "pcap" c
       | None -> ());
-      (match Json.member "mrt" cache with
-      | Some c ->
-          Buffer.add_string buf " · ";
-          cache_cell buf "mrt" c
-      | None -> ());
       add " · scratch fallbacks %d\n" (mem_int stats "scratch_fallbacks")
   | None -> add "scratch fallbacks %d\n" (mem_int stats "scratch_fallbacks"));
   (match Json.member "windows" stats with

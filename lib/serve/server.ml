@@ -37,24 +37,18 @@ type config = {
   address : address;
   jobs : int;  (** Worker domains in the pool. *)
   queue_capacity : int;  (** Admission-queue bound (429 beyond it). *)
-  cache_capacity : int;  (** Decoded captures/archives kept per kind. *)
-  max_line_bytes : int;  (** Requests longer than this close the conn. *)
-  window_slots : int;  (** Ring slots per rolling latency window. *)
-  window_slot_s : float;  (** Seconds of wall time per slot. *)
-  exemplar_capacity : int;  (** Worst requests kept for post-mortems. *)
+  cache_capacity : int;  (** Decoded captures kept. *)
 }
 
-let default_config =
-  {
-    address = `Tcp ("127.0.0.1", 0);
-    jobs = Tdat_parallel.Pool.default_jobs ();
-    queue_capacity = 64;
-    cache_capacity = 16;
-    max_line_bytes = 1 lsl 20;
-    window_slots = 12;
-    window_slot_s = 5.;
-    exemplar_capacity = 8;
-  }
+(* A request line longer than this closes the connection. *)
+let max_line_bytes = 1 lsl 20
+
+(* Each endpoint's rolling latency window: 12 slots of 5 s. *)
+let window_slots = 12
+let window_slot_s = 5.
+
+(* The slowest requests kept for post-mortems. *)
+let exemplar_capacity = 8
 
 (* The job verbs, each with its own rolling latency window.  Literal
    list — window identity is part of the wire surface (stats/metrics
@@ -68,15 +62,11 @@ let m_request_us =
   Obs.Histogram.make ~stable:false ~buckets:Obs.Histogram.time_us_buckets
     "serve.request_us"
 
-type caches = {
-  pcap : Tdat_pkt.Pcap.result Cache.t;
-  mrt : Tdat_bgp.Mrt.result Cache.t;
-}
-
 type conn = {
   fd : Unix.file_descr;
   conn_id : int;
   inbuf : Buffer.t;  (* bytes received, not yet framed into lines *)
+  mutable scanned : int;  (* prefix of [inbuf] known to hold no '\n' *)
   out : Buffer.t;  (* response bytes not yet written *)
   mutable out_off : int;  (* prefix of [out] already written *)
   mutable closing : bool;  (* close once [out] is flushed *)
@@ -84,11 +74,10 @@ type conn = {
 }
 
 type t = {
-  config : config;
   listen_fd : Unix.file_descr;
   bound : address;
   service : Service.t;
-  caches : caches;
+  cache : Tdat_pkt.Pcap.result Cache.t;  (* decoded captures *)
   outbox_m : Mutex.t;
   outbox : (int * string) Queue.t;
   wake_r : Unix.file_descr;
@@ -151,42 +140,8 @@ let ingest_follow (f : Protocol.follow) =
 let load_pcap t ~follow path =
   match follow with
   | None ->
-      Cache.find_or_load t.caches.pcap path ~load:(fun p ->
-          Tdat_pkt.Pcap.read_file p)
-  | Some f ->
-      let diags = ref [] in
-      let segs, stats =
-        Tdat_pkt.Pcap.fold_file
-          ~on_diag:(fun d -> diags := d :: !diags)
-          ~follow:(ingest_follow f) path ~init:[]
-          (fun acc s -> s :: acc)
-      in
-      ( {
-          Tdat_pkt.Pcap.trace = Tdat_pkt.Trace.of_segments (List.rev segs);
-          diags = List.rev !diags;
-          stats;
-        },
-        false )
-
-let load_mrt t ~follow path =
-  match follow with
-  | None ->
-      Cache.find_or_load t.caches.mrt path ~load:(fun p ->
-          Tdat_bgp.Mrt.read_file p)
-  | Some f ->
-      let diags = ref [] in
-      let entries, stats =
-        Tdat_bgp.Mrt.fold_file
-          ~on_diag:(fun d -> diags := d :: !diags)
-          ~follow:(ingest_follow f) path ~init:[]
-          (fun acc e -> e :: acc)
-      in
-      ( {
-          Tdat_bgp.Mrt.entries = List.rev entries;
-          diags = List.rev !diags;
-          stats;
-        },
-        false )
+      Cache.find_or_load t.cache path ~load:(fun p -> Tdat_pkt.Pcap.read_file p)
+  | Some f -> (Tdat_pkt.Pcap.read_file ~follow:(ingest_follow f) path, false)
 
 let fail_on_pcap_errors (r : Tdat_pkt.Pcap.result) =
   match List.find_opt Tdat_pkt.Pcap.Diag.is_error r.diags with
@@ -274,50 +229,29 @@ let execute_check t st ~path =
   in
   render
 
-let execute_study t st ~paths ~gap_s ~min_prefixes ~slow_threshold_s ~follow =
+(* `tdat study`'s own scan and aggregate, so the report is the batch
+   one by construction.  A tailed study names a single archive. *)
+let execute_study st ~paths ~gap_s ~min_prefixes ~slow_threshold_s ~follow =
   let config =
     {
       Tdat_study.Detect.quiet_gap = Tdat_timerange.Time_us.of_s gap_s;
       min_prefixes;
     }
   in
-  let hits = ref 0 and misses = ref 0 in
-  let loaded =
-    st.stage "serve.decode" (fun () ->
-        List.map
-          (fun path ->
-            let mr, hit = load_mrt t ~follow path in
-            if hit then incr hits else incr misses;
-            (path, mr))
-          paths)
-  in
   let report =
     st.stage "serve.analyze" (fun () ->
-        let reports =
-          List.map
-            (fun (path, mr) ->
-              let fr =
-                Tdat_study.Archive.scan_entries ~config ~source:path
-                  mr.Tdat_bgp.Mrt.entries
-              in
-              {
-                fr with
-                Tdat_study.Archive.diags = mr.Tdat_bgp.Mrt.diags;
-                stats = mr.Tdat_bgp.Mrt.stats;
-              })
-            loaded
-        in
-        Tdat_study.Aggregate.of_reports ?slow_threshold_s reports)
+        Tdat_study.Aggregate.of_reports ?slow_threshold_s
+          (List.map
+             (fun path ->
+               Tdat_study.Archive.scan_file
+                 ?follow:(Option.map ingest_follow follow)
+                 ~config path)
+             paths))
   in
   let report_json =
     st.stage "serve.render" (fun () -> Tdat_study.Report.to_json_value report)
   in
-  Json.Obj
-    [
-      ("report", report_json);
-      ("cache_hits", Json.int !hits);
-      ("cache_misses", Json.int !misses);
-    ]
+  Json.Obj [ ("report", report_json) ]
 
 let execute t st (req : Protocol.request) =
   match req with
@@ -328,7 +262,7 @@ let execute t st (req : Protocol.request) =
       execute_analyze t st ~path ~series ~sender_side ~follow
   | Protocol.Check { path } -> execute_check t st ~path
   | Protocol.Study { paths; gap_s; min_prefixes; slow_threshold_s; follow } ->
-      execute_study t st ~paths ~gap_s ~min_prefixes ~slow_threshold_s ~follow
+      execute_study st ~paths ~gap_s ~min_prefixes ~slow_threshold_s ~follow
   | Protocol.Ping | Protocol.Stats | Protocol.Metrics _ | Protocol.Shutdown ->
       (* Control verbs never reach the queue ([Protocol.is_job]). *)
       raise (Fail (Protocol.err_internal "control verb submitted as job"))
@@ -489,12 +423,7 @@ let stats_json t conns =
       ("requests", Json.int (Atomic.get t.req_total));
       ("errors", Json.int (Atomic.get t.err_total));
       ("scratch_fallbacks", Json.int (scratch_fallbacks ()));
-      ( "cache",
-        Json.Obj
-          [
-            ("pcap", cache_stats_json (Cache.stats t.caches.pcap));
-            ("mrt", cache_stats_json (Cache.stats t.caches.mrt));
-          ] );
+      ("cache", Json.Obj [ ("pcap", cache_stats_json (Cache.stats t.cache)) ]);
       ( "windows",
         Json.Obj (List.map (fun (ep, w) -> (ep, window_json w)) t.windows) );
       ( "exemplars",
@@ -591,30 +520,34 @@ let handle_line t conns conn line =
               (Protocol.response_error ~id Protocol.err_draining)
       end
 
-(* Frame [conn.inbuf] into complete lines and handle each.  The
-   leftover partial line stays buffered; a partial line longer than
-   [max_line_bytes] is answered with a 400 and the connection is
-   closed (a stuck client must not grow the buffer forever). *)
+(* Frame [conn.inbuf] into complete lines and handle each.  Only the
+   bytes past [conn.scanned] are searched for '\n', and a line is copied
+   out only once it is complete, so a request that arrives in small
+   pieces costs time linear in its length.  The leftover partial line
+   stays buffered; one longer than [max_line_bytes] is answered with a
+   400 and the connection is closed (a stuck client must not grow the
+   buffer forever). *)
 let conn_lines t conns conn =
-  let data = Buffer.contents conn.inbuf in
-  let len = String.length data in
+  let buf = conn.inbuf in
+  let len = Buffer.length buf in
   let start = ref 0 in
-  (try
-     while !start < len do
-       let nl = String.index_from data !start '\n' in
-       let stop =
-         if nl > !start && data.[nl - 1] = '\r' then nl - 1 else nl
-       in
-       if stop > !start then
-         handle_line t conns conn (String.sub data !start (stop - !start));
-       start := nl + 1
-     done
-   with Not_found -> ());
+  for i = conn.scanned to len - 1 do
+    if Buffer.nth buf i = '\n' then begin
+      let stop =
+        if i > !start && Buffer.nth buf (i - 1) = '\r' then i - 1 else i
+      in
+      if stop > !start then
+        handle_line t conns conn (Buffer.sub buf !start (stop - !start));
+      start := i + 1
+    end
+  done;
   if !start > 0 then begin
-    Buffer.clear conn.inbuf;
-    Buffer.add_substring conn.inbuf data !start (len - !start)
+    let rest = Buffer.sub buf !start (len - !start) in
+    Buffer.clear buf;
+    Buffer.add_string buf rest
   end;
-  if Buffer.length conn.inbuf > t.config.max_line_bytes then begin
+  conn.scanned <- Buffer.length buf;
+  if conn.scanned > max_line_bytes then begin
     enqueue_conn conn
       (Protocol.response_error ~id:Json.Null
          (Protocol.err_bad_request "request line too long"));
@@ -674,6 +607,7 @@ let accept_loop t conns next_id =
             fd;
             conn_id;
             inbuf = Buffer.create 256;
+            scanned = 0;
             out = Buffer.create 256;
             out_off = 0;
             closing = false;
@@ -820,16 +754,11 @@ let start config =
   Unix.set_nonblock wake_w;
   let t =
     {
-      config;
       listen_fd;
       bound;
       service =
         Service.create ~jobs:config.jobs ~capacity:config.queue_capacity ();
-      caches =
-        {
-          pcap = Cache.create ~capacity:config.cache_capacity;
-          mrt = Cache.create ~capacity:config.cache_capacity;
-        };
+      cache = Cache.create ~capacity:config.cache_capacity;
       outbox_m = Mutex.create ();
       outbox = Queue.create ();
       wake_r;
@@ -843,11 +772,9 @@ let start config =
       windows =
         List.map
           (fun ep ->
-            ( ep,
-              Window.create ~slots:config.window_slots
-                ~slot_s:config.window_slot_s () ))
+            (ep, Window.create ~slots:window_slots ~slot_s:window_slot_s ()))
           job_endpoints;
-      exemplars = Exemplar.create ~capacity:config.exemplar_capacity;
+      exemplars = Exemplar.create ~capacity:exemplar_capacity;
       loop = None;
     }
   in

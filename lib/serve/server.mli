@@ -1,7 +1,7 @@
 (** The [tdat serve] daemon: a line-delimited JSON protocol (see
     {!Protocol}) over a Unix-domain or TCP socket, analysis verbs
     executed on a {!Tdat_parallel.Service} worker pool behind a bounded
-    admission queue, decoded inputs cached per {!Cache}.  See
+    admission queue, decoded captures cached per {!Cache}.  See
     DESIGN.md, "Service architecture". *)
 
 type address = [ `Unix of string | `Tcp of string * int ]
@@ -12,17 +12,10 @@ type config = {
   address : address;
   jobs : int;  (** Worker domains in the pool. *)
   queue_capacity : int;  (** Admission-queue bound (429 beyond it). *)
-  cache_capacity : int;  (** Decoded captures/archives kept per kind. *)
-  max_line_bytes : int;  (** Requests longer than this close the conn. *)
-  window_slots : int;  (** Ring slots per rolling latency window. *)
-  window_slot_s : float;  (** Seconds of wall time per slot. *)
-  exemplar_capacity : int;  (** Worst requests kept for post-mortems. *)
+  cache_capacity : int;  (** Decoded captures kept. *)
 }
-
-val default_config : config
-(** Loopback TCP on an ephemeral port, [Pool.default_jobs] workers,
-    queue of 64, 16 cached inputs per kind, 1 MiB line limit, a
-    12-slot × 5 s rolling window per endpoint, 8 exemplars. *)
+(** Fixed for every daemon: a 1 MiB request-line limit, a 12-slot × 5 s
+    rolling latency window per endpoint, 8 slow-request exemplars. *)
 
 type t
 

@@ -12,11 +12,12 @@ type file_report = {
 }
 
 val scan_file :
-  ?strict:bool -> ?config:Detect.config -> string -> file_report
-(** Salvages by default; [~strict:true] raises
-    [Tdat_bgp.Bgp_error.Decode_error] on the first malformed record. *)
-
-val scan_entries :
-  ?config:Detect.config -> ?source:string -> Tdat_bgp.Mrt.entry list ->
+  ?strict:bool ->
+  ?follow:Tdat_pkt.Ingest_io.follow ->
+  ?config:Detect.config ->
+  string ->
   file_report
-(** In-memory variant for already-decoded entries (no diagnostics). *)
+(** Salvages by default; [~strict:true] raises
+    [Tdat_bgp.Bgp_error.Decode_error] on the first malformed record.
+    [~follow] tails a still-growing archive, as
+    {!Tdat_bgp.Mrt.fold_summary_file}'s. *)

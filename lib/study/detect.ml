@@ -1,6 +1,5 @@
 module Time_us = Tdat_timerange.Time_us
 module Mrt = Tdat_bgp.Mrt
-module Msg = Tdat_bgp.Msg
 
 type config = {
   quiet_gap : Time_us.t;
@@ -123,25 +122,8 @@ let observe t ~ts ~peer_as ~peer_ip ~kind ~nlri =
   | Notification | Down -> close t (peer t ~peer_as ~peer_ip)
   | Keepalive -> ()
 
-let feed t entry =
-  if t.finished then invalid_arg "Detect.feed: detector already finished";
-  let ip a = Int32.to_int a land 0xFFFF_FFFF in
-  match entry with
-  | Mrt.State s ->
-      observe t ~ts:s.Mrt.sc_ts ~peer_as:s.Mrt.sc_peer_as
-        ~peer_ip:(ip s.Mrt.sc_peer_ip)
-        ~kind:(Mrt.Kind.of_new_state s.Mrt.new_state) ~nlri:0
-  | Mrt.Message r ->
-      observe t ~ts:r.Mrt.ts ~peer_as:r.Mrt.peer_as ~peer_ip:(ip r.Mrt.peer_ip)
-        ~kind:(Mrt.Kind.of_msg r.Mrt.msg) ~nlri:(Msg.nlri_count r.Mrt.msg)
-
 let finish t =
   if t.finished then invalid_arg "Detect.finish: detector already finished";
   t.finished <- true;
   Peers.iter (fun _ p -> close t p) t.peers;
   List.sort Transfer.compare t.found
-
-let over_entries ?config ?source entries =
-  let t = create ?config ?source () in
-  List.iter (feed t) entries;
-  finish t

@@ -62,15 +62,7 @@ val observe :
     Allocates nothing unless a peer is seen for the first time or a
     transfer is emitted. *)
 
-val feed : t -> Tdat_bgp.Mrt.entry -> unit
-(** {!observe} on a decoded entry: the same rule, for callers that hold
-    entries (the serve daemon's study verb, {!Archive.scan_entries}). *)
-
 val finish : t -> Transfer.t list
 (** Closes every open transfer and returns all detected transfers in
     {!Transfer.compare} order.  The detector must not be fed
     afterwards. *)
-
-val over_entries :
-  ?config:config -> ?source:string -> Tdat_bgp.Mrt.entry list -> Transfer.t list
-(** One-shot convenience: [create]/[feed]/[finish]. *)

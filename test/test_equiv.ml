@@ -273,7 +273,7 @@ let reasm_props =
   [
     prop ~count:300 "reassembly == list-interval reassembler"
       arb_reasm_segments (fun segs ->
-        let r = Stream_reassembly.create () in
+        let r = Legacy_ref.Fresh_reasm.create () in
         let l = Legacy_ref.List_reasm.create () in
         List.iter
           (fun seg ->
@@ -302,7 +302,7 @@ let reasm_props =
       arb_reasm_segments (fun segs ->
         (* Query the newest contiguous byte after every feed, so the
            cursor is left mid-array while later feeds append advances. *)
-        let r = Stream_reassembly.create () in
+        let r = Legacy_ref.Fresh_reasm.create () in
         let l = Legacy_ref.List_reasm.create () in
         List.for_all
           (fun seg ->
@@ -320,6 +320,11 @@ let reasm_props =
 (* --- streaming transfer-end == extract-then-scan ------------------------ *)
 
 let flow = Flow.v ~sender:ep2 ~receiver:ep1
+
+(* The sender's stream reassembled into a buffer of its own. *)
+let reassemble t =
+  Msg_reader.reassemble_from_trace ~scratch:(Legacy_ref.Fresh_reasm.cell ()) t
+    ~flow
 
 (* A BGP byte stream (some duplicate announcements so churn detection
    can fire, optional trailing garbage so the malformed-stop path is
@@ -394,7 +399,7 @@ let transfer_props =
     let legacy = Legacy_ref.transfer_end ?config ~start updates in
     let streaming =
       Mct.transfer_end_of_reasm ?config ~start
-        (Msg_reader.reassemble_from_trace t ~flow)
+        (reassemble t)
     in
     legacy = streaming && legacy = Mct.transfer_end ?config ~start updates
   in
@@ -422,7 +427,7 @@ let transfer_props =
              (fun max_tag ->
                legacy
                = Mct.Private.transfer_end_of_reasm ~max_tag ?config ~start
-                   (Msg_reader.reassemble_from_trace t ~flow)
+                   (reassemble t)
                && legacy = Mct.Private.transfer_end ~max_tag ?config ~start updates)
              [ 2; 3 ])
       [ None; Some tight_config ]
@@ -474,7 +479,7 @@ let test_sequential_slash24_clustering () =
   let t = sequential_slash24_trace n in
   let start = 0 in
   let streaming =
-    Mct.transfer_end_of_reasm ~start (Msg_reader.reassemble_from_trace t ~flow)
+    Mct.transfer_end_of_reasm ~start (reassemble t)
   in
   let legacy =
     Legacy_ref.transfer_end ~start
@@ -491,7 +496,7 @@ let test_sequential_slash24_clustering () =
 
 let test_sequential_slash24_linear_time () =
   let scan t =
-    Mct.transfer_end_of_reasm ~start:0 (Msg_reader.reassemble_from_trace t ~flow)
+    Mct.transfer_end_of_reasm ~start:0 (reassemble t)
   in
   (match scan (sequential_slash24_trace 30_000) with
   | None -> Alcotest.fail "no transfer end on a pure update stream"
@@ -526,7 +531,7 @@ let trace_of_batches batches =
    over [batches]; all three must agree and the answer is returned. *)
 let scan_both ?max_tag ~config batches =
   let list, streaming =
-    let reasm = Msg_reader.reassemble_from_trace (trace_of_batches batches) ~flow in
+    let reasm = reassemble (trace_of_batches batches) in
     match max_tag with
     | None ->
         ( Mct.transfer_end ~config ~start:0 batches,
@@ -595,13 +600,10 @@ let test_tag_exhaustion () =
 let test_no_state_across_scans () =
   let config = { Mct.dup_fraction = 0.5; min_seen = 4; quiet_gap = 5_000_000 } in
   let small =
-    Msg_reader.reassemble_from_trace
+    reassemble
       (trace_of_batches (List.init 20 (fun i -> (1_000 * (i + 1), [ p24 i ]))))
-      ~flow
   in
-  let large =
-    Msg_reader.reassemble_from_trace (sequential_slash24_trace 5_000) ~flow
-  in
+  let large = reassemble (sequential_slash24_trace 5_000) in
   let scan r = Mct.transfer_end_of_reasm ~config ~start:0 r in
   let alone = Domain.join (Domain.spawn (fun () -> scan small)) in
   ignore (scan large : Mct.result option);
@@ -835,9 +837,9 @@ let arb_study_archive =
 let study_config =
   { Detect.quiet_gap = 5_000_000; min_prefixes = 3 }
 
-(* Both paths over one archive: the entry fold feeding [Detect.feed]
-   (what [Archive.scan_entries] runs) and the summary fold feeding
-   [Detect.observe] (what [Archive.scan_file] runs).  Each returns the
+(* Both paths over one archive: the entry fold feeding the test copy of
+   [Detect.feed] (what [Legacy_ref.Entry_scan.scan_entries] runs) and the
+   summary fold feeding [Detect.observe] (what [Archive.scan_file] runs).  Each returns the
    records' immediates, the diagnostics, the stats and the transfers. *)
 let via_entries ~strict ~config data =
   let d = Detect.create ~config ~source:"a" () in
@@ -845,7 +847,7 @@ let via_entries ~strict ~config data =
   let seen, stats =
     Mrt.fold_string ~strict ~on_diag:(fun x -> diags := x :: !diags) data
       ~init:[] (fun acc e ->
-        Detect.feed d e;
+        Legacy_ref.Entry_scan.feed d e;
         let ip a = Int32.to_int a land 0xFFFF_FFFF in
         match e with
         | Mrt.Message r ->

