@@ -445,10 +445,20 @@ let serve_cmd =
     in
     Arg.(value & opt int 4774 & info [ "port" ] ~docv:"PORT" ~doc)
   in
+  let jobs_arg =
+    let doc =
+      "Run up to $(docv) jobs at once, one per worker domain (default: \
+       the core count the runtime recommends)."
+    in
+    Arg.(
+      value
+      & opt int (Tdat_parallel.Pool.default_jobs ())
+      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  in
   let queue_arg =
     let doc =
-      "Admission-queue capacity: jobs beyond $(docv) queued-but-unstarted \
-       are rejected with a 429-style $(b,busy) error."
+      "Admission-queue capacity: at most $(docv) accepted jobs wait for a \
+       worker; one more is rejected with a 429-style $(b,busy) error."
     in
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
   in
@@ -467,10 +477,11 @@ let serve_cmd =
         "Listens on a Unix-domain or TCP socket and answers \
          line-delimited JSON requests: one object per line carrying a \
          $(b,cmd) of $(b,analyze), $(b,check), $(b,study), $(b,ping), \
-         $(b,stats) or $(b,shutdown).  Analysis jobs run on a bounded \
-         admission queue in front of $(b,--jobs) worker domains; decoded \
-         captures are cached and revalidated by file mtime+size; a full \
-         queue answers $(b,busy) (429) instead of stalling the socket.  \
+         $(b,stats) or $(b,shutdown).  Analysis jobs wait in a bounded \
+         admission queue that $(b,--jobs) worker domains pull from, one \
+         job each at a time; decoded captures are cached and revalidated \
+         by file mtime+size; a full queue answers $(b,busy) (429) instead \
+         of stalling the socket.  \
          SIGTERM (or the $(b,shutdown) verb) drains gracefully: accepted \
          jobs finish and their responses flush before the process exits.  \
          The $(b,analyze) response's $(b,output) member is byte-identical \

@@ -48,8 +48,6 @@ type state_change = {
 
 type entry = Message of record | State of state_change
 
-let entry_ts = function Message r -> r.ts | State s -> s.sc_ts
-
 let messages entries =
   List.filter_map (function Message r -> Some r | State _ -> None) entries
 

@@ -54,7 +54,6 @@ type state_change = {
 (** One decoded archive record. *)
 type entry = Message of record | State of state_change
 
-val entry_ts : entry -> Tdat_timerange.Time_us.t
 val messages : entry list -> record list
 (** The [Message] payloads, in order (state changes dropped). *)
 

@@ -95,12 +95,13 @@ let mutator lm n =
       true
   | _ -> false
 
-(* Worker entry points: closures handed to these run on pool domains.
-   The approximation seeds reachability with every ident mentioned in
-   the call's arguments. *)
+(* Worker entry points: closures handed to these run on pool or
+   service worker domains.  The approximation seeds reachability with
+   every ident mentioned in the call's arguments. *)
 let entry_point lm n =
   match (lm, n) with
-  | Some "Pool", ("map" | "with_pool" | "run") -> true
+  | Some "Pool", ("map" | "with_pool") -> true
+  | Some "Service", "submit" -> true
   | Some "Analyzer", "analyze_all" -> true
   | Some "Aggregate", "run" -> true
   | _ -> false

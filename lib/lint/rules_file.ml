@@ -178,7 +178,7 @@ let default_hot_paths =
   [
     ( "Pcap",
       Funcs [ "decode_frame"; "read_from"; "fold_read"; "fold_string";
-              "fold_channel"; "fold_fd"; "fold_file" ] );
+              "fold_fd"; "fold_file" ] );
     ( "Mrt",
       Funcs [ "parse_body"; "frame"; "fold_fill"; "summary_fill";
               "fill_from"; "fill_of_read"; "chunk_fill"; "fold_string";

@@ -141,15 +141,8 @@ let publish_busy t =
         Obs.Gauge.set g (Atomic.get busy))
       t.busy_us
 
-let map ?chunk ?(on_done = ignore) t f xs =
+let map t f xs =
   if t.stop then invalid_arg "Pool.map: pool is shut down";
-  (match chunk with
-  | Some c when c < 1 ->
-      (* Cold: argument-validation failure, once per call at most. *)
-      (invalid_arg
-         (Printf.sprintf "Pool.map: chunk (%d) must be >= 1" c)
-       [@tdat.lint.allow "L009"])
-  | _ -> ());
   match xs with
   | [] -> []
   | xs when t.pool_jobs = 1 || List.compare_length_with xs 2 < 0 ->
@@ -162,7 +155,6 @@ let map ?chunk ?(on_done = ignore) t f xs =
          (fun x ->
            let y = f x in
            Obs.Counter.incr m_completed;
-           on_done y;
            y)
          xs [@tdat.lint.allow "L009"])
   | xs ->
@@ -176,8 +168,7 @@ let map ?chunk ?(on_done = ignore) t f xs =
         match
           let y = f input.(i) in
           results.(i) <- Some y;
-          Obs.Counter.incr m_completed;
-          on_done y
+          Obs.Counter.incr m_completed
         with
         | () -> ()
         | exception e ->
@@ -192,13 +183,8 @@ let map ?chunk ?(on_done = ignore) t f xs =
          connection analyses) balanced while roughly halving the number
          of dequeues the old jobs*8 split paid — with per-connection
          analyses in the 1-10 ms range that keeps each dequeue amortized
-         over ~10 ms of execute.  Callers with finer-grained work can
-         pass [?chunk] explicitly. *)
-      let chunk =
-        match chunk with
-        | Some c -> c
-        | None -> max 1 (n / (t.pool_jobs * 4))
-      in
+         over ~10 ms of execute. *)
+      let chunk = max 1 (n / (t.pool_jobs * 4)) in
       let b =
         {
           run;

@@ -50,25 +50,15 @@ val create : ?jobs:int -> unit -> t
 val jobs : t -> int
 (** The parallelism this pool was created with (after clamping). *)
 
-val map :
-  ?chunk:int -> ?on_done:('b -> unit) -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs], on up to
     [jobs pool] domains, and returns the results in input order.
 
-    [on_done y] (default: nothing) runs on the same executor right after
-    [f] returned [y] and the [pool.jobs_completed] counter has counted
-    it — the point at which a job can publish its result knowing that
-    every stable counter for it has landed.  An exception from
-    [on_done] is treated like one from [f].
-
-    [chunk] is the number of consecutive elements handed to an executor
-    per dequeue (default: enough for four chunks per executor,
-    [max 1 (length xs / (jobs * 4))]).  Every dequeue is a mutex
-    round-trip, so pick a chunk that covers at least ~10 ms of execute
-    time — the [pool.chunk_queue_wait_us] / [pool.chunk_execute_us]
-    histograms show the split.  Larger chunks amortize better but
-    balance worse when element costs are uneven.
-    @raise Invalid_argument if [chunk < 1]. *)
+    Executors take consecutive elements in chunks of
+    [max 1 (length xs / (jobs * 4))], four chunks per executor: every
+    dequeue is a mutex round-trip, and the
+    [pool.chunk_queue_wait_us] / [pool.chunk_execute_us] histograms
+    show the split between synchronization and compute. *)
 
 val shutdown : t -> unit
 (** Joins the worker domains.  Idempotent.  Using [map] after

@@ -1,18 +1,15 @@
-(* A resident job service: the bounded admission queue in front of the
-   existing {!Pool} (DESIGN.md, "Service architecture").
+(* A resident job service: a bounded admission queue and the worker
+   domains that pull from it (DESIGN.md, "Service architecture").
 
-   [Pool] is batch-oriented — one [map] at a time, caller participates —
-   which fits the CLI but not a daemon that accepts work continuously.
-   [Service] bridges the two: callers [submit] thunks into a bounded
-   queue (admission control: a full queue rejects instead of growing,
-   which is the daemon's 429), and a dedicated dispatcher domain drains
-   the queue in batches through [Pool.map], so the worker domains, the
-   chunking, the queue-wait/execute instrumentation and the determinism
-   discipline all stay the pool's.
+   Callers [submit] thunks into the queue (admission control: a full
+   queue rejects instead of growing, which is the daemon's 429).  Each
+   of the [jobs] workers pops one job at a time under one
+   Mutex/Condition pair, runs it, and loops, so a job waits only for a
+   free worker, never for the slowest of the jobs queued before it.
 
-   Shutdown is graceful by construction: [drain] stops admissions,
-   lets every accepted thunk run to completion, then joins the
-   dispatcher and the pool.  No accepted job is ever dropped. *)
+   Shutdown is graceful by construction: [drain] stops admissions, the
+   workers empty the queue and exit, and [drain] joins them.  No
+   accepted job is ever dropped. *)
 
 type outcome = Accepted | Rejected_full | Rejected_draining
 
@@ -30,26 +27,20 @@ let h_queue_wait =
   Obs.Histogram.make ~stable:false
     ~buckets:Obs.Histogram.time_us_buckets "service.queue_wait_us"
 
-type job = {
-  run : unit -> unit -> unit;
-  enqueued_us : float;
-  trace : string option;
-}
+type job = { run : unit -> unit; enqueued_us : float; trace : string option }
 
 type t = {
   m : Mutex.t;
   nonempty : Condition.t;  (* signalled on enqueue and on drain *)
-  idle : Condition.t;  (* signalled when a batch finishes or loop exits *)
   q : job Queue.t;
   capacity : int;
+  jobs : int;
   mutable draining : bool;
-  mutable stopped : bool;  (* dispatcher has exited *)
-  mutable in_flight : int;
-  pool : Pool.t;
-  mutable dispatcher : unit Domain.t option;
+  mutable in_flight : int;  (* jobs running on a worker *)
+  mutable workers : unit Domain.t list;
 }
 
-let jobs t = Pool.jobs t.pool
+let jobs t = t.jobs
 let capacity t = t.capacity
 
 let depth t =
@@ -64,25 +55,22 @@ let in_flight t =
   Mutex.unlock t.m;
   n
 
-(* One guarded thunk: a raising job must not poison its whole batch
-   (Pool.map re-raises), so exceptions stop at the job boundary — the
+(* One guarded job: exceptions stop at the job boundary — the
    submitter is expected to encode failures into its own completion
-   path (the serve layer turns them into error responses).  Returns the
-   job's publication, which [Pool.map] runs once it has counted the job
-   as completed. *)
+   path (the serve layer turns them into error responses). *)
 let run_body job =
   (* The job's queue wait is only known once it starts, so it records
      retroactively as an "X" complete event — a B event with a past
      timestamp would break the nesting of spans already recorded on
      this worker domain.  Emitted inside the job's trace context so it
      joins the request's span tree. *)
+  let wait_us = Tdat_obs.Clock.now_us () -. job.enqueued_us in
+  Obs.Histogram.observe h_queue_wait wait_us;
   if Tdat_obs.Tracer.enabled () then
     Tdat_obs.Tracer.complete_span ~name:"service.queue_wait"
-      ~begin_us:job.enqueued_us
-      ~dur_us:(Tdat_obs.Clock.now_us () -. job.enqueued_us);
-  let publish = try job.run () with _ -> ignore in
-  Obs.Counter.incr m_completed;
-  publish
+      ~begin_us:job.enqueued_us ~dur_us:wait_us;
+  (try job.run () with _ -> ());
+  Obs.Counter.incr m_completed
 
 let run_guarded job =
   match job.trace with
@@ -90,69 +78,49 @@ let run_guarded job =
   | Some _ as trace ->
       Tdat_obs.Tracer.with_context trace (fun () -> run_body job)
 
-let dispatcher_loop t =
-  let batch = ref [] in
-  let running = ref true in
-  while !running do
-    Mutex.lock t.m;
-    while Queue.is_empty t.q && not t.draining do
-      Condition.wait t.nonempty t.m
-    done;
-    if Queue.is_empty t.q then begin
-      (* draining and nothing left: exit *)
-      t.stopped <- true;
-      Condition.broadcast t.idle;
+(* Pop and run jobs until the service drains and the queue is empty.
+   Called (and returns) with [t.m] held. *)
+let rec work t =
+  match Queue.take_opt t.q with
+  | Some job ->
+      t.in_flight <- t.in_flight + 1;
+      Obs.Gauge.set g_depth (float_of_int (Queue.length t.q));
       Mutex.unlock t.m;
-      running := false
-    end
-    else begin
-      (* Take the whole queue: admission control (the bounded queue)
-         already caps the batch, and whole-queue batches make the
-         backpressure boundary exact — a job is either running, queued,
-         or rejected, never stuck behind an idle dispatcher. *)
-      batch := [];
-      while not (Queue.is_empty t.q) do
-        batch := Queue.pop t.q :: !batch
-      done;
-      let jobs = List.rev !batch in
-      t.in_flight <- List.length jobs;
-      if Obs.enabled Obs.default then begin
-        Obs.Gauge.set g_depth 0.;
-        let now = Tdat_obs.Clock.now_us () in
-        List.iter
-          (fun j -> Obs.Histogram.observe h_queue_wait (now -. j.enqueued_us))
-          jobs
-      end;
-      Mutex.unlock t.m;
-      ignore
-        (Pool.map
-           ~on_done:(fun publish -> try publish () with _ -> ())
-           t.pool run_guarded jobs
-          : (unit -> unit) list);
+      run_guarded job;
       Mutex.lock t.m;
-      t.in_flight <- 0;
-      Condition.broadcast t.idle;
-      Mutex.unlock t.m
-    end
-  done
+      t.in_flight <- t.in_flight - 1;
+      work t
+  | None when t.draining -> ()
+  | None ->
+      Condition.wait t.nonempty t.m;
+      work t
+
+let worker t =
+  Mutex.lock t.m;
+  work t;
+  Mutex.unlock t.m
 
 let create ?jobs ?(capacity = 64) () =
+  let jobs =
+    match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
+  in
+  if jobs < 1 then invalid_arg "Service.create: jobs must be >= 1";
   if capacity < 1 then invalid_arg "Service.create: capacity must be >= 1";
   let t =
     {
       m = Mutex.create ();
       nonempty = Condition.create ();
-      idle = Condition.create ();
       q = Queue.create ();
       capacity;
+      (* The runtime supports at most 128 simultaneous domains; leave
+         head room for the caller and the daemon's event loop. *)
+      jobs = min jobs 126;
       draining = false;
-      stopped = false;
       in_flight = 0;
-      pool = Pool.create ?jobs ();
-      dispatcher = None;
+      workers = [];
     }
   in
-  t.dispatcher <- Some (Domain.spawn (fun () -> dispatcher_loop t));
+  t.workers <- List.init t.jobs (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let submit ?trace t run =
@@ -178,13 +146,7 @@ let drain t =
   Mutex.lock t.m;
   t.draining <- true;
   Condition.broadcast t.nonempty;
-  while not t.stopped do
-    Condition.wait t.idle t.m
-  done;
+  let workers = t.workers in
+  t.workers <- [];
   Mutex.unlock t.m;
-  (match t.dispatcher with
-  | Some d ->
-      t.dispatcher <- None;
-      Domain.join d
-  | None -> ());
-  Pool.shutdown t.pool
+  List.iter Domain.join workers

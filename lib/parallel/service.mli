@@ -1,17 +1,16 @@
-(** A resident job service: a bounded admission queue in front of the
-    existing {!Pool}.
+(** A resident job service: a bounded admission queue and [jobs] worker
+    domains that pull from it.
 
-    {!Pool} is batch-oriented; a long-running daemon needs to accept
-    work continuously and push back when overloaded.  [Service] keeps
-    one dispatcher domain that drains a bounded queue in batches
-    through [Pool.map] — workers, chunking and instrumentation stay the
-    pool's — and rejects submissions once the queue is full, which is
-    the admission-control signal the serve daemon turns into a
-    429-style busy response.
+    A long-running daemon needs to accept work continuously and push
+    back when overloaded.  Each worker pops one job at a time, runs it
+    and loops, so [jobs] jobs run at once and a queued job starts as
+    soon as any worker is free.  A submission beyond [capacity]
+    unstarted jobs is rejected, which is the admission-control signal
+    the serve daemon turns into a 429-style busy response.
 
     Thunks must not rely on raising: a job's exception is swallowed at
-    the job boundary (so it cannot poison its batch); encode failures
-    into the job's own completion path.
+    the job boundary; encode failures into the job's own completion
+    path.
 
     When {!Tdat_obs.Metrics} collection is enabled the service reports
     volatile [service.submitted] / [service.rejected_full] /
@@ -26,18 +25,14 @@ type outcome =
   | Rejected_draining  (** {!drain} already started; no new work. *)
 
 val create : ?jobs:int -> ?capacity:int -> unit -> t
-(** [create ~jobs ~capacity ()] starts the dispatcher domain and a
-    {!Pool.create}[ ~jobs] pool.  [capacity] (default 64) bounds the
-    number of queued-but-not-yet-running jobs.
-    @raise Invalid_argument if [capacity < 1]. *)
+(** [create ~jobs ~capacity ()] starts [jobs] worker domains (default
+    [Domain.recommended_domain_count ()]; values above 126 are
+    clamped).  [capacity] (default 64) bounds the number of
+    queued-but-not-yet-running jobs.
+    @raise Invalid_argument if [jobs < 1] or [capacity < 1]. *)
 
-val submit : ?trace:string -> t -> (unit -> unit -> unit) -> outcome
+val submit : ?trace:string -> t -> (unit -> unit) -> outcome
 (** Non-blocking admission.  Safe to call from any domain.
-
-    The job runs in two steps: [job ()] does the work and returns the
-    job's publication (e.g. posting its response), which runs only after
-    the pool has counted the job as completed — so a client that sees
-    the publication also sees every stable counter the job bumped.
 
     With [trace], the worker runs the job inside
     {!Tdat_obs.Tracer.with_context}[ (Some trace)], and (when tracing
@@ -49,13 +44,12 @@ val jobs : t -> int
 val capacity : t -> int
 
 val depth : t -> int
-(** Jobs currently queued (excluding the batch in flight). *)
+(** Jobs queued and not yet started (at most {!capacity}). *)
 
 val in_flight : t -> int
-(** Jobs of the batch currently executing on the pool. *)
+(** Jobs running on a worker (at most {!jobs}). *)
 
 val drain : t -> unit
-(** Graceful shutdown: stop admitting, run every accepted job to
-    completion, then join the dispatcher and shut the pool down.  No
-    accepted job is dropped.  Idempotent-after-completion in the sense
-    that a second call returns immediately. *)
+(** Graceful shutdown: stop admitting, let the workers run every
+    accepted job to completion, then join them.  No accepted job is
+    dropped.  A second call returns immediately. *)

@@ -440,12 +440,9 @@ let reader_of_string data =
 let fold_string ?strict ?on_diag data ~init f =
   fold_read ?strict ?on_diag ~read:(reader_of_string data) ~init f
 
-(* Channel and fd folds share the [Ingest_io] readers: EINTR retried,
+(* The fd and file folds share the [Ingest_io] readers: EINTR retried,
    short reads looped by [read_upto], and — with [~follow] — EOF turned
    into polling so a still-growing capture can be tailed. *)
-let fold_channel ?strict ?on_diag ?follow ic ~init f =
-  fold_read ?strict ?on_diag ~read:(Ingest_io.of_channel ?follow ic) ~init f
-
 let fold_fd ?strict ?on_diag ?follow fd ~init f =
   fold_read ?strict ?on_diag ~read:(Ingest_io.of_fd ?follow fd) ~init f
 
@@ -453,7 +450,9 @@ let fold_file ?strict ?on_diag ?follow path ~init f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> fold_channel ?strict ?on_diag ?follow ic ~init f)
+    (fun () ->
+      fold_read ?strict ?on_diag ~read:(Ingest_io.of_channel ?follow ic) ~init
+        f)
 
 let result_of_fold fold =
   let diags = ref [] in

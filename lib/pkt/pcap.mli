@@ -103,22 +103,6 @@ val fold_read :
     an instrumented source in tests).  The fold only ends the capture
     when [read] returns [0]. *)
 
-val fold_channel :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Ingest_io.follow ->
-  in_channel ->
-  init:'a ->
-  ('a -> Tcp_segment.t -> 'a) ->
-  'a * stats
-(** Streaming fold over a (buffered, binary) channel in bounded memory:
-    the channel is read record by record into a reused frame buffer that
-    never exceeds the largest record.  Reads are [EINTR]-safe and short
-    reads are looped, so pipes and sockets never truncate a record; with
-    [~follow] (see {!Ingest_io.follow_idle}) EOF polls the source
-    instead of ending the capture — the tailing mode for a still-growing
-    file. *)
-
 val fold_fd :
   ?strict:bool ->
   ?on_diag:(Diag.t -> unit) ->
@@ -127,8 +111,14 @@ val fold_fd :
   init:'a ->
   ('a -> Tcp_segment.t -> 'a) ->
   'a * stats
-(** {!fold_channel} over a raw descriptor ([Unix.read]) — the right
-    entry point for pipes, sockets and tailed files. *)
+(** Streaming fold over a raw descriptor ([Unix.read]) in bounded
+    memory — the right entry point for pipes, sockets and tailed files.
+    Records are read one by one into a reused frame buffer that never
+    exceeds the largest record.  Reads are [EINTR]-safe and short reads
+    are looped, so pipes and sockets never truncate a record; with
+    [~follow] (see {!Ingest_io.follow_idle}) EOF polls the source
+    instead of ending the capture — the tailing mode for a still-growing
+    file. *)
 
 val fold_file :
   ?strict:bool ->
@@ -138,7 +128,8 @@ val fold_file :
   init:'a ->
   ('a -> Tcp_segment.t -> 'a) ->
   'a * stats
-(** {!fold_channel} on a freshly opened file, closed on return. *)
+(** The same fold over a freshly opened file (a buffered channel),
+    closed on return. *)
 
 val to_file : string -> Trace.t -> unit
 (** @raise Encode_error on unrepresentable segments. *)

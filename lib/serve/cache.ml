@@ -7,7 +7,7 @@
    — it simply misses and re-decodes, which also makes tailed files
    safe: their stat changes with every append.
 
-   Concurrency: lookups come from worker-pool domains.  The table is
+   Concurrency: lookups come from service worker domains.  The table is
    mutex-guarded, but the [load] callback runs outside the lock (it is
    the expensive part); two concurrent misses on the same path may both
    decode, and the later store wins — wasted work, never wrong results,

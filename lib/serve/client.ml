@@ -11,15 +11,24 @@ type t = {
   chunk : Bytes.t;
 }
 
+(* A read that waits longer than this for a response raises, so a daemon
+   that drops a request fails its caller instead of hanging it.  The
+   longest wait in the test suite is a 1 s sleep request. *)
+let recv_timeout_s = 10.
+
+let open_socket domain addr =
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  (try
+     Unix.connect fd addr;
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO recv_timeout_s
+   with e ->
+     (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+     raise e);
+  { fd; inbuf = Buffer.create 256; chunk = Bytes.create 65536 }
+
 let connect (address : [ `Unix of string | `Tcp of string * int ]) =
   match address with
-  | `Unix path ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e ->
-         (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-         raise e);
-      { fd; inbuf = Buffer.create 256; chunk = Bytes.create 65536 }
+  | `Unix path -> open_socket Unix.PF_UNIX (Unix.ADDR_UNIX path)
   | `Tcp (host, port) ->
       let addr =
         match Unix.inet_addr_of_string host with
@@ -31,12 +40,7 @@ let connect (address : [ `Unix of string | `Tcp of string * int ]) =
             | _ | (exception Not_found) ->
                 invalid_arg ("Client.connect: cannot resolve " ^ host))
       in
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (addr, port))
-       with e ->
-         (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-         raise e);
-      { fd; inbuf = Buffer.create 256; chunk = Bytes.create 65536 }
+      open_socket Unix.PF_INET (Unix.ADDR_INET (addr, port))
 
 let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
 
@@ -54,7 +58,8 @@ let send_line t line =
   done
 
 (* Pop one complete line out of the buffer, reading more as needed.
-   [None] on orderly EOF with an empty buffer. *)
+   [None] on orderly EOF with an empty buffer; a read that times out
+   raises [Unix_error (EAGAIN, _, _)]. *)
 let recv_line t =
   let rec take () =
     let data = Buffer.contents t.inbuf in
@@ -81,6 +86,8 @@ let recv_line t =
 let rpc t request =
   send_line t (Json.to_string request);
   match recv_line t with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      Error (Printf.sprintf "no response within %g s" recv_timeout_s)
   | None -> Error "connection closed before response"
   | Some line -> (
       match Json.parse line with

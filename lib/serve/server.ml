@@ -3,8 +3,8 @@
    One event-loop domain owns every socket: it accepts connections,
    frames line-delimited JSON requests, answers control verbs (ping /
    stats / shutdown) inline, and submits analysis verbs to a
-   {!Tdat_parallel.Service} — the bounded admission queue in front of
-   the worker pool.  Workers never touch a socket: a finished job
+   {!Tdat_parallel.Service} — the bounded admission queue its worker
+   domains pull from.  Workers never touch a socket: a finished job
    pushes its response line into a mutex-guarded outbox and pokes the
    loop through a self-pipe; the loop routes it to the connection's
    output buffer and writes when the socket is writable.  Admission
@@ -19,7 +19,7 @@
    accepted job is ever dropped.
 
    Each request runs its analysis at [jobs:1]: the request already
-   occupies a pool worker, and cross-request parallelism is the
+   occupies a service worker, and cross-request parallelism is the
    service's job.  Results are identical either way (the analyzer is
    deterministic in [jobs]). *)
 
@@ -35,8 +35,9 @@ type address = [ `Unix of string | `Tcp of string * int ]
 
 type config = {
   address : address;
-  jobs : int;  (** Worker domains in the pool. *)
-  queue_capacity : int;  (** Admission-queue bound (429 beyond it). *)
+  jobs : int;  (** Worker domains: jobs that run at once. *)
+  queue_capacity : int;
+      (** Unstarted jobs the queue holds (429 beyond it). *)
   cache_capacity : int;  (** Decoded captures kept. *)
 }
 
@@ -67,8 +68,9 @@ type conn = {
   conn_id : int;
   inbuf : Buffer.t;  (* bytes received, not yet framed into lines *)
   mutable scanned : int;  (* prefix of [inbuf] known to hold no '\n' *)
-  out : Buffer.t;  (* response bytes not yet written *)
-  mutable out_off : int;  (* prefix of [out] already written *)
+  out : Buffer.t;  (* responses not yet taken for writing *)
+  mutable sending : string;  (* taken from [out], written up to [sent] *)
+  mutable sent : int;
   mutable closing : bool;  (* close once [out] is flushed *)
   mutable dead : bool;  (* peer gone; remove at end of iteration *)
 }
@@ -113,7 +115,7 @@ let stop t =
   Atomic.set t.draining true;
   wake t
 
-(* --- job execution (pool workers) -------------------------------------- *)
+(* --- job execution (service workers) ----------------------------------- *)
 
 (* A typed mid-job failure: carries the protocol error for the
    response instead of a 500. *)
@@ -292,13 +294,12 @@ let with_timings result timings =
   | Json.Obj fields -> Json.Obj (fields @ [ ("timings", timings) ])
   | other -> Json.Obj [ ("value", other); ("timings", timings) ]
 
-(* Runs on a pool worker, inside the request's trace context (the
-   service sets it from [submit ~trace] before the job body runs).
-   Returns the response's publication, which the service runs once the
-   pool has counted the job as completed, so a [metrics] request sent
-   after the response never reads a stable counter short of it.  The
-   response must reach the outbox BEFORE [pending] is decremented: the
-   drain check exits only at
+(* Runs on a service worker, inside the request's trace context (the
+   service sets it from [submit ~trace] before the job body runs).  The
+   response is published last, after every counter the job bumps, so a
+   [metrics] request sent after the response never reads a counter
+   short of it.  The response must reach the outbox BEFORE [pending] is
+   decremented: the drain check exits only at
    [pending = 0 && outbox empty && output buffers flushed], so this
    order guarantees no accepted job's response is dropped. *)
 let run_job t conn_id id ~trace ~timings ~raw ~enqueued_us req =
@@ -357,10 +358,9 @@ let run_job t conn_id id ~trace ~timings ~raw ~enqueued_us req =
         Obs.Counter.incr m_errors;
         Protocol.response_error ~id err
   in
-  fun () ->
-    push_outbox t conn_id line;
-    Atomic.decr t.pending;
-    wake t
+  push_outbox t conn_id line;
+  Atomic.decr t.pending;
+  wake t
 
 (* --- the event loop ----------------------------------------------------- *)
 
@@ -564,23 +564,25 @@ let handle_readable t conns conn chunk =
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
       conn.dead <- true
 
+let flushed conn =
+  conn.sent = String.length conn.sending && Buffer.length conn.out = 0
+
+(* Write what the socket takes.  [out] is copied out once, when the
+   previous [sending] string is done, and a partial write resumes in
+   place from [sent]. *)
 let flush_conn conn =
-  let total = Buffer.length conn.out in
-  if total > conn.out_off then begin
-    match
-      Unix.write_substring conn.fd (Buffer.contents conn.out) conn.out_off
-        (total - conn.out_off)
-    with
-    | n ->
-        conn.out_off <- conn.out_off + n;
-        if conn.out_off >= Buffer.length conn.out then begin
-          Buffer.clear conn.out;
-          conn.out_off <- 0
-        end
+  if conn.sent = String.length conn.sending then begin
+    conn.sending <- Buffer.contents conn.out;
+    conn.sent <- 0;
+    Buffer.clear conn.out
+  end;
+  let len = String.length conn.sending - conn.sent in
+  if len > 0 then
+    match Unix.write_substring conn.fd conn.sending conn.sent len with
+    | n -> conn.sent <- conn.sent + n
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
         conn.dead <- true
-  end
 
 (* Route finished jobs' responses to their connections.  A response for
    a connection that hung up is dropped — the work still counted. *)
@@ -609,7 +611,8 @@ let accept_loop t conns next_id =
             inbuf = Buffer.create 256;
             scanned = 0;
             out = Buffer.create 256;
-            out_off = 0;
+            sending = "";
+            sent = 0;
             closing = false;
             dead = false;
           }
@@ -626,7 +629,7 @@ let reap conns =
       (fun conn_id conn acc ->
         if
           conn.dead
-          || (conn.closing && Buffer.length conn.out = conn.out_off)
+          || (conn.closing && flushed conn)
         then (conn_id, conn) :: acc
         else acc)
       conns []
@@ -652,7 +655,7 @@ let event_loop t =
       && Atomic.get t.pending = 0
       && Queue.is_empty t.outbox
       && Hashtbl.fold
-           (fun _ c acc -> acc && Buffer.length c.out = c.out_off)
+           (fun _ c acc -> acc && flushed c)
            conns true
     then running := false
     else begin
@@ -665,7 +668,7 @@ let event_loop t =
       let writefds =
         Hashtbl.fold
           (fun _ c acc ->
-            if Buffer.length c.out > c.out_off then c.fd :: acc else acc)
+            if flushed c then acc else c.fd :: acc)
           conns []
       in
       match Unix.select readfds writefds [] 0.2 with
@@ -791,14 +794,3 @@ let wait t =
       t.loop <- None;
       Domain.join d
   | None -> ()
-
-let run config =
-  let t = start config in
-  let drain_signal = Sys.Signal_handle (fun _ -> stop t) in
-  let prev_term = Sys.signal Sys.sigterm drain_signal in
-  let prev_int = Sys.signal Sys.sigint drain_signal in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.set_signal Sys.sigterm prev_term;
-      Sys.set_signal Sys.sigint prev_int)
-    (fun () -> wait t)

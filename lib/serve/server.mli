@@ -1,7 +1,7 @@
 (** The [tdat serve] daemon: a line-delimited JSON protocol (see
     {!Protocol}) over a Unix-domain or TCP socket, analysis verbs
-    executed on a {!Tdat_parallel.Service} worker pool behind a bounded
-    admission queue, decoded captures cached per {!Cache}.  See
+    executed by {!Tdat_parallel.Service} workers that pull from a
+    bounded admission queue, decoded captures cached per {!Cache}.  See
     DESIGN.md, "Service architecture". *)
 
 type address = [ `Unix of string | `Tcp of string * int ]
@@ -10,8 +10,9 @@ type address = [ `Unix of string | `Tcp of string * int ]
 
 type config = {
   address : address;
-  jobs : int;  (** Worker domains in the pool. *)
-  queue_capacity : int;  (** Admission-queue bound (429 beyond it). *)
+  jobs : int;  (** Worker domains: jobs that run at once. *)
+  queue_capacity : int;
+      (** Unstarted jobs the queue holds (429 beyond it). *)
   cache_capacity : int;  (** Decoded captures kept. *)
 }
 (** Fixed for every daemon: a 1 MiB request-line limit, a 12-slot × 5 s
@@ -30,13 +31,9 @@ val address : t -> address
 val stop : t -> unit
 (** Begin the graceful drain: stop accepting connections and jobs
     (new jobs answer 503), run every accepted job to completion, flush
-    every response, then shut the pool down.  Returns immediately;
+    every response, then join the workers.  Returns immediately;
     {!wait} observes completion.  Safe from any domain and from a
     signal handler; idempotent. *)
 
 val wait : t -> unit
 (** Join the event loop (blocks until a drain completes). *)
-
-val run : config -> unit
-(** [start], install SIGTERM/SIGINT handlers that {!stop}, and
-    {!wait} — the CLI entry point. *)

@@ -160,6 +160,22 @@ let test_l007_worker_reachable_ref () =
   Alcotest.(check bool) "finding names the entry point" true
     (List.exists (fun l -> contains_substring l "Pool.map") lines)
 
+(* The daemon's job path: a closure handed to [Service.submit] runs on
+   a service worker domain, so what it reaches is checked too. *)
+let test_l007_service_submit () =
+  let exit_code, lines =
+    run_lint [ "--treat-as-lib"; fixture "domain_service.ml" ]
+  in
+  Alcotest.(check int) "seeded L007 fails" 1 exit_code;
+  Alcotest.(check int) "exactly one finding" 1 (List.length lines);
+  Alcotest.(check bool) "L007 at the ref, via Service.submit" true
+    (List.exists
+       (fun l ->
+         has_code [ l ] "L007"
+         && contains_substring l "Domain_service.served"
+         && contains_substring l "Service.submit")
+       lines)
+
 let test_l007_suppression_honored () =
   let exit_code, lines =
     run_lint [ "--treat-as-lib"; fixture "domain_allow.ml" ]
@@ -341,6 +357,8 @@ let suite =
       test_output_identical_across_jobs;
     Alcotest.test_case "L007: worker-reachable module ref" `Quick
       test_l007_worker_reachable_ref;
+    Alcotest.test_case "L007: a Service.submit job is a worker entry" `Quick
+      test_l007_service_submit;
     Alcotest.test_case "L007: allowlist suppression honored" `Quick
       test_l007_suppression_honored;
     Alcotest.test_case "L010: stale suppression reported" `Quick

@@ -169,96 +169,133 @@ let test_scratch_geometric_growth () =
 
 (* --- Service: the bounded admission queue ------------------------------- *)
 
-(* Each job's publication also checks that the pool had already counted
-   the job when it ran: [pool.jobs_completed] must exceed the number of
-   publications finished before this one (read first, so the counter
-   read after it covers all of them). *)
+(* A gate that gated jobs wait on until [open_gate]. *)
+type gate = { gm : Mutex.t; gc : Condition.t; mutable opened : bool }
+
+let gate () = { gm = Mutex.create (); gc = Condition.create (); opened = false }
+
+let pass g =
+  Mutex.lock g.gm;
+  while not g.opened do
+    Condition.wait g.gc g.gm
+  done;
+  Mutex.unlock g.gm
+
+let open_gate g =
+  Mutex.lock g.gm;
+  g.opened <- true;
+  Condition.broadcast g.gc;
+  Mutex.unlock g.gm
+
+(* Poll [cond] for up to 5 s: a service that never gets there fails the
+   test instead of hanging it. *)
+let eventually cond =
+  let rec go n =
+    cond () || (n > 0 && (Unix.sleepf 0.005; go (n - 1)))
+  in
+  go 1_000
+
+let accept what = function
+  | Service.Accepted -> ()
+  | Service.Rejected_full | Service.Rejected_draining ->
+      Alcotest.failf "%s not accepted" what
+
 let test_service_runs_everything () =
-  let module Obs = Tdat_obs.Metrics in
-  Obs.reset Obs.default;
-  Obs.set_enabled Obs.default true;
-  let completed = Obs.Counter.make "pool.jobs_completed" in
   let s = Service.create ~jobs:2 ~capacity:64 () in
   let count = Atomic.make 0 in
-  let early = Atomic.make 0 in
   for _ = 1 to 50 do
-    match
-      Service.submit s (fun () () ->
-          let before = Atomic.get count in
-          if Obs.Counter.value completed <= before then Atomic.incr early;
-          Atomic.incr count)
-    with
-    | Service.Accepted -> ()
-    | Service.Rejected_full | Service.Rejected_draining ->
-        Alcotest.fail "submission rejected below capacity"
+    accept "job below capacity" (Service.submit s (fun () -> Atomic.incr count))
   done;
   Service.drain s;
-  Obs.set_enabled Obs.default false;
-  Alcotest.(check int) "every accepted job ran" 50 (Atomic.get count);
-  Alcotest.(check int) "every job counted before its publication" 0
-    (Atomic.get early)
+  Alcotest.(check int) "every accepted job ran" 50 (Atomic.get count)
 
 let test_service_backpressure_and_drain () =
   let s = Service.create ~jobs:1 ~capacity:1 () in
-  let gate_m = Mutex.create () in
-  let gate_c = Condition.create () in
-  let released = ref false in
+  let g = gate () in
   let started = Atomic.make false in
   let ran = Atomic.make 0 in
-  let blocking () =
-    Atomic.set started true;
-    Mutex.lock gate_m;
-    while not !released do
-      Condition.wait gate_c gate_m
-    done;
-    Mutex.unlock gate_m;
-    Atomic.incr ran;
-    ignore
-  in
-  (match Service.submit s blocking with
-  | Service.Accepted -> ()
-  | _ -> Alcotest.fail "job 1 not accepted");
+  accept "job 1"
+    (Service.submit s (fun () ->
+         Atomic.set started true;
+         pass g;
+         Atomic.incr ran));
   (* Wait until job 1 occupies the worker, so the queue is empty. *)
-  let rec spin n =
-    if not (Atomic.get started) then
-      if n = 0 then Alcotest.fail "job 1 never started"
-      else begin
-        Unix.sleepf 0.005;
-        spin (n - 1)
-      end
-  in
-  spin 1_000;
-  (match Service.submit s (fun () () -> Atomic.incr ran) with
-  | Service.Accepted -> ()
-  | _ -> Alcotest.fail "job 2 should fill the queue");
+  if not (eventually (fun () -> Atomic.get started)) then
+    Alcotest.fail "job 1 never started";
+  accept "job 2" (Service.submit s (fun () -> Atomic.incr ran));
   Alcotest.(check int) "queue full" 1 (Service.depth s);
-  (match Service.submit s (fun () () -> Atomic.incr ran) with
+  (match Service.submit s (fun () -> Atomic.incr ran) with
   | Service.Rejected_full -> ()
   | Service.Accepted | Service.Rejected_draining ->
       Alcotest.fail "job 3 must be rejected while the queue is full");
   (* Release the worker and drain: both accepted jobs must finish. *)
-  Mutex.lock gate_m;
-  released := true;
-  Condition.broadcast gate_c;
-  Mutex.unlock gate_m;
+  open_gate g;
   Service.drain s;
   Alcotest.(check int) "accepted jobs all ran" 2 (Atomic.get ran);
-  match Service.submit s (fun () () -> ()) with
+  match Service.submit s ignore with
   | Service.Rejected_draining -> ()
   | Service.Accepted | Service.Rejected_full ->
       Alcotest.fail "post-drain submission must be rejected"
 
+(* With two workers, a job submitted while another one is held runs on
+   the idle worker at once: it does not wait for the held job. *)
+let test_service_idle_worker_starts_next () =
+  let s = Service.create ~jobs:2 ~capacity:8 () in
+  let g = gate () in
+  let started = Atomic.make false in
+  let quick = Atomic.make false in
+  accept "gated job"
+    (Service.submit s (fun () ->
+         Atomic.set started true;
+         pass g));
+  let held = eventually (fun () -> Atomic.get started) in
+  accept "quick job" (Service.submit s (fun () -> Atomic.set quick true));
+  let overtook = eventually (fun () -> Atomic.get quick) in
+  open_gate g;
+  Service.drain s;
+  Alcotest.(check bool) "gated job started" true held;
+  Alcotest.(check bool) "quick job done while the gate was closed" true
+    overtook
+
+(* [capacity] bounds the unstarted jobs: one worker held by a job, two
+   queued, the next one refused. *)
+let test_service_capacity_counts_unstarted () =
+  let s = Service.create ~jobs:1 ~capacity:2 () in
+  let g = gate () in
+  let ran = Atomic.make 0 in
+  let gated () =
+    pass g;
+    Atomic.incr ran
+  in
+  let accepted = ref 0 in
+  let submit () =
+    match Service.submit s gated with
+    | Service.Accepted ->
+        incr accepted;
+        true
+    | Service.Rejected_full | Service.Rejected_draining -> false
+  in
+  (* Two back to back, then wait for the worker to take one. *)
+  ignore (submit () && submit ());
+  let busy = eventually (fun () -> Service.in_flight s > 0) in
+  let rec fill n = if n > 0 && submit () then fill (n - 1) in
+  fill 8;
+  let in_flight = Service.in_flight s and depth = Service.depth s in
+  open_gate g;
+  Service.drain s;
+  Alcotest.(check bool) "a job started" true busy;
+  Alcotest.(check int) "accepted: one running, two queued" 3 !accepted;
+  Alcotest.(check int) "in_flight" 1 in_flight;
+  Alcotest.(check int) "depth" 2 depth;
+  Alcotest.(check int) "every accepted job ran" !accepted (Atomic.get ran)
+
 let test_service_job_exception_contained () =
   let s = Service.create ~jobs:2 ~capacity:8 () in
   let ran = Atomic.make 0 in
-  (match Service.submit s (fun () -> failwith "job blew up") with
-  | Service.Accepted -> ()
-  | _ -> Alcotest.fail "not accepted");
-  (match Service.submit s (fun () () -> Atomic.incr ran) with
-  | Service.Accepted -> ()
-  | _ -> Alcotest.fail "not accepted");
+  accept "raising job" (Service.submit s (fun () -> failwith "job blew up"));
+  accept "next job" (Service.submit s (fun () -> Atomic.incr ran));
   Service.drain s;
-  Alcotest.(check int) "exception did not poison the batch" 1
+  Alcotest.(check int) "exception did not stop the service" 1
     (Atomic.get ran)
 
 let suite =
@@ -286,4 +323,8 @@ let suite =
       test_service_backpressure_and_drain;
     Alcotest.test_case "service contains job exceptions" `Quick
       test_service_job_exception_contained;
+    Alcotest.test_case "service: an idle worker starts the next job" `Quick
+      test_service_idle_worker_starts_next;
+    Alcotest.test_case "service: capacity counts unstarted jobs" `Quick
+      test_service_capacity_counts_unstarted;
   ]

@@ -601,6 +601,70 @@ let test_server_backpressure () =
   Client.close ctl;
   stop_server server
 
+(* --- server: workers pull jobs one at a time ------------------------------- *)
+
+let response_id line =
+  match Json.parse line with
+  | Ok j -> Option.fold ~none:"null" ~some:Json.to_string (Json.member "id" j)
+  | Error msg -> Alcotest.failf "bad response line: %s" msg
+
+let test_server_short_job_overtakes () =
+  (* Two workers: a short job sent while a long one runs takes the idle
+     worker and is answered first, on the same connection. *)
+  let server = start_server ~jobs:2 () in
+  let addr = Server.address server in
+  let work = Client.connect addr in
+  let ctl = Client.connect addr in
+  let sleep_req id ms =
+    Client.send_line work
+      (Json.to_string
+         (Json.Obj
+            [ ("cmd", Json.Str "sleep"); ("ms", Json.Num ms);
+              ("id", Json.Num id) ]))
+  in
+  let recv () =
+    match Client.recv_line work with
+    | Some line -> response_id line
+    | None -> Alcotest.fail "eof before both responses"
+  in
+  sleep_req 1. 1000.;
+  await ctl "in_flight" 1;
+  sleep_req 2. 10.;
+  let first = recv () in
+  let second = recv () in
+  Alcotest.(check (list string)) "sleep 10 answered first" [ "2"; "1" ]
+    [ first; second ];
+  Client.close work;
+  Client.close ctl;
+  stop_server server
+
+(* --- client: a daemon that never answers ------------------------------------ *)
+
+let test_client_recv_timeout () =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "listener is TCP"
+  in
+  let client = Client.connect (`Tcp ("127.0.0.1", port)) in
+  let peer, _ = Unix.accept lfd in
+  let t0 = Unix.gettimeofday () in
+  let reply = Client.rpc client (Json.Obj [ ("cmd", Json.Str "ping") ]) in
+  let waited = Unix.gettimeofday () -. t0 in
+  Client.close client;
+  Unix.close peer;
+  Unix.close lfd;
+  (match reply with
+  | Error msg ->
+      Alcotest.(check bool) ("timeout error: " ^ msg) true
+        (contains msg "no response")
+  | Ok _ -> Alcotest.fail "a silent peer cannot answer");
+  Alcotest.(check bool) "waited the receive timeout" true
+    (waited >= Client.recv_timeout_s -. 0.5)
+
 (* --- server: tailing a still-growing capture ------------------------------ *)
 
 let test_server_follow_tail () =
@@ -718,6 +782,70 @@ let test_server_split_requests () =
     (match input_line ic with _ -> false | exception End_of_file -> true);
   close_in ic;
   stop_server server
+
+(* --- server: a response larger than the socket buffers ---------------------- *)
+
+let test_server_partial_writes () =
+  (* 400 small sessions: a --series response of over 500 KB, more than a
+     Unix-domain socket buffers (about 200 KB by default).  A reader that
+     waits and then takes it in 1 KiB pieces makes the daemon's writes
+     come back short, so each must resume where the last one stopped. *)
+  let dir = tmpdir () in
+  let path = Filename.concat dir "many.pcap" in
+  let sock = Filename.concat dir "tdat.sock" in
+  let result =
+    Scenario.run ~seed:38
+      (List.init 400 (fun i -> Scenario.router ~table_prefixes:50 (i + 1)))
+  in
+  Tdat_pkt.Pcap.to_file path result.Scenario.site_trace;
+  let request =
+    Json.to_string
+      (Json.Obj
+         [ ("cmd", Json.Str "analyze"); ("path", Json.Str path);
+           ("series", Json.Bool true); ("trace", Json.Str "big") ])
+  in
+  let server =
+    Server.start
+      {
+        Server.address = `Unix sock;
+        jobs = 1;
+        queue_capacity = 8;
+        cache_capacity = 4;
+      }
+  in
+  let client = Client.connect (`Unix sock) in
+  let fetch () =
+    Client.send_line client request;
+    match Client.recv_line client with
+    | Some line -> line
+    | None -> Alcotest.fail "eof before the response"
+  in
+  ignore (fetch ());
+  (* Both of these are cache hits, so they must match byte for byte. *)
+  let whole = fetch () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  raw_send fd (request ^ "\n");
+  Unix.sleepf 0.2;
+  let got = Buffer.create (String.length whole + 1) in
+  let piece = Bytes.create 1024 in
+  let rec read () =
+    match Unix.read fd piece 0 (Bytes.length piece) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes got piece 0 n;
+        if Bytes.get piece (n - 1) <> '\n' then read ()
+  in
+  read ();
+  Unix.close fd;
+  Alcotest.(check bool) "response larger than the socket buffer" true
+    (String.length whole > 512 * 1024);
+  Alcotest.(check string) "byte-identical" (whole ^ "\n") (Buffer.contents got);
+  Client.close client;
+  stop_server server;
+  Sys.remove path;
+  Unix.rmdir dir
 
 (* --- server: graceful drain ---------------------------------------------- *)
 
@@ -1482,6 +1610,12 @@ let suite =
       test_server_cache_evictions;
     Alcotest.test_case "queue-full backpressure" `Quick
       test_server_backpressure;
+    Alcotest.test_case "a short job overtakes a long one" `Quick
+      test_server_short_job_overtakes;
+    Alcotest.test_case "client: no response within the timeout" `Quick
+      test_client_recv_timeout;
+    Alcotest.test_case "a response larger than the socket buffers" `Quick
+      test_server_partial_writes;
     Alcotest.test_case "tail a growing capture" `Quick
       test_server_follow_tail;
     Alcotest.test_case "pipelined requests split at every byte" `Quick
