@@ -10,8 +10,6 @@ type t =
   | Local_pref of int32
   | Unknown of { code : int; flags : int; data : string }
 
-val type_code : t -> int
-
 val encode : Buffer.t -> t -> unit
 (** Encodes with canonical flags (well-known mandatory attributes as
     transitive; [Unknown] with its recorded flags).  Uses extended length

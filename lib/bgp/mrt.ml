@@ -26,14 +26,6 @@ let fsm_state_of_code = function
   | 6 -> Some Established
   | _ -> None
 
-let fsm_state_name = function
-  | Idle -> "Idle"
-  | Connect -> "Connect"
-  | Active -> "Active"
-  | Open_sent -> "OpenSent"
-  | Open_confirm -> "OpenConfirm"
-  | Established -> "Established"
-
 let equal_fsm_state a b = Int.equal (fsm_state_code a) (fsm_state_code b)
 
 type state_change = {
@@ -51,30 +43,7 @@ type entry = Message of record | State of state_change
 let messages entries =
   List.filter_map (function Message r -> Some r | State _ -> None) entries
 
-module Diag = struct
-  type severity = Error | Warning | Info
-
-  type t = {
-    code : string;
-    severity : severity;
-    record : int option;
-    message : string;
-  }
-
-  let severity_name = function
-    | Error -> "error"
-    | Warning -> "warning"
-    | Info -> "info"
-
-  let is_error d = match d.severity with Error -> true | Warning | Info -> false
-
-  let pp ppf d =
-    Format.fprintf ppf "%s %s" d.code (severity_name d.severity);
-    (match d.record with
-    | Some i -> Format.fprintf ppf " [record %d]" i
-    | None -> ());
-    Format.fprintf ppf " %s" d.message
-end
+module Diag = Tdat_pkt.Pcap.Diag
 
 type stats = {
   records : int;

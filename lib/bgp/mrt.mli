@@ -34,11 +34,7 @@ type record = {
     (RFC 6396 §4.4.1, codes 1–6). *)
 type fsm_state = Idle | Connect | Active | Open_sent | Open_confirm | Established
 
-val fsm_state_code : fsm_state -> int
-(** The RFC 6396 wire code, 1–6. *)
-
 val fsm_state_of_code : int -> fsm_state option
-val fsm_state_name : fsm_state -> string
 val equal_fsm_state : fsm_state -> fsm_state -> bool
 
 type state_change = {
@@ -57,9 +53,9 @@ type entry = Message of record | State of state_change
 val messages : entry list -> record list
 (** The [Message] payloads, in order (state changes dropped). *)
 
-(** Typed per-record archive diagnostics, the same code/severity/message
-    shape as [Pcap.Diag] ([Tdat_audit.Ingest] lifts both into the audit
-    report):
+(** Typed per-record archive diagnostics: the pcap reader's diagnostic
+    type, with [M0xx] codes ([Tdat_audit.Ingest] lifts both into the
+    audit report):
 
     - [M001] warning: truncated record header — the file ends mid-header;
       salvage stops, earlier records are kept.
@@ -75,20 +71,7 @@ val messages : entry list -> record list
       skipped, salvage continues.
     - [M007] warning: record declaring an implausibly large body
       (> 16 MiB) — framing is no longer trusted; salvage stops. *)
-module Diag : sig
-  type severity = Error | Warning | Info
-
-  type t = {
-    code : string;  (** Stable archive code, e.g. ["M002"]. *)
-    severity : severity;
-    record : int option;  (** 0-based index of the offending record. *)
-    message : string;
-  }
-
-  val severity_name : severity -> string
-  val is_error : t -> bool
-  val pp : Format.formatter -> t -> unit
-end
+module Diag = Tdat_pkt.Pcap.Diag
 
 type stats = {
   records : int;  (** Complete records read. *)

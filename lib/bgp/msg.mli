@@ -45,9 +45,6 @@ val decode : string -> int -> (t * int) option
 (** [decode s off] parses one message; [None] when more bytes are needed.
     @raise Failure on protocol violations. *)
 
-val peek_length_slice : Tdat_pkt.Slice.t -> int -> int option
-(** As {!peek_length}, reading through a borrowed slice. *)
-
 val decode_slice : Tdat_pkt.Slice.t -> int -> (t * int) option
 (** As {!decode}, reading through a borrowed slice: the only copies made
     are the byte payloads the decoded message keeps ([Unknown] attribute

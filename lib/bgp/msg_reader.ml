@@ -23,24 +23,25 @@ let extract reasm =
   in
   go 0 []
 
-let[@inline] is_data_to_receiver flow seg =
-  Tdat_pkt.Flow.is_to_receiver flow seg && Tdat_pkt.Tcp_segment.is_data seg
-
 let reassemble_from_trace ~scratch trace ~flow =
-  let n = Tdat_pkt.Trace.length trace in
+  let module T = Tdat_pkt.Trace in
+  let n = T.length trace in
+  let sender = T.find_endpoint trace flow.Tdat_pkt.Flow.sender in
+  let receiver = T.find_endpoint trace flow.Tdat_pkt.Flow.receiver in
+  let is_data i =
+    T.src trace i = sender && T.dst trace i = receiver && T.len trace i > 0
+  in
   (* Rebase stream offsets so the first observed data byte is 0. *)
   let base = ref max_int in
   for i = 0 to n - 1 do
-    let seg = Tdat_pkt.Trace.get trace i in
-    if is_data_to_receiver flow seg && seg.Tdat_pkt.Tcp_segment.seq < !base then
-      base := seg.Tdat_pkt.Tcp_segment.seq
+    if is_data i && T.seq trace i < !base then base := T.seq trace i
   done;
   let reasm = Stream_reassembly.create ~scratch () in
   if !base < max_int then
     for i = 0 to n - 1 do
-      let seg = Tdat_pkt.Trace.get trace i in
-      if is_data_to_receiver flow seg then
-        Stream_reassembly.feed ~rebase:!base reasm seg
+      if is_data i then
+        Stream_reassembly.feed reasm ~rebase:!base ~ts:(T.ts trace i)
+          ~seq:(T.seq trace i) ~len:(T.len trace i) (T.payload trace i)
     done;
   reasm
 

@@ -100,10 +100,10 @@ let record_advance t hi ts =
   t.advance_ts.(n) <- ts;
   t.n_advances <- n + 1
 
-let feed ?(rebase = 0) t (seg : Tdat_pkt.Tcp_segment.t) =
-  if seg.len > 0 then begin
-    let lo = seg.seq - rebase in
-    let hi = lo + seg.len in
+let feed t ~rebase ~ts ~seq ~len payload =
+  if len > 0 then begin
+    let lo = seq - rebase in
+    let hi = lo + len in
     if lo < 0 then invalid_arg "Stream_reassembly.feed: negative offset";
     ensure_capacity t hi;
     let frontier = t.frontier in
@@ -116,11 +116,12 @@ let feed ?(rebase = 0) t (seg : Tdat_pkt.Tcp_segment.t) =
        retransmit identical bytes.  A payload shorter than [len] (not
        materialized, or snaplen-clipped by the sniffer) is zero-filled to
        the declared length so stream offsets stay exact. *)
-    let copy = min (String.length seg.payload) seg.len in
-    if copy > 0 then Bytes.blit_string seg.payload 0 t.data lo copy;
-    if copy < seg.len then Bytes.fill t.data (lo + copy) (seg.len - copy) '\000';
+    let copy = min (Tdat_pkt.Slice.length payload) len in
+    if copy > 0 then
+      Tdat_pkt.Slice.blit payload ~off:0 ~len:copy t.data ~dst_off:lo;
+    if copy < len then Bytes.fill t.data (lo + copy) (len - copy) '\000';
     t.duplicate_bytes <- t.duplicate_bytes + overlap;
-    if t.frontier > frontier then record_advance t t.frontier seg.ts
+    if t.frontier > frontier then record_advance t t.frontier ts
   end
 
 let contiguous_length t = t.frontier

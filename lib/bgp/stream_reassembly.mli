@@ -18,12 +18,14 @@ val create : scratch:Tdat_parallel.Scratch.cell -> unit -> t
     reassembler borrows the cell: its buffer is valid only while the
     cell stays checked out. *)
 
-val feed : ?rebase:int -> t -> Tdat_pkt.Tcp_segment.t -> unit
-(** Feed a data segment (non-data segments are ignored).  Stream offsets
-    come from [seq] minus [rebase] (default 0); the stream starts at
-    offset 0.  A payload shorter than the segment's declared [len]
-    (snaplen-truncated capture, or not materialized) is zero-filled to
-    [len], keeping offsets exact.  A segment that extends the contiguous
+val feed :
+  t -> rebase:int -> ts:Tdat_timerange.Time_us.t -> seq:int -> len:int ->
+  Tdat_pkt.Slice.t -> unit
+(** Feed a data segment seen at [ts] ([len = 0] is ignored), its
+    captured bytes a slice of the trace's buffer
+    ({!Tdat_pkt.Trace.payload}).  Stream offsets are [seq - rebase],
+    from 0.  A payload shorter than [len] (snaplen-truncated capture, or
+    not materialized) is zero-filled to [len], keeping offsets exact.  A segment that extends the contiguous
     part while no hole is open costs O(1); any other costs
     O(log holes), amortized. *)
 

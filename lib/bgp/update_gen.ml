@@ -50,9 +50,6 @@ let pack table =
   List.iter emit_group (group_routes table);
   List.rev !messages
 
-let packed_size table =
-  List.fold_left (fun acc m -> acc + Msg.encoded_size m) 0 (pack table)
-
 let unpack msgs =
   List.concat_map
     (function

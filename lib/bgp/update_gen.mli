@@ -9,10 +9,6 @@ val pack : Table.t -> Msg.t list
     order of attribute groups, and splits each group into UPDATEs that
     respect {!Msg.max_size}. *)
 
-val packed_size : Table.t -> int
-(** Total encoded bytes of [pack t] — the scaled counterpart of the
-    paper's "5–8 MB for the full BGP table". *)
-
 val unpack : Msg.t list -> Table.t
 (** Inverse of {!pack} up to grouping: flattens UPDATEs back into
     (prefix, attrs) routes, ignoring non-UPDATE messages and withdrawals. *)

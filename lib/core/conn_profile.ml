@@ -63,22 +63,26 @@ type hole = { h_lo : int; h_hi : int; created : Time_us.t }
 let of_trace ?(reorder_factor = 0.25) trace ~flow =
   let module T = Tdat_pkt.Trace in
   let n = T.length trace in
-  (* Direction predicates.  [is_to_sender] additionally excludes
-     receiver-bound segments, mirroring the partition-then-filter the
-     list pipeline used to do. *)
-  let to_receiver (s : Seg.t) = Flow.is_to_receiver flow s in
-  let to_sender (s : Seg.t) =
-    (not (Flow.is_to_receiver flow s)) && Flow.is_to_sender flow s
+  (* Direction predicates over the columns, endpoints compared by id.
+     [to_sender] additionally excludes receiver-bound segments,
+     mirroring the partition-then-filter the list pipeline used to
+     do. *)
+  let sender = T.find_endpoint trace flow.Flow.sender in
+  let receiver = T.find_endpoint trace flow.Flow.receiver in
+  let to_receiver i = T.src trace i = sender && T.dst trace i = receiver in
+  let to_sender i =
+    (not (to_receiver i)) && T.src trace i = receiver && T.dst trace i = sender
   in
-  let is_data_seg (s : Seg.t) = to_receiver s && Seg.is_data s in
-  let is_ack_seg (s : Seg.t) = to_sender s && s.flags.Seg.ack in
+  let has bit i = T.flags trace i land bit <> 0 in
+  let is_data_seg i = to_receiver i && T.len trace i > 0 in
+  let is_ack_seg i = to_sender i && has Seg.ack_bit i in
   (* Count-then-fill the two per-direction arrays straight from the
-     trace — no segment lists. *)
+     columns: headers only, with endpoint and flag records shared with
+     the trace. *)
   let n_data = ref 0 and n_acks = ref 0 in
   for i = 0 to n - 1 do
-    let s = T.get trace i in
-    if is_data_seg s then incr n_data;
-    if is_ack_seg s then incr n_acks
+    if is_data_seg i then incr n_data;
+    if is_ack_seg i then incr n_acks
   done;
   let fill count pred =
     if count = 0 then [||]
@@ -86,8 +90,8 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
       let out = ref [||] in
       let k = ref 0 in
       for i = 0 to n - 1 do
-        let s = T.get trace i in
-        if pred s then begin
+        if pred i then begin
+          let s = T.header trace i in
           if !k = 0 then out := Array.make count s;
           !out.(!k) <- s;
           incr k
@@ -98,51 +102,36 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
   in
   let data_segs = fill !n_data is_data_seg in
   let acks = fill !n_acks is_ack_seg in
-  let find_seg pred =
-    let found = ref None in
-    (try
-       for i = 0 to n - 1 do
-         let s = T.get trace i in
-         if pred s then begin
-           found := Some s;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !found
+  (* The first packet satisfying [pred], or -1. *)
+  let find pred =
+    let rec go i = if i = n then -1 else if pred i then i else go (i + 1) in
+    go 0
   in
   (* Handshake-based RTT: SYN seen at the sniffer to the sender's first
      post-SYN+ACK packet covers the full round trip regardless of the
      sniffer position. *)
-  let syn = find_seg (fun s -> to_receiver s && s.Seg.flags.Seg.syn) in
+  let syn = find (fun i -> to_receiver i && has Seg.syn_bit i) in
   let synack =
-    find_seg (fun s -> to_sender s && s.Seg.flags.Seg.syn && s.Seg.flags.Seg.ack)
+    find (fun i -> to_sender i && has Seg.syn_bit i && has Seg.ack_bit i)
   in
   let syn_rtt, upstream_rtt =
-    match (syn, synack) with
-    | Some syn, Some sa -> (
-        match
-          find_seg (fun s -> to_receiver s && s.Seg.ts > sa.Seg.ts)
-        with
-        | Some reply ->
-            ( Some (reply.Seg.ts - syn.Seg.ts),
-              Some (reply.Seg.ts - sa.Seg.ts) )
-        | None -> (None, None))
-    | _ -> (None, None)
+    if syn < 0 || synack < 0 then (None, None)
+    else begin
+      let sa_ts = T.ts trace synack in
+      match find (fun i -> to_receiver i && T.ts trace i > sa_ts) with
+      | -1 -> (None, None)
+      | reply ->
+          let reply_ts = T.ts trace reply in
+          (Some (reply_ts - T.ts trace syn), Some (reply_ts - sa_ts))
+    end
   in
   let start_time =
-    match syn with
-    | Some s -> s.Seg.ts
-    | None -> if n > 0 then (T.get trace 0).Seg.ts else 0
+    if syn >= 0 then T.ts trace syn else if n > 0 then T.ts trace 0 else 0
   in
-  let end_time =
-    if n > 0 then (T.get trace (n - 1)).Seg.ts else start_time
-  in
+  let end_time = if n > 0 then T.ts trace (n - 1) else start_time in
   let mss =
-    match syn with
-    | Some { Seg.mss_opt = Some m; _ } -> m
-    | _ ->
-        Array.fold_left (fun acc (s : Seg.t) -> max acc s.len) 536 data_segs
+    if syn >= 0 && T.mss trace syn >= 0 then T.mss trace syn
+    else Array.fold_left (fun acc (s : Seg.t) -> max acc s.len) 536 data_segs
   in
   let max_adv_window =
     Array.fold_left (fun acc (s : Seg.t) -> max acc s.window) 0 acks

@@ -24,6 +24,9 @@ type label =
 
 type data_packet = {
   seg : Tdat_pkt.Tcp_segment.t;
+      (** Headers only: the payload is [""] (nothing downstream reads
+          it), and the endpoint and flag records are shared with the
+          trace ({!Tdat_pkt.Trace.header}). *)
   label : label;
 }
 
@@ -47,7 +50,8 @@ type t = {
   mss : int;  (** From the SYN option, else the largest payload seen. *)
   max_adv_window : int;  (** Largest window the receiver ever advertised. *)
   data : data_packet array;  (** Sender→receiver data packets, time order. *)
-  acks : Tdat_pkt.Tcp_segment.t array;  (** Receiver→sender ACKs, time order. *)
+  acks : Tdat_pkt.Tcp_segment.t array;
+      (** Receiver→sender ACKs, time order; headers only, as [data]'s. *)
   upstream_episodes : loss_episode list;
   downstream_episodes : loss_episode list;
   voids : Tdat_timerange.Span_set.t;

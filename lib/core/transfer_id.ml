@@ -16,16 +16,20 @@ let duration t = max 0 (t.end_ts - t.start_ts)
 let span t =
   Tdat_timerange.Span.v t.start_ts (max (t.start_ts + 1) (t.end_ts + 1))
 
-(* The sender's SYN, else the first segment: found by index, without
-   building the trace's segment list. *)
+(* The sender's SYN, else the first segment: read from the columns,
+   endpoints compared by id. *)
 let connection_start trace ~flow =
-  let n = Tdat_pkt.Trace.length trace in
+  let module T = Tdat_pkt.Trace in
+  let n = T.length trace in
+  let sender = T.find_endpoint trace flow.Tdat_pkt.Flow.sender in
+  let receiver = T.find_endpoint trace flow.Tdat_pkt.Flow.receiver in
   let rec find i =
-    if i = n then (Tdat_pkt.Trace.get trace 0).Seg.ts
-    else
-      let (s : Seg.t) = Tdat_pkt.Trace.get trace i in
-      if s.flags.Seg.syn && Tdat_pkt.Flow.is_to_receiver flow s then s.Seg.ts
-      else find (i + 1)
+    if i = n then T.ts trace 0
+    else if
+      T.flags trace i land Seg.syn_bit <> 0
+      && T.src trace i = sender && T.dst trace i = receiver
+    then T.ts trace i
+    else find (i + 1)
   in
   if n = 0 then None else Some (find 0)
 

@@ -177,8 +177,7 @@ type hot_scope = All | Funcs of string list
 let default_hot_paths =
   [
     ( "Pcap",
-      Funcs [ "decode_frame"; "read_from"; "fold_read"; "fold_string";
-              "fold_fd"; "fold_file" ] );
+      Funcs [ "skip"; "scan_options"; "decode_frame"; "fill"; "read_records" ] );
     ( "Mrt",
       Funcs [ "parse_body"; "frame"; "fold_fill"; "summary_fill";
               "fill_from"; "fill_of_read"; "chunk_fill"; "fold_string";
@@ -191,7 +190,9 @@ let default_hot_paths =
               "check_attrs"; "check_as_path" ] );
     ("Detect", Funcs [ "observe"; "peer"; "update"; "anchor"; "close" ]);
     ("Span_set", All);
-    ("Trace", Funcs [ "conn_key"; "partition_connections" ]);
+    ( "Trace",
+      Funcs [ "conn_key"; "connection_ids"; "partition_connections"; "gather";
+              "add" ] );
     ("Slice", All);
     ( "Series_gen",
       Funcs [ "series_of_spans"; "flight_series"; "episode_series";

@@ -14,25 +14,10 @@ let direction_of t (seg : Tcp_segment.t) =
   then Some To_sender
   else None
 
-let equal_direction a b =
-  match (a, b) with
-  | To_receiver, To_receiver | To_sender, To_sender -> true
-  | To_receiver, To_sender | To_sender, To_receiver -> false
-
 let is_to_receiver t seg =
   match direction_of t seg with Some To_receiver -> true | _ -> false
 
-let is_to_sender t seg =
-  match direction_of t seg with Some To_sender -> true | _ -> false
-
 let matches t seg = direction_of t seg <> None
-
-let compare a b =
-  match Endpoint.compare a.sender b.sender with
-  | 0 -> Endpoint.compare a.receiver b.receiver
-  | c -> c
-
-let equal a b = compare a b = 0
 
 let pp ppf t =
   Format.fprintf ppf "%a->%a" Endpoint.pp t.sender Endpoint.pp t.receiver

@@ -19,15 +19,9 @@ val key : t -> Endpoint.t * Endpoint.t
 val direction_of : t -> Tcp_segment.t -> direction option
 (** [None] when the segment does not belong to this connection. *)
 
-val equal_direction : direction -> direction -> bool
-
 val is_to_receiver : t -> Tcp_segment.t -> bool
 (** [is_to_receiver flow seg] is true iff the segment travels
     Sender→Receiver on this connection. *)
 
-val is_to_sender : t -> Tcp_segment.t -> bool
-
 val matches : t -> Tcp_segment.t -> bool
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 (** Input plumbing shared by the streaming readers.
 
-    The record-framing folds ({!Pcap.fold_fd}, {!Pcap.fold_file},
+    The record-framing readers ({!Pcap.read_source}, {!Pcap.read_file},
     [Tdat_bgp.Mrt.fold_fd], [Tdat_bgp.Mrt.fold_file]) terminate a
     capture only when their [read] function returns [0].  The readers
     built here make that a safe contract over every source:

@@ -1,5 +1,5 @@
-let magic_us = 0xA1B2C3D4l
-let magic_ns = 0xA1B23C4Dl
+let magic_us = 0xA1B2C3D4
+let magic_ns = 0xA1B23C4D
 
 let ethernet_header_len = 14
 let ipv4_header_len = 20
@@ -123,14 +123,7 @@ let encode_packet buf (s : Tcp_segment.t) =
   Bytes.set_int32_be frame (tcp + 8) (Int32.of_int (s.ack land 0xFFFFFFFF));
   let data_offset = tcp_header_len / 4 in
   Bytes.set_uint8 frame (tcp + 12) (data_offset lsl 4);
-  let flag_bits =
-    (if s.flags.Tcp_segment.fin then 0x01 else 0)
-    lor (if s.flags.syn then 0x02 else 0)
-    lor (if s.flags.rst then 0x04 else 0)
-    lor (if s.flags.psh then 0x08 else 0)
-    lor if s.flags.ack then 0x10 else 0
-  in
-  Bytes.set_uint8 frame (tcp + 13) flag_bits;
+  Bytes.set_uint8 frame (tcp + 13) (Tcp_segment.flag_bits s.flags);
   Bytes.set_uint16_be frame (tcp + 14) (min s.window 0xFFFF);
   (match s.mss_opt with
   | Some mss ->
@@ -148,7 +141,7 @@ let encode_packet buf (s : Tcp_segment.t) =
 let encode trace =
   let buf = Buffer.create 4096 in
   let ghdr = Bytes.create 24 in
-  Bytes.set_int32_le ghdr 0 magic_us;
+  Bytes.set_int32_le ghdr 0 (Int32.of_int magic_us);
   Bytes.set_uint16_le ghdr 4 2;
   Bytes.set_uint16_le ghdr 6 4;
   Bytes.set_int32_le ghdr 8 0l;
@@ -156,7 +149,9 @@ let encode trace =
   Bytes.set_int32_le ghdr 16 65535l;
   Bytes.set_int32_le ghdr 20 1l (* LINKTYPE_ETHERNET *);
   Buffer.add_bytes buf ghdr;
-  List.iter (encode_packet buf) (Trace.segments trace);
+  for i = 0 to Trace.length trace - 1 do
+    encode_packet buf (Trace.get trace i)
+  done;
   Buffer.contents buf
 
 (* --- decoding --------------------------------------------------------- *)
@@ -177,59 +172,106 @@ exception Skip_record
    kept. *)
 exception Stop_reading
 
+(* Emit a record's diagnostic and abandon the record.  Top-level, like
+   the option scan below, so a decoded frame allocates no closure. *)
+let skip emit d =
+  emit d;
+  raise_notrace Skip_record
+
+(* TCP option scan over [o, limit), bounded by both the declared header
+   end and the captured bytes: clipped options end the scan silently,
+   options that overrun their own header are malformed (P008).  The
+   scan threads the found MSS as a plain int (-1 = absent) so a clean
+   frame costs no ref cell and no [Some] box. *)
+let rec scan_options ~emit ~ri frame ~hdr_end ~limit o mss =
+  if o >= limit then mss
+  else
+    match Slice.u8 frame o with
+    | 0 -> mss (* end of options *)
+    | 1 ->
+        (* no-op padding *)
+        scan_options ~emit ~ri frame ~hdr_end ~limit (o + 1) mss
+    | kind ->
+        if o + 2 > limit then begin
+          if limit >= hdr_end then
+            emit
+              (Diag.warning ~record:ri ~code:"P008"
+                 "TCP option %d overruns the header" kind);
+          mss
+        end
+        else begin
+          let olen = Slice.u8 frame (o + 1) in
+          if olen < 2 then begin
+            emit
+              (Diag.warning ~record:ri ~code:"P008"
+                 "TCP option %d has bad length %d" kind olen);
+            mss
+          end
+          else if o + olen > hdr_end then begin
+            emit
+              (Diag.warning ~record:ri ~code:"P008"
+                 "TCP option %d (length %d) overruns the header" kind olen);
+            mss
+          end
+          else if o + olen > limit then mss (* snaplen-clipped options *)
+          else
+            scan_options ~emit ~ri frame ~hdr_end ~limit (o + olen)
+              (if kind = 2 && olen = 4 then Slice.u16be frame (o + 2) else mss)
+        end
+
 (* Decode one captured frame (a [Slice.t] over the captured bytes of the
-   reused record buffer) into a TCP segment.  The frame is parsed
-   snaplen-correctly: the segment's [len] comes from the declared IP/TCP
-   header lengths, the payload keeps only the captured bytes (possibly
-   fewer than [len]).  Everything is read in place through the slice;
-   the only allocations are the outputs kept past this record (the
-   segment, its payload, any diagnostics). *)
-let decode_frame ~emit ~clipped ~ri ~ts frame =
+   reused record buffer) into a row of the trace's columns; [false] when
+   the record yields no segment.  The frame is parsed snaplen-correctly:
+   the segment's [len] comes from the declared IP/TCP header lengths,
+   the payload keeps only the captured bytes (possibly fewer than
+   [len]).  Everything is read in place through the slice and written
+   straight into the columns and the trace's payload buffer; only
+   diagnostics and a first-seen endpoint allocate. *)
+let decode_frame b ~emit ~clipped ~ri ~ts frame =
   let incl = Slice.length frame in
-  let skip d =
-    emit d;
-    raise_notrace Skip_record
-  in
   try
     if incl < ethernet_header_len then
-      skip (Diag.info ~record:ri ~code:"P009" "runt frame (%d captured bytes)" incl);
-    let ethertype = Slice.u16be frame 12 in
-    let l2, ethertype =
-      if ethertype = 0x8100 then begin
-        if incl < ethernet_header_len + 4 then
-          skip (Diag.info ~record:ri ~code:"P009" "runt 802.1Q frame");
-        emit (Diag.info ~record:ri ~code:"P010" "802.1Q VLAN-tagged frame");
-        (ethernet_header_len + 4, Slice.u16be frame 16)
-      end
-      else (ethernet_header_len, ethertype)
-    in
+      skip emit
+        (Diag.info ~record:ri ~code:"P009" "runt frame (%d captured bytes)"
+           incl);
+    let vlan = Slice.u16be frame 12 = 0x8100 in
+    if vlan then begin
+      if incl < ethernet_header_len + 4 then
+        skip emit (Diag.info ~record:ri ~code:"P009" "runt 802.1Q frame");
+      emit (Diag.info ~record:ri ~code:"P010" "802.1Q VLAN-tagged frame")
+    end;
+    (* The ethertype is the last field before the IPv4 header. *)
+    let l2 = if vlan then ethernet_header_len + 4 else ethernet_header_len in
+    let ethertype = Slice.u16be frame (l2 - 2) in
     if ethertype <> 0x0800 then
-      skip
+      skip emit
         (Diag.info ~record:ri ~code:"P009" "non-IPv4 frame (ethertype 0x%04x)"
            ethertype);
     if l2 + ipv4_header_len > incl then
-      skip
+      skip emit
         (Diag.warning ~record:ri ~code:"P006"
            "capture ends inside the IPv4 header");
     let vihl = Slice.u8 frame l2 in
     if vihl lsr 4 <> 4 then
-      skip (Diag.warning ~record:ri ~code:"P006" "IP version %d" (vihl lsr 4));
+      skip emit
+        (Diag.warning ~record:ri ~code:"P006" "IP version %d" (vihl lsr 4));
     let ihl = (vihl land 0x0F) * 4 in
     if ihl < ipv4_header_len then
-      skip (Diag.warning ~record:ri ~code:"P006" "bad IHL %d" ihl);
+      skip emit (Diag.warning ~record:ri ~code:"P006" "bad IHL %d" ihl);
     let proto = Slice.u8 frame (l2 + 9) in
     if proto <> 6 then raise_notrace Skip_record (* non-TCP traffic *);
     let ip_total = Slice.u16be frame (l2 + 2) in
     let tcp = l2 + ihl in
     if tcp + 20 > incl then
-      skip
+      skip emit
         (Diag.warning ~record:ri ~code:"P007"
            "capture ends inside the TCP header");
     let doff = (Slice.u8 frame (tcp + 12) lsr 4) * 4 in
     if doff < 20 then
-      skip (Diag.warning ~record:ri ~code:"P007" "bad TCP data offset %d" doff);
+      skip emit
+        (Diag.warning ~record:ri ~code:"P007" "bad TCP data offset %d" doff);
     if ihl + doff > ip_total then
-      skip
+      skip emit
         (Diag.warning ~record:ri ~code:"P007"
            "TCP data offset overruns the IP datagram (IHL %d + offset %d > \
             total %d)"
@@ -240,94 +282,65 @@ let decode_frame ~emit ~clipped ~ri ~ts frame =
     let payload_off = tcp + doff in
     let captured = max 0 (min len (incl - payload_off)) in
     if captured < len then incr clipped;
-    let payload =
-      if captured = 0 then ""
-      else Slice.sub_string frame ~off:payload_off ~len:captured
-    in
-    (* Option scan, bounded by both the declared header end and the
-       captured bytes: clipped options end the scan silently, options
-       that overrun their own header are malformed (P008).  The scan
-       threads the found MSS as a plain int (-1 = absent) so a clean
-       frame costs no ref cell and no [Some] box. *)
     let hdr_end = tcp + doff in
-    let limit = min hdr_end incl in
-    let rec scan o mss =
-      if o >= limit then mss
-      else
-        match Slice.u8 frame o with
-        | 0 -> mss (* end of options *)
-        | 1 -> scan (o + 1) mss (* no-op padding *)
-        | kind ->
-            if o + 2 > limit then begin
-              if limit >= hdr_end then
-                emit
-                  (Diag.warning ~record:ri ~code:"P008"
-                     "TCP option %d overruns the header" kind);
-              mss
-            end
-            else begin
-              let olen = Slice.u8 frame (o + 1) in
-              if olen < 2 then begin
-                emit
-                  (Diag.warning ~record:ri ~code:"P008"
-                     "TCP option %d has bad length %d" kind olen);
-                mss
-              end
-              else if o + olen > hdr_end then begin
-                emit
-                  (Diag.warning ~record:ri ~code:"P008"
-                     "TCP option %d (length %d) overruns the header" kind olen);
-                mss
-              end
-              else if o + olen > limit then mss (* snaplen-clipped options *)
-              else
-                scan (o + olen)
-                  (if kind = 2 && olen = 4 then Slice.u16be frame (o + 2)
-                   else mss)
-            end
+    let mss =
+      scan_options ~emit ~ri frame ~hdr_end ~limit:(min hdr_end incl) (tcp + 20)
+        (-1)
     in
-    let mss = scan (tcp + 20) (-1) in
-    let mss_opt = if mss < 0 then None else Some mss in
-    let src_ip = Slice.i32be frame (l2 + 12) in
-    let dst_ip = Slice.i32be frame (l2 + 16) in
-    let src_port = Slice.u16be frame tcp in
-    let dst_port = Slice.u16be frame (tcp + 2) in
-    let seq = Slice.u32be frame (tcp + 4) in
-    let ack = Slice.u32be frame (tcp + 8) in
-    let fl = Slice.u8 frame (tcp + 13) in
-    let window = Slice.u16be frame (tcp + 14) in
-    let flags =
-      Tcp_segment.flags ~fin:(fl land 0x01 <> 0) ~syn:(fl land 0x02 <> 0)
-        ~rst:(fl land 0x04 <> 0) ~psh:(fl land 0x08 <> 0)
-        ~ack:(fl land 0x10 <> 0) ()
+    let src =
+      Trace.Builder.endpoint b ~ip:(Slice.u32be frame (l2 + 12))
+        ~port:(Slice.u16be frame tcp)
     in
-    Some
-      (Tcp_segment.v ~ts
-         ~src:(Endpoint.v src_ip src_port)
-         ~dst:(Endpoint.v dst_ip dst_port)
-         ~seq ~ack ~len ~window ~flags ?mss_opt ~payload ())
-  with Skip_record -> None
+    let dst =
+      Trace.Builder.endpoint b ~ip:(Slice.u32be frame (l2 + 16))
+        ~port:(Slice.u16be frame (tcp + 2))
+    in
+    Trace.Builder.add b ~ts ~src ~dst
+      ~seq:(Slice.u32be frame (tcp + 4))
+      ~ack:(Slice.u32be frame (tcp + 8))
+      ~len
+      ~window:(Slice.u16be frame (tcp + 14))
+      ~flags:(Slice.u8 frame (tcp + 13) land 0x1F)
+      ~mss frame ~off:payload_off ~captured;
+    true
+  with Skip_record -> false
 
 (* Read until [len] bytes sit in [buf] or [read] reports EOF; the count
    read.  A top-level loop, so a record read allocates no closure. *)
-let rec read_from (read : Ingest_io.read) buf len off =
+let rec fill (read : Ingest_io.read) buf len off =
   if off >= len then off
   else
     let n = read buf off (len - off) in
-    if n = 0 then off else read_from read buf len (off + n)
+    if n = 0 then off else fill read buf len (off + n)
+
+(* The diagnostics in order, plus the final [P011] snaplen-clipping
+   summary when any record was clipped. *)
+let with_clip_summary stats rev_diags =
+  let diags = List.rev rev_diags in
+  if stats.clipped > 0 then
+    diags
+    @ [
+        Diag.info ~code:"P011"
+          "%d of %d records snaplen-clipped (captured payload shorter than \
+           the declared TCP length)"
+          stats.clipped stats.records;
+      ]
+  else diags
 
 (* The streaming core: pull records one at a time from [read] (a
-   [Stdlib.input]-style function) into a reused, bounded frame buffer, so
-   arbitrarily large captures decode in memory proportional to the
-   largest record, not the file. *)
-let fold_read ?(strict = false) ?(on_diag = fun (_ : Diag.t) -> ()) ~read ~init
-    f =
+   [Stdlib.input]-style function) into a reused, bounded frame buffer,
+   decoding each straight into the trace's columns.  [payload_bytes]
+   sizes the trace's payload buffer: the input's length when it is
+   known, so only a growing source (a tailed file, a pipe) reallocates
+   it. *)
+let read_records ?(strict = false) ~payload_bytes read =
   let records = ref 0
   and decoded = ref 0
   and skipped = ref 0
   and clipped = ref 0 in
+  let diags = ref [] in
   let emit (d : Diag.t) =
-    on_diag d;
+    diags := d :: !diags;
     if strict && Diag.is_problem d then
       raise (Decode_error ("Pcap.decode: " ^ d.Diag.message))
   in
@@ -335,11 +348,16 @@ let fold_read ?(strict = false) ?(on_diag = fun (_ : Diag.t) -> ()) ~read ~init
     emit d;
     raise_notrace Stop_reading
   in
-  let read_upto buf len = read_from read buf len 0 in
-  let acc = ref init in
+  let read_upto buf len = fill read buf len 0 in
+  (* A pcap record is at least its 16-byte header plus a 54-byte
+     Ethernet/IPv4/TCP frame, so this bounds the packet count from
+     above; a quarter of it is a first guess that rarely has to grow. *)
+  let b =
+    Trace.Builder.create ~packets:(payload_bytes / 280) ~payload_bytes
+  in
   let t_read = if Obs.enabled Obs.default then Tdat_obs.Clock.now_s () else 0. in
   Tdat_obs.Span.with_ ~name:"pcap-read" @@ fun () ->
-  (* The record buffer is a per-domain arena slot: folds on the same
+  (* The record buffer is a per-domain arena slot: reads on the same
      domain (each pool worker streams many captures) reuse one
      high-water-mark buffer instead of allocating 64 KiB per file. *)
   Tdat_parallel.Scratch.(with_bytes ~slot:slot_pcap_frame 65536) @@ fun fcell ->
@@ -348,16 +366,13 @@ let fold_read ?(strict = false) ?(on_diag = fun (_ : Diag.t) -> ()) ~read ~init
      let ghdr_s = Slice.of_bytes ghdr in
      if read_upto ghdr 24 < 24 then
        fatal (Diag.error ~code:"P002" "truncated header");
-     let raw_le = get_u32 Le ghdr_s 0 in
      let endian, ns =
-       if Int32.equal (Int32.of_int raw_le) magic_us then (Le, false)
-       else if Int32.equal (Int32.of_int raw_le) magic_ns then (Le, true)
-       else begin
-         let raw_be = get_u32 Be ghdr_s 0 in
-         if Int32.equal (Int32.of_int raw_be) magic_us then (Be, false)
-         else if Int32.equal (Int32.of_int raw_be) magic_ns then (Be, true)
-         else fatal (Diag.error ~code:"P001" "bad magic")
-       end
+       match (get_u32 Le ghdr_s 0, get_u32 Be ghdr_s 0) with
+       | m, _ when m = magic_us -> (Le, false)
+       | m, _ when m = magic_ns -> (Le, true)
+       | _, m when m = magic_us -> (Be, false)
+       | _, m when m = magic_ns -> (Be, true)
+       | _ -> fatal (Diag.error ~code:"P001" "bad magic")
      in
      let link_type = get_u32 endian ghdr_s 20 in
      if link_type <> 1 then
@@ -401,17 +416,17 @@ let fold_read ?(strict = false) ?(on_diag = fun (_ : Diag.t) -> ()) ~read ~init
              (* +16: the per-record pcap header travels with the frame. *)
              Obs.Counter.add m_bytes (incl + 16);
              Obs.Histogram.observe h_record_bytes (float_of_int incl);
-             match
-               decode_frame ~emit ~clipped ~ri ~ts
+             if
+               decode_frame b ~emit ~clipped ~ri ~ts
                  (Slice.of_bytes ~len:incl frame)
-             with
-             | Some seg ->
-                 incr decoded;
-                 Obs.Counter.incr m_segments;
-                 acc := f !acc seg
-             | None ->
-                 incr skipped;
-                 Obs.Counter.incr m_skipped
+             then begin
+               incr decoded;
+               Obs.Counter.incr m_segments
+             end
+             else begin
+               incr skipped;
+               Obs.Counter.incr m_skipped
+             end
            end
          end
        end
@@ -421,13 +436,16 @@ let fold_read ?(strict = false) ?(on_diag = fun (_ : Diag.t) -> ()) ~read ~init
     let dt = Tdat_obs.Clock.now_s () -. t_read in
     if dt > 0. then Obs.Gauge.set g_records_per_s (float_of_int !records /. dt)
   end;
-  ( !acc,
+  let stats =
     {
       records = !records;
       decoded = !decoded;
       skipped = !skipped;
       clipped = !clipped;
-    } )
+    }
+  in
+  let diags = with_clip_summary stats !diags in
+  { trace = Trace.Builder.finish b; diags; stats }
 
 let reader_of_string data =
   let pos = ref 0 in
@@ -437,50 +455,23 @@ let reader_of_string data =
     pos := !pos + n;
     n
 
-let fold_string ?strict ?on_diag data ~init f =
-  fold_read ?strict ?on_diag ~read:(reader_of_string data) ~init f
+let read_source ?strict read = read_records ?strict ~payload_bytes:65536 read
 
-(* The fd and file folds share the [Ingest_io] readers: EINTR retried,
-   short reads looped by [read_upto], and — with [~follow] — EOF turned
-   into polling so a still-growing capture can be tailed. *)
-let fold_fd ?strict ?on_diag ?follow fd ~init f =
-  fold_read ?strict ?on_diag ~read:(Ingest_io.of_fd ?follow fd) ~init f
+let decode_result ?strict data =
+  read_records ?strict ~payload_bytes:(String.length data)
+    (reader_of_string data)
 
-let fold_file ?strict ?on_diag ?follow path ~init f =
+(* The file reader shares the [Ingest_io] channel reader: EINTR retried,
+   short reads looped by [fill], and — with [~follow] — EOF turned into
+   polling so a still-growing capture can be tailed. *)
+let read_file ?strict ?follow path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      fold_read ?strict ?on_diag ~read:(Ingest_io.of_channel ?follow ic) ~init
-        f)
-
-let result_of_fold fold =
-  let diags = ref [] in
-  let segs, stats =
-    fold ~on_diag:(fun d -> diags := d :: !diags) ~init:[] (fun acc s ->
-        s :: acc)
-  in
-  let diags = List.rev !diags in
-  let diags =
-    if stats.clipped > 0 then
-      diags
-      @ [
-          Diag.info ~code:"P011"
-            "%d of %d records snaplen-clipped (captured payload shorter than \
-             the declared TCP length)"
-            stats.clipped stats.records;
-        ]
-    else diags
-  in
-  { trace = Trace.of_segments (List.rev segs); diags; stats }
-
-let decode_result ?(strict = false) data =
-  result_of_fold (fun ~on_diag ~init f ->
-      fold_string ~strict ~on_diag data ~init f)
-
-let read_file ?(strict = false) ?follow path =
-  result_of_fold (fun ~on_diag ~init f ->
-      fold_file ~strict ~on_diag ?follow path ~init f)
+      let size = (Unix.fstat (Unix.descr_of_in_channel ic)).Unix.st_size in
+      read_records ?strict ~payload_bytes:size
+        (Ingest_io.of_channel ?follow ic))
 
 let to_file path trace =
   let oc = open_out_bin path in

@@ -6,9 +6,13 @@
     tcpdump-style tooling on both synthetic and real traces.  Checksums
     are written as zero and ignored on read.
 
-    Reading is {e streaming}: records are decoded one at a time from a
-    reused buffer, so a multi-gigabyte capture is processed in memory
-    proportional to its largest record.  It is also {e snaplen-correct}:
+    Reading is {e streaming}: records are read one at a time into a
+    reused buffer and decoded straight into the columns of a {!Trace.t}
+    (DESIGN.md, "Trace representation") — no per-packet record, string
+    or boxed endpoint — so a read holds the trace plus its largest
+    record.  The trace's payload buffer is sized once from the input's
+    length (the string's, or the file's [fstat] size); only a growing
+    source reallocates it.  It is also {e snaplen-correct}:
     a segment's [len] always comes from the declared IPv4/TCP header
     lengths ([ip_total - ihl - doff]), while its [payload] keeps only the
     bytes the sniffer captured — possibly fewer, when the capture used a
@@ -34,15 +38,16 @@ exception Encode_error of string
     represented in a pcap file (negative timestamps, seconds beyond the
     unsigned 32-bit epoch, payload overflowing the IPv4 total length). *)
 
-(** Typed per-record ingestion diagnostics — the same code/severity/
-    message shape as [Tdat_audit.Diag], kept dependency-free here (the
-    audit library layers on this one; [Tdat_audit.Ingest] lifts these
-    into the audit report). *)
+(** Typed per-record ingestion diagnostics, shared with the MRT reader
+    ([Tdat_bgp.Mrt.Diag], [M0xx] codes) — the same code/severity/message
+    shape as [Tdat_audit.Diag], kept dependency-free here (the audit
+    library layers on this one; [Tdat_audit.Ingest] lifts these into the
+    audit report). *)
 module Diag : sig
   type severity = Error | Warning | Info
 
   type t = {
-    code : string;  (** Stable ingestion code, e.g. ["P005"]. *)
+    code : string;  (** Stable ingestion code, e.g. ["P005"], ["M002"]. *)
     severity : severity;
         (** [Error]: the file is not usable at all (bad magic, truncated
             global header, unsupported link type).  [Warning]: a record
@@ -80,62 +85,21 @@ val decode_result : ?strict:bool -> string -> result
     record and reports problems as diagnostics.  [~strict:true] raises
     {!Decode_error} on the first error/warning diagnostic. *)
 
-val fold_string :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  string ->
-  init:'a ->
-  ('a -> Tcp_segment.t -> 'a) ->
-  'a * stats
-(** [fold_string data ~init f] decodes [data] one record at a time,
-    folding [f] over the TCP segments in capture order.  Diagnostics are
-    streamed to [on_diag] instead of being accumulated. *)
-
-val fold_read :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  read:Ingest_io.read ->
-  init:'a ->
-  ('a -> Tcp_segment.t -> 'a) ->
-  'a * stats
-(** The generic streaming fold every other reader is built on: pull
-    records through an arbitrary {!Ingest_io.read} (a custom transport,
-    an instrumented source in tests).  The fold only ends the capture
-    when [read] returns [0]. *)
-
-val fold_fd :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Ingest_io.follow ->
-  Unix.file_descr ->
-  init:'a ->
-  ('a -> Tcp_segment.t -> 'a) ->
-  'a * stats
-(** Streaming fold over a raw descriptor ([Unix.read]) in bounded
-    memory — the right entry point for pipes, sockets and tailed files.
-    Records are read one by one into a reused frame buffer that never
-    exceeds the largest record.  Reads are [EINTR]-safe and short reads
-    are looped, so pipes and sockets never truncate a record; with
-    [~follow] (see {!Ingest_io.follow_idle}) EOF polls the source
-    instead of ending the capture — the tailing mode for a still-growing
-    file. *)
-
-val fold_file :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Ingest_io.follow ->
-  string ->
-  init:'a ->
-  ('a -> Tcp_segment.t -> 'a) ->
-  'a * stats
-(** The same fold over a freshly opened file (a buffered channel),
-    closed on return. *)
+val read_source : ?strict:bool -> Ingest_io.read -> result
+(** The reader every other one is built on: pull records through an
+    arbitrary {!Ingest_io.read} (a descriptor via {!Ingest_io.of_fd} —
+    pipes, sockets, tailed files — a custom transport, an instrumented
+    source in tests).  The capture ends only when [read] returns [0].
+    With no input length to size it from, the trace's payload buffer
+    starts at 64 KiB and grows by doubling.  Diagnostics and stats as
+    {!decode_result}'s. *)
 
 val to_file : string -> Trace.t -> unit
 (** @raise Encode_error on unrepresentable segments. *)
 
 val read_file : ?strict:bool -> ?follow:Ingest_io.follow -> string -> result
-(** Streaming read collecting the salvaged trace, all diagnostics (plus a
-    final [P011] snaplen-clipping summary when applicable) and counters.
-    Fault-tolerant unless [~strict:true]; [~follow] tails a still-growing
-    file, as {!fold_file}'s. *)
+(** {!read_source} over a freshly opened file (a buffered channel),
+    closed on return; the payload buffer is sized from the file's size
+    ([fstat]).  Fault-tolerant unless [~strict:true]; [~follow] (see
+    {!Ingest_io.follow_idle}) polls at EOF instead of ending the
+    capture — the tailing mode for a still-growing file. *)

@@ -42,7 +42,6 @@ let of_bytes ?(off = 0) ?len buf =
 let of_string ?off ?len s = of_bytes ?off ?len (Bytes.unsafe_of_string s)
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let sub t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then oob "sub" off t.len;
@@ -62,10 +61,6 @@ let[@inline] u8 t pos =
 let[@inline] u16be t pos =
   check t "u16be" pos 2;
   (byte t pos lsl 8) lor byte t (pos + 1)
-
-let[@inline] u16le t pos =
-  check t "u16le" pos 2;
-  byte t pos lor (byte t (pos + 1) lsl 8)
 
 let[@inline] u32be t pos =
   check t "u32be" pos 4;

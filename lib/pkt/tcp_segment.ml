@@ -10,6 +10,22 @@ let flags ?(syn = false) ?(ack = false) ?(fin = false) ?(rst = false)
     ?(psh = false) () =
   { syn; ack; fin; rst; psh }
 
+let syn_bit = 0x02
+let ack_bit = 0x10
+
+(* The TCP header's flag bits: FIN 0x01, SYN, RST 0x04, PSH 0x08, ACK. *)
+let flag_bits f =
+  Bool.to_int f.fin lor (Bool.to_int f.syn lsl 1) lor (Bool.to_int f.rst lsl 2)
+  lor (Bool.to_int f.psh lsl 3) lor (Bool.to_int f.ack lsl 4)
+
+(* One shared record per bit pattern, only ever read. *)
+let by_bits =
+  Array.init 32 (fun b ->
+      let bit k = b land (1 lsl k) <> 0 in
+      { fin = bit 0; syn = bit 1; rst = bit 2; psh = bit 3; ack = bit 4 })
+[@@tdat.lint.allow "L007"]
+
+let flags_of_bits b = by_bits.(b land 0x1F)
 let data_flags = flags ~ack:true ~psh:true ()
 let ack_flags = flags ~ack:true ()
 
@@ -40,6 +56,9 @@ let v ~ts ~src ~dst ~seq ~ack ?len ?(window = 65535) ?(flags = ack_flags)
         l
   in
   if len < 0 then invalid_arg "Tcp_segment.v: negative len";
+  (match mss_opt with
+  | Some m when m < 0 -> invalid_arg "Tcp_segment.v: negative MSS"
+  | _ -> ());
   { ts; src; dst; seq; ack; len; window; flags; mss_opt; payload }
 
 let seq_end t = t.seq + t.len

@@ -23,6 +23,15 @@ val data_flags : flags
 val ack_flags : flags
 (** Pure acknowledgment. *)
 
+val syn_bit : int
+val ack_bit : int
+
+val flag_bits : flags -> int
+(** The flags as TCP header bits (FIN 0x01 ... ACK 0x10). *)
+
+val flags_of_bits : int -> flags
+(** Inverse of {!flag_bits}, higher bits ignored; a shared record. *)
+
 type t = {
   ts : Tdat_timerange.Time_us.t;  (** Sniffer timestamp. *)
   src : Endpoint.t;
@@ -55,7 +64,8 @@ val v :
   t
 (** [len] defaults to [String.length payload]; when both are given the
     payload may be shorter than [len] (snaplen-truncated capture) but
-    never longer. *)
+    never longer.
+    @raise Invalid_argument on a negative [len] or [mss_opt]. *)
 
 val seq_end : t -> int
 (** [seq + len], the stream offset one past the last payload byte (SYN and

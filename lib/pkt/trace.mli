@@ -1,24 +1,52 @@
 (** An in-memory packet trace: time-ordered TCP segments plus the void
     periods during which the sniffer is known to have dropped packets
     (Section II-A: "tcpdump can sometimes drop packets and leaves void
-    periods in the trace.  We exclude those periods"). *)
+    periods in the trace.  We exclude those periods").
+
+    Stored as columns (DESIGN.md, "Trace representation"): header
+    fields in int arrays indexed by packet, endpoints as small-int ids
+    into a per-trace table, payloads as slices of one buffer the trace
+    owns.  The column readers read packet [i] (time order) without
+    allocating; {!get} and {!segments} are cold {!Tcp_segment.t}
+    views. *)
 
 type t
 
 val of_segments :
   ?voids:Tdat_timerange.Span_set.t -> Tcp_segment.t list -> t
-(** Sorts by timestamp. *)
+(** Stable sort by (timestamp, sequence number), as
+    {!Tcp_segment.compare_ts}: ties keep their list order.
+    @raise Invalid_argument on a port outside [0, 65535]. *)
 
 val segments : t -> Tcp_segment.t list
 val voids : t -> Tdat_timerange.Span_set.t
 val length : t -> int
 
 val get : t -> int -> Tcp_segment.t
-(** [get t i]: the [i]-th segment in time order.  With {!length}, the
-    copy-free alternative to {!segments} on hot paths. *)
+(** The [i]-th segment, payload copied out. *)
 
-val iter : (Tcp_segment.t -> unit) -> t -> unit
-(** Visit every segment in time order without materializing a list. *)
+val header : t -> int -> Tcp_segment.t
+(** {!get} without the payload ([""]), endpoint and flag records
+    shared. *)
+
+val ts : t -> int -> Tdat_timerange.Time_us.t
+val seq : t -> int -> int
+val len : t -> int -> int
+
+val flags : t -> int -> int
+(** {!Tcp_segment.flag_bits}. *)
+
+val mss : t -> int -> int  (** [-1] when absent. *)
+
+val src : t -> int -> int
+val dst : t -> int -> int
+(** Endpoint ids; a sub-trace shares its parent's. *)
+
+val find_endpoint : t -> Endpoint.t -> int
+(** The endpoint's id, or [-1] when no packet carries it. *)
+
+val payload : t -> int -> Slice.t
+(** The captured payload (possibly shorter than {!len}), borrowed. *)
 
 val total_bytes : t -> int
 (** Sum of payload lengths. *)
@@ -30,17 +58,37 @@ val connections : t -> (Endpoint.t * Endpoint.t) list
 (** Distinct unordered endpoint pairs, in first-appearance order. *)
 
 val partition_connections : t -> ((Endpoint.t * Endpoint.t) * t) list
-(** Bucket every segment into its connection in a single pass over the
-    trace: one sub-trace (both directions, time order and voids
-    inherited) per distinct unordered endpoint pair, keyed as
-    {!connections} keys it and in the same first-appearance order, at
-    O(packets) for all connections together. *)
-
-val filter : (Tcp_segment.t -> bool) -> t -> t
-val merge : t -> t -> t
-val append : t -> Tcp_segment.t list -> t
+(** One counting pass gives each packet a connection id from its
+    endpoint-id pair; each connection's columns are then gathered into
+    a sub-trace (both directions, time order and voids inherited)
+    sharing the parent's payload buffer and endpoint table.  Keyed and
+    ordered as {!connections}, O(packets) in all; a single-connection
+    trace comes back as it is. *)
 
 val infer_sender : t -> (Endpoint.t * Endpoint.t) -> Flow.t
 (** For a connection key, orient the flow: the endpoint that contributed
     the most payload bytes is the Sender.  Collectors never announce
     routes, so the orientation is unambiguous in BGP monitoring traces. *)
+
+(** The writer behind {!of_segments} and the pcap reader: packets are
+    appended to growable columns and a payload buffer, and
+    {!Builder.finish} sorts them only if they arrived out of order. *)
+module Builder : sig
+  type trace := t
+  type t
+
+  val create : packets:int -> payload_bytes:int -> t
+  (** Initial room; both grow by doubling. *)
+
+  val endpoint : t -> ip:int -> port:int -> int
+  (** The id of [ip:port] ([ip] unsigned), registered on first sight. *)
+
+  val add :
+    t -> ts:Tdat_timerange.Time_us.t -> src:int -> dst:int -> seq:int ->
+    ack:int -> len:int -> window:int -> flags:int -> mss:int -> Slice.t ->
+    off:int -> captured:int -> unit
+  (** Append a packet whose payload is the [captured] bytes at [off] of
+      the slice (copied). *)
+
+  val finish : ?voids:Tdat_timerange.Span_set.t -> t -> trace
+end

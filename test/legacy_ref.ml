@@ -467,6 +467,15 @@ let reader_of_string data =
     pos := !pos + n;
     n
 
+(* The decoded segments in [Tcp_segment.compare_ts] order, sorted here
+   by a frozen [List.stable_sort] rather than by [Trace]'s columnar
+   sort, so the oracle shares no code with the trace it checks. *)
+type pcap_result = {
+  segments : Seg.t list;
+  diags : P.Diag.t list;
+  stats : P.stats;
+}
+
 let pcap_decode_result ?(strict = false) data =
   let diags = ref [] in
   let segs, stats =
@@ -487,7 +496,7 @@ let pcap_decode_result ?(strict = false) data =
         ]
     else diags
   in
-  { P.trace = Trace.of_segments (List.rev segs); diags; stats }
+  { segments = List.stable_sort Seg.compare_ts (List.rev segs); diags; stats }
 
 (* --- legacy MRT decode ------------------------------------------------- *)
 
@@ -1133,13 +1142,18 @@ end
 
 (* [Stream_reassembly] always runs over a scratch cell; tests that want
    a fresh, unshared buffer (what [create] gave without [~scratch]) hand
-   it a cell no arena owns. *)
+   it a cell no arena owns.  [feed] is the segment-at-a-time feed the
+   reassembler had before it took payload slices. *)
 module Fresh_reasm = struct
   let cell () = { Tdat_parallel.Scratch.buf = Bytes.empty; busy = true }
   let create () = Stream_reassembly.create ~scratch:(cell ()) ()
 
+  let feed t (seg : Seg.t) =
+    Stream_reassembly.feed t ~rebase:0 ~ts:seg.ts ~seq:seg.seq ~len:seg.len
+      (Tdat_pkt.Slice.of_string seg.payload)
+
   let of_segments segs =
     let t = create () in
-    List.iter (Stream_reassembly.feed t) segs;
+    List.iter (feed t) segs;
     t
 end

@@ -2,9 +2,10 @@
    byte-for-byte indistinguishable from the frozen pre-slice references
    in [Legacy_ref] — same records, same diagnostics, same salvage stats
    — over random valid captures AND randomly corrupted ones (truncated,
-   bit-flipped, garbage-extended).  Plus the streaming and list
-   transfer-end scans vs the frozen extract-then-scan pipeline, and the
-   [Scratch] arena's cross-domain isolation. *)
+   bit-flipped, garbage-extended).  Plus the columnar trace's partition
+   and reassembly vs the segment-record references, the streaming and
+   list transfer-end scans vs the frozen extract-then-scan pipeline, and
+   the [Scratch] arena's cross-domain isolation. *)
 
 open Tdat_bgp
 module Seg = Tdat_pkt.Tcp_segment
@@ -42,31 +43,74 @@ let gen_mutated data =
 let ep1 = Endpoint.of_quad 10 0 0 1 20000
 let ep2 = Endpoint.of_quad 10 0 0 2 179
 
-let gen_segment =
+(* Three peers talking to one collector endpoint, as in a monitoring
+   capture: connections share an endpoint, so a bug that keys a
+   connection by one endpoint id, or mixes the ids up, shows. *)
+let peers =
+  [ ep1; Endpoint.of_quad 10 0 0 3 20001; Endpoint.of_quad 10 0 0 1 20002 ]
+
+let all_flags =
+  Seg.
+    [
+      data_flags; ack_flags; flags ~syn:true (); flags ~syn:true ~ack:true ();
+      flags ~fin:true ~ack:true (); flags ~rst:true (); flags ~psh:true ();
+    ]
+
+(* Timestamps from a narrow range, so ties (broken by seq, then by
+   capture order) are common; every payload byte random, so a payload
+   slice read at the wrong offset or length shows. *)
+let gen_segment ~seq_bound =
   QCheck.Gen.(
-    let* ts = int_bound 10_000_000 in
-    let* seq = int_bound 1_000_000 in
+    let* ts = map (fun t -> t * 1_000) (int_bound 40) in
+    let* seq = int_bound seq_bound in
     let* ack = int_bound 1_000_000 in
     let* window = int_bound 65535 in
     let* len = int_bound 600 in
     let* mss = opt (int_range 500 1500) in
+    let* flags = oneofl all_flags in
+    let* peer = oneofl peers in
     let* flip = bool in
-    let payload = String.make len 'p' in
-    let src, dst = if flip then (ep1, ep2) else (ep2, ep1) in
+    let* payload = string_size ~gen:char (return len) in
+    let src, dst = if flip then (peer, ep2) else (ep2, peer) in
     return
-      (Seg.v ~ts ~src ~dst ~seq ~ack ~window ~flags:Seg.data_flags ?mss_opt:mss
-         ~payload ()))
+      (Seg.v ~ts ~src ~dst ~seq ~ack ~window ~flags ?mss_opt:mss ~payload ()))
+
+(* Pcap bytes with the records in the given order: [Pcap.encode] writes
+   a trace, always in time order, so each record is cut from the
+   encoding of a one-segment trace. *)
+let encode_in_order segs =
+  let header = Pcap.encode (Trace.of_segments []) in
+  let record s =
+    let one = Pcap.encode (Trace.of_segments [ s ]) in
+    String.sub one 24 (String.length one - 24)
+  in
+  String.concat "" (header :: List.map record segs)
+
+let gen_capture_segments ~seq_bound =
+  QCheck.Gen.(list_size (int_range 0 20) (gen_segment ~seq_bound))
 
 let gen_pcap_bytes =
   QCheck.Gen.(
-    let* segs = list_size (int_range 0 20) gen_segment in
-    let data = Pcap.encode (Trace.of_segments segs) in
-    gen_mutated data)
+    let* segs = gen_capture_segments ~seq_bound:1_000_000 in
+    gen_mutated (encode_in_order segs))
 
 let arb_pcap_bytes =
   QCheck.make
     ~print:(fun s -> Printf.sprintf "capture of %d bytes" (String.length s))
     gen_pcap_bytes
+
+(* A multi-connection capture, records out of time order, decoded by
+   the reader: the trace the partition and reassembly oracles check.
+   Sequence numbers stay small so the reassembled streams overlap. *)
+let arb_capture_trace =
+  QCheck.make
+    ~print:(fun t ->
+      String.concat "\n"
+        (List.map (Format.asprintf "%a" Seg.pp) (Trace.segments t)))
+    QCheck.Gen.(
+      map
+        (fun segs -> (Pcap.decode_result (encode_in_order segs)).Pcap.trace)
+        (gen_capture_segments ~seq_bound:3_000))
 
 (* --- corpus: MRT archives ---------------------------------------------- *)
 
@@ -166,16 +210,18 @@ let arb_mrt_bytes =
 
 let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e)
 
+let same_decode (a : Pcap.result) (b : Legacy_ref.pcap_result) =
+  Trace.segments a.Pcap.trace = b.Legacy_ref.segments
+  && a.Pcap.diags = b.Legacy_ref.diags
+  && a.Pcap.stats = b.Legacy_ref.stats
+
 let decode_props =
   [
     prop ~count:300 "pcap slice decode == legacy decode (salvage mode)"
       arb_pcap_bytes
       (fun data ->
-        let a = Pcap.decode_result data in
-        let b = Legacy_ref.pcap_decode_result data in
-        Trace.segments a.Pcap.trace = Trace.segments b.Pcap.trace
-        && a.Pcap.diags = b.Pcap.diags
-        && a.Pcap.stats = b.Pcap.stats);
+        same_decode (Pcap.decode_result data)
+          (Legacy_ref.pcap_decode_result data));
     prop ~count:300 "pcap slice decode == legacy decode (strict mode)"
       arb_pcap_bytes
       (fun data ->
@@ -184,10 +230,7 @@ let decode_props =
           outcome (fun () -> Legacy_ref.pcap_decode_result ~strict:true data)
         in
         match (a, b) with
-        | Ok a, Ok b ->
-            Trace.segments a.Pcap.trace = Trace.segments b.Pcap.trace
-            && a.Pcap.diags = b.Pcap.diags
-            && a.Pcap.stats = b.Pcap.stats
+        | Ok a, Ok b -> same_decode a b
         | Error ea, Error eb -> ea = eb
         | _ -> false);
     prop ~count:300 "mrt slice decode == legacy decode (salvage mode)"
@@ -277,7 +320,7 @@ let reasm_props =
         let l = Legacy_ref.List_reasm.create () in
         List.iter
           (fun seg ->
-            Stream_reassembly.feed r seg;
+            Legacy_ref.Fresh_reasm.feed r seg;
             Legacy_ref.List_reasm.feed l seg)
           segs;
         let n = Stream_reassembly.contiguous_length r in
@@ -306,7 +349,7 @@ let reasm_props =
         let l = Legacy_ref.List_reasm.create () in
         List.for_all
           (fun seg ->
-            Stream_reassembly.feed r seg;
+            Legacy_ref.Fresh_reasm.feed r seg;
             Legacy_ref.List_reasm.feed l seg;
             let n = Stream_reassembly.contiguous_length r in
             n = 0
@@ -315,6 +358,72 @@ let reasm_props =
                && Stream_reassembly.delivery_time r (n / 2)
                   = Legacy_ref.List_reasm.delivery_time l (n / 2))
           segs);
+  ]
+
+(* --- columnar trace == the segment-record references ---------------------- *)
+
+(* Every connection's sub-trace equals the frozen rescan split, payloads
+   included, under the same keys in the same order. *)
+let partition_matches t =
+  let parts = Trace.partition_connections t in
+  List.map fst parts = Trace.connections t
+  && List.for_all
+       (fun ((a, b), sub) ->
+         Trace.segments sub
+         = Trace.segments (Legacy_ref.split_connection t ~sender:a ~receiver:b))
+       parts
+
+(* Reassembly of one direction read from the columns equals a fresh
+   reassembler fed the same direction's segment records. *)
+let reassembly_matches t ~flow =
+  let data =
+    List.filter
+      (fun s -> Flow.is_to_receiver flow s && Seg.is_data s)
+      (Trace.segments t)
+  in
+  let base =
+    List.fold_left (fun m (s : Seg.t) -> min m s.Seg.seq) max_int data
+  in
+  let reference =
+    Legacy_ref.Fresh_reasm.of_segments
+      (List.map (fun (s : Seg.t) -> { s with Seg.seq = s.Seg.seq - base }) data)
+  in
+  let r =
+    Msg_reader.reassemble_from_trace ~scratch:(Legacy_ref.Fresh_reasm.cell ()) t
+      ~flow
+  in
+  let n = Stream_reassembly.contiguous_length r in
+  n = Stream_reassembly.contiguous_length reference
+  && Stream_reassembly.contiguous r = Stream_reassembly.contiguous reference
+  && List.for_all
+       (fun off ->
+         Stream_reassembly.delivery_time r off
+         = Stream_reassembly.delivery_time reference off)
+       (List.init n Fun.id)
+  && Stream_reassembly.total_gaps r = Stream_reassembly.total_gaps reference
+  && Stream_reassembly.duplicate_bytes r
+     = Stream_reassembly.duplicate_bytes reference
+
+let column_props =
+  [
+    prop ~count:300
+      "partition == frozen per-connection split (decoded captures)"
+      arb_capture_trace partition_matches;
+    prop ~count:300 "partition == frozen per-connection split (of_segments)"
+      (QCheck.make (gen_capture_segments ~seq_bound:3_000))
+      (fun segs -> partition_matches (Trace.of_segments segs));
+    prop ~count:300 "reassembly from columns == fed segment records"
+      arb_capture_trace (fun t ->
+        List.for_all
+          (fun (key, sub) ->
+            let flow = Trace.infer_sender sub key in
+            let reverse =
+              Flow.v ~sender:flow.Flow.receiver ~receiver:flow.Flow.sender
+            in
+            reassembly_matches sub ~flow
+            && reassembly_matches sub ~flow:reverse
+            && reassembly_matches t ~flow)
+          (Trace.partition_connections t));
   ]
 
 (* --- streaming transfer-end == extract-then-scan ------------------------ *)
@@ -981,5 +1090,5 @@ let scratch_suite =
   ]
 
 let suite =
-  decode_props @ reasm_props @ transfer_props @ validator_props
+  decode_props @ reasm_props @ column_props @ transfer_props @ validator_props
   @ summary_props @ scratch_suite

@@ -266,10 +266,17 @@ let test_streaming_multi_chunk_file () =
       Alcotest.(check (list string)) "no diagnostics" [] (codes r);
       Alcotest.(check bool) "byte-exact re-encode" true
         (String.equal (Pcap.encode r.Pcap.trace) (Pcap.encode trace));
-      (* The fold interface never materializes the trace at all. *)
-      let n, stats = Pcap.fold_file path ~init:0 (fun n _ -> n + 1) in
-      Alcotest.(check int) "fold count" 300 n;
-      Alcotest.(check int) "fold stats" 300 stats.Pcap.decoded;
+      (* The generic reader over a raw descriptor, whose payload buffer
+         starts small and grows, reads the same capture. *)
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      let r' =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> Pcap.read_source (Ingest_io.of_fd fd))
+      in
+      Alcotest.(check int) "descriptor read" 300 r'.Pcap.stats.Pcap.decoded;
+      Alcotest.(check bool) "descriptor read re-encodes" true
+        (String.equal (Pcap.encode r'.Pcap.trace) (Pcap.encode trace));
       (* A truncated copy still yields every prior record. *)
       let data = Pcap.encode trace in
       let cut_path = Filename.temp_file "tdat_ingest_cut" ".pcap" in
@@ -528,23 +535,21 @@ let scenario_capture ~seed ~prefixes =
   in
   Pcap.encode result.Scenario.site_trace
 
-let fold_segments fold = fold ~init:[] (fun acc s -> s :: acc)
-
-let check_same_capture label data (got, (gstats : Pcap.stats)) =
-  let expected, (estats : Pcap.stats) =
-    fold_segments (fun ~init f -> Pcap.fold_string data ~init f)
-  in
+let check_same_capture label data (got : Pcap.result) =
+  let expected = Pcap.decode_result data in
   Alcotest.(check string)
     (label ^ ": identical segments")
-    (Pcap.encode (Trace.of_segments (List.rev expected)))
-    (Pcap.encode (Trace.of_segments (List.rev got)));
+    (Pcap.encode expected.Pcap.trace)
+    (Pcap.encode got.Pcap.trace);
   Alcotest.(check (list int))
     (label ^ ": identical stats")
-    [ estats.Pcap.records; estats.Pcap.decoded; estats.Pcap.skipped ]
-    [ gstats.Pcap.records; gstats.Pcap.decoded; gstats.Pcap.skipped ]
+    (let s = expected.Pcap.stats in
+     [ s.Pcap.records; s.Pcap.decoded; s.Pcap.skipped ])
+    (let s = got.Pcap.stats in
+     [ s.Pcap.records; s.Pcap.decoded; s.Pcap.skipped ])
 
 let test_pipe_fed_stream () =
-  (* A pipe delivers short reads at arbitrary boundaries: the fold must
+  (* A pipe delivers short reads at arbitrary boundaries: the reader must
      reassemble every record exactly as the in-memory decoder does. *)
   let data = scenario_capture ~seed:61 ~prefixes:900 in
   let r, w = Unix.pipe ~cloexec:true () in
@@ -562,7 +567,7 @@ let test_pipe_fed_stream () =
         done;
         Unix.close w)
   in
-  let got = fold_segments (fun ~init f -> Pcap.fold_fd r ~init f) in
+  let got = Pcap.read_source (Ingest_io.of_fd r) in
   Domain.join writer;
   Unix.close r;
   check_same_capture "pipe-fed" data got
@@ -583,10 +588,7 @@ let test_eintr_retry () =
       pos := !pos + n;
       n
   in
-  let got =
-    fold_segments (fun ~init f ->
-        Pcap.fold_read ~read:(Ingest_io.of_read (interrupted ())) ~init f)
-  in
+  let got = Pcap.read_source (Ingest_io.of_read (interrupted ())) in
   check_same_capture "EINTR-riddled" data got;
   (* The channel flavor of the same interruption ([Sys_error]). *)
   let sys_interrupted () =
@@ -599,15 +601,12 @@ let test_eintr_retry () =
       pos := !pos + n;
       n
   in
-  let got =
-    fold_segments (fun ~init f ->
-        Pcap.fold_read ~read:(Ingest_io.of_read (sys_interrupted ())) ~init f)
-  in
+  let got = Pcap.read_source (Ingest_io.of_read (sys_interrupted ())) in
   check_same_capture "Sys_error EINTR" data got
 
 let test_follow_tailed_file () =
   (* Tail a file that is still being written: cut mid-record, append
-     the rest while the fold is already polling, and require the full
+     the rest while the reader is already polling, and require the full
      capture.  [follow_idle] ends the tail 0.3 s after growth stops. *)
   let data = scenario_capture ~seed:63 ~prefixes:400 in
   let path = Filename.temp_file "tdat_tail" ".pcap" in
@@ -622,9 +621,7 @@ let test_follow_tailed_file () =
         close_out oc)
   in
   let follow = Ingest_io.follow_idle ~limit_s:30. ~idle_s:0.3 () in
-  let got =
-    fold_segments (fun ~init f -> Pcap.fold_file ~follow path ~init f)
-  in
+  let got = Pcap.read_file ~follow path in
   Domain.join writer;
   check_same_capture "tailed" data got;
   Sys.remove path
