@@ -125,14 +125,13 @@ let run () =
         Server.address = `Tcp ("127.0.0.1", 0);
         jobs = 4;
         queue_capacity = 128;
-        cache_capacity = 8;
       }
   in
   let address = Server.address server in
   let errors = ref 0 in
   let byte_identical = ref true in
-  (* Cold pass: every capture decodes from disk (cache miss), and its
-     output is byte-compared against the batch renderer. *)
+  (* Cold pass: every request misses the cache and runs the analysis,
+     and its output is byte-compared against the batch renderer. *)
   let cold_client = Client.connect address in
   let cold_us =
     Array.of_list

@@ -397,22 +397,17 @@ let study_cmd =
       $ Tdat_obs_cli.term $ archives_arg $ jobs_arg $ study_strict_arg
       $ gap_arg $ min_prefixes_arg $ slow_arg $ json_arg $ no_plot_arg)
 
-let serve_daemon obs socket host port jobs queue cache =
+let serve_daemon obs socket host port jobs queue =
   Tdat_obs_cli.with_obs obs @@ fun () ->
   let address =
     match socket with
     | Some path -> `Unix path
     | None -> `Tcp (host, port)
   in
-  let config =
-    {
-      Tdat_serve.Server.address;
-      jobs;
-      queue_capacity = queue;
-      cache_capacity = cache;
-    }
+  let t =
+    Tdat_serve.Server.start
+      { Tdat_serve.Server.address; jobs; queue_capacity = queue }
   in
-  let t = Tdat_serve.Server.start config in
   (match Tdat_serve.Server.address t with
   | `Unix path -> Printf.printf "tdat: serve: listening on %s\n%!" path
   | `Tcp (h, p) -> Printf.printf "tdat: serve: listening on %s:%d\n%!" h p);
@@ -462,13 +457,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
   in
-  let cache_arg =
-    let doc =
-      "Decoded captures kept in the LRU cache (entries are invalidated \
-       when the file's mtime or size changes)."
-    in
-    Arg.(value & opt int 16 & info [ "cache" ] ~docv:"N" ~doc)
-  in
   let doc = "Run the long-lived analysis daemon" in
   let man =
     [
@@ -479,9 +467,9 @@ let serve_cmd =
          $(b,cmd) of $(b,analyze), $(b,check), $(b,study), $(b,ping), \
          $(b,stats) or $(b,shutdown).  Analysis jobs wait in a bounded \
          admission queue that $(b,--jobs) worker domains pull from, one \
-         job each at a time; decoded captures are cached and revalidated \
-         by file mtime+size; a full queue answers $(b,busy) (429) instead \
-         of stalling the socket.  \
+         job each at a time; $(b,analyze) and $(b,check) answers are \
+         cached per request and revalidated by file mtime+size; a full \
+         queue answers $(b,busy) (429) instead of stalling the socket.  \
          SIGTERM (or the $(b,shutdown) verb) drains gracefully: accepted \
          jobs finish and their responses flush before the process exits.  \
          The $(b,analyze) response's $(b,output) member is byte-identical \
@@ -492,11 +480,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc ~man)
     Term.(
-      const (fun obs socket host port j queue cache ->
-          serve_daemon obs socket host port (clamp_jobs j) (max 1 queue)
-            (max 1 cache))
+      const (fun obs socket host port j queue ->
+          serve_daemon obs socket host port (clamp_jobs j) (max 1 queue))
       $ Tdat_obs_cli.term $ socket_arg $ host_arg $ port_arg $ jobs_arg
-      $ queue_arg $ cache_arg)
+      $ queue_arg)
 
 (* --- tdat top ------------------------------------------------------------ *)
 
@@ -582,7 +569,7 @@ let top_cmd =
       `P
         "Polls a running $(b,tdat serve) daemon's $(b,stats) verb and \
          renders a terminal dashboard: request and error totals, \
-         admission-queue depth, cache hit ratios, per-endpoint rolling \
+         admission-queue depth, cache hit ratio, per-endpoint rolling \
          p50/p95/p99 latency over the last minute, and the worst-request \
          exemplars with their trace ids.  The same numbers are available \
          machine-readably through the $(b,stats) and $(b,metrics) \

@@ -1,17 +1,18 @@
-(* The decoded-capture LRU cache (DESIGN.md, "Service architecture").
+(* The daemon's response cache (DESIGN.md, "Response cache").
 
-   Decoding dominates a small analysis request, and a daemon sees the
-   same captures again and again (monitoring replays, dashboards).
-   Entries are keyed by path and validated against [(mtime, size)] at
-   every lookup, so a rewritten or appended file is never served stale
-   — it simply misses and re-decodes, which also makes tailed files
-   safe: their stat changes with every append.
+   A served answer depends only on the input file's bytes and the
+   request's options, so the daemon keeps the answer itself: a repeat
+   request is served without decoding or analyzing anything.  Entries
+   are keyed by the caller's key (the parsed request) and validated
+   against the [(mtime, size)] of a file at every lookup, so a
+   rewritten or appended file is never served stale — it simply misses
+   and is computed again.
 
    Concurrency: lookups come from service worker domains.  The table is
    mutex-guarded, but the [load] callback runs outside the lock (it is
-   the expensive part); two concurrent misses on the same path may both
-   decode, and the later store wins — wasted work, never wrong results,
-   and the steady state is hits. *)
+   the expensive part); two concurrent misses on the same key may both
+   compute, and the later store wins — wasted work, never wrong
+   results, and the steady state is hits. *)
 
 type 'v entry = {
   mtime : float;
@@ -20,9 +21,9 @@ type 'v entry = {
   mutable stamp : int;  (* LRU clock; larger = more recently used *)
 }
 
-type 'v t = {
+type ('k, 'v) t = {
   m : Mutex.t;
-  tbl : (string, 'v entry) Hashtbl.t;
+  tbl : ('k, 'v entry) Hashtbl.t;
   capacity : int;
   mutable tick : int;
   mutable hits : int;
@@ -63,8 +64,9 @@ let stats t =
   Mutex.unlock t.m;
   s
 
-(* Evict the least-recently-used entry.  O(entries) scan — capacities
-   are tens of decoded captures, far below where a heap would pay. *)
+(* Evict the least-recently-used entry.  O(entries) scan, once per
+   miss that finds the table full — small beside the analysis that
+   miss runs. *)
 let evict_lru t =
   let victim = ref None in
   Hashtbl.iter
@@ -80,14 +82,14 @@ let evict_lru t =
       Obs.Counter.incr m_evictions
   | None -> ()
 
-let find_or_load t path ~load =
+let find_or_load t key ~path ~load =
   let st = Unix.stat path in
   let mtime = st.Unix.st_mtime and size = st.Unix.st_size in
   Mutex.lock t.m;
   t.tick <- t.tick + 1;
   let tick = t.tick in
   let cached =
-    match Hashtbl.find_opt t.tbl path with
+    match Hashtbl.find_opt t.tbl key with
     | Some e when Float.equal e.mtime mtime && e.size = size ->
         e.stamp <- tick;
         t.hits <- t.hits + 1;
@@ -103,12 +105,10 @@ let find_or_load t path ~load =
       (v, true)
   | None ->
       Obs.Counter.incr m_misses;
-      let v = load path in
+      let v = load () in
       Mutex.lock t.m;
-      if
-        Hashtbl.length t.tbl >= t.capacity
-        && not (Hashtbl.mem t.tbl path)
+      if Hashtbl.length t.tbl >= t.capacity && not (Hashtbl.mem t.tbl key)
       then evict_lru t;
-      Hashtbl.replace t.tbl path { mtime; size; value = v; stamp = tick };
+      Hashtbl.replace t.tbl key { mtime; size; value = v; stamp = tick };
       Mutex.unlock t.m;
       (v, false)

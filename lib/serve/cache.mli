@@ -1,12 +1,13 @@
-(** LRU cache of decoded inputs, keyed by [(path, mtime, size)].
+(** LRU cache of answers keyed structurally and validated by the
+    [(mtime, size)] of the file each was computed from.
 
     A hit requires the file's current [stat] to match the cached
-    entry's — a rewritten or appended file re-decodes, so tailed and
-    regenerated captures are never served stale.  Lookups are safe
-    from any domain; the [load] callback runs outside the lock (two
-    concurrent misses may both load; the later store wins). *)
+    entry's — a rewritten or appended file recomputes, so regenerated
+    inputs are never served stale.  Lookups are safe from any domain;
+    the [load] callback runs outside the lock (two concurrent misses
+    may both load; the later store wins). *)
 
-type 'v t
+type ('k, 'v) t
 
 type stats = {
   entries : int;
@@ -17,13 +18,14 @@ type stats = {
                         miss that overwrites in place). *)
 }
 
-val create : capacity:int -> 'v t
+val create : capacity:int -> ('k, 'v) t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val find_or_load : 'v t -> string -> load:(string -> 'v) -> 'v * bool
-(** [find_or_load t path ~load] returns the cached (or freshly loaded
-    and inserted) value and whether it was a hit.  Raises whatever
-    [Unix.stat path] or [load path] raises — an unreadable path is the
-    caller's typed error, never a cache entry. *)
+val find_or_load :
+  ('k, 'v) t -> 'k -> path:string -> load:(unit -> 'v) -> 'v * bool
+(** The value cached under [key] while [path]'s [(mtime, size)] is
+    unchanged, else [load ()] freshly inserted; and whether it was a
+    hit.  Raises whatever [Unix.stat path] or [load] raises — a raising
+    [load] stores nothing. *)
 
-val stats : 'v t -> stats
+val stats : ('k, 'v) t -> stats

@@ -33,11 +33,6 @@ let hit_pct cache =
   let hits = mem_float cache "hits" and misses = mem_float cache "misses" in
   if hits +. misses <= 0. then 0. else 100. *. hits /. (hits +. misses)
 
-let cache_cell buf label cache =
-  Buffer.add_string buf
-    (Printf.sprintf "%s %de %.1f%%h" label (mem_int cache "entries")
-       (hit_pct cache))
-
 let truncate_line s limit =
   if String.length s <= limit then s else String.sub s 0 (limit - 3) ^ "..."
 
@@ -56,12 +51,9 @@ let dashboard ?(address = "") stats =
     (mem_int stats "connections");
   (match Json.member "cache" stats with
   | Some cache ->
-      Buffer.add_string buf "cache ";
-      (match Json.member "pcap" cache with
-      | Some c -> cache_cell buf "pcap" c
-      | None -> ());
-      add " · scratch fallbacks %d\n" (mem_int stats "scratch_fallbacks")
-  | None -> add "scratch fallbacks %d\n" (mem_int stats "scratch_fallbacks"));
+      add "cache %de %.1f%%h · " (mem_int cache "entries") (hit_pct cache)
+  | None -> ());
+  add "scratch fallbacks %d\n" (mem_int stats "scratch_fallbacks");
   (match Json.member "windows" stats with
   | Some (Json.Obj windows) ->
       let window_s =

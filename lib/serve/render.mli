@@ -1,7 +1,7 @@
 val dashboard : ?address:string -> Tdat_json.Json.t -> string
 (** One frame of the [tdat top] dashboard, rendered from a [stats]
     result object: request/error/queue/connection totals, cache hit
-    ratios, the per-endpoint rolling-window percentile table, and the
+    ratio, the per-endpoint rolling-window percentile table, and the
     worst-request exemplars.  Missing members render as zeros — the
     frame must survive version skew between client and daemon. *)
 

@@ -38,7 +38,6 @@ type config = {
   jobs : int;  (** Worker domains: jobs that run at once. *)
   queue_capacity : int;
       (** Unstarted jobs the queue holds (429 beyond it). *)
-  cache_capacity : int;  (** Decoded captures kept. *)
 }
 
 (* A request line longer than this closes the connection. *)
@@ -50,6 +49,9 @@ let window_slot_s = 5.
 
 (* The slowest requests kept for post-mortems. *)
 let exemplar_capacity = 8
+
+(* Analyze and check answers kept (DESIGN.md, "Response cache"). *)
+let cache_capacity = 256
 
 (* The job verbs, each with its own rolling latency window.  Literal
    list — window identity is part of the wire surface (stats/metrics
@@ -79,7 +81,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : address;
   service : Service.t;
-  cache : Tdat_pkt.Pcap.result Cache.t;  (* decoded captures *)
+  cache : (Protocol.request, Json.t) Cache.t;  (* analyze/check answers *)
   outbox_m : Mutex.t;
   outbox : (int * string) Queue.t;
   wake_r : Unix.file_descr;
@@ -136,15 +138,6 @@ let error_of_exn = function
 let ingest_follow (f : Protocol.follow) =
   Tdat_pkt.Ingest_io.follow_idle ~limit_s:f.limit_s ~idle_s:f.idle_s ()
 
-(* Cached when the file is at rest; a tailed ([follow]) read bypasses
-   the cache — the file is growing under us, so the snapshot is
-   one-shot by definition. *)
-let load_pcap t ~follow path =
-  match follow with
-  | None ->
-      Cache.find_or_load t.cache path ~load:(fun p -> Tdat_pkt.Pcap.read_file p)
-  | Some f -> (Tdat_pkt.Pcap.read_file ~follow:(ingest_follow f) path, false)
-
 let fail_on_pcap_errors (r : Tdat_pkt.Pcap.result) =
   match List.find_opt Tdat_pkt.Pcap.Diag.is_error r.diags with
   | Some d -> raise (Fail (Protocol.err_bad_request d.Tdat_pkt.Pcap.Diag.message))
@@ -173,12 +166,15 @@ let series_config ~sender_side =
    stager thread through differently-typed stages. *)
 type stager = { stage : 'a. string -> (unit -> 'a) -> 'a }
 
-let execute_analyze t st ~path ~series ~sender_side ~follow =
-  let r, cache_hit =
+let execute_analyze st ~path ~series ~sender_side ~follow =
+  let r =
     st.stage "serve.decode" (fun () ->
-        let r, hit = load_pcap t ~follow path in
+        let r =
+          Tdat_pkt.Pcap.read_file ?follow:(Option.map ingest_follow follow)
+            path
+        in
         fail_on_pcap_errors r;
-        (r, hit))
+        r)
   in
   let results =
     st.stage "serve.analyze" (fun () ->
@@ -190,15 +186,14 @@ let execute_analyze t st ~path ~series ~sender_side ~follow =
     [
       ("output", Json.Str output);
       ("connections", Json.int (List.length results));
-      ("cache_hit", Json.Bool cache_hit);
       ("salvage", pcap_salvage r.Tdat_pkt.Pcap.stats);
     ]
 
-let execute_check t st ~path =
-  let r, cache_hit, ingest =
+let execute_check st ~path =
+  let r, ingest =
     st.stage "serve.decode" (fun () ->
-        let r, hit = load_pcap t ~follow:None path in
-        (r, hit, Tdat_audit.Ingest.of_result r))
+        let r = Tdat_pkt.Pcap.read_file path in
+        (r, Tdat_audit.Ingest.of_result r))
   in
   let results =
     st.stage "serve.analyze" (fun () ->
@@ -226,7 +221,6 @@ let execute_check t st ~path =
             ("capture_findings", Json.int (List.length ingest));
             ("connection_findings", Json.int conn_findings);
             ("connections", Json.int (List.length results));
-            ("cache_hit", Json.Bool cache_hit);
           ])
   in
   render
@@ -255,14 +249,32 @@ let execute_study st ~paths ~gap_s ~min_prefixes ~slow_threshold_s ~follow =
   in
   Json.Obj [ ("report", report_json) ]
 
+let with_member result name value =
+  match result with
+  | Json.Obj fields -> Json.Obj (fields @ [ (name, value) ])
+  | other -> Json.Obj [ ("value", other); (name, value) ]
+
+(* An analyze or check answer depends only on the file's bytes and the
+   request's options, so the request is the cache key and a hit is the
+   bytes a miss renders.  A tailed read is one-shot by definition (the
+   file grows under it) and is never cached. *)
 let execute t st (req : Protocol.request) =
+  let cached ~path run =
+    let result, hit = Cache.find_or_load t.cache req ~path ~load:run in
+    with_member result "cache_hit" (Json.Bool hit)
+  in
   match req with
   | Protocol.Sleep { ms } ->
       st.stage "serve.sleep" (fun () -> Unix.sleepf (ms /. 1000.));
       Json.Obj [ ("slept_ms", Json.Num ms) ]
+  | Protocol.Analyze { path; series; sender_side; follow = None } ->
+      cached ~path (fun () ->
+          execute_analyze st ~path ~series ~sender_side ~follow:None)
   | Protocol.Analyze { path; series; sender_side; follow } ->
-      execute_analyze t st ~path ~series ~sender_side ~follow
-  | Protocol.Check { path } -> execute_check t st ~path
+      with_member
+        (execute_analyze st ~path ~series ~sender_side ~follow)
+        "cache_hit" (Json.Bool false)
+  | Protocol.Check { path } -> cached ~path (fun () -> execute_check st ~path)
   | Protocol.Study { paths; gap_s; min_prefixes; slow_threshold_s; follow } ->
       execute_study st ~paths ~gap_s ~min_prefixes ~slow_threshold_s ~follow
   | Protocol.Ping | Protocol.Stats | Protocol.Metrics _ | Protocol.Shutdown ->
@@ -288,11 +300,6 @@ let timings_json ~queue_wait_us ~total_us stages =
     (("queue_wait_us", Json.Num queue_wait_us)
      :: List.map (fun (n, us) -> (stage_key n, Json.Num us)) stages
     @ [ ("total_us", Json.Num total_us) ])
-
-let with_timings result timings =
-  match result with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("timings", timings) ])
-  | other -> Json.Obj [ ("value", other); ("timings", timings) ]
 
 (* Runs on a service worker, inside the request's trace context (the
    service sets it from [submit ~trace] before the job body runs).  The
@@ -348,7 +355,7 @@ let run_job t conn_id id ~trace ~timings ~raw ~enqueued_us req =
     | Ok result ->
         let result =
           if timings then
-            with_timings result
+            with_member result "timings"
               (timings_json ~queue_wait_us ~total_us stage_list)
           else result
         in
@@ -423,7 +430,7 @@ let stats_json t conns =
       ("requests", Json.int (Atomic.get t.req_total));
       ("errors", Json.int (Atomic.get t.err_total));
       ("scratch_fallbacks", Json.int (scratch_fallbacks ()));
-      ("cache", Json.Obj [ ("pcap", cache_stats_json (Cache.stats t.cache)) ]);
+      ("cache", cache_stats_json (Cache.stats t.cache));
       ( "windows",
         Json.Obj (List.map (fun (ep, w) -> (ep, window_json w)) t.windows) );
       ( "exemplars",
@@ -761,7 +768,7 @@ let start config =
       bound;
       service =
         Service.create ~jobs:config.jobs ~capacity:config.queue_capacity ();
-      cache = Cache.create ~capacity:config.cache_capacity;
+      cache = Cache.create ~capacity:cache_capacity;
       outbox_m = Mutex.create ();
       outbox = Queue.create ();
       wake_r;

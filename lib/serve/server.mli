@@ -1,8 +1,8 @@
 (** The [tdat serve] daemon: a line-delimited JSON protocol (see
     {!Protocol}) over a Unix-domain or TCP socket, analysis verbs
     executed by {!Tdat_parallel.Service} workers that pull from a
-    bounded admission queue, decoded captures cached per {!Cache}.  See
-    DESIGN.md, "Service architecture". *)
+    bounded admission queue, [analyze] and [check] answers cached per
+    {!Cache}.  See DESIGN.md, "Service architecture". *)
 
 type address = [ `Unix of string | `Tcp of string * int ]
 (** [`Tcp (host, 0)] binds an ephemeral port; {!address} reports the
@@ -13,10 +13,10 @@ type config = {
   jobs : int;  (** Worker domains: jobs that run at once. *)
   queue_capacity : int;
       (** Unstarted jobs the queue holds (429 beyond it). *)
-  cache_capacity : int;  (** Decoded captures kept. *)
 }
 (** Fixed for every daemon: a 1 MiB request-line limit, a 12-slot × 5 s
-    rolling latency window per endpoint, 8 slow-request exemplars. *)
+    rolling latency window per endpoint, 8 slow-request exemplars, 256
+    cached answers. *)
 
 type t
 

@@ -9,6 +9,7 @@ module Json = Tdat_json.Json
 module Protocol = Tdat_serve.Protocol
 module Server = Tdat_serve.Server
 module Client = Tdat_serve.Client
+module Cache = Tdat_serve.Cache
 module Scenario = Tdat_bgpsim.Scenario
 module Obs = Tdat_obs.Metrics
 module Tracer = Tdat_obs.Tracer
@@ -355,7 +356,6 @@ let start_server ?(jobs = 2) ?(queue = 8) () =
       Server.address = `Tcp ("127.0.0.1", 0);
       jobs;
       queue_capacity = queue;
-      cache_capacity = 4;
     }
 
 let stop_server server =
@@ -502,53 +502,257 @@ let test_server_analyze_and_cache () =
   Sys.remove path;
   Unix.rmdir dir
 
-(* --- server: cache eviction accounting ------------------------------------ *)
+(* --- the response cache ---------------------------------------------------- *)
 
-let cache_pcap_field resp name =
-  match result_member resp "cache" with
-  | Some cache -> (
-      match Option.bind (Json.member "pcap" cache) (Json.member name) with
-      | Some (Json.Num n) -> int_of_float n
-      | _ -> Alcotest.failf "stats has no cache.pcap.%s" name)
-  | None -> Alcotest.fail "stats has no cache"
+let cache_field resp name =
+  match Option.bind (result_member resp "cache") (Json.member name) with
+  | Some (Json.Num n) -> int_of_float n
+  | _ -> Alcotest.failf "stats has no cache.%s" name
 
-let test_server_cache_evictions () =
-  (* Capacity is 4 (start_server): five distinct cold captures must
-     displace exactly one entry, and re-analyzing the displaced one
-     displaces another — capacity pressure, distinct from the
-     mtime/size invalidation covered above (which counts as a miss, not
-     an eviction). *)
+let cache_stats client =
+  let resp = rpc client [ ("cmd", Json.Str "stats") ] in
+  List.map
+    (fun name -> (name, cache_field resp name))
+    [ "entries"; "hits"; "misses"; "evictions" ]
+
+let cache_counts = Alcotest.(list (pair string int))
+
+(* The LRU mechanics at capacity 4, keyed apart from the file whose
+   stat validates each entry. *)
+let test_cache_lru () =
+  let dir = tmpdir () in
+  let file = Filename.concat dir "input" in
+  let write s = Out_channel.with_open_bin file (fun oc -> output_string oc s) in
+  write "v1";
+  let cache = Cache.create ~capacity:4 in
+  let loads = ref 0 in
+  let get key =
+    snd
+      (Cache.find_or_load cache key ~path:file ~load:(fun () ->
+           incr loads;
+           key))
+  in
+  let stats () =
+    let s = Cache.stats cache in
+    Cache.
+      [
+        ("entries", s.entries); ("hits", s.hits); ("misses", s.misses);
+        ("evictions", s.evictions);
+      ]
+  in
+  List.iter (fun k -> Alcotest.(check bool) (k ^ " cold") false (get k))
+    [ "a"; "b"; "c"; "d" ];
+  Alcotest.(check bool) "a is touched" true (get "a");
+  Alcotest.(check bool) "e cold, evicts the oldest" false (get "e");
+  Alcotest.(check cache_counts) "full after one eviction"
+    [ ("entries", 4); ("hits", 1); ("misses", 5); ("evictions", 1) ]
+    (stats ());
+  Alcotest.(check bool) "the touched entry survives" true (get "a");
+  Alcotest.(check bool) "the oldest was evicted" false (get "b");
+  Alcotest.(check int) "loaded once per miss" 6 !loads;
+  (* Same size, so only the mtime can tell the rewrite apart. *)
+  Unix.utimes file 0. 1.;
+  Alcotest.(check bool) "a stat change is a miss" false (get "a");
+  Alcotest.(check cache_counts) "replaced in place, not evicted"
+    [ ("entries", 4); ("hits", 2); ("misses", 7); ("evictions", 2) ]
+    (stats ());
+  write "version 2";
+  Alcotest.(check bool) "a size change is a miss" false (get "a");
+  Alcotest.(check bool) "the reloaded entry is a hit" true (get "a");
+  (match
+     Cache.find_or_load cache "z" ~path:file ~load:(fun () ->
+         failwith "load failed")
+   with
+  | _ -> Alcotest.fail "a raising load propagates"
+  | exception Failure _ -> ());
+  Alcotest.(check cache_counts) "a raising load stores nothing"
+    [ ("entries", 4); ("hits", 3); ("misses", 9); ("evictions", 2) ]
+    (stats ());
+  Sys.remove file;
+  Unix.rmdir dir
+
+(* What `tdat analyze` prints for [path] with the matching flags. *)
+let cli_analyze ~series ~sender_side path =
+  let cmd =
+    Printf.sprintf "%s analyze %s%s%s 2>/dev/null" (Filename.quote tdat_exe)
+      (Filename.quote path)
+      (if series then " --series" else "")
+      (if sender_side then " --sender-side" else "")
+  in
+  let ic = Unix.open_process_in cmd in
+  let out = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+      Alcotest.failf "%s failed" cmd);
+  out
+
+let without_member name = function
+  | Some (Json.Obj fields) ->
+      Json.to_string
+        (Json.Obj (List.filter (fun (k, _) -> not (String.equal k name)) fields))
+  | _ -> Alcotest.fail "response has no result"
+
+(* Every option that changes the answer is part of the key: the four
+   series x sender_side answers and a check of one capture are five
+   entries, each byte-identical to the batch CLI, hit or miss. *)
+let test_server_cache_option_keys () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "cap.pcap" in
+  write_capture ~seed:37 ~prefixes:600 path;
+  let combos = [ (false, false); (true, false); (false, true); (true, true) ] in
+  let expected =
+    List.map
+      (fun (series, sender_side) ->
+        ((series, sender_side), cli_analyze ~series ~sender_side path))
+      combos
+  in
+  let server = start_server () in
+  let client = Client.connect (Server.address server) in
+  let pass ~hit =
+    let what = if hit then "repeat" else "first" in
+    List.iter
+      (fun ((series, sender_side), want) ->
+        let name =
+          Printf.sprintf "%s series=%b sender_side=%b" what series sender_side
+        in
+        let resp =
+          rpc client
+            [
+              ("cmd", Json.Str "analyze"); ("path", Json.Str path);
+              ("series", Json.Bool series);
+              ("sender_side", Json.Bool sender_side);
+            ]
+        in
+        Alcotest.(check bool) (name ^ ": cache_hit") hit (result_cache_hit resp);
+        Alcotest.(check string) (name ^ ": output is tdat analyze's") want
+          (result_output resp))
+      expected;
+    let resp = rpc client [ ("cmd", Json.Str "check"); ("path", Json.Str path) ] in
+    Alcotest.(check bool) (what ^ " check: cache_hit") hit
+      (result_cache_hit resp);
+    without_member "cache_hit" (Json.member "result" resp)
+  in
+  let first = pass ~hit:false in
+  Alcotest.(check string) "a repeated check answers the same" first
+    (pass ~hit:true);
+  Client.close client;
+  stop_server server;
+  Sys.remove path;
+  Unix.rmdir dir
+
+(* The served stats.cache object: flat counters that track analyze,
+   check and option keys. *)
+let test_server_cache_stats () =
   let dir = tmpdir () in
   let paths =
-    List.init 5 (fun i -> Filename.concat dir (Printf.sprintf "c%d.pcap" i))
+    List.init 2 (fun i -> Filename.concat dir (Printf.sprintf "c%d.pcap" i))
   in
   List.iteri
     (fun i p -> write_capture ~seed:(40 + i) ~prefixes:(200 + (10 * i)) p)
     paths;
   let server = start_server () in
   let client = Client.connect (Server.address server) in
-  let analyze p =
-    let resp = rpc client [ ("cmd", Json.Str "analyze"); ("path", Json.Str p) ] in
-    Alcotest.(check bool) "analyze ok" true (is_ok resp)
+  let run cmd extra p =
+    let resp =
+      rpc client ([ ("cmd", Json.Str cmd); ("path", Json.Str p) ] @ extra)
+    in
+    Alcotest.(check bool) (cmd ^ " ok") true (is_ok resp)
   in
-  List.iter analyze paths;
+  let requests () =
+    List.iter
+      (fun p ->
+        run "analyze" [] p;
+        run "analyze" [ ("series", Json.Bool true) ] p;
+        run "check" [] p)
+      paths
+  in
+  Alcotest.(check cache_counts) "empty at start"
+    [ ("entries", 0); ("hits", 0); ("misses", 0); ("evictions", 0) ]
+    (cache_stats client);
+  requests ();
+  Alcotest.(check cache_counts) "six distinct requests miss"
+    [ ("entries", 6); ("hits", 0); ("misses", 6); ("evictions", 0) ]
+    (cache_stats client);
+  requests ();
+  Alcotest.(check cache_counts) "and then hit"
+    [ ("entries", 6); ("hits", 6); ("misses", 6); ("evictions", 0) ]
+    (cache_stats client);
   let resp = rpc client [ ("cmd", Json.Str "stats") ] in
-  Alcotest.(check int) "five cold analyses all miss" 5
-    (cache_pcap_field resp "misses");
-  Alcotest.(check int) "no hits yet" 0 (cache_pcap_field resp "hits");
-  Alcotest.(check int) "entries capped at capacity" 4
-    (cache_pcap_field resp "entries");
-  Alcotest.(check int) "exactly one capacity eviction" 1
-    (cache_pcap_field resp "evictions");
-  analyze (List.hd paths);
-  let resp = rpc client [ ("cmd", Json.Str "stats") ] in
-  Alcotest.(check int) "the evicted path misses again" 6
-    (cache_pcap_field resp "misses");
-  Alcotest.(check int) "and displaces another entry" 2
-    (cache_pcap_field resp "evictions");
+  Alcotest.(check (list string)) "one flat cache object"
+    [ "entries"; "hits"; "misses"; "evictions" ]
+    (match result_member resp "cache" with
+    | Some (Json.Obj fields) -> List.map fst fields
+    | _ -> []);
   Client.close client;
   stop_server server;
   List.iter Sys.remove paths;
+  Unix.rmdir dir
+
+(* What the cache does not keep: a tailed read, a typed error; and what
+   a hit does not run. *)
+let test_server_cache_edges () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "cap.pcap" in
+  let junk = Filename.concat dir "junk.pcap" in
+  write_capture ~seed:39 ~prefixes:300 path;
+  Out_channel.with_open_bin junk (fun oc ->
+      output_string oc "this is not a pcap file\n");
+  let server = start_server ~jobs:1 () in
+  let client = Client.connect (Server.address server) in
+  let entries () = List.assoc "entries" (cache_stats client) in
+  let follow () =
+    rpc client
+      [
+        ("cmd", Json.Str "analyze"); ("path", Json.Str path);
+        ("follow_idle_s", Json.Num 0.05);
+      ]
+  in
+  List.iter
+    (fun what ->
+      let resp = follow () in
+      Alcotest.(check bool) (what ^ " follow ok") true (is_ok resp);
+      Alcotest.(check bool) (what ^ " follow is never a hit") false
+        (result_cache_hit resp);
+      Alcotest.(check int) (what ^ " follow stores nothing") 0 (entries ()))
+    [ "first"; "second" ];
+  let junk_answer () =
+    let resp =
+      rpc client [ ("cmd", Json.Str "analyze"); ("path", Json.Str junk) ]
+    in
+    Alcotest.(check (option string)) "error diagnostics are a 400"
+      (Some "bad_request") (error_code resp);
+    Json.to_string resp
+  in
+  let first = junk_answer () in
+  Alcotest.(check string) "the same typed 400 twice" first (junk_answer ());
+  Alcotest.(check cache_counts) "a typed error is never stored"
+    [ ("entries", 0); ("hits", 0); ("misses", 2); ("evictions", 0) ]
+    (cache_stats client);
+  let timed () =
+    rpc client
+      [
+        ("cmd", Json.Str "analyze"); ("path", Json.Str path);
+        ("timings", Json.Bool true);
+      ]
+  in
+  let stages resp =
+    match result_member resp "timings" with
+    | Some (Json.Obj fields) -> List.map fst fields
+    | _ -> Alcotest.fail "timings echoed when requested"
+  in
+  let miss = timed () in
+  Alcotest.(check (list string)) "a miss times every stage"
+    [ "queue_wait_us"; "decode_us"; "analyze_us"; "render_us"; "total_us" ]
+    (stages miss);
+  let hit = timed () in
+  Alcotest.(check bool) "then a hit" true (result_cache_hit hit);
+  Alcotest.(check (list string)) "a hit runs no stage"
+    [ "queue_wait_us"; "total_us" ] (stages hit);
+  Client.close client;
+  stop_server server;
+  Sys.remove path;
+  Sys.remove junk;
   Unix.rmdir dir
 
 (* --- server: queue-full backpressure ------------------------------------- *)
@@ -805,13 +1009,7 @@ let test_server_partial_writes () =
            ("series", Json.Bool true); ("trace", Json.Str "big") ])
   in
   let server =
-    Server.start
-      {
-        Server.address = `Unix sock;
-        jobs = 1;
-        queue_capacity = 8;
-        cache_capacity = 4;
-      }
+    Server.start { Server.address = `Unix sock; jobs = 1; queue_capacity = 8 }
   in
   let client = Client.connect (`Unix sock) in
   let fetch () =
@@ -945,6 +1143,7 @@ let test_server_study () =
   write_study_archive ~seed:34 ~prefixes:600 path;
   let server = start_server () in
   let client = Client.connect (Server.address server) in
+  let before = cache_stats client in
   let study () =
     rpc client
       [
@@ -979,11 +1178,8 @@ let test_server_study () =
         | Some (Json.Obj fields) -> List.map fst fields
         | _ -> []))
     [ "first"; "second" ];
-  let stats = rpc client [ ("cmd", Json.Str "stats") ] in
-  Alcotest.(check (list string)) "only captures are cached" [ "pcap" ]
-    (match result_member stats "cache" with
-    | Some (Json.Obj fields) -> List.map fst fields
-    | _ -> []);
+  Alcotest.(check cache_counts) "a study is never cached" before
+    (cache_stats client);
   Client.close client;
   stop_server server;
   Sys.remove path;
@@ -1606,8 +1802,14 @@ let suite =
       test_cli_and_daemon_agree;
     Alcotest.test_case "server round-trip" `Quick test_server_roundtrip;
     Alcotest.test_case "analyze + cache" `Quick test_server_analyze_and_cache;
-    Alcotest.test_case "cache eviction accounting" `Quick
-      test_server_cache_evictions;
+    Alcotest.test_case "cache: LRU eviction and stat revalidation" `Quick
+      test_cache_lru;
+    Alcotest.test_case "cache: options and verbs are distinct keys" `Quick
+      test_server_cache_option_keys;
+    Alcotest.test_case "cache: stats.cache counts every key" `Quick
+      test_server_cache_stats;
+    Alcotest.test_case "cache: follow, typed errors and hit timings" `Quick
+      test_server_cache_edges;
     Alcotest.test_case "queue-full backpressure" `Quick
       test_server_backpressure;
     Alcotest.test_case "a short job overtakes a long one" `Quick
