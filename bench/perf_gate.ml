@@ -2,14 +2,18 @@
    `dune runtest`).
 
    The allocation-light refactor's headline numbers — minor words per
-   packet on the analyze and decode paths, and minor words per archive
+   packet on the analyze and decode paths, minor collections per analyze
+   run that allocation does not explain, and minor words per archive
    record in the study scan — are protected by explicit budgets in
    bench/alloc_baseline.json.  The gate replays a small
-   deterministic fleet at jobs=1 (no worker domains, so [Gc.minor_words]
-   sees every allocation) and fails the build when a path exceeds its
-   budget.  Budgets carry ~50% headroom over the measured steady state:
-   they catch a reintroduced per-packet list pipeline or string copy
-   (integer factors), not micro-noise.
+   deterministic fleet and one paced session at jobs=1 (no worker
+   domains, so [Gc.minor_words] sees every allocation) and fails the
+   build when a path exceeds its budget.  Word budgets carry ~50%
+   headroom over the measured steady state: they catch a reintroduced
+   per-packet list pipeline or string copy (integer factors), not
+   micro-noise.  The forced-collection budget is half a collection per
+   run, against a measured ~0: one site that forces a collection per
+   call adds a whole one.
 
    The gate's own correctness is covered by a negative test
    (test/test_equiv.ml): run against a deliberately tightened baseline,
@@ -30,6 +34,41 @@ let minor_words f =
   Gc.minor_words () -. m0
 
 let minor_per_packet ~packets f = minor_words f /. float_of_int packets
+
+(* Minor collections per run of [f] that minor allocation does not
+   explain: the collections counted over [runs] runs (after one warm-up
+   run), less the minor words allocated over the minor heap's size.
+   What is left is collections something forced, such as [Array.make]
+   of more than 256 words seeded with a young block, which empties the
+   minor heap on every call.  A forced collection also spares the
+   allocation-driven one the heap would have reached later, so with a
+   small heap the difference undercounts: the measured runs get a minor
+   heap of [heap_words], larger than all they allocate, and every
+   forced collection shows as a whole one. *)
+let forced_minor_collections ~runs ~heap_words f =
+  ignore (f ());
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = heap_words };
+  let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (f ())
+  done;
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - c0 in
+  let words = Gc.minor_words () -. w0 in
+  Gc.set saved;
+  (float_of_int collections -. (words /. float_of_int heap_words))
+  /. float_of_int runs
+
+(* One timer-paced session (200 ms timer, 6 messages a tick) large
+   enough that its data and ACK arrays, and the series built from them,
+   pass 256 words. *)
+let paced_session ~prefixes =
+  let module Scenario = Tdat_bgpsim.Scenario in
+  let router =
+    Scenario.router ~table_prefixes:prefixes ~timer_interval:200_000 ~quota:6 1
+  in
+  (List.hd (Scenario.run ~seed:7 [ router ]).Scenario.outcomes).Scenario.trace
 
 (* A small deterministic archive in the shape the study scans: three
    peers, each establishing, then sending [updates] messages (UPDATEs of
@@ -93,6 +132,11 @@ let run () =
     minor_per_packet ~packets (fun () ->
         Tdat.Analyzer.analyze_all ~jobs:1 trace)
   in
+  let session = paced_session ~prefixes:15_000 in
+  let forced =
+    forced_minor_collections ~runs:20 ~heap_words:(4 lsl 20) (fun () ->
+        Tdat.Analyzer.analyze_all ~jobs:1 session)
+  in
   let pcap = Tdat_pkt.Pcap.encode trace in
   let decode =
     minor_per_packet ~packets (fun () -> Tdat_pkt.Pcap.decode_result pcap)
@@ -129,14 +173,22 @@ let run () =
     !baseline;
   check "analyze_minor_words_per_packet_max" analyze;
   check "decode_minor_words_per_packet_max" decode;
+  let data = ref 0 in
+  for i = 0 to Trace.length session - 1 do
+    if Trace.len session i > 0 then incr data
+  done;
+  Printf.printf "[perf-gate] paced session: %d data packets, %d others\n%!"
+    !data (Trace.length session - !data);
+  check "analyze_forced_minor_collections_max" forced;
   Printf.printf "[perf-gate] study: %d-record archive minus a %d-record one\n%!"
     long_records short_records;
   check "study_minor_words_per_record_max" study;
   if !failures > 0 then begin
     Printf.eprintf
-      "[perf-gate] %d budget(s) exceeded: the hot path allocates more per \
-       packet than bench/alloc_baseline.json allows.  If the regression is \
-       intentional, re-baseline with the new measured numbers.\n"
+      "[perf-gate] %d budget(s) exceeded: the hot path allocates or \
+       collects more than bench/alloc_baseline.json allows.  If the \
+       regression is intentional, re-baseline with the new measured \
+       numbers.\n"
       !failures;
     exit 1
   end

@@ -248,15 +248,16 @@ let check_body buf ~ty ~boff ~limit =
   | 4 -> if blen <> 0 then raise Malformed else -1
   | _ -> raise Malformed
 
+(* The 16-byte marker is all ones, which reads as -1 in either byte
+   order: two 64-bit loads check it. *)
 let header_length buf p =
   in_buffer "Msg.header_length" buf ~pos:p ~limit:(p + header_size);
-  let ok = ref true and i = ref 0 in
-  while !ok && !i < 16 do
-    if byte buf (p + !i) <> 0xff then ok := false;
-    incr i
-  done;
+  let marker_ok =
+    Int64.equal (Bytes.get_int64_ne buf p) (-1L)
+    && Int64.equal (Bytes.get_int64_ne buf (p + 8)) (-1L)
+  in
   let total = u16 buf (p + 16) in
-  if !ok && total >= header_size && total <= max_size then total else -1
+  if marker_ok && total >= header_size && total <= max_size then total else -1
 
 let validate buf ~pos ~limit =
   in_buffer "Msg.validate" buf ~pos ~limit;

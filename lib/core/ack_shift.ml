@@ -95,6 +95,16 @@ let shift ?flight_gap (profile : Conn_profile.t) =
       :: !infos;
     i := hi + 1
   done;
-  Array.sort Seg.compare_ts shifted;
+  (* Shifts rarely reorder ACKs.  [Array.sort] is not stable, so only
+     input strictly increasing under [compare_ts] (no ties for the sort
+     to permute) skips it, and the result is the same either way. *)
+  let strictly_increasing =
+    let k = ref 1 in
+    while !k < n && Seg.compare_ts shifted.(!k - 1) shifted.(!k) < 0 do
+      incr k
+    done;
+    !k >= n
+  in
+  if not strictly_increasing then Array.sort Seg.compare_ts shifted;
   ( { profile with Conn_profile.acks = shifted },
     List.rev !infos )

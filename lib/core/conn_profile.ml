@@ -11,6 +11,13 @@ type label =
 
 type data_packet = { seg : Seg.t; label : label }
 
+(* The seed of the pre-sized [data] array.  It names [Seg.filler], so it
+   is built once at start-up rather than emitted as static data, and is
+   old after the first minor collection: [Array.make] seeded with a
+   freshly labelled packet would force one per connection once the array
+   passes 256 words (DESIGN.md, "Allocation discipline"). *)
+let data_filler = { seg = Seg.filler; label = In_order }
+
 type loss_episode = { span : Span.t; packets : int; bytes : int }
 
 type t = {
@@ -85,20 +92,15 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
     if is_ack_seg i then incr n_acks
   done;
   let fill count pred =
-    if count = 0 then [||]
-    else begin
-      let out = ref [||] in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if pred i then begin
-          let s = T.header trace i in
-          if !k = 0 then out := Array.make count s;
-          !out.(!k) <- s;
-          incr k
-        end
-      done;
-      !out
-    end
+    let out = Array.make count Seg.filler in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if pred i then begin
+        out.(!k) <- T.header trace i;
+        incr k
+      end
+    done;
+    out
   in
   let data_segs = fill !n_data is_data_seg in
   let acks = fill !n_acks is_ack_seg in
@@ -212,20 +214,10 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
     if not (Hashtbl.mem first_seen lo) then Hashtbl.add first_seen lo s.ts;
     { seg = s; label }
   in
-  (* Labeling is stateful (hole tracking): fill the pre-sized array with
-     an explicit in-order loop. *)
-  let ndata = Array.length data_segs in
-  let data =
-    if ndata = 0 then [||]
-    else begin
-      let first = label_packet data_segs.(0) in
-      let out = Array.make ndata first in
-      for i = 1 to ndata - 1 do
-        out.(i) <- label_packet data_segs.(i)
-      done;
-      out
-    end
-  in
+  (* Labeling is stateful (hole tracking): fill the pre-sized array in
+     order. *)
+  let data = Array.make (Array.length data_segs) data_filler in
+  Array.iteri (fun i s -> data.(i) <- label_packet s) data_segs;
   {
     flow;
     start_time;

@@ -73,6 +73,24 @@ let compare_ts a b =
   | 0 -> Int.compare a.seq b.seq
   | c -> c
 
+(* Every field a constant, so the compiler emits the record as static
+   data: [Array.make n filler] never forces a minor collection, where a
+   freshly built segment as the seed would once the array passes 256
+   words (DESIGN.md, "Allocation discipline"). *)
+let filler =
+  {
+    ts = 0;
+    src = { Endpoint.ip = 0l; port = 0 };
+    dst = { Endpoint.ip = 0l; port = 0 };
+    seq = 0;
+    ack = 0;
+    len = 0;
+    window = 0;
+    flags = { syn = false; ack = false; fin = false; rst = false; psh = false };
+    mss_opt = None;
+    payload = "";
+  }
+
 let pp ppf t =
   let flag b c = if b then c else "" in
   Format.fprintf ppf "%a %a>%a seq=%d ack=%d len=%d win=%d %s%s%s%s%s"

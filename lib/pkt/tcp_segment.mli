@@ -78,5 +78,12 @@ val is_data : t -> bool
 val is_pure_ack : t -> bool
 (** An ACK that carries no payload and no SYN/FIN/RST. *)
 
+val filler : t
+(** A statically allocated segment (all fields zero, no flags, no
+    payload), for seeding arrays that are filled afterwards: an array
+    longer than 256 words seeded with a freshly built record costs a
+    forced minor collection, one seeded with [filler] does not.  Never
+    meant to be read. *)
+
 val compare_ts : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -93,7 +93,11 @@ let knee_of_sorted values =
   | _ ->
       let a = Array.of_list values in
       Array.sort Float.compare a;
-      let points = Array.mapi (fun i v -> (float_of_int i, v)) a in
+      (* Seeded with a constant pair, which is static data: [Array.mapi]
+         seeds the array with its first fresh pair, and past 256 points
+         that forces a minor collection. *)
+      let points = Array.make (Array.length a) (0., 0.) in
+      Array.iteri (fun i v -> points.(i) <- (float_of_int i, v)) a;
       (match l_method points with
       | None -> None
       | Some (i, _) -> Some a.(i))

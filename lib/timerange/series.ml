@@ -5,26 +5,73 @@ let is_empty s = Array.length s = 0
 
 let compare_event (sa, _) (sb, _) = Span.compare sa sb
 
-let of_list events =
-  let a = Array.of_list events in
-  Array.stable_sort compare_event a;
+(* Sorted by construction: events almost always arrive in time order, so
+   one linear pass checks the order and only input out of order pays for
+   the sort.  A stable sort of an array already in order is the
+   identity, so the result is the same either way. *)
+let is_sorted a =
+  let n = Array.length a in
+  let i = ref 1 in
+  while !i < n && compare_event a.(!i - 1) a.(!i) <= 0 do
+    incr i
+  done;
+  !i >= n
+
+let sort_if_needed a =
+  if not (is_sorted a) then Array.stable_sort compare_event a;
   a
+
+(* Growable-array builder: an event costs its tuple plus amortized one
+   slot, instead of a list cell per event plus a full copy in [build].
+   It grows by appending the array to itself, which needs no seed value:
+   [Array.make] seeded with the fresh event would force a minor
+   collection once the array passes 256 words (DESIGN.md, "Allocation
+   discipline"). *)
+type 'a builder = { mutable arr : (Span.t * 'a) array; mutable len : int }
+
+let builder () = { arr = [||]; len = 0 }
+
+let push b e =
+  let cap = Array.length b.arr in
+  if b.len = cap then
+    b.arr <- (if cap = 0 then Array.make 16 e else Array.append b.arr b.arr);
+  b.arr.(b.len) <- e;
+  b.len <- b.len + 1
+
+let add b sp x = push b (sp, x)
+let build b = sort_if_needed (Array.sub b.arr 0 b.len)
+
+let of_list events =
+  let b = builder () in
+  List.iter (push b) events;
+  build b
 
 let to_list = Array.to_list
 let cardinal = Array.length
-let to_span_set s = Span_set.of_span_array (Array.map fst s)
+
+let to_span_set s =
+  let spans = Array.make (Array.length s) Span.filler in
+  Array.iteri (fun i (sp, _) -> spans.(i) <- sp) s;
+  Span_set.of_span_array spans
+
 let size s = Span_set.size (to_span_set s)
-let map f s = Array.map (fun (sp, x) -> (sp, f x)) s
+let fold f s acc = Array.fold_left (fun acc (sp, x) -> f sp x acc) acc s
+let iter f s = Array.iter (fun (sp, x) -> f sp x) s
+
+let map f s =
+  let b = builder () in
+  iter (fun sp x -> add b sp (f x)) s;
+  build b
 
 let map_spans f s =
-  let a = Array.map (fun (sp, x) -> (f sp, x)) s in
-  Array.stable_sort compare_event a;
-  a
+  let b = builder () in
+  iter (fun sp x -> add b (f sp) x) s;
+  build b
 
 (* Count-then-fill (DESIGN.md, "Allocation discipline"): one counting
-   pass, one pre-sized result array, no list intermediates.  Events are
-   never mutated after construction, so the no-op cases share the input
-   array. *)
+   pass, one exactly sized result array, no list intermediates.
+   [Array.sub] sizes it without a seed value.  Events are never mutated
+   after construction, so the no-op cases share the input array. *)
 let filter f s =
   let n = Array.length s in
   let count = ref 0 in
@@ -35,7 +82,7 @@ let filter f s =
   if !count = 0 then empty
   else if !count = n then s
   else begin
-    let out = Array.make !count s.(0) in
+    let out = Array.sub s 0 !count in
     let k = ref 0 in
     for i = 0 to n - 1 do
       let sp, x = s.(i) in
@@ -47,25 +94,46 @@ let filter f s =
     out
   end
 
-let fold f s acc = Array.fold_left (fun acc (sp, x) -> f sp x acc) acc s
-let iter f s = Array.iter (fun (sp, x) -> f sp x) s
-
+(* A linear two-way merge that takes [a]'s event first on ties: the
+   order a stable sort of [append a b] gives.  Clipping can leave a
+   series out of order (events trimmed to the window's start tie on
+   start), and such input keeps the sort. *)
 let merge a b =
+  let n = Array.length a and m = Array.length b in
   let out = Array.append a b in
-  Array.stable_sort compare_event out;
+  if not (is_sorted a && is_sorted b) then Array.stable_sort compare_event out
+  else if n > 0 && m > 0 then begin
+    let i = ref 0 and j = ref 0 in
+    for k = 0 to n + m - 1 do
+      if !j >= m || (!i < n && compare_event a.(!i) b.(!j) <= 0) then begin
+        out.(k) <- a.(!i);
+        incr i
+      end
+      else begin
+        out.(k) <- b.(!j);
+        incr j
+      end
+    done
+  end;
   out
 
 let clip window s =
   let n = Array.length s in
-  let count = ref 0 in
+  let count = ref 0 and inside = ref 0 in
   for i = 0 to n - 1 do
     (* [overlaps] agrees with [inter] being [Some] and allocates
        nothing, so the counting pass is free. *)
-    if Span.overlaps window (fst s.(i)) then incr count
+    let sp = fst s.(i) in
+    if Span.overlaps window sp then begin
+      incr count;
+      if Span.start sp >= Span.start window && Span.stop sp <= Span.stop window
+      then incr inside
+    end
   done;
   if !count = 0 then empty
+  else if !inside = n then s
   else begin
-    let out = Array.make !count s.(0) in
+    let out = Array.sub s 0 !count in
     let k = ref 0 in
     for i = 0 to n - 1 do
       let sp, x = s.(i) in
@@ -82,27 +150,6 @@ let durations s = List.map (fun (sp, _) -> Span.length sp) (to_list s)
 
 let events_in window s =
   List.filter (fun (sp, _) -> Span.overlaps window sp) (to_list s)
-
-(* Growable-array builder: an event costs its tuple plus amortized one
-   slot, instead of a list cell per event plus a full copy in [build]. *)
-type 'a builder = { mutable arr : (Span.t * 'a) array; mutable len : int }
-
-let builder () = { arr = [||]; len = 0 }
-
-let add b sp x =
-  let cap = Array.length b.arr in
-  if b.len = cap then begin
-    let bigger = Array.make (if cap = 0 then 16 else 2 * cap) (sp, x) in
-    Array.blit b.arr 0 bigger 0 b.len;
-    b.arr <- bigger
-  end;
-  b.arr.(b.len) <- (sp, x);
-  b.len <- b.len + 1
-
-let build b =
-  let a = Array.sub b.arr 0 b.len in
-  Array.stable_sort compare_event a;
-  a
 
 let pp pp_data ppf s =
   let pp_event ppf (sp, x) =

@@ -35,11 +35,14 @@ val fold : (Span.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 val iter : (Span.t -> 'a -> unit) -> 'a t -> unit
 
 val merge : 'a t -> 'a t -> 'a t
-(** Union of the two event lists (payloads kept), re-sorted. *)
+(** Union of the two event lists (payloads kept), in the order a stable
+    sort of [a]'s events followed by [b]'s gives: [a]'s event first on
+    ties.  A linear merge when both are in order. *)
 
 val clip : Span.t -> 'a t -> 'a t
 (** Keeps the events intersecting the window, with their spans trimmed to
-    it (payloads untouched). *)
+    it (payloads untouched).  A series whose events all lie inside the
+    window is its own clip. *)
 
 val durations : 'a t -> Time_us.t list
 (** Lengths of the individual events in order — the input to gap-length
@@ -53,6 +56,8 @@ type 'a builder
 val builder : unit -> 'a builder
 val add : 'a builder -> Span.t -> 'a -> unit
 val build : 'a builder -> 'a t
-(** Builders accept events in any order; [build] sorts once. *)
+(** Builders accept events in any order.  [build] checks the order in
+    one linear pass and sorts (stably) only when it finds events out of
+    order. *)
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

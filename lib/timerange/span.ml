@@ -9,6 +9,11 @@ let v start stop =
 
 let point t = { start = t; stop = t + 1 }
 
+(* A literal of constants, so the compiler emits it as static data: it
+   is never young, and [Array.make n filler] never forces a minor
+   collection (DESIGN.md, "Allocation discipline"). *)
+let filler = { start = 0; stop = 1 }
+
 let of_duration start len =
   if len <= 0 then invalid_arg "Span.of_duration: non-positive length";
   { start; stop = start + len }

@@ -15,6 +15,13 @@ val v : Time_us.t -> Time_us.t -> t
 val point : Time_us.t -> t
 (** [point t] is the 1 µs span [\[t, t+1)]. *)
 
+val filler : t
+(** A statically allocated span, for seeding arrays that are filled
+    afterwards: an array longer than 256 words seeded with a freshly
+    allocated block costs a forced minor collection, one seeded with
+    [filler] does not.  Its value, [\[0, 1)], is never meant to be
+    read. *)
+
 val of_duration : Time_us.t -> Time_us.t -> t
 (** [of_duration start len] is [v start (start + len)].
     @raise Invalid_argument if [len <= 0]. *)

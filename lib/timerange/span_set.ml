@@ -6,51 +6,78 @@
    Every kernel writes directly into a pre-sized result array — no list
    intermediates, no List.rev — because the set algebra runs once per
    series per connection and dominates the per-core cost of fleet
-   analysis. *)
+   analysis.  Result arrays are seeded with the static [Span.filler],
+   never with a span the kernel just read or built: an array longer than
+   256 words seeded with a young block forces a minor collection
+   (DESIGN.md, "Allocation discipline").  An output span equal to an
+   input span is the input span, not a copy. *)
 
 type t = Span.t array
 
 let empty = [||]
 let is_empty s = Array.length s = 0
 
-(* Coalesce an array sorted by start, writing the canonical form into a
-   fresh array.  Returns the input itself when nothing coalesces. *)
+(* Coalesce an array sorted by start into the canonical form.  A
+   counting pass sizes the result exactly; input that is already
+   canonical comes back as it is. *)
 let coalesce_sorted_arr src =
   let n = Array.length src in
   if n = 0 then empty
   else begin
-    let out = Array.make n src.(0) in
-    let k = ref 0 in
-    let cur_start = ref (Span.start src.(0)) in
+    let runs = ref 1 in
     let cur_stop = ref (Span.stop src.(0)) in
     for i = 1 to n - 1 do
       let s = src.(i) in
-      let s_start = Span.start s and s_stop = Span.stop s in
-      if s_start <= !cur_stop then begin
-        if s_stop > !cur_stop then cur_stop := s_stop
+      if Span.start s > !cur_stop then begin
+        incr runs;
+        cur_stop := Span.stop s
       end
-      else begin
-        out.(!k) <- Span.v !cur_start !cur_stop;
-        incr k;
-        cur_start := s_start;
-        cur_stop := s_stop
-      end
+      else if Span.stop s > !cur_stop then cur_stop := Span.stop s
     done;
-    out.(!k) <- Span.v !cur_start !cur_stop;
-    incr k;
-    if !k = n then src else Array.sub out 0 !k
+    if !runs = n then src
+    else begin
+      let out = Array.make !runs Span.filler in
+      let k = ref 0 in
+      (* The run so far: its first span and its reach. *)
+      let first = ref src.(0) in
+      let cur_stop = ref (Span.stop src.(0)) in
+      let emit () =
+        out.(!k) <-
+          (if !cur_stop = Span.stop !first then !first
+           else Span.v (Span.start !first) !cur_stop);
+        incr k
+      in
+      for i = 1 to n - 1 do
+        let s = src.(i) in
+        if Span.start s > !cur_stop then begin
+          emit ();
+          first := s;
+          cur_stop := Span.stop s
+        end
+        else if Span.stop s > !cur_stop then cur_stop := Span.stop s
+      done;
+      emit ();
+      out
+    end
   end
 
-let of_spans spans =
-  let a = Array.of_list spans in
-  Array.sort Span.compare a;
-  coalesce_sorted_arr a
+(* One linear pass: whether [a] is already in [Span.compare] order. *)
+let is_sorted a =
+  let n = Array.length a in
+  let i = ref 1 in
+  while !i < n && Span.compare a.(!i - 1) a.(!i) <= 0 do
+    incr i
+  done;
+  !i >= n
 
-(* Array-input variant for hot callers ({!Series.to_span_set}): takes
-   ownership of [spans] (sorts it in place), so pass a fresh array. *)
 let of_span_array spans =
-  Array.sort Span.compare spans;
+  if not (is_sorted spans) then Array.sort Span.compare spans;
   coalesce_sorted_arr spans
+
+let of_spans spans =
+  let a = Array.make (List.length spans) Span.filler in
+  List.iteri (fun i sp -> a.(i) <- sp) spans;
+  of_span_array a
 
 let of_span s = [| s |]
 let to_list s = Array.to_list s
@@ -104,8 +131,9 @@ let add sp s =
     let after = !lo in
     if first >= after then begin
       (* Nothing touches: insert at [first]. *)
-      let out = Array.make (n + 1) sp in
+      let out = Array.make (n + 1) Span.filler in
       Array.blit s 0 out 0 first;
+      out.(first) <- sp;
       Array.blit s first out (first + 1) (n - first);
       out
     end
@@ -117,7 +145,7 @@ let add sp s =
       if after - first = 1 && merged_start = run_start && merged_stop = run_stop
       then s (* already covered *)
       else begin
-        let out = Array.make (n - (after - first) + 1) sp in
+        let out = Array.make (n - (after - first) + 1) Span.filler in
         Array.blit s 0 out 0 first;
         out.(first) <- Span.v merged_start merged_stop;
         Array.blit s after out (first + 1) (n - after);
@@ -133,7 +161,7 @@ let union a b =
   else if is_empty b then a
   else begin
     let n = Array.length a and m = Array.length b in
-    let out = Array.make (n + m) a.(0) in
+    let out = Array.make (n + m) Span.filler in
     let k = ref 0 in
     let i = ref 0 and j = ref 0 in
     let next () =
@@ -148,24 +176,28 @@ let union a b =
         s
       end
     in
-    let s0 = next () in
-    let cur_start = ref (Span.start s0) in
-    let cur_stop = ref (Span.stop s0) in
+    (* The run so far: its first span and its reach. *)
+    let first = ref (next ()) in
+    let cur_stop = ref (Span.stop !first) in
+    let emit () =
+      out.(!k) <-
+        (if !cur_stop = Span.stop !first then !first
+         else Span.v (Span.start !first) !cur_stop);
+      incr k
+    in
     while !i < n || !j < m do
       let s = next () in
-      let s_start = Span.start s and s_stop = Span.stop s in
-      if s_start <= !cur_stop then begin
+      let s_stop = Span.stop s in
+      if Span.start s <= !cur_stop then begin
         if s_stop > !cur_stop then cur_stop := s_stop
       end
       else begin
-        out.(!k) <- Span.v !cur_start !cur_stop;
-        incr k;
-        cur_start := s_start;
+        emit ();
+        first := s;
         cur_stop := s_stop
       end
     done;
-    out.(!k) <- Span.v !cur_start !cur_stop;
-    incr k;
+    emit ();
     if !k = n + m then out else Array.sub out 0 !k
   end
 
@@ -176,7 +208,7 @@ let inter a b =
   let n = Array.length a and m = Array.length b in
   if n = 0 || m = 0 then empty
   else begin
-    let out = Array.make (n + m) a.(0) in
+    let out = Array.make (n + m) Span.filler in
     let k = ref 0 in
     let i = ref 0 and j = ref 0 in
     while !i < n && !j < m do
@@ -186,7 +218,10 @@ let inter a b =
       let lo = max sa_start sb_start in
       let hi = min sa_stop sb_stop in
       if lo < hi then begin
-        out.(!k) <- Span.v lo hi;
+        out.(!k) <-
+          (if lo = sa_start && hi = sa_stop then sa
+           else if lo = sb_start && hi = sb_stop then sb
+           else Span.v lo hi);
         incr k
       end;
       if sa_stop <= sb_stop then incr i else incr j
@@ -198,7 +233,7 @@ let inter a b =
 let complement ~within s =
   let n = Array.length s in
   let w_start = Span.start within and w_stop = Span.stop within in
-  let out = Array.make (n + 1) within in
+  let out = Array.make (n + 1) Span.filler in
   let k = ref 0 in
   let cursor = ref w_start in
   for i = 0 to n - 1 do
@@ -226,19 +261,23 @@ let diff a b =
       let whole = Span.hull a.(0) a.(Array.length a - 1) in
       inter a (complement ~within:whole b)
 
+(* Canonical form puts the whole set inside [window] exactly when its
+   first start and last stop are, and then the set is its own clip. *)
 let clip window s =
   let n = Array.length s in
+  let w_start = Span.start window and w_stop = Span.stop window in
   if n = 0 then empty
+  else if Span.start s.(0) >= w_start && Span.stop s.(n - 1) <= w_stop then s
   else begin
-    let w_start = Span.start window and w_stop = Span.stop window in
-    let out = Array.make n s.(0) in
+    let out = Array.make n Span.filler in
     let k = ref 0 in
     for i = 0 to n - 1 do
       let sp = s.(i) in
       let lo = max (Span.start sp) w_start in
       let hi = min (Span.stop sp) w_stop in
       if lo < hi then begin
-        out.(!k) <- Span.v lo hi;
+        out.(!k) <-
+          (if lo = Span.start sp && hi = Span.stop sp then sp else Span.v lo hi);
         incr k
       end
     done;
@@ -252,7 +291,7 @@ let filter f s =
   let n = Array.length s in
   if n = 0 then s
   else begin
-    let out = Array.make n s.(0) in
+    let out = Array.make n Span.filler in
     let k = ref 0 in
     for i = 0 to n - 1 do
       if f s.(i) then begin

@@ -18,8 +18,10 @@ val of_spans : Span.t list -> t
     adjacent spans.  Input may be in any order. *)
 
 val of_span_array : Span.t array -> t
-(** As {!of_spans} from an array, without list intermediates.  Takes
-    ownership of the array (sorts it in place): pass a fresh one. *)
+(** As {!of_spans} from an array, without list intermediates.  One
+    linear pass checks the order, and only an array out of order is
+    sorted (in place); canonical input is returned as it is.  Takes
+    ownership of the array: pass a fresh one. *)
 
 val of_span : Span.t -> t
 val add : Span.t -> t -> t

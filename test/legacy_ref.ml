@@ -7,9 +7,10 @@
    byte-for-byte against what shipped before, including on malformed
    input.  The quadratic L-method, the list-scan delivery-time lookup,
    the list-interval reassembler, the per-connection split and the
-   list-based MCT scan, the printf-built study report JSON and the study
-   scan over decoded MRT entries at the end are kept the same way, as
-   oracles for the code that replaced them.  Do not "improve" this file:
+   list-based MCT scan, the printf-built study report JSON, the study
+   scan over decoded MRT entries and the byte-loop BGP header check at
+   the end are kept the same way, as oracles for the code that replaced
+   them.  Do not "improve" this file:
    its value is that it does not change. *)
 
 open Tdat_bgp
@@ -688,6 +689,23 @@ let mrt_decode_result ?(strict = false) s =
       (fun acc e -> e :: acc)
   in
   { M.entries = List.rev entries; diags = List.rev !diags; stats }
+
+(* --- byte-loop BGP header check --------------------------------------------- *)
+
+(* [Msg.header_length] as it was before it read the marker with two
+   64-bit loads: one byte at a time, after the same range check. *)
+let msg_header_length buf p =
+  if p < 0 || p + Msg.header_size > Bytes.length buf then
+    invalid_arg "Msg.header_length: range outside the buffer";
+  let byte p = Char.code (Bytes.get buf p) in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < 16 do
+    if byte (p + !i) <> 0xff then ok := false;
+    incr i
+  done;
+  let total = (byte (p + 16) lsl 8) lor byte (p + 17) in
+  if !ok && total >= Msg.header_size && total <= Msg.max_size then total
+  else -1
 
 (* --- legacy L-method knee (O(n^2)) ---------------------------------------- *)
 

@@ -880,6 +880,63 @@ let validator_props =
         | exception _ -> v = -1);
   ]
 
+(* Header check: a header at a random offset of a buffer with random
+   bytes around it, with a random length field and then each length at
+   or next to either bound in turn, and each of its 16 marker bytes
+   corrupted in turn; and random offsets, some of whose headers run past
+   the buffer, where both checks must raise. *)
+let length_edges =
+  [ 0; Msg.header_size - 1; Msg.header_size; Msg.header_size + 1;
+    Msg.max_size - 1; Msg.max_size; Msg.max_size + 1; 0xffff ]
+
+let gen_header_input =
+  QCheck.Gen.(
+    let* pre = int_bound 9 in
+    let* post = int_bound 9 in
+    let* total = int_bound 0xffff in
+    let* noise = string_size ~gen:char (return (pre + Msg.header_size + post)) in
+    let* bad = int_bound 0xfe in
+    let* p = int_range (-2) (pre + post + 2) in
+    return (noise, pre, total, bad, p))
+
+let arb_header_input =
+  QCheck.make
+    ~print:(fun (noise, pre, total, bad, p) ->
+      Printf.sprintf "pre %d total %d bad %d p %d: %S" pre total bad p noise)
+    gen_header_input
+
+let header_props =
+  let agree buf p =
+    let run check =
+      match check buf p with
+      | total -> Some total
+      | exception Invalid_argument _ -> None
+    in
+    Option.equal Int.equal
+      (run Legacy_ref.msg_header_length)
+      (run Msg.header_length)
+  in
+  [
+    prop ~count:500 "header_length == byte-loop check, each marker byte bad"
+      arb_header_input (fun (noise, pre, total, bad, p) ->
+        let buf = Bytes.of_string noise in
+        Bytes.fill buf pre 16 '\xff';
+        let with_length total =
+          let b = Bytes.copy buf in
+          Bytes.set_uint16_be b (pre + 16) total;
+          b
+        in
+        let buf = with_length total in
+        agree buf pre && agree buf p
+        && List.for_all (fun total -> agree (with_length total) pre) length_edges
+        && List.for_all
+             (fun i ->
+               let b = Bytes.copy buf in
+               Bytes.set_uint8 b (pre + i) bad;
+               agree b pre)
+             (List.init 16 Fun.id));
+  ]
+
 (* Archives for the summary-fold parity: a few peers' sessions (state
    changes, OPENs, UPDATEs, NOTIFICATIONs, KEEPALIVEs) over time, with
    some records damaged — their embedded message (as above), their
@@ -1038,6 +1095,7 @@ let test_perf_gate_rejects_tight_baseline () =
     run_gate
       "{ \"analyze_minor_words_per_packet_max\": 1,\n\
       \  \"decode_minor_words_per_packet_max\": 1,\n\
+      \  \"analyze_forced_minor_collections_max\": 1e9,\n\
       \  \"study_minor_words_per_record_max\": 1e9 }\n"
   in
   Alcotest.(check bool) "tightened baseline fails the gate" true (rc <> 0);
@@ -1054,11 +1112,30 @@ let test_perf_gate_rejects_tight_study_budget () =
     run_gate
       "{ \"analyze_minor_words_per_packet_max\": 1e9,\n\
       \  \"decode_minor_words_per_packet_max\": 1e9,\n\
+      \  \"analyze_forced_minor_collections_max\": 1e9,\n\
       \  \"study_minor_words_per_record_max\": -1 }\n"
   in
   Alcotest.(check bool) "tight study budget fails the gate" true (rc <> 0);
   Alcotest.(check (list string)) "only the study budget fails"
     [ "study_minor_words_per_record_max" ]
+    failed
+
+(* The forced-collection budget on its own.  The measure can read below
+   0 only by the minor heap's fill before the first measured run, at
+   most 1/20 of a collection, so a budget of -1 is impossible and the
+   gate must fail on that budget alone. *)
+let test_perf_gate_rejects_tight_forced_budget () =
+  let rc, failed =
+    run_gate
+      "{ \"analyze_minor_words_per_packet_max\": 1e9,\n\
+      \  \"decode_minor_words_per_packet_max\": 1e9,\n\
+      \  \"analyze_forced_minor_collections_max\": -1,\n\
+      \  \"study_minor_words_per_record_max\": 1e9 }\n"
+  in
+  Alcotest.(check bool) "tight forced-collection budget fails the gate" true
+    (rc <> 0);
+  Alcotest.(check (list string)) "only the forced-collection budget fails"
+    [ "analyze_forced_minor_collections_max" ]
     failed
 
 let scratch_suite =
@@ -1087,8 +1164,10 @@ let scratch_suite =
       test_perf_gate_rejects_tight_baseline;
     Alcotest.test_case "perf gate rejects a tightened study budget" `Quick
       test_perf_gate_rejects_tight_study_budget;
+    Alcotest.test_case "perf gate rejects a tightened forced-collection budget"
+      `Quick test_perf_gate_rejects_tight_forced_budget;
   ]
 
 let suite =
   decode_props @ reasm_props @ column_props @ transfer_props @ validator_props
-  @ summary_props @ scratch_suite
+  @ header_props @ summary_props @ scratch_suite

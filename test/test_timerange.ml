@@ -302,4 +302,240 @@ let kernel_model_suite =
         && canonical (Span_set.complement ~within:(Span.v (-10) 1200) a));
   ]
 
-let suite = suite @ qcheck_suite2 @ kernel_model_suite
+(* --- sorted by construction: equivalence with the sort-based code ------- *)
+
+(* Event lists of four kinds: sorted, nearly sorted (a few adjacent
+   swaps), tie-heavy (spans from a tiny domain, in random order) and
+   unsorted.  Payloads are the events' original positions, so a
+   reordering of equal spans shows.  Lengths reach past 256, where a
+   builder has grown several times. *)
+let compare_event (a, _) (b, _) = Span.compare a b
+
+let gen_events =
+  QCheck.Gen.(
+    let* kind = int_bound 3 in
+    let* n = frequency [ (4, int_bound 40); (1, int_range 250 600) ] in
+    let* spans =
+      if kind = 2 then
+        list_repeat n
+          (map2 (fun st len -> Span.v st (st + 1 + len)) (int_bound 5) (int_bound 2))
+      else
+        list_repeat n
+          (map2 (fun st len -> Span.v st (st + 1 + len)) (int_bound 2000) (int_bound 60))
+    in
+    let events = List.mapi (fun i sp -> (sp, i)) spans in
+    let sorted = List.stable_sort compare_event events in
+    match kind with
+    | 0 -> return sorted
+    | 1 ->
+        let* swaps = list_size (int_bound 3) (int_bound (max 0 (n - 2))) in
+        let a = Array.of_list sorted in
+        List.iter
+          (fun i ->
+            if i + 1 < n then begin
+              let t = a.(i) in
+              a.(i) <- a.(i + 1);
+              a.(i + 1) <- t
+            end)
+          swaps;
+        return (Array.to_list a)
+    | _ -> return events)
+
+let print_events evs =
+  String.concat "; "
+    (List.map (fun (sp, i) -> Format.asprintf "%a:%d" Span.pp sp i) evs)
+
+let arb_events = QCheck.make ~print:print_events gen_events
+
+let arb_window =
+  QCheck.make
+    ~print:(Format.asprintf "%a" Span.pp)
+    QCheck.Gen.(
+      map2 (fun st len -> Span.v st (st + 1 + len)) (int_range (-50) 2000)
+        (int_bound 2100))
+
+let same_events a b =
+  List.equal
+    (fun (sa, x) (sb, y) -> Span.equal sa sb && Int.equal x y)
+    a b
+
+let built evs =
+  let b = Series.builder () in
+  List.iter (fun (sp, x) -> Series.add b sp x) evs;
+  Series.build b
+
+(* The clip before it returned its input: every overlapping event, its
+   span trimmed to the window, in input order. *)
+let ref_clip w evs =
+  List.filter_map
+    (fun (sp, x) -> Option.map (fun sp' -> (sp', x)) (Span.inter w sp))
+    evs
+
+(* Sort, then coalesce overlapping and adjacent spans, over lists. *)
+let ref_coalesce spans =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | sp :: rest -> (
+        match acc with
+        | cur :: acc' when Span.start sp <= Span.stop cur ->
+            go (Span.hull cur sp :: acc') rest
+        | _ -> go (sp :: acc) rest)
+  in
+  go [] (List.sort Span.compare spans)
+
+let sorted_construction_suite =
+  let prop name arb f =
+    QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:300 arb f)
+  in
+  [
+    prop "Series.build == stable sort" arb_events (fun evs ->
+        same_events
+          (Series.to_list (built evs))
+          (List.stable_sort compare_event evs));
+    prop "Series.of_list == stable sort" arb_events (fun evs ->
+        same_events
+          (Series.to_list (Series.of_list evs))
+          (List.stable_sort compare_event evs));
+    prop "Series.clip == the old clip"
+      (QCheck.pair arb_window arb_events) (fun (w, evs) ->
+        let s = Series.of_list evs in
+        same_events
+          (Series.to_list (Series.clip w s))
+          (ref_clip w (Series.to_list s)));
+    (* Clipped inputs too: trimming to the window's start can leave a
+       series out of order, which the merge must still sort. *)
+    prop "Series.merge == append + stable sort"
+      (QCheck.triple arb_window arb_events arb_events) (fun (w, ea, eb) ->
+        List.for_all
+          (fun (a, b) ->
+            same_events
+              (Series.to_list (Series.merge a b))
+              (List.stable_sort compare_event
+                 (Series.to_list a @ Series.to_list b)))
+          (let a = Series.of_list ea and b = Series.of_list eb in
+           [ (a, b); (b, a); (Series.clip w a, b); (a, Series.clip w b);
+             (Series.clip w a, Series.clip w b); (a, Series.empty);
+             (Series.empty, Series.clip w b) ]));
+    prop "Series.to_span_set == sort + coalesce"
+      (QCheck.pair arb_window arb_events) (fun (w, evs) ->
+        List.for_all
+          (fun s ->
+            List.equal Span.equal
+              (Span_set.to_list (Series.to_span_set s))
+              (ref_coalesce (List.map fst (Series.to_list s))))
+          [ Series.of_list evs; Series.clip w (Series.of_list evs) ]);
+    prop "Span_set.of_span_array == sort + coalesce" arb_events (fun evs ->
+        let spans = List.map fst evs in
+        List.equal Span.equal
+          (Span_set.to_list (Span_set.of_span_array (Array.of_list spans)))
+          (ref_coalesce spans));
+  ]
+
+(* --- Ack_shift: the sort is skipped only where it changes nothing ------- *)
+
+module Seg = Tdat_pkt.Tcp_segment
+module Endpoint = Tdat_pkt.Endpoint
+module Conn_profile = Tdat.Conn_profile
+module Ack_shift = Tdat.Ack_shift
+
+let sender = Endpoint.of_quad 10 0 0 1 179
+let receiver = Endpoint.of_quad 10 0 0 2 40000
+
+(* ACKs in time order, in half the cases with many equal timestamps
+   (sequence numbers are drawn from three values, so (ts, seq) ties are
+   common), told apart by their ack and window fields; data packets
+   whose window-edge releases give flights different shifts, so that
+   shifting can reorder ACKs across flights. *)
+let gen_ack_profile =
+  QCheck.Gen.(
+    let* n_acks = int_range 1 80 in
+    let* ties = bool in
+    let gap =
+      frequency
+        ((if ties then [ (3, return 0) ] else [])
+        @ [ (4, int_range 1 3_000); (1, int_range 5_000 40_000) ])
+    in
+    let* ack_gaps = list_repeat n_acks gap in
+    let* ack_seqs = list_repeat n_acks (int_bound 2) in
+    let* ack_nums = list_repeat n_acks (int_bound 40_000) in
+    let* wins = list_repeat n_acks (int_bound 20_000) in
+    let* n_data = int_bound 60 in
+    let* data_gaps = list_repeat n_data (int_bound 6_000) in
+    let* rtt = int_range 1_000 20_000 in
+    let* upstream = opt (int_bound 10_000) in
+    let ts = ref 0 in
+    let acks =
+      List.map2
+        (fun (gap, seq) (ack, window) ->
+          ts := !ts + gap;
+          Seg.v ~ts:!ts ~src:receiver ~dst:sender ~seq ~ack ~window ~len:0 ())
+        (List.combine ack_gaps ack_seqs)
+        (List.combine ack_nums wins)
+    in
+    let ts = ref 0 and seq = ref 0 in
+    let data =
+      List.map
+        (fun gap ->
+          ts := !ts + gap;
+          let s =
+            Seg.v ~ts:!ts ~src:sender ~dst:receiver ~seq:!seq ~ack:0 ~len:1000 ()
+          in
+          seq := !seq + 1000;
+          { Conn_profile.seg = s; label = Conn_profile.In_order })
+        data_gaps
+    in
+    return
+      {
+        Conn_profile.flow = Tdat_pkt.Flow.v ~sender ~receiver;
+        start_time = 0;
+        end_time = max !ts (List.fold_left (fun m (a : Seg.t) -> max m a.ts) 0 acks);
+        syn_rtt = Some rtt;
+        upstream_rtt = upstream;
+        rtt;
+        mss = 1000;
+        max_adv_window = 20_000;
+        data = Array.of_list data;
+        acks = Array.of_list acks;
+        upstream_episodes = [];
+        downstream_episodes = [];
+        voids = Span_set.empty;
+      })
+
+let arb_ack_profile =
+  QCheck.make
+    ~print:(fun (p : Conn_profile.t) ->
+      String.concat "; "
+        (Array.to_list
+           (Array.map (fun a -> Format.asprintf "%a" Seg.pp a) p.Conn_profile.acks)))
+    gen_ack_profile
+
+(* The always-sort reference: each flight's ACKs moved by the flight's
+   applied shift (from the reported flights), then [Array.sort]. *)
+let always_sorted (p : Conn_profile.t) infos =
+  let a = Array.copy p.Conn_profile.acks in
+  let k = ref 0 in
+  List.iter
+    (fun (f : Ack_shift.flight_shift) ->
+      for i = !k to !k + f.Ack_shift.n_acks - 1 do
+        a.(i) <- { (a.(i)) with Seg.ts = a.(i).Seg.ts + f.Ack_shift.applied }
+      done;
+      k := !k + f.Ack_shift.n_acks)
+    infos;
+  Array.sort Seg.compare_ts a;
+  a
+
+let ack_shift_suite =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"Ack_shift.shift == always-sort reference, ties in (ts, seq)"
+         arb_ack_profile (fun p ->
+           let shifted, infos = Ack_shift.shift p in
+           let acks = shifted.Conn_profile.acks and expect = always_sorted p infos in
+           Array.length acks = Array.length expect
+           && Array.for_all2 (fun (a : Seg.t) b -> a = b) acks expect));
+  ]
+
+let suite =
+  suite @ qcheck_suite2 @ kernel_model_suite @ sorted_construction_suite
+  @ ack_shift_suite
