@@ -62,8 +62,9 @@ val transfer_end_of_reasm :
 
 (** The two scans with the number of batch tags of the seen set as a
     parameter ([max_tag] >= 2; the public scans use every tag the bits
-    above a packed prefix hold).  Tests only: a small [max_tag] makes
-    the set run out of tags and re-tag within a few batches. *)
+    above a packed prefix hold), and the streaming scan's NLRI key.
+    Tests only: a small [max_tag] makes the set run out of tags and
+    re-tag within a few batches. *)
 module Private : sig
   val transfer_end :
     max_tag:int ->
@@ -78,4 +79,9 @@ module Private : sig
     start:Tdat_timerange.Time_us.t ->
     Stream_reassembly.t ->
     result option
+
+  val pack_at : Bytes.t -> int -> int -> int
+  (** [pack_at buf p plen] is the streaming scan's packed key of the
+      NLRI entry whose length byte [plen <= 32] sits at [buf.[p]] and
+      whose address bytes lie inside [buf]. *)
 end

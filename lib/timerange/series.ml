@@ -146,8 +146,6 @@ let clip window s =
     out
   end
 
-let durations s = List.map (fun (sp, _) -> Span.length sp) (to_list s)
-
 let events_in window s =
   List.filter (fun (sp, _) -> Span.overlaps window sp) (to_list s)
 

@@ -44,10 +44,6 @@ val clip : Span.t -> 'a t -> 'a t
     it (payloads untouched).  A series whose events all lie inside the
     window is its own clip. *)
 
-val durations : 'a t -> Time_us.t list
-(** Lengths of the individual events in order — the input to gap-length
-    distribution analysis (Fig. 17). *)
-
 val events_in : Span.t -> 'a t -> (Span.t * 'a) list
 (** Drill-down: the events overlapping a window of interest. *)
 

@@ -8,9 +8,9 @@
    input.  The quadratic L-method, the list-scan delivery-time lookup,
    the list-interval reassembler, the per-connection split and the
    list-based MCT scan, the printf-built study report JSON, the study
-   scan over decoded MRT entries and the byte-loop BGP header check at
-   the end are kept the same way, as oracles for the code that replaced
-   them.  Do not "improve" this file:
+   scan over decoded MRT entries, the byte-loop BGP header check, the
+   byte-loop NLRI key and the list-pipeline timer detector are kept the
+   same way, as oracles for the code that replaced them.  Do not "improve" this file:
    its value is that it does not change. *)
 
 open Tdat_bgp
@@ -706,6 +706,70 @@ let msg_header_length buf p =
   let total = (byte (p + 16) lsl 8) lor byte (p + 17) in
   if !ok && total >= Msg.header_size && total <= Msg.max_size then total
   else -1
+
+(* --- byte-loop NLRI key ------------------------------------------------------- *)
+
+(* [Mct]'s packed key of the NLRI entry whose length byte [plen] sits at
+   [p], as it was read before the one-load key: one byte per address
+   byte the entry holds, then the mask and layout of [Mct.pack]. *)
+let mct_pack_at buf p plen =
+  let u = ref 0 in
+  for i = 0 to ((plen + 7) / 8) - 1 do
+    u := !u lor (Char.code (Bytes.get buf (p + 1 + i)) lsl (24 - (8 * i)))
+  done;
+  let m = if plen = 0 then 0 else 0xFFFFFFFF lsl (32 - plen) land 0xFFFFFFFF in
+  ((!u land m) lsl 6) lor plen
+
+(* --- list-pipeline timer detector ------------------------------------------- *)
+
+(* [Tdat.Detect_timer.detect] as it was before it sorted an int array:
+   the gap lengths as a list, filtered, mapped to floats, sorted and
+   knee-fitted by [Knee.knee_of_sorted], the cluster filtered out of
+   the list and its median taken by [Descriptive.median].  [raw] is the
+   gap lengths in event order. *)
+let detect_timer_gaps ?(min_gap = 20_000) ?(max_gap = 2_000_000)
+    ?(min_count = 10) ?(cluster_fraction = 0.5) raw :
+    Tdat.Detect_timer.result option =
+  let gaps = List.filter (fun d -> d >= min_gap && d <= max_gap) raw in
+  if List.length gaps < min_count then None
+  else begin
+    let as_floats = List.map float_of_int gaps in
+    match Tdat_stats.Knee.knee_of_sorted as_floats with
+    | None -> None
+    | Some knee ->
+        let lo = 0.85 *. knee and hi = 1.15 *. knee in
+        let clustered =
+          List.filter (fun g -> g >= lo && g <= hi) as_floats
+        in
+        let n_clustered = List.length clustered in
+        if
+          float_of_int n_clustered
+          < cluster_fraction *. float_of_int (List.length gaps)
+        then None
+        else begin
+          let timer =
+            int_of_float (Tdat_stats.Descriptive.median clustered)
+          in
+          let induced =
+            List.fold_left ( + ) 0 (List.map int_of_float clustered)
+          in
+          Some
+            {
+              Tdat.Detect_timer.timer;
+              gaps = n_clustered;
+              induced_delay = induced;
+            }
+        end
+  end
+
+(* The gap lengths [Detect_timer.detect] reads off a generated series,
+   as [Series.durations] listed them. *)
+let detect_timer gen =
+  detect_timer_gaps
+    (List.map
+       (fun (sp, _) -> Tdat_timerange.Span.length sp)
+       (Tdat_timerange.Series.to_list
+          (Tdat.Series_gen.events gen Tdat.Series_defs.Send_app_limited)))
 
 (* --- legacy L-method knee (O(n^2)) ---------------------------------------- *)
 

@@ -56,6 +56,23 @@ let test_timer_silent_on_few_gaps () =
   let gen = gen_of (paced_transfer ~period:200_000 ~jitter:0 ~bursts:5) in
   Alcotest.(check bool) "below min_count" true (Detect_timer.detect gen = None)
 
+(* The array detector against the frozen list pipeline on the series
+   of the three transfers above (a pronounced timer, one too irregular
+   to pass, too few gaps) and of a longer, looser one: 400 bursts 50 ms
+   apart with up to 20 ms of jitter. *)
+let test_timer_matches_list_pipeline () =
+  List.iter
+    (fun (what, segs) ->
+      let gen = gen_of segs in
+      Alcotest.(check bool) what true
+        (Detect_timer.detect gen = Legacy_ref.detect_timer gen))
+    [
+      ("regular", paced_transfer ~period:200_000 ~jitter:2_000 ~bursts:40);
+      ("irregular", paced_transfer ~period:200_000 ~jitter:350_000 ~bursts:40);
+      ("few", paced_transfer ~period:200_000 ~jitter:0 ~bursts:5);
+      ("many", paced_transfer ~period:50_000 ~jitter:20_000 ~bursts:400);
+    ]
+
 let test_loss_detector_counts_episode_packets () =
   (* 10 redeliveries clustered within a second: one episode >= 8. *)
   let segs = ref [ data ~ts:0 ~seq:0 14_000 ] in
@@ -177,6 +194,8 @@ let suite =
     Alcotest.test_case "timer: irregular gaps" `Quick
       test_timer_silent_on_irregular_gaps;
     Alcotest.test_case "timer: few gaps" `Quick test_timer_silent_on_few_gaps;
+    Alcotest.test_case "timer: detect == list pipeline" `Quick
+      test_timer_matches_list_pipeline;
     Alcotest.test_case "loss: episode packets" `Quick
       test_loss_detector_counts_episode_packets;
     Alcotest.test_case "loss: merge gap" `Quick test_loss_detector_merge_gap;

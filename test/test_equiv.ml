@@ -4,8 +4,10 @@
    — over random valid captures AND randomly corrupted ones (truncated,
    bit-flipped, garbage-extended).  Plus the columnar trace's partition
    and reassembly vs the segment-record references, the streaming and
-   list transfer-end scans vs the frozen extract-then-scan pipeline, and
-   the [Scratch] arena's cross-domain isolation. *)
+   list transfer-end scans vs the frozen extract-then-scan pipeline, the
+   one-load NLRI key and the array timer detector vs their frozen
+   byte-loop and list versions, and the [Scratch] arena's cross-domain
+   isolation. *)
 
 open Tdat_bgp
 module Seg = Tdat_pkt.Tcp_segment
@@ -703,6 +705,58 @@ let test_tag_exhaustion () =
            ~end_ts:50_000 ~prefixes:82 ~updates:41)
     [ 2; 3; 4 ]
 
+(* Streams denser than the seen set's sizing expects: the set starts at
+   [len / 10] slots (at least 256, rounded up to a power of two) for a
+   [len]-byte stream and grows past 7/8 load, and these streams carry
+   more distinct prefixes than that, so the set grows mid-scan under
+   every batch-tag limit.  Each ends with a churn batch. *)
+let check_dense_stream what ~distinct batches =
+  let len =
+    List.fold_left
+      (fun n (_, nlri) -> n + String.length (Msg.encode (Msg.update ~nlri ())))
+      0 batches
+  in
+  let slots = ref 256 in
+  while !slots < len / 10 do
+    slots := 2 * !slots
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d prefixes in %d bytes overfill %d slots" what
+       distinct len !slots)
+    true
+    (8 * distinct > 7 * !slots);
+  let n = List.length batches - 1 in
+  let end_ts, _ = List.nth batches (n - 1) in
+  List.iter
+    (fun max_tag ->
+      scan_both ?max_tag ~config:Mct.default_config batches
+      |> check_result
+           (match max_tag with
+           | None -> what
+           | Some m -> Printf.sprintf "%s, max_tag %d" what m)
+           ~end_ts ~prefixes:distinct ~updates:n)
+    [ None; Some 2; Some 3 ]
+
+(* Every prefix of length 0 to 8, one batch per length, at 1 or 2 bytes
+   an entry (the /0 repeated inside its batch): 511 prefixes in ~1.8 KB,
+   so the 256-slot set grows twice.  Then 6000 /16s at 3 bytes an entry,
+   in six batches that also repeat the /0 and two /8s. *)
+let test_dense_stream_grows () =
+  let short l i = Prefix.of_quad (i lsl (8 - l)) 0 0 0 l in
+  let p0 = short 0 0 in
+  check_dense_stream "/0-/8 stream" ~distinct:511
+    (List.init 9 (fun l ->
+         ( 1_000 * (l + 1),
+           List.init (1 lsl l) (short l) @ if l = 0 then [ p0; p0 ] else [] ))
+    @ [ (10_000, List.init 256 (short 8)) ]);
+  let p16 i = Prefix.of_quad (1 + (i / 256)) (i mod 256) 0 0 16 in
+  let slash16s from = List.init 1000 (fun i -> p16 (from + i)) in
+  check_dense_stream "/16 stream" ~distinct:(3 + 6_000)
+    (List.init 6 (fun b ->
+         ( 1_000 * (b + 1),
+           (p0 :: slash16s (1000 * b)) @ [ short 8 3; short 8 9 ] ))
+    @ [ (7_000, slash16s 0) ])
+
 (* The seen set is reused across scans on a domain: scanning a large
    connection first must not change the answer for a small one that
    re-announces the large one's prefixes. *)
@@ -880,6 +934,34 @@ let validator_props =
         | exception _ -> v = -1);
   ]
 
+(* NLRI key: an entry of each length 0-32 at a random offset of a
+   buffer of random bytes, often in its last 1-5 bytes, so that both the
+   one-load read (with random bytes past the entry) and the byte loop
+   near the buffer's end are compared with the frozen byte loop. *)
+let gen_key_input =
+  QCheck.Gen.(
+    let* len = int_range 1 16 in
+    let* noise = string_size ~gen:char (return len) in
+    let* k = frequency [ (3, int_range 1 5); (1, int_range 1 len) ] in
+    return (noise, len - min k len))
+
+let key_props =
+  [
+    prop ~count:1000 "one-load NLRI key == byte-loop key, plen 0-32"
+      (QCheck.make
+         ~print:(fun (noise, p) -> Printf.sprintf "p %d: %S" p noise)
+         gen_key_input)
+      (fun (noise, p) ->
+        List.for_all
+          (fun plen ->
+            p + 1 + ((plen + 7) / 8) > String.length noise
+            ||
+            let buf = Bytes.of_string noise in
+            Bytes.set_uint8 buf p plen;
+            Mct.Private.pack_at buf p plen = Legacy_ref.mct_pack_at buf p plen)
+          (List.init 33 Fun.id));
+  ]
+
 (* Header check: a header at a random offset of a buffer with random
    bytes around it, with a random length field and then each length at
    or next to either bound in turn, and each of its 16 marker bytes
@@ -935,6 +1017,72 @@ let header_props =
                Bytes.set_uint8 b (pre + i) bad;
                agree b pre)
              (List.init 16 Fun.id));
+  ]
+
+(* Timer detector: random gap sets around a cluster value [c] (tight,
+   spread, or straddling the ±15% window; in some sets drawn from a few
+   values, so ties are common), with other gaps all above or all below
+   it (the cluster at either end of the sorted curve) or on both sides,
+   gaps outside [\[min_gap, max_gap\]], set sizes on both sides of
+   [min_count], and random parameters. *)
+type timer_input = {
+  gaps : int array;
+  min_gap : int option;
+  max_gap : int option;
+  min_count : int option;
+  cluster_fraction : float option;
+}
+
+let gen_timer_input =
+  QCheck.Gen.(
+    let* c = int_range 20_000 1_000_000 in
+    let* spread = oneofl [ 0; 100; c / 20; c / 6 ] in
+    let* ties = bool in
+    let* pool = array_size (int_range 1 4) (int_range (c - spread) (c + spread)) in
+    let* n_cluster = int_bound 40 in
+    let* cluster =
+      list_repeat n_cluster
+        (if ties then oneofa pool else int_range (c - spread) (c + spread))
+    in
+    let above = int_range (2 * c) 3_000_000 and below = int_range 1 (c / 2) in
+    let* other =
+      oneofl [ above; below; oneof [ above; below ] ]
+    in
+    let* others = list_size (int_bound 30) other in
+    let* outside =
+      list_size (int_bound 6)
+        (oneof [ int_range 1 19_999; int_range 2_000_001 5_000_000 ])
+    in
+    let* gaps = shuffle_l (cluster @ others @ outside) in
+    let* min_gap = opt ~ratio:0.2 (int_range 1 (2 * c)) in
+    let* max_gap = opt ~ratio:0.2 (int_range c 4_000_000) in
+    let* min_count = opt ~ratio:0.5 (int_bound 15) in
+    let* cluster_fraction = opt ~ratio:0.5 (oneofl [ 0.1; 0.3; 0.5; 0.75; 1.0 ]) in
+    return
+      { gaps = Array.of_list gaps; min_gap; max_gap; min_count; cluster_fraction })
+
+let print_timer_input t =
+  let o f = function None -> "-" | Some v -> f v in
+  Printf.sprintf "min_gap %s max_gap %s min_count %s fraction %s gaps [%s]"
+    (o string_of_int t.min_gap) (o string_of_int t.max_gap)
+    (o string_of_int t.min_count) (o string_of_float t.cluster_fraction)
+    (String.concat "; " (Array.to_list (Array.map string_of_int t.gaps)))
+
+let timer_props =
+  [
+    prop ~count:1000 "timer detector == list pipeline on random gap sets"
+      (QCheck.make ~print:print_timer_input gen_timer_input)
+      (fun t ->
+        let before = Array.copy t.gaps in
+        let detected =
+          Tdat.Detect_timer.detect_gaps ?min_gap:t.min_gap ?max_gap:t.max_gap
+            ?min_count:t.min_count ?cluster_fraction:t.cluster_fraction t.gaps
+        in
+        detected
+        = Legacy_ref.detect_timer_gaps ?min_gap:t.min_gap ?max_gap:t.max_gap
+            ?min_count:t.min_count ?cluster_fraction:t.cluster_fraction
+            (Array.to_list t.gaps)
+        && t.gaps = before);
   ]
 
 (* Archives for the summary-fold parity: a few peers' sessions (state
@@ -1150,6 +1298,8 @@ let scratch_suite =
       test_churn_keeps_pre_batch_count;
     Alcotest.test_case "MCT: running out of batch tags re-tags" `Quick
       test_tag_exhaustion;
+    Alcotest.test_case "MCT: a dense stream grows the seen set" `Quick
+      test_dense_stream_grows;
     Alcotest.test_case "MCT: no state leaks between scans on a domain" `Quick
       test_no_state_across_scans;
     Alcotest.test_case "scratch: buffer reused across checkouts" `Quick
@@ -1170,4 +1320,4 @@ let scratch_suite =
 
 let suite =
   decode_props @ reasm_props @ column_props @ transfer_props @ validator_props
-  @ header_props @ summary_props @ scratch_suite
+  @ key_props @ header_props @ timer_props @ summary_props @ scratch_suite

@@ -1,11 +1,11 @@
 (* Size-ratio guards ([Size_ratio]) on every layer whose cost grows with
-   the input: the L-method knee, stream reassembly with its delivery-time
-   lookups and under permanent holes, the streaming and list transfer-end scans, the MRT archive
-   scan, connection partitioning, series generation and the span-set
-   kernels.  Each guard that has a
-   quadratic counterpart — the frozen kernels in [Legacy_ref], the
-   per-connection rescan, the pairwise span-set reference — is run
-   against it too, to show the guard rejects it. *)
+   the input: the L-method knee, the timer detector, stream reassembly
+   with its delivery-time lookups and under permanent holes, the
+   streaming and list transfer-end scans, the MRT archive scan,
+   connection partitioning, series generation and the span-set kernels.
+   Each guard that has a quadratic counterpart — the frozen kernels in
+   [Legacy_ref], the per-connection rescan, the pairwise span-set
+   reference — is run against it too, to show the guard rejects it. *)
 
 open Tdat_bgp
 module Seg = Tdat_pkt.Tcp_segment
@@ -37,6 +37,39 @@ let test_knee_linear () =
 let test_knee_legacy_rejected () =
   Size_ratio.check_rejects "Legacy_ref.l_method" ~n:300 ~setup:knee_curve
     Legacy_ref.l_method
+
+(* --- timer detector ------------------------------------------------------ *)
+
+(* The series of a transfer paced by a 200 ms timer: [n] one-segment
+   bursts, each ACKed 1 ms later, so [n] app-limited gaps, nearly all in
+   the cluster the detector validates and takes the median of. *)
+let paced_series n =
+  let rng = Random.State.make [| n |] in
+  let ep1 = Endpoint.of_quad 10 0 0 1 20000
+  and ep2 = Endpoint.of_quad 10 0 0 2 179 in
+  let flow = Tdat_pkt.Flow.v ~sender:ep1 ~receiver:ep2 in
+  let segs =
+    List.concat
+      (List.init n (fun i ->
+           let ts = (200_000 * i) + Random.State.int rng 2_000
+           and seq = 1_000 * i in
+           [
+             Seg.v ~ts ~src:ep1 ~dst:ep2 ~seq ~ack:0 ~len:1_000
+               ~flags:Seg.data_flags ();
+             Seg.v ~ts:(ts + 1_000) ~src:ep2 ~dst:ep1 ~seq:0
+               ~ack:(seq + 1_000) ~window:65535 ~flags:Seg.ack_flags ();
+           ]))
+  in
+  ( n,
+    Tdat.Series_gen.generate
+      (Tdat.Conn_profile.of_trace (Trace.of_segments segs) ~flow) )
+
+let test_timer_linear () =
+  Size_ratio.check "Detect_timer.detect" ~n:2_000 ~setup:paced_series
+    (fun (n, gen) ->
+      match Tdat.Detect_timer.detect gen with
+      | Some r when r.Tdat.Detect_timer.gaps > 9 * n / 10 -> r
+      | Some _ | None -> Alcotest.fail "no pronounced timer in the paced series")
 
 (* --- stream reassembly + delivery times --------------------------------- *)
 
@@ -262,6 +295,7 @@ let suite =
     Alcotest.test_case "knee: L-method is linear" `Quick test_knee_linear;
     Alcotest.test_case "knee: guard rejects the frozen O(n^2) kernel" `Quick
       test_knee_legacy_rejected;
+    Alcotest.test_case "timer detector is linear" `Quick test_timer_linear;
     Alcotest.test_case "reassembly: feed + delivery_time is linear" `Quick
       test_reassembly_linear;
     Alcotest.test_case "reassembly: guard rejects the list scan" `Quick

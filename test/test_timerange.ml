@@ -136,8 +136,7 @@ let test_series_basics () =
   Alcotest.(check int) "cardinal" 3 (Series.cardinal s);
   Alcotest.(check int) "size collapses overlap" 25 (Series.size s);
   Alcotest.(check (list string)) "sorted payloads" [ "a"; "b"; "c" ]
-    (List.map snd (Series.to_list s));
-  Alcotest.(check int) "durations" 3 (List.length (Series.durations s))
+    (List.map snd (Series.to_list s))
 
 let test_series_clip_and_query () =
   let s = Series.of_list [ (Span.v 0 10, 1); (Span.v 20 30, 2) ] in
