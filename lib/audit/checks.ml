@@ -1,6 +1,6 @@
 open Tdat_timerange
 module Seg = Tdat_pkt.Tcp_segment
-module Endpoint = Tdat_pkt.Endpoint
+module T = Tdat_pkt.Trace
 
 (* --- A001: span-set canonicality ----------------------------------------- *)
 
@@ -34,129 +34,102 @@ let canonical_set ?subject set = canonical_spans ?subject (Span_set.to_list set)
 
 (* --- A002: timestamp monotonicity ----------------------------------------- *)
 
-let monotone_segments ?(subject = "trace") segs =
-  let rec go acc = function
-    | (a : Seg.t) :: (b :: _ as rest) ->
-        let acc =
-          if a.ts > b.ts then
-            Diag.error ~code:"A002" ~subject
-              ~where:(Span.v b.ts (a.ts + 1))
-              "timestamps regress: %a after %a" Time_us.pp b.ts Time_us.pp
-              a.ts
-            :: acc
-          else acc
-        in
-        go acc rest
-    | [ _ ] | [] -> List.rev acc
-  in
-  go [] segs
+let monotone_times ?(subject = "trace") ts =
+  let acc = ref [] in
+  for k = Array.length ts - 1 downto 1 do
+    let a = ts.(k - 1) and b = ts.(k) in
+    if a > b then
+      acc :=
+        Diag.error ~code:"A002" ~subject ~where:(Span.v b (a + 1))
+          "timestamps regress: %a after %a" Time_us.pp b Time_us.pp a
+        :: !acc
+  done;
+  !acc
 
 (* --- A003: seq/ack arithmetic sanity -------------------------------------- *)
 
-let seq_ack_sane ?(subject = "trace") segs =
+let seq_ack_sane ?(subject = "trace") trace packets =
   let field_diags =
     List.concat_map
-      (fun (s : Seg.t) ->
+      (fun i ->
+        let ts = T.ts trace i in
         let bad name v =
           if v < 0 then
             Some
-              (Diag.error ~code:"A003" ~subject
-                 ~where:(Span.point s.ts)
-                 "negative %s (%d) on segment at %a" name v Time_us.pp s.ts)
+              (Diag.error ~code:"A003" ~subject ~where:(Span.point ts)
+                 "negative %s (%d) on segment at %a" name v Time_us.pp ts)
           else None
         in
         List.filter_map Fun.id
           [
-            bad "seq" s.seq;
-            bad "ack" s.ack;
-            bad "len" s.len;
-            bad "window" s.window;
+            bad "seq" (T.seq trace i);
+            bad "ack" (T.ack trace i);
+            bad "len" (T.len trace i);
+            bad "window" (T.win trace i);
           ])
-      segs
+      (Array.to_list packets)
   in
   (* Cumulative ACK must not regress within one direction. *)
   let tbl = Hashtbl.create 4 in
   let regressions =
     List.filter_map
-      (fun (s : Seg.t) ->
-        if not s.flags.Seg.ack then None
+      (fun i ->
+        if T.flags trace i land Seg.ack_bit = 0 then None
         else begin
-          let key = (s.src, s.dst) in
+          let key = (T.src trace i, T.dst trace i) and ack = T.ack trace i in
           let prev = Hashtbl.find_opt tbl key in
-          Hashtbl.replace tbl key s.ack;
+          Hashtbl.replace tbl key ack;
           match prev with
-          | Some p when s.ack < p ->
+          | Some p when ack < p ->
               Some
                 (Diag.warning ~code:"A003" ~subject
-                   ~where:(Span.point s.ts)
-                   "cumulative ack regresses from %d to %d at %a" p s.ack
-                   Time_us.pp s.ts)
+                   ~where:(Span.point (T.ts trace i))
+                   "cumulative ack regresses from %d to %d at %a" p ack
+                   Time_us.pp (T.ts trace i))
           | _ -> None
         end)
-      segs
+      (Array.to_list packets)
   in
   field_diags @ regressions
 
 (* --- A004: ACK-shift conservation ------------------------------------------ *)
 
-(* Everything but the timestamp: shifting may re-time a segment, nothing
-   else. *)
-let shape_compare (a : Seg.t) (b : Seg.t) =
-  let flag_bits (f : Seg.flags) =
-    (if f.syn then 16 else 0)
-    lor (if f.ack then 8 else 0)
-    lor (if f.fin then 4 else 0)
-    lor (if f.rst then 2 else 0)
-    lor if f.psh then 1 else 0
-  in
-  let cmp =
-    [
-      (fun () -> Endpoint.compare a.src b.src);
-      (fun () -> Endpoint.compare a.dst b.dst);
-      (fun () -> Int.compare a.seq b.seq);
-      (fun () -> Int.compare a.ack b.ack);
-      (fun () -> Int.compare a.len b.len);
-      (fun () -> Int.compare a.window b.window);
-      (fun () -> Int.compare (flag_bits a.flags) (flag_bits b.flags));
-    ]
-  in
-  List.fold_left (fun acc f -> if acc <> 0 then acc else f ()) 0 cmp
-
-let shape_then_ts a b =
-  match shape_compare a b with
-  | 0 -> Time_us.compare a.Seg.ts b.Seg.ts
-  | c -> c
-
-let ack_shift_conserved ?(subject = "ack shift") ~before ~after () =
-  if Array.length before <> Array.length after then
+(* Shifting may re-time a packet, nothing else: the packets before and
+   after are paired by their index into the trace. *)
+let ack_shift_conserved ?(subject = "ack shift") trace ~before ~after () =
+  let b_idx, b_ts = before and a_idx, a_ts = after in
+  if Array.length b_idx <> Array.length a_idx then
     [
       Diag.error ~code:"A004" ~subject
         "segment count changed across shifting: %d before, %d after"
-        (Array.length before) (Array.length after);
+        (Array.length b_idx) (Array.length a_idx);
     ]
   else begin
-    let b = Array.copy before and a = Array.copy after in
-    Array.sort shape_then_ts b;
-    Array.sort shape_then_ts a;
+    let by_packet idx =
+      let order = Array.init (Array.length idx) Fun.id in
+      Array.stable_sort (fun x y -> Int.compare idx.(x) idx.(y)) order;
+      order
+    in
+    let bo = by_packet b_idx and ao = by_packet a_idx in
     let diags = ref [] in
     Array.iteri
-      (fun i (bs : Seg.t) ->
-        let as_ = a.(i) in
-        if shape_compare bs as_ <> 0 then
+      (fun k x ->
+        let y = ao.(k) in
+        let bs = b_ts.(x) and as_ = a_ts.(y) in
+        if b_idx.(x) <> a_idx.(y) then
           diags :=
-            Diag.error ~code:"A004" ~subject
-              ~where:(Span.point as_.Seg.ts)
-              "segment rewritten across shifting: %a became %a" Seg.pp bs
-              Seg.pp as_
+            Diag.error ~code:"A004" ~subject ~where:(Span.point as_)
+              "segment rewritten across shifting: %a became %a" Seg.pp
+              (T.get trace b_idx.(x)) Seg.pp
+              (T.get trace a_idx.(y))
             :: !diags
-        else if as_.Seg.ts < bs.Seg.ts then
+        else if as_ < bs then
           diags :=
-            Diag.error ~code:"A004" ~subject
-              ~where:(Span.v as_.Seg.ts (bs.Seg.ts + 1))
+            Diag.error ~code:"A004" ~subject ~where:(Span.v as_ (bs + 1))
               "segment moved backward across shifting (%a -> %a)" Time_us.pp
-              bs.Seg.ts Time_us.pp as_.Seg.ts
+              bs Time_us.pp as_
             :: !diags)
-      b;
+      bo;
     List.rev !diags
   end
 

@@ -40,25 +40,27 @@ val canonical_set :
   ?subject:string -> Tdat_timerange.Span_set.t -> Diag.t list
 (** [A001] on a built set: validates the exported list form. *)
 
-val monotone_segments :
-  ?subject:string -> Tdat_pkt.Tcp_segment.t list -> Diag.t list
+val monotone_times :
+  ?subject:string -> Tdat_timerange.Time_us.t array -> Diag.t list
 (** [A002]: timestamps non-decreasing. *)
 
 val seq_ack_sane :
-  ?subject:string -> Tdat_pkt.Tcp_segment.t list -> Diag.t list
-(** [A003]: field sanity on every segment, plus per-direction cumulative
-    ACK monotonicity (a regression is a {!Diag.Warning} — packet
-    reordering at the sniffer can legitimately produce one). *)
+  ?subject:string -> Tdat_pkt.Trace.t -> int array -> Diag.t list
+(** [A003] on the trace's packets at the given indices: field sanity on
+    every one, plus per-direction cumulative ACK monotonicity (a
+    regression is a {!Diag.Warning} — packet reordering at the sniffer
+    can legitimately produce one). *)
 
 val ack_shift_conserved :
   ?subject:string ->
-  before:Tdat_pkt.Tcp_segment.t array ->
-  after:Tdat_pkt.Tcp_segment.t array ->
+  Tdat_pkt.Trace.t ->
+  before:int array * Tdat_timerange.Time_us.t array ->
+  after:int array * Tdat_timerange.Time_us.t array ->
   unit ->
   Diag.t list
-(** [A004]: [after] must contain exactly the segments of [before] (same
-    src/dst/seq/ack/len/window/flags multiset) with every timestamp
-    moved forward or kept — no segment gained, lost, or rewritten. *)
+(** [A004] on (packet indices into the trace, times) columns: [after]
+    must hold exactly the packets of [before] — none gained, lost or
+    swapped for another — each at a time moved forward or kept. *)
 
 val ratios_in_range : ?subject:string -> (string * float) list -> Diag.t list
 (** [A005] on named delay ratios: finite and within [0, 1]. *)

@@ -25,7 +25,8 @@ val shift :
   ?flight_gap:Tdat_timerange.Time_us.t ->
   Conn_profile.t ->
   Conn_profile.t * flight_shift list
-(** Returns the profile with shifted ACK timestamps (re-sorted) and the
-    per-flight diagnostics.  [flight_gap] defaults to [max(rtt/4, 1 ms)].
+(** Returns the profile with shifted ACK times — a new [ack_ts] column,
+    [acks] re-sorted with it when a shift reorders them, the trace
+    untouched — and the per-flight diagnostics.  [flight_gap] defaults to [max(rtt/4, 1 ms)].
     If the trace was taken at the sender (d2 baseline ≈ 0), the shift is
     a no-op, as Section III-B promises. *)

@@ -62,10 +62,6 @@ let h_connection_packets =
 let run_audit ~profile ~shifted ~skip_shift ~series ~(factors : Factors.result)
     ~timings ~total_s () =
   let open Tdat_audit in
-  let data_segs (p : Conn_profile.t) =
-    Array.to_list p.Conn_profile.data
-    |> List.map (fun d -> d.Conn_profile.seg)
-  in
   let series_sets =
     List.concat_map
       (fun s ->
@@ -82,22 +78,25 @@ let run_audit ~profile ~shifted ~skip_shift ~series ~(factors : Factors.result)
         | None -> [])
       (Series_gen.custom_names series)
   in
+  let tr = profile.Conn_profile.trace in
+  let data = profile.Conn_profile.data and acks = profile.Conn_profile.acks in
   let input_checks =
     Checks.canonical_set ~subject:"voids" profile.Conn_profile.voids
-    @ Checks.monotone_segments ~subject:"data" (data_segs profile)
-    @ Checks.monotone_segments ~subject:"acks"
-        (Array.to_list profile.Conn_profile.acks)
-    @ Checks.seq_ack_sane ~subject:"data" (data_segs profile)
-    @ Checks.seq_ack_sane ~subject:"acks"
-        (Array.to_list profile.Conn_profile.acks)
+    @ Checks.monotone_times ~subject:"data"
+        (Array.map (Tdat_pkt.Trace.ts tr) data)
+    @ Checks.monotone_times ~subject:"acks" profile.Conn_profile.ack_ts
+    @ Checks.seq_ack_sane ~subject:"data" tr data
+    @ Checks.seq_ack_sane ~subject:"acks" tr acks
   in
   let shift_checks =
     if skip_shift then []
     else
-      Checks.ack_shift_conserved ~subject:"ack shift"
-        ~before:profile.Conn_profile.acks ~after:shifted.Conn_profile.acks ()
-      @ Checks.monotone_segments ~subject:"shifted acks"
-          (Array.to_list shifted.Conn_profile.acks)
+      Checks.ack_shift_conserved ~subject:"ack shift" tr
+        ~before:(acks, profile.Conn_profile.ack_ts)
+        ~after:(shifted.Conn_profile.acks, shifted.Conn_profile.ack_ts)
+        ()
+      @ Checks.monotone_times ~subject:"shifted acks"
+          shifted.Conn_profile.ack_ts
   in
   let period = factors.Factors.analysis_period in
   let accounting =
@@ -190,19 +189,21 @@ let analyze ?config ?major_threshold ?mct ?mrt ?(skip_shift = false)
   }
 
 let analyze_all ?config ?major_threshold ?mct ?mrt ?audit ?jobs trace =
-  (* One pass buckets the whole trace; each bucket is then an
-     independent, pure analysis task, farmed to the domain pool.
-     Results come back in input order, so the output is identical to the
-     sequential path whatever [jobs] is.  Sender inference runs on the
-     per-connection sub-trace: byte counts from other connections
-     sharing an endpoint (every session shares the collector's) cannot
-     leak into the orientation. *)
+  (* One pass buckets the whole trace by connection; each bucket is then
+     an independent, pure analysis task, farmed to the domain pool,
+     which gathers the connection's columns only when it analyzes it,
+     so they die young.  Results come back in input order, so the output
+     is identical to the sequential path whatever [jobs] is.  Sender
+     inference runs on the per-connection sub-trace: byte counts from
+     other connections sharing an endpoint (every session shares the
+     collector's) cannot leak into the orientation. *)
   let parts =
     Tdat_obs.Span.with_ ~name:"partition" (fun () ->
-        Tdat_pkt.Trace.partition_connections trace)
+        Tdat_pkt.Trace.connection_subtraces trace)
   in
   Obs.Counter.add m_connections (List.length parts);
   let analyze_one (key, sub) =
+    let sub = sub () in
     Obs.Histogram.observe h_connection_packets
       (float_of_int (Tdat_pkt.Trace.length sub));
     let flow = Tdat_pkt.Trace.infer_sender sub key in

@@ -71,8 +71,9 @@ val analyze_all :
   Tdat_pkt.Trace.t ->
   (Tdat_pkt.Flow.t * t) list
 (** Extract every connection in the trace in one pass
-    ({!Tdat_pkt.Trace.partition_connections}), orient each by byte
-    volume over its own packets, and analyze it.  Connections are
+    ({!Tdat_pkt.Trace.connection_subtraces}, each sub-trace gathered
+    when its connection is analyzed), orient each by byte volume over
+    its own packets, and analyze it.  Connections are
     analyzed on [jobs] domains (default
     [Domain.recommended_domain_count ()]; [1] = fully sequential, no
     domains spawned).  The result is deterministic and identical for

@@ -1,6 +1,7 @@
 open Tdat_timerange
 module Seg = Tdat_pkt.Tcp_segment
 module Flow = Tdat_pkt.Flow
+module T = Tdat_pkt.Trace
 
 type label =
   | In_order
@@ -8,15 +9,6 @@ type label =
   | Fill_reorder
   | Fill_retransmission
   | Redelivery
-
-type data_packet = { seg : Seg.t; label : label }
-
-(* The seed of the pre-sized [data] array.  It names [Seg.filler], so it
-   is built once at start-up rather than emitted as static data, and is
-   old after the first minor collection: [Array.make] seeded with a
-   freshly labelled packet would force one per connection once the array
-   passes 256 words (DESIGN.md, "Allocation discipline"). *)
-let data_filler = { seg = Seg.filler; label = In_order }
 
 type loss_episode = { span : Span.t; packets : int; bytes : int }
 
@@ -29,8 +21,11 @@ type t = {
   rtt : Time_us.t;
   mss : int;
   max_adv_window : int;
-  data : data_packet array;
-  acks : Seg.t array;
+  trace : T.t;
+  data : int array;
+  labels : label array;
+  acks : int array;
+  ack_ts : Time_us.t array;
   upstream_episodes : loss_episode list;
   downstream_episodes : loss_episode list;
   voids : Span_set.t;
@@ -68,7 +63,6 @@ let merge_episodes recoveries =
 type hole = { h_lo : int; h_hi : int; created : Time_us.t }
 
 let of_trace ?(reorder_factor = 0.25) trace ~flow =
-  let module T = Tdat_pkt.Trace in
   let n = T.length trace in
   (* Direction predicates over the columns, endpoints compared by id.
      [to_sender] additionally excludes receiver-bound segments,
@@ -83,26 +77,24 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
   let has bit i = T.flags trace i land bit <> 0 in
   let is_data_seg i = to_receiver i && T.len trace i > 0 in
   let is_ack_seg i = to_sender i && has Seg.ack_bit i in
-  (* Count-then-fill the two per-direction arrays straight from the
-     columns: headers only, with endpoint and flag records shared with
-     the trace. *)
+  (* Count-then-fill the two per-direction index columns. *)
   let n_data = ref 0 and n_acks = ref 0 in
   for i = 0 to n - 1 do
     if is_data_seg i then incr n_data;
     if is_ack_seg i then incr n_acks
   done;
   let fill count pred =
-    let out = Array.make count Seg.filler in
+    let out = Array.make count 0 in
     let k = ref 0 in
     for i = 0 to n - 1 do
       if pred i then begin
-        out.(!k) <- T.header trace i;
+        out.(!k) <- i;
         incr k
       end
     done;
     out
   in
-  let data_segs = fill !n_data is_data_seg in
+  let data = fill !n_data is_data_seg in
   let acks = fill !n_acks is_ack_seg in
   (* The first packet satisfying [pred], or -1. *)
   let find pred =
@@ -133,10 +125,10 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
   let end_time = if n > 0 then T.ts trace (n - 1) else start_time in
   let mss =
     if syn >= 0 && T.mss trace syn >= 0 then T.mss trace syn
-    else Array.fold_left (fun acc (s : Seg.t) -> max acc s.len) 536 data_segs
+    else Array.fold_left (fun acc i -> max acc (T.len trace i)) 536 data
   in
   let max_adv_window =
-    Array.fold_left (fun acc (s : Seg.t) -> max acc s.window) 0 acks
+    Array.fold_left (fun acc i -> max acc (T.win trace i)) 0 acks
   in
   let rtt = max 1_000 (Option.value ~default:1_000 syn_rtt) in
   let reorder_threshold =
@@ -145,15 +137,19 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
   (* --- labeling pass ------------------------------------------------ *)
   let expected = ref 0 in
   let holes = ref ([] : hole list) in
-  let first_seen : (int, Time_us.t) Hashtbl.t = Hashtbl.create 1024 in
+  let first_seen : (int, Time_us.t) Hashtbl.t =
+    Hashtbl.create (Array.length data)
+  in
   let upstream = ref [] and downstream = ref [] in
-  let label_packet (s : Seg.t) =
-    let lo = s.seq and hi = Seg.seq_end s in
+  let label_packet i =
+    let ts = T.ts trace i and len = T.len trace i in
+    let lo = T.seq trace i in
+    let hi = lo + len in
     let label =
       if lo >= !expected then begin
         (* In order (possibly above an open hole). *)
         if lo > !expected then
-          holes := !holes @ [ { h_lo = !expected; h_hi = lo; created = s.ts } ];
+          holes := !holes @ [ { h_lo = !expected; h_hi = lo; created = ts } ];
         expected := hi;
         if !holes = [] then In_order else Above_hole
       end
@@ -168,12 +164,12 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
             let orig =
               match Hashtbl.find_opt first_seen lo with
               | Some ts -> ts
-              | None -> max start_time (s.ts - rtt)
+              | None -> max start_time (ts - rtt)
             in
             let span =
-              if s.ts > orig then Span.v orig (s.ts + 1) else Span.point s.ts
+              if ts > orig then Span.v orig (ts + 1) else Span.point ts
             in
-            downstream := { r_span = span; r_bytes = s.len } :: !downstream;
+            downstream := { r_span = span; r_bytes = len } :: !downstream;
             (if hi > !expected then expected := hi);
             Redelivery
         | _ ->
@@ -200,24 +196,25 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
             in
             holes := rest @ remaining;
             if hi > !expected then expected := hi;
-            if s.ts - created <= reorder_threshold then Fill_reorder
+            if ts - created <= reorder_threshold then Fill_reorder
             else begin
               let span =
-                if s.ts > created then Span.v created (s.ts + 1)
-                else Span.point s.ts
+                if ts > created then Span.v created (ts + 1)
+                else Span.point ts
               in
-              upstream := { r_span = span; r_bytes = s.len } :: !upstream;
+              upstream := { r_span = span; r_bytes = len } :: !upstream;
               Fill_retransmission
             end
       end
     in
-    if not (Hashtbl.mem first_seen lo) then Hashtbl.add first_seen lo s.ts;
-    { seg = s; label }
+    if not (Hashtbl.mem first_seen lo) then Hashtbl.add first_seen lo ts;
+    label
   in
-  (* Labeling is stateful (hole tracking): fill the pre-sized array in
-     order. *)
-  let data = Array.make (Array.length data_segs) data_filler in
-  Array.iteri (fun i s -> data.(i) <- label_packet s) data_segs;
+  (* Labeling is stateful (hole tracking): one pass in time order.  The
+     labels are immediates, so the column costs no forced collection
+     however long it is. *)
+  let labels = Array.make (Array.length data) In_order in
+  Array.iteri (fun k i -> labels.(k) <- label_packet i) data;
   {
     flow;
     start_time;
@@ -227,20 +224,23 @@ let of_trace ?(reorder_factor = 0.25) trace ~flow =
     rtt;
     mss;
     max_adv_window;
+    trace;
     data;
+    labels;
     acks;
+    ack_ts = Array.map (T.ts trace) acks;
     upstream_episodes = merge_episodes !upstream;
     downstream_episodes = merge_episodes !downstream;
-    voids = Tdat_pkt.Trace.voids trace;
+    voids = T.voids trace;
   }
 
 let retransmissions t =
   Array.fold_left
-    (fun acc p ->
-      match p.label with
+    (fun acc label ->
+      match label with
       | Fill_retransmission | Redelivery -> acc + 1
       | In_order | Above_hole | Fill_reorder -> acc)
-    0 t.data
+    0 t.labels
 
 let duration t = t.end_time - t.start_time
 let analysis_window t = Span.v t.start_time (t.end_time + 1)

@@ -22,14 +22,6 @@ type label =
   | Fill_retransmission  (** Filled a hole late: upstream-loss recovery. *)
   | Redelivery  (** Bytes seen before: downstream-loss recovery. *)
 
-type data_packet = {
-  seg : Tdat_pkt.Tcp_segment.t;
-      (** Headers only: the payload is [""] (nothing downstream reads
-          it), and the endpoint and flag records are shared with the
-          trace ({!Tdat_pkt.Trace.header}). *)
-  label : label;
-}
-
 type loss_episode = {
   span : Tdat_timerange.Span.t;
       (** From first evidence of the loss to the arrival of the recovery. *)
@@ -49,9 +41,19 @@ type t = {
   rtt : Tdat_timerange.Time_us.t;  (** Best available estimate (≥ 1 ms floor). *)
   mss : int;  (** From the SYN option, else the largest payload seen. *)
   max_adv_window : int;  (** Largest window the receiver ever advertised. *)
-  data : data_packet array;  (** Sender→receiver data packets, time order. *)
-  acks : Tdat_pkt.Tcp_segment.t array;
-      (** Receiver→sender ACKs, time order; headers only, as [data]'s. *)
+  trace : Tdat_pkt.Trace.t;
+      (** The connection's packets: [data] and [acks] index its columns,
+          which hold every header field the analysis reads. *)
+  data : int array;
+      (** Sender→receiver data packets, as indices into [trace], time
+          order. *)
+  labels : label array;  (** [labels.(k)] labels packet [data.(k)]. *)
+  acks : int array;
+      (** Receiver→sender ACKs, as indices into [trace], in [ack_ts]
+          order. *)
+  ack_ts : Tdat_timerange.Time_us.t array;
+      (** [ack_ts.(k)] is the time of ACK [acks.(k)]: the sniffer's
+          timestamp, or after {!Ack_shift.shift} the shifted one. *)
   upstream_episodes : loss_episode list;
   downstream_episodes : loss_episode list;
   voids : Tdat_timerange.Span_set.t;

@@ -1,5 +1,6 @@
 open Tdat_timerange
 module Seg = Tdat_pkt.Tcp_segment
+module T = Tdat_pkt.Trace
 module D = Series_defs
 
 type config = {
@@ -97,12 +98,11 @@ let series_of_spans set =
    inter-arrival between consecutive near-MSS data packets, capped at
    10 ms — when a trace never shows back-to-back packets the minimum gap
    says nothing about the wire rate. *)
-let estimate_tx_mss (data : Conn_profile.data_packet array) mss =
+let estimate_tx_mss ~data_ts ~data_len ndata mss =
   let best = ref max_int in
-  for i = 1 to Array.length data - 1 do
-    let a = data.(i - 1).Conn_profile.seg and b = data.(i).Conn_profile.seg in
-    if a.Seg.len >= mss * 9 / 10 && b.Seg.ts > a.Seg.ts then
-      best := min !best (b.Seg.ts - a.Seg.ts)
+  for k = 1 to ndata - 1 do
+    if data_len.(k - 1) >= mss * 9 / 10 && data_ts.(k) > data_ts.(k - 1) then
+      best := min !best (data_ts.(k) - data_ts.(k - 1))
   done;
   if !best = max_int then 10 else max 1 (min !best 10_000)
 
@@ -134,7 +134,12 @@ let flight_series ts n gap =
 
 (* ---- generation ------------------------------------------------------ *)
 
-let generate ?(config = default_config) ?window (p : Conn_profile.t) =
+(* [generate]'s body.  Data packet [k]'s time and length are read
+   through the trace once, into per-domain scratch arrays ([data_ts],
+   [data_len]; longer than needed, so only their first [ndata] entries
+   count).  ACK [k]'s time is the profile's [ack_ts.(k)] (shifted, when
+   the profile is); its other fields are read through the trace. *)
+let generate_from ~config ?window ~data_ts ~data_len (p : Conn_profile.t) =
   let win =
     match window with Some w -> w | None -> Conn_profile.analysis_window p
   in
@@ -143,62 +148,60 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
   let put_raw name series = Tbl.replace ev name series in
   let mss = p.Conn_profile.mss in
   let rtt = p.Conn_profile.rtt in
-  let data = p.Conn_profile.data in
+  let tr = p.Conn_profile.trace and data = p.Conn_profile.data in
+  let labels = p.Conn_profile.labels and ack_ts = p.Conn_profile.ack_ts in
   let acks = p.Conn_profile.acks in
   let ndata = Array.length data in
-  let tx_mss = estimate_tx_mss data mss in
+  let n_acks = Array.length ack_ts in
+  let tx_mss = estimate_tx_mss ~data_ts ~data_len ndata mss in
 
   (* -- extraction: packets ------------------------------------------- *)
   let b = Series.builder () in
-  Array.iter
-    (fun (d : Conn_profile.data_packet) ->
-      Series.add b (Span.point d.Conn_profile.seg.Seg.ts)
-        d.Conn_profile.seg.Seg.len)
-    data;
+  for k = 0 to ndata - 1 do
+    Series.add b (Span.point data_ts.(k)) data_len.(k)
+  done;
   put D.Data_pkt (Series.build b);
   let b = Series.builder () in
-  Array.iter (fun (a : Seg.t) -> Series.add b (Span.point a.Seg.ts) a.Seg.window) acks;
+  for k = 0 to n_acks - 1 do
+    Series.add b (Span.point ack_ts.(k)) (T.win tr acks.(k))
+  done;
   put D.Ack_pkt (Series.build b);
 
   (* -- transmission --------------------------------------------------- *)
   let b = Series.builder () in
-  Array.iter
-    (fun (d : Conn_profile.data_packet) ->
-      let s = d.Conn_profile.seg in
-      Series.add b
-        (Span.of_duration s.Seg.ts (tx_time tx_mss mss s.Seg.len))
-        s.Seg.len)
-    data;
+  for k = 0 to ndata - 1 do
+    Series.add b
+      (Span.of_duration data_ts.(k) (tx_time tx_mss mss data_len.(k)))
+      data_len.(k)
+  done;
   put D.Transmission (Series.build b);
 
   (* -- labeling-derived point series ---------------------------------- *)
   let b_retx = Series.builder () and b_oos = Series.builder () in
-  Array.iter
-    (fun (d : Conn_profile.data_packet) ->
-      let s = d.Conn_profile.seg in
-      match d.Conn_profile.label with
-      | Conn_profile.Redelivery | Conn_profile.Fill_retransmission ->
-          Series.add b_retx (Span.point s.Seg.ts) s.Seg.len;
-          Series.add b_oos (Span.point s.Seg.ts) s.Seg.len
-      | Conn_profile.Fill_reorder ->
-          Series.add b_oos (Span.point s.Seg.ts) s.Seg.len
-      | Conn_profile.In_order | Conn_profile.Above_hole -> ())
-    data;
+  for k = 0 to ndata - 1 do
+    match labels.(k) with
+    | Conn_profile.Redelivery | Conn_profile.Fill_retransmission ->
+        Series.add b_retx (Span.point data_ts.(k)) data_len.(k);
+        Series.add b_oos (Span.point data_ts.(k)) data_len.(k)
+    | Conn_profile.Fill_reorder ->
+        Series.add b_oos (Span.point data_ts.(k)) data_len.(k)
+    | Conn_profile.In_order | Conn_profile.Above_hole -> ()
+  done;
   put D.Retransmission (Series.build b_retx);
   put D.Out_of_sequence (Series.build b_oos);
 
   (* -- dup acks -------------------------------------------------------- *)
   let b = Series.builder () in
   let prev_ack = ref (-1) and prev_win = ref (-1) in
-  Array.iter
-    (fun (a : Seg.t) ->
-      if
-        a.Seg.len = 0 && a.Seg.ack = !prev_ack && a.Seg.window = !prev_win
-        && not a.Seg.flags.Seg.syn
-      then Series.add b (Span.point a.Seg.ts) a.Seg.ack;
-      prev_ack := a.Seg.ack;
-      prev_win := a.Seg.window)
-    acks;
+  for k = 0 to n_acks - 1 do
+    let i = acks.(k) in
+    if
+      T.len tr i = 0 && T.ack tr i = !prev_ack && T.win tr i = !prev_win
+      && T.flags tr i land Seg.syn_bit = 0
+    then Series.add b (Span.point ack_ts.(k)) (T.ack tr i);
+    prev_ack := T.ack tr i;
+    prev_win := T.win tr i
+  done;
   put D.Dup_ack (Series.build b);
 
   (* -- loss episodes ---------------------------------------------------- *)
@@ -215,14 +218,10 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
 
   (* -- advertised window ------------------------------------------------ *)
   let b_win = Series.builder () in
-  let n_acks = Array.length acks in
-  for i = 0 to n_acks - 1 do
-    let a = acks.(i) in
-    let stop =
-      if i + 1 < n_acks then acks.(i + 1).Seg.ts else Span.stop win
-    in
-    if stop > a.Seg.ts then
-      Series.add b_win (Span.v a.Seg.ts stop) a.Seg.window
+  for k = 0 to n_acks - 1 do
+    let stop = if k + 1 < n_acks then ack_ts.(k + 1) else Span.stop win in
+    if stop > ack_ts.(k) then
+      Series.add b_win (Span.v ack_ts.(k) stop) (T.win tr acks.(k))
   done;
   let adv_window = Series.build b_win in
   put D.Adv_window adv_window;
@@ -236,44 +235,36 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
   put D.Large_adv_window (filter_window (fun w -> w >= max_adv - small_thresh));
 
   (* -- flights / idle gaps ----------------------------------------------
-     Timestamp working sets live in per-domain scratch int arrays; the
-     combined timeline is a two-pointer merge of the two (already
-     time-sorted) directions, not a sort of a concatenated list. *)
+     The combined timeline is a two-pointer merge of the two (already
+     time-sorted) directions in a scratch array, not a sort of a
+     concatenated list. *)
   let flight_gap = max 1_000 (rtt / 4) in
   let module Scratch = Tdat_parallel.Scratch in
-  Scratch.with_ints ~slot:Scratch.slot_series_data_ts ndata (fun data_ts ->
-      Scratch.with_ints ~slot:Scratch.slot_series_ack_ts n_acks (fun ack_ts ->
-          Scratch.with_ints ~slot:Scratch.slot_series_all_ts (ndata + n_acks)
-            (fun all_ts ->
-              for i = 0 to ndata - 1 do
-                data_ts.(i) <- data.(i).Conn_profile.seg.Seg.ts
-              done;
-              for i = 0 to n_acks - 1 do
-                ack_ts.(i) <- acks.(i).Seg.ts
-              done;
-              put D.Data_flight (flight_series data_ts ndata flight_gap);
-              put D.Ack_flight (flight_series ack_ts n_acks flight_gap);
-              let i = ref 0 and j = ref 0 and k = ref 0 in
-              while !i < ndata || !j < n_acks do
-                let take_data =
-                  !j >= n_acks || (!i < ndata && data_ts.(!i) <= ack_ts.(!j))
-                in
-                if take_data then begin
-                  all_ts.(!k) <- data_ts.(!i);
-                  incr i
-                end
-                else begin
-                  all_ts.(!k) <- ack_ts.(!j);
-                  incr j
-                end;
-                incr k
-              done;
-              let b = Series.builder () in
-              for i = 0 to !k - 2 do
-                if all_ts.(i + 1) - all_ts.(i) > config.idle_gap_min then
-                  Series.add b (Span.v all_ts.(i) all_ts.(i + 1)) 0
-              done;
-              put D.Idle_gap (Series.build b))));
+  put D.Data_flight (flight_series data_ts ndata flight_gap);
+  put D.Ack_flight (flight_series ack_ts n_acks flight_gap);
+  Scratch.with_ints ~slot:Scratch.slot_series_all_ts (ndata + n_acks)
+    (fun all_ts ->
+      let i = ref 0 and j = ref 0 and k = ref 0 in
+      while !i < ndata || !j < n_acks do
+        let take_data =
+          !j >= n_acks || (!i < ndata && data_ts.(!i) <= ack_ts.(!j))
+        in
+        if take_data then begin
+          all_ts.(!k) <- data_ts.(!i);
+          incr i
+        end
+        else begin
+          all_ts.(!k) <- ack_ts.(!j);
+          incr j
+        end;
+        incr k
+      done;
+      let b = Series.builder () in
+      for i = 0 to !k - 2 do
+        if all_ts.(i + 1) - all_ts.(i) > config.idle_gap_min then
+          Series.add b (Span.v all_ts.(i) all_ts.(i + 1)) 0
+      done;
+      put D.Idle_gap (Series.build b));
 
   (* -- keepalive-only periods --------------------------------------------
      Boundaries are the large-packet timestamps framed by the window
@@ -282,10 +273,9 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
   let b = Series.builder () in
   Scratch.with_ints ~slot:Scratch.slot_series_small_ts ndata (fun small_ts ->
       let n_small_total = ref 0 in
-      for i = 0 to ndata - 1 do
-        let s = data.(i).Conn_profile.seg in
-        if s.Seg.len <= config.keepalive_max_size then begin
-          small_ts.(!n_small_total) <- s.Seg.ts;
+      for k = 0 to ndata - 1 do
+        if data_len.(k) <= config.keepalive_max_size then begin
+          small_ts.(!n_small_total) <- data_ts.(k);
           incr n_small_total
         end
       done;
@@ -311,11 +301,10 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
         end
       in
       let prev = ref (Span.start win) in
-      for i = 0 to ndata - 1 do
-        let s = data.(i).Conn_profile.seg in
-        if s.Seg.len > config.keepalive_max_size then begin
-          ka_interval !prev s.Seg.ts;
-          prev := s.Seg.ts
+      for k = 0 to ndata - 1 do
+        if data_len.(k) > config.keepalive_max_size then begin
+          ka_interval !prev data_ts.(k);
+          prev := data_ts.(k)
         end
       done;
       ka_interval !prev (Span.stop win));
@@ -341,26 +330,18 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
   let b_app = Series.builder () in
   let b_recv_extra = Series.builder () in
   (* Window value in force at a given time (last ack at or before t). *)
-  let window_at =
-    let arr = acks in
-    fun ts ->
-      let lo = ref 0 and hi = ref (Array.length arr) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if arr.(mid).Seg.ts <= ts then lo := mid + 1 else hi := mid
-      done;
-      if !lo = 0 then max_adv else arr.(!lo - 1).Seg.window
-  in
   (* First ack index with ts > t. *)
-  let ack_after =
-    let arr = acks in
-    fun ts ->
-      let lo = ref 0 and hi = ref (Array.length arr) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if arr.(mid).Seg.ts <= ts then lo := mid + 1 else hi := mid
-      done;
-      !lo
+  let ack_after ts =
+    let lo = ref 0 and hi = ref n_acks in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if ack_ts.(mid) <= ts then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let window_at ts =
+    let k = ack_after ts in
+    if k = 0 then max_adv else T.win tr acks.(k - 1)
   in
   let max_sent = ref 0 in
   let classify_wait ~t0 ~t1 ~out ~w =
@@ -378,14 +359,12 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
   (* Track the running cumulative ack as we walk data packets. *)
   let ack_idx = ref 0 and cum_ack = ref 0 in
   let advance_acks_upto ts =
-    while
-      !ack_idx < Array.length acks && acks.(!ack_idx).Seg.ts <= ts
-    do
-      cum_ack := max !cum_ack acks.(!ack_idx).Seg.ack;
+    while !ack_idx < n_acks && ack_ts.(!ack_idx) <= ts do
+      cum_ack := max !cum_ack (T.ack tr acks.(!ack_idx));
       incr ack_idx
     done
   in
-  let first_data_ts = if ndata > 0 then Some data.(0).Conn_profile.seg.Seg.ts else None in
+  let first_data_ts = if ndata > 0 then Some data_ts.(0) else None in
   (* Pre-transfer application silence: from handshake completion to the
      first data packet. *)
   (match (p.Conn_profile.syn_rtt, first_data_ts) with
@@ -395,16 +374,13 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
         Series.add b_app (Span.v established fd) 0
   | _ -> ());
   for i = 0 to ndata - 1 do
-    let s = data.(i).Conn_profile.seg in
-    advance_acks_upto s.Seg.ts;
-    max_sent := max !max_sent (Seg.seq_end s);
+    let s_ts = data_ts.(i) and s_len = data_len.(i) in
+    advance_acks_upto s_ts;
+    max_sent := max !max_sent (T.seq tr data.(i) + s_len);
     let sent_i = !max_sent in
     let out_i = max 0 (sent_i - !cum_ack) in
-    let t_i = s.Seg.ts + tx_time tx_mss mss s.Seg.len in
-    let t_next =
-      if i + 1 < ndata then data.(i + 1).Conn_profile.seg.Seg.ts
-      else Span.stop win
-    in
+    let t_i = s_ts + tx_time tx_mss mss s_len in
+    let t_next = if i + 1 < ndata then data_ts.(i + 1) else Span.stop win in
     let is_last = i = ndata - 1 in
     (* After the final data packet the sender's silence explains nothing:
        the transfer is over on the wire.  Any remaining analysis window
@@ -415,12 +391,12 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
     let attribute_tail_after_wire_end tc =
       let j = ref (ack_after tc) in
       let prev_ts = ref tc and prev_w = ref (window_at tc) in
-      while !j < Array.length acks && acks.(!j).Seg.ts < t_next do
-        let a = acks.(!j) in
-        if a.Seg.ts > !prev_ts && !prev_w < max_adv then
-          Series.add b_recv_extra (Span.v !prev_ts a.Seg.ts) !prev_w;
-        prev_ts := a.Seg.ts;
-        prev_w := a.Seg.window;
+      while !j < n_acks && ack_ts.(!j) < t_next do
+        let a_ts = ack_ts.(!j) in
+        if a_ts > !prev_ts && !prev_w < max_adv then
+          Series.add b_recv_extra (Span.v !prev_ts a_ts) !prev_w;
+        prev_ts := a_ts;
+        prev_w := T.win tr acks.(!j);
         incr j
       done;
       if t_next > !prev_ts && !prev_w < max_adv then
@@ -428,22 +404,18 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
     in
     if t_next > t_i then begin
       (* Outstanding span and clearing time within (t_i, t_next). *)
-      let j = ref (ack_after s.Seg.ts) in
+      let j = ref (ack_after s_ts) in
       let t_clear = ref None in
       let running = ref !cum_ack in
-      while
-        !t_clear = None
-        && !j < Array.length acks
-        && acks.(!j).Seg.ts < t_next
-      do
-        running := max !running acks.(!j).Seg.ack;
-        if !running >= sent_i then t_clear := Some acks.(!j).Seg.ts;
+      while !t_clear = None && !j < n_acks && ack_ts.(!j) < t_next do
+        running := max !running (T.ack tr acks.(!j));
+        if !running >= sent_i then t_clear := Some ack_ts.(!j);
         incr j
       done;
       (match !t_clear with
       | Some tc ->
           let tc = max tc t_i in
-          Series.add b_out (Span.v s.Seg.ts (max (s.Seg.ts + 1) tc)) out_i;
+          Series.add b_out (Span.v s_ts (max (s_ts + 1) tc)) out_i;
           if is_last then begin
             classify_wait ~t0:t_i ~t1:tc ~out:out_i ~w:(window_at t_i);
             attribute_tail_after_wire_end tc
@@ -469,11 +441,11 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
           (* Pipe never drained before the next transmission (or before
              the window ends: data still in flight, possibly forever —
              loss episodes cover the pathological cases). *)
-          Series.add b_out (Span.v s.Seg.ts t_next) out_i;
+          Series.add b_out (Span.v s_ts t_next) out_i;
           classify_wait ~t0:t_i ~t1:t_next ~out:out_i ~w:(window_at t_i))
     end
     else
-      Series.add b_out (Span.point s.Seg.ts) out_i
+      Series.add b_out (Span.point s_ts) out_i
   done;
   put D.Outstanding (Series.build b_out);
   put D.Send_app_limited (Series.build b_app);
@@ -495,21 +467,19 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
     run_len := 0
   in
   for i = 0 to ndata - 1 do
-    let s = data.(i).Conn_profile.seg in
     (match !run_start with
     | None ->
-        run_start := Some s.Seg.ts;
+        run_start := Some data_ts.(i);
         run_len := 1
     | Some _ ->
-        let prev = data.(i - 1).Conn_profile.seg in
-        let expected = 2 * tx_time tx_mss mss prev.Seg.len in
-        if s.Seg.ts - prev.Seg.ts <= expected then incr run_len
+        let expected = 2 * tx_time tx_mss mss data_len.(i - 1) in
+        if data_ts.(i) - data_ts.(i - 1) <= expected then incr run_len
         else begin
-          flush_run prev.Seg.ts prev.Seg.len;
-          run_start := Some s.Seg.ts;
+          flush_run data_ts.(i - 1) data_len.(i - 1);
+          run_start := Some data_ts.(i);
           run_len := 1
         end);
-    if i = ndata - 1 then flush_run s.Seg.ts s.Seg.len
+    if i = ndata - 1 then flush_run data_ts.(i) data_len.(i)
   done;
   put D.Bandwidth_bound (Series.build b);
 
@@ -571,3 +541,16 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
   (* Invalidate cached span sets for names added after [t] was built. *)
   Tbl.reset t.span_cache;
   t
+
+let generate ?(config = default_config) ?window (p : Conn_profile.t) =
+  let module Scratch = Tdat_parallel.Scratch in
+  let tr = p.Conn_profile.trace in
+  let data = p.Conn_profile.data in
+  let ndata = Array.length data in
+  Scratch.with_ints ~slot:Scratch.slot_series_data_ts ndata @@ fun data_ts ->
+  Scratch.with_ints ~slot:Scratch.slot_series_data_len ndata @@ fun data_len ->
+  for k = 0 to ndata - 1 do
+    data_ts.(k) <- T.ts tr data.(k);
+    data_len.(k) <- T.len tr data.(k)
+  done;
+  generate_from ~config ?window ~data_ts ~data_len p

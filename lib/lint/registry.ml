@@ -52,7 +52,7 @@ let all =
       "A known minor-heap-heavy idiom (list append, List.map/concat, \
        String.concat, Printf.sprintf, Fun.flip) inside a configured hot \
        path (pcap/MRT decode, Span_set kernels, \
-       Trace.partition_connections); use preallocated arrays, Buffer or \
+       Trace.connection_subtraces); use preallocated arrays, Buffer or \
        fold loops.";
     rule "L010" ~severity:Finding.Warning ~summary:"unused lint suppression"
       "A [@tdat.lint.allow ...] attribute suppressed nothing; delete it so \

@@ -177,7 +177,8 @@ type hot_scope = All | Funcs of string list
 let default_hot_paths =
   [
     ( "Pcap",
-      Funcs [ "skip"; "scan_options"; "decode_frame"; "fill"; "read_records" ] );
+      Funcs [ "skip"; "scan_options"; "decode_frame"; "ensure";
+              "count_records"; "read_records" ] );
     ( "Mrt",
       Funcs [ "parse_body"; "frame"; "fold_fill"; "summary_fill";
               "fill_from"; "fill_of_read"; "chunk_fill"; "fold_string";
@@ -191,12 +192,12 @@ let default_hot_paths =
     ("Detect", Funcs [ "observe"; "peer"; "update"; "anchor"; "close" ]);
     ("Span_set", All);
     ( "Trace",
-      Funcs [ "conn_key"; "connection_ids"; "partition_connections"; "gather";
+      Funcs [ "conn_key"; "connection_ids"; "connection_subtraces"; "gather";
               "add" ] );
     ("Slice", All);
     ( "Series_gen",
       Funcs [ "series_of_spans"; "flight_series"; "episode_series";
-              "generate" ] );
+              "generate_from"; "generate" ] );
     ("Pool", Funcs [ "map"; "exec_chunk"; "drain" ]);
     (* The serve daemon's per-byte request loop: framing, socket
        shuffling and outbox routing run once per select wake-up. *)

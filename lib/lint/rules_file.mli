@@ -12,7 +12,7 @@ type hot_scope =
 val default_hot_paths : (string * hot_scope) list
 (** The protected set the allocation-light ROADMAP item names: pcap and
     MRT streaming decode, the Span_set kernels and
-    [Trace.partition_connections]. *)
+    [Trace.connection_subtraces]. *)
 
 val fenced_modules : string list
 (** Modules whose abstract values fence L002. *)

@@ -37,15 +37,14 @@ type t = { mutable cells : cell array; mutable icells : icell array }
 
 (* Well-known slot owners.  A new call site takes the next number; two
    sites may share a slot only if they can never be live at once. *)
-let slot_pcap_frame = 0
-let slot_mrt_body = 1
-let slot_reassembly = 2
-let slot_mrt_chunk = 3
+let slot_mrt_body = 0
+let slot_reassembly = 1
+let slot_mrt_chunk = 2
 let slot_series_data_ts = 0
-let slot_series_ack_ts = 1
-let slot_series_all_ts = 2
-let slot_series_small_ts = 3
-let slot_mct_seen = 4
+let slot_series_all_ts = 1
+let slot_series_small_ts = 2
+let slot_mct_seen = 3
+let slot_series_data_len = 4
 
 let key =
   Domain.DLS.new_key (fun () -> { cells = [||]; icells = [||] })

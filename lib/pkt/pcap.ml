@@ -219,54 +219,58 @@ let rec scan_options ~emit ~ri frame ~hdr_end ~limit o mss =
               (if kind = 2 && olen = 4 then Slice.u16be frame (o + 2) else mss)
         end
 
-(* Decode one captured frame (a [Slice.t] over the captured bytes of the
-   reused record buffer) into a row of the trace's columns; [false] when
-   the record yields no segment.  The frame is parsed snaplen-correctly:
+(* Decode one captured frame, the [incl] bytes at [base] of the capture
+   buffer [data], into a row of the trace's columns; [false] when the
+   record yields no segment.  The frame is parsed snaplen-correctly:
    the segment's [len] comes from the declared IP/TCP header lengths,
    the payload keeps only the captured bytes (possibly fewer than
-   [len]).  Everything is read in place through the slice and written
-   straight into the columns and the trace's payload buffer; only
-   diagnostics and a first-seen endpoint allocate. *)
-let decode_frame b ~emit ~clipped ~ri ~ts frame =
-  let incl = Slice.length frame in
+   [len]).  Everything is read in place, and the payload column names
+   the bytes where they lie; only diagnostics and a first-seen endpoint
+   allocate.  Offsets are absolute, so one slice serves every frame:
+   each read is checked against the frame's end ([stop]) before it is
+   made, and the slice bounds the buffer. *)
+let decode_frame b ~emit ~clipped ~ri ~ts ~base ~incl data =
+  let stop = base + incl in
   try
     if incl < ethernet_header_len then
       skip emit
         (Diag.info ~record:ri ~code:"P009" "runt frame (%d captured bytes)"
            incl);
-    let vlan = Slice.u16be frame 12 = 0x8100 in
+    let vlan = Slice.u16be data (base + 12) = 0x8100 in
     if vlan then begin
       if incl < ethernet_header_len + 4 then
         skip emit (Diag.info ~record:ri ~code:"P009" "runt 802.1Q frame");
       emit (Diag.info ~record:ri ~code:"P010" "802.1Q VLAN-tagged frame")
     end;
     (* The ethertype is the last field before the IPv4 header. *)
-    let l2 = if vlan then ethernet_header_len + 4 else ethernet_header_len in
-    let ethertype = Slice.u16be frame (l2 - 2) in
+    let l2 =
+      base + if vlan then ethernet_header_len + 4 else ethernet_header_len
+    in
+    let ethertype = Slice.u16be data (l2 - 2) in
     if ethertype <> 0x0800 then
       skip emit
         (Diag.info ~record:ri ~code:"P009" "non-IPv4 frame (ethertype 0x%04x)"
            ethertype);
-    if l2 + ipv4_header_len > incl then
+    if l2 + ipv4_header_len > stop then
       skip emit
         (Diag.warning ~record:ri ~code:"P006"
            "capture ends inside the IPv4 header");
-    let vihl = Slice.u8 frame l2 in
+    let vihl = Slice.u8 data l2 in
     if vihl lsr 4 <> 4 then
       skip emit
         (Diag.warning ~record:ri ~code:"P006" "IP version %d" (vihl lsr 4));
     let ihl = (vihl land 0x0F) * 4 in
     if ihl < ipv4_header_len then
       skip emit (Diag.warning ~record:ri ~code:"P006" "bad IHL %d" ihl);
-    let proto = Slice.u8 frame (l2 + 9) in
+    let proto = Slice.u8 data (l2 + 9) in
     if proto <> 6 then raise_notrace Skip_record (* non-TCP traffic *);
-    let ip_total = Slice.u16be frame (l2 + 2) in
+    let ip_total = Slice.u16be data (l2 + 2) in
     let tcp = l2 + ihl in
-    if tcp + 20 > incl then
+    if tcp + 20 > stop then
       skip emit
         (Diag.warning ~record:ri ~code:"P007"
            "capture ends inside the TCP header");
-    let doff = (Slice.u8 frame (tcp + 12) lsr 4) * 4 in
+    let doff = (Slice.u8 data (tcp + 12) lsr 4) * 4 in
     if doff < 20 then
       skip emit
         (Diag.warning ~record:ri ~code:"P007" "bad TCP data offset %d" doff);
@@ -280,38 +284,30 @@ let decode_frame b ~emit ~clipped ~ri ~ts frame =
        whatever payload bytes the sniffer captured. *)
     let len = ip_total - ihl - doff in
     let payload_off = tcp + doff in
-    let captured = max 0 (min len (incl - payload_off)) in
+    let captured = max 0 (min len (stop - payload_off)) in
     if captured < len then incr clipped;
     let hdr_end = tcp + doff in
     let mss =
-      scan_options ~emit ~ri frame ~hdr_end ~limit:(min hdr_end incl) (tcp + 20)
+      scan_options ~emit ~ri data ~hdr_end ~limit:(min hdr_end stop) (tcp + 20)
         (-1)
     in
     let src =
-      Trace.Builder.endpoint b ~ip:(Slice.u32be frame (l2 + 12))
-        ~port:(Slice.u16be frame tcp)
+      Trace.Builder.endpoint b ~ip:(Slice.u32be data (l2 + 12))
+        ~port:(Slice.u16be data tcp)
     in
     let dst =
-      Trace.Builder.endpoint b ~ip:(Slice.u32be frame (l2 + 16))
-        ~port:(Slice.u16be frame (tcp + 2))
+      Trace.Builder.endpoint b ~ip:(Slice.u32be data (l2 + 16))
+        ~port:(Slice.u16be data (tcp + 2))
     in
     Trace.Builder.add b ~ts ~src ~dst
-      ~seq:(Slice.u32be frame (tcp + 4))
-      ~ack:(Slice.u32be frame (tcp + 8))
+      ~seq:(Slice.u32be data (tcp + 4))
+      ~ack:(Slice.u32be data (tcp + 8))
       ~len
-      ~window:(Slice.u16be frame (tcp + 14))
-      ~flags:(Slice.u8 frame (tcp + 13) land 0x1F)
-      ~mss frame ~off:payload_off ~captured;
+      ~window:(Slice.u16be data (tcp + 14))
+      ~flags:(Slice.u8 data (tcp + 13) land 0x1F)
+      ~mss ~off:payload_off ~captured;
     true
   with Skip_record -> false
-
-(* Read until [len] bytes sit in [buf] or [read] reports EOF; the count
-   read.  A top-level loop, so a record read allocates no closure. *)
-let rec fill (read : Ingest_io.read) buf len off =
-  if off >= len then off
-  else
-    let n = read buf off (len - off) in
-    if n = 0 then off else fill read buf len (off + n)
 
 (* The diagnostics in order, plus the final [P011] snaplen-clipping
    summary when any record was clipped. *)
@@ -327,13 +323,52 @@ let with_clip_summary stats rev_diags =
       ]
   else diags
 
-(* The streaming core: pull records one at a time from [read] (a
-   [Stdlib.input]-style function) into a reused, bounded frame buffer,
-   decoding each straight into the trace's columns.  [payload_bytes]
-   sizes the trace's payload buffer: the input's length when it is
-   known, so only a growing source (a tailed file, a pipe) reallocates
-   it. *)
-let read_records ?(strict = false) ~payload_bytes read =
+(* The capture buffer: [data] slices the bytes read so far out of the
+   buffer ([data.buf]) every frame is sliced from and every payload
+   column points into.  [read] is [None] when the whole capture is
+   already there. *)
+type source = { mutable data : Slice.t; read : Ingest_io.read option }
+
+(* Make [need] bytes available, reading as required; [false] at the
+   end of input.  The buffer grows (by doubling, at least to [need])
+   only once it is full, so a buffer one byte longer than the input
+   learns of the end by a read into that byte and is never
+   reallocated. *)
+let rec ensure src need =
+  let { Slice.buf; len = avail; _ } = src.data in
+  avail >= need
+  ||
+  match src.read with
+  | None -> false
+  | Some read ->
+      let buf =
+        if avail < Bytes.length buf then buf
+        else Bytes.extend buf 0 (max (need - avail) avail)
+      in
+      let got = read buf avail (Bytes.length buf - avail) in
+      got > 0
+      && begin
+           src.data <- Slice.of_bytes ~len:(avail + got) buf;
+           ensure src need
+         end
+
+(* Complete records in the bytes already read: the row count the
+   columns start with, exact for a capture held whole.  Only the
+   record headers are read. *)
+let count_records data endian =
+  let rec go pos n =
+    if pos + 16 > Slice.length data then n
+    else
+      let incl = get_u32 endian data (pos + 8) in
+      if incl > max_record_len || pos + 16 + incl > Slice.length data then n
+      else go (pos + 16 + incl) (n + 1)
+  in
+  go 24 0
+
+(* The decoder every entry point runs: records are framed in place in
+   the capture buffer, each decoded straight into the trace's columns,
+   and the buffer becomes the trace's payload buffer. *)
+let read_records ?(strict = false) src =
   let records = ref 0
   and decoded = ref 0
   and skipped = ref 0
@@ -348,86 +383,73 @@ let read_records ?(strict = false) ~payload_bytes read =
     emit d;
     raise_notrace Stop_reading
   in
-  let read_upto buf len = fill read buf len 0 in
-  (* A pcap record is at least its 16-byte header plus a 54-byte
-     Ethernet/IPv4/TCP frame, so this bounds the packet count from
-     above; a quarter of it is a first guess that rarely has to grow. *)
-  let b =
-    Trace.Builder.create ~packets:(payload_bytes / 280) ~payload_bytes
-  in
   let t_read = if Obs.enabled Obs.default then Tdat_obs.Clock.now_s () else 0. in
   Tdat_obs.Span.with_ ~name:"pcap-read" @@ fun () ->
-  (* The record buffer is a per-domain arena slot: reads on the same
-     domain (each pool worker streams many captures) reuse one
-     high-water-mark buffer instead of allocating 64 KiB per file. *)
-  Tdat_parallel.Scratch.(with_bytes ~slot:slot_pcap_frame 65536) @@ fun fcell ->
+  let b = ref None in
   (try
-     let ghdr = Bytes.create 24 in
-     let ghdr_s = Slice.of_bytes ghdr in
-     if read_upto ghdr 24 < 24 then
+     if not (ensure src 24) then
        fatal (Diag.error ~code:"P002" "truncated header");
      let endian, ns =
-       match (get_u32 Le ghdr_s 0, get_u32 Be ghdr_s 0) with
+       match (get_u32 Le src.data 0, get_u32 Be src.data 0) with
        | m, _ when m = magic_us -> (Le, false)
        | m, _ when m = magic_ns -> (Le, true)
        | _, m when m = magic_us -> (Be, false)
        | _, m when m = magic_ns -> (Be, true)
        | _ -> fatal (Diag.error ~code:"P001" "bad magic")
      in
-     let link_type = get_u32 endian ghdr_s 20 in
+     let link_type = get_u32 endian src.data 20 in
      if link_type <> 1 then
        fatal (Diag.error ~code:"P003" "unsupported link type");
-     let rhdr = Bytes.create 16 in
-     let rhdr_s = Slice.of_bytes rhdr in
+     let builder =
+       Trace.Builder.create ~packets:(count_records src.data endian)
+     in
+     b := Some builder;
+     let pos = ref 24 in
      let stop = ref false in
      while not !stop do
-       let n = read_upto rhdr 16 in
-       if n = 0 then stop := true
-       else if n < 16 then begin
-         emit
-           (Diag.warning ~record:!records ~code:"P004"
-              "truncated record header (%d trailing bytes)" n);
+       if not (ensure src (!pos + 16)) then begin
+         let n = Slice.length src.data - !pos in
+         if n > 0 then
+           emit
+             (Diag.warning ~record:!records ~code:"P004"
+                "truncated record header (%d trailing bytes)" n);
          stop := true
        end
        else begin
-         let incl = get_u32 endian rhdr_s 8 in
+         let incl = get_u32 endian src.data (!pos + 8) in
          if incl > max_record_len then begin
            emit
              (Diag.warning ~record:!records ~code:"P005"
                 "implausible record length %d" incl);
            stop := true
          end
+         else if not (ensure src (!pos + 16 + incl)) then begin
+           emit (Diag.warning ~record:!records ~code:"P005" "truncated packet");
+           stop := true
+         end
          else begin
-           let frame = Tdat_parallel.Scratch.ensure fcell incl in
-           let got = read_upto frame incl in
-           if got < incl then begin
-             emit
-               (Diag.warning ~record:!records ~code:"P005" "truncated packet");
-             stop := true
+           let ts_sec = get_u32 endian src.data !pos in
+           let ts_sub = get_u32 endian src.data (!pos + 4) in
+           let ts_us = if ns then ts_sub / 1000 else ts_sub in
+           let ts = (ts_sec * 1_000_000) + ts_us in
+           let ri = !records in
+           let base = !pos + 16 in
+           incr records;
+           Obs.Counter.incr m_records;
+           (* +16: the per-record pcap header travels with the frame. *)
+           Obs.Counter.add m_bytes (incl + 16);
+           Obs.Histogram.observe h_record_bytes (float_of_int incl);
+           if
+             decode_frame builder ~emit ~clipped ~ri ~ts ~base ~incl src.data
+           then begin
+             incr decoded;
+             Obs.Counter.incr m_segments
            end
            else begin
-             let ts_sec = get_u32 endian rhdr_s 0 in
-             let ts_sub = get_u32 endian rhdr_s 4 in
-             let ts_us = if ns then ts_sub / 1000 else ts_sub in
-             let ts = (ts_sec * 1_000_000) + ts_us in
-             let ri = !records in
-             incr records;
-             Obs.Counter.incr m_records;
-             (* +16: the per-record pcap header travels with the frame. *)
-             Obs.Counter.add m_bytes (incl + 16);
-             Obs.Histogram.observe h_record_bytes (float_of_int incl);
-             if
-               decode_frame b ~emit ~clipped ~ri ~ts
-                 (Slice.of_bytes ~len:incl frame)
-             then begin
-               incr decoded;
-               Obs.Counter.incr m_segments
-             end
-             else begin
-               incr skipped;
-               Obs.Counter.incr m_skipped
-             end
-           end
+             incr skipped;
+             Obs.Counter.incr m_skipped
+           end;
+           pos := base + incl
          end
        end
      done
@@ -445,33 +467,42 @@ let read_records ?(strict = false) ~payload_bytes read =
     }
   in
   let diags = with_clip_summary stats !diags in
-  { trace = Trace.Builder.finish b; diags; stats }
+  let builder =
+    match !b with Some b -> b | None -> Trace.Builder.create ~packets:0
+  in
+  (* Room read into but never filled is zeroed, so two reads of one
+     capture give equal traces. *)
+  let { Slice.buf; len = avail; _ } = src.data in
+  Bytes.fill buf avail (Bytes.length buf - avail) '\000';
+  { trace = Trace.Builder.finish builder ~payload:src.data; diags; stats }
 
-let reader_of_string data =
-  let pos = ref 0 in
-  fun buf off len ->
-    let n = min len (String.length data - !pos) in
-    Bytes.blit_string data !pos buf off n;
-    pos := !pos + n;
-    n
-
-let read_source ?strict read = read_records ?strict ~payload_bytes:65536 read
+let read_source ?strict read =
+  read_records ?strict
+    { data = Slice.of_bytes ~len:0 (Bytes.create 65536); read = Some read }
 
 let decode_result ?strict data =
-  read_records ?strict ~payload_bytes:(String.length data)
-    (reader_of_string data)
+  read_records ?strict { data = Slice.of_string data; read = None }
 
 (* The file reader shares the [Ingest_io] channel reader: EINTR retried,
-   short reads looped by [fill], and — with [~follow] — EOF turned into
-   polling so a still-growing capture can be tailed. *)
+   short reads looped by [ensure], and — with [~follow] — EOF turned
+   into polling so a still-growing capture can be tailed.  The buffer
+   is the file's size plus the spare byte that tells its end, and the
+   file is read whole before the first record is decoded, so the
+   columns are sized from an exact record count. *)
 let read_file ?strict ?follow path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let size = (Unix.fstat (Unix.descr_of_in_channel ic)).Unix.st_size in
-      read_records ?strict ~payload_bytes:size
-        (Ingest_io.of_channel ?follow ic))
+      let src =
+        {
+          data = Slice.of_bytes ~len:0 (Bytes.create (size + 1));
+          read = Some (Ingest_io.of_channel ?follow ic);
+        }
+      in
+      ignore (ensure src size);
+      read_records ?strict src)
 
 let to_file path trace =
   let oc = open_out_bin path in

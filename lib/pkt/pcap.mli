@@ -6,13 +6,13 @@
     tcpdump-style tooling on both synthetic and real traces.  Checksums
     are written as zero and ignored on read.
 
-    Reading is {e streaming}: records are read one at a time into a
-    reused buffer and decoded straight into the columns of a {!Trace.t}
-    (DESIGN.md, "Trace representation") — no per-packet record, string
-    or boxed endpoint — so a read holds the trace plus its largest
-    record.  The trace's payload buffer is sized once from the input's
-    length (the string's, or the file's [fstat] size); only a growing
-    source reallocates it.  It is also {e snaplen-correct}:
+    Reading is {e in place}: every entry point frames the records in one
+    capture buffer and decodes each straight into the columns of a
+    {!Trace.t} (DESIGN.md, "Trace representation") — no per-packet
+    record, string or boxed endpoint, and no frame or payload byte
+    copied — and that buffer becomes the trace's payload buffer, so a
+    trace holds the capture it was read from (headers included, also
+    for a headers-only capture).  It is also {e snaplen-correct}:
     a segment's [len] always comes from the declared IPv4/TCP header
     lengths ([ip_total - ihl - doff]), while its [payload] keeps only the
     bytes the sniffer captured — possibly fewer, when the capture used a
@@ -81,25 +81,27 @@ val encode : Trace.t -> string
 val decode_result : ?strict:bool -> string -> result
 (** Parse pcap file bytes (both little- and big-endian files, µs or ns
     resolution; ns timestamps are truncated to µs; non-TCP packets are
-    skipped).  Fault-tolerant by default: salvages every decodable
-    record and reports problems as diagnostics.  [~strict:true] raises
-    {!Decode_error} on the first error/warning diagnostic. *)
+    skipped).  The string is the capture buffer: the trace points into
+    it and copies none of it.  Fault-tolerant by default: salvages every
+    decodable record and reports problems as diagnostics.
+    [~strict:true] raises {!Decode_error} on the first error/warning
+    diagnostic. *)
 
 val read_source : ?strict:bool -> Ingest_io.read -> result
-(** The reader every other one is built on: pull records through an
-    arbitrary {!Ingest_io.read} (a descriptor via {!Ingest_io.of_fd} —
+(** Pull records through an arbitrary {!Ingest_io.read} (a descriptor via {!Ingest_io.of_fd} —
     pipes, sockets, tailed files — a custom transport, an instrumented
     source in tests).  The capture ends only when [read] returns [0].
-    With no input length to size it from, the trace's payload buffer
-    starts at 64 KiB and grows by doubling.  Diagnostics and stats as
+    With no input length to size it from, the capture buffer starts
+    at 64 KiB and grows by doubling.  Diagnostics and stats as
     {!decode_result}'s. *)
 
 val to_file : string -> Trace.t -> unit
 (** @raise Encode_error on unrepresentable segments. *)
 
 val read_file : ?strict:bool -> ?follow:Ingest_io.follow -> string -> result
-(** {!read_source} over a freshly opened file (a buffered channel),
-    closed on return; the payload buffer is sized from the file's size
-    ([fstat]).  Fault-tolerant unless [~strict:true]; [~follow] (see
-    {!Ingest_io.follow_idle}) polls at EOF instead of ending the
-    capture — the tailing mode for a still-growing file. *)
+(** The file read whole into a capture buffer of its size ([fstat]),
+    then decoded as {!decode_result} does, reading on past that size if
+    the file grows; the file is closed on return.  Fault-tolerant unless
+    [~strict:true]; [~follow] (see {!Ingest_io.follow_idle}) polls at
+    EOF instead of ending the capture — the tailing mode for a
+    still-growing file. *)

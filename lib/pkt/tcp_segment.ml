@@ -18,14 +18,6 @@ let flag_bits f =
   Bool.to_int f.fin lor (Bool.to_int f.syn lsl 1) lor (Bool.to_int f.rst lsl 2)
   lor (Bool.to_int f.psh lsl 3) lor (Bool.to_int f.ack lsl 4)
 
-(* One shared record per bit pattern, only ever read. *)
-let by_bits =
-  Array.init 32 (fun b ->
-      let bit k = b land (1 lsl k) <> 0 in
-      { fin = bit 0; syn = bit 1; rst = bit 2; psh = bit 3; ack = bit 4 })
-[@@tdat.lint.allow "L007"]
-
-let flags_of_bits b = by_bits.(b land 0x1F)
 let data_flags = flags ~ack:true ~psh:true ()
 let ack_flags = flags ~ack:true ()
 
@@ -72,24 +64,6 @@ let compare_ts a b =
   match Int.compare a.ts b.ts with
   | 0 -> Int.compare a.seq b.seq
   | c -> c
-
-(* Every field a constant, so the compiler emits the record as static
-   data: [Array.make n filler] never forces a minor collection, where a
-   freshly built segment as the seed would once the array passes 256
-   words (DESIGN.md, "Allocation discipline"). *)
-let filler =
-  {
-    ts = 0;
-    src = { Endpoint.ip = 0l; port = 0 };
-    dst = { Endpoint.ip = 0l; port = 0 };
-    seq = 0;
-    ack = 0;
-    len = 0;
-    window = 0;
-    flags = { syn = false; ack = false; fin = false; rst = false; psh = false };
-    mss_opt = None;
-    payload = "";
-  }
 
 let pp ppf t =
   let flag b c = if b then c else "" in

@@ -29,9 +29,6 @@ val ack_bit : int
 val flag_bits : flags -> int
 (** The flags as TCP header bits (FIN 0x01 ... ACK 0x10). *)
 
-val flags_of_bits : int -> flags
-(** Inverse of {!flag_bits}, higher bits ignored; a shared record. *)
-
 type t = {
   ts : Tdat_timerange.Time_us.t;  (** Sniffer timestamp. *)
   src : Endpoint.t;
@@ -77,13 +74,6 @@ val is_data : t -> bool
 
 val is_pure_ack : t -> bool
 (** An ACK that carries no payload and no SYN/FIN/RST. *)
-
-val filler : t
-(** A statically allocated segment (all fields zero, no flags, no
-    payload), for seeding arrays that are filled afterwards: an array
-    longer than 256 words seeded with a freshly built record costs a
-    forced minor collection, one seeded with [filler] does not.  Never
-    meant to be read. *)
 
 val compare_ts : t -> t -> int
 val pp : Format.formatter -> t -> unit

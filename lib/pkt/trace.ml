@@ -5,7 +5,7 @@ open Tdat_timerange
    Endpoints are small-int ids into an endpoint table, and each payload
    is an (offset, captured length) pair into one byte buffer.  The
    table, its id map and the buffer are shared, read-only, by every
-   sub-trace [partition_connections] cuts from a trace. *)
+   sub-trace [connection_subtraces] gathers from a trace. *)
 
 let c_ts = 0 and c_seq = 1 and c_ack = 2 and c_len = 3 and c_win = 4
 let c_flags = 5 and c_mss = 6 (* -1 when absent *) and c_src = 7 and c_dst = 8
@@ -36,6 +36,8 @@ let length t = Array.length t.cols.(c_ts)
 let voids t = t.voids
 let ts t i = t.cols.(c_ts).(i)
 let seq t i = t.cols.(c_seq).(i)
+let ack t i = t.cols.(c_ack).(i)
+let win t i = t.cols.(c_win).(i)
 let len t i = t.cols.(c_len).(i)
 let flags t i = t.cols.(c_flags).(i)
 let mss t i = t.cols.(c_mss).(i)
@@ -49,28 +51,38 @@ let find_endpoint t (e : Endpoint.t) =
 let payload t i =
   Slice.sub t.payload ~off:t.cols.(c_off).(i) ~len:t.cols.(c_cap).(i)
 
-let view t i ~payload : Tcp_segment.t =
+(* Cold: a fresh segment and flags record per call. *)
+let get t i : Tcp_segment.t =
+  let bit k = flags t i land k <> 0 in
   {
     ts = ts t i;
     src = t.endpoints.(src t i);
     dst = t.endpoints.(dst t i);
     seq = seq t i;
-    ack = t.cols.(c_ack).(i);
+    ack = ack t i;
     len = len t i;
-    window = t.cols.(c_win).(i);
-    flags = Tcp_segment.flags_of_bits (flags t i);
+    window = win t i;
+    flags =
+      Tcp_segment.flags ~fin:(bit 0x01) ~syn:(bit 0x02) ~rst:(bit 0x04)
+        ~psh:(bit 0x08) ~ack:(bit 0x10) ();
     mss_opt = (if mss t i < 0 then None else Some (mss t i));
-    payload;
+    payload = Slice.to_string (payload t i);
   }
 
-let header t i = view t i ~payload:""
-let get t i = view t i ~payload:(Slice.to_string (payload t i))
 let segments t = List.init (length t) (get t)
 
 (* Packet [k] of the result is packet [idx.(k)] of [t]; payload,
    endpoints and voids are shared. *)
 let gather t idx =
-  { t with cols = Array.map (fun c -> Array.map (fun i -> c.(i)) idx) t.cols }
+  let n = Array.length idx in
+  let pick c =
+    let out = Array.make n 0 in
+    for k = 0 to n - 1 do
+      out.(k) <- c.(idx.(k))
+    done;
+    out
+  in
+  { t with cols = Array.map pick t.cols }
 
 (* Stable [Tcp_segment.compare_ts] order; the columns are copied only
    when some packet is out of order. *)
@@ -97,18 +109,14 @@ module Builder = struct
   type t = {
     mutable n : int;
     mutable cols : int array array;
-    mutable buf : Bytes.t;
-    mutable used : int;  (** Payload bytes written to [buf]. *)
     mutable endpoints : Endpoint.t list;  (** Newest first. *)
     ids : int Ids.t;
   }
 
-  let create ~packets ~payload_bytes =
+  let create ~packets =
     {
       n = 0;
       cols = Array.init 11 (fun _ -> Array.make (max 16 packets) 0);
-      buf = Bytes.create payload_bytes;
-      used = 0;
       endpoints = [];
       ids = Ids.create 16;
     }
@@ -122,16 +130,10 @@ module Builder = struct
         b.endpoints <- Endpoint.v (Int32.of_int ip) port :: b.endpoints;
         Ids.length b.ids - 1
 
-  let add b ~ts ~src ~dst ~seq ~ack ~len ~window ~flags ~mss frame ~off
-      ~captured =
-    let i = b.n and used = b.used in
+  let add b ~ts ~src ~dst ~seq ~ack ~len ~window ~flags ~mss ~off ~captured =
+    let i = b.n in
     if i = Array.length b.cols.(0) then
       b.cols <- Array.map (fun c -> Array.append c c) b.cols;
-    let short = used + captured - Bytes.length b.buf in
-    if short > 0 then
-      b.buf <- Bytes.extend b.buf 0 (max short (Bytes.length b.buf));
-    if captured > 0 then
-      Slice.blit frame ~off ~len:captured b.buf ~dst_off:used;
     let c = b.cols in
     c.(c_ts).(i) <- ts;
     c.(c_seq).(i) <- seq;
@@ -142,23 +144,17 @@ module Builder = struct
     c.(c_mss).(i) <- mss;
     c.(c_src).(i) <- src;
     c.(c_dst).(i) <- dst;
-    c.(c_off).(i) <- used;
+    c.(c_off).(i) <- off;
     c.(c_cap).(i) <- captured;
-    b.used <- used + captured;
     b.n <- i + 1
 
-  (* The payload buffer is cut to what was used when most of it is
-     unused, as on a headers-only (small snaplen) capture. *)
-  let finish ?(voids = Span_set.empty) b : trace =
-    let n = b.n and used = b.used in
-    let buf =
-      if 2 * used < Bytes.length b.buf then Bytes.sub b.buf 0 used else b.buf
-    in
+  let finish ?(voids = Span_set.empty) b ~payload : trace =
+    let n = b.n in
     let trim c = if Array.length c = n then c else Array.sub c 0 n in
     sort
       {
         cols = Array.map trim b.cols;
-        payload = Slice.of_bytes ~len:used buf;
+        payload;
         endpoints = Array.of_list (List.rev b.endpoints);
         ids = b.ids;
         voids;
@@ -166,11 +162,8 @@ module Builder = struct
 end
 
 let of_segments ?voids segs =
-  let captured (s : Tcp_segment.t) = min s.len (String.length s.payload) in
-  let b =
-    Builder.create ~packets:(List.length segs)
-      ~payload_bytes:(List.fold_left (fun acc s -> acc + captured s) 0 segs)
-  in
+  let buf = Buffer.create 4096 in
+  let b = Builder.create ~packets:(List.length segs) in
   let id (e : Endpoint.t) =
     if e.port < 0 || e.port > 0xFFFF then
       invalid_arg (Printf.sprintf "Trace.of_segments: port %d" e.port);
@@ -178,13 +171,15 @@ let of_segments ?voids segs =
   in
   List.iter
     (fun (s : Tcp_segment.t) ->
+      let captured = min s.len (String.length s.payload) in
       Builder.add b ~ts:s.ts ~src:(id s.src) ~dst:(id s.dst) ~seq:s.seq
         ~ack:s.ack ~len:s.len ~window:s.window
         ~flags:(Tcp_segment.flag_bits s.flags)
         ~mss:(Option.value s.mss_opt ~default:(-1))
-        (Slice.of_string s.payload) ~off:0 ~captured:(captured s))
+        ~off:(Buffer.length buf) ~captured;
+      Buffer.add_substring buf s.payload 0 captured)
     segs;
-  Builder.finish ?voids b
+  Builder.finish ?voids b ~payload:(Slice.of_string (Buffer.contents buf))
 
 let total_bytes t = Array.fold_left ( + ) 0 t.cols.(c_len)
 
@@ -221,10 +216,10 @@ let connection_ids t =
 let connections t =
   Array.to_list (Array.map (conn_key t) (snd (connection_ids t)))
 
-let partition_connections t =
+let connection_subtraces t =
   match connection_ids t with
   | _, [||] -> []
-  | _, [| first |] -> [ (conn_key t first, t) ]
+  | _, [| first |] -> [ (conn_key t first, fun () -> t) ]
   | conn, firsts ->
       (* Count, then fill each connection's packet indices back to
          front, so each bucket keeps the trace's time order. *)
@@ -237,7 +232,12 @@ let partition_connections t =
         idx.(c).(fill.(c)) <- i
       done;
       Array.to_list
-        (Array.mapi (fun c i -> (conn_key t i, gather t idx.(c))) firsts)
+        (Array.mapi
+           (fun c i -> (conn_key t i, fun () -> gather t idx.(c)))
+           firsts)
+
+let partition_connections t =
+  List.map (fun (key, sub) -> (key, sub ())) (connection_subtraces t)
 
 let infer_sender t (a, b) =
   let bytes_from e =

@@ -6,9 +6,9 @@
     Stored as columns (DESIGN.md, "Trace representation"): header
     fields in int arrays indexed by packet, endpoints as small-int ids
     into a per-trace table, payloads as slices of one buffer the trace
-    owns.  The column readers read packet [i] (time order) without
-    allocating; {!get} and {!segments} are cold {!Tcp_segment.t}
-    views. *)
+    holds — for a decoded capture, the capture's own bytes.  The column
+    readers read packet [i] (time order) without allocating; {!get} and
+    {!segments} are cold {!Tcp_segment.t} views. *)
 
 type t
 
@@ -25,13 +25,12 @@ val length : t -> int
 val get : t -> int -> Tcp_segment.t
 (** The [i]-th segment, payload copied out. *)
 
-val header : t -> int -> Tcp_segment.t
-(** {!get} without the payload ([""]), endpoint and flag records
-    shared. *)
-
 val ts : t -> int -> Tdat_timerange.Time_us.t
 val seq : t -> int -> int
+val ack : t -> int -> int
 val len : t -> int -> int
+val win : t -> int -> int
+(** The advertised window. *)
 
 val flags : t -> int -> int
 (** {!Tcp_segment.flag_bits}. *)
@@ -57,13 +56,17 @@ val window : t -> Tdat_timerange.Span.t option
 val connections : t -> (Endpoint.t * Endpoint.t) list
 (** Distinct unordered endpoint pairs, in first-appearance order. *)
 
-val partition_connections : t -> ((Endpoint.t * Endpoint.t) * t) list
+val connection_subtraces :
+  t -> ((Endpoint.t * Endpoint.t) * (unit -> t)) list
 (** One counting pass gives each packet a connection id from its
-    endpoint-id pair; each connection's columns are then gathered into
-    a sub-trace (both directions, time order and voids inherited)
-    sharing the parent's payload buffer and endpoint table.  Keyed and
-    ordered as {!connections}, O(packets) in all; a single-connection
-    trace comes back as it is. *)
+    endpoint-id pair; each connection comes back with a function that
+    gathers its sub-trace (both directions, time order and voids
+    inherited) when called, sharing the parent's payload buffer and
+    endpoint table.  Keyed and ordered as {!connections}, O(packets) in
+    all; a single-connection trace is its own sub-trace. *)
+
+val partition_connections : t -> ((Endpoint.t * Endpoint.t) * t) list
+(** {!connection_subtraces}, every sub-trace gathered at once. *)
 
 val infer_sender : t -> (Endpoint.t * Endpoint.t) -> Flow.t
 (** For a connection key, orient the flow: the endpoint that contributed
@@ -71,24 +74,28 @@ val infer_sender : t -> (Endpoint.t * Endpoint.t) -> Flow.t
     routes, so the orientation is unambiguous in BGP monitoring traces. *)
 
 (** The writer behind {!of_segments} and the pcap reader: packets are
-    appended to growable columns and a payload buffer, and
-    {!Builder.finish} sorts them only if they arrived out of order. *)
+    appended to growable columns, each payload named by its place in a
+    buffer handed over at the end, and {!Builder.finish} sorts them only
+    if they arrived out of order. *)
 module Builder : sig
   type trace := t
   type t
 
-  val create : packets:int -> payload_bytes:int -> t
-  (** Initial room; both grow by doubling. *)
+  val create : packets:int -> t
+  (** Initial room for [packets] rows; the columns grow by doubling. *)
 
   val endpoint : t -> ip:int -> port:int -> int
   (** The id of [ip:port] ([ip] unsigned), registered on first sight. *)
 
   val add :
     t -> ts:Tdat_timerange.Time_us.t -> src:int -> dst:int -> seq:int ->
-    ack:int -> len:int -> window:int -> flags:int -> mss:int -> Slice.t ->
-    off:int -> captured:int -> unit
+    ack:int -> len:int -> window:int -> flags:int -> mss:int -> off:int ->
+    captured:int -> unit
   (** Append a packet whose payload is the [captured] bytes at [off] of
-      the slice (copied). *)
+      the payload buffer {!finish} is given; nothing is copied. *)
 
-  val finish : ?voids:Tdat_timerange.Span_set.t -> t -> trace
+  val finish :
+    ?voids:Tdat_timerange.Span_set.t -> t -> payload:Slice.t -> trace
+  (** Columns cut to the packets added; [payload] becomes the trace's
+      buffer, borrowed for the trace's life. *)
 end

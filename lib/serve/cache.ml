@@ -12,11 +12,17 @@
    mutex-guarded, but the [load] callback runs outside the lock (it is
    the expensive part); two concurrent misses on the same key may both
    compute, and the later store wins — wasted work, never wrong
-   results, and the steady state is hits. *)
+   results, and the steady state is hits.
+
+   Bounds: at most [capacity] entries and [max_bytes] in all, each
+   entry weighed by [size] once, when it is stored.  Least-recently-used
+   entries are evicted until a new one fits; one larger than the whole
+   budget is returned but never stored. *)
 
 type 'v entry = {
   mtime : float;
-  size : int;
+  size : int;  (* the file's *)
+  bytes : int;  (* the entry's, by the cache's [size] *)
   value : 'v;
   mutable stamp : int;  (* LRU clock; larger = more recently used *)
 }
@@ -25,13 +31,22 @@ type ('k, 'v) t = {
   m : Mutex.t;
   tbl : ('k, 'v entry) Hashtbl.t;
   capacity : int;
+  max_bytes : int;
+  weigh : 'v -> int;
+  mutable bytes : int;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-type stats = { entries : int; hits : int; misses : int; evictions : int }
+type stats = {
+  entries : int;
+  bytes : int;
+  hits : int;
+  misses : int;
+  evictions : int;
+}
 
 module Obs = Tdat_obs.Metrics
 
@@ -39,12 +54,16 @@ let m_hits = Obs.Counter.make ~stable:false "serve.cache.hits"
 let m_misses = Obs.Counter.make ~stable:false "serve.cache.misses"
 let m_evictions = Obs.Counter.make ~stable:false "serve.cache.evictions"
 
-let create ~capacity =
+let create ~capacity ~max_bytes ~size =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
+  if max_bytes < 0 then invalid_arg "Cache.create: max_bytes must be >= 0";
   {
     m = Mutex.create ();
     tbl = Hashtbl.create 16;
     capacity;
+    max_bytes;
+    weigh = size;
+    bytes = 0;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -56,6 +75,7 @@ let stats t =
   let s =
     {
       entries = Hashtbl.length t.tbl;
+      bytes = t.bytes;
       hits = t.hits;
       misses = t.misses;
       evictions = t.evictions;
@@ -65,8 +85,8 @@ let stats t =
   s
 
 (* Evict the least-recently-used entry.  O(entries) scan, once per
-   miss that finds the table full — small beside the analysis that
-   miss runs. *)
+   entry a store displaces — small beside the analysis that miss
+   runs. *)
 let evict_lru t =
   let victim = ref None in
   Hashtbl.iter
@@ -77,6 +97,7 @@ let evict_lru t =
     t.tbl;
   match !victim with
   | Some (k, _) ->
+      t.bytes <- t.bytes - (Hashtbl.find t.tbl k).bytes;
       Hashtbl.remove t.tbl k;
       t.evictions <- t.evictions + 1;
       Obs.Counter.incr m_evictions
@@ -106,9 +127,23 @@ let find_or_load t key ~path ~load =
   | None ->
       Obs.Counter.incr m_misses;
       let v = load () in
-      Mutex.lock t.m;
-      if Hashtbl.length t.tbl >= t.capacity && not (Hashtbl.mem t.tbl key)
-      then evict_lru t;
-      Hashtbl.replace t.tbl key { mtime; size; value = v; stamp = tick };
-      Mutex.unlock t.m;
+      let bytes = t.weigh v in
+      if bytes <= t.max_bytes then begin
+        Mutex.lock t.m;
+        (* A stale entry under the same key is replaced, not evicted. *)
+        (match Hashtbl.find_opt t.tbl key with
+        | Some e ->
+            t.bytes <- t.bytes - e.bytes;
+            Hashtbl.remove t.tbl key
+        | None -> ());
+        while
+          Hashtbl.length t.tbl >= t.capacity || t.bytes + bytes > t.max_bytes
+        do
+          evict_lru t
+        done;
+        Hashtbl.replace t.tbl key
+          { mtime; size; bytes; value = v; stamp = tick };
+        t.bytes <- t.bytes + bytes;
+        Mutex.unlock t.m
+      end;
       (v, false)

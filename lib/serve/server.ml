@@ -50,8 +50,10 @@ let window_slot_s = 5.
 (* The slowest requests kept for post-mortems. *)
 let exemplar_capacity = 8
 
-(* Analyze and check answers kept (DESIGN.md, "Response cache"). *)
+(* Analyze and check answers kept (DESIGN.md, "Response cache"), and
+   the bytes of answer text they may hold in all. *)
 let cache_capacity = 256
+let cache_max_bytes = 32 lsl 20
 
 (* The job verbs, each with its own rolling latency window.  Literal
    list — window identity is part of the wire surface (stats/metrics
@@ -768,7 +770,9 @@ let start config =
       bound;
       service =
         Service.create ~jobs:config.jobs ~capacity:config.queue_capacity ();
-      cache = Cache.create ~capacity:cache_capacity;
+      cache =
+        Cache.create ~capacity:cache_capacity ~max_bytes:cache_max_bytes
+          ~size:(fun answer -> String.length (Json.to_string answer));
       outbox_m = Mutex.create ();
       outbox = Queue.create ();
       wake_r;

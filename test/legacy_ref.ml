@@ -9,8 +9,9 @@
    the list-interval reassembler, the per-connection split and the
    list-based MCT scan, the printf-built study report JSON, the study
    scan over decoded MRT entries, the byte-loop BGP header check, the
-   byte-loop NLRI key and the list-pipeline timer detector are kept the
-   same way, as oracles for the code that replaced them.  Do not "improve" this file:
+   byte-loop NLRI key, the list-pipeline timer detector and the
+   record-based connection profile, ACK shift and series generation are
+   kept the same way, as oracles for the code that replaced them.  Do not "improve" this file:
    its value is that it does not change. *)
 
 open Tdat_bgp
@@ -1238,4 +1239,968 @@ module Fresh_reasm = struct
     let t = create () in
     List.iter (feed t) segs;
     t
+end
+
+(* --- record-based connection profile, ACK shift and series generation ---
+
+   The analyzer as it was before it read trace columns: [Profile_ref] builds
+   one header-only segment record per data and ACK packet, [Shift_ref] copies
+   the ACK records with shifted timestamps and re-sorts them, and
+   [Series_ref] generates the event series from those records.  Oracles for
+   the column-reading [Conn_profile], [Ack_shift] and [Series_gen]. *)
+
+module Profile_ref = struct
+  open Tdat_timerange
+  module Seg = Tdat_pkt.Tcp_segment
+  module Flow = Tdat_pkt.Flow
+
+  type label =
+    | In_order
+    | Above_hole
+    | Fill_reorder
+    | Fill_retransmission
+    | Redelivery
+
+  type data_packet = { seg : Seg.t; label : label }
+
+  let filler =
+    Seg.v ~ts:0 ~src:(Tdat_pkt.Endpoint.v 0l 0) ~dst:(Tdat_pkt.Endpoint.v 0l 0)
+      ~seq:0 ~ack:0 ()
+
+  let data_filler = { seg = filler; label = In_order }
+
+  type loss_episode = { span : Span.t; packets : int; bytes : int }
+
+  type t = {
+    flow : Flow.t;
+    start_time : Time_us.t;
+    end_time : Time_us.t;
+    syn_rtt : Time_us.t option;
+    upstream_rtt : Time_us.t option;
+    rtt : Time_us.t;
+    mss : int;
+    max_adv_window : int;
+    data : data_packet array;
+    acks : Seg.t array;
+    upstream_episodes : loss_episode list;
+    downstream_episodes : loss_episode list;
+    voids : Span_set.t;
+  }
+
+  (* A raw recovery event before merging into episodes. *)
+  type recovery = { r_span : Span.t; r_bytes : int }
+
+  let merge_episodes recoveries =
+    let spans = List.map (fun r -> (r.r_span, r)) recoveries in
+    let sorted =
+      List.sort (fun (a, _) (b, _) -> Span.compare a b) spans
+    in
+    let rec go acc current = function
+      | [] -> List.rev (match current with None -> acc | Some e -> e :: acc)
+      | (span, r) :: rest -> (
+          match current with
+          | None ->
+              go acc (Some { span; packets = 1; bytes = r.r_bytes }) rest
+          | Some e when Span.touches e.span span ->
+              go acc
+                (Some
+                   {
+                     span = Span.hull e.span span;
+                     packets = e.packets + 1;
+                     bytes = e.bytes + r.r_bytes;
+                   })
+                rest
+          | Some e ->
+              go (e :: acc) (Some { span; packets = 1; bytes = r.r_bytes }) rest)
+    in
+    go [] None sorted
+
+  (* Holes: open sequence gaps [lo, hi) with creation time. *)
+  type hole = { h_lo : int; h_hi : int; created : Time_us.t }
+
+  let of_trace ?(reorder_factor = 0.25) trace ~flow =
+    let module T = Tdat_pkt.Trace in
+    let n = T.length trace in
+    (* Direction predicates over the columns, endpoints compared by id.
+       [to_sender] additionally excludes receiver-bound segments,
+       mirroring the partition-then-filter the list pipeline used to
+       do. *)
+    let sender = T.find_endpoint trace flow.Flow.sender in
+    let receiver = T.find_endpoint trace flow.Flow.receiver in
+    let to_receiver i = T.src trace i = sender && T.dst trace i = receiver in
+    let to_sender i =
+      (not (to_receiver i)) && T.src trace i = receiver && T.dst trace i = sender
+    in
+    let has bit i = T.flags trace i land bit <> 0 in
+    let is_data_seg i = to_receiver i && T.len trace i > 0 in
+    let is_ack_seg i = to_sender i && has Seg.ack_bit i in
+    (* Count-then-fill the two per-direction arrays straight from the
+       columns: headers only, with endpoint and flag records shared with
+       the trace. *)
+    let n_data = ref 0 and n_acks = ref 0 in
+    for i = 0 to n - 1 do
+      if is_data_seg i then incr n_data;
+      if is_ack_seg i then incr n_acks
+    done;
+    let fill count pred =
+      let out = Array.make count filler in
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        if pred i then begin
+          out.(!k) <- { (T.get trace i) with Seg.payload = "" };
+          incr k
+        end
+      done;
+      out
+    in
+    let data_segs = fill !n_data is_data_seg in
+    let acks = fill !n_acks is_ack_seg in
+    (* The first packet satisfying [pred], or -1. *)
+    let find pred =
+      let rec go i = if i = n then -1 else if pred i then i else go (i + 1) in
+      go 0
+    in
+    (* Handshake-based RTT: SYN seen at the sniffer to the sender's first
+       post-SYN+ACK packet covers the full round trip regardless of the
+       sniffer position. *)
+    let syn = find (fun i -> to_receiver i && has Seg.syn_bit i) in
+    let synack =
+      find (fun i -> to_sender i && has Seg.syn_bit i && has Seg.ack_bit i)
+    in
+    let syn_rtt, upstream_rtt =
+      if syn < 0 || synack < 0 then (None, None)
+      else begin
+        let sa_ts = T.ts trace synack in
+        match find (fun i -> to_receiver i && T.ts trace i > sa_ts) with
+        | -1 -> (None, None)
+        | reply ->
+            let reply_ts = T.ts trace reply in
+            (Some (reply_ts - T.ts trace syn), Some (reply_ts - sa_ts))
+      end
+    in
+    let start_time =
+      if syn >= 0 then T.ts trace syn else if n > 0 then T.ts trace 0 else 0
+    in
+    let end_time = if n > 0 then T.ts trace (n - 1) else start_time in
+    let mss =
+      if syn >= 0 && T.mss trace syn >= 0 then T.mss trace syn
+      else Array.fold_left (fun acc (s : Seg.t) -> max acc s.len) 536 data_segs
+    in
+    let max_adv_window =
+      Array.fold_left (fun acc (s : Seg.t) -> max acc s.window) 0 acks
+    in
+    let rtt = max 1_000 (Option.value ~default:1_000 syn_rtt) in
+    let reorder_threshold =
+      max 1_000 (int_of_float (reorder_factor *. float_of_int rtt))
+    in
+    (* --- labeling pass ------------------------------------------------ *)
+    let expected = ref 0 in
+    let holes = ref ([] : hole list) in
+    let first_seen : (int, Time_us.t) Hashtbl.t = Hashtbl.create 1024 in
+    let upstream = ref [] and downstream = ref [] in
+    let label_packet (s : Seg.t) =
+      let lo = s.seq and hi = Seg.seq_end s in
+      let label =
+        if lo >= !expected then begin
+          (* In order (possibly above an open hole). *)
+          if lo > !expected then
+            holes := !holes @ [ { h_lo = !expected; h_hi = lo; created = s.ts } ];
+          expected := hi;
+          if !holes = [] then In_order else Above_hole
+        end
+        else begin
+          (* Below the frontier: hole fill or redelivery. *)
+          let overlapping, rest =
+            List.partition (fun h -> lo < h.h_hi && hi > h.h_lo) !holes
+          in
+          match overlapping with
+          | [] ->
+              (* All bytes seen before: downstream-loss recovery. *)
+              let orig =
+                match Hashtbl.find_opt first_seen lo with
+                | Some ts -> ts
+                | None -> max start_time (s.ts - rtt)
+              in
+              let span =
+                if s.ts > orig then Span.v orig (s.ts + 1) else Span.point s.ts
+              in
+              downstream := { r_span = span; r_bytes = s.len } :: !downstream;
+              (if hi > !expected then expected := hi);
+              Redelivery
+          | _ ->
+              (* Fills at least one hole. *)
+              let created =
+                List.fold_left (fun acc h -> min acc h.created) max_int
+                  overlapping
+              in
+              let remaining =
+                List.concat_map
+                  (fun h ->
+                    let left =
+                      if h.h_lo < lo then
+                        [ { h with h_hi = min h.h_hi lo } ]
+                      else []
+                    in
+                    let right =
+                      if h.h_hi > hi then
+                        [ { h with h_lo = max h.h_lo hi } ]
+                      else []
+                    in
+                    left @ right)
+                  overlapping
+              in
+              holes := rest @ remaining;
+              if hi > !expected then expected := hi;
+              if s.ts - created <= reorder_threshold then Fill_reorder
+              else begin
+                let span =
+                  if s.ts > created then Span.v created (s.ts + 1)
+                  else Span.point s.ts
+                in
+                upstream := { r_span = span; r_bytes = s.len } :: !upstream;
+                Fill_retransmission
+              end
+        end
+      in
+      if not (Hashtbl.mem first_seen lo) then Hashtbl.add first_seen lo s.ts;
+      { seg = s; label }
+    in
+    (* Labeling is stateful (hole tracking): fill the pre-sized array in
+       order. *)
+    let data = Array.make (Array.length data_segs) data_filler in
+    Array.iteri (fun i s -> data.(i) <- label_packet s) data_segs;
+    {
+      flow;
+      start_time;
+      end_time;
+      syn_rtt;
+      upstream_rtt;
+      rtt;
+      mss;
+      max_adv_window;
+      data;
+      acks;
+      upstream_episodes = merge_episodes !upstream;
+      downstream_episodes = merge_episodes !downstream;
+      voids = Tdat_pkt.Trace.voids trace;
+    }
+
+  let retransmissions t =
+    Array.fold_left
+      (fun acc p ->
+        match p.label with
+        | Fill_retransmission | Redelivery -> acc + 1
+        | In_order | Above_hole | Fill_reorder -> acc)
+      0 t.data
+
+  let duration t = t.end_time - t.start_time
+  let analysis_window t = Span.v t.start_time (t.end_time + 1)
+
+  let pp_summary ppf t =
+    Format.fprintf ppf
+      "%a: %d data pkts, %d acks, rtt=%a mss=%d maxwin=%d retx=%d (up %d ep, \
+       down %d ep)"
+      Flow.pp t.flow (Array.length t.data) (Array.length t.acks) Time_us.pp
+      t.rtt t.mss t.max_adv_window (retransmissions t)
+      (List.length t.upstream_episodes)
+      (List.length t.downstream_episodes)
+
+end
+
+module Shift_ref = struct
+  open Tdat_timerange
+  module Seg = Tdat_pkt.Tcp_segment
+
+  type flight_shift = {
+    span : Span.t;
+    n_acks : int;
+    estimates : int;
+    applied : Time_us.t;
+  }
+
+  (* d2 estimate for one ACK: the delay until the first data packet that
+     this ACK's window-edge advance released.  [allowed_before] is the
+     right window edge (ack + win) in force before this ACK. *)
+  let estimate_d2 (profile : Profile_ref.t) ~allowed_before
+      ~(ack : Seg.t) ~max_wait =
+    let edge = ack.Seg.ack + ack.Seg.window in
+    if edge <= allowed_before then None
+    else begin
+      let data = profile.Profile_ref.data in
+      let n = Array.length data in
+      (* Binary search for the first data packet after the ACK, then scan
+         forward within the bounded wait window. *)
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if data.(mid).Profile_ref.seg.Seg.ts <= ack.Seg.ts then lo := mid + 1
+        else hi := mid
+      done;
+      let rec search i =
+        if i >= n then None
+        else begin
+          let s = data.(i).Profile_ref.seg in
+          if s.Seg.ts - ack.Seg.ts > max_wait then None
+          else begin
+            let seq_end = Seg.seq_end s in
+            if seq_end > allowed_before && seq_end <= edge then
+              Some (s.Seg.ts - ack.Seg.ts)
+            else search (i + 1)
+          end
+        end
+      in
+      search !lo
+    end
+
+  let shift ?flight_gap (profile : Profile_ref.t) =
+    let rtt = profile.Profile_ref.rtt in
+    let gap =
+      match flight_gap with Some g -> g | None -> max 1_000 (rtt / 4)
+    in
+    let acks = profile.Profile_ref.acks in
+    let baseline =
+      Option.value ~default:0 profile.Profile_ref.upstream_rtt
+    in
+    let n = Array.length acks in
+    let max_wait = 2 * max rtt 1_000 in
+    (* Track the pre-ACK window edge as we walk the ACK stream.  Flights
+       are contiguous index ranges [lo, hi] split where the inter-arrival
+       gap exceeds [gap] — walked in place, no index lists. *)
+    let allowed = ref 0 in
+    let shifted = Array.copy acks in
+    let infos = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      let j = ref !i in
+      while
+        !j + 1 < n && acks.(!j + 1).Seg.ts - acks.(!j).Seg.ts <= gap
+      do
+        incr j
+      done;
+      let lo = !i and hi = !j in
+      let best = ref max_int and estimates = ref 0 in
+      for k = lo to hi do
+        let ack = acks.(k) in
+        (match
+           estimate_d2 profile ~allowed_before:!allowed ~ack ~max_wait
+         with
+        | Some d2 when d2 >= 0 ->
+            incr estimates;
+            if d2 < !best then best := d2
+        | _ -> ());
+        allowed := max !allowed (ack.Seg.ack + ack.Seg.window)
+      done;
+      let applied = if !estimates = 0 then baseline else !best in
+      for k = lo to hi do
+        shifted.(k) <-
+          { acks.(k) with Seg.ts = acks.(k).Seg.ts + applied }
+      done;
+      infos :=
+        {
+          span = Span.v acks.(lo).Seg.ts (acks.(hi).Seg.ts + 1);
+          n_acks = hi - lo + 1;
+          estimates = !estimates;
+          applied;
+        }
+        :: !infos;
+      i := hi + 1
+    done;
+    (* Shifts rarely reorder ACKs.  [Array.sort] is not stable, so only
+       input strictly increasing under [compare_ts] (no ties for the sort
+       to permute) skips it, and the result is the same either way. *)
+    let strictly_increasing =
+      let k = ref 1 in
+      while !k < n && Seg.compare_ts shifted.(!k - 1) shifted.(!k) < 0 do
+        incr k
+      done;
+      !k >= n
+    in
+    if not strictly_increasing then Array.sort Seg.compare_ts shifted;
+    ( { profile with Profile_ref.acks = shifted },
+      List.rev !infos )
+
+end
+
+module Series_ref = struct
+  open Tdat_timerange
+  module Series_defs = Tdat.Series_defs
+  module Seg = Tdat_pkt.Tcp_segment
+  module D = Series_defs
+
+  type config = {
+    sniffer_location : [ `Near_sender | `Near_receiver ];
+    small_window_mss : int;
+    bound_gap_mss : int;
+    app_limit_epsilon : Time_us.t;
+    keepalive_max_size : int;
+    keepalive_min_idle : Time_us.t;
+    idle_gap_min : Time_us.t;
+    bandwidth_run : int;
+  }
+
+  let default_config =
+    {
+      sniffer_location = `Near_receiver;
+      small_window_mss = 3;
+      bound_gap_mss = 3;
+      app_limit_epsilon = 2_000;
+      keepalive_max_size = 100;
+      keepalive_min_idle = 25_000_000;
+      idle_gap_min = 1_000_000;
+      bandwidth_run = 20;
+    }
+
+  module Tbl = Hashtbl
+
+  type t = {
+    config : config;
+    profile : Profile_ref.t;
+    window : Span.t;
+    events : (D.t, int Series.t) Tbl.t;
+    span_cache : (D.t, Span_set.t) Tbl.t;
+    customs : (string, Span_set.t) Tbl.t;
+  }
+
+  let events t name =
+    match Tbl.find_opt t.events name with
+    | Some s -> s
+    | None -> Series.empty
+
+  let spans t name =
+    match Tbl.find_opt t.span_cache name with
+    | Some s -> s
+    | None ->
+        let s = Series.to_span_set (events t name) in
+        Tbl.add t.span_cache name s;
+        s
+
+  let size t name = Span_set.size (spans t name)
+
+  let ratio_of_spans t set =
+    let total = Span.length t.window in
+    if total <= 0 then 0.
+    else
+      float_of_int (Span_set.size (Span_set.clip t.window set))
+      /. float_of_int total
+
+  let ratio t name = ratio_of_spans t (spans t name)
+  let window t = t.window
+  let profile t = t.profile
+  let config t = t.config
+
+  let union_spans t names =
+    List.fold_left (fun acc n -> Span_set.union acc (spans t n)) Span_set.empty
+      names
+
+  let inter_spans t = function
+    | [] -> Span_set.empty
+    | first :: rest ->
+        List.fold_left (fun acc n -> Span_set.inter acc (spans t n))
+          (spans t first) rest
+
+  let define t ~name set = Tbl.replace t.customs name (Span_set.clip t.window set)
+  let define_inter t ~name names = define t ~name (inter_spans t names)
+  let define_union t ~name names = define t ~name (union_spans t names)
+  let custom t name = Tbl.find_opt t.customs name
+
+  let custom_ratio t name =
+    Option.map (ratio_of_spans t) (custom t name)
+
+  let custom_names t =
+    Tbl.fold (fun name _ acc -> name :: acc) t.customs [] |> List.sort String.compare
+
+  (* ---- helpers --------------------------------------------------------- *)
+
+  let clip_series window s = Series.clip window s
+
+  let series_of_spans set =
+    let b = Series.builder () in
+    Span_set.iter (fun sp -> Series.add b sp 0) set;
+    Series.build b
+
+  (* Estimated serialization time of an MSS packet: the smallest positive
+     inter-arrival between consecutive near-MSS data packets, capped at
+     10 ms — when a trace never shows back-to-back packets the minimum gap
+     says nothing about the wire rate. *)
+  let estimate_tx_mss (data : Profile_ref.data_packet array) mss =
+    let best = ref max_int in
+    for i = 1 to Array.length data - 1 do
+      let a = data.(i - 1).Profile_ref.seg and b = data.(i).Profile_ref.seg in
+      if a.Seg.len >= mss * 9 / 10 && b.Seg.ts > a.Seg.ts then
+        best := min !best (b.Seg.ts - a.Seg.ts)
+    done;
+    if !best = max_int then 10 else max 1 (min !best 10_000)
+
+  let tx_time tx_mss mss len = max 1 (tx_mss * len / max 1 mss)
+
+  (* Group the first [n] timestamps of [ts] into flights: a gap larger
+     than [gap] starts a new flight.  Emits one event per flight
+     ([first, last+1], count) straight into a series. *)
+  let flight_series ts n gap =
+    let b = Series.builder () in
+    if n > 0 then begin
+      let first = ref ts.(0) and last = ref ts.(0) and count = ref 1 in
+      for i = 1 to n - 1 do
+        let t = ts.(i) in
+        if t - !last <= gap then begin
+          last := t;
+          incr count
+        end
+        else begin
+          Series.add b (Span.v !first (!last + 1)) !count;
+          first := t;
+          last := t;
+          count := 1
+        end
+      done;
+      Series.add b (Span.v !first (!last + 1)) !count
+    end;
+    Series.build b
+
+  (* ---- generation ------------------------------------------------------ *)
+
+  let generate ?(config = default_config) ?window (p : Profile_ref.t) =
+    let win =
+      match window with Some w -> w | None -> Profile_ref.analysis_window p
+    in
+    let ev : (D.t, int Series.t) Tbl.t = Tbl.create 64 in
+    let put name series = Tbl.replace ev name (clip_series win series) in
+    let put_raw name series = Tbl.replace ev name series in
+    let mss = p.Profile_ref.mss in
+    let rtt = p.Profile_ref.rtt in
+    let data = p.Profile_ref.data in
+    let acks = p.Profile_ref.acks in
+    let ndata = Array.length data in
+    let tx_mss = estimate_tx_mss data mss in
+
+    (* -- extraction: packets ------------------------------------------- *)
+    let b = Series.builder () in
+    Array.iter
+      (fun (d : Profile_ref.data_packet) ->
+        Series.add b (Span.point d.Profile_ref.seg.Seg.ts)
+          d.Profile_ref.seg.Seg.len)
+      data;
+    put D.Data_pkt (Series.build b);
+    let b = Series.builder () in
+    Array.iter (fun (a : Seg.t) -> Series.add b (Span.point a.Seg.ts) a.Seg.window) acks;
+    put D.Ack_pkt (Series.build b);
+
+    (* -- transmission --------------------------------------------------- *)
+    let b = Series.builder () in
+    Array.iter
+      (fun (d : Profile_ref.data_packet) ->
+        let s = d.Profile_ref.seg in
+        Series.add b
+          (Span.of_duration s.Seg.ts (tx_time tx_mss mss s.Seg.len))
+          s.Seg.len)
+      data;
+    put D.Transmission (Series.build b);
+
+    (* -- labeling-derived point series ---------------------------------- *)
+    let b_retx = Series.builder () and b_oos = Series.builder () in
+    Array.iter
+      (fun (d : Profile_ref.data_packet) ->
+        let s = d.Profile_ref.seg in
+        match d.Profile_ref.label with
+        | Profile_ref.Redelivery | Profile_ref.Fill_retransmission ->
+            Series.add b_retx (Span.point s.Seg.ts) s.Seg.len;
+            Series.add b_oos (Span.point s.Seg.ts) s.Seg.len
+        | Profile_ref.Fill_reorder ->
+            Series.add b_oos (Span.point s.Seg.ts) s.Seg.len
+        | Profile_ref.In_order | Profile_ref.Above_hole -> ())
+      data;
+    put D.Retransmission (Series.build b_retx);
+    put D.Out_of_sequence (Series.build b_oos);
+
+    (* -- dup acks -------------------------------------------------------- *)
+    let b = Series.builder () in
+    let prev_ack = ref (-1) and prev_win = ref (-1) in
+    Array.iter
+      (fun (a : Seg.t) ->
+        if
+          a.Seg.len = 0 && a.Seg.ack = !prev_ack && a.Seg.window = !prev_win
+          && not a.Seg.flags.Seg.syn
+        then Series.add b (Span.point a.Seg.ts) a.Seg.ack;
+        prev_ack := a.Seg.ack;
+        prev_win := a.Seg.window)
+      acks;
+    put D.Dup_ack (Series.build b);
+
+    (* -- loss episodes ---------------------------------------------------- *)
+    let episode_series eps =
+      let b = Series.builder () in
+      List.iter
+        (fun (e : Profile_ref.loss_episode) ->
+          Series.add b e.Profile_ref.span e.Profile_ref.packets)
+        eps;
+      Series.build b
+    in
+    put D.Upstream_loss (episode_series p.Profile_ref.upstream_episodes);
+    put D.Downstream_loss (episode_series p.Profile_ref.downstream_episodes);
+
+    (* -- advertised window ------------------------------------------------ *)
+    let b_win = Series.builder () in
+    let n_acks = Array.length acks in
+    for i = 0 to n_acks - 1 do
+      let a = acks.(i) in
+      let stop =
+        if i + 1 < n_acks then acks.(i + 1).Seg.ts else Span.stop win
+      in
+      if stop > a.Seg.ts then
+        Series.add b_win (Span.v a.Seg.ts stop) a.Seg.window
+    done;
+    let adv_window = Series.build b_win in
+    put D.Adv_window adv_window;
+    let small_thresh = config.small_window_mss * mss in
+    let max_adv = p.Profile_ref.max_adv_window in
+    let filter_window f =
+      Series.filter (fun _ w -> f w) adv_window
+    in
+    put D.Zero_adv_window (filter_window (fun w -> w = 0));
+    put D.Small_adv_window (filter_window (fun w -> w > 0 && w < small_thresh));
+    put D.Large_adv_window (filter_window (fun w -> w >= max_adv - small_thresh));
+
+    (* -- flights / idle gaps ----------------------------------------------
+       Timestamp working sets live in per-domain scratch int arrays; the
+       combined timeline is a two-pointer merge of the two (already
+       time-sorted) directions, not a sort of a concatenated list. *)
+    let flight_gap = max 1_000 (rtt / 4) in
+    let module Scratch = struct
+      let slot_series_data_ts = 0
+      let slot_series_ack_ts = 1
+      let slot_series_all_ts = 2
+      let slot_series_small_ts = 3
+      let with_ints ~slot:_ n f = f (Array.make n 0)
+    end in
+    Scratch.with_ints ~slot:Scratch.slot_series_data_ts ndata (fun data_ts ->
+        Scratch.with_ints ~slot:Scratch.slot_series_ack_ts n_acks (fun ack_ts ->
+            Scratch.with_ints ~slot:Scratch.slot_series_all_ts (ndata + n_acks)
+              (fun all_ts ->
+                for i = 0 to ndata - 1 do
+                  data_ts.(i) <- data.(i).Profile_ref.seg.Seg.ts
+                done;
+                for i = 0 to n_acks - 1 do
+                  ack_ts.(i) <- acks.(i).Seg.ts
+                done;
+                put D.Data_flight (flight_series data_ts ndata flight_gap);
+                put D.Ack_flight (flight_series ack_ts n_acks flight_gap);
+                let i = ref 0 and j = ref 0 and k = ref 0 in
+                while !i < ndata || !j < n_acks do
+                  let take_data =
+                    !j >= n_acks || (!i < ndata && data_ts.(!i) <= ack_ts.(!j))
+                  in
+                  if take_data then begin
+                    all_ts.(!k) <- data_ts.(!i);
+                    incr i
+                  end
+                  else begin
+                    all_ts.(!k) <- ack_ts.(!j);
+                    incr j
+                  end;
+                  incr k
+                done;
+                let b = Series.builder () in
+                for i = 0 to !k - 2 do
+                  if all_ts.(i + 1) - all_ts.(i) > config.idle_gap_min then
+                    Series.add b (Span.v all_ts.(i) all_ts.(i + 1)) 0
+                done;
+                put D.Idle_gap (Series.build b))));
+
+    (* -- keepalive-only periods --------------------------------------------
+       Boundaries are the large-packet timestamps framed by the window
+       edges; small-packet timestamps are kept sorted in scratch and each
+       candidate interval counts its interior by binary search. *)
+    let b = Series.builder () in
+    Scratch.with_ints ~slot:Scratch.slot_series_small_ts ndata (fun small_ts ->
+        let n_small_total = ref 0 in
+        for i = 0 to ndata - 1 do
+          let s = data.(i).Profile_ref.seg in
+          if s.Seg.len <= config.keepalive_max_size then begin
+            small_ts.(!n_small_total) <- s.Seg.ts;
+            incr n_small_total
+          end
+        done;
+        (* Number of small-packet timestamps strictly inside (a, b'). *)
+        let count_small a b' =
+          let lo = ref 0 and hi = ref !n_small_total in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if small_ts.(mid) <= a then lo := mid + 1 else hi := mid
+          done;
+          let first = !lo in
+          let lo = ref first and hi = ref !n_small_total in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if small_ts.(mid) < b' then lo := mid + 1 else hi := mid
+          done;
+          !lo - first
+        in
+        let ka_interval a b' =
+          if b' - a >= config.keepalive_min_idle then begin
+            let n_small = count_small a b' in
+            if n_small > 0 then Series.add b (Span.v a b') n_small
+          end
+        in
+        let prev = ref (Span.start win) in
+        for i = 0 to ndata - 1 do
+          let s = data.(i).Profile_ref.seg in
+          if s.Seg.len > config.keepalive_max_size then begin
+            ka_interval !prev s.Seg.ts;
+            prev := s.Seg.ts
+          end
+        done;
+        ka_interval !prev (Span.stop win));
+    put D.Keepalive_only (Series.build b);
+
+    (* -- handshake / teardown ----------------------------------------------- *)
+    (match (p.Profile_ref.syn_rtt, ndata) with
+    | Some srtt, _ ->
+        put D.Syn_period
+          (Series.of_list
+             [ (Span.of_duration p.Profile_ref.start_time (max 1 srtt), 0) ])
+    | None, _ -> put_raw D.Syn_period Series.empty);
+    put_raw D.Fin_period Series.empty;
+    put D.Void_period (series_of_spans p.Profile_ref.voids);
+
+    (* -- the attribution walk ----------------------------------------------
+       Explain each inter-transmission gap: window-bounded wait (adv/cwnd),
+       then application-limited tail once the pipe drains. *)
+    let b_out = Series.builder () in
+    let b_adv = Series.builder () in
+    let b_zero_adv = Series.builder () in
+    let b_cwnd = Series.builder () in
+    let b_app = Series.builder () in
+    let b_recv_extra = Series.builder () in
+    (* Window value in force at a given time (last ack at or before t). *)
+    let window_at =
+      let arr = acks in
+      fun ts ->
+        let lo = ref 0 and hi = ref (Array.length arr) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if arr.(mid).Seg.ts <= ts then lo := mid + 1 else hi := mid
+        done;
+        if !lo = 0 then max_adv else arr.(!lo - 1).Seg.window
+    in
+    (* First ack index with ts > t. *)
+    let ack_after =
+      let arr = acks in
+      fun ts ->
+        let lo = ref 0 and hi = ref (Array.length arr) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if arr.(mid).Seg.ts <= ts then lo := mid + 1 else hi := mid
+        done;
+        !lo
+    in
+    let max_sent = ref 0 in
+    let classify_wait ~t0 ~t1 ~out ~w =
+      if t1 > t0 && out > 0 then begin
+        let span = Span.v t0 t1 in
+        if w = 0 then begin
+          Series.add b_adv span out;
+          Series.add b_zero_adv span out
+        end
+        else if w - out < config.bound_gap_mss * mss then
+          Series.add b_adv span out
+        else Series.add b_cwnd span out
+      end
+    in
+    (* Track the running cumulative ack as we walk data packets. *)
+    let ack_idx = ref 0 and cum_ack = ref 0 in
+    let advance_acks_upto ts =
+      while
+        !ack_idx < Array.length acks && acks.(!ack_idx).Seg.ts <= ts
+      do
+        cum_ack := max !cum_ack acks.(!ack_idx).Seg.ack;
+        incr ack_idx
+      done
+    in
+    let first_data_ts = if ndata > 0 then Some data.(0).Profile_ref.seg.Seg.ts else None in
+    (* Pre-transfer application silence: from handshake completion to the
+       first data packet. *)
+    (match (p.Profile_ref.syn_rtt, first_data_ts) with
+    | Some srtt, Some fd ->
+        let established = p.Profile_ref.start_time + srtt in
+        if fd - established > config.app_limit_epsilon then
+          Series.add b_app (Span.v established fd) 0
+    | _ -> ());
+    for i = 0 to ndata - 1 do
+      let s = data.(i).Profile_ref.seg in
+      advance_acks_upto s.Seg.ts;
+      max_sent := max !max_sent (Seg.seq_end s);
+      let sent_i = !max_sent in
+      let out_i = max 0 (sent_i - !cum_ack) in
+      let t_i = s.Seg.ts + tx_time tx_mss mss s.Seg.len in
+      let t_next =
+        if i + 1 < ndata then data.(i + 1).Profile_ref.seg.Seg.ts
+        else Span.stop win
+      in
+      let is_last = i = ndata - 1 in
+      (* After the final data packet the sender's silence explains nothing:
+         the transfer is over on the wire.  Any remaining analysis window
+         (an MCT end lagging behind, e.g. a collector draining its backlog)
+         is attributed to the receiving application exactly where the
+         advertised window shows unconsumed buffer, and left unattributed
+         elsewhere. *)
+      let attribute_tail_after_wire_end tc =
+        let j = ref (ack_after tc) in
+        let prev_ts = ref tc and prev_w = ref (window_at tc) in
+        while !j < Array.length acks && acks.(!j).Seg.ts < t_next do
+          let a = acks.(!j) in
+          if a.Seg.ts > !prev_ts && !prev_w < max_adv then
+            Series.add b_recv_extra (Span.v !prev_ts a.Seg.ts) !prev_w;
+          prev_ts := a.Seg.ts;
+          prev_w := a.Seg.window;
+          incr j
+        done;
+        if t_next > !prev_ts && !prev_w < max_adv then
+          Series.add b_recv_extra (Span.v !prev_ts t_next) !prev_w
+      in
+      if t_next > t_i then begin
+        (* Outstanding span and clearing time within (t_i, t_next). *)
+        let j = ref (ack_after s.Seg.ts) in
+        let t_clear = ref None in
+        let running = ref !cum_ack in
+        while
+          !t_clear = None
+          && !j < Array.length acks
+          && acks.(!j).Seg.ts < t_next
+        do
+          running := max !running acks.(!j).Seg.ack;
+          if !running >= sent_i then t_clear := Some acks.(!j).Seg.ts;
+          incr j
+        done;
+        (match !t_clear with
+        | Some tc ->
+            let tc = max tc t_i in
+            Series.add b_out (Span.v s.Seg.ts (max (s.Seg.ts + 1) tc)) out_i;
+            if is_last then begin
+              classify_wait ~t0:t_i ~t1:tc ~out:out_i ~w:(window_at t_i);
+              attribute_tail_after_wire_end tc
+            end
+            else if t_next - tc > config.app_limit_epsilon then begin
+              let w_tail = window_at tc in
+              if w_tail < mss then begin
+                (* Closed-window stall: both the wait and the silence are
+                   flow-control bound. *)
+                classify_wait ~t0:t_i ~t1:tc ~out:out_i ~w:(window_at t_i);
+                let span = Span.v tc t_next in
+                Series.add b_adv span 0;
+                if w_tail = 0 then Series.add b_zero_adv span 0
+              end
+              else
+                (* The sender stayed silent after the pipe drained with the
+                   window open: nothing but the application limited this
+                   whole gap (the ACK wait was not on the critical path). *)
+                Series.add b_app (Span.v t_i t_next) 0
+            end
+            else classify_wait ~t0:t_i ~t1:tc ~out:out_i ~w:(window_at t_i)
+        | None ->
+            (* Pipe never drained before the next transmission (or before
+               the window ends: data still in flight, possibly forever —
+               loss episodes cover the pathological cases). *)
+            Series.add b_out (Span.v s.Seg.ts t_next) out_i;
+            classify_wait ~t0:t_i ~t1:t_next ~out:out_i ~w:(window_at t_i))
+      end
+      else
+        Series.add b_out (Span.point s.Seg.ts) out_i
+    done;
+    put D.Outstanding (Series.build b_out);
+    put D.Send_app_limited (Series.build b_app);
+    put D.Adv_bnd_out (Series.build b_adv);
+    put D.Zero_adv_bnd_out (Series.build b_zero_adv);
+    put D.Cwnd_bnd_out (Series.build b_cwnd);
+
+    (* -- bandwidth-bound runs ----------------------------------------------- *)
+    let b = Series.builder () in
+    let run_start = ref None and run_len = ref 0 in
+    let flush_run last_ts last_len =
+      (match (!run_start, !run_len) with
+      | Some start, n when n >= config.bandwidth_run ->
+          Series.add b
+            (Span.v start (last_ts + tx_time tx_mss mss last_len))
+            n
+      | _ -> ());
+      run_start := None;
+      run_len := 0
+    in
+    for i = 0 to ndata - 1 do
+      let s = data.(i).Profile_ref.seg in
+      (match !run_start with
+      | None ->
+          run_start := Some s.Seg.ts;
+          run_len := 1
+      | Some _ ->
+          let prev = data.(i - 1).Profile_ref.seg in
+          let expected = 2 * tx_time tx_mss mss prev.Seg.len in
+          if s.Seg.ts - prev.Seg.ts <= expected then incr run_len
+          else begin
+            flush_run prev.Seg.ts prev.Seg.len;
+            run_start := Some s.Seg.ts;
+            run_len := 1
+          end);
+      if i = ndata - 1 then flush_run s.Seg.ts s.Seg.len
+    done;
+    put D.Bandwidth_bound (Series.build b);
+
+    (* -- interpretation (sniffer location) ----------------------------------- *)
+    let upstream = Tbl.find ev D.Upstream_loss in
+    let downstream = Tbl.find ev D.Downstream_loss in
+    (match config.sniffer_location with
+    | `Near_receiver ->
+        put_raw D.Send_local_loss Series.empty;
+        put_raw D.Recv_local_loss downstream;
+        put_raw D.Network_loss upstream
+    | `Near_sender ->
+        put_raw D.Send_local_loss upstream;
+        put_raw D.Recv_local_loss Series.empty;
+        put_raw D.Network_loss downstream);
+
+    (* -- retransmission periods & algebra ------------------------------------ *)
+    put_raw D.Retrans_period (Series.merge upstream downstream);
+    let t =
+      {
+        config;
+        profile = p;
+        window = win;
+        events = ev;
+        span_cache = Tbl.create 16;
+        customs = Tbl.create 4;
+      }
+    in
+    let inter a b' = Span_set.inter (spans t a) (spans t b') in
+    put_raw D.Small_adv_bnd_out
+      (series_of_spans (inter D.Adv_bnd_out D.Small_adv_window));
+    put_raw D.Large_adv_bnd_out
+      (series_of_spans (inter D.Adv_bnd_out D.Large_adv_window));
+    put_raw D.All_loss
+      (series_of_spans
+         (union_spans t [ D.Send_local_loss; D.Recv_local_loss; D.Network_loss ]));
+    (* The conflict signature: loss-recovery activity while the receiver
+       window is shut — "packets get constantly dropped even under low
+       transmission rate".  The paper writes ZeroAdvBndOut ∩ UpstreamLoss;
+       the window-bound refinement is subsumed by loss periods in this
+       implementation (loss overrides window attribution), so the raw
+       zero-window series is intersected with the whole retransmission
+       period instead — same conflict, same drill-down value. *)
+    put_raw D.Zero_ack_bug
+      (series_of_spans
+         (Span_set.union
+            (inter D.Zero_adv_window D.Retrans_period)
+            (inter D.Zero_adv_bnd_out D.Retrans_period)));
+    (* Receiver-app limited: bounded by a small or zero advertised window,
+       plus any post-wire drain periods with unconsumed receive buffer. *)
+    let recv_app =
+      Span_set.union
+        (Span_set.clip win (Series.to_span_set (Series.build b_recv_extra)))
+        (Span_set.inter (spans t D.Adv_bnd_out)
+           (Span_set.union (spans t D.Small_adv_window)
+              (spans t D.Zero_adv_window)))
+    in
+    put_raw D.Recv_app_limited (series_of_spans recv_app);
+    (* Invalidate cached span sets for names added after [t] was built. *)
+    Tbl.reset t.span_cache;
+    t
+
 end

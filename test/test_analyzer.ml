@@ -24,9 +24,7 @@ let ack ~ts ~ack:a ?(window = 65535) () =
 let profile_of segs =
   Conn_profile.of_trace (Tdat_pkt.Trace.of_segments segs) ~flow
 
-let labels p =
-  Array.to_list p.Conn_profile.data
-  |> List.map (fun d -> d.Conn_profile.label)
+let labels p = Array.to_list p.Conn_profile.labels
 
 let test_label_in_order () =
   let p =
@@ -128,9 +126,11 @@ let test_ack_shift_moves_forward () =
     (List.exists (fun i -> i.Ack_shift.applied > 0) infos);
   (* Data ACK flights shift by their estimated d2 (5000). *)
   let shifted_ts =
-    Array.to_list shifted.Conn_profile.acks
-    |> List.filter_map (fun (a : Seg.t) ->
-           if a.Seg.ack = 1000 then Some a.Seg.ts else None)
+    List.filteri
+      (fun k _ ->
+        Tdat_pkt.Trace.ack shifted.Conn_profile.trace shifted.Conn_profile.acks.(k)
+        = 1000)
+      (Array.to_list shifted.Conn_profile.ack_ts)
   in
   Alcotest.(check (list int)) "first data ack lands at its effect"
     [ 10_100 ] shifted_ts
@@ -147,7 +147,7 @@ let test_ack_shift_noop_at_sender () =
   let p = profile_of segs in
   let shifted, _ = Ack_shift.shift p in
   Alcotest.(check bool) "near no-op" true
-    (shifted.Conn_profile.acks.(0).Seg.ts - 5_000 <= 1)
+    (shifted.Conn_profile.ack_ts.(0) - 5_000 <= 1)
 
 (* --- Series generation on hand-built traces ----------------------------------- *)
 

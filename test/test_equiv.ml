@@ -2,8 +2,10 @@
    byte-for-byte indistinguishable from the frozen pre-slice references
    in [Legacy_ref] — same records, same diagnostics, same salvage stats
    — over random valid captures AND randomly corrupted ones (truncated,
-   bit-flipped, garbage-extended).  Plus the columnar trace's partition
-   and reassembly vs the segment-record references, the streaming and
+   bit-flipped, garbage-extended).  Plus the three pcap entry points
+   against each other, the columnar trace's partition and reassembly vs
+   the segment-record references, the column-reading profile, ACK shift
+   and series generation vs their record-based references, the streaming and
    list transfer-end scans vs the frozen extract-then-scan pipeline, the
    one-load NLRI key and the array timer detector vs their frozen
    byte-loop and list versions, and the [Scratch] arena's cross-domain
@@ -256,6 +258,63 @@ let decode_props =
         | _ -> false);
   ]
 
+(* --- the three pcap entry points decode alike ---------------------------- *)
+
+(* A reader over [data] that hands out at most the next chunk size of
+   [chunks] (cycled) per call: short reads at random boundaries. *)
+let short_reader data chunks =
+  let pos = ref 0 and k = ref 0 in
+  fun buf off len ->
+    let chunk = chunks.(!k mod Array.length chunks) in
+    incr k;
+    let n = min (min len chunk) (String.length data - !pos) in
+    Bytes.blit_string data !pos buf off n;
+    pos := !pos + n;
+    n
+
+let same_result (a : Pcap.result) (b : Pcap.result) =
+  Trace.segments a.trace = Trace.segments b.trace
+  && a.diags = b.diags && a.stats = b.stats
+
+(* Each entry point's outcome in one mode: the result, or the error. *)
+let entry_points ~strict data chunks =
+  let path = Filename.temp_file "tdat_entry" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc data);
+      [
+        outcome (fun () -> Pcap.decode_result ~strict data);
+        outcome (fun () -> Pcap.read_file ~strict path);
+        outcome (fun () ->
+            Pcap.read_source ~strict (short_reader data chunks));
+      ])
+
+let entry_props =
+  let arb =
+    QCheck.make
+      ~print:(fun (s, chunks) ->
+        Printf.sprintf "capture of %d bytes, reads of [%s]" (String.length s)
+          (String.concat "; " (Array.to_list (Array.map string_of_int chunks))))
+      QCheck.Gen.(
+        pair gen_pcap_bytes
+          (array_size (int_range 1 6)
+             (frequency [ (3, int_range 1 20); (1, int_range 21 5_000) ])))
+  in
+  List.map
+    (fun strict ->
+      prop ~count:300
+        (Printf.sprintf
+           "decode_result == read_file == read_source (short reads, %s)"
+           (if strict then "strict" else "salvage"))
+        arb
+        (fun (data, chunks) ->
+          match entry_points ~strict data chunks with
+          | [ Ok a; Ok b; Ok c ] -> same_result a b && same_result a c
+          | [ Error a; Error b; Error c ] -> a = b && a = c
+          | _ -> false))
+    [ false; true ]
+
 (* --- stream reassembly == the list-interval reassembler ------------------ *)
 
 (* Segments of a random stream arriving reordered within a window, with
@@ -426,6 +485,222 @@ let column_props =
             && reassembly_matches sub ~flow:reverse
             && reassembly_matches t ~flow)
           (Trace.partition_connections t));
+  ]
+
+(* --- column analyzer == the record-based references ------------------ *)
+
+module Conn_profile = Tdat.Conn_profile
+module Ack_shift = Tdat.Ack_shift
+module Series_gen = Tdat.Series_gen
+module Span_set = Tdat_timerange.Span_set
+module Span = Tdat_timerange.Span
+
+let label_name : Conn_profile.label -> string = function
+  | In_order -> "in-order"
+  | Above_hole -> "above-hole"
+  | Fill_reorder -> "fill-reorder"
+  | Fill_retransmission -> "fill-retransmission"
+  | Redelivery -> "redelivery"
+
+let ref_label_name : Legacy_ref.Profile_ref.label -> string = function
+  | In_order -> "in-order"
+  | Above_hole -> "above-hole"
+  | Fill_reorder -> "fill-reorder"
+  | Fill_retransmission -> "fill-retransmission"
+  | Redelivery -> "redelivery"
+
+let episodes l =
+  List.map
+    (fun (e : Conn_profile.loss_episode) -> (e.span, e.packets, e.bytes))
+    l
+
+let ref_episodes l =
+  List.map
+    (fun (e : Legacy_ref.Profile_ref.loss_episode) ->
+      (e.span, e.packets, e.bytes))
+    l
+
+(* Packet [i]'s header record, as the references hold it. *)
+let header t i = { (Trace.get t i) with Seg.payload = "" }
+
+(* The profile's ACK records at their (possibly shifted) times. *)
+let ack_records (p : Conn_profile.t) =
+  Array.mapi
+    (fun k i -> { (header p.trace i) with Seg.ts = p.ack_ts.(k) })
+    p.acks
+
+let same_profile (p : Conn_profile.t) (r : Legacy_ref.Profile_ref.t) =
+  p.start_time = r.start_time && p.end_time = r.end_time
+  && p.syn_rtt = r.syn_rtt && p.upstream_rtt = r.upstream_rtt
+  && p.rtt = r.rtt && p.mss = r.mss && p.max_adv_window = r.max_adv_window
+  && Array.map (header p.trace) p.data
+     = Array.map (fun (d : Legacy_ref.Profile_ref.data_packet) -> d.seg) r.data
+  && Array.map label_name p.labels
+     = Array.map
+         (fun (d : Legacy_ref.Profile_ref.data_packet) -> ref_label_name d.label)
+         r.data
+  && ack_records p = r.acks
+  && episodes p.upstream_episodes = ref_episodes r.upstream_episodes
+  && episodes p.downstream_episodes = ref_episodes r.downstream_episodes
+  && Span_set.to_list p.voids = Span_set.to_list r.voids
+
+let flights l =
+  List.map
+    (fun (f : Ack_shift.flight_shift) ->
+      (f.span, f.n_acks, f.estimates, f.applied))
+    l
+
+let ref_flights l =
+  List.map
+    (fun (f : Legacy_ref.Shift_ref.flight_shift) ->
+      (f.span, f.n_acks, f.estimates, f.applied))
+    l
+
+(* Profile, shift and every series of [Series_defs.all], events and
+   span sets, against the references on one connection. *)
+let analysis_matches ?window t ~flow =
+  let p = Conn_profile.of_trace t ~flow in
+  let r = Legacy_ref.Profile_ref.of_trace t ~flow in
+  let shifted, infos = Ack_shift.shift p in
+  let r_shifted, r_infos = Legacy_ref.Shift_ref.shift r in
+  let g = Series_gen.generate ?window shifted in
+  let rg = Legacy_ref.Series_ref.generate ?window r_shifted in
+  same_profile p r
+  && same_profile shifted r_shifted
+  && flights infos = ref_flights r_infos
+  && List.for_all
+       (fun d ->
+         Tdat_timerange.Series.to_list (Series_gen.events g d)
+         = Tdat_timerange.Series.to_list (Legacy_ref.Series_ref.events rg d)
+         && Span_set.to_list (Series_gen.spans g d)
+            = Span_set.to_list (Legacy_ref.Series_ref.spans rg d))
+       Tdat.Series_defs.all
+
+(* One connection, both directions drawn at random: data segments at
+   sequence numbers from a small grid, so holes, late and quick fills,
+   and redeliveries are all common; ACKs with cumulative acks, windows
+   (zero and small included) and timestamps that interleave with the
+   data; a handshake in half the cases, and ties in time throughout. *)
+let gen_conn_trace =
+  QCheck.Gen.(
+    let sender = ep1 and receiver = ep2 in
+    let* handshake = bool in
+    let* n_data = int_range 0 50 in
+    let* n_acks = int_range 0 50 in
+    let ts = int_range 0 400 >|= fun t -> t * 500 in
+    let* data =
+      list_repeat n_data
+        (let* ts = ts in
+         let* k = int_bound 24 in
+         let* len = oneofl [ 1000; 1000; 1000; 400; 60 ] in
+         return
+           (Seg.v ~ts ~src:sender ~dst:receiver ~seq:(k * 1000) ~ack:0 ~len
+              ~flags:Seg.data_flags ()))
+    in
+    let* acks =
+      list_repeat n_acks
+        (let* ts = ts in
+         let* ack = int_bound 25 in
+         let* window = oneofl [ 0; 500; 2_000; 16_000; 65_535 ] in
+         let* flags = oneofl [ Seg.ack_flags; Seg.ack_flags; Seg.flags () ] in
+         return
+           (Seg.v ~ts ~src:receiver ~dst:sender ~seq:0 ~ack:(ack * 1000)
+              ~window ~flags ()))
+    in
+    let* hs_ts = int_range 0 3 in
+    let shake =
+      if not handshake then []
+      else
+        [
+          Seg.v ~ts:hs_ts ~src:sender ~dst:receiver ~seq:0 ~ack:0
+            ~flags:(Seg.flags ~syn:true ()) ~mss_opt:1000 ();
+          Seg.v ~ts:(hs_ts + 900) ~src:receiver ~dst:sender ~seq:0 ~ack:0
+            ~flags:(Seg.flags ~syn:true ~ack:true ()) ();
+          Seg.v ~ts:(hs_ts + 1_700) ~src:sender ~dst:receiver ~seq:0 ~ack:0
+            ~flags:Seg.ack_flags ();
+        ]
+    in
+    let* window =
+      opt
+        (let* a = int_range 0 100_000 in
+         let* len = int_range 1 200_000 in
+         return (Span.v a (a + len)))
+    in
+    return (Trace.of_segments (shake @ data @ acks), window))
+
+let arb_conn_trace =
+  QCheck.make
+    ~print:(fun (t, _) ->
+      String.concat "\n" (List.map (Format.asprintf "%a" Seg.pp) (Trace.segments t)))
+    gen_conn_trace
+
+let conn_flow = Flow.v ~sender:ep1 ~receiver:ep2
+
+(* Simulated transfers: a paced one, one over a lossy upstream, one
+   behind a shallow collector buffer, and a site capture of three. *)
+let scenario_traces =
+  lazy
+    (let module Scenario = Tdat_bgpsim.Scenario in
+     let lossy =
+       Tdat_tcpsim.Connection.path ~delay:5_000
+         ~data_loss:
+           (Tdat_netsim.Loss.gilbert (Tdat_rng.Rng.create 99) ~p_enter:0.05
+              ~p_exit:0.3 ~p_loss_bad:0.9)
+         ()
+     in
+     [
+       (Scenario.run ~seed:21
+          [ Scenario.router ~table_prefixes:3000 ~timer_interval:200_000 ~quota:20 1 ])
+         .Scenario.site_trace;
+       (Scenario.run ~seed:24 [ Scenario.router ~table_prefixes:3000 ~upstream:lossy 1 ])
+         .Scenario.site_trace;
+       (Scenario.run ~seed:25
+          ~collector_local:
+            (Tdat_tcpsim.Connection.path ~delay:50 ~bandwidth_bps:20_000_000
+               ~buffer_pkts:6 ())
+          [ Scenario.router ~table_prefixes:3000 1 ])
+         .Scenario.site_trace;
+       (Scenario.run ~seed:26
+          [
+            Scenario.router ~table_prefixes:1500 1;
+            Scenario.router ~table_prefixes:2000 ~timer_interval:100_000 2;
+            Scenario.router ~table_prefixes:1000 ~upstream:lossy 3;
+          ])
+         .Scenario.site_trace;
+     ])
+
+let test_scenarios_match_references () =
+  List.iteri
+    (fun n t ->
+      List.iter
+        (fun (key, sub) ->
+          let flow = Trace.infer_sender sub key in
+          let transfer = Tdat.Transfer_id.identify sub ~flow in
+          let window = Option.map Tdat.Transfer_id.span transfer in
+          Alcotest.(check bool)
+            (Printf.sprintf "scenario %d: %s" n
+               (Format.asprintf "%a" Flow.pp flow))
+            true
+            (analysis_matches sub ~flow && analysis_matches ?window sub ~flow))
+        (Trace.partition_connections t))
+    (Lazy.force scenario_traces)
+
+let analyzer_props =
+  [
+    prop ~count:500
+      "profile, shift and series from columns == record-based references"
+      arb_conn_trace (fun (t, window) ->
+        analysis_matches t ~flow:conn_flow
+        && analysis_matches ?window t ~flow:conn_flow);
+    prop ~count:200
+      "profile, shift and series from columns == references, flow reversed"
+      arb_conn_trace
+      (fun (t, window) ->
+        let flow = Flow.v ~sender:ep2 ~receiver:ep1 in
+        analysis_matches ?window t ~flow);
+    Alcotest.test_case
+      "profile, shift and series on simulated transfers == references" `Quick
+      test_scenarios_match_references;
   ]
 
 (* --- streaming transfer-end == extract-then-scan ------------------------ *)
@@ -1319,5 +1594,5 @@ let scratch_suite =
   ]
 
 let suite =
-  decode_props @ reasm_props @ column_props @ transfer_props @ validator_props
+  decode_props @ entry_props @ reasm_props @ column_props @ analyzer_props @ transfer_props @ validator_props
   @ key_props @ header_props @ timer_props @ summary_props @ scratch_suite

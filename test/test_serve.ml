@@ -524,7 +524,7 @@ let test_cache_lru () =
   let file = Filename.concat dir "input" in
   let write s = Out_channel.with_open_bin file (fun oc -> output_string oc s) in
   write "v1";
-  let cache = Cache.create ~capacity:4 in
+  let cache = Cache.create ~capacity:4 ~max_bytes:1_000 ~size:String.length in
   let loads = ref 0 in
   let get key =
     snd
@@ -567,6 +567,48 @@ let test_cache_lru () =
   | exception Failure _ -> ());
   Alcotest.(check cache_counts) "a raising load stores nothing"
     [ ("entries", 4); ("hits", 3); ("misses", 9); ("evictions", 2) ]
+    (stats ());
+  Sys.remove file;
+  Unix.rmdir dir
+
+(* The byte budget: entries weighed at store time, least-recently-used
+   ones evicted until a new one fits, and one heavier than the whole
+   budget served but never stored. *)
+let test_cache_byte_budget () =
+  let dir = tmpdir () in
+  let file = Filename.concat dir "input" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "v1");
+  let cache = Cache.create ~capacity:16 ~max_bytes:10 ~size:String.length in
+  let get value =
+    let v, hit = Cache.find_or_load cache value ~path:file ~load:(fun () -> value) in
+    Alcotest.(check string) "the answer is served" value v;
+    hit
+  in
+  let stats () =
+    let s = Cache.stats cache in
+    Cache.
+      [
+        ("entries", s.entries); ("bytes", s.bytes); ("evictions", s.evictions);
+      ]
+  in
+  List.iter
+    (fun v -> Alcotest.(check bool) (v ^ " cold") false (get v))
+    [ "aaaa"; "bbbb" ];
+  Alcotest.(check bool) "aaaa is touched" true (get "aaaa");
+  Alcotest.(check bool) "cccc cold" false (get "cccc");
+  Alcotest.(check cache_counts) "over 10 bytes, the oldest goes"
+    [ ("entries", 2); ("bytes", 8); ("evictions", 1) ]
+    (stats ());
+  Alcotest.(check bool) "the touched entry survives" true (get "aaaa");
+  Alcotest.(check bool) "the evicted one misses" false (get "bbbb");
+  Alcotest.(check bool) "ten bytes fit alone" false (get "dddddddddd");
+  Alcotest.(check cache_counts) "one entry of the whole budget"
+    [ ("entries", 1); ("bytes", 10); ("evictions", 4) ]
+    (stats ());
+  Alcotest.(check bool) "eleven bytes cold" false (get "eeeeeeeeeee");
+  Alcotest.(check bool) "and never stored" false (get "eeeeeeeeeee");
+  Alcotest.(check cache_counts) "nothing evicted for it"
+    [ ("entries", 1); ("bytes", 10); ("evictions", 4) ]
     (stats ());
   Sys.remove file;
   Unix.rmdir dir
@@ -1804,6 +1846,8 @@ let suite =
     Alcotest.test_case "analyze + cache" `Quick test_server_analyze_and_cache;
     Alcotest.test_case "cache: LRU eviction and stat revalidation" `Quick
       test_cache_lru;
+    Alcotest.test_case "cache: a byte budget, LRU-evicted" `Quick
+      test_cache_byte_budget;
     Alcotest.test_case "cache: options and verbs are distinct keys" `Quick
       test_server_cache_option_keys;
     Alcotest.test_case "cache: stats.cache counts every key" `Quick

@@ -434,6 +434,7 @@ let sorted_construction_suite =
 
 module Seg = Tdat_pkt.Tcp_segment
 module Endpoint = Tdat_pkt.Endpoint
+module Trace = Tdat_pkt.Trace
 module Conn_profile = Tdat.Conn_profile
 module Ack_shift = Tdat.Ack_shift
 
@@ -480,38 +481,57 @@ let gen_ack_profile =
             Seg.v ~ts:!ts ~src:sender ~dst:receiver ~seq:!seq ~ack:0 ~len:1000 ()
           in
           seq := !seq + 1000;
-          { Conn_profile.seg = s; label = Conn_profile.In_order })
+          s)
         data_gaps
     in
+    let trace = Trace.of_segments (acks @ data) in
+    let from e =
+      let id = Trace.find_endpoint trace e in
+      List.filter
+        (fun i -> Trace.src trace i = id)
+        (List.init (Trace.length trace) Fun.id)
+      |> Array.of_list
+    in
+    let data = from sender and acks = from receiver in
     return
       {
         Conn_profile.flow = Tdat_pkt.Flow.v ~sender ~receiver;
         start_time = 0;
-        end_time = max !ts (List.fold_left (fun m (a : Seg.t) -> max m a.ts) 0 acks);
+        end_time = Trace.ts trace (Trace.length trace - 1);
         syn_rtt = Some rtt;
         upstream_rtt = upstream;
         rtt;
         mss = 1000;
         max_adv_window = 20_000;
-        data = Array.of_list data;
-        acks = Array.of_list acks;
+        trace;
+        data;
+        labels = Array.map (fun _ -> Conn_profile.In_order) data;
+        acks;
+        ack_ts = Array.map (Trace.ts trace) acks;
         upstream_episodes = [];
         downstream_episodes = [];
         voids = Span_set.empty;
       })
 
+(* The profile's ACKs as segment records at their (shifted) times. *)
+let ack_segments (p : Conn_profile.t) =
+  Array.mapi
+    (fun k i -> { (Trace.get p.Conn_profile.trace i) with Seg.ts = p.Conn_profile.ack_ts.(k) })
+    p.Conn_profile.acks
+
 let arb_ack_profile =
   QCheck.make
-    ~print:(fun (p : Conn_profile.t) ->
+    ~print:(fun p ->
       String.concat "; "
         (Array.to_list
-           (Array.map (fun a -> Format.asprintf "%a" Seg.pp a) p.Conn_profile.acks)))
+           (Array.map (fun a -> Format.asprintf "%a" Seg.pp a) (ack_segments p))))
     gen_ack_profile
 
-(* The always-sort reference: each flight's ACKs moved by the flight's
-   applied shift (from the reported flights), then [Array.sort]. *)
+(* The always-sort reference: each flight's ACK records moved by the
+   flight's applied shift (from the reported flights), then
+   [Array.sort]. *)
 let always_sorted (p : Conn_profile.t) infos =
-  let a = Array.copy p.Conn_profile.acks in
+  let a = ack_segments p in
   let k = ref 0 in
   List.iter
     (fun (f : Ack_shift.flight_shift) ->
@@ -530,7 +550,7 @@ let ack_shift_suite =
          ~name:"Ack_shift.shift == always-sort reference, ties in (ts, seq)"
          arb_ack_profile (fun p ->
            let shifted, infos = Ack_shift.shift p in
-           let acks = shifted.Conn_profile.acks and expect = always_sorted p infos in
+           let acks = ack_segments shifted and expect = always_sorted p infos in
            Array.length acks = Array.length expect
            && Array.for_all2 (fun (a : Seg.t) b -> a = b) acks expect));
   ]
