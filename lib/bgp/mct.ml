@@ -266,7 +266,7 @@ let reasm_scan ~max_tag ?(config = default_config) ~start reasm =
         let limit = p + total in
         let ty = byte buf (p + 18) in
         match Msg.check_body buf ~ty ~boff:(p + Msg.header_size) ~limit with
-        | exception Msg.Malformed -> outcome st ~prefixes:seen.count
+        | nlri when nlri = Msg.malformed -> outcome st ~prefixes:seen.count
         | nlri when nlri < 0 || nlri = limit ->
             (* Not an UPDATE, or one with an empty NLRI: not an
                announcement batch. *)
@@ -275,10 +275,10 @@ let reasm_scan ~max_tag ?(config = default_config) ~start reasm =
             let ts = Stream_reassembly.delivery_time reasm (off + total - 1) in
             match admit st ts with
             | `Stop -> outcome st ~prefixes:seen.count
-            | `Skip -> (
-                match Msg.check_prefixes buf ~pos:nlri ~limit with
-                | exception Msg.Malformed -> outcome st ~prefixes:seen.count
-                | _ -> scan (off + total))
+            | `Skip ->
+                if Msg.check_prefixes buf ~pos:nlri ~limit < 0 then
+                  outcome st ~prefixes:seen.count
+                else scan (off + total)
             | `Open ->
                 (* Validate, pack and insert in one walk.  A bad entry
                    ends the scan before this message, so the count from

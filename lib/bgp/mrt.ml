@@ -168,32 +168,33 @@ let[@inline] byte buf p = Char.code (Bytes.unsafe_get buf p)
 let[@inline] u16 buf p = (byte buf p lsl 8) lor byte buf (p + 1)
 let[@inline] u32 buf p = (u16 buf p lsl 16) lor u16 buf (p + 2)
 
-(* Parse the BGP4MP fixed part of one complete record body, [len] bytes
-   of the reused buffer [body], and hand what follows it to the fold's
-   own [message] or [state] step.  The header has already framed the
-   record, so every problem here is skippable: salvage continues at the
-   next record.  Every read is below [len], which the framing loop has
-   proved to lie inside [body]; [p] is the offset of the peer fields,
-   past an ET record's microsecond field, and the embedded BGP message
-   of a [message] record starts at [p + 16]. *)
-let parse_body ~message ~state ~sec ~ty ~subtype body len =
+(* Parse the BGP4MP fixed part of one complete record body, the bytes
+   of [buf] from [b] up to [limit], and hand what follows it to the
+   fold's own [message] or [state] step.  The header has already
+   framed the record, so every problem here is skippable: salvage
+   continues at the next record.  Every read is below [limit], which
+   the framing loop has proved to lie inside [buf]; [p] is the offset
+   of the peer fields, past an ET record's microsecond field, and the
+   embedded BGP message of a [message] record starts at [p + 16]. *)
+let parse_body ~message ~state ~sec ~ty ~subtype buf b limit =
   if ty <> bgp4mp && ty <> bgp4mp_et then Unsupported
   else if subtype <> subtype_message && subtype <> subtype_state_change then
     Unsupported
   else begin
-    let p = if ty = bgp4mp_et then 4 else 0 in
+    let p = if ty = bgp4mp_et then b + 4 else b in
     let fixed = if subtype = subtype_message then 16 else 20 in
-    if p + fixed > len then Short_body
+    if p + fixed > limit then Short_body
     else begin
-      let usec = if p = 4 then u32 body 0 else 0 in
+      let usec = if p > b then u32 buf b else 0 in
       let ts = (sec * 1_000_000) + usec in
-      if subtype = subtype_message then message ~ts body p len
+      if subtype = subtype_message then message ~ts buf p limit
       else
         match
-          ( fsm_state_of_code (u16 body (p + 16)),
-            fsm_state_of_code (u16 body (p + 18)) )
+          ( fsm_state_of_code (u16 buf (p + 16)),
+            fsm_state_of_code (u16 buf (p + 18)) )
         with
-        | Some old_state, Some new_state -> state ~ts body p ~old_state ~new_state
+        | Some old_state, Some new_state ->
+            state ~ts buf p ~old_state ~new_state
         | _ -> Bad_state
     end
   end
@@ -211,13 +212,54 @@ let m_skipped = Obs.Counter.make "mrt.skipped"
 let m_bytes = Obs.Counter.make "mrt.bytes"
 let g_records_per_s = Obs.Gauge.make ~stable:false "mrt.records_per_s"
 
-(* The one framing loop behind every fold: frame each record, emit the
-   M001/M002/M007 framing diagnostics and the skip diagnostics, raise in
-   strict mode, and keep the [stats] and the [mrt.*] counters.  [fill buf
-   n] reads up to [n] bytes into [buf] and returns the count actually
-   read — the only primitive the input sources differ in; [body] is the
-   fold's [parse_body] step, which delivers its entries itself. *)
-let frame ?(strict = false) ?(on_diag = fun _ -> ()) fill body =
+module Scratch = Tdat_parallel.Scratch
+module Ingest_io = Tdat_pkt.Ingest_io
+
+(* The records are framed in [buf], from [pos], the first byte not yet
+   framed, up to [avail].  A string is framed where it lies, whole; a
+   reader fills a per-domain arena buffer ([cell]) that later records
+   and archives reuse, as much of it as it takes if [ahead], else only
+   the bytes the record being framed lacks, never past its end. *)
+type input = {
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable avail : int;
+  source : source;
+}
+
+and source =
+  | Whole
+  | Reader of { cell : Scratch.cell; read : Ingest_io.read; ahead : bool }
+
+(* Make [n] bytes available from [t.pos]; [false] at the end of input
+   (the reader retries EINTR and, with [~follow], polls a growing
+   source).  Cold: about once per chunk.  The bytes not yet framed move
+   to the buffer's front first, and a record longer than the buffer
+   grows it to fit. *)
+let refill t n =
+  match t.source with
+  | Whole -> false
+  | Reader { cell; read; ahead } ->
+      let have = t.avail - t.pos in
+      Bytes.blit t.buf t.pos t.buf 0 have;
+      t.pos <- 0;
+      t.avail <- have;
+      if n > Bytes.length t.buf then t.buf <- Scratch.ensure_keep cell n;
+      let want = if ahead then Bytes.length t.buf else n in
+      let eof = ref false in
+      while t.avail < n && not !eof do
+        let r = read t.buf t.avail (want - t.avail) in
+        if r = 0 then eof := true else t.avail <- t.avail + r
+      done;
+      not !eof
+
+(* The one record loop behind every fold: frame each record where it
+   lies in [t], emit the M001/M002/M007 framing diagnostics and the skip
+   diagnostics, raise in strict mode, and keep the [stats] and the
+   [mrt.*] counters.  [message] and [state] are the fold's steps, which
+   deliver its entries themselves; a new record type or subtype is one
+   more case of [parse_body]. *)
+let frame ?(strict = false) ?(on_diag = fun _ -> ()) t ~message ~state =
   let emit d =
     on_diag d;
     if strict then
@@ -226,50 +268,46 @@ let frame ?(strict = false) ?(on_diag = fun _ -> ()) fill body =
           Bgp_error.fail ~context:"Mrt.decode" "%s" d.Diag.message
       | Diag.Info -> ()
   in
-  (* The record-body buffer is a per-domain arena slot: successive
-     records (and successive archives on the same worker domain) reuse
-     one high-water-mark buffer instead of allocating per record. *)
-  Tdat_parallel.Scratch.(with_bytes ~slot:slot_mrt_body 4096) @@ fun bcell ->
-  let hdr = Bytes.create 12 in
   let records = ref 0 in
   let bgp_messages = ref 0 in
   let state_changes = ref 0 in
-  let skipped = ref 0 in
   let framing code message =
     emit { Diag.code; severity = Diag.Warning; record = Some !records; message }
   in
   let rec go () =
-    let got = fill hdr 12 in
-    if got = 0 then ()
-    else if got < 12 then framing "M001" "truncated header"
+    if t.avail - t.pos < 12 && not (refill t 12) then begin
+      if t.avail > t.pos then framing "M001" "truncated header"
+    end
     else begin
-      let sec = u32 hdr 0 in
-      let ty = u16 hdr 4 in
-      let subtype = u16 hdr 6 in
-      let rec_len = u32 hdr 8 in
+      let rec_len = u32 t.buf (t.pos + 8) in
       if rec_len > max_record_len then framing "M007" "oversized record"
+      else if t.avail - t.pos < 12 + rec_len && not (refill t (12 + rec_len))
+      then framing "M002" "truncated record"
       else begin
-        let buf = Tdat_parallel.Scratch.ensure bcell rec_len in
-        if fill buf rec_len < rec_len then framing "M002" "truncated record"
-        else begin
-          let idx = !records in
-          incr records;
-          Obs.Counter.incr m_records;
-          (* +12: the MRT common header travels with the body. *)
-          Obs.Counter.add m_bytes (rec_len + 12);
-          (match body ~sec ~ty ~subtype buf rec_len with
-          | Message_entry ->
-              incr bgp_messages;
-              Obs.Counter.incr m_messages
-          | State_entry ->
-              incr state_changes;
-              Obs.Counter.incr m_state_changes
-          | (Short_body | Bad_message | Unsupported | Bad_state) as skip ->
-              incr skipped;
-              Obs.Counter.incr m_skipped;
-              emit (skip_diag ~idx ~ty ~subtype skip));
-          go ()
-        end
+        (* Read after [refill], which may have moved the record. *)
+        let buf = t.buf and h = t.pos in
+        let ty = u16 buf (h + 4) and subtype = u16 buf (h + 6) in
+        let b = h + 12 in
+        t.pos <- b + rec_len;
+        let idx = !records in
+        incr records;
+        Obs.Counter.incr m_records;
+        (* +12: the MRT common header travels with the body. *)
+        Obs.Counter.add m_bytes (rec_len + 12);
+        (match
+           parse_body ~message ~state ~sec:(u32 buf h) ~ty ~subtype buf b
+             (b + rec_len)
+         with
+        | Message_entry ->
+            incr bgp_messages;
+            Obs.Counter.incr m_messages
+        | State_entry ->
+            incr state_changes;
+            Obs.Counter.incr m_state_changes
+        | (Short_body | Bad_message | Unsupported | Bad_state) as skip ->
+            Obs.Counter.incr m_skipped;
+            emit (skip_diag ~idx ~ty ~subtype skip));
+        go ()
       end
     end
   in
@@ -283,179 +321,122 @@ let frame ?(strict = false) ?(on_diag = fun _ -> ()) fill body =
     records = !records;
     bgp_messages = !bgp_messages;
     state_changes = !state_changes;
-    skipped = !skipped;
+    skipped = !records - !bgp_messages - !state_changes;
   }
 
 (* The entry fold: each record decoded to an [entry], its embedded
    message through [Msg.decode_slice]. *)
-let fold_fill ?strict ?on_diag fill ~init f =
+let fold_input ?strict ?on_diag t ~init f =
   let acc = ref init in
-  let message ~ts body p len =
-    match Msg.decode_slice (Slice.of_bytes ~len body) (p + 16) with
+  let message ~ts buf p limit =
+    match Msg.decode_slice (Slice.of_bytes ~len:limit buf) (p + 16) with
     | Some (msg, _) ->
-        let peer_ip = Int32.of_int (u32 body (p + 8)) in
-        let local_ip = Int32.of_int (u32 body (p + 12)) in
         acc :=
           f !acc
             (Message
                {
                  ts;
-                 peer_as = u16 body p;
-                 local_as = u16 body (p + 2);
-                 peer_ip;
-                 local_ip;
+                 peer_as = u16 buf p;
+                 local_as = u16 buf (p + 2);
+                 peer_ip = Int32.of_int (u32 buf (p + 8));
+                 local_ip = Int32.of_int (u32 buf (p + 12));
                  msg;
                });
         Message_entry
     | None -> Bad_message
     | exception Bgp_error.Decode_error _ -> Bad_message
   in
-  let state ~ts body p ~old_state ~new_state =
+  let state ~ts buf p ~old_state ~new_state =
     acc :=
       f !acc
         (State
            {
              sc_ts = ts;
-             sc_peer_as = u16 body p;
-             sc_local_as = u16 body (p + 2);
-             sc_peer_ip = Int32.of_int (u32 body (p + 8));
-             sc_local_ip = Int32.of_int (u32 body (p + 12));
+             sc_peer_as = u16 buf p;
+             sc_local_as = u16 buf (p + 2);
+             sc_peer_ip = Int32.of_int (u32 buf (p + 8));
+             sc_local_ip = Int32.of_int (u32 buf (p + 12));
              old_state;
              new_state;
            });
     State_entry
   in
-  let stats = frame ?strict ?on_diag fill (parse_body ~message ~state) in
+  let stats = frame ?strict ?on_diag t ~message ~state in
   (!acc, stats)
 
 (* The summary fold: each record reduced to immediates, its embedded
    message checked by the shared validator ([Msg.validate]) instead of
    decoded.  Nothing per record is allocated. *)
-let summary_fill ?strict ?on_diag fill ~init f =
+let summary_input ?strict ?on_diag t ~init f =
   let acc = ref init in
-  let message ~ts body p len =
-    let v = Msg.validate body ~pos:(p + 16) ~limit:len in
+  let message ~ts buf p limit =
+    let v = Msg.validate buf ~pos:(p + 16) ~limit in
     if v < 0 then Bad_message
     else begin
       acc :=
-        f !acc ~ts ~peer_as:(u16 body p) ~peer_ip:(u32 body (p + 8))
+        f !acc ~ts ~peer_as:(u16 buf p) ~peer_ip:(u32 buf (p + 8))
           ~kind:(Kind.of_type_code (v land 7))
           ~nlri:(v lsr 3);
       Message_entry
     end
   in
-  let state ~ts body p ~old_state:_ ~new_state =
+  let state ~ts buf p ~old_state:_ ~new_state =
     acc :=
-      f !acc ~ts ~peer_as:(u16 body p) ~peer_ip:(u32 body (p + 8))
+      f !acc ~ts ~peer_as:(u16 buf p) ~peer_ip:(u32 buf (p + 8))
         ~kind:(Kind.of_new_state new_state) ~nlri:0;
     State_entry
   in
-  let stats = frame ?strict ?on_diag fill (parse_body ~message ~state) in
+  let stats = frame ?strict ?on_diag t ~message ~state in
   (!acc, stats)
 
-let string_fill s =
-  let pos = ref 0 in
-  let len = String.length s in
-  fun buf n ->
-    let take = Stdlib.min n (len - !pos) in
-    Bytes.blit_string s !pos buf 0 take;
-    pos := !pos + take;
-    take
+let of_string s =
+  let buf = Bytes.unsafe_of_string s in
+  { buf; pos = 0; avail = Bytes.length buf; source = Whole }
 
-(* Turn an [Ingest_io] reader into the [fill buf n] primitive the folds
-   want: loop short reads until the frame is complete or the reader
-   reports a true EOF.  The reader itself retries EINTR and (with
-   [~follow]) polls a still-growing source, so a partial [fill] result
-   here really is end-of-capture, never a transient condition.  A
-   top-level loop, so a fill allocates no closure. *)
-let rec fill_from (read : Tdat_pkt.Ingest_io.read) buf n pos =
-  if pos >= n then pos
-  else
-    let r = read buf pos (n - pos) in
-    if r = 0 then pos else fill_from read buf n (pos + r)
+let with_reader ~ahead read k =
+  Scratch.with_bytes ~slot:Scratch.slot_mrt_chunk 16384 @@ fun cell ->
+  let source = Reader { cell; read; ahead } in
+  k { buf = cell.Scratch.buf; pos = 0; avail = 0; source }
 
-let fill_of_read read buf n = fill_from read buf n 0
-
-(* A file the fold opens itself is read through its descriptor, in
-   16 KiB chunks of an arena buffer, so framing a record costs two blits
-   instead of two channel reads (each a C call taking the channel's
-   lock).  Reading ahead is harmless: nobody else reads the file, and it
-   is closed on return.  A caller's descriptor ({!fold_fd}) is read as
-   asked, never past the last record framed.
-
-   The descriptor must come from [open_in_bin], and the channel must
-   stay open until the fold returns, though its own buffer is never
-   read.  Two things rest on that.  A file that cannot be opened raises
-   [open_in_bin]'s [Sys_error], as the pcap reader does.  And the
-   runtime counts every open channel's buffer against the pace of the
-   major GC: the summary fold allocates nothing per record, so without
-   that count a study's major collections lapse and the garbage of its
-   reports lingers.  Measured on perfbench [study] (DESIGN.md,
-   "Performance & parallelism"): a bare [Unix.openfile] descriptor, or
-   reading through the channel itself (which touches its 64 KiB buffer),
-   puts the peak resident set outside the benchmark's 10% memory bound.
-   Read errors are re-raised as the [Sys_error] [input] would raise. *)
-type chunks = {
-  source : Tdat_pkt.Ingest_io.read;
-  chunk : Bytes.t;
-  mutable pos : int;
-  mutable avail : int;
-}
-
-let rec chunk_fill c buf n got =
-  if got >= n then got
-  else if c.pos < c.avail then begin
-    let take = Stdlib.min (n - got) (c.avail - c.pos) in
-    Bytes.blit c.chunk c.pos buf got take;
-    c.pos <- c.pos + take;
-    chunk_fill c buf n (got + take)
-  end
-  else begin
-    let r = c.source c.chunk 0 (Bytes.length c.chunk) in
-    if r = 0 then got
-    else begin
-      c.pos <- 0;
-      c.avail <- r;
-      chunk_fill c buf n got
-    end
-  end
-
-let with_file_fill ?follow path k =
+(* A file the fold opens itself is read ahead, in 16 KiB chunks:
+   nobody else reads it, and it is closed on return.  It is read through
+   the descriptor of an [open_in_bin] channel that stays open until the
+   fold returns, though the channel's own buffer is never read.  So a
+   file that cannot be opened raises [open_in_bin]'s [Sys_error], as the
+   pcap reader does, and the channel's buffer counts against the major
+   GC's pace, which a scan that allocates nothing per record needs to
+   keep a study's peak memory down (DESIGN.md, "Performance &
+   parallelism").  Read errors are re-raised as the [Sys_error] [input]
+   would raise. *)
+let with_file ?follow path k =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let read =
-        Tdat_pkt.Ingest_io.of_fd ?follow (Unix.descr_of_in_channel ic)
-      in
+      let read = Ingest_io.of_fd ?follow (Unix.descr_of_in_channel ic) in
       let source buf off len =
         try read buf off len
         with Unix.Unix_error (e, _, _) -> raise (Sys_error (Unix.error_message e))
       in
-      Tdat_parallel.Scratch.(with_bytes ~slot:slot_mrt_chunk 16384)
-      @@ fun cell ->
-      let c =
-        { source; chunk = cell.Tdat_parallel.Scratch.buf; pos = 0; avail = 0 }
-      in
-      k (fun buf n -> chunk_fill c buf n 0))
+      with_reader ~ahead:true source k)
 
 let fold_string ?strict ?on_diag s ~init f =
-  fold_fill ?strict ?on_diag (string_fill s) ~init f
+  fold_input ?strict ?on_diag (of_string s) ~init f
+
+let fold_source ?strict ?on_diag read ~init f =
+  with_reader ~ahead:false read (fun t -> fold_input ?strict ?on_diag t ~init f)
 
 let fold_fd ?strict ?on_diag ?follow fd ~init f =
-  fold_fill ?strict ?on_diag
-    (fill_of_read (Tdat_pkt.Ingest_io.of_fd ?follow fd))
-    ~init f
+  fold_source ?strict ?on_diag (Ingest_io.of_fd ?follow fd) ~init f
 
 let fold_file ?strict ?on_diag ?follow path ~init f =
-  with_file_fill ?follow path (fun fill -> fold_fill ?strict ?on_diag fill ~init f)
+  with_file ?follow path (fun t -> fold_input ?strict ?on_diag t ~init f)
 
 let fold_summary_string ?strict ?on_diag s ~init f =
-  summary_fill ?strict ?on_diag (string_fill s) ~init f
+  summary_input ?strict ?on_diag (of_string s) ~init f
 
 let fold_summary_file ?strict ?on_diag ?follow path ~init f =
-  with_file_fill ?follow path (fun fill ->
-      summary_fill ?strict ?on_diag fill ~init f)
+  with_file ?follow path (fun t -> summary_input ?strict ?on_diag t ~init f)
 
 let result_of_fold fold =
   let diags = ref [] in

@@ -11,12 +11,14 @@
     detector anchors transfer starts on.  Other record types and
     subtypes are skipped losslessly.
 
-    Reading is {e streaming}: {!fold_file} / {!fold_fd} decode one
-    record at a time from a reused buffer, so a year-long archive is
-    processed in memory proportional to its largest record.  Malformed
-    input degrades gracefully: each problem produces a typed {!Diag.t}
-    ([M0xx] codes, see DESIGN.md "Measurement study") and the reader
-    salvages every decodable record.  [?strict:true] instead raises
+    Reading is {e streaming} and in place: one record loop frames each
+    record where it lies — in the input string, or in a reused 16 KiB
+    buffer for {!fold_file} / {!fold_fd} — copying none out, so a
+    year-long archive is processed in memory bounded by the larger of
+    16 KiB and its largest record.  Malformed input degrades gracefully:
+    each problem produces a typed {!Diag.t} ([M0xx] codes, see DESIGN.md
+    "Measurement study") and the reader salvages every decodable
+    record.  [?strict:true] instead raises
     [Bgp_error.Decode_error] with context ["Mrt.decode"] on the first
     error- or warning-severity diagnostic, message-compatible with the
     historical whole-file decoder. *)
@@ -111,12 +113,22 @@ val fold_fd :
   'a * stats
 (** Streaming fold over a raw descriptor ([Unix.read]) in bounded
     memory — the right entry point for pipes, sockets and tailed files.
-    The descriptor is read record by record into a reused buffer that
-    never exceeds the largest record, and never past the last record
-    framed.  Reads are [EINTR]-safe and short reads are looped, so pipes
-    and sockets never truncate a record; with [~follow] (see
+    Each read asks for exactly the bytes the record being framed still
+    lacks, so the descriptor is never read past the last record framed.
+    Reads are [EINTR]-safe and short reads are looped, so pipes and
+    sockets never truncate a record; with [~follow] (see
     {!Tdat_pkt.Ingest_io.follow_idle}) EOF polls the source instead of
     ending the archive — the tailing mode for a still-growing file. *)
+
+val fold_source :
+  ?strict:bool ->
+  ?on_diag:(Diag.t -> unit) ->
+  Tdat_pkt.Ingest_io.read ->
+  init:'a ->
+  ('a -> entry -> 'a) ->
+  'a * stats
+(** {!fold_fd} over any {!Tdat_pkt.Ingest_io.read}; a read of [0] ends
+    the archive. *)
 
 val fold_file :
   ?strict:bool ->
@@ -127,9 +139,10 @@ val fold_file :
   ('a -> entry -> 'a) ->
   'a * stats
 (** The streaming fold over a freshly opened file, closed on return,
-    with {!fold_fd}'s [~follow].  The file is read in 16 KiB chunks (it
-    may be read past the last record framed); failing to open or read it
-    raises the [Sys_error] [open_in_bin] or [input] would. *)
+    with {!fold_fd}'s [~follow].  The file is read ahead in 16 KiB
+    chunks (it may be read past the last record framed); failing to
+    open or read it raises the [Sys_error] [open_in_bin] or [input]
+    would. *)
 
 (** What one archived record says about its session, as the summary
     folds report it: the type of a received BGP message, or a state

@@ -173,108 +173,112 @@ let decode s off = decode_slice (Slice.of_string s) off
 (* The checks [decode_slice] makes, byte for byte and in its order
    (Prefix.decode_slice, As_path.decode_slice, Attr.decode_all_slice and
    the per-type body rules above), over absolute positions in a borrowed
-   buffer, building nothing.  Each checker reads only below a [limit]
-   that never exceeds the message's end, the condition the decoder's
+   buffer, building nothing and raising nothing: a violation returns
+   [malformed] or [false].  The walkers read only below a [limit] that
+   never exceeds the message's end, the condition the decoder's
    per-section slices enforce, so once an entry point has checked its
-   range against the buffer ([in_buffer]) no read needs its own bounds
-   check. *)
+   range against the buffer ([in_buffer]) no read needs a bounds check. *)
 
-exception Malformed
+let malformed = -2
 
 let[@inline] byte buf p = Char.code (Bytes.unsafe_get buf p)
 let[@inline] u16 buf p = (byte buf p lsl 8) lor byte buf (p + 1)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 let in_buffer what buf ~pos ~limit =
   if pos < 0 || limit > Bytes.length buf then
     invalid_arg (what ^ ": range outside the buffer")
 
-let check_prefixes buf ~pos ~limit =
-  in_buffer "Msg.check_prefixes" buf ~pos ~limit;
-  let o = ref pos and n = ref 0 in
-  while !o < limit do
-    let plen = byte buf !o in
-    if plen > 32 then raise Malformed;
-    let nbytes = (plen + 7) / 8 in
-    if !o + 1 + nbytes > limit then raise Malformed;
-    o := !o + 1 + nbytes;
-    incr n
-  done;
-  !n
+(* [n] plus the number of prefixes filling [o] up to [limit]. *)
+let rec walk_prefixes buf o limit n =
+  if o >= limit then n
+  else
+    let plen = byte buf o in
+    let next = o + 1 + ((plen + 7) lsr 3) in
+    if plen > 32 || next > limit then malformed
+    else walk_prefixes buf next limit (n + 1)
 
-let check_as_path buf ~pos ~limit =
-  let o = ref pos in
-  while !o < limit do
-    if !o + 2 > limit then raise Malformed;
-    let ty = byte buf !o in
-    let n = byte buf (!o + 1) in
-    if !o + 2 + (2 * n) > limit then raise Malformed;
-    if ty <> 1 && ty <> 2 then raise Malformed;
-    o := !o + 2 + (2 * n)
-  done
+let rec walk_as_path buf o limit =
+  o >= limit
+  || o + 2 <= limit
+     &&
+     let ty = byte buf o in
+     let next = o + 2 + (2 * byte buf (o + 1)) in
+     next <= limit && (ty = 1 || ty = 2) && walk_as_path buf next limit
 
-let check_attrs buf ~pos ~limit =
-  let o = ref pos in
-  while !o < limit do
-    if !o + 3 > limit then raise Malformed;
-    let flags = byte buf !o in
-    let code = byte buf (!o + 1) in
-    let vlen, voff =
-      if flags land 0x10 <> 0 then begin
-        if !o + 4 > limit then raise Malformed;
-        (u16 buf (!o + 2), !o + 4)
-      end
-      else (byte buf (!o + 2), !o + 3)
-    in
-    if voff + vlen > limit then raise Malformed;
-    if code = 2 then check_as_path buf ~pos:voff ~limit:(voff + vlen);
-    o := voff + vlen
-  done
+let rec walk_attrs buf o limit =
+  o >= limit
+  || o + 3 <= limit
+     &&
+     let extended = byte buf o land 0x10 <> 0 in
+     (not extended || o + 4 <= limit)
+     &&
+     let voff = if extended then o + 4 else o + 3 in
+     let next =
+       voff + if extended then u16 buf (o + 2) else byte buf (o + 2)
+     in
+     next <= limit
+     && (byte buf (o + 1) <> 2 || walk_as_path buf voff next)
+     && walk_attrs buf next limit
+
+(* The NLRI's position for an UPDATE, [-1] for any other valid type. *)
+let walk_body buf ty boff limit =
+  let blen = limit - boff in
+  match ty with
+  | 1 -> if blen < 10 then malformed else -1
+  | 2 ->
+      if blen < 4 then malformed
+      else
+        let apos = boff + 2 + u16 buf boff in
+        if apos + 2 > limit || walk_prefixes buf (boff + 2) apos 0 < 0 then
+          malformed
+        else
+          let nlri = apos + 2 + u16 buf apos in
+          if nlri > limit || not (walk_attrs buf (apos + 2) nlri) then
+            malformed
+          else nlri
+  | 3 -> if blen < 2 then malformed else -1
+  | 4 -> if blen <> 0 then malformed else -1
+  | _ -> malformed
+
+(* The 16-byte marker is all ones, which reads as -1 in either byte
+   order: one AND of two 64-bit loads checks it. *)
+let marker_length buf p =
+  let total = u16 buf (p + 16) in
+  if
+    Int64.equal (Int64.logand (get64u buf p) (get64u buf (p + 8))) (-1L)
+    && total >= header_size && total <= max_size
+  then total
+  else -1
+
+let header_length buf p =
+  in_buffer "Msg.header_length" buf ~pos:p ~limit:(p + header_size);
+  marker_length buf p
 
 let check_body buf ~ty ~boff ~limit =
   in_buffer "Msg.check_body" buf ~pos:boff ~limit;
-  let blen = limit - boff in
-  match ty with
-  | 1 -> if blen < 10 then raise Malformed else -1
-  | 2 ->
-      if blen < 4 then raise Malformed;
-      let wlen = u16 buf boff in
-      if 2 + wlen + 2 > blen then raise Malformed;
-      ignore (check_prefixes buf ~pos:(boff + 2) ~limit:(boff + 2 + wlen) : int);
-      let alen = u16 buf (boff + 2 + wlen) in
-      if 4 + wlen + alen > blen then raise Malformed;
-      check_attrs buf ~pos:(boff + 4 + wlen) ~limit:(boff + 4 + wlen + alen);
-      boff + 4 + wlen + alen
-  | 3 -> if blen < 2 then raise Malformed else -1
-  | 4 -> if blen <> 0 then raise Malformed else -1
-  | _ -> raise Malformed
+  walk_body buf ty boff limit
 
-(* The 16-byte marker is all ones, which reads as -1 in either byte
-   order: two 64-bit loads check it. *)
-let header_length buf p =
-  in_buffer "Msg.header_length" buf ~pos:p ~limit:(p + header_size);
-  let marker_ok =
-    Int64.equal (Bytes.get_int64_ne buf p) (-1L)
-    && Int64.equal (Bytes.get_int64_ne buf (p + 8)) (-1L)
-  in
-  let total = u16 buf (p + 16) in
-  if marker_ok && total >= header_size && total <= max_size then total else -1
+let check_prefixes buf ~pos ~limit =
+  in_buffer "Msg.check_prefixes" buf ~pos ~limit;
+  walk_prefixes buf pos limit 0
 
 let validate buf ~pos ~limit =
   in_buffer "Msg.validate" buf ~pos ~limit;
   if pos + header_size > limit then -1
   else
-    let total = header_length buf pos in
+    let total = marker_length buf pos in
     if total < 0 || pos + total > limit then -1
     else
       let ty = byte buf (pos + 18) in
       let mend = pos + total in
-      match check_body buf ~ty ~boff:(pos + header_size) ~limit:mend with
-      | exception Malformed -> -1
-      | nlri when nlri < 0 -> ty
-      | nlri -> (
-          match check_prefixes buf ~pos:nlri ~limit:mend with
-          | exception Malformed -> -1
-          | n -> (n lsl 3) lor ty)
+      let nlri = walk_body buf ty (pos + header_size) mend in
+      if nlri = malformed then -1
+      else if nlri < 0 then ty
+      else
+        let n = walk_prefixes buf nlri mend 0 in
+        if n < 0 then -1 else (n lsl 3) lor ty
 
 let nlri_count = function Update u -> List.length u.nlri | _ -> 0
 

@@ -53,16 +53,13 @@ val decode_slice : Tdat_pkt.Slice.t -> int -> (t * int) option
 (** {2 Validation without decoding}
 
     The checks {!decode_slice} makes, in its order, over absolute
-    positions in a borrowed buffer, building nothing: the one BGP
-    message validator behind both the MRT summary fold
-    ([Mrt.fold_summary_file]) and the streaming MCT scan
+    positions in a borrowed buffer, building nothing and raising nothing
+    on bad input: the one BGP message validator behind both the MRT
+    summary fold ([Mrt.fold_summary_file]) and the streaming MCT scan
     ([Mct.transfer_end_of_reasm]).  Each function checks once that its
-    range lies inside the buffer, raising [Invalid_argument] if not,
-    and then reads without per-byte bounds checks. *)
-
-exception Malformed
-(** Raised by the staged checkers on any violation {!decode_slice}
-    would raise for. *)
+    range lies inside the buffer, raising [Invalid_argument] if not (a
+    caller's bug, not bad input), and then reads without per-byte bounds
+    checks.  A violation is reported by a sentinel return value. *)
 
 val validate : Bytes.t -> pos:int -> limit:int -> int
 (** [validate buf ~pos ~limit] checks the message starting at [pos],
@@ -79,18 +76,20 @@ val header_length : Bytes.t -> int -> int
     [-1] when a marker byte is not [0xff] or the length lies outside
     [\[header_size, max_size\]].  Reads [\[p, p + header_size)]. *)
 
+val malformed : int
+(** [-2]: what {!check_body} and {!check_prefixes} return on a
+    violation {!decode_slice} would raise for. *)
+
 val check_body : Bytes.t -> ty:int -> boff:int -> limit:int -> int
 (** Validate the body [\[boff, limit)] of a message of type [ty]: for an
     UPDATE everything before the NLRI, returning the NLRI's position
     (left to the caller, who may walk it with {!check_prefixes} or its
-    own loop); [-1] for any other type.
-    @raise Malformed on a violation. *)
+    own loop); [-1] for any other type; {!malformed} on a violation. *)
 
 val check_prefixes : Bytes.t -> pos:int -> limit:int -> int
 (** Validate a run of encoded prefixes filling [\[pos, limit)] and
-    return how many there are.
-    @raise Malformed on a length above 32 or an entry overrunning
-    [limit]. *)
+    return how many there are, or {!malformed} on a length above 32 or
+    an entry overrunning [limit]. *)
 
 val nlri_count : t -> int
 (** Announced prefixes in an UPDATE; 0 otherwise. *)

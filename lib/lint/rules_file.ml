@@ -180,15 +180,15 @@ let default_hot_paths =
       Funcs [ "skip"; "scan_options"; "decode_frame"; "ensure";
               "count_records"; "read_records" ] );
     ( "Mrt",
-      Funcs [ "parse_body"; "frame"; "fold_fill"; "summary_fill";
-              "fill_from"; "fill_of_read"; "chunk_fill"; "fold_string";
-              "fold_fd"; "fold_file"; "fold_summary_string";
-              "fold_summary_file" ] );
+      Funcs [ "parse_body"; "frame"; "refill"; "fold_input"; "summary_input";
+              "fold_string"; "fold_source"; "fold_fd"; "fold_file";
+              "fold_summary_string"; "fold_summary_file" ] );
     (* The one BGP message validator, run per record by the study scan
        and per message by the streaming MCT scan. *)
     ( "Msg",
       Funcs [ "validate"; "header_length"; "check_body"; "check_prefixes";
-              "check_attrs"; "check_as_path" ] );
+              "marker_length"; "walk_body"; "walk_prefixes"; "walk_attrs";
+              "walk_as_path" ] );
     ("Detect", Funcs [ "observe"; "peer"; "update"; "anchor"; "close" ]);
     ("Span_set", All);
     ( "Trace",

@@ -37,7 +37,6 @@ type t = { mutable cells : cell array; mutable icells : icell array }
 
 (* Well-known slot owners.  A new call site takes the next number; two
    sites may share a slot only if they can never be live at once. *)
-let slot_mrt_body = 0
 let slot_reassembly = 1
 let slot_mrt_chunk = 2
 let slot_series_data_ts = 0

@@ -43,6 +43,13 @@ type config = {
 (* A request line longer than this closes the connection. *)
 let max_line_bytes = 1 lsl 20
 
+(* After refusing a line and half-closing, what the daemon still reads
+   and discards while it waits for the peer's end of file: closing a
+   Unix or TCP socket with input unread makes the peer's next read fail
+   with ECONNRESET instead of seeing the end of the stream. *)
+let linger_bytes = 1 lsl 20
+let linger_s = 1.
+
 (* Each endpoint's rolling latency window: 12 slots of 5 s. *)
 let window_slots = 12
 let window_slot_s = 5.
@@ -75,7 +82,9 @@ type conn = {
   out : Buffer.t;  (* responses not yet taken for writing *)
   mutable sending : string;  (* taken from [out], written up to [sent] *)
   mutable sent : int;
-  mutable closing : bool;  (* close once [out] is flushed *)
+  mutable closing : bool;  (* read no more requests; half-close once flushed *)
+  mutable linger_until : float option;  (* half-closed: close at EOF or then *)
+  mutable discarded : int;  (* bytes read and dropped since [closing] *)
   mutable dead : bool;  (* peer gone; remove at end of iteration *)
 }
 
@@ -535,7 +544,8 @@ let handle_line t conns conn line =
    pieces costs time linear in its length.  The leftover partial line
    stays buffered; one longer than [max_line_bytes] is answered with a
    400 and the connection is closed (a stuck client must not grow the
-   buffer forever). *)
+   buffer forever): no further request is read from it, and [linger]
+   closes it once the 400 is flushed. *)
 let conn_lines t conns conn =
   let buf = conn.inbuf in
   let len = Buffer.length buf in
@@ -566,6 +576,9 @@ let conn_lines t conns conn =
 let handle_readable t conns conn chunk =
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> conn.dead <- true
+  | n when conn.closing ->
+      conn.discarded <- conn.discarded + n;
+      if conn.discarded > linger_bytes then conn.dead <- true
   | n ->
       Buffer.add_subbytes conn.inbuf chunk 0 n;
       conn_lines t conns conn
@@ -594,13 +607,16 @@ let flush_conn conn =
         conn.dead <- true
 
 (* Route finished jobs' responses to their connections.  A response for
-   a connection that hung up is dropped — the work still counted. *)
+   a connection that hung up, or whose sending side [linger] has shut,
+   is dropped — the work still counted.  (A write after the shutdown
+   would raise SIGPIPE, which ends the daemon.) *)
 let drain_outbox t conns =
   Mutex.lock t.outbox_m;
   while not (Queue.is_empty t.outbox) do
     let conn_id, line = Queue.pop t.outbox in
     match Hashtbl.find_opt conns conn_id with
-    | Some conn when not conn.dead -> enqueue_conn conn line
+    | Some conn when (not conn.dead) && Option.is_none conn.linger_until ->
+        enqueue_conn conn line
     | Some _ | None -> ()
   done;
   Mutex.unlock t.outbox_m
@@ -623,6 +639,8 @@ let accept_loop t conns next_id =
             sending = "";
             sent = 0;
             closing = false;
+            linger_until = None;
+            discarded = 0;
             dead = false;
           }
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
@@ -632,15 +650,26 @@ let accept_loop t conns next_id =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
+(* A connection refused for an over-long line closes in two steps, so
+   that its peer reads the 400 and then the end of the stream: once the
+   400 is flushed the write side is shut, and the socket itself closes
+   at the peer's end of file ([handle_readable] marks it [dead]), or
+   when the [linger_bytes] or [linger_s] bound runs out.  Input that
+   arrives meanwhile is read and dropped. *)
+let linger conn =
+  match conn.linger_until with
+  | Some deadline -> if Unix.gettimeofday () > deadline then conn.dead <- true
+  | None -> (
+      match Unix.shutdown conn.fd Unix.SHUTDOWN_SEND with
+      | () -> conn.linger_until <- Some (Unix.gettimeofday () +. linger_s)
+      | exception Unix.Unix_error (_, _, _) -> conn.dead <- true)
+
 let reap conns =
   let victims =
     Hashtbl.fold
       (fun conn_id conn acc ->
-        if
-          conn.dead
-          || (conn.closing && flushed conn)
-        then (conn_id, conn) :: acc
-        else acc)
+        if conn.closing && (not conn.dead) && flushed conn then linger conn;
+        if conn.dead then (conn_id, conn) :: acc else acc)
       conns []
   in
   List.iter

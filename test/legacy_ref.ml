@@ -9,8 +9,9 @@
    the list-interval reassembler, the per-connection split and the
    list-based MCT scan, the printf-built study report JSON, the study
    scan over decoded MRT entries, the byte-loop BGP header check, the
-   byte-loop NLRI key, the list-pipeline timer detector and the
-   record-based connection profile, ACK shift and series generation are
+   byte-loop NLRI key, the list-pipeline timer detector, the
+   record-based connection profile, ACK shift and series generation,
+   the raising BGP message validator and the fill-based MRT framer are
    kept the same way, as oracles for the code that replaced them.  Do not "improve" this file:
    its value is that it does not change. *)
 
@@ -2203,4 +2204,328 @@ module Series_ref = struct
     Tbl.reset t.span_cache;
     t
 
+end
+
+(* --- raising BGP message validator ------------------------------------- *)
+
+(* [Msg]'s staged validator as it was before it stopped raising: each
+   public checker made its own range check, and every violation raised
+   [Malformed] to [validate]'s handlers. *)
+module Msg_raising = struct
+  exception Malformed
+
+  let byte buf p = Char.code (Bytes.unsafe_get buf p)
+  let u16 buf p = (byte buf p lsl 8) lor byte buf (p + 1)
+
+  let in_buffer what buf ~pos ~limit =
+    if pos < 0 || limit > Bytes.length buf then
+      invalid_arg (what ^ ": range outside the buffer")
+
+  let check_prefixes buf ~pos ~limit =
+    in_buffer "Msg.check_prefixes" buf ~pos ~limit;
+    let o = ref pos and n = ref 0 in
+    while !o < limit do
+      let plen = byte buf !o in
+      if plen > 32 then raise Malformed;
+      let nbytes = (plen + 7) / 8 in
+      if !o + 1 + nbytes > limit then raise Malformed;
+      o := !o + 1 + nbytes;
+      incr n
+    done;
+    !n
+
+  let check_as_path buf ~pos ~limit =
+    let o = ref pos in
+    while !o < limit do
+      if !o + 2 > limit then raise Malformed;
+      let ty = byte buf !o in
+      let n = byte buf (!o + 1) in
+      if !o + 2 + (2 * n) > limit then raise Malformed;
+      if ty <> 1 && ty <> 2 then raise Malformed;
+      o := !o + 2 + (2 * n)
+    done
+
+  let check_attrs buf ~pos ~limit =
+    let o = ref pos in
+    while !o < limit do
+      if !o + 3 > limit then raise Malformed;
+      let flags = byte buf !o in
+      let code = byte buf (!o + 1) in
+      let vlen, voff =
+        if flags land 0x10 <> 0 then begin
+          if !o + 4 > limit then raise Malformed;
+          (u16 buf (!o + 2), !o + 4)
+        end
+        else (byte buf (!o + 2), !o + 3)
+      in
+      if voff + vlen > limit then raise Malformed;
+      if code = 2 then check_as_path buf ~pos:voff ~limit:(voff + vlen);
+      o := voff + vlen
+    done
+
+  let check_body buf ~ty ~boff ~limit =
+    in_buffer "Msg.check_body" buf ~pos:boff ~limit;
+    let blen = limit - boff in
+    match ty with
+    | 1 -> if blen < 10 then raise Malformed else -1
+    | 2 ->
+        if blen < 4 then raise Malformed;
+        let wlen = u16 buf boff in
+        if 2 + wlen + 2 > blen then raise Malformed;
+        ignore
+          (check_prefixes buf ~pos:(boff + 2) ~limit:(boff + 2 + wlen) : int);
+        let alen = u16 buf (boff + 2 + wlen) in
+        if 4 + wlen + alen > blen then raise Malformed;
+        check_attrs buf ~pos:(boff + 4 + wlen) ~limit:(boff + 4 + wlen + alen);
+        boff + 4 + wlen + alen
+    | 3 -> if blen < 2 then raise Malformed else -1
+    | 4 -> if blen <> 0 then raise Malformed else -1
+    | _ -> raise Malformed
+
+  let header_length buf p =
+    in_buffer "Msg.header_length" buf ~pos:p ~limit:(p + Msg.header_size);
+    let marker_ok =
+      Int64.equal (Bytes.get_int64_ne buf p) (-1L)
+      && Int64.equal (Bytes.get_int64_ne buf (p + 8)) (-1L)
+    in
+    let total = u16 buf (p + 16) in
+    if marker_ok && total >= Msg.header_size && total <= Msg.max_size then total
+    else -1
+
+  let validate buf ~pos ~limit =
+    in_buffer "Msg.validate" buf ~pos ~limit;
+    if pos + Msg.header_size > limit then -1
+    else
+      let total = header_length buf pos in
+      if total < 0 || pos + total > limit then -1
+      else
+        let ty = byte buf (pos + 18) in
+        let mend = pos + total in
+        match check_body buf ~ty ~boff:(pos + Msg.header_size) ~limit:mend with
+        | exception Malformed -> -1
+        | nlri when nlri < 0 -> ty
+        | nlri -> (
+            match check_prefixes buf ~pos:nlri ~limit:mend with
+            | exception Malformed -> -1
+            | n -> (n lsl 3) lor ty)
+end
+
+(* --- fill-based MRT framer ---------------------------------------------- *)
+
+(* [Mrt]'s framer and folds as they were before records were framed in
+   place: every record was copied out of its input through a [fill buf
+   n] primitive, its 12-byte header into one buffer and its body into a
+   second, and the fold's step ran on the copy.  Minus the [mrt.*]
+   counters and the read span; the arena slots are plain buffers.  Kept
+   are the string folds and the read-as-asked descriptor fold: the file
+   folds framed the same records from a chunked copy of the file, so
+   every path is held to the string folds. *)
+module Mrt_fill = struct
+  type outcome =
+    | Message_entry
+    | State_entry
+    | Short_body
+    | Bad_message
+    | Unsupported
+    | Bad_state
+
+  let skip_diag ~idx ~ty ~subtype outcome =
+    let warn code message =
+      { M.Diag.code; severity = M.Diag.Warning; record = Some idx; message }
+    in
+    match outcome with
+    | Short_body -> warn "M003" "short BGP4MP body"
+    | Bad_message -> warn "M004" "bad embedded BGP message"
+    | Bad_state -> warn "M006" "bad state-change body"
+    | Unsupported ->
+        {
+          M.Diag.code = "M005";
+          severity = M.Diag.Info;
+          record = Some idx;
+          message =
+            Printf.sprintf "skipped record (type %d, subtype %d)" ty subtype;
+        }
+    | Message_entry | State_entry -> invalid_arg "Mrt.skip_diag: not a skip"
+
+  let byte buf p = Char.code (Bytes.unsafe_get buf p)
+  let u16 buf p = (byte buf p lsl 8) lor byte buf (p + 1)
+  let u32 buf p = (u16 buf p lsl 16) lor u16 buf (p + 2)
+
+  let kind_of_type_code = function
+    | 1 -> M.Kind.Open
+    | 2 -> M.Kind.Update
+    | 3 -> M.Kind.Notification
+    | 4 -> M.Kind.Keepalive
+    | _ -> invalid_arg "Mrt.Kind.of_type_code: not a BGP message type"
+
+  let parse_body ~message ~state ~sec ~ty ~subtype body len =
+    if ty <> bgp4mp && ty <> bgp4mp_et then Unsupported
+    else if subtype <> subtype_message && subtype <> subtype_state_change then
+      Unsupported
+    else begin
+      let p = if ty = bgp4mp_et then 4 else 0 in
+      let fixed = if subtype = subtype_message then 16 else 20 in
+      if p + fixed > len then Short_body
+      else begin
+        let usec = if p = 4 then u32 body 0 else 0 in
+        let ts = (sec * 1_000_000) + usec in
+        if subtype = subtype_message then message ~ts body p len
+        else
+          match
+            ( M.fsm_state_of_code (u16 body (p + 16)),
+              M.fsm_state_of_code (u16 body (p + 18)) )
+          with
+          | Some old_state, Some new_state ->
+              state ~ts body p ~old_state ~new_state
+          | _ -> Bad_state
+      end
+    end
+
+  let frame ?(strict = false) ?(on_diag = fun _ -> ()) fill body =
+    let emit d =
+      on_diag d;
+      if strict then
+        match d.M.Diag.severity with
+        | M.Diag.Error | M.Diag.Warning ->
+            Bgp_error.fail ~context:"Mrt.decode" "%s" d.M.Diag.message
+        | M.Diag.Info -> ()
+    in
+    let bbuf = ref (Bytes.create 4096) in
+    let hdr = Bytes.create 12 in
+    let records = ref 0 in
+    let bgp_messages = ref 0 in
+    let state_changes = ref 0 in
+    let skipped = ref 0 in
+    let framing code message =
+      emit
+        {
+          M.Diag.code;
+          severity = M.Diag.Warning;
+          record = Some !records;
+          message;
+        }
+    in
+    let rec go () =
+      let got = fill hdr 12 in
+      if got = 0 then ()
+      else if got < 12 then framing "M001" "truncated header"
+      else begin
+        let sec = u32 hdr 0 in
+        let ty = u16 hdr 4 in
+        let subtype = u16 hdr 6 in
+        let rec_len = u32 hdr 8 in
+        if rec_len > mrt_max_record_len then framing "M007" "oversized record"
+        else begin
+          if Bytes.length !bbuf < rec_len then bbuf := Bytes.create rec_len;
+          let buf = !bbuf in
+          if fill buf rec_len < rec_len then framing "M002" "truncated record"
+          else begin
+            let idx = !records in
+            incr records;
+            (match body ~sec ~ty ~subtype buf rec_len with
+            | Message_entry -> incr bgp_messages
+            | State_entry -> incr state_changes
+            | (Short_body | Bad_message | Unsupported | Bad_state) as skip ->
+                incr skipped;
+                emit (skip_diag ~idx ~ty ~subtype skip));
+            go ()
+          end
+        end
+      end
+    in
+    go ();
+    {
+      M.records = !records;
+      bgp_messages = !bgp_messages;
+      state_changes = !state_changes;
+      skipped = !skipped;
+    }
+
+  let fold_fill ?strict ?on_diag fill ~init f =
+    let acc = ref init in
+    let message ~ts body p len =
+      match Msg.decode_slice (Tdat_pkt.Slice.of_bytes ~len body) (p + 16) with
+      | Some (msg, _) ->
+          let peer_ip = Int32.of_int (u32 body (p + 8)) in
+          let local_ip = Int32.of_int (u32 body (p + 12)) in
+          acc :=
+            f !acc
+              (M.Message
+                 {
+                   ts;
+                   peer_as = u16 body p;
+                   local_as = u16 body (p + 2);
+                   peer_ip;
+                   local_ip;
+                   msg;
+                 });
+          Message_entry
+      | None -> Bad_message
+      | exception Bgp_error.Decode_error _ -> Bad_message
+    in
+    let state ~ts body p ~old_state ~new_state =
+      acc :=
+        f !acc
+          (M.State
+             {
+               sc_ts = ts;
+               sc_peer_as = u16 body p;
+               sc_local_as = u16 body (p + 2);
+               sc_peer_ip = Int32.of_int (u32 body (p + 8));
+               sc_local_ip = Int32.of_int (u32 body (p + 12));
+               old_state;
+               new_state;
+             });
+      State_entry
+    in
+    let stats = frame ?strict ?on_diag fill (parse_body ~message ~state) in
+    (!acc, stats)
+
+  let summary_fill ?strict ?on_diag fill ~init f =
+    let acc = ref init in
+    let message ~ts body p len =
+      let v = Msg_raising.validate body ~pos:(p + 16) ~limit:len in
+      if v < 0 then Bad_message
+      else begin
+        acc :=
+          f !acc ~ts ~peer_as:(u16 body p) ~peer_ip:(u32 body (p + 8))
+            ~kind:(kind_of_type_code (v land 7))
+            ~nlri:(v lsr 3);
+        Message_entry
+      end
+    in
+    let state ~ts body p ~old_state:_ ~new_state =
+      acc :=
+        f !acc ~ts ~peer_as:(u16 body p) ~peer_ip:(u32 body (p + 8))
+          ~kind:(M.Kind.of_new_state new_state) ~nlri:0;
+      State_entry
+    in
+    let stats = frame ?strict ?on_diag fill (parse_body ~message ~state) in
+    (!acc, stats)
+
+  let string_fill s =
+    let pos = ref 0 in
+    let len = String.length s in
+    fun buf n ->
+      let take = Stdlib.min n (len - !pos) in
+      Bytes.blit_string s !pos buf 0 take;
+      pos := !pos + take;
+      take
+
+  let rec fill_from (read : Tdat_pkt.Ingest_io.read) buf n pos =
+    if pos >= n then pos
+    else
+      let r = read buf pos (n - pos) in
+      if r = 0 then pos else fill_from read buf n (pos + r)
+
+  let fill_of_read read buf n = fill_from read buf n 0
+
+  let fold_string ?strict ?on_diag s ~init f =
+    fold_fill ?strict ?on_diag (string_fill s) ~init f
+
+  let fold_read ?strict ?on_diag read ~init f =
+    fold_fill ?strict ?on_diag (fill_of_read read) ~init f
+
+  let fold_summary_string ?strict ?on_diag s ~init f =
+    summary_fill ?strict ?on_diag (string_fill s) ~init f
 end

@@ -1481,6 +1481,293 @@ let summary_props =
       arb_study_archive (same ~strict:true);
   ]
 
+(* --- the exception-free validator == the raising one ---------------------- *)
+
+module Raising = Legacy_ref.Msg_raising
+
+(* Validator input for the staged checks: one message of each type,
+   maybe damaged in a targeted field and then in up to four random
+   bytes, at a random position among random bytes, with a random cut. *)
+let gen_stage_input =
+  QCheck.Gen.(
+    let* buf, pos, limit = gen_validate_input in
+    let* flips =
+      frequency
+        [ (2, return []);
+          (1, list_size (int_range 1 4) (pair (int_bound 4200) (int_bound 255)));
+        ]
+    in
+    let b = Bytes.of_string buf in
+    List.iter
+      (fun (i, v) -> Bytes.set_uint8 b (i mod Bytes.length b) v)
+      flips;
+    let* cut = int_range (-2) (Bytes.length b + 2) in
+    return (Bytes.to_string b, pos, limit, cut))
+
+(* A check's answer, with a violation of either kind and a range outside
+   the buffer each mapped to one value. *)
+let answer f =
+  match f () with
+  | v when v = Msg.malformed -> `Malformed
+  | v -> `Value v
+  | exception Raising.Malformed -> `Malformed
+  | exception Invalid_argument _ -> `Out_of_range
+
+let stage_props =
+  [
+    prop ~count:10_000 "exception-free validator == raising validator"
+      (QCheck.make
+         ~print:(fun (buf, pos, limit, cut) ->
+           Printf.sprintf "pos %d limit %d cut %d: %S" pos limit cut buf)
+         gen_stage_input)
+      (fun (buf, pos, limit, cut) ->
+        let b = Bytes.of_string buf in
+        let same f g = answer f = answer g in
+        let ty =
+          if pos + 18 < Bytes.length b then Bytes.get_uint8 b (pos + 18) else 0
+        in
+        let boff = pos + Msg.header_size in
+        same
+          (fun () -> Msg.validate b ~pos ~limit)
+          (fun () -> Raising.validate b ~pos ~limit)
+        && same
+             (fun () -> Msg.validate b ~pos ~limit:cut)
+             (fun () -> Raising.validate b ~pos ~limit:cut)
+        && same
+             (fun () -> Msg.header_length b pos)
+             (fun () -> Raising.header_length b pos)
+        && same
+             (fun () -> Msg.header_length b cut)
+             (fun () -> Raising.header_length b cut)
+        && same
+             (fun () -> Msg.check_body b ~ty ~boff ~limit)
+             (fun () -> Raising.check_body b ~ty ~boff ~limit)
+        && same
+             (fun () -> Msg.check_body b ~ty ~boff ~limit:cut)
+             (fun () -> Raising.check_body b ~ty ~boff ~limit:cut)
+        && same
+             (fun () -> Msg.check_prefixes b ~pos ~limit)
+             (fun () -> Raising.check_prefixes b ~pos ~limit)
+        && same
+             (fun () -> Msg.check_prefixes b ~pos:boff ~limit:cut)
+             (fun () -> Raising.check_prefixes b ~pos:boff ~limit:cut));
+  ]
+
+(* --- the in-place framer == the fill-based framer ------------------------- *)
+
+module Fill = Legacy_ref.Mrt_fill
+
+(* What a fold delivered: its entries (or summaries) in order, its
+   diagnostics and its stats — or, in strict mode, its error. *)
+let entry_fold fold =
+  outcome (fun () ->
+      let diags = ref [] in
+      let entries, stats =
+        fold ~on_diag:(fun d -> diags := d :: !diags) ~init:[] (fun acc e ->
+            e :: acc)
+      in
+      (List.rev entries, List.rev !diags, stats))
+
+let summary_fold fold =
+  outcome (fun () ->
+      let diags = ref [] in
+      let seen, stats =
+        fold ~on_diag:(fun d -> diags := d :: !diags) ~init:[]
+          (fun acc ~ts ~peer_as ~peer_ip ~kind ~nlri ->
+            (ts, peer_as, peer_ip, kind, nlri) :: acc)
+      in
+      (List.rev seen, List.rev !diags, stats))
+
+(* The frozen folds over [data], the oracle every in-place path must
+   match. *)
+let fill_entries ~strict data =
+  entry_fold (fun ~on_diag ~init f ->
+      Fill.fold_string ~strict ~on_diag data ~init f)
+
+let fill_summaries ~strict data =
+  summary_fold (fun ~on_diag ~init f ->
+      Fill.fold_summary_string ~strict ~on_diag data ~init f)
+
+(* Each case starts from a 16 KiB chunk, so records straddle its end at
+   the offsets the archive puts there, not at a size an earlier case's
+   large record left behind. *)
+let fresh_chunk () =
+  let cell = Scratch.cell_at (Scratch.get ()) Scratch.slot_mrt_chunk in
+  cell.Scratch.buf <- Bytes.create 16384
+
+let with_archive_file data k =
+  let path = Filename.temp_file "tdat_frame" ".mrt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc data);
+      k path)
+
+(* A record of an unsupported type (M005) whose whole length is [n]
+   bytes, at least 12. *)
+let filler n =
+  let b = Bytes.make n 'f' in
+  Bytes.set_int32_be b 0 7l;
+  Bytes.set_uint16_be b 4 99;
+  Bytes.set_uint16_be b 6 0;
+  Bytes.set_int32_be b 8 (Int32.of_int (n - 12));
+  Bytes.to_string b
+
+(* Archives that cross the 16 KiB chunk: a filler record that puts the
+   chunk's end at a random offset among a damaged study archive's
+   records (or in the filler's own header), and sometimes a record
+   longer than the chunk somewhere among them. *)
+let gen_chunked_archive =
+  QCheck.Gen.(
+    let* lead = int_range (16384 - 3000) (16384 + 20) in
+    let* a = gen_study_archive in
+    let* b = gen_study_archive in
+    let* big =
+      frequency
+        [ (2, return ""); (1, map filler (int_range 16385 40000));
+          (1, map filler (int_range 12 200)) ]
+    in
+    let* c = gen_study_archive in
+    return (filler lead ^ a ^ big ^ b ^ c))
+
+let arb_chunked_archive =
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "archive of %d bytes" (String.length s))
+    gen_chunked_archive
+
+(* Short reads of random sizes, counting the bytes handed out. *)
+let counted_reader data chunks =
+  let read = short_reader data chunks and taken = ref 0 in
+  ( (fun buf off len ->
+      let n = read buf off len in
+      taken := !taken + n;
+      n),
+    taken )
+
+let gen_read_sizes =
+  QCheck.Gen.(
+    array_size (int_range 1 6)
+      (frequency [ (3, int_range 1 20); (1, int_range 21 20_000) ]))
+
+(* Every in-place path over [data] against the frozen string folds, in
+   both modes: the string folds, [decode_result], the file folds, and
+   [fold_source] over random short reads, which must also leave the
+   reader where the frozen read-as-asked fold left it. *)
+let frames_alike data chunks =
+  List.for_all
+    (fun strict ->
+      fresh_chunk ();
+      let entries = fill_entries ~strict data in
+      let summaries = fill_summaries ~strict data in
+      (* The reader is left where the fold stopped reading it. *)
+      let via_source fold =
+        let read, taken = counted_reader data chunks in
+        let r =
+          entry_fold (fun ~on_diag ~init f -> fold ~on_diag read ~init f)
+        in
+        (r, !taken)
+      in
+      let in_place = via_source (fun ~on_diag read ~init f ->
+          Mrt.fold_source ~strict ~on_diag read ~init f)
+      in
+      with_archive_file data (fun path ->
+          entry_fold (fun ~on_diag ~init f ->
+              Mrt.fold_string ~strict ~on_diag data ~init f)
+          = entries
+          && summary_fold (fun ~on_diag ~init f ->
+                 Mrt.fold_summary_string ~strict ~on_diag data ~init f)
+             = summaries
+          && outcome (fun () ->
+                 let r = Mrt.decode_result ~strict data in
+                 (r.Mrt.entries, r.Mrt.diags, r.Mrt.stats))
+             = entries
+          && entry_fold (fun ~on_diag ~init f ->
+                 Mrt.fold_file ~strict ~on_diag path ~init f)
+             = entries
+          && summary_fold (fun ~on_diag ~init f ->
+                 Mrt.fold_summary_file ~strict ~on_diag path ~init f)
+             = summaries
+          && in_place
+             = via_source (fun ~on_diag read ~init f ->
+                   Fill.fold_read ~strict ~on_diag read ~init f)
+          && fst in_place = entries))
+    [ false; true ]
+
+let arb_with_reads gen =
+  QCheck.make
+    ~print:(fun (s, chunks) ->
+      Printf.sprintf "archive of %d bytes, reads of [%s]" (String.length s)
+        (String.concat "; " (Array.to_list (Array.map string_of_int chunks))))
+    (QCheck.Gen.pair gen gen_read_sizes)
+
+(* A file that grows while it is read: [data] is written in pieces cut
+   at random offsets, the first before the fold starts and each next one
+   when the fold's [~follow] policy is asked about an end of file. *)
+let follow_alike (data, cuts) =
+  let cuts =
+    List.sort_uniq compare
+      (List.map (fun c -> c mod (String.length data + 1)) cuts)
+  in
+  let pieces =
+    let rec go from = function
+      | [] -> [ String.sub data from (String.length data - from) ]
+      | c :: rest -> String.sub data from (c - from) :: go c rest
+    in
+    go 0 cuts
+  in
+  let grow path =
+    let rest = ref (List.tl pieces) in
+    fun _total ->
+      match !rest with
+      | [] -> false
+      | p :: more ->
+          rest := more;
+          Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
+            (fun oc -> output_string oc p);
+          true
+  in
+  let run fold =
+    let path = Filename.temp_file "tdat_follow" ".mrt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (List.hd pieces));
+        fold path (grow path))
+  in
+  fresh_chunk ();
+  run (fun path follow ->
+      entry_fold (fun ~on_diag ~init f ->
+          Mrt.fold_file ~on_diag ~follow path ~init f))
+  = fill_entries ~strict:false data
+  && run (fun path follow ->
+         summary_fold (fun ~on_diag ~init f ->
+             Mrt.fold_summary_file ~on_diag ~follow path ~init f))
+     = fill_summaries ~strict:false data
+
+let frame_props =
+  [
+    prop ~count:300 "in-place framer == fill-based framer (damaged archives)"
+      (arb_with_reads gen_study_archive) (fun (data, chunks) ->
+        frames_alike data chunks);
+    prop ~count:300 "in-place framer == fill-based framer (mutated archives)"
+      (arb_with_reads gen_mrt_bytes) (fun (data, chunks) ->
+        frames_alike data chunks);
+    prop ~count:100 "in-place framer == fill-based framer (across the chunk)"
+      (arb_with_reads gen_chunked_archive) (fun (data, chunks) ->
+        frames_alike data chunks);
+    prop ~count:25 "in-place framer == fill-based framer (a growing file)"
+      (QCheck.make
+         ~print:(fun (s, cuts) ->
+           Printf.sprintf "archive of %d bytes, cut at [%s]" (String.length s)
+             (String.concat "; " (List.map string_of_int cuts)))
+         QCheck.Gen.(
+           pair
+             (frequency [ (3, gen_study_archive); (1, gen_chunked_archive) ])
+             (list_size (int_range 1 3) (int_bound 60_000))))
+      follow_alike;
+  ]
+
 (* --- perf gate negative control ----------------------------------------- *)
 
 let bench_exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
@@ -1595,4 +1882,5 @@ let scratch_suite =
 
 let suite =
   decode_props @ entry_props @ reasm_props @ column_props @ analyzer_props @ transfer_props @ validator_props
-  @ key_props @ header_props @ timer_props @ summary_props @ scratch_suite
+  @ key_props @ header_props @ timer_props @ summary_props @ stage_props
+  @ frame_props @ scratch_suite

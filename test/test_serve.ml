@@ -1029,6 +1029,41 @@ let test_server_split_requests () =
   close_in ic;
   stop_server server
 
+(* A line that runs on past the cap while the daemon refuses it: the
+   bytes that arrive after the refusal are dropped, not read as more of
+   the line (a second 400), and the daemon shuts its sending side and
+   then reads until the client's end of file, so the client reads one
+   400 and then the end of the stream, not ECONNRESET.  A job the
+   connection queued before the line finishes after that shutdown; its
+   answer is dropped, not written to the shut socket (SIGPIPE), and the
+   daemon answers the next job. *)
+let test_server_overlong_line_drained () =
+  let server = start_server ~jobs:1 () in
+  let fd = raw_connect server in
+  let ic = Unix.in_channel_of_descr fd in
+  raw_send fd "{\"cmd\":\"sleep\",\"ms\":500,\"id\":1}\n";
+  let piece = String.make 4096 'x' in
+  for _ = 1 to 300 do
+    raw_send fd piece
+  done;
+  (match Json.parse (input_line ic) with
+  | Ok resp ->
+      Alcotest.(check (option string)) "over-long line" (Some "bad_request")
+        (error_code resp)
+  | Error msg -> Alcotest.failf "unparsable response: %s" msg);
+  Alcotest.(check string) "then the end of the stream" "end of file"
+    (match input_line ic with
+    | line -> "another line: " ^ line
+    | exception End_of_file -> "end of file"
+    | exception Sys_error msg -> msg);
+  (* Queued behind the sleep, so answered after its answer is routed. *)
+  let client = Client.connect (Server.address server) in
+  Alcotest.(check bool) "the next job is answered" true
+    (is_ok (rpc client [ ("cmd", Json.Str "sleep"); ("ms", Json.Num 1.) ]));
+  Client.close client;
+  close_in ic;
+  stop_server server
+
 (* --- server: a response larger than the socket buffers ---------------------- *)
 
 let test_server_partial_writes () =
@@ -1866,6 +1901,8 @@ let suite =
       test_server_follow_tail;
     Alcotest.test_case "pipelined requests split at every byte" `Quick
       test_server_split_requests;
+    Alcotest.test_case "an over-long line is refused once, then EOF" `Quick
+      test_server_overlong_line_drained;
     Alcotest.test_case "shutdown drain" `Quick test_server_shutdown_drain;
     Alcotest.test_case "SIGTERM drain (subprocess)" `Quick
       test_server_sigterm_drain;
