@@ -7,8 +7,8 @@ module L = Tdat_lint
 
 let treat_as_lib_arg =
   let doc =
-    "Apply the library-only rules (L005-L007) to every given file, not just \
-     those under a lib/ directory.  Used by the test fixtures."
+    "Apply the library-only rules (L005-L007, L012) to every given file, not \
+     just those under a lib/ directory.  Used by the test fixtures."
   in
   Arg.(value & flag & info [ "treat-as-lib" ] ~doc)
 

@@ -228,3 +228,7 @@ let stable_snapshots_equal ?(subject = "metrics") ~reference ~candidate () =
          lint rule L007"
         i (excerpt reference i) (excerpt candidate i);
     ]
+
+module Private = struct
+  let canonical_spans = canonical_spans
+end

@@ -31,11 +31,6 @@
     [tdat_cli check] exposes them on the command line
     ([--verify-determinism] adds A007). *)
 
-val canonical_spans :
-  ?subject:string -> Tdat_timerange.Span.t list -> Diag.t list
-(** [A001] on a raw span list (what {!Tdat_timerange.Span_set.to_list}
-    of a well-formed set must look like). *)
-
 val canonical_set :
   ?subject:string -> Tdat_timerange.Span_set.t -> Diag.t list
 (** [A001] on a built set: validates the exported list form. *)
@@ -88,3 +83,14 @@ val stable_snapshots_equal :
     both excerpts) means a jobs-dependent value leaked into a stable
     instrument or worker-shared mutable state raced — the dynamic
     failure mode lint rule L007 approximates statically. *)
+
+(**/**)
+
+(** The span-canonicity check behind A001, for tests that feed it hand-
+    built span lists. *)
+module Private : sig
+  val canonical_spans :
+    ?subject:string -> Tdat_timerange.Span.t list -> Diag.t list
+  (** [A001] on a raw span list (what {!Tdat_timerange.Span_set.to_list}
+      of a well-formed set must look like). *)
+end

@@ -27,7 +27,6 @@ val info : ?where:Tdat_timerange.Span.t -> code:string -> subject:string ->
   ('a, Format.formatter, unit, t) format4 -> 'a
 
 val severity_name : severity -> string
-val equal_severity : severity -> severity -> bool
 
 val is_error : t -> bool
 

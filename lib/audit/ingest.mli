@@ -8,14 +8,6 @@
     the analysis invariants.  DESIGN.md ("Ingestion robustness" and
     "Measurement study") documents the code tables. *)
 
-val of_pcap : Tdat_pkt.Pcap.Diag.t -> Diag.t
-(** Severity and code are preserved; the record index becomes the
-    subject (["pcap record 12"]). *)
-
 val of_result : Tdat_pkt.Pcap.result -> Diag.t list
-
-val of_mrt : ?file:string -> Tdat_bgp.Mrt.Diag.t -> Diag.t
-(** Severity and code are preserved; the record index (and [file], when
-    given) becomes the subject (["a.mrt record 12"]). *)
 
 val of_mrt_diags : ?file:string -> Tdat_bgp.Mrt.Diag.t list -> Diag.t list

@@ -3,10 +3,6 @@ type t = segment list
 
 let of_asns asns = [ Seq asns ]
 
-let hop_count t =
-  let seg = function Seq l -> List.length l | Set _ -> 1 in
-  List.fold_left (fun acc s -> acc + seg s) 0 t
-
 let encode_segment buf seg =
   let ty, asns = match seg with Set l -> (1, l) | Seq l -> (2, l) in
   Buffer.add_uint8 buf ty;
@@ -39,17 +35,6 @@ let decode_slice s =
     end
   in
   segments 0 []
-
-let decode s = decode_slice (Slice.of_string s)
-
-let compare_segment a b =
-  match (a, b) with
-  | Seq x, Seq y | Set x, Set y -> List.compare Int.compare x y
-  | Seq _, Set _ -> -1
-  | Set _, Seq _ -> 1
-
-let compare = List.compare compare_segment
-let equal a b = compare a b = 0
 
 let pp_segment ppf = function
   | Seq l ->

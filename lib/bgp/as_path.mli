@@ -9,16 +9,10 @@ type t = segment list
 val of_asns : int list -> t
 (** A single AS_SEQUENCE. *)
 
-val hop_count : t -> int
-(** Path length as BGP counts it: an AS_SET contributes 1. *)
-
 val encode : Buffer.t -> t -> unit
-val decode : string -> t
-(** Decodes a whole attribute value. @raise Failure on malformed input. *)
 
 val decode_slice : Tdat_pkt.Slice.t -> t
-(** As {!decode}, reading through a borrowed slice (no copies). *)
+(** Decodes a whole attribute value, reading through a borrowed slice
+    (no copies).  @raise Bgp_error.Decode_error on malformed input. *)
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -94,8 +94,6 @@ let decode_all_slice s =
   in
   go 0 []
 
-let decode_all s = decode_all_slice (Slice.of_string s)
-
 let signature attrs =
   let buf = Buffer.create 64 in
   let sorted =
@@ -104,14 +102,3 @@ let signature attrs =
   List.iter (encode buf) sorted;
   Buffer.contents buf
 
-let pp ppf = function
-  | Origin Igp -> Format.pp_print_string ppf "origin=igp"
-  | Origin Egp -> Format.pp_print_string ppf "origin=egp"
-  | Origin Incomplete -> Format.pp_print_string ppf "origin=incomplete"
-  | As_path p -> Format.fprintf ppf "as-path=[%a]" As_path.pp p
-  | Next_hop ip ->
-      Format.fprintf ppf "next-hop=%a" Tdat_pkt.Endpoint.pp
-        (Tdat_pkt.Endpoint.v ip 0)
-  | Med v -> Format.fprintf ppf "med=%ld" v
-  | Local_pref v -> Format.fprintf ppf "local-pref=%ld" v
-  | Unknown { code; _ } -> Format.fprintf ppf "attr%d" code

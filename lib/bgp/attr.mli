@@ -15,17 +15,13 @@ val encode : Buffer.t -> t -> unit
     transitive; [Unknown] with its recorded flags).  Uses extended length
     when the value exceeds 255 bytes. *)
 
-val decode_all : string -> t list
-(** Decodes a whole path-attributes block.
-    @raise Failure on malformed input. *)
-
 val decode_all_slice : Tdat_pkt.Slice.t -> t list
-(** As {!decode_all}, reading through a borrowed slice: only [Unknown]
-    payloads (which the result keeps) are copied out. *)
+(** Decodes a whole path-attributes block, reading through a borrowed
+    slice: only [Unknown] payloads (which the result keeps) are copied
+    out.  @raise Bgp_error.Decode_error on malformed input. *)
 
 val signature : t list -> string
 (** Canonical byte string of an attribute set; updates sharing a
     signature can share one UPDATE message (how routers batch NLRI, and
     how {!Update_gen} groups prefixes). *)
 
-val pp : Format.formatter -> t -> unit

@@ -5,10 +5,6 @@ let fail ~context fmt =
     (fun message -> raise (Decode_error { context; message }))
     fmt
 
-let message = function
-  | Decode_error { context; message } -> Some (context ^ ": " ^ message)
-  | _ -> None
-
 let () =
   Printexc.register_printer (function
     | Decode_error { context; message } ->

@@ -16,6 +16,3 @@ val fail : context:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [fail ~context fmt ...] raises {!Decode_error} with the formatted
     message. *)
 
-val message : exn -> string option
-(** [message e] renders ["context: message"] when [e] is a
-    {!Decode_error}. *)

@@ -311,6 +311,7 @@ let transfer_end_of_reasm ?config ~start reasm =
   reasm_scan ~max_tag ?config ~start reasm
 
 module Private = struct
+  let default_config = default_config
   let transfer_end = list_scan
   let transfer_end_of_reasm = reasm_scan
   let pack_at = pack_at

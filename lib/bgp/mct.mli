@@ -23,8 +23,6 @@ type config = {
           transfer, as in the paper's Table V. *)
 }
 
-val default_config : config
-
 type result = {
   end_ts : Tdat_timerange.Time_us.t;  (** Timestamp of the last update of the transfer. *)
   prefixes : int;                     (** Distinct prefixes collected. *)
@@ -62,10 +60,13 @@ val transfer_end_of_reasm :
 
 (** The two scans with the number of batch tags of the seen set as a
     parameter ([max_tag] >= 2; the public scans use every tag the bits
-    above a packed prefix hold), and the streaming scan's NLRI key.
-    Tests only: a small [max_tag] makes the set run out of tags and
-    re-tag within a few batches. *)
+    above a packed prefix hold), the streaming scan's NLRI key, and the
+    default configuration the tests vary.  Tests only: a small
+    [max_tag] makes the set run out of tags and re-tag within a few
+    batches. *)
 module Private : sig
+  val default_config : config
+
   val transfer_end :
     max_tag:int ->
     ?config:config ->

@@ -124,12 +124,6 @@ module Kind = struct
     | 4 -> Keepalive
     | _ -> invalid_arg "Mrt.Kind.of_type_code: not a BGP message type"
 
-  let of_msg = function
-    | Msg.Open _ -> Open
-    | Msg.Update _ -> Update
-    | Msg.Notification _ -> Notification
-    | Msg.Keepalive -> Keepalive
-
   let of_new_state s = if equal_fsm_state s Established then Up else Down
 end
 
@@ -216,20 +210,16 @@ module Scratch = Tdat_parallel.Scratch
 module Ingest_io = Tdat_pkt.Ingest_io
 
 (* The records are framed in [buf], from [pos], the first byte not yet
-   framed, up to [avail].  A string is framed where it lies, whole; a
-   reader fills a per-domain arena buffer ([cell]) that later records
-   and archives reuse, as much of it as it takes if [ahead], else only
-   the bytes the record being framed lacks, never past its end. *)
+   framed, up to [avail].  [buf] is a per-domain arena buffer ([cell])
+   that later records and archives reuse, filled from the archive's
+   descriptor as far as it goes. *)
 type input = {
   mutable buf : Bytes.t;
   mutable pos : int;
   mutable avail : int;
-  source : source;
+  cell : Scratch.cell;
+  read : Ingest_io.read;
 }
-
-and source =
-  | Whole
-  | Reader of { cell : Scratch.cell; read : Ingest_io.read; ahead : bool }
 
 (* Make [n] bytes available from [t.pos]; [false] at the end of input
    (the reader retries EINTR and, with [~follow], polls a growing
@@ -237,21 +227,18 @@ and source =
    to the buffer's front first, and a record longer than the buffer
    grows it to fit. *)
 let refill t n =
-  match t.source with
-  | Whole -> false
-  | Reader { cell; read; ahead } ->
-      let have = t.avail - t.pos in
-      Bytes.blit t.buf t.pos t.buf 0 have;
-      t.pos <- 0;
-      t.avail <- have;
-      if n > Bytes.length t.buf then t.buf <- Scratch.ensure_keep cell n;
-      let want = if ahead then Bytes.length t.buf else n in
-      let eof = ref false in
-      while t.avail < n && not !eof do
-        let r = read t.buf t.avail (want - t.avail) in
-        if r = 0 then eof := true else t.avail <- t.avail + r
-      done;
-      not !eof
+  let have = t.avail - t.pos in
+  Bytes.blit t.buf t.pos t.buf 0 have;
+  t.pos <- 0;
+  t.avail <- have;
+  if n > Bytes.length t.buf then t.buf <- Scratch.ensure_keep t.cell n;
+  let want = Bytes.length t.buf in
+  let eof = ref false in
+  while t.avail < n && not !eof do
+    let r = t.read t.buf t.avail (want - t.avail) in
+    if r = 0 then eof := true else t.avail <- t.avail + r
+  done;
+  not !eof
 
 (* The one record loop behind every fold: frame each record where it
    lies in [t], emit the M001/M002/M007 framing diagnostics and the skip
@@ -389,68 +376,44 @@ let summary_input ?strict ?on_diag t ~init f =
   let stats = frame ?strict ?on_diag t ~message ~state in
   (!acc, stats)
 
-let of_string s =
-  let buf = Bytes.unsafe_of_string s in
-  { buf; pos = 0; avail = Bytes.length buf; source = Whole }
-
-let with_reader ~ahead read k =
-  Scratch.with_bytes ~slot:Scratch.slot_mrt_chunk 16384 @@ fun cell ->
-  let source = Reader { cell; read; ahead } in
-  k { buf = cell.Scratch.buf; pos = 0; avail = 0; source }
-
-(* A file the fold opens itself is read ahead, in 16 KiB chunks:
-   nobody else reads it, and it is closed on return.  It is read through
-   the descriptor of an [open_in_bin] channel that stays open until the
-   fold returns, though the channel's own buffer is never read.  So a
-   file that cannot be opened raises [open_in_bin]'s [Sys_error], as the
-   pcap reader does, and the channel's buffer counts against the major
-   GC's pace, which a scan that allocates nothing per record needs to
-   keep a study's peak memory down (DESIGN.md, "Performance &
-   parallelism").  Read errors are re-raised as the [Sys_error] [input]
-   would raise. *)
+(* The fold opens the file itself and reads it ahead, in 16 KiB
+   chunks: nobody else reads it, and it is closed on return.  It is read
+   through the descriptor of an [open_in_bin] channel that stays open
+   until the fold returns, though the channel's own buffer is never
+   read.  So a file that cannot be opened raises [open_in_bin]'s
+   [Sys_error], as the pcap reader does, and the channel's buffer counts
+   against the major GC's pace, which a scan that allocates nothing per
+   record needs to keep a study's peak memory down (DESIGN.md,
+   "Performance & parallelism").  Read errors are re-raised as the
+   [Sys_error] [input] would raise. *)
 let with_file ?follow path k =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let read = Ingest_io.of_fd ?follow (Unix.descr_of_in_channel ic) in
-      let source buf off len =
+      let read buf off len =
         try read buf off len
         with Unix.Unix_error (e, _, _) -> raise (Sys_error (Unix.error_message e))
       in
-      with_reader ~ahead:true source k)
-
-let fold_string ?strict ?on_diag s ~init f =
-  fold_input ?strict ?on_diag (of_string s) ~init f
-
-let fold_source ?strict ?on_diag read ~init f =
-  with_reader ~ahead:false read (fun t -> fold_input ?strict ?on_diag t ~init f)
-
-let fold_fd ?strict ?on_diag ?follow fd ~init f =
-  fold_source ?strict ?on_diag (Ingest_io.of_fd ?follow fd) ~init f
+      Scratch.with_bytes ~slot:Scratch.slot_mrt_chunk 16384 @@ fun cell ->
+      k { buf = cell.Scratch.buf; pos = 0; avail = 0; cell; read })
 
 let fold_file ?strict ?on_diag ?follow path ~init f =
   with_file ?follow path (fun t -> fold_input ?strict ?on_diag t ~init f)
 
-let fold_summary_string ?strict ?on_diag s ~init f =
-  summary_input ?strict ?on_diag (of_string s) ~init f
-
 let fold_summary_file ?strict ?on_diag ?follow path ~init f =
   with_file ?follow path (fun t -> summary_input ?strict ?on_diag t ~init f)
 
-let result_of_fold fold =
+let read_file ?(strict = false) path =
   let diags = ref [] in
   let entries, stats =
-    fold ~on_diag:(fun d -> diags := d :: !diags) ~init:[] (fun acc e ->
-        e :: acc)
+    fold_file ~strict
+      ~on_diag:(fun d -> diags := d :: !diags)
+      path ~init:[]
+      (fun acc e -> e :: acc)
   in
   { entries = List.rev entries; diags = List.rev !diags; stats }
-
-let decode_result ?(strict = false) s =
-  result_of_fold (fun ~on_diag ~init f -> fold_string ~strict ~on_diag s ~init f)
-
-let read_file ?(strict = false) path =
-  result_of_fold (fun ~on_diag ~init f -> fold_file ~strict ~on_diag path ~init f)
 
 let to_file_entries path entries =
   let oc = open_out_bin path in

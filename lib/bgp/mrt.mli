@@ -12,16 +12,15 @@
     subtypes are skipped losslessly.
 
     Reading is {e streaming} and in place: one record loop frames each
-    record where it lies — in the input string, or in a reused 16 KiB
-    buffer for {!fold_file} / {!fold_fd} — copying none out, so a
-    year-long archive is processed in memory bounded by the larger of
-    16 KiB and its largest record.  Malformed input degrades gracefully:
-    each problem produces a typed {!Diag.t} ([M0xx] codes, see DESIGN.md
-    "Measurement study") and the reader salvages every decodable
-    record.  [?strict:true] instead raises
-    [Bgp_error.Decode_error] with context ["Mrt.decode"] on the first
-    error- or warning-severity diagnostic, message-compatible with the
-    historical whole-file decoder. *)
+    record where it lies in a reused 16 KiB buffer, read ahead from the
+    archive file, copying none out, so a year-long archive is processed
+    in memory bounded by the larger of 16 KiB and its largest record.
+    Malformed input degrades gracefully: each problem produces a typed
+    {!Diag.t} ([M0xx] codes, see DESIGN.md "Measurement study") and the
+    reader salvages every decodable record.  [?strict:true] instead
+    raises [Bgp_error.Decode_error] with context ["Mrt.decode"] on the
+    first error- or warning-severity diagnostic, message-compatible with
+    the historical whole-file decoder. *)
 
 type record = {
   ts : Tdat_timerange.Time_us.t;
@@ -35,9 +34,6 @@ type record = {
 (** BGP FSM states as encoded in BGP4MP_STATE_CHANGE records
     (RFC 6396 §4.4.1, codes 1–6). *)
 type fsm_state = Idle | Connect | Active | Open_sent | Open_confirm | Established
-
-val fsm_state_of_code : int -> fsm_state option
-val equal_fsm_state : fsm_state -> fsm_state -> bool
 
 type state_change = {
   sc_ts : Tdat_timerange.Time_us.t;
@@ -84,52 +80,6 @@ type stats = {
 
 type result = { entries : entry list; diags : Diag.t list; stats : stats }
 
-val encode_entries : entry list -> string
-(** Messages and state changes, as BGP4MP_ET records. *)
-
-val decode_result : ?strict:bool -> string -> result
-(** Fault-tolerant by default: salvages every decodable record and
-    reports problems as diagnostics.  [~strict:true] raises
-    [Bgp_error.Decode_error] on the first error/warning diagnostic. *)
-
-val fold_string :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  string ->
-  init:'a ->
-  ('a -> entry -> 'a) ->
-  'a * stats
-(** [fold_string data ~init f] decodes [data] one record at a time,
-    folding [f] over the entries in archive order.  Diagnostics are
-    streamed to [on_diag] instead of being accumulated. *)
-
-val fold_fd :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Tdat_pkt.Ingest_io.follow ->
-  Unix.file_descr ->
-  init:'a ->
-  ('a -> entry -> 'a) ->
-  'a * stats
-(** Streaming fold over a raw descriptor ([Unix.read]) in bounded
-    memory — the right entry point for pipes, sockets and tailed files.
-    Each read asks for exactly the bytes the record being framed still
-    lacks, so the descriptor is never read past the last record framed.
-    Reads are [EINTR]-safe and short reads are looped, so pipes and
-    sockets never truncate a record; with [~follow] (see
-    {!Tdat_pkt.Ingest_io.follow_idle}) EOF polls the source instead of
-    ending the archive — the tailing mode for a still-growing file. *)
-
-val fold_source :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  Tdat_pkt.Ingest_io.read ->
-  init:'a ->
-  ('a -> entry -> 'a) ->
-  'a * stats
-(** {!fold_fd} over any {!Tdat_pkt.Ingest_io.read}; a read of [0] ends
-    the archive. *)
-
 val fold_file :
   ?strict:bool ->
   ?on_diag:(Diag.t -> unit) ->
@@ -138,14 +88,21 @@ val fold_file :
   init:'a ->
   ('a -> entry -> 'a) ->
   'a * stats
-(** The streaming fold over a freshly opened file, closed on return,
-    with {!fold_fd}'s [~follow].  The file is read ahead in 16 KiB
-    chunks (it may be read past the last record framed); failing to
-    open or read it raises the [Sys_error] [open_in_bin] or [input]
-    would. *)
+(* perfbench/batch.ml prices its study workload's decode-only pass with
+   this fold, and perfbench is not among the linted roots. *)
+[@@tdat.lint.allow "L012"]
+(** [fold_file path ~init f] decodes the archive at [path] one record at
+    a time, folding [f] over the entries in archive order, in bounded
+    memory.  Diagnostics are streamed to [on_diag] instead of being
+    accumulated.  The file is read ahead in 16 KiB chunks and closed on
+    return; failing to open or read it raises the [Sys_error]
+    [open_in_bin] or [input] would.  Reads are [EINTR]-safe, and with
+    [~follow] (see {!Tdat_pkt.Ingest_io.follow_idle}) EOF polls the file
+    instead of ending the archive — the tailing mode for a still-growing
+    file. *)
 
 (** What one archived record says about its session, as the summary
-    folds report it: the type of a received BGP message, or a state
+    fold reports it: the type of a received BGP message, or a state
     change. *)
 module Kind : sig
   type t =
@@ -155,28 +112,7 @@ module Kind : sig
     | Keepalive
     | Up  (** A state change entering [Established]. *)
     | Down  (** Any other state change. *)
-
-  val of_msg : Msg.t -> t
-  val of_new_state : fsm_state -> t
-  (** [Up] for [Established], [Down] otherwise. *)
 end
-
-val fold_summary_string :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  string ->
-  init:'a ->
-  ('a -> ts:Tdat_timerange.Time_us.t -> peer_as:int -> peer_ip:int ->
-   kind:Kind.t -> nlri:int -> 'a) ->
-  'a * stats
-(** The summary fold: the same framing loop, diagnostics, strict-mode
-    errors and [stats] as {!fold_string}, but each entry reaches [f] as
-    immediates instead of an {!entry}: its timestamp, the peer's AS and
-    IPv4 address (as an unsigned 32-bit int), its {!Kind.t} and, for an
-    UPDATE, the number of announced prefixes ({!Msg.nlri_count}; 0
-    otherwise).  The embedded message is checked by {!Msg.validate}, so
-    a record the entry fold would skip with M004 is skipped here too,
-    and nothing per record is allocated. *)
 
 val fold_summary_file :
   ?strict:bool ->
@@ -187,7 +123,14 @@ val fold_summary_file :
   ('a -> ts:Tdat_timerange.Time_us.t -> peer_as:int -> peer_ip:int ->
    kind:Kind.t -> nlri:int -> 'a) ->
   'a * stats
-(** {!fold_summary_string} streamed from a file, as {!fold_file}. *)
+(** The summary fold: the same framing loop, file reading, diagnostics,
+    strict-mode errors and [stats] as {!fold_file}, but each entry
+    reaches [f] as immediates instead of an {!entry}: its timestamp, the
+    peer's AS and IPv4 address (as an unsigned 32-bit int), its
+    {!Kind.t} and, for an UPDATE, the number of announced prefixes
+    ({!Msg.nlri_count}; 0 otherwise).  The embedded message is checked
+    by {!Msg.validate}, so a record the entry fold would skip with M004
+    is skipped here too, and nothing per record is allocated. *)
 
 val to_file : string -> record list -> unit
 val to_file_entries : string -> entry list -> unit

@@ -74,8 +74,6 @@ let encode t =
   Buffer.add_string buf body;
   Buffer.contents buf
 
-let encoded_size t = header_size + String.length (body_bytes t)
-
 module Slice = Tdat_pkt.Slice
 
 let peek_length_slice s off =
@@ -282,11 +280,3 @@ let validate buf ~pos ~limit =
 
 let nlri_count = function Update u -> List.length u.nlri | _ -> 0
 
-let pp ppf = function
-  | Open o ->
-      Format.fprintf ppf "OPEN(as=%d hold=%d)" o.my_as o.hold_time
-  | Update u ->
-      Format.fprintf ppf "UPDATE(+%d -%d)" (List.length u.nlri)
-        (List.length u.withdrawn)
-  | Keepalive -> Format.pp_print_string ppf "KEEPALIVE"
-  | Notification n -> Format.fprintf ppf "NOTIFICATION(%d/%d)" n.code n.subcode

@@ -34,8 +34,6 @@ val update : ?withdrawn:Prefix.t list -> ?attrs:Attr.t list ->
 val encode : t -> string
 (** @raise Invalid_argument if the encoding would exceed {!max_size}. *)
 
-val encoded_size : t -> int
-
 val peek_length : string -> int -> int option
 (** [peek_length s off]: total length of the message starting at [off],
     if the 19-byte header is fully available.
@@ -94,4 +92,3 @@ val check_prefixes : Bytes.t -> pos:int -> limit:int -> int
 val nlri_count : t -> int
 (** Announced prefixes in an UPDATE; 0 otherwise. *)
 
-val pp : Format.formatter -> t -> unit

@@ -50,3 +50,7 @@ let reassemble_from_trace ~scratch trace ~flow =
 let extract_from_trace trace ~flow =
   Tdat_parallel.Scratch.(with_bytes ~slot:slot_reassembly 4096) @@ fun scratch ->
   extract (reassemble_from_trace ~scratch trace ~flow)
+
+module Private = struct
+  let extract = extract
+end

@@ -9,12 +9,6 @@ type timed_msg = {
   msg : Msg.t;
 }
 
-val extract : Stream_reassembly.t -> timed_msg list
-(** All complete messages in the contiguous part of the stream, in order.
-    Extraction stops silently at the first protocol violation (bad
-    marker / bad length): a monitored link may carry non-BGP TCP
-    connections, which simply yield no messages. *)
-
 val extract_from_trace :
   Tdat_pkt.Trace.t -> flow:Tdat_pkt.Flow.t -> timed_msg list
 (** Reassembles the sender→receiver direction of [flow] and extracts.
@@ -30,3 +24,15 @@ val reassemble_from_trace :
     byte, without materializing segment lists.  [~scratch] backs the
     stream buffer (see {!Stream_reassembly.create}).  Streaming scans
     ({!Mct.transfer_end_of_reasm}) consume this directly. *)
+
+(**/**)
+
+(** The extraction over a whole reassembled stream, for tests that feed
+    it a reference reassembler's output. *)
+module Private : sig
+  val extract : Stream_reassembly.t -> timed_msg list
+  (** All complete messages in the contiguous part of the stream, in
+      order.  Extraction stops silently at the first protocol violation (bad
+      marker / bad length): a monitored link may carry non-BGP TCP
+      connections, which simply yield no messages. *)
+end

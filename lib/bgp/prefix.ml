@@ -16,12 +16,6 @@ let of_quad a b c d len =
 let addr t = t.addr
 let len t = t.len
 
-let compare a b =
-  match Int32.unsigned_compare a.addr b.addr with
-  | 0 -> Int.compare a.len b.len
-  | c -> c
-
-let equal a b = compare a b = 0
 let byte_len t = (t.len + 7) / 8
 let encoded_size t = 1 + byte_len t
 
@@ -48,8 +42,6 @@ let decode_slice s off =
     u := !u lor (Slice.u8 s (off + 1 + i) lsl (24 - (8 * i)))
   done;
   (v (Int32.of_int !u) plen, off + 1 + nbytes)
-
-let decode s off = decode_slice (Slice.of_string s) off
 
 let pp ppf t =
   let u = Int32.to_int t.addr land 0xFFFFFFFF in

@@ -2,30 +2,20 @@
 
 type t = private { addr : int32; len : int }
 
-val v : int32 -> int -> t
-(** [v addr len] masks [addr] to its first [len] bits.
-    @raise Invalid_argument unless [0 <= len <= 32]. *)
-
 val of_quad : int -> int -> int -> int -> int -> t
 (** [of_quad a b c d len] is [a.b.c.d/len]. *)
 
 val addr : t -> int32
 val len : t -> int
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
-
 val encoded_size : t -> int
 (** NLRI bytes: 1 length byte + ceil(len/8) address bytes. *)
 
 val encode : Buffer.t -> t -> unit
 
-val decode : string -> int -> t * int
-(** [decode s off] returns the prefix and the offset past it.
-    @raise Failure on truncated or invalid input. *)
-
 val decode_slice : Tdat_pkt.Slice.t -> int -> t * int
-(** As {!decode}, reading through a borrowed slice (no copies). *)
+(** [decode_slice s off] returns the NLRI prefix at [off] and the
+    offset past it, reading through a borrowed slice (no copies).
+    @raise Bgp_error.Decode_error on truncated or invalid input. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

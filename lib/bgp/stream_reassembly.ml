@@ -175,3 +175,9 @@ let total_gaps t =
   if t.frontier > 0 then islands else max 0 (islands - 1)
 
 let duplicate_bytes t = t.duplicate_bytes
+
+module Private = struct
+  let contiguous_length = contiguous_length
+  let total_gaps = total_gaps
+  let duplicate_bytes = duplicate_bytes
+end

@@ -36,8 +36,6 @@ val contiguous_slice : t -> Tdat_pkt.Slice.t
 (** Borrowed view of {!contiguous} (no copy).  Invalidated by the next
     {!feed}, which may grow or replace the backing buffer. *)
 
-val contiguous_length : t -> int
-
 val delivery_time : t -> int -> Tdat_timerange.Time_us.t
 (** [delivery_time t off]: when the byte at [off] became deliverable.
     O(1) amortized when successive queries ask at non-decreasing
@@ -45,8 +43,16 @@ val delivery_time : t -> int -> Tdat_timerange.Time_us.t
     search over the frontier advances, O(log advances), otherwise.
     @raise Invalid_argument if [off >= contiguous_length t]. *)
 
-val total_gaps : t -> int
-(** Number of distinct holes still open beyond the contiguous part. *)
+(**/**)
 
-val duplicate_bytes : t -> int
-(** Bytes received more than once (retransmission overlap). *)
+(** Observers of the reassembly state, for tests that check it against
+    the reference reassemblers. *)
+module Private : sig
+  val contiguous_length : t -> int
+
+  val total_gaps : t -> int
+  (** Number of distinct holes still open beyond the contiguous part. *)
+
+  val duplicate_bytes : t -> int
+  (** Bytes received more than once (retransmission overlap). *)
+end

@@ -71,4 +71,3 @@ let generate ~rng ~n_prefixes ?(as_pool = 2000) ?path_pool ?next_hop () =
   List.init n_prefixes (fun _ ->
       { prefix = gen_prefix rng seen; attrs = R.choose rng pool })
 
-let prefixes t = List.map (fun r -> r.prefix) t

@@ -24,4 +24,3 @@ val generate :
     attribute sets, mirroring the heavy path sharing of real tables;
     [next_hop] defaults to 10.0.0.1. *)
 
-val prefixes : t -> Prefix.t list

@@ -50,12 +50,3 @@ let pack table =
   List.iter emit_group (group_routes table);
   List.rev !messages
 
-let unpack msgs =
-  List.concat_map
-    (function
-      | Msg.Update u ->
-          List.map
-            (fun prefix -> { Table.prefix; attrs = u.Msg.attrs })
-            u.Msg.nlri
-      | Msg.Open _ | Msg.Keepalive | Msg.Notification _ -> [])
-    msgs

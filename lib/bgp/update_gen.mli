@@ -9,6 +9,3 @@ val pack : Table.t -> Msg.t list
     order of attribute groups, and splits each group into UPDATEs that
     respect {!Msg.max_size}. *)
 
-val unpack : Msg.t list -> Table.t
-(** Inverse of {!pack} up to grouping: flattens UPDATEs back into
-    (prefix, attrs) routes, ignoring non-UPDATE messages and withdrawals. *)

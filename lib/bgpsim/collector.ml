@@ -59,12 +59,10 @@ let create ~engine ~kind ~ip ?(local_as = 65000)
     failed = false;
   }
 
-let kind t = t.kind
 let site t = t.site
 let tcp_config t = t.tcp
 let ip t = t.ip
 let mrt t = List.rev t.mrt
-let messages_processed t = t.processed
 let local_drops t = Connection.Site.local_drops t.site
 
 let job_cost t =

@@ -33,7 +33,6 @@ val create :
     deterministic).  [tcp] sets the collector-side TCP configuration,
     notably [max_adv_window]. *)
 
-val kind : t -> kind
 val site : t -> Tdat_tcpsim.Connection.Site.t
 val tcp_config : t -> Tdat_tcpsim.Tcp_types.config
 val ip : t -> int32
@@ -46,8 +45,6 @@ val attach : t -> Tdat_tcpsim.Connection.t -> peer_as:int -> unit
 val mrt : t -> Tdat_bgp.Mrt.record list
 (** The archive, in arrival order.  Empty for [Vendor] collectors (they
     "work as a looking glass" and keep no archive). *)
-
-val messages_processed : t -> int
 
 val fail_at : t -> Tdat_timerange.Time_us.t -> unit
 (** Schedule a whole-box failure: every attached receiver stops

@@ -158,11 +158,7 @@ let params = function
         zero_bug_sessions = 1;
       }
 
-let routers_in d = (params d).n_routers
-
 let scaled scale n = max 1 (int_of_float (Float.round (float_of_int n *. scale)))
-
-let transfers_in ?(scale = 1.0) d = scaled scale (params d).n_transfers
 
 let collector_kind = function
   | Isp_vendor -> Collector.Vendor

@@ -48,13 +48,6 @@ type summary = {
   mrt_updates : int;
 }
 
-val routers_in : dataset -> int
-(** Population size: 24 / 27 / 59, as in Table I. *)
-
-val transfers_in : ?scale:float -> dataset -> int
-(** Scheduled transfer count at the given scale (default 1.0):
-    1040 / 436 / 94. *)
-
 val collector_kind : dataset -> Collector.kind
 
 val run :

@@ -91,8 +91,7 @@ let setup_router ~engine ~rng ~collector r =
       ~hold_time:r.hold_time ()
   in
   let member =
-    Speaker.add_member speaker ~name:(Printf.sprintf "r%d" r.router_id)
-      (Connection.sender conn)
+    Speaker.add_member speaker (Connection.sender conn)
   in
   ignore
     (Engine.schedule_at engine r.start_at (fun () ->
@@ -236,8 +235,8 @@ let run_peer_group ?(seed = 1) ?vendor_fail_at ?quagga_fail_at
       ~group_window:r.group_window ~keepalive_interval:r.keepalive_interval
       ~hold_time:r.hold_time ()
   in
-  let member_q = Speaker.add_member speaker ~name:"quagga" (Connection.sender conn_q) in
-  let member_v = Speaker.add_member speaker ~name:"vendor" (Connection.sender conn_v) in
+  let member_q = Speaker.add_member speaker (Connection.sender conn_q) in
+  let member_v = Speaker.add_member speaker (Connection.sender conn_v) in
   ignore
     (Engine.schedule_at engine r.start_at (fun () ->
          Connection.start conn_q;

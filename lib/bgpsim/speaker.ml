@@ -3,7 +3,6 @@ module Sender = Tdat_tcpsim.Sender
 module Msg = Tdat_bgp.Msg
 
 type member = {
-  member_name : string;
   sender : Sender.t;
   mutable next_msg : int;
   mutable last_write : Tdat_timerange.Time_us.t;
@@ -64,11 +63,10 @@ let create ~engine ~msgs ?timer_interval ?(timer_jitter = 0) ?rng
     started = false;
   }
 
-let add_member t ~name sender =
+let add_member t sender =
   if t.started then invalid_arg "Speaker.add_member: already started";
   let m =
     {
-      member_name = name;
       sender;
       next_msg = 0;
       last_write = 0;
@@ -176,7 +174,5 @@ let start t =
   ignore (Engine.schedule_after t.engine t.tick tick)
 
 let finished m = m.finish_time <> None
-let finish_time m = m.finish_time
 let failed m = m.failed
 let removal_time m = m.removal_time
-let name m = m.member_name

@@ -38,7 +38,7 @@ val create :
     defaults to 64 messages; [keepalive_interval] to 30 s; [hold_time]
     to 180 s. *)
 
-val add_member : t -> name:string -> Tdat_tcpsim.Sender.t -> member
+val add_member : t -> Tdat_tcpsim.Sender.t -> member
 (** Register a TCP session as a group member.  Call before {!start}. *)
 
 val start : t -> unit
@@ -47,10 +47,6 @@ val start : t -> unit
 val finished : member -> bool
 (** All table messages written and acknowledged on this member. *)
 
-val finish_time : member -> Tdat_timerange.Time_us.t option
 val failed : member -> bool
 val removal_time : member -> Tdat_timerange.Time_us.t option
-val name : member -> string
 
-val all_done : t -> bool
-(** Every member either finished or failed — the simulation can stop. *)

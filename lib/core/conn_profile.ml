@@ -242,7 +242,6 @@ let retransmissions t =
       | In_order | Above_hole | Fill_reorder -> acc)
     0 t.labels
 
-let duration t = t.end_time - t.start_time
 let analysis_window t = Span.v t.start_time (t.end_time + 1)
 
 let pp_summary ppf t =
@@ -253,3 +252,7 @@ let pp_summary ppf t =
     t.rtt t.mss t.max_adv_window (retransmissions t)
     (List.length t.upstream_episodes)
     (List.length t.downstream_episodes)
+
+module Private = struct
+  let retransmissions = retransmissions
+end

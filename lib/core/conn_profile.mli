@@ -64,9 +64,14 @@ val of_trace : ?reorder_factor:float -> Tdat_pkt.Trace.t ->
 (** [reorder_factor] (default 0.25): a hole filled within
     [reorder_factor * rtt] counts as reordering, not loss. *)
 
-val retransmissions : t -> int
-val duration : t -> Tdat_timerange.Time_us.t
 val analysis_window : t -> Tdat_timerange.Span.t
 (** [start_time, end_time + 1). *)
 
 val pp_summary : Format.formatter -> t -> unit
+
+(**/**)
+
+(** Observers for tests that check the profile's counters directly. *)
+module Private : sig
+  val retransmissions : t -> int
+end

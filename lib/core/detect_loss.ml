@@ -40,5 +40,3 @@ let detect ?(threshold = 8) ?(merge_gap = 1_500_000) gen =
   in
   { episodes; induced_delay = Series.size all }
 
-let has_consecutive_losses ?threshold ?merge_gap gen =
-  (detect ?threshold ?merge_gap gen).episodes <> []

@@ -25,6 +25,3 @@ val detect :
     the same episode — chained timeouts recovering one congestion event
     count together, as in Fig. 6. *)
 
-val has_consecutive_losses :
-  ?threshold:int -> ?merge_gap:Tdat_timerange.Time_us.t -> Series_gen.t ->
-  bool

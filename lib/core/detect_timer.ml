@@ -100,3 +100,7 @@ let detect_gaps ?(min_gap = 20_000) ?(max_gap = 2_000_000) ?(min_count = 10)
 
 let detect ?min_gap ?max_gap ?min_count ?cluster_fraction gen =
   detect_gaps ?min_gap ?max_gap ?min_count ?cluster_fraction (gap_lengths gen)
+
+module Private = struct
+  let detect_gaps = detect_gaps
+end

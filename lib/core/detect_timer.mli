@@ -25,18 +25,24 @@ val detect :
     [cluster_fraction] (default 0.5) of them lie within ±15% of the
     knee value. *)
 
-val detect_gaps :
-  ?min_gap:Tdat_timerange.Time_us.t ->
-  ?max_gap:Tdat_timerange.Time_us.t ->
-  ?min_count:int ->
-  ?cluster_fraction:float ->
-  Tdat_timerange.Time_us.t array ->
-  result option
-(** [detect_gaps gaps] is {!detect} over raw gap lengths (positive, in
-    any order; [gaps] is not modified): [detect gen] runs it on the
-    lengths of [gen]'s SendAppLimited events.  The in-range gaps are
-    sorted as ints, and the cluster is the run of the sorted gaps within
-    ±15% of the knee.  O(n log n) in the gap count. *)
-
 val gap_distribution : Series_gen.t -> float list
 (** Sorted gap lengths (seconds) — the curve of Fig. 17. *)
+
+(**/**)
+
+(** The gap finder behind the timer detector, for tests that compare it
+    with the reference copy. *)
+module Private : sig
+  val detect_gaps :
+    ?min_gap:Tdat_timerange.Time_us.t ->
+    ?max_gap:Tdat_timerange.Time_us.t ->
+    ?min_count:int ->
+    ?cluster_fraction:float ->
+    Tdat_timerange.Time_us.t array ->
+    result option
+  (** [detect_gaps gaps] is {!detect} over raw gap lengths (positive, in
+      any order; [gaps] is not modified): [detect gen] runs it on the
+      lengths of [gen]'s SendAppLimited events.  The in-range gaps are
+      sorted as ints, and the cluster is the run of the sorted gaps within
+      ±15% of the knee.  O(n log n) in the gap count. *)
+end

@@ -70,11 +70,6 @@ let equal_factor a b =
       _ ) ->
       false
 
-let equal_group a b =
-  match (a, b) with
-  | Sender, Sender | Receiver, Receiver | Network, Network -> true
-  | (Sender | Receiver | Network), _ -> false
-
 type result = {
   ratios : (factor * float) list;
   group_ratios : (group * float) list;
@@ -165,3 +160,7 @@ let pp ppf r =
       if ratio > 0.005 then fprintf ppf "  %-28s %.3f@," (factor_name f) ratio)
     r.ratios;
   fprintf ppf "@]"
+
+module Private = struct
+  let group_of = group_of
+end

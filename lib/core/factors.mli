@@ -14,15 +14,9 @@ type factor =
 
 type group = Sender | Receiver | Network
 
-val group_of : factor -> group
 val equal_factor : factor -> factor -> bool
-val equal_group : group -> group -> bool
-val all_factors : factor list
 val factor_name : factor -> string
 val group_name : group -> string
-
-val series_of : factor -> Series_defs.t list
-(** The series whose union defines the factor. *)
 
 type result = {
   ratios : (factor * float) list;  (** The raw 8-vector [V]. *)
@@ -39,3 +33,11 @@ val compute : ?major_threshold:float -> Series_gen.t -> result
     (robust between 0.3 and 0.5). *)
 
 val pp : Format.formatter -> result -> unit
+
+(**/**)
+
+(** The factor-to-group map, for tests that check the group ratios
+    against their factors. *)
+module Private : sig
+  val group_of : factor -> group
+end

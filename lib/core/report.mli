@@ -2,10 +2,6 @@
     report the T-DAT command-line tool prints, and the square-wave series
     view of Fig. 11 (the BGPlot role). *)
 
-val pp_analysis : Format.formatter -> Analyzer.t -> unit
-(** Connection profile, transfer bounds, the 8-factor / 3-group ratio
-    vectors, and any detected problems. *)
-
 val to_string : Analyzer.t -> string
 
 val stage_timing_table : Analyzer.t -> string

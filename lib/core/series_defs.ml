@@ -108,18 +108,3 @@ let to_string = function
   | All_loss -> "AllLoss"
   | Zero_ack_bug -> "ZeroAckBug"
 
-let stage = function
-  | Data_pkt | Ack_pkt | Transmission | Outstanding | Adv_window
-  | Retransmission | Out_of_sequence | Dup_ack | Upstream_loss
-  | Downstream_loss | Zero_adv_window | Keepalive_only | Syn_period
-  | Fin_period | Void_period ->
-      `Extraction
-  | Send_local_loss | Recv_local_loss | Network_loss -> `Interpretation
-  | Ack_flight | Data_flight | Send_app_limited | Recv_app_limited
-  | Small_adv_window | Large_adv_window | Adv_bnd_out | Cwnd_bnd_out
-  | Zero_adv_bnd_out | Bandwidth_bound | Idle_gap | Retrans_period ->
-      `Operation
-  | Small_adv_bnd_out | Large_adv_bnd_out | All_loss | Zero_ack_bug ->
-      `Algebra
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

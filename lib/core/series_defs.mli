@@ -49,5 +49,3 @@ val all : t list
 (** All 34, in the order above. *)
 
 val to_string : t -> string
-val stage : t -> [ `Extraction | `Interpretation | `Operation | `Algebra ]
-val pp : Format.formatter -> t -> unit

@@ -29,7 +29,6 @@ let default_config =
 module Tbl = Hashtbl
 
 type t = {
-  config : config;
   profile : Conn_profile.t;
   window : Span.t;
   events : (D.t, int Series.t) Tbl.t;
@@ -62,25 +61,13 @@ let ratio_of_spans t set =
 let ratio t name = ratio_of_spans t (spans t name)
 let window t = t.window
 let profile t = t.profile
-let config t = t.config
 
 let union_spans t names =
   List.fold_left (fun acc n -> Span_set.union acc (spans t n)) Span_set.empty
     names
 
-let inter_spans t = function
-  | [] -> Span_set.empty
-  | first :: rest ->
-      List.fold_left (fun acc n -> Span_set.inter acc (spans t n))
-        (spans t first) rest
-
 let define t ~name set = Tbl.replace t.customs name (Span_set.clip t.window set)
-let define_inter t ~name names = define t ~name (inter_spans t names)
-let define_union t ~name names = define t ~name (union_spans t names)
 let custom t name = Tbl.find_opt t.customs name
-
-let custom_ratio t name =
-  Option.map (ratio_of_spans t) (custom t name)
 
 let custom_names t =
   Tbl.fold (fun name _ acc -> name :: acc) t.customs [] |> List.sort String.compare
@@ -500,7 +487,6 @@ let generate_from ~config ?window ~data_ts ~data_len (p : Conn_profile.t) =
   put_raw D.Retrans_period (Series.merge upstream downstream);
   let t =
     {
-      config;
       profile = p;
       window = win;
       events = ev;
@@ -554,3 +540,7 @@ let generate ?(config = default_config) ?window (p : Conn_profile.t) =
     data_len.(k) <- T.len tr data.(k)
   done;
   generate_from ~config ?window ~data_ts ~data_len p
+
+module Private = struct
+  let define = define
+end

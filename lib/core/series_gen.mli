@@ -67,7 +67,6 @@ val ratio : t -> Series_defs.t -> float
 
 val window : t -> Tdat_timerange.Span.t
 val profile : t -> Conn_profile.t
-val config : t -> config
 
 val union_spans : t -> Series_defs.t list -> Tdat_timerange.Span_set.t
 val ratio_of_spans : t -> Tdat_timerange.Span_set.t -> float
@@ -81,16 +80,15 @@ val ratio_of_spans : t -> Tdat_timerange.Span_set.t -> float
     cross-connection queries of Section IV-B
     ([Quagga.SendAppLimited ∩ Vendor.Loss]) are one [define] away. *)
 
-val define : t -> name:string -> Tdat_timerange.Span_set.t -> unit
-(** Register a custom series under [name] (clipped to the analysis
-    window).  Redefinition replaces. *)
-
-val define_inter : t -> name:string -> Series_defs.t list -> unit
-(** [define_inter t ~name series] registers the intersection of built-in
-    series. *)
-
-val define_union : t -> name:string -> Series_defs.t list -> unit
-
 val custom : t -> string -> Tdat_timerange.Span_set.t option
-val custom_ratio : t -> string -> float option
 val custom_names : t -> string list
+
+(**/**)
+
+(** Registration of a user-defined series, for tests of the custom-series
+    registry that {!custom} and {!custom_names} read. *)
+module Private : sig
+  val define : t -> name:string -> Tdat_timerange.Span_set.t -> unit
+  (** Register a custom series under [name] (clipped to the analysis
+      window).  Redefinition replaces. *)
+end

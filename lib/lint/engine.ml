@@ -53,19 +53,21 @@ let rec ml_files_under path =
    is embarrassingly parallel. *)
 let parse_mutex = Mutex.create ()
 
-let parse_string ~file src =
-  let lexbuf = Lexing.from_string src in
-  Lexing.set_filename lexbuf file;
-  Mutex.protect parse_mutex (fun () -> Parse.implementation lexbuf)
-
-let read_parse file =
+let read_parse parse file =
   match In_channel.with_open_bin file In_channel.input_all with
   | exception Sys_error msg -> Error (Printf.sprintf "cannot read file: %s" msg)
   | src -> (
-      match parse_string ~file src with
-      | str -> Ok str
+      let lexbuf = Lexing.from_string src in
+      Lexing.set_filename lexbuf file;
+      match Mutex.protect parse_mutex (fun () -> parse lexbuf) with
+      | ast -> Ok ast
       | exception exn ->
           Error (Printf.sprintf "parse error: %s" (Printexc.to_string exn)))
+
+let parse_error ~file msg =
+  Obs.Metrics.Counter.incr parse_errors_c;
+  Finding.v ~file ~line:1 ~col:0 ~code:"L000"
+    ~severity:(Registry.severity_of "L000") msg
 
 (* --- per-file scan -------------------------------------------------------- *)
 
@@ -73,30 +75,40 @@ type scan = {
   sc_findings : Finding.t list;
   sc_supps : Suppress.t list;
   sc_index : Module_index.t option;
+  sc_exports : Exports.t option;
 }
+
+(* A library file's interface, when it has one: its parsed signature,
+   or the L000 finding that replaces it. *)
+let read_interface ~in_lib file =
+  let mli = file ^ "i" in
+  if not (in_lib && Sys.file_exists mli) then (None, [], [])
+  else
+    match read_parse Parse.interface mli with
+    | Error msg -> (None, [], [ parse_error ~file:mli msg ])
+    | Ok sg -> (Some sg, Suppress.collect_signature ~file:mli sg, [])
 
 let scan_file ~enabled ~treat_as_lib ~hot_paths file =
   Obs.Metrics.Counter.incr files_scanned_c;
-  match read_parse file with
+  match read_parse Parse.implementation file with
   | Error msg ->
-      Obs.Metrics.Counter.incr parse_errors_c;
       {
-        sc_findings =
-          [
-            Finding.v ~file ~line:1 ~col:0 ~code:"L000"
-              ~severity:(Registry.severity_of "L000") msg;
-          ];
+        sc_findings = [ parse_error ~file msg ];
         sc_supps = [];
         sc_index = None;
+        sc_exports = None;
       }
   | Ok str ->
       let in_lib = treat_as_lib || Ident.in_lib file in
       let module_name = Ident.module_of_path file in
+      let sg, sig_supps, sig_errors = read_interface ~in_lib file in
       {
         sc_findings =
-          Rules_file.check ~enabled ~in_lib ~hot_paths ~module_name str;
-        sc_supps = Suppress.collect ~file str;
+          sig_errors
+          @ Rules_file.check ~enabled ~in_lib ~hot_paths ~module_name str;
+        sc_supps = Suppress.collect ~file str @ sig_supps;
         sc_index = Some (Module_index.of_structure ~file ~in_lib str);
+        sc_exports = Some (Exports.of_file ~file ~exports:sg str);
       }
 
 (* --- driver --------------------------------------------------------------- *)
@@ -121,18 +133,27 @@ let run cfg =
   let repo =
     Obs.Span.with_ ~name:"lint-reach" (fun () -> Reach.check ~enabled indexes)
   in
+  let exports =
+    if enabled "L012" then
+      Exports.check (List.filter_map (fun s -> s.sc_exports) scans)
+    else []
+  in
   let supps = List.concat_map (fun s -> s.sc_supps) scans in
-  let kept = Suppress.apply supps (per_file @ repo) in
-  (* A suppression of a whole-repo rule only counts as unused when the
-     scan could actually have produced that rule's findings — i.e. some
-     pool entry point was in scope.  Otherwise a partial scan
-     (tdat-lint lib/obs) would flag every L007 allowlist as stale. *)
+  let kept = Suppress.apply supps (per_file @ repo @ exports) in
+  (* A suppression of a reachability rule (L007/L008) only counts as
+     unused when the scan could actually have produced that rule's
+     findings — i.e. some pool entry point was in scope.  Otherwise a
+     partial scan (tdat-lint lib/obs) would flag every L007 allowlist
+     as stale.  An L012 allow sits on the very export it covers, so
+     whenever its interface was read it could have fired. *)
   let have_entries =
     List.exists (fun ix -> ix.Module_index.i_entries <> []) indexes
   in
   let countable code =
     enabled code
     && (have_entries
+       ||
+       String.equal code "L012"
        ||
        match Registry.find code with
        | Some { Registry.pass = Registry.Whole_repo; _ } -> false

@@ -26,6 +26,3 @@ type outcome = { findings : Finding.t list; files_scanned : int }
 
 val run : config -> outcome
 
-val ml_files_under : string -> string list
-(** The engine's deterministic file walk (sorted, skipping [_build] and
-    dot-entries), exposed for tests. *)

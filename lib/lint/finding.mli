@@ -27,14 +27,8 @@ val v :
   string ->
   t
 
-val of_position :
-  Lexing.position -> code:string -> severity:severity -> string -> t
-
 val of_loc : Location.t -> code:string -> severity:severity -> string -> t
 (** Finding at the start of a compiler-libs location. *)
-
-val compare : t -> t -> int
-(** Total order: file, line, col, code, message. *)
 
 val sort : t list -> t list
 

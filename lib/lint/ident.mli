@@ -11,10 +11,6 @@ val module_of_path : string -> string
 (** The OCaml module a source path compiles to:
     ["lib/pkt/trace.ml"] gives ["Trace"]. *)
 
-val dir_components : string -> string list
-(** Directory components of a path, via [Filename] (never string-prefix
-    compares). *)
-
 val in_lib : string -> bool
 (** Whether the path has a ["lib"] directory component — the
     library-only-rule fence.  Works for relative, [./]-prefixed,

@@ -63,7 +63,20 @@ let all =
        literal lowercase snake-case string — [a-z0-9] words joined by \
        '.', '_' or '-' — so names are greppable, collision-free and \
        stable in the Prometheus exposition; no dynamic concatenation.";
+    rule "L012" ~pass:Whole_repo ~lib_only:true
+      ~summary:"library export no other file uses"
+      "A val in a lib/ .mli (outside any Private submodule) that no scanned \
+       file other than the module's own .ml names, through aliases, opens, \
+       functor arguments or first-class packing.  Delete it, drop it from \
+       the interface, move a test tool to test/, or put what a test must \
+       watch under Private.  Exact only when the scan covers every \
+       production root (lib bin bench examples).";
   ]
+
+let id_range =
+  match (all, List.rev all) with
+  | first :: _, last :: _ -> first.id ^ ".." ^ last.id
+  | _ -> ""
 
 let find id = List.find_opt (fun r -> String.equal r.id id) all
 
@@ -105,9 +118,9 @@ let apply_spec spec =
         | None ->
             Result.Error
               (Printf.sprintf
-                 "unknown rule %S in --rules (expected L000..L011 clauses \
-                  like +L007,-L003)"
-                 clause)
+                 "unknown rule %S in --rules (expected %s clauses like \
+                  +L007,-L003)"
+                 clause id_range)
         | Some _ -> (
             match op with
             | `Add -> Ok (Selection.add id sel)

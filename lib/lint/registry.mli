@@ -24,8 +24,7 @@ type rule = {
 }
 
 val all : rule list
-(** Every rule, in id order: L000 (parse failure) through L010 (unused
-    suppression). *)
+(** Every rule, in id order, from L000 (parse failure) on. *)
 
 val find : string -> rule option
 val severity_of : string -> Finding.severity

@@ -181,8 +181,7 @@ let default_hot_paths =
               "count_records"; "read_records" ] );
     ( "Mrt",
       Funcs [ "parse_body"; "frame"; "refill"; "fold_input"; "summary_input";
-              "fold_string"; "fold_source"; "fold_fd"; "fold_file";
-              "fold_summary_string"; "fold_summary_file" ] );
+              "fold_file"; "fold_summary_file" ] );
     (* The one BGP message validator, run per record by the study scan
        and per message by the streaming MCT scan. *)
     ( "Msg",
@@ -192,12 +191,12 @@ let default_hot_paths =
     ("Detect", Funcs [ "observe"; "peer"; "update"; "anchor"; "close" ]);
     ("Span_set", All);
     ( "Trace",
-      Funcs [ "conn_key"; "connection_ids"; "connection_subtraces"; "gather";
-              "add" ] );
+      Funcs [ "conn_key"; "connection_ids"; "connection_subtraces"; "gather" ]
+    );
     ("Slice", All);
     ( "Series_gen",
-      Funcs [ "series_of_spans"; "flight_series"; "episode_series";
-              "generate_from"; "generate" ] );
+      Funcs [ "series_of_spans"; "flight_series"; "generate_from"; "generate" ]
+    );
     ("Pool", Funcs [ "map"; "exec_chunk"; "drain" ]);
     (* The serve daemon's per-byte request loop: framing, socket
        shuffling and outbox routing run once per select wake-up. *)

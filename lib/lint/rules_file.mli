@@ -14,9 +14,6 @@ val default_hot_paths : (string * hot_scope) list
     MRT streaming decode, the Span_set kernels and
     [Trace.connection_subtraces]. *)
 
-val fenced_modules : string list
-(** Modules whose abstract values fence L002. *)
-
 val check :
   enabled:(string -> bool) ->
   in_lib:bool ->

@@ -68,7 +68,7 @@ let of_attribute ~file ~line_start ~line_end (a : Parsetree.attribute) =
 let range (loc : Location.t) =
   (loc.Location.loc_start.Lexing.pos_lnum, loc.Location.loc_end.Lexing.pos_lnum)
 
-let collect ~file (str : Parsetree.structure) =
+let collector ~file =
   let acc = ref [] in
   let add ~line_start ~line_end attrs =
     List.iter
@@ -78,6 +78,10 @@ let collect ~file (str : Parsetree.structure) =
         | None -> ())
       attrs
   in
+  (acc, add)
+
+let collect ~file (str : Parsetree.structure) =
+  let acc, add = collector ~file in
   let super = Ast_iterator.default_iterator in
   let expr iter (e : Parsetree.expression) =
     let line_start, line_end = range e.pexp_loc in
@@ -103,6 +107,24 @@ let collect ~file (str : Parsetree.structure) =
   in
   let iter = { super with expr; structure_item } in
   iter.structure iter str;
+  List.rev !acc
+
+(* An interface's allows sit on [val] items and module declarations
+   ([[@@tdat.lint.allow "L012"]]) or float at file scope. *)
+let collect_signature ~file (sg : Parsetree.signature) =
+  let acc, add = collector ~file in
+  let super = Ast_iterator.default_iterator in
+  let signature_item iter (it : Parsetree.signature_item) =
+    let line_start, line_end = range it.psig_loc in
+    (match it.psig_desc with
+    | Psig_attribute a -> add ~line_start:0 ~line_end:max_int [ a ]
+    | Psig_value vd -> add ~line_start ~line_end vd.pval_attributes
+    | Psig_module md -> add ~line_start ~line_end md.pmd_attributes
+    | _ -> ());
+    super.signature_item iter it
+  in
+  let iter = { super with signature_item } in
+  iter.signature iter sg;
   List.rev !acc
 
 let apply suppressions findings =

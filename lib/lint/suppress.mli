@@ -1,15 +1,13 @@
 (** Attribute-based finding suppression.
 
     [[@tdat.lint.allow "L007"]] on an expression, [[@@tdat.lint.allow
-    "L007 L009"]] on a let-binding or module, and a floating
+    "L007 L009"]] on a let-binding or module (or on a [val] in an
+    interface), and a floating
     [[@@@tdat.lint.allow "L00x"]] at file scope all allowlist the named
     rules for the source lines the attributed node spans (the whole file
     for the floating form; no payload allows every rule).  Suppressions
     that match nothing are themselves reported as L010, so a fixed
     violation cannot leave a stale allowlist behind. *)
-
-val attr_name : string
-(** ["tdat.lint.allow"]. *)
 
 type codes = All | Codes of string list
 
@@ -25,6 +23,11 @@ type t = {
 
 val collect : file:string -> Parsetree.structure -> t list
 (** Every [tdat.lint.allow] attribute in the file, with its scope. *)
+
+val collect_signature : file:string -> Parsetree.signature -> t list
+(** The same for an interface: [[@@tdat.lint.allow ...]] on a [val] or
+    module declaration covers that item; the floating form covers the
+    file. *)
 
 val apply : t list -> Finding.t list -> Finding.t list
 (** Drop findings covered by a suppression, marking those suppressions

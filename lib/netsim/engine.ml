@@ -55,4 +55,6 @@ let run ?until t =
                 end))
   done
 
-let pending_events t = Heap.size t.queue
+module Private = struct
+  let is_pending = is_pending
+end

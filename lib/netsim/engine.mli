@@ -22,10 +22,13 @@ val schedule_after : t -> Tdat_timerange.Time_us.t -> (unit -> unit) -> timer
 val cancel : timer -> unit
 (** Idempotent; cancelling a fired timer is a no-op. *)
 
-val is_pending : timer -> bool
-
 val run : ?until:Tdat_timerange.Time_us.t -> t -> unit
 (** Processes events until the queue is empty or simulated time would
     exceed [until]. *)
 
-val pending_events : t -> int
+(**/**)
+
+(** Timer state, for tests of the event queue. *)
+module Private : sig
+  val is_pending : timer -> bool
+end

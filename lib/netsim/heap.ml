@@ -7,7 +7,6 @@ type 'a t = {
 }
 
 let create () = { items = None; size = 0; next_seq = 0 }
-let is_empty h = h.size = 0
 let size h = h.size
 
 let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)

@@ -6,7 +6,6 @@ type stats = {
 
 type t = {
   engine : Engine.t;
-  name : string;
   delay : Tdat_timerange.Time_us.t;
   jitter : Tdat_timerange.Time_us.t;
   jitter_rng : Tdat_rng.Rng.t option;
@@ -25,14 +24,13 @@ type t = {
 (* Per-packet wire overhead: Ethernet + IP + TCP headers. *)
 let header_overhead = 54
 
-let create ~engine ?(name = "link") ~delay ?(jitter = 0) ?jitter_rng
+let create ~engine ~delay ?(jitter = 0) ?jitter_rng
     ~bandwidth_bps ?(buffer_pkts = 128) ?(loss = Loss.none)
     ?(on_drop = fun _ -> ()) ~deliver () =
   if bandwidth_bps <= 0 then invalid_arg "Link.create: bandwidth";
   if buffer_pkts < 1 then invalid_arg "Link.create: buffer_pkts";
   {
     engine;
-    name;
     delay;
     jitter;
     jitter_rng;
@@ -89,4 +87,3 @@ let stats t =
     dropped_overflow = t.dropped_overflow;
   }
 
-let name t = t.name

@@ -16,7 +16,6 @@ type stats = {
 
 val create :
   engine:Engine.t ->
-  ?name:string ->
   delay:Tdat_timerange.Time_us.t ->
   ?jitter:Tdat_timerange.Time_us.t ->
   ?jitter_rng:Tdat_rng.Rng.t ->
@@ -36,4 +35,3 @@ val send : t -> Tdat_pkt.Tcp_segment.t -> unit
 (** Enqueue at the current simulated time. *)
 
 val stats : t -> stats
-val name : t -> string

@@ -15,8 +15,6 @@ let gilbert rng ~p_enter ~p_exit ~p_loss_bad =
     else if R.bernoulli rng p_enter then bad := true;
     !bad && R.bernoulli rng p_loss_bad
 
-let during spans now = Tdat_timerange.Span_set.mem now spans
-
 let bernoulli_during rng spans p now =
   Tdat_timerange.Span_set.mem now spans && Tdat_rng.Rng.bernoulli rng p
 

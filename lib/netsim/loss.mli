@@ -21,10 +21,6 @@ val gilbert :
     [p_loss_bad] while inside.  Produces the consecutive-loss episodes of
     Section II-B2. *)
 
-val during : Tdat_timerange.Span_set.t -> t
-(** Deterministic loss inside the given time windows — for crafting
-    exact episodes (e.g., Figs. 7/8). *)
-
 val bernoulli_during :
   Tdat_rng.Rng.t -> Tdat_timerange.Span_set.t -> float -> t
 (** Random loss with probability [p], but only inside the given windows:

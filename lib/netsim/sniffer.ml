@@ -2,7 +2,7 @@ type t = {
   engine : Engine.t;
   mutable segments : Tdat_pkt.Tcp_segment.t list; (* reverse order *)
   mutable count : int;
-  mutable voids : Tdat_timerange.Span_set.t;
+  voids : Tdat_timerange.Span_set.t;
 }
 
 let create ~engine () =
@@ -17,10 +17,6 @@ let tap t ~then_ seg =
   record t seg;
   then_ seg
 
-let add_void t span =
-  t.voids <- Tdat_timerange.Span_set.add span t.voids
-
 let trace t =
   Tdat_pkt.Trace.of_segments ~voids:t.voids (List.rev t.segments)
 
-let count t = t.count

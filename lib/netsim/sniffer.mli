@@ -9,14 +9,6 @@ val create : engine:Engine.t -> unit -> t
 val tap : t -> then_:(Tdat_pkt.Tcp_segment.t -> unit) -> Tdat_pkt.Tcp_segment.t -> unit
 (** Records the segment at the current simulated time, then passes it on. *)
 
-val record : t -> Tdat_pkt.Tcp_segment.t -> unit
-(** Record without forwarding. *)
-
-val add_void : t -> Tdat_timerange.Span.t -> unit
-(** Declare a period during which the sniffer dropped packets (tcpdump
-    void periods, Section II-A). *)
-
 val trace : t -> Tdat_pkt.Trace.t
 (** Everything captured so far, as a time-sorted trace with voids. *)
 
-val count : t -> int

@@ -1,22 +1,2 @@
 let now_s () = Unix.gettimeofday ()
 let now_us () = Unix.gettimeofday () *. 1e6
-
-(* A hand-cranked monotone clock for tests: rolling windows and rate
-   math take [now] as a closure, so injecting one of these makes
-   rotation boundaries exact instead of sleep-dependent. *)
-module Manual = struct
-  type t = { mutable t_s : float }
-
-  let create ?(start_s = 0.) () = { t_s = start_s }
-
-  let advance t dt_s =
-    if dt_s < 0. then invalid_arg "Clock.Manual.advance: negative step";
-    t.t_s <- t.t_s +. dt_s
-
-  let set t s =
-    if s < t.t_s then invalid_arg "Clock.Manual.set: clock must be monotone";
-    t.t_s <- s
-
-  let now_s t () = t.t_s
-  let now_us t () = t.t_s *. 1e6
-end

@@ -10,28 +10,3 @@ val now_us : unit -> float
 
 val now_s : unit -> float
 (** Seconds since the epoch. *)
-
-(** A hand-cranked monotone clock for tests.  {!Window.create} and
-    friends accept a [now] closure; passing {!Manual.now_s} makes
-    window-rotation boundaries exact and deterministic instead of
-    sleep-dependent. *)
-module Manual : sig
-  type t
-
-  val create : ?start_s:float -> unit -> t
-  (** A manual clock reading [start_s] (default [0.]). *)
-
-  val advance : t -> float -> unit
-  (** Move the clock forward by the given number of seconds.
-      @raise Invalid_argument on a negative step. *)
-
-  val set : t -> float -> unit
-  (** Jump to an absolute reading.
-      @raise Invalid_argument when it would move the clock backward. *)
-
-  val now_s : t -> unit -> float
-  (** A [now] closure reading this clock, in seconds. *)
-
-  val now_us : t -> unit -> float
-  (** A [now] closure reading this clock, in microseconds. *)
-end

@@ -21,8 +21,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Exemplar.create: capacity must be positive";
   { capacity; m = Mutex.create (); entries = [] }
 
-let capacity t = t.capacity
-
 (* Worst-first, ties broken by recency (newer first) so repeated
    equal-duration requests rotate through the buffer. *)
 let insert capacity entries e =
@@ -57,3 +55,7 @@ let clear t =
   Mutex.lock t.m;
   t.entries <- [];
   Mutex.unlock t.m
+
+module Private = struct
+  let clear = clear
+end

@@ -23,8 +23,6 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument on a non-positive capacity. *)
 
-val capacity : t -> int
-
 val note : t -> entry -> unit
 (** Offer an entry; it is kept only while it ranks among the K worst.
     Equal durations favor the newer entry. *)
@@ -34,5 +32,10 @@ val worst : t -> entry list
 
 val count : t -> int
 
-val clear : t -> unit
-(** Forget every entry (tests, or between benchmark phases). *)
+(**/**)
+
+(** Reset, for tests of the slow-request buffer. *)
+module Private : sig
+  val clear : t -> unit
+  (** Forget every entry (tests, or between benchmark phases). *)
+end

@@ -135,3 +135,11 @@ let err msgf = kmsg Error msgf
 let warn msgf = kmsg Warn msgf
 let info msgf = kmsg Info msgf
 let debug msgf = kmsg Debug msgf
+
+module Private = struct
+  let current_level = current_level
+  let set_destination = set_destination
+  let err = err
+  let warn = warn
+  let debug = debug
+end

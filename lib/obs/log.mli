@@ -11,7 +11,7 @@
     no string allocation.
 
     {[
-      Tdat_obs.Log.warn (fun m ->
+      Tdat_obs.Log.info (fun m ->
           m ~kv:[ ("file", path); ("record", string_of_int i) ]
             "truncated record");
     ]} *)
@@ -28,18 +28,7 @@ val level_of_string : string -> (level option, string) result
 val set_level : level option -> unit
 (** [None] silences everything.  The default is [Some Warn]. *)
 
-val current_level : unit -> level option
-
-val would_log : level -> bool
-(** True when a message at [level] would be emitted — the guard to use
-    around expensive context gathering in hot paths. *)
-
 type dest = [ `Stderr | `File of string | `Buffer of Buffer.t | `Null ]
-
-val set_destination : dest -> unit
-(** Default [`Stderr].  [`File path] appends to [path] (created if
-    missing); a previously opened file destination is closed first.
-    [`Buffer b] is for tests. *)
 
 val close : unit -> unit
 (** Flush and close a [`File] destination (no-op otherwise) and revert
@@ -51,7 +40,23 @@ type ('a, 'b) msgf =
   'a) ->
   'b
 
-val err : ('a, unit) msgf -> unit
-val warn : ('a, unit) msgf -> unit
 val info : ('a, unit) msgf -> unit
-val debug : ('a, unit) msgf -> unit
+
+(**/**)
+
+(** The level and sink switches and the levels production does not log
+    at, for tests of the logger's filtering. *)
+module Private : sig
+  val current_level : unit -> level option
+
+  val set_destination : dest -> unit
+  (** Default [`Stderr].  [`File path] appends to [path] (created if
+      missing); a previously opened file destination is closed first.
+      [`Buffer b] is for tests. *)
+
+  val err : ('a, unit) msgf -> unit
+
+  val warn : ('a, unit) msgf -> unit
+
+  val debug : ('a, unit) msgf -> unit
+end

@@ -97,7 +97,6 @@ module Gauge = struct
 
   let set g v = if Atomic.get g.g_on then Atomic.set g.g_v v
   let set_max g v = if Atomic.get g.g_on then float_max g.g_v v
-  let value g = Atomic.get g.g_v
 end
 
 module Histogram = struct
@@ -171,7 +170,6 @@ module Histogram = struct
       ignore (Atomic.fetch_and_add h.h_count 1)
     end
 
-  let count h = Atomic.get h.h_count
   let sum h = Atomic.get h.h_sum
 
   let bucket_counts h =
@@ -192,9 +190,6 @@ let find r name =
 
 let find_counter r name =
   match find r name with Some { instr = C c; _ } -> Some c | _ -> None
-
-let find_gauge r name =
-  match find r name with Some { instr = G g; _ } -> Some g | _ -> None
 
 let find_histogram r name =
   match find r name with Some { instr = H h; _ } -> Some h | _ -> None
@@ -300,3 +295,7 @@ let snapshot_json ?(stable_only = false) r =
        (("stable", section stable)
        :: (if stable_only then [] else [ ("volatile", section volatile) ])))
   ^ "\n"
+
+module Private = struct
+  let create = create
+end

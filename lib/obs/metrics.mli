@@ -20,9 +20,6 @@
 
 type registry
 
-val create : unit -> registry
-(** A fresh, disabled registry (tests). *)
-
 val default : registry
 (** The process-wide registry every library instrument registers in. *)
 
@@ -57,15 +54,10 @@ module Gauge : sig
   val set_max : t -> float -> unit
   (** High-water update: keeps the maximum of the current and given
       values. *)
-
-  val value : t -> float
 end
 
 module Histogram : sig
   type t
-
-  val default_buckets : float array
-  (** Powers of ten: 1, 10, ... 1e6. *)
 
   val time_us_buckets : float array
   (** A 1-2-5 ladder from 10 us to 10 s, for duration histograms. *)
@@ -82,16 +74,11 @@ module Histogram : sig
       name collision with different buckets or kind. *)
 
   val observe : t -> float -> unit
-  val count : t -> int
   val sum : t -> float
 
-  val bucket_counts : t -> (float * int) array
-  (** [(upper_bound, count)] per bucket, the overflow bucket last with
-      bound [infinity]. *)
 end
 
 val find_counter : registry -> string -> Counter.t option
-val find_gauge : registry -> string -> Gauge.t option
 val find_histogram : registry -> string -> Histogram.t option
 
 (** A read-only view of one instrument, for exposition encoders
@@ -121,3 +108,12 @@ val snapshot_json : ?stable_only:bool -> registry -> string
 (** The registry as a deterministic one-line JSON object written by
     the shared codec: metrics sorted by name, a ["stable"] section and
     (unless [stable_only]) a ["volatile"] one. *)
+
+(**/**)
+
+(** Registries of their own, for tests that must not share the default
+    one. *)
+module Private : sig
+  val create : unit -> registry
+  (** A fresh, disabled registry. *)
+end

@@ -112,3 +112,7 @@ let of_registry ?(stable_only = false) r =
         add_view buf ~name v)
   in
   Buffer.contents buf
+
+module Private = struct
+  let mangle = mangle
+end

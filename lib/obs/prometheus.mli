@@ -8,12 +8,6 @@
     section of a quiesced registry is byte-identical across
     [--jobs]. *)
 
-val mangle : string -> string
-(** A dotted lowercase instrument name as a Prometheus metric name:
-    prefixed with [tdat_], every character outside
-    [[a-zA-Z0-9_:]] mapped to ['_'] (so ["serve.request_us"] becomes
-    ["tdat_serve_request_us"]). *)
-
 val of_registry : ?stable_only:bool -> Metrics.registry -> string
 (** The registry in exposition text: a [# TYPE] line per instrument,
     counters with a [_total] suffix, histograms as cumulative
@@ -31,3 +25,14 @@ val add_gauge :
 (** One gauge sample line, optionally labeled
     ([name{k="v",...} value]).  Label values are escaped per the
     exposition format. *)
+
+(**/**)
+
+(** Metric-name mangling, for tests of the exposition names. *)
+module Private : sig
+  val mangle : string -> string
+  (** A dotted lowercase instrument name as a Prometheus metric name:
+      prefixed with [tdat_], every character outside [[a-zA-Z0-9_:]]
+      mapped to ['_'] (so ["serve.request_us"] becomes
+      ["tdat_serve_request_us"]). *)
+end

@@ -152,3 +152,8 @@ let write path =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_json ()))
+
+module Private = struct
+  let current_context = current_context
+  let to_json = to_json
+end

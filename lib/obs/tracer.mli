@@ -48,8 +48,6 @@ val with_context : string option -> (unit -> 'a) -> 'a
 (** Run the function with the domain-local trace context set (saved and
     restored around the call, exception-safe). *)
 
-val current_context : unit -> string option
-
 val events : unit -> event list
 (** All recorded events merged across domains, sorted by timestamp
     (events of one domain keep their emission order). *)
@@ -58,9 +56,17 @@ val balanced : unit -> bool
 (** True when, per domain, the B/E events form properly nested pairs
     with matching names ([X] events are self-contained and ignored). *)
 
-val to_json : unit -> string
-(** The Chrome trace: [{"traceEvents": [...]}], one event per line,
-    each written by the shared JSON codec. *)
-
 val write : string -> unit
 (** {!to_json} to a file. *)
+
+(**/**)
+
+(** The current context and the whole trace as JSON, for tests of span
+    stamping and the trace file format. *)
+module Private : sig
+  val current_context : unit -> string option
+
+  val to_json : unit -> string
+  (** The Chrome trace: [{"traceEvents": [...]}], one event per line,
+      each written by the shared JSON codec. *)
+end

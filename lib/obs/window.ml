@@ -153,3 +153,8 @@ let percentile t p =
     in
     go 0 0
   end
+
+module Private = struct
+  let sum = sum
+  let clear = clear
+end

@@ -26,7 +26,7 @@ val create :
   t
 (** [create ~slots ~slot_s ()] covers a rolling window of
     [slots * slot_s] seconds.  [now] (default {!Clock.now_s}) is the
-    clock, injectable for tests ({!Clock.Manual}); it must be monotone.
+    clock, injectable for tests; it must be monotone.
     [buckets] are inclusive upper bounds, strictly increasing (default
     {!Metrics.Histogram.time_us_buckets}); an implicit overflow bucket
     catches everything above the last bound.
@@ -38,9 +38,6 @@ val observe : t -> float -> unit
 
 val count : t -> int
 (** Observations currently inside the window. *)
-
-val sum : t -> float
-(** Sum of the observations currently inside the window. *)
 
 val rate : t -> float
 (** [count / window_s]: mean arrivals per second over the window. *)
@@ -55,5 +52,13 @@ val percentile : t -> float -> float
     last finite bound (a deliberate under-estimate).
     @raise Invalid_argument when [p] is outside [[0, 1]]. *)
 
-val clear : t -> unit
-(** Forget every observation (tests). *)
+(**/**)
+
+(** Observers and reset, for tests of the rolling window. *)
+module Private : sig
+  val sum : t -> float
+  (** Sum of the observations currently inside the window. *)
+
+  val clear : t -> unit
+  (** Forget every observation (tests). *)
+end

@@ -227,3 +227,9 @@ let shutdown t =
 let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+module Private = struct
+  let create = create
+  let jobs = jobs
+  let shutdown = shutdown
+end

@@ -41,15 +41,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the parallelism the runtime
     believes the hardware supports (1 on a single-core container). *)
 
-val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] starts [jobs - 1] worker domains (default
-    {!default_jobs}; values above 126 are clamped so the spawn can never
-    exceed the runtime's domain limit).
-    @raise Invalid_argument if [jobs < 1]. *)
-
-val jobs : t -> int
-(** The parallelism this pool was created with (after clamping). *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs], on up to
     [jobs pool] domains, and returns the results in input order.
@@ -60,10 +51,24 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     [pool.chunk_queue_wait_us] / [pool.chunk_execute_us] histograms
     show the split between synchronization and compute. *)
 
-val shutdown : t -> unit
-(** Joins the worker domains.  Idempotent.  Using [map] after
-    [shutdown] raises [Invalid_argument]. *)
-
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] is [f (create ~jobs ())] with a guaranteed
     {!shutdown}, whether [f] returns or raises. *)
+
+(**/**)
+
+(** An explicitly managed pool, for tests of its lifecycle and width. *)
+module Private : sig
+  val create : ?jobs:int -> unit -> t
+  (** [create ~jobs ()] starts [jobs - 1] worker domains (default
+      {!default_jobs}; values above 126 are clamped so the spawn can never
+      exceed the runtime's domain limit).
+      @raise Invalid_argument if [jobs < 1]. *)
+
+  val jobs : t -> int
+  (** The parallelism this pool was created with (after clamping). *)
+
+  val shutdown : t -> unit
+  (** Joins the worker domains.  Idempotent.  Using [map] after
+      [shutdown] raises [Invalid_argument]. *)
+end

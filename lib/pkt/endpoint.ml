@@ -37,4 +37,3 @@ let pp ppf { ip; port } =
     ((u lsr 8) land 0xFF)
     (u land 0xFF) port
 
-let to_string t = Format.asprintf "%a" pp t

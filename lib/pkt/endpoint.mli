@@ -11,4 +11,3 @@ val of_quad : int -> int -> int -> int -> int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

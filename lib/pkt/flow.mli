@@ -16,12 +16,4 @@ val key : t -> Endpoint.t * Endpoint.t
     first.  Two flows over the same connection share a key regardless of
     orientation. *)
 
-val direction_of : t -> Tcp_segment.t -> direction option
-(** [None] when the segment does not belong to this connection. *)
-
-val is_to_receiver : t -> Tcp_segment.t -> bool
-(** [is_to_receiver flow seg] is true iff the segment travels
-    Sender→Receiver on this connection. *)
-
-val matches : t -> Tcp_segment.t -> bool
 val pp : Format.formatter -> t -> unit

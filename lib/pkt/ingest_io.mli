@@ -1,8 +1,8 @@
 (** Input plumbing shared by the streaming readers.
 
-    The record-framing readers ({!Pcap.read_source}, {!Pcap.read_file},
-    [Tdat_bgp.Mrt.fold_fd], [Tdat_bgp.Mrt.fold_file]) terminate a
-    capture only when their [read] function returns [0].  The readers
+    The record-framing readers ({!Pcap.read_file},
+    [Tdat_bgp.Mrt.fold_file], [Tdat_bgp.Mrt.fold_summary_file])
+    terminate a capture only when their [read] function returns [0].  The readers
     built here make that a safe contract over every source:
 
     - [EINTR] is retried, never surfaced — neither as a truncated
@@ -29,11 +29,6 @@ type follow = int -> bool
 (** A tailing policy: called with the cumulative byte count each time
     the source reports EOF.  Returning [true] keeps polling; [false]
     accepts the EOF. *)
-
-val of_read : ?follow:follow -> ?poll_interval_s:float -> read -> read
-(** Wrap a raw read with [EINTR] retry and (optionally) the [follow]
-    polling loop ([poll_interval_s] defaults to 0.02 s between
-    polls). *)
 
 val of_fd : ?follow:follow -> ?poll_interval_s:float -> Unix.file_descr -> read
 (** A reader over [Unix.read] — the right source for pipes, sockets and

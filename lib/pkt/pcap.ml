@@ -476,10 +476,6 @@ let read_records ?(strict = false) src =
   Bytes.fill buf avail (Bytes.length buf - avail) '\000';
   { trace = Trace.Builder.finish builder ~payload:src.data; diags; stats }
 
-let read_source ?strict read =
-  read_records ?strict
-    { data = Slice.of_bytes ~len:0 (Bytes.create 65536); read = Some read }
-
 let decode_result ?strict data =
   read_records ?strict { data = Slice.of_string data; read = None }
 

@@ -87,14 +87,6 @@ val decode_result : ?strict:bool -> string -> result
     [~strict:true] raises {!Decode_error} on the first error/warning
     diagnostic. *)
 
-val read_source : ?strict:bool -> Ingest_io.read -> result
-(** Pull records through an arbitrary {!Ingest_io.read} (a descriptor via {!Ingest_io.of_fd} —
-    pipes, sockets, tailed files — a custom transport, an instrumented
-    source in tests).  The capture ends only when [read] returns [0].
-    With no input length to size it from, the capture buffer starts
-    at 64 KiB and grows by doubling.  Diagnostics and stats as
-    {!decode_result}'s. *)
-
 val to_file : string -> Trace.t -> unit
 (** @raise Encode_error on unrepresentable segments. *)
 

@@ -56,15 +56,6 @@ let v ~ts ~src ~dst ~seq ~ack ?len ?(window = 65535) ?(flags = ack_flags)
 let seq_end t = t.seq + t.len
 let is_data t = t.len > 0
 
-let is_pure_ack t =
-  t.len = 0 && t.flags.ack && (not t.flags.syn) && (not t.flags.fin)
-  && not t.flags.rst
-
-let compare_ts a b =
-  match Int.compare a.ts b.ts with
-  | 0 -> Int.compare a.seq b.seq
-  | c -> c
-
 let pp ppf t =
   let flag b c = if b then c else "" in
   Format.fprintf ppf "%a %a>%a seq=%d ack=%d len=%d win=%d %s%s%s%s%s"

@@ -72,8 +72,4 @@ val seq_end : t -> int
 val is_data : t -> bool
 (** [len > 0]. *)
 
-val is_pure_ack : t -> bool
-(** An ACK that carries no payload and no SYN/FIN/RST. *)
-
-val compare_ts : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -248,3 +248,7 @@ let infer_sender t (a, b) =
   in
   if bytes_from a >= bytes_from b then Flow.v ~sender:a ~receiver:b
   else Flow.v ~sender:b ~receiver:a
+
+module Private = struct
+  let window = window
+end

@@ -50,9 +50,6 @@ val payload : t -> int -> Slice.t
 val total_bytes : t -> int
 (** Sum of payload lengths. *)
 
-val window : t -> Tdat_timerange.Span.t option
-(** Span from first to last timestamp (inclusive end +1 µs). *)
-
 val connections : t -> (Endpoint.t * Endpoint.t) list
 (** Distinct unordered endpoint pairs, in first-appearance order. *)
 
@@ -98,4 +95,12 @@ module Builder : sig
     ?voids:Tdat_timerange.Span_set.t -> t -> payload:Slice.t -> trace
   (** Columns cut to the packets added; [payload] becomes the trace's
       buffer, borrowed for the trace's life. *)
+end
+
+(**/**)
+
+(** The time window of a trace, for tests of generated scenarios. *)
+module Private : sig
+  val window : t -> Tdat_timerange.Span.t option
+  (** Span from first to last timestamp (inclusive end +1 µs). *)
 end

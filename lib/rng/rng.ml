@@ -30,16 +30,11 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. v /. 9007199254740992. (* 2^53 *)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
 
 let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
-
-let pareto t ~shape ~scale =
-  let u = 1.0 -. float t 1.0 in
-  scale /. (u ** (1.0 /. shape))
 
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
@@ -63,3 +58,7 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
+
+module Private = struct
+  let float = float
+end

@@ -12,7 +12,6 @@ val create : int -> t
 val split : t -> t
 (** A statistically independent child stream; the parent advances. *)
 
-val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
@@ -20,19 +19,11 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] (inclusive). *)
 
-val float : t -> float -> float
-(** Uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed, given mean. *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto distributed: heavy-tailed delays and burst sizes. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform pick. @raise Invalid_argument on empty array. *)
@@ -43,3 +34,11 @@ val weighted : t -> (float * 'a) list -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates. *)
+
+(**/**)
+
+(** Raw float draws, for tests of the generator's range. *)
+module Private : sig
+  val float : t -> float -> float
+  (** Uniform in [\[0, bound)]. *)
+end

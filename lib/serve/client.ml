@@ -93,3 +93,9 @@ let rpc t request =
       match Json.parse line with
       | Ok json -> Ok json
       | Error msg -> Error ("malformed response: " ^ msg))
+
+module Private = struct
+  let recv_timeout_s = recv_timeout_s
+  let send_line = send_line
+  let recv_line = recv_line
+end

@@ -8,19 +8,25 @@ val connect : [ `Unix of string | `Tcp of string * int ] -> t
 
 val close : t -> unit
 
-val recv_timeout_s : float
-(** How long a read waits for response bytes: 10 s. *)
-
 val rpc : t -> Tdat_json.Json.t -> (Tdat_json.Json.t, string) result
 (** One request, one response.  [Error] means transport or framing
     broke, or no response arrived within {!recv_timeout_s} —
     protocol-level failures come back as [Ok] responses with
     [ok:false]. *)
 
-val send_line : t -> string -> unit
-(** Raw line send, for pipelining and malformed-input tests. *)
+(**/**)
 
-val recv_line : t -> string option
-(** Next response line; [None] on orderly EOF.
-    @raise Unix.Unix_error [(EAGAIN, _, _)] when a read waits longer
-    than {!recv_timeout_s}. *)
+(** Raw line I/O and the receive timeout, for tests that speak malformed
+    or partial requests to the daemon. *)
+module Private : sig
+  val recv_timeout_s : float
+  (** How long a read waits for response bytes: 10 s. *)
+
+  val send_line : t -> string -> unit
+  (** Raw line send, for pipelining and malformed-input tests. *)
+
+  val recv_line : t -> string option
+  (** Next response line; [None] on orderly EOF.
+      @raise Unix.Unix_error [(EAGAIN, _, _)] when a read waits longer
+      than {!recv_timeout_s}. *)
+end

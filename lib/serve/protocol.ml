@@ -61,12 +61,6 @@ let cmd_name = function
   | Check _ -> "check"
   | Study _ -> "study"
 
-(* A request admitted to the worker queue; the rest answer inline on
-   the event loop. *)
-let is_job = function
-  | Sleep _ | Analyze _ | Check _ | Study _ -> true
-  | Ping | Stats | Metrics _ | Shutdown -> false
-
 type parsed = {
   id : Json.t;
   trace : string option;  (* client-supplied trace id, job verbs only *)

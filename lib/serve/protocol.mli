@@ -3,7 +3,6 @@
 
 type error = { code : string; status : int; message : string }
 
-val err_bad_json : string -> error
 val err_bad_request : string -> error
 val err_not_found : string -> error
 
@@ -43,10 +42,6 @@ type request =
     }
 
 val cmd_name : request -> string
-
-val is_job : request -> bool
-(** [true] for verbs that go through the admission queue; control
-    verbs (ping/stats/shutdown) answer inline on the event loop. *)
 
 type parsed = {
   id : Tdat_json.Json.t;

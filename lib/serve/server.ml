@@ -608,8 +608,7 @@ let flush_conn conn =
 
 (* Route finished jobs' responses to their connections.  A response for
    a connection that hung up, or whose sending side [linger] has shut,
-   is dropped — the work still counted.  (A write after the shutdown
-   would raise SIGPIPE, which ends the daemon.) *)
+   is dropped — the work still counted. *)
 let drain_outbox t conns =
   Mutex.lock t.outbox_m;
   while not (Queue.is_empty t.outbox) do
@@ -789,6 +788,10 @@ let bind_listener = function
 
 let start config =
   if config.jobs < 1 then invalid_arg "Server.start: jobs must be >= 1";
+  (* A write to a peer that can no longer receive must come back as
+     EPIPE, which [flush_conn] handles for that connection alone, not as
+     the signal that ends the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd, bound = bind_listener config.address in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;

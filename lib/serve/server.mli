@@ -21,7 +21,10 @@ type config = {
 type t
 
 val start : config -> t
-(** Bind, spawn the event-loop domain, return immediately.
+(** Bind, spawn the event-loop domain, return immediately.  Sets the
+    process's SIGPIPE disposition to ignore, so a write to a peer that
+    can no longer receive fails with EPIPE and drops only that
+    connection.
     @raise Invalid_argument on [jobs < 1] or an unresolvable host;
     @raise Unix.Unix_error when the address cannot be bound. *)
 

@@ -6,8 +6,6 @@ let of_samples xs =
   Array.sort Float.compare a;
   a
 
-let n = Array.length
-
 (* Number of samples <= x, via binary search for the upper bound. *)
 let count_le a x =
   let lo = ref 0 and hi = ref (Array.length a) in
@@ -43,3 +41,9 @@ let points a =
   collect 0 []
 
 let support a = (a.(0), a.(Array.length a - 1))
+
+module Private = struct
+  let eval = eval
+  let quantile = quantile
+  let support = support
+end

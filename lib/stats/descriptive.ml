@@ -32,7 +32,6 @@ let summarize xs =
       { n = !n; mean = !mean; stddev; min = !mn; max = !mx; total = !total }
 
 let mean xs = (summarize xs).mean
-let stddev xs = (summarize xs).stddev
 
 let percentile p xs =
   if xs = [] then invalid_arg "Descriptive.percentile: empty sample";
@@ -55,6 +54,3 @@ let slow_threshold xs =
   let s = summarize xs in
   s.mean +. (3. *. s.stddev)
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" s.n s.mean
-    s.stddev s.min s.max

@@ -13,7 +13,6 @@ val summarize : float list -> summary
 (** @raise Invalid_argument on the empty list. *)
 
 val mean : float list -> float
-val stddev : float list -> float
 
 val percentile : float -> float list -> float
 (** [percentile p xs] for [p] in [0, 100], linear interpolation between
@@ -26,4 +25,3 @@ val slow_threshold : float list -> float
 (** [mean + 3 * stddev] — the paper's cut for selecting "slow" table
     transfers (Section II-B). *)
 
-val pp_summary : Format.formatter -> summary -> unit

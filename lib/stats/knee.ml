@@ -101,3 +101,7 @@ let knee_of_sorted values =
       (match l_method points with
       | None -> None
       | Some (i, _) -> Some a.(i))
+
+module Private = struct
+  let linear_fit = linear_fit
+end

@@ -4,10 +4,6 @@
 
 type fit = { slope : float; intercept : float; rmse : float }
 
-val linear_fit : (float * float) array -> fit
-(** Least-squares line through the points.
-    @raise Invalid_argument on fewer than 2 points. *)
-
 val l_method : (float * float) array -> (int * float) option
 (** [l_method points] fits every split of the curve into a left and right
     straight line and returns [(index, x)] of the split minimizing the
@@ -19,3 +15,13 @@ val knee_of_sorted : float list -> float option
 (** Convenience for the paper's use: given raw gap lengths, build the
     sorted-value curve (rank on x, value on y) and return the value at the
     detected knee. *)
+
+(**/**)
+
+(** The least-squares fit the L-method runs on each split, for tests of
+    the fit. *)
+module Private : sig
+  val linear_fit : (float * float) array -> fit
+  (** Least-squares line through the points.
+      @raise Invalid_argument on fewer than 2 points. *)
+end

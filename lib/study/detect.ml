@@ -127,3 +127,7 @@ let finish t =
   t.finished <- true;
   Peers.iter (fun _ p -> close t p) t.peers;
   List.sort Transfer.compare t.found
+
+module Private = struct
+  let default_config = default_config
+end

@@ -40,8 +40,6 @@ type config = {
           threshold). *)
 }
 
-val default_config : config
-
 type t
 
 val create : ?config:config -> ?source:string -> unit -> t
@@ -66,3 +64,10 @@ val finish : t -> Transfer.t list
 (** Closes every open transfer and returns all detected transfers in
     {!Transfer.compare} order.  The detector must not be fed
     afterwards. *)
+
+(**/**)
+
+(** The defaults, for tests that vary one threshold. *)
+module Private : sig
+  val default_config : config
+end

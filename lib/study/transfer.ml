@@ -31,12 +31,6 @@ let compare a b =
         let c = Time_us.compare a.end_ts b.end_ts in
         if c <> 0 then c else String.compare a.source b.source
 
-let equal a b =
-  compare a b = 0
-  && Int.equal a.prefixes b.prefixes
-  && Int.equal a.messages b.messages
-  && Bool.equal a.anchored b.anchored
-
 let pp_ip ppf ip =
   let b n = Int32.to_int (Int32.logand (Int32.shift_right_logical ip n) 0xFFl) in
   Format.fprintf ppf "%d.%d.%d.%d" (b 24) (b 16) (b 8) (b 0)

@@ -17,7 +17,6 @@ type t = {
           Established, or a received OPEN), not a gap heuristic. *)
 }
 
-val duration : t -> Tdat_timerange.Time_us.t
 val duration_s : t -> float
 
 val rate : t -> float
@@ -25,8 +24,6 @@ val rate : t -> float
 
 val compare : t -> t -> int
 (** Total deterministic order: start time, then peer, end, source. *)
-
-val equal : t -> t -> bool
 
 val pp_ip : Format.formatter -> int32 -> unit
 (** Dotted-quad rendering of a (possibly negative) int32 address. *)

@@ -73,3 +73,7 @@ let recall ?tol ~truth detected =
       let hit t = List.exists (fun d -> matches ?tol t d) detected in
       let hits = List.length (List.filter hit truth) in
       float_of_int hits /. float_of_int (List.length truth)
+
+module Private = struct
+  let matches = matches
+end

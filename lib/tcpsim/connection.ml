@@ -54,14 +54,14 @@ module Site = struct
         {
           sniffer;
           down_data =
-            Link.create ~engine ~name:"local-data" ~delay:local.delay
+            Link.create ~engine ~delay:local.delay
               ~jitter:local.jitter ?jitter_rng:rng
               ~bandwidth_bps:local.bandwidth_bps
               ~buffer_pkts:local.buffer_pkts ~loss:local.data_loss
               ~deliver:(fun seg -> route (Lazy.force site).to_receiver seg)
               ();
           down_ack =
-            Link.create ~engine ~name:"local-ack" ~delay:local.delay
+            Link.create ~engine ~delay:local.delay
               ~jitter:local.jitter ?jitter_rng:rng
               ~bandwidth_bps:local.bandwidth_bps
               ~buffer_pkts:local.buffer_pkts ~loss:local.ack_loss
@@ -89,7 +89,6 @@ module Site = struct
   let register_to_sender t ~src ~dst handler =
     Routes.replace t.to_sender (src, dst) handler
 
-  let sniffer t = t.sniffer
   let trace t = Sniffer.trace t.sniffer
 
   let local_drops t =
@@ -112,7 +111,7 @@ let create ~engine ?(sender_cfg = Tcp_types.default)
   (* Upstream data link: sender -> site (drops here are upstream losses,
      invisible to the sniffer). *)
   let up_data =
-    Link.create ~engine ~name:"upstream-data" ~delay:upstream.delay
+    Link.create ~engine ~delay:upstream.delay
       ~jitter:upstream.jitter ?jitter_rng:rng
       ~bandwidth_bps:upstream.bandwidth_bps ~buffer_pkts:upstream.buffer_pkts
       ~loss:upstream.data_loss
@@ -121,7 +120,7 @@ let create ~engine ?(sender_cfg = Tcp_types.default)
   in
   (* Upstream ACK link: site -> sender. *)
   let up_ack =
-    Link.create ~engine ~name:"upstream-ack" ~delay:upstream.delay
+    Link.create ~engine ~delay:upstream.delay
       ~jitter:upstream.jitter ?jitter_rng:rng
       ~bandwidth_bps:upstream.bandwidth_bps ~buffer_pkts:upstream.buffer_pkts
       ~loss:upstream.ack_loss

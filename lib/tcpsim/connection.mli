@@ -39,7 +39,6 @@ module Site : sig
     unit ->
     t
 
-  val sniffer : t -> Tdat_netsim.Sniffer.t
   val trace : t -> Tdat_pkt.Trace.t
 
   val local_drops : t -> int

@@ -55,7 +55,6 @@ let available t = t.rcv_nxt - t.consumed
 let rcv_nxt t = t.rcv_nxt
 let set_on_data t f = t.on_data <- f
 let kill t = t.killed <- true
-let is_killed t = t.killed
 
 let peek t =
   Buffer.sub t.stream t.consumed (t.rcv_nxt - t.consumed)
@@ -171,3 +170,7 @@ let consume t n =
      it, advertise the new window so the sender can resume. *)
   if was_closed && advertised_window t >= t.config.Tcp_types.mss then
     send_ack t
+
+module Private = struct
+  let rcv_nxt = rcv_nxt
+end

@@ -35,10 +35,12 @@ val consume : t -> int -> unit
 val set_on_data : t -> (unit -> unit) -> unit
 (** Callback fired whenever new contiguous bytes become available. *)
 
-val rcv_nxt : t -> int
-val advertised_window : t -> int
-
 val kill : t -> unit
 (** Stop responding entirely (collector failure, Fig. 9). *)
 
-val is_killed : t -> bool
+(**/**)
+
+(** The in-order delivery frontier, for tests of the receiver. *)
+module Private : sig
+  val rcv_nxt : t -> int
+end

@@ -39,5 +39,3 @@ let current t =
 
 let backoff t = t.backoffs <- t.backoffs + 1
 let reset_backoff t = t.backoffs <- 0
-let srtt t = Option.map int_of_float t.srtt
-let backoff_count t = t.backoffs

@@ -19,5 +19,3 @@ val current : t -> Tdat_timerange.Time_us.t
 
 val backoff : t -> unit
 val reset_backoff : t -> unit
-val srtt : t -> Tdat_timerange.Time_us.t option
-val backoff_count : t -> int

@@ -37,8 +37,6 @@ type t = {
   mutable persist_timer : Engine.timer option;
   mutable persist_interval : Tdat_timerange.Time_us.t;
   mutable probing : bool;
-  mutable on_all_acked : unit -> unit;
-  mutable on_established : unit -> unit;
   mutable stopped : bool;
   (* counters *)
   mutable segments_sent : int;
@@ -81,8 +79,6 @@ let create ~engine ~config ~local ~remote ~send ?rng () =
     persist_timer = None;
     persist_interval = config.Tcp_types.persist_interval;
     probing = false;
-    on_all_acked = (fun () -> ());
-    on_established = (fun () -> ());
     stopped = false;
     segments_sent = 0;
     bytes_sent = 0;
@@ -97,10 +93,6 @@ let written t = Buffer.length t.buf
 let acked t = t.snd_una
 let in_flight t = t.snd_nxt - t.snd_una
 let all_acked t = t.snd_una >= written t
-let cwnd t = t.cwnd
-let rwnd t = t.rwnd
-let set_on_all_acked t f = t.on_all_acked <- f
-let set_on_established t f = t.on_established <- f
 
 let counters t =
   {
@@ -287,8 +279,7 @@ and process_ack t (seg : Seg.t) =
       cancel_timer t.rtx_timer;
       t.rtx_timer <- None
     end;
-    try_send t;
-    if all_acked t && written t > 0 then t.on_all_acked ()
+    try_send t
   end
   else if
     ack = t.snd_una && in_flight t > 0 && seg.len = 0 && not window_changed
@@ -334,7 +325,6 @@ let on_segment t (seg : Seg.t) =
         (Seg.v ~ts:(Engine.now t.engine) ~src:t.local ~dst:t.remote ~seq:0
            ~ack:0 ~window:t.config.Tcp_types.max_adv_window
            ~flags:Seg.ack_flags ());
-      t.on_established ();
       try_send t
     end
     else if seg.flags.Seg.ack then process_ack t seg

@@ -38,9 +38,6 @@ val write : t -> string -> unit
 (** Append application bytes to the stream and transmit as windows
     allow. *)
 
-val written : t -> int
-(** Total bytes the application has written. *)
-
 val acked : t -> int
 (** snd_una: bytes cumulatively acknowledged. *)
 
@@ -48,17 +45,9 @@ val in_flight : t -> int
 val all_acked : t -> bool
 (** Every written byte acknowledged. *)
 
-val cwnd : t -> int
-val rwnd : t -> int
-(** Sender's (possibly bug-stale) view of the peer window. *)
-
 val on_segment : t -> Tdat_pkt.Tcp_segment.t -> unit
 (** Deliver an ACK (or SYN+ACK) from the network. *)
 
-val set_on_all_acked : t -> (unit -> unit) -> unit
-(** Fires every time the stream drains to fully-acknowledged. *)
-
-val set_on_established : t -> (unit -> unit) -> unit
 val counters : t -> counters
 val stop : t -> unit
 (** Cancel pending timers (session torn down). *)

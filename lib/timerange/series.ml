@@ -1,7 +1,6 @@
 type 'a t = (Span.t * 'a) array
 
 let empty = [||]
-let is_empty s = Array.length s = 0
 
 let compare_event (sa, _) (sb, _) = Span.compare sa sb
 
@@ -57,16 +56,6 @@ let to_span_set s =
 let size s = Span_set.size (to_span_set s)
 let fold f s acc = Array.fold_left (fun acc (sp, x) -> f sp x acc) acc s
 let iter f s = Array.iter (fun (sp, x) -> f sp x) s
-
-let map f s =
-  let b = builder () in
-  iter (fun sp x -> add b sp (f x)) s;
-  build b
-
-let map_spans f s =
-  let b = builder () in
-  iter (fun sp x -> add b (f sp) x) s;
-  build b
 
 (* Count-then-fill (DESIGN.md, "Allocation discipline"): one counting
    pass, one exactly sized result array, no list intermediates.
@@ -146,13 +135,6 @@ let clip window s =
     out
   end
 
-let events_in window s =
-  List.filter (fun (sp, _) -> Span.overlaps window sp) (to_list s)
-
-let pp pp_data ppf s =
-  let pp_event ppf (sp, x) =
-    Format.fprintf ppf "%a:%a" Span.pp sp pp_data x
-  in
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_event)
-    (to_list s)
+module Private = struct
+  let to_list = to_list
+end

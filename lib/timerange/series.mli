@@ -11,13 +11,11 @@
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 
 val of_list : (Span.t * 'a) list -> 'a t
 (** Sorts events by span (start, then stop).  Overlapping events are
     allowed and preserved. *)
 
-val to_list : 'a t -> (Span.t * 'a) list
 val cardinal : 'a t -> int
 
 val to_span_set : 'a t -> Span_set.t
@@ -26,9 +24,6 @@ val to_span_set : 'a t -> Span_set.t
 val size : 'a t -> Time_us.t
 (** [size s] is [Span_set.size (to_span_set s)] — overlapping events are
     not double-counted, matching the paper's set-size measure. *)
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-val map_spans : (Span.t -> Span.t) -> 'a t -> 'a t
 
 val filter : (Span.t -> 'a -> bool) -> 'a t -> 'a t
 val fold : (Span.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
@@ -44,9 +39,6 @@ val clip : Span.t -> 'a t -> 'a t
     it (payloads untouched).  A series whose events all lie inside the
     window is its own clip. *)
 
-val events_in : Span.t -> 'a t -> (Span.t * 'a) list
-(** Drill-down: the events overlapping a window of interest. *)
-
 type 'a builder
 
 val builder : unit -> 'a builder
@@ -56,4 +48,9 @@ val build : 'a builder -> 'a t
     one linear pass and sorts (stably) only when it finds events out of
     order. *)
 
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
+(**/**)
+
+(** The events as a list, for tests that compare series. *)
+module Private : sig
+  val to_list : 'a t -> (Span.t * 'a) list
+end

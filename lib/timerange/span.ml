@@ -21,7 +21,6 @@ let of_duration start len =
 let start s = s.start
 let stop s = s.stop
 let length s = s.stop - s.start
-let shift d s = { start = s.start + d; stop = s.stop + d }
 let contains s t = s.start <= t && t < s.stop
 let overlaps a b = a.start < b.stop && b.start < a.stop
 let touches a b = a.start <= b.stop && b.start <= a.stop

@@ -32,9 +32,6 @@ val stop : t -> Time_us.t
 val length : t -> Time_us.t
 (** [length s] is [stop s - start s], always positive. *)
 
-val shift : Time_us.t -> t -> t
-(** [shift d s] translates [s] by [d] (which may be negative). *)
-
 val contains : t -> Time_us.t -> bool
 (** [contains s t] tests [start s <= t < stop s]. *)
 

@@ -101,59 +101,6 @@ let find_covering t s =
 
 let mem t s = find_covering t s >= 0
 
-let span_at t s =
-  let i = find_covering t s in
-  if i >= 0 then Some s.(i) else None
-
-(* O(log n) locate + O(n) splice: find the (possibly empty) run of spans
-   touching [sp], replace it by the single merged span.  Both binary
-   searches exploit canonical form: starts and stops are strictly
-   increasing. *)
-let add sp s =
-  let n = Array.length s in
-  if n = 0 then [| sp |]
-  else begin
-    let sp_start = Span.start sp and sp_stop = Span.stop sp in
-    (* First index whose stop reaches sp (stop >= sp_start). *)
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Span.stop s.(mid) < sp_start then lo := mid + 1 else hi := mid
-    done;
-    let first = !lo in
-    (* First index starting after sp (start > sp_stop); the touching run
-       is [first, after). *)
-    let lo = ref first and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Span.start s.(mid) <= sp_stop then lo := mid + 1 else hi := mid
-    done;
-    let after = !lo in
-    if first >= after then begin
-      (* Nothing touches: insert at [first]. *)
-      let out = Array.make (n + 1) Span.filler in
-      Array.blit s 0 out 0 first;
-      out.(first) <- sp;
-      Array.blit s first out (first + 1) (n - first);
-      out
-    end
-    else begin
-      let run_start = Span.start s.(first) in
-      let run_stop = Span.stop s.(after - 1) in
-      let merged_start = min sp_start run_start in
-      let merged_stop = max sp_stop run_stop in
-      if after - first = 1 && merged_start = run_start && merged_stop = run_stop
-      then s (* already covered *)
-      else begin
-        let out = Array.make (n - (after - first) + 1) Span.filler in
-        Array.blit s 0 out 0 first;
-        out.(first) <- Span.v merged_start merged_stop;
-        Array.blit s after out (first + 1) (n - after);
-        out
-      end
-    end
-  end
-
 (* Two-pointer merge over the already-sorted inputs, coalescing on the
    fly into an array of the maximal possible size. *)
 let union a b =
@@ -302,14 +249,11 @@ let filter f s =
     if !k = n then s else Array.sub out 0 !k
   end
 
-let longer_than d s = filter (fun sp -> Span.length sp > d) s
-let fold f s acc = Array.fold_left (fun acc sp -> f sp acc) acc s
 let iter f s = Array.iter f s
 
-let equal a b =
-  Array.length a = Array.length b && Array.for_all2 Span.equal a b
-
-let pp ppf s =
-  Format.fprintf ppf "{@[%a@]}"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space Span.pp)
-    (to_list s)
+module Private = struct
+  let cardinal = cardinal
+  let complement = complement
+  let hull = hull
+  let filter = filter
+end

@@ -24,13 +24,9 @@ val of_span_array : Span.t array -> t
     ownership of the array: pass a fresh one. *)
 
 val of_span : Span.t -> t
-val add : Span.t -> t -> t
 
 val to_list : t -> Span.t list
 (** Spans in increasing order, pairwise disjoint and non-adjacent. *)
-
-val cardinal : t -> int
-(** Number of maximal spans. *)
 
 val size : t -> Time_us.t
 (** Total covered time: the paper's "series size", numerator of every
@@ -39,30 +35,30 @@ val size : t -> Time_us.t
 val mem : Time_us.t -> t -> bool
 (** Point membership (binary search). *)
 
-val span_at : Time_us.t -> t -> Span.t option
-(** The covering span of an instant, if any. *)
-
 val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t
 
-val complement : within:Span.t -> t -> t
-(** [complement ~within s] is the part of [within] not covered by [s]. *)
-
 val clip : Span.t -> t -> t
 (** Restriction to a window. *)
 
-val hull : t -> Span.t option
-(** Smallest span covering the whole set, if non-empty. *)
-
-val filter : (Span.t -> bool) -> t -> t
-(** Keeps maximal spans satisfying the predicate.  The result is already
-    canonical because dropping spans cannot create adjacency. *)
-
-val longer_than : Time_us.t -> t -> t
-(** Spans with [length > d]: used by detectors hunting for long gaps. *)
-
-val fold : (Span.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Span.t -> unit) -> t -> unit
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
+
+(**/**)
+
+(** Set operations only the audit and the tests use from outside, for
+    tests of the span-set algebra. *)
+module Private : sig
+  val cardinal : t -> int
+  (** Number of maximal spans. *)
+
+  val complement : within:Span.t -> t -> t
+  (** [complement ~within s] is the part of [within] not covered by [s]. *)
+
+  val hull : t -> Span.t option
+  (** Smallest span covering the whole set, if non-empty. *)
+
+  val filter : (Span.t -> bool) -> t -> t
+  (** Keeps maximal spans satisfying the predicate.  The result is already
+      canonical because dropping spans cannot create adjacency. *)
+end

@@ -2,16 +2,11 @@ type t = int
 
 let zero = 0
 let of_s s = int_of_float (Float.round (s *. 1_000_000.))
-let of_ms ms = int_of_float (Float.round (ms *. 1_000.))
-let of_us us = us
 let to_s t = float_of_int t /. 1_000_000.
 let to_ms t = float_of_int t /. 1_000.
 let ( + ) = Stdlib.( + )
 let ( - ) = Stdlib.( - )
-let min = Stdlib.min
-let max = Stdlib.max
 let compare = Int.compare
-let equal = Int.equal
 
 let pp ppf t =
   let a = abs t in
@@ -19,4 +14,3 @@ let pp ppf t =
   else if a < 1_000_000 then Format.fprintf ppf "%.3gms" (to_ms t)
   else Format.fprintf ppf "%.4gs" (to_s t)
 
-let to_string t = Format.asprintf "%a" pp t

@@ -15,12 +15,6 @@ val of_s : float -> t
 (** [of_s s] converts seconds (possibly fractional) to microseconds,
     rounding to the nearest microsecond. *)
 
-val of_ms : float -> t
-(** [of_ms ms] converts milliseconds to microseconds. *)
-
-val of_us : int -> t
-(** Identity; documents intent at call sites. *)
-
 val to_s : t -> float
 (** [to_s t] converts back to (fractional) seconds. *)
 
@@ -30,13 +24,8 @@ val to_ms : t -> float
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 
-val min : t -> t -> t
-val max : t -> t -> t
-
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Prints a human-readable duration, picking µs/ms/s units. *)
 
-val to_string : t -> string

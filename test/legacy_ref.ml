@@ -21,6 +21,47 @@ module Endpoint = Tdat_pkt.Endpoint
 module Trace = Tdat_pkt.Trace
 module P = Tdat_pkt.Pcap
 
+(* MRT FSM state codes (RFC 6396 §4.4.1). *)
+let fsm_state_of_code = function
+  | 1 -> Some Mrt.Idle
+  | 2 -> Some Mrt.Connect
+  | 3 -> Some Mrt.Active
+  | 4 -> Some Mrt.Open_sent
+  | 5 -> Some Mrt.Open_confirm
+  | 6 -> Some Mrt.Established
+  | _ -> None
+
+(* Which way a segment travels on [flow]; [None] when it belongs to
+   another connection. *)
+let flow_direction (flow : Tdat_pkt.Flow.t) (seg : Seg.t) =
+  let open Tdat_pkt.Flow in
+  if Endpoint.equal seg.Seg.src flow.sender
+     && Endpoint.equal seg.Seg.dst flow.receiver
+  then Some To_receiver
+  else if Endpoint.equal seg.Seg.src flow.receiver
+          && Endpoint.equal seg.Seg.dst flow.sender
+  then Some To_sender
+  else None
+
+(* What an archived entry says about its session, as the summary fold
+   reports it. *)
+let kind_of_msg = function
+  | Msg.Open _ -> Mrt.Kind.Open
+  | Msg.Update _ -> Mrt.Kind.Update
+  | Msg.Notification _ -> Mrt.Kind.Notification
+  | Msg.Keepalive -> Mrt.Kind.Keepalive
+
+let kind_of_new_state = function
+  | Mrt.Established -> Mrt.Kind.Up
+  | Mrt.Idle | Mrt.Connect | Mrt.Active | Mrt.Open_sent | Mrt.Open_confirm ->
+      Mrt.Kind.Down
+
+(* Segments by capture time, then sequence number. *)
+let compare_ts (a : Seg.t) (b : Seg.t) =
+  match Int.compare a.Seg.ts b.Seg.ts with
+  | 0 -> Int.compare a.Seg.seq b.Seg.seq
+  | c -> c
+
 (* --- legacy BGP message decode chain ---------------------------------- *)
 
 let prefix_decode s off =
@@ -36,7 +77,10 @@ let prefix_decode s off =
   for i = 0 to nbytes - 1 do
     u := !u lor (Char.code s.[off + 1 + i] lsl (24 - (8 * i)))
   done;
-  (Prefix.v (Int32.of_int !u) plen, off + 1 + nbytes)
+  let u = !u in
+  ( Prefix.of_quad (u lsr 24) ((u lsr 16) land 0xFF) ((u lsr 8) land 0xFF)
+      (u land 0xFF) plen,
+    off + 1 + nbytes )
 
 let as_path_decode s =
   let len = String.length s in
@@ -470,7 +514,7 @@ let reader_of_string data =
     pos := !pos + n;
     n
 
-(* The decoded segments in [Tcp_segment.compare_ts] order, sorted here
+(* The decoded segments in [compare_ts] order, sorted here
    by a frozen [List.stable_sort] rather than by [Trace]'s columnar
    sort, so the oracle shares no code with the trace it checks. *)
 type pcap_result = {
@@ -499,7 +543,7 @@ let pcap_decode_result ?(strict = false) data =
         ]
     else diags
   in
-  { segments = List.stable_sort Seg.compare_ts (List.rev segs); diags; stats }
+  { segments = List.stable_sort compare_ts (List.rev segs); diags; stats }
 
 (* --- legacy MRT decode ------------------------------------------------- *)
 
@@ -573,7 +617,7 @@ let mrt_parse_body ~idx ~sec ~ty ~subtype body =
       else begin
         let old_code = u16 body (p + 16) in
         let new_code = u16 body (p + 18) in
-        match (M.fsm_state_of_code old_code, M.fsm_state_of_code new_code) with
+        match (fsm_state_of_code old_code, fsm_state_of_code new_code) with
         | Some old_state, Some new_state ->
             `Entry
               (M.State
@@ -770,7 +814,7 @@ let detect_timer gen =
   detect_timer_gaps
     (List.map
        (fun (sp, _) -> Tdat_timerange.Span.length sp)
-       (Tdat_timerange.Series.to_list
+       (Tdat_timerange.Series.Private.to_list
           (Tdat.Series_gen.events gen Tdat.Series_defs.Send_app_limited)))
 
 (* --- legacy L-method knee (O(n^2)) ---------------------------------------- *)
@@ -999,7 +1043,7 @@ let split_connection t ~sender ~receiver =
   let n = Trace.length t in
   let count = ref 0 in
   for i = 0 to n - 1 do
-    if Tdat_pkt.Flow.matches flow (Trace.get t i) then incr count
+    if flow_direction flow (Trace.get t i) <> None then incr count
   done;
   if !count = 0 then Trace.of_segments ~voids:(Trace.voids t) []
   else begin
@@ -1007,7 +1051,7 @@ let split_connection t ~sender ~receiver =
     let k = ref 0 in
     for i = 0 to n - 1 do
       let seg = Trace.get t i in
-      if Tdat_pkt.Flow.matches flow seg then begin
+      if flow_direction flow seg <> None then begin
         out.(!k) <- seg;
         incr k
       end
@@ -1021,7 +1065,7 @@ let split_connection t ~sender ~receiver =
    copy of the decision rule, and the [of_timed_msgs] adapter that fed it
    extracted messages: the reference the streaming scan and the shared
    rule of [Mct] are both checked against. *)
-let transfer_end ?(config = Mct.default_config) ~start updates :
+let transfer_end ?(config = Mct.Private.default_config) ~start updates :
     Mct.result option =
   let seen : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 1024 in
   let relevant = List.filter (fun (ts, _) -> ts >= start) updates in
@@ -1192,10 +1236,10 @@ module Entry_scan = struct
     | Mrt.State s ->
         Detect.observe d ~ts:s.Mrt.sc_ts ~peer_as:s.Mrt.sc_peer_as
           ~peer_ip:(ip s.Mrt.sc_peer_ip)
-          ~kind:(Mrt.Kind.of_new_state s.Mrt.new_state) ~nlri:0
+          ~kind:(kind_of_new_state s.Mrt.new_state) ~nlri:0
     | Mrt.Message r ->
         Detect.observe d ~ts:r.Mrt.ts ~peer_as:r.Mrt.peer_as
-          ~peer_ip:(ip r.Mrt.peer_ip) ~kind:(Mrt.Kind.of_msg r.Mrt.msg)
+          ~peer_ip:(ip r.Mrt.peer_ip) ~kind:(kind_of_msg r.Mrt.msg)
           ~nlri:(Msg.nlri_count r.Mrt.msg)
 
   let over_entries ?config ?source entries =
@@ -1611,12 +1655,12 @@ module Shift_ref = struct
        to permute) skips it, and the result is the same either way. *)
     let strictly_increasing =
       let k = ref 1 in
-      while !k < n && Seg.compare_ts shifted.(!k - 1) shifted.(!k) < 0 do
+      while !k < n && compare_ts shifted.(!k - 1) shifted.(!k) < 0 do
         incr k
       done;
       !k >= n
     in
-    if not strictly_increasing then Array.sort Seg.compare_ts shifted;
+    if not strictly_increasing then Array.sort compare_ts shifted;
     ( { profile with Profile_ref.acks = shifted },
       List.rev !infos )
 
@@ -2372,8 +2416,8 @@ module Mrt_fill = struct
         if subtype = subtype_message then message ~ts body p len
         else
           match
-            ( M.fsm_state_of_code (u16 body (p + 16)),
-              M.fsm_state_of_code (u16 body (p + 18)) )
+            ( fsm_state_of_code (u16 body (p + 16)),
+              fsm_state_of_code (u16 body (p + 18)) )
           with
           | Some old_state, Some new_state ->
               state ~ts body p ~old_state ~new_state
@@ -2497,7 +2541,7 @@ module Mrt_fill = struct
     let state ~ts body p ~old_state:_ ~new_state =
       acc :=
         f !acc ~ts ~peer_as:(u16 body p) ~peer_ip:(u32 body (p + 8))
-          ~kind:(M.Kind.of_new_state new_state) ~nlri:0;
+          ~kind:(kind_of_new_state new_state) ~nlri:0;
       State_entry
     in
     let stats = frame ?strict ?on_diag fill (parse_body ~message ~state) in

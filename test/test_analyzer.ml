@@ -30,7 +30,7 @@ let test_label_in_order () =
   let p =
     profile_of [ data ~ts:10 ~seq:0 100; data ~ts:20 ~seq:100 100 ]
   in
-  Alcotest.(check int) "no retransmissions" 0 (Conn_profile.retransmissions p);
+  Alcotest.(check int) "no retransmissions" 0 (Conn_profile.Private.retransmissions p);
   Alcotest.(check bool) "all in order" true
     (List.for_all (( = ) Conn_profile.In_order) (labels p))
 
@@ -41,7 +41,7 @@ let test_label_redelivery () =
       [ data ~ts:10 ~seq:0 100; data ~ts:500_000 ~seq:0 100;
         data ~ts:500_010 ~seq:100 100 ]
   in
-  Alcotest.(check int) "one retransmission" 1 (Conn_profile.retransmissions p);
+  Alcotest.(check int) "one retransmission" 1 (Conn_profile.Private.retransmissions p);
   Alcotest.(check int) "one downstream episode" 1
     (List.length p.Conn_profile.downstream_episodes);
   Alcotest.(check int) "no upstream episode" 0

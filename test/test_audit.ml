@@ -33,7 +33,10 @@ let arb_spans =
     return (Span.v a (a + len))
   in
   QCheck.make
-    ~print:(fun l -> Format.asprintf "%a" Span_set.pp (Span_set.of_spans l))
+    ~print:(fun l ->
+      Format.asprintf "%a"
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Span.pp)
+        (Span_set.to_list (Span_set.of_spans l)))
     (list_size (int_bound 30) gen_span)
 
 let canonical set = Checks.canonical_set set = []
@@ -60,7 +63,7 @@ let prop_diff_canonical =
 let prop_complement_canonical =
   prop "complement is canonical" arb_spans (fun l ->
       canonical
-        (Span_set.complement ~within:(Span.v 0 6_000) (Span_set.of_spans l)))
+        (Span_set.Private.complement ~within:(Span.v 0 6_000) (Span_set.of_spans l)))
 
 (* --- A001 corruption: raw lists that are not canonical ------------------ *)
 
@@ -69,13 +72,13 @@ let test_a001_detects_corruption () =
   let adjacent = [ Span.v 0 100; Span.v 100 200 ] in
   let unsorted = [ Span.v 500 600; Span.v 0 100 ] in
   Alcotest.(check bool) "overlap flagged" true
-    (has_code "A001" (Checks.canonical_spans overlap));
+    (has_code "A001" (Checks.Private.canonical_spans overlap));
   Alcotest.(check bool) "adjacency flagged" true
-    (has_code "A001" (Checks.canonical_spans adjacent));
+    (has_code "A001" (Checks.Private.canonical_spans adjacent));
   Alcotest.(check bool) "disorder flagged" true
-    (has_code "A001" (Checks.canonical_spans unsorted));
+    (has_code "A001" (Checks.Private.canonical_spans unsorted));
   check_clean "canonical list"
-    (Checks.canonical_spans [ Span.v 0 100; Span.v 200 300 ])
+    (Checks.Private.canonical_spans [ Span.v 0 100; Span.v 200 300 ])
 
 (* --- A002/A003: trace sanity on hand-built segments --------------------- *)
 

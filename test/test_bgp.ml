@@ -16,7 +16,7 @@ let test_prefix_basics () =
   let default = Prefix.of_quad 1 2 3 4 0 in
   Alcotest.(check string) "default route" "0.0.0.0/0" (Prefix.to_string default);
   Alcotest.check_raises "bad length" (Invalid_argument "Prefix.v: bad length 33")
-    (fun () -> ignore (Prefix.v 0l 33))
+    (fun () -> ignore (Prefix.of_quad 0 0 0 0 33))
 
 let test_prefix_codec () =
   let cases =
@@ -27,10 +27,10 @@ let test_prefix_codec () =
     (fun p ->
       let buf = Buffer.create 8 in
       Prefix.encode buf p;
-      let decoded, off = Prefix.decode (Buffer.contents buf) 0 in
-      Alcotest.(check bool)
-        (Prefix.to_string p ^ " roundtrips")
-        true (Prefix.equal p decoded);
+      let decoded, off =
+        Prefix.decode_slice (Tdat_pkt.Slice.of_string (Buffer.contents buf)) 0
+      in
+      Alcotest.(check bool) (Prefix.to_string p ^ " roundtrips") true (p = decoded);
       Alcotest.(check int) "consumed all" (Buffer.length buf) off)
     cases
 
@@ -40,9 +40,10 @@ let test_as_path_codec () =
   let path = [ As_path.Seq [ 64500; 64501 ]; As_path.Set [ 64502; 64503 ] ] in
   let buf = Buffer.create 16 in
   As_path.encode buf path;
-  let decoded = As_path.decode (Buffer.contents buf) in
-  Alcotest.(check bool) "roundtrip" true (As_path.equal path decoded);
-  Alcotest.(check int) "hop count (set = 1)" 3 (As_path.hop_count path)
+  let decoded =
+    As_path.decode_slice (Tdat_pkt.Slice.of_string (Buffer.contents buf))
+  in
+  Alcotest.(check bool) "roundtrip" true (path = decoded)
 
 let test_attr_codec () =
   let attrs =
@@ -56,7 +57,9 @@ let test_attr_codec () =
   in
   let buf = Buffer.create 64 in
   List.iter (Attr.encode buf) attrs;
-  let decoded = Attr.decode_all (Buffer.contents buf) in
+  let decoded =
+    Attr.decode_all_slice (Tdat_pkt.Slice.of_string (Buffer.contents buf))
+  in
   Alcotest.(check int) "count" 5 (List.length decoded);
   Alcotest.(check bool) "same signature" true
     (Attr.signature attrs = Attr.signature decoded)
@@ -88,8 +91,8 @@ let test_msg_roundtrip () =
   List.iter
     (fun m ->
       let bytes = Msg.encode m in
-      Alcotest.(check int) "declared length matches"
-        (String.length bytes) (Msg.encoded_size m);
+      Alcotest.(check (option int)) "declared length matches"
+        (Some (String.length bytes)) (Msg.peek_length bytes 0);
       match Msg.decode bytes 0 with
       | Some (decoded, fin) ->
           Alcotest.(check int) "consumed all" (String.length bytes) fin;
@@ -120,8 +123,22 @@ let gen_table n =
 let test_table_generation () =
   let t = gen_table 500 in
   Alcotest.(check int) "count" 500 (List.length t);
-  let distinct = List.sort_uniq Prefix.compare (Table.prefixes t) in
+  let distinct =
+    List.sort_uniq compare (List.map (fun r -> r.Table.prefix) t)
+  in
   Alcotest.(check int) "all distinct" 500 (List.length distinct)
+
+(* The routes a list of UPDATEs announces: the inverse of
+   [Update_gen.pack]. *)
+let unpack msgs =
+  List.concat_map
+    (function
+      | Msg.Update u ->
+          List.map
+            (fun prefix -> { Table.prefix; attrs = u.Msg.attrs })
+            u.Msg.nlri
+      | Msg.Open _ | Msg.Keepalive | Msg.Notification _ -> [])
+    msgs
 
 let test_pack_unpack () =
   let t = gen_table 400 in
@@ -131,9 +148,9 @@ let test_pack_unpack () =
   List.iter
     (fun m ->
       Alcotest.(check bool) "within max size" true
-        (Msg.encoded_size m <= Msg.max_size))
+        (String.length (Msg.encode m) <= Msg.max_size))
     msgs;
-  let back = Update_gen.unpack msgs in
+  let back = unpack msgs in
   let norm tbl =
     List.sort compare
       (List.map
@@ -193,7 +210,7 @@ let test_reassembly_retransmission () =
   Alcotest.(check string) "no duplication" "abcdef"
     (Stream_reassembly.contiguous r);
   Alcotest.(check int) "duplicate bytes counted" 3
-    (Stream_reassembly.duplicate_bytes r)
+    (Stream_reassembly.Private.duplicate_bytes r)
 
 let test_reassembly_overlap_and_gaps () =
   let r =
@@ -206,7 +223,7 @@ let test_reassembly_overlap_and_gaps () =
   in
   Alcotest.(check string) "overlap merged" "abcdef"
     (Stream_reassembly.contiguous r);
-  Alcotest.(check int) "one open gap" 1 (Stream_reassembly.total_gaps r)
+  Alcotest.(check int) "one open gap" 1 (Stream_reassembly.Private.total_gaps r)
 
 (* --- Msg_reader ----------------------------------------------------------- *)
 
@@ -222,7 +239,7 @@ let test_msg_reader_extracts_with_timestamps () =
         (String.sub stream half (String.length stream - half));
     ]
   in
-  let msgs = Msg_reader.extract (Legacy_ref.Fresh_reasm.of_segments segs) in
+  let msgs = Msg_reader.Private.extract (Legacy_ref.Fresh_reasm.of_segments segs) in
   Alcotest.(check int) "two messages" 2 (List.length msgs);
   let first = List.hd msgs in
   Alcotest.(check int) "first completed by second segment" 20
@@ -258,8 +275,8 @@ let test_mrt_roundtrip () =
   in
   let back =
     Mrt.messages
-      (Mrt.decode_result ~strict:true
-         (Mrt.encode_entries (List.map (fun r -> Mrt.Message r) records)))
+      (Archive_file.read ~strict:true
+         (Archive_file.encode (List.map (fun r -> Mrt.Message r) records)))
         .Mrt.entries
   in
   Alcotest.(check int) "count" 2 (List.length back);
@@ -296,7 +313,7 @@ let test_mct_quiet_gap () =
     [ (1_000_000, prefixes_chunk 0 100); (2_000_000, prefixes_chunk 100 100);
       (60_000_000, prefixes_chunk 200 100) (* after a long silence *) ]
   in
-  let config = { Mct.default_config with Mct.quiet_gap = 30_000_000 } in
+  let config = { Mct.Private.default_config with Mct.quiet_gap = 30_000_000 } in
   match Mct.transfer_end ~config ~start:0 updates with
   | None -> Alcotest.fail "no transfer found"
   | Some r -> Alcotest.(check int) "quiet gap ends transfer" 2_000_000 r.Mct.end_ts

@@ -26,11 +26,12 @@ let test_mrt_matches_table () =
            match r.Tdat_bgp.Mrt.msg with
            | Msg.Update u -> u.Msg.nlri
            | _ -> [])
-    |> List.sort_uniq Tdat_bgp.Prefix.compare
+    |> List.sort_uniq compare
   in
   let truth =
-    Tdat_bgp.Table.prefixes o.Scenario.table
-    |> List.sort_uniq Tdat_bgp.Prefix.compare
+    o.Scenario.table
+    |> List.map (fun (r : Tdat_bgp.Table.route) -> r.Tdat_bgp.Table.prefix)
+    |> List.sort_uniq compare
   in
   Alcotest.(check int) "archive holds the whole table" (List.length truth)
     (List.length announced);
@@ -59,7 +60,7 @@ let test_greedy_sender_fast () =
   let _, o_greedy = run_one ~prefixes:600 () in
   let _, o_paced = run_one ~timer_interval:200_000 ~quota:5 ~prefixes:600 () in
   let duration o =
-    match Trace.window o.Scenario.trace with
+    match Trace.Private.window o.Scenario.trace with
     | Some w -> Tdat_timerange.Span.length w
     | None -> 0
   in

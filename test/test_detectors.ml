@@ -214,17 +214,23 @@ let test_custom_series () =
      with set algebra and quantify them like built-ins. *)
   let segs = paced_transfer ~period:200_000 ~jitter:0 ~bursts:20 in
   let gen = gen_of segs in
-  Series_gen.define_union gen ~name:"activity"
-    [ Series_defs.Transmission; Series_defs.Outstanding ];
-  Series_gen.define_inter gen ~name:"app-during-loss"
-    [ Series_defs.Send_app_limited; Series_defs.All_loss ];
+  Series_gen.Private.define gen ~name:"activity"
+    (Series_gen.union_spans gen
+       [ Series_defs.Transmission; Series_defs.Outstanding ]);
+  Series_gen.Private.define gen ~name:"app-during-loss"
+    (Tdat_timerange.Span_set.inter
+       (Series_gen.spans gen Series_defs.Send_app_limited)
+       (Series_gen.spans gen Series_defs.All_loss));
   Alcotest.(check (list string)) "registered" [ "activity"; "app-during-loss" ]
     (Series_gen.custom_names gen);
-  (match Series_gen.custom_ratio gen "activity" with
+  let custom_ratio name =
+    Option.map (Series_gen.ratio_of_spans gen) (Series_gen.custom gen name)
+  in
+  (match custom_ratio "activity" with
   | Some r -> Alcotest.(check bool) "activity ratio positive" true (r > 0.)
   | None -> Alcotest.fail "activity missing");
   Alcotest.(check (option (float 1e-9))) "empty intersection" (Some 0.)
-    (Series_gen.custom_ratio gen "app-during-loss");
+    (custom_ratio "app-during-loss");
   Alcotest.(check bool) "unknown name" true (Series_gen.custom gen "nope" = None)
 
 let suite =

@@ -202,7 +202,7 @@ let gen_entry =
 let gen_mrt_bytes =
   QCheck.Gen.(
     let* entries = list_size (int_range 0 15) gen_entry in
-    let data = Mrt.encode_entries entries in
+    let data = Archive_file.encode entries in
     gen_mutated data)
 
 let arb_mrt_bytes =
@@ -240,7 +240,7 @@ let decode_props =
     prop ~count:300 "mrt slice decode == legacy decode (salvage mode)"
       arb_mrt_bytes
       (fun data ->
-        let a = Mrt.decode_result data in
+        let a = Archive_file.read data in
         let b = Legacy_ref.mrt_decode_result data in
         a.Mrt.entries = b.Mrt.entries
         && a.Mrt.diags = b.Mrt.diags
@@ -248,7 +248,7 @@ let decode_props =
     prop ~count:300 "mrt slice decode == legacy decode (strict mode)"
       arb_mrt_bytes
       (fun data ->
-        let a = outcome (fun () -> Mrt.decode_result ~strict:true data) in
+        let a = outcome (fun () -> Archive_file.read ~strict:true data) in
         let b =
           outcome (fun () -> Legacy_ref.mrt_decode_result ~strict:true data)
         in
@@ -258,26 +258,14 @@ let decode_props =
         | _ -> false);
   ]
 
-(* --- the three pcap entry points decode alike ---------------------------- *)
-
-(* A reader over [data] that hands out at most the next chunk size of
-   [chunks] (cycled) per call: short reads at random boundaries. *)
-let short_reader data chunks =
-  let pos = ref 0 and k = ref 0 in
-  fun buf off len ->
-    let chunk = chunks.(!k mod Array.length chunks) in
-    incr k;
-    let n = min (min len chunk) (String.length data - !pos) in
-    Bytes.blit_string data !pos buf off n;
-    pos := !pos + n;
-    n
+(* --- the two pcap entry points decode alike ------------------------------ *)
 
 let same_result (a : Pcap.result) (b : Pcap.result) =
   Trace.segments a.trace = Trace.segments b.trace
   && a.diags = b.diags && a.stats = b.stats
 
 (* Each entry point's outcome in one mode: the result, or the error. *)
-let entry_points ~strict data chunks =
+let entry_points ~strict data =
   let path = Filename.temp_file "tdat_entry" ".pcap" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -286,32 +274,24 @@ let entry_points ~strict data chunks =
       [
         outcome (fun () -> Pcap.decode_result ~strict data);
         outcome (fun () -> Pcap.read_file ~strict path);
-        outcome (fun () ->
-            Pcap.read_source ~strict (short_reader data chunks));
       ])
 
 let entry_props =
   let arb =
     QCheck.make
-      ~print:(fun (s, chunks) ->
-        Printf.sprintf "capture of %d bytes, reads of [%s]" (String.length s)
-          (String.concat "; " (Array.to_list (Array.map string_of_int chunks))))
-      QCheck.Gen.(
-        pair gen_pcap_bytes
-          (array_size (int_range 1 6)
-             (frequency [ (3, int_range 1 20); (1, int_range 21 5_000) ])))
+      ~print:(fun s -> Printf.sprintf "capture of %d bytes" (String.length s))
+      gen_pcap_bytes
   in
   List.map
     (fun strict ->
       prop ~count:300
-        (Printf.sprintf
-           "decode_result == read_file == read_source (short reads, %s)"
+        (Printf.sprintf "decode_result == read_file (%s)"
            (if strict then "strict" else "salvage"))
         arb
-        (fun (data, chunks) ->
-          match entry_points ~strict data chunks with
-          | [ Ok a; Ok b; Ok c ] -> same_result a b && same_result a c
-          | [ Error a; Error b; Error c ] -> a = b && a = c
+        (fun data ->
+          match entry_points ~strict data with
+          | [ Ok a; Ok b ] -> same_result a b
+          | [ Error a; Error b ] -> a = b
           | _ -> false))
     [ false; true ]
 
@@ -384,7 +364,7 @@ let reasm_props =
             Legacy_ref.Fresh_reasm.feed r seg;
             Legacy_ref.List_reasm.feed l seg)
           segs;
-        let n = Stream_reassembly.contiguous_length r in
+        let n = Stream_reassembly.Private.contiguous_length r in
         let same off =
           Stream_reassembly.delivery_time r off
           = Legacy_ref.List_reasm.delivery_time l off
@@ -399,8 +379,8 @@ let reasm_props =
         && List.for_all same (List.init ((n + 36) / 37) (fun i -> i * 37))
         && List.for_all same (List.init n (fun i -> n - 1 - i))
         && List.for_all same scattered
-        && Stream_reassembly.total_gaps r = Legacy_ref.List_reasm.total_gaps l
-        && Stream_reassembly.duplicate_bytes r
+        && Stream_reassembly.Private.total_gaps r = Legacy_ref.List_reasm.total_gaps l
+        && Stream_reassembly.Private.duplicate_bytes r
            = Legacy_ref.List_reasm.duplicate_bytes l);
     prop ~count:300 "delivery-time cursor survives interleaved feeds"
       arb_reasm_segments (fun segs ->
@@ -412,7 +392,7 @@ let reasm_props =
           (fun seg ->
             Legacy_ref.Fresh_reasm.feed r seg;
             Legacy_ref.List_reasm.feed l seg;
-            let n = Stream_reassembly.contiguous_length r in
+            let n = Stream_reassembly.Private.contiguous_length r in
             n = 0
             || Stream_reassembly.delivery_time r (n - 1)
                = Legacy_ref.List_reasm.delivery_time l (n - 1)
@@ -439,7 +419,9 @@ let partition_matches t =
 let reassembly_matches t ~flow =
   let data =
     List.filter
-      (fun s -> Flow.is_to_receiver flow s && Seg.is_data s)
+      (fun s ->
+        Legacy_ref.flow_direction flow s = Some Flow.To_receiver
+        && Seg.is_data s)
       (Trace.segments t)
   in
   let base =
@@ -453,17 +435,17 @@ let reassembly_matches t ~flow =
     Msg_reader.reassemble_from_trace ~scratch:(Legacy_ref.Fresh_reasm.cell ()) t
       ~flow
   in
-  let n = Stream_reassembly.contiguous_length r in
-  n = Stream_reassembly.contiguous_length reference
+  let n = Stream_reassembly.Private.contiguous_length r in
+  n = Stream_reassembly.Private.contiguous_length reference
   && Stream_reassembly.contiguous r = Stream_reassembly.contiguous reference
   && List.for_all
        (fun off ->
          Stream_reassembly.delivery_time r off
          = Stream_reassembly.delivery_time reference off)
        (List.init n Fun.id)
-  && Stream_reassembly.total_gaps r = Stream_reassembly.total_gaps reference
-  && Stream_reassembly.duplicate_bytes r
-     = Stream_reassembly.duplicate_bytes reference
+  && Stream_reassembly.Private.total_gaps r = Stream_reassembly.Private.total_gaps reference
+  && Stream_reassembly.Private.duplicate_bytes r
+     = Stream_reassembly.Private.duplicate_bytes reference
 
 let column_props =
   [
@@ -570,8 +552,8 @@ let analysis_matches ?window t ~flow =
   && flights infos = ref_flights r_infos
   && List.for_all
        (fun d ->
-         Tdat_timerange.Series.to_list (Series_gen.events g d)
-         = Tdat_timerange.Series.to_list (Legacy_ref.Series_ref.events rg d)
+         Tdat_timerange.Series.Private.to_list (Series_gen.events g d)
+         = Tdat_timerange.Series.Private.to_list (Legacy_ref.Series_ref.events rg d)
          && Span_set.to_list (Series_gen.spans g d)
             = Span_set.to_list (Legacy_ref.Series_ref.spans rg d))
        Tdat.Series_defs.all
@@ -1004,7 +986,7 @@ let check_dense_stream what ~distinct batches =
   let end_ts, _ = List.nth batches (n - 1) in
   List.iter
     (fun max_tag ->
-      scan_both ?max_tag ~config:Mct.default_config batches
+      scan_both ?max_tag ~config:Mct.Private.default_config batches
       |> check_result
            (match max_tag with
            | None -> what
@@ -1350,7 +1332,7 @@ let timer_props =
       (fun t ->
         let before = Array.copy t.gaps in
         let detected =
-          Tdat.Detect_timer.detect_gaps ?min_gap:t.min_gap ?max_gap:t.max_gap
+          Tdat.Detect_timer.Private.detect_gaps ?min_gap:t.min_gap ?max_gap:t.max_gap
             ?min_count:t.min_count ?cluster_fraction:t.cluster_fraction t.gaps
         in
         detected
@@ -1391,7 +1373,7 @@ let gen_study_archive =
                 Mrt.State
                   { s with Mrt.sc_ts = !ts; sc_peer_as = peer_as; sc_peer_ip = peer_ip }
           in
-          let r = Mrt.encode_entries [ entry ] in
+          let r = Archive_file.encode [ entry ] in
           (* ET header (12), microseconds (4), peer fields (16), then the
              message or the two state codes. *)
           let head = String.sub r 0 32 and rest = String.sub r 32 (String.length r - 32) in
@@ -1434,18 +1416,18 @@ let via_entries ~strict ~config data =
   let d = Detect.create ~config ~source:"a" () in
   let diags = ref [] in
   let seen, stats =
-    Mrt.fold_string ~strict ~on_diag:(fun x -> diags := x :: !diags) data
+    Archive_file.fold ~strict ~on_diag:(fun x -> diags := x :: !diags) data
       ~init:[] (fun acc e ->
         Legacy_ref.Entry_scan.feed d e;
         let ip a = Int32.to_int a land 0xFFFF_FFFF in
         match e with
         | Mrt.Message r ->
             ( r.Mrt.ts, r.Mrt.peer_as, ip r.Mrt.peer_ip,
-              Mrt.Kind.of_msg r.Mrt.msg, Msg.nlri_count r.Mrt.msg )
+              Legacy_ref.kind_of_msg r.Mrt.msg, Msg.nlri_count r.Mrt.msg )
             :: acc
         | Mrt.State s ->
             ( s.Mrt.sc_ts, s.Mrt.sc_peer_as, ip s.Mrt.sc_peer_ip,
-              Mrt.Kind.of_new_state s.Mrt.new_state, 0 )
+              Legacy_ref.kind_of_new_state s.Mrt.new_state, 0 )
             :: acc)
   in
   (List.rev seen, List.rev !diags, stats, Detect.finish d)
@@ -1454,7 +1436,7 @@ let via_summary ~strict ~config data =
   let d = Detect.create ~config ~source:"a" () in
   let diags = ref [] in
   let seen, stats =
-    Mrt.fold_summary_string ~strict ~on_diag:(fun x -> diags := x :: !diags)
+    Archive_file.fold_summary ~strict ~on_diag:(fun x -> diags := x :: !diags)
       data ~init:[] (fun acc ~ts ~peer_as ~peer_ip ~kind ~nlri ->
         Detect.observe d ~ts ~peer_as ~peer_ip ~kind ~nlri;
         (ts, peer_as, peer_ip, kind, nlri) :: acc)
@@ -1472,7 +1454,7 @@ let summary_props =
         | Ok a, Ok b -> a = b
         | Error ea, Error eb -> ea = eb
         | _ -> false)
-      [ study_config; Detect.default_config ]
+      [ study_config; Detect.Private.default_config ]
   in
   [
     prop ~count:400 "summary fold == entry fold + Detect.feed (salvage mode)"
@@ -1635,70 +1617,30 @@ let arb_chunked_archive =
     ~print:(fun s -> Printf.sprintf "archive of %d bytes" (String.length s))
     gen_chunked_archive
 
-(* Short reads of random sizes, counting the bytes handed out. *)
-let counted_reader data chunks =
-  let read = short_reader data chunks and taken = ref 0 in
-  ( (fun buf off len ->
-      let n = read buf off len in
-      taken := !taken + n;
-      n),
-    taken )
-
-let gen_read_sizes =
-  QCheck.Gen.(
-    array_size (int_range 1 6)
-      (frequency [ (3, int_range 1 20); (1, int_range 21 20_000) ]))
-
-(* Every in-place path over [data] against the frozen string folds, in
-   both modes: the string folds, [decode_result], the file folds, and
-   [fold_source] over random short reads, which must also leave the
-   reader where the frozen read-as-asked fold left it. *)
-let frames_alike data chunks =
+(* Every file path over [data] against the frozen string folds, in both
+   modes: the entry fold, the summary fold and [read_file]. *)
+let frames_alike data =
   List.for_all
     (fun strict ->
       fresh_chunk ();
       let entries = fill_entries ~strict data in
-      let summaries = fill_summaries ~strict data in
-      (* The reader is left where the fold stopped reading it. *)
-      let via_source fold =
-        let read, taken = counted_reader data chunks in
-        let r =
-          entry_fold (fun ~on_diag ~init f -> fold ~on_diag read ~init f)
-        in
-        (r, !taken)
-      in
-      let in_place = via_source (fun ~on_diag read ~init f ->
-          Mrt.fold_source ~strict ~on_diag read ~init f)
-      in
       with_archive_file data (fun path ->
           entry_fold (fun ~on_diag ~init f ->
-              Mrt.fold_string ~strict ~on_diag data ~init f)
+              Mrt.fold_file ~strict ~on_diag path ~init f)
           = entries
           && summary_fold (fun ~on_diag ~init f ->
-                 Mrt.fold_summary_string ~strict ~on_diag data ~init f)
-             = summaries
-          && outcome (fun () ->
-                 let r = Mrt.decode_result ~strict data in
-                 (r.Mrt.entries, r.Mrt.diags, r.Mrt.stats))
-             = entries
-          && entry_fold (fun ~on_diag ~init f ->
-                 Mrt.fold_file ~strict ~on_diag path ~init f)
-             = entries
-          && summary_fold (fun ~on_diag ~init f ->
                  Mrt.fold_summary_file ~strict ~on_diag path ~init f)
-             = summaries
-          && in_place
-             = via_source (fun ~on_diag read ~init f ->
-                   Fill.fold_read ~strict ~on_diag read ~init f)
-          && fst in_place = entries))
+             = fill_summaries ~strict data
+          && outcome (fun () ->
+                 let r = Mrt.read_file ~strict path in
+                 (r.Mrt.entries, r.Mrt.diags, r.Mrt.stats))
+             = entries))
     [ false; true ]
 
-let arb_with_reads gen =
+let arb_archive gen =
   QCheck.make
-    ~print:(fun (s, chunks) ->
-      Printf.sprintf "archive of %d bytes, reads of [%s]" (String.length s)
-        (String.concat "; " (Array.to_list (Array.map string_of_int chunks))))
-    (QCheck.Gen.pair gen gen_read_sizes)
+    ~print:(fun s -> Printf.sprintf "archive of %d bytes" (String.length s))
+    gen
 
 (* A file that grows while it is read: [data] is written in pieces cut
    at random offsets, the first before the fold starts and each next one
@@ -1748,14 +1690,11 @@ let follow_alike (data, cuts) =
 let frame_props =
   [
     prop ~count:300 "in-place framer == fill-based framer (damaged archives)"
-      (arb_with_reads gen_study_archive) (fun (data, chunks) ->
-        frames_alike data chunks);
+      (arb_archive gen_study_archive) frames_alike;
     prop ~count:300 "in-place framer == fill-based framer (mutated archives)"
-      (arb_with_reads gen_mrt_bytes) (fun (data, chunks) ->
-        frames_alike data chunks);
+      (arb_archive gen_mrt_bytes) frames_alike;
     prop ~count:100 "in-place framer == fill-based framer (across the chunk)"
-      (arb_with_reads gen_chunked_archive) (fun (data, chunks) ->
-        frames_alike data chunks);
+      (arb_archive gen_chunked_archive) frames_alike;
     prop ~count:25 "in-place framer == fill-based framer (a growing file)"
       (QCheck.make
          ~print:(fun (s, cuts) ->

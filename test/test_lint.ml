@@ -5,9 +5,11 @@
    the same for the whole-repo passes: a worker-reachable module-level
    ref must fail with L007, allowlisting it must pass, and a stale
    allowlist must come back as L010.  Also covered: L008 cross-module
-   mutation, the --hot-driven L009 allocation lint, lib/ detection by
-   path component (not string prefix), deterministic finding order
-   across --jobs, --rules selection, and the JSON/SARIF emitters. *)
+   mutation, the --hot-driven L009 allocation lint and the names its
+   default hot list gives, L012 unused library exports over a fixture
+   lib/ tree, lib/ detection by path component (not string prefix),
+   deterministic finding order across --jobs, --rules selection, and
+   the JSON/SARIF emitters. *)
 
 let lint_exe = Filename.concat ".." (Filename.concat "bin" "tdat_lint.exe")
 
@@ -43,7 +45,8 @@ let has_code lines code =
 
 let fixture name = Filename.concat "fixtures" name
 
-let codes = [ "L001"; "L002"; "L003"; "L004"; "L005"; "L006"; "L011" ]
+let codes =
+  [ "L001"; "L002"; "L003"; "L004"; "L005"; "L006"; "L011"; "L012" ]
 
 (* --- the original per-file rules ------------------------------------------ *)
 
@@ -227,6 +230,103 @@ let test_l009_silent_outside_hot_set () =
   Alcotest.(check int) "same file clean without --hot" 0 exit_code;
   Alcotest.(check (list string)) "no findings" [] lines
 
+(* Every name the default hot list gives must be a top-level binding of
+   its module's file under lib/: a binding that is renamed or deleted
+   would otherwise drop out of L009's scan without notice. *)
+let lib_root = Filename.concat ".." "lib"
+
+let rec files_named name dir =
+  Sys.readdir dir |> Array.to_list |> List.sort String.compare
+  |> List.concat_map (fun n ->
+         let p = Filename.concat dir n in
+         if Sys.is_directory p then files_named name p
+         else if String.equal n name then [ p ]
+         else [])
+
+let toplevel_bindings file =
+  let str =
+    In_channel.with_open_bin file (fun ic ->
+        let lexbuf = Lexing.from_channel ic in
+        Lexing.set_filename lexbuf file;
+        Parse.implementation lexbuf)
+  in
+  List.concat_map
+    (fun (item : Parsetree.structure_item) ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) ->
+          List.filter_map
+            (fun (vb : Parsetree.value_binding) ->
+              match vb.pvb_pat.ppat_desc with
+              | Ppat_var { txt; _ } -> Some txt
+              | _ -> None)
+            vbs
+      | _ -> [])
+    str
+
+let test_l009_hot_names_exist () =
+  List.iter
+    (fun (m, scope) ->
+      let files = files_named (String.uncapitalize_ascii m ^ ".ml") lib_root in
+      Alcotest.(check bool) (m ^ " has a file under lib/") true (files <> []);
+      match scope with
+      | Tdat_lint.Rules_file.All -> ()
+      | Tdat_lint.Rules_file.Funcs names ->
+          let bound = List.concat_map toplevel_bindings files in
+          List.iter
+            (fun n ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s.%s is a top-level binding" m n)
+                true (List.mem n bound))
+            names)
+    Tdat_lint.Rules_file.default_hot_paths
+
+(* --- L012 unused library exports -------------------------------------------- *)
+
+(* The fixture tree: lib/ modules with interfaces, a bin/ file using
+   their exports every way the rule must see, and a test/ file naming
+   the one export nothing else uses.  Only lib/ and bin/ are scanned,
+   as the @lint alias scans the production roots. *)
+let l012_run () =
+  run_lint
+    [ fixture (Filename.concat "l012" "lib");
+      fixture (Filename.concat "l012" "bin") ]
+
+let l012_lines lines =
+  List.filter (fun l -> contains_substring l "[L012]") lines
+
+let test_l012_test_only_use () =
+  let exit_code, lines = l012_run () in
+  Alcotest.(check int) "an unused export fails" 1 exit_code;
+  match l012_lines lines with
+  | [ l ] ->
+      Alcotest.(check bool) "the finding names Owner.dead in the .mli" true
+        (contains_substring l "owner.mli:4:"
+        && contains_substring l "Owner.dead")
+  | ls -> Alcotest.failf "expected one L012 finding, got %d" (List.length ls)
+
+let test_l012_silent_for_uses () =
+  let _, lines = l012_run () in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is not reported") false
+        (List.exists (fun l -> contains_substring l name) (l012_lines lines)))
+    [ "Owner.via_alias"; "Owner.via_open"; "Owner.via_local_open";
+      "Owner.+!"; "Ordered.compare"; "Packed.name"; "Private.internal";
+      "Owner.allowed"; "Owner.stale" ]
+
+let test_l012_stale_allow () =
+  let _, lines = l012_run () in
+  Alcotest.(check (list string)) "one L010, at the stale interface allow"
+    [ "fixtures/l012/lib/owner.mli:18" ]
+    (List.filter_map
+       (fun l ->
+         if contains_substring l "[L010]" then
+           match String.split_on_char ':' l with
+           | file :: line :: _ -> Some (file ^ ":" ^ line)
+           | _ -> None
+         else None)
+       lines)
+
 (* --- L011 metric/span names ------------------------------------------------- *)
 
 (* Both seeded shapes in the bad fixture must fire: the malformed
@@ -282,6 +382,8 @@ let test_sarif_shape () =
     (contains_substring doc "\"results\":[{\"ruleId\":");
   Alcotest.(check bool) "rule metadata present" true
     (contains_substring doc "\"id\":\"L007\"");
+  Alcotest.(check bool) "L012 in the rule metadata" true
+    (contains_substring doc "\"id\":\"L012\"");
   Alcotest.(check bool) "regions carry locations" true
     (contains_substring doc "\"startLine\":")
 
@@ -369,6 +471,14 @@ let suite =
       test_l009_hot_path;
     Alcotest.test_case "L009: silent outside the hot set" `Quick
       test_l009_silent_outside_hot_set;
+    Alcotest.test_case "L009: default hot-list names exist" `Quick
+      test_l009_hot_names_exist;
+    Alcotest.test_case "L012: an export named only from test/" `Quick
+      test_l012_test_only_use;
+    Alcotest.test_case "L012: aliases, opens, functors, packs, allows" `Quick
+      test_l012_silent_for_uses;
+    Alcotest.test_case "L010: stale interface allow reported" `Quick
+      test_l012_stale_allow;
     Alcotest.test_case "L011: malformed and dynamic names" `Quick
       test_l011_both_shapes_reported;
     Alcotest.test_case "L011: allow fence honored" `Quick

@@ -104,7 +104,7 @@ let test_mct_dup_fraction () =
     ]
   in
   let end_at frac =
-    let config = { Mct.default_config with Mct.dup_fraction = frac } in
+    let config = { Mct.Private.default_config with Mct.dup_fraction = frac } in
     (Option.get (Mct.transfer_end ~config ~start:0 updates)).Mct.end_ts
   in
   Alcotest.(check int) "strict cuts at the dup update" 1_000 (end_at 0.4);
@@ -175,10 +175,10 @@ let test_speaker_keepalives_when_blocked () =
       ~keepalive_interval:5_000_000 ()
   in
   ignore
-    (Tdat_bgpsim.Speaker.add_member speaker ~name:"healthy"
+    (Tdat_bgpsim.Speaker.add_member speaker
        (Connection.sender conn));
   ignore
-    (Tdat_bgpsim.Speaker.add_member speaker ~name:"dead"
+    (Tdat_bgpsim.Speaker.add_member speaker
        (Connection.sender conn2));
   Connection.start conn;
   Connection.start conn2;

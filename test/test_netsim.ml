@@ -66,7 +66,7 @@ let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
   let timer = Engine.schedule_at e 10 (fun () -> fired := true) in
-  Alcotest.(check bool) "pending" true (Engine.is_pending timer);
+  Alcotest.(check bool) "pending" true (Engine.Private.is_pending timer);
   Engine.cancel timer;
   Engine.run e;
   Alcotest.(check bool) "cancelled did not fire" false !fired
@@ -150,7 +150,7 @@ let test_link_loss_model () =
   in
   let link =
     Link.create ~engine:e ~delay:0 ~bandwidth_bps:1_000_000_000
-      ~loss:(Loss.during spans)
+      ~loss:(Loss.bernoulli_during (Tdat_rng.Rng.create 1) spans 1.0)
       ~deliver:(fun _ -> incr delivered)
       ()
   in
@@ -203,7 +203,7 @@ let test_rng_ranges () =
     if v < 5 || v > 10 then Alcotest.fail "int_in out of range"
   done;
   for _ = 1 to 1000 do
-    let v = Tdat_rng.Rng.float r 2.5 in
+    let v = Tdat_rng.Rng.Private.float r 2.5 in
     if v < 0. || v >= 2.5 then Alcotest.fail "float out of range"
   done
 

@@ -26,10 +26,25 @@ let count_occurrences haystack needle =
   in
   go 0 0
 
+(* An instrument's reading, through the view exposition encoders use. *)
+let view reg name =
+  Obs.fold_entries reg ~init:None ~f:(fun acc ~name:n ~stable:_ v ->
+      if String.equal n name then Some v else acc)
+
+let gauge_value reg name =
+  match view reg name with
+  | Some (Obs.Gauge_v v) -> v
+  | _ -> Alcotest.fail ("no gauge " ^ name)
+
+let histogram_view reg name =
+  match view reg name with
+  | Some (Obs.Histogram_v { v_count; v_buckets; _ }) -> (v_count, v_buckets)
+  | _ -> Alcotest.fail ("no histogram " ^ name)
+
 (* --- counters ---------------------------------------------------------- *)
 
 let test_counter_monotone () =
-  let reg = Obs.create () in
+  let reg = Obs.Private.create () in
   Obs.set_enabled reg true;
   let c = Obs.Counter.make ~registry:reg "t.counter" in
   Alcotest.(check int) "fresh counter is zero" 0 (Obs.Counter.value c);
@@ -43,7 +58,7 @@ let test_counter_monotone () =
     (Obs.Counter.value c)
 
 let test_disabled_is_noop () =
-  let reg = Obs.create () in
+  let reg = Obs.Private.create () in
   let c = Obs.Counter.make ~registry:reg "t.disabled.counter" in
   let g = Obs.Gauge.make ~registry:reg "t.disabled.gauge" in
   let h = Obs.Histogram.make ~registry:reg "t.disabled.hist" in
@@ -53,11 +68,13 @@ let test_disabled_is_noop () =
   Obs.Gauge.set_max g 9.;
   Obs.Histogram.observe h 3.;
   Alcotest.(check int) "counter untouched" 0 (Obs.Counter.value c);
-  Alcotest.(check (float 0.)) "gauge untouched" 0. (Obs.Gauge.value g);
-  Alcotest.(check int) "histogram untouched" 0 (Obs.Histogram.count h)
+  Alcotest.(check (float 0.)) "gauge untouched" 0.
+    (gauge_value reg "t.disabled.gauge");
+  Alcotest.(check int) "histogram untouched" 0
+    (fst (histogram_view reg "t.disabled.hist"))
 
 let test_make_idempotent () =
-  let reg = Obs.create () in
+  let reg = Obs.Private.create () in
   Obs.set_enabled reg true;
   let a = Obs.Counter.make ~registry:reg "t.same" in
   let b = Obs.Counter.make ~registry:reg "t.same" in
@@ -74,15 +91,15 @@ let test_make_idempotent () =
 (* --- histograms -------------------------------------------------------- *)
 
 let test_histogram_buckets () =
-  let reg = Obs.create () in
+  let reg = Obs.Private.create () in
   Obs.set_enabled reg true;
   let h =
     Obs.Histogram.make ~registry:reg ~buckets:[| 1.; 2.; 5. |] "t.hist"
   in
   List.iter (Obs.Histogram.observe h) [ 1.0; 1.5; 5.0; 7.0 ];
-  Alcotest.(check int) "count" 4 (Obs.Histogram.count h);
+  let count, buckets = histogram_view reg "t.hist" in
+  Alcotest.(check int) "count" 4 count;
   Alcotest.(check (float 1e-9)) "sum" 14.5 (Obs.Histogram.sum h);
-  let buckets = Obs.Histogram.bucket_counts h in
   Alcotest.(check int) "bucket array length" 4 (Array.length buckets);
   (* Bounds are inclusive upper limits: 1.0 lands in [<=1], 1.5 in
      [<=2], 5.0 in [<=5], and 7.0 overflows. *)
@@ -193,7 +210,7 @@ let test_trace_json_shape () =
   Span.with_ ~name:"stage-a" (fun () ->
       Span.with_ ~name:"stage-b" ignore);
   Tracer.set_enabled false;
-  let json = Tracer.to_json () in
+  let json = Tracer.Private.to_json () in
   Tracer.clear ();
   Alcotest.(check bool) "opens a traceEvents array" true
     (String.starts_with ~prefix:"{\"traceEvents\":[" json);
@@ -212,16 +229,16 @@ let test_trace_context_stamps_events () =
   Tracer.clear ();
   Tracer.set_enabled true;
   Alcotest.(check (option string)) "no ambient context" None
-    (Tracer.current_context ());
+    (Tracer.Private.current_context ());
   Tracer.with_context (Some "req-1") (fun () ->
       Alcotest.(check (option string))
         "context visible inside" (Some "req-1")
-        (Tracer.current_context ());
+        (Tracer.Private.current_context ());
       Span.with_ ~name:"ctx-span" ignore);
   Span.with_ ~name:"bare-span" ignore;
   Tracer.set_enabled false;
   Alcotest.(check (option string)) "context restored" None
-    (Tracer.current_context ());
+    (Tracer.Private.current_context ());
   let events = Tracer.events () in
   let stamped =
     List.filter (fun (e : Tracer.event) -> e.Tracer.trace <> None) events
@@ -233,7 +250,7 @@ let test_trace_context_stamps_events () =
       Alcotest.(check string) "stamped span name" "ctx-span" e.Tracer.name;
       Alcotest.(check (option string)) "trace id" (Some "req-1") e.Tracer.trace)
     stamped;
-  let json = Tracer.to_json () in
+  let json = Tracer.Private.to_json () in
   Tracer.clear ();
   Alcotest.(check int) "args.trace rendered once per stamped event" 2
     (count_occurrences json "\"args\":{\"trace\":\"req-1\"}")
@@ -267,7 +284,7 @@ let test_complete_span_is_selfcontained () =
       xs
   in
   Alcotest.(check (float 0.)) "negative duration clamps" 0. clamped.Tracer.dur;
-  let json = Tracer.to_json () in
+  let json = Tracer.Private.to_json () in
   Tracer.clear ();
   Alcotest.(check int) "ph X rendered" 2 (count_occurrences json "\"ph\":\"X\"");
   let durs =
@@ -288,7 +305,20 @@ let test_complete_span_is_selfcontained () =
 (* --- rolling time-windowed histogram ------------------------------------ *)
 
 module Window = Tdat_obs.Window
-module Manual = Tdat_obs.Clock.Manual
+(* A hand-cranked monotone clock: the window takes [now] as a closure,
+   so injecting one makes rotation boundaries exact instead of
+   sleep-dependent. *)
+module Manual = struct
+  type t = { mutable t_s : float }
+
+  let create () = { t_s = 0. }
+
+  let set t s =
+    if s < t.t_s then invalid_arg "Manual.set: clock must be monotone";
+    t.t_s <- s
+
+  let now_s t () = t.t_s
+end
 
 let window ?buckets clock ~slots ~slot_s =
   Window.create ?buckets ~now:(Manual.now_s clock) ~slots ~slot_s ()
@@ -300,7 +330,7 @@ let test_window_percentile_math () =
   Alcotest.(check (float 0.)) "empty p95 is 0" 0. (Window.percentile w 0.95);
   List.iter (Window.observe w) [ 5.; 50.; 500.; 5000. ];
   Alcotest.(check int) "count" 4 (Window.count w);
-  Alcotest.(check (float 1e-9)) "sum" 5555. (Window.sum w);
+  Alcotest.(check (float 1e-9)) "sum" 5555. (Window.Private.sum w);
   Alcotest.(check (float 1e-9)) "rate = count / window" 1. (Window.rate w);
   Alcotest.(check (float 0.)) "p0 hits the first bucket" 10.
     (Window.percentile w 0.);
@@ -337,7 +367,7 @@ let test_window_rotation_boundaries () =
   Alcotest.(check (float 0.)) "empty after drain" 0.
     (Window.percentile w 0.95);
   Window.observe w 50.;
-  Window.clear w;
+  Window.Private.clear w;
   Alcotest.(check int) "clear forgets" 0 (Window.count w)
 
 let test_window_rejects_bad_config () =
@@ -396,7 +426,7 @@ let test_exemplar_ties_favor_newer () =
         a.Exemplar.trace;
       Alcotest.(check string) "older of equals second" "old" b.Exemplar.trace
   | _ -> Alcotest.fail "expected two entries");
-  Exemplar.clear t;
+  Exemplar.Private.clear t;
   Alcotest.(check int) "clear forgets" 0 (Exemplar.count t)
 
 (* --- Prometheus exposition ----------------------------------------------- *)
@@ -405,12 +435,12 @@ module Prom = Tdat_obs.Prometheus
 
 let test_prometheus_mangle () =
   Alcotest.(check string) "dots to underscores" "tdat_serve_request_us"
-    (Prom.mangle "serve.request_us");
+    (Prom.Private.mangle "serve.request_us");
   Alcotest.(check string) "dashes to underscores" "tdat_pool_chunk"
-    (Prom.mangle "pool-chunk")
+    (Prom.Private.mangle "pool-chunk")
 
 let test_prometheus_exposition_shape () =
-  let reg = Obs.create () in
+  let reg = Obs.Private.create () in
   Obs.set_enabled reg true;
   let c = Obs.Counter.make ~registry:reg "tp.hits" in
   let g = Obs.Gauge.make ~registry:reg ~stable:false "tp.depth" in
@@ -465,27 +495,27 @@ let test_prometheus_stable_identical_across_jobs () =
 
 let with_log_buffer f =
   let buf = Buffer.create 256 in
-  Log.set_destination (`Buffer buf);
-  let saved = Log.current_level () in
+  Log.Private.set_destination (`Buffer buf);
+  let saved = Log.Private.current_level () in
   Fun.protect
     ~finally:(fun () ->
       Log.set_level saved;
-      Log.set_destination `Stderr)
+      Log.Private.set_destination `Stderr)
     (fun () -> f buf)
 
 let test_log_level_filtering () =
   with_log_buffer (fun buf ->
       Log.set_level (Some Log.Info);
-      Log.debug (fun m -> m "dropped");
+      Log.Private.debug (fun m -> m "dropped");
       Log.info (fun m -> m ~kv:[ ("n", "3") ] "kept %d" 1);
-      Log.warn (fun m -> m "kept too");
+      Log.Private.warn (fun m -> m "kept too");
       let out = Buffer.contents buf in
       Alcotest.(check bool) "debug filtered" false (contains out "dropped");
       Alcotest.(check bool) "info kept with kv" true
         (contains out "[info] kept 1 n=3");
       Alcotest.(check bool) "warn kept" true (contains out "[warn] kept too");
       Log.set_level None;
-      Log.err (fun m -> m "silenced");
+      Log.Private.err (fun m -> m "silenced");
       Alcotest.(check bool) "quiet silences errors" false
         (contains (Buffer.contents buf) "silenced"))
 
@@ -493,7 +523,7 @@ let test_log_closure_laziness () =
   with_log_buffer (fun _ ->
       Log.set_level (Some Log.Warn);
       let ran = ref false in
-      Log.debug (fun m ->
+      Log.Private.debug (fun m ->
           ran := true;
           m "never");
       Alcotest.(check bool) "disabled closure never runs" false !ran)

@@ -56,7 +56,7 @@ let test_exception_propagates_sequentially () =
 
 let test_degenerate_and_edges () =
   Pool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check int) "jobs=1 reported" 1 (Pool.jobs pool);
+      Alcotest.(check int) "jobs=1 reported" 1 (Pool.Private.jobs pool);
       Alcotest.(check (list int)) "jobs=1 maps" [ 1; 4; 9 ]
         (Pool.map pool (fun x -> x * x) [ 1; 2; 3 ]));
   Pool.with_pool ~jobs:8 (fun pool ->
@@ -80,12 +80,12 @@ let test_pool_reuse () =
 let test_invalid_jobs_and_shutdown () =
   Alcotest.check_raises "jobs=0 rejected"
     (Invalid_argument "Pool.create: jobs (0) must be >= 1") (fun () ->
-      ignore (Pool.create ~jobs:0 ()));
-  let pool = Pool.create ~jobs:2 () in
+      ignore (Pool.Private.create ~jobs:0 ()));
+  let pool = Pool.Private.create ~jobs:2 () in
   Alcotest.(check (list int)) "works before shutdown" [ 1 ]
     (Pool.map pool Fun.id [ 1 ]);
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
+  Pool.Private.shutdown pool;
+  Pool.Private.shutdown pool (* idempotent *);
   Alcotest.check_raises "map after shutdown rejected"
     (Invalid_argument "Pool.map: pool is shut down") (fun () ->
       ignore (Pool.map pool Fun.id [ 1; 2 ]))
@@ -94,7 +94,7 @@ let test_default_jobs_sane () =
   let d = Pool.default_jobs () in
   Alcotest.(check bool) "default >= 1" true (d >= 1);
   Pool.with_pool (fun pool ->
-      Alcotest.(check int) "pool takes the default" d (Pool.jobs pool))
+      Alcotest.(check int) "pool takes the default" d (Pool.Private.jobs pool))
 
 (* --- Scratch: reentrancy fallback and geometric growth ------------------ *)
 

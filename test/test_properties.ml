@@ -47,7 +47,8 @@ let codec_props =
         | Some (m', _) -> m = m'
         | None -> false);
     prop ~count:200 "encoded size is consistent" arb_update (fun m ->
-        String.length (Msg.encode m) = Msg.encoded_size m);
+        let bytes = Msg.encode m in
+        Msg.peek_length bytes 0 = Some (String.length bytes));
   ]
 
 (* --- stream reassembly invariance under reordering ----------------------- *)
@@ -106,7 +107,7 @@ let reassembly_props =
             order
         in
         let r = Legacy_ref.Fresh_reasm.of_segments segs in
-        let n = Stream_reassembly.contiguous_length r in
+        let n = Stream_reassembly.Private.contiguous_length r in
         QCheck.assume (n = String.length stream);
         let ok = ref true in
         for off = 1 to n - 1 do
@@ -128,7 +129,7 @@ let reassembly_props =
         let r = Legacy_ref.Fresh_reasm.of_segments segs in
         let legacy = Legacy_ref.reasm_create () in
         List.iter (Legacy_ref.reasm_feed legacy) segs;
-        let n = Stream_reassembly.contiguous_length r in
+        let n = Stream_reassembly.Private.contiguous_length r in
         let ok = ref (n = legacy.Legacy_ref.frontier) in
         for off = 0 to n - 1 do
           if
@@ -147,12 +148,12 @@ let run_random_scenario seed =
   let rng = Tdat_rng.Rng.create seed in
   let module R = Tdat_rng.Rng in
   let timer =
-    if R.bool rng then Some (R.choose rng [| 100_000; 200_000; 400_000 |])
+    if R.bernoulli rng 0.5 then Some (R.choose rng [| 100_000; 200_000; 400_000 |])
     else None
   in
   let loss =
     if R.bernoulli rng 0.4 then
-      Tdat_netsim.Loss.bernoulli (R.split rng) (R.float rng 0.03)
+      Tdat_netsim.Loss.bernoulli (R.split rng) (R.Private.float rng 0.03)
     else Tdat_netsim.Loss.none
   in
   let router =
@@ -189,7 +190,7 @@ let analyzer_props =
           (fun (g, gr) ->
             let members =
               List.filter
-                (fun (fac, _) -> Tdat.Factors.group_of fac = g)
+                (fun (fac, _) -> Tdat.Factors.Private.group_of fac = g)
                 f.Tdat.Factors.ratios
             in
             let s = List.fold_left (fun acc (_, r) -> acc +. r) 0. members in

@@ -104,7 +104,7 @@ let reassemble_and_query segs =
   let r = Legacy_ref.Fresh_reasm.create () in
   List.iter (Legacy_ref.Fresh_reasm.feed r) segs;
   query_deliveries
-    (Stream_reassembly.contiguous_length r)
+    (Stream_reassembly.Private.contiguous_length r)
     (Stream_reassembly.delivery_time r)
 
 let legacy_reassemble_and_query segs =
@@ -133,7 +133,7 @@ let test_reassembly_holes_linear () =
     ~setup:lossy_segments (fun segs ->
       let r = Legacy_ref.Fresh_reasm.create () in
       List.iter (Legacy_ref.Fresh_reasm.feed r) segs;
-      Stream_reassembly.total_gaps r)
+      Stream_reassembly.Private.total_gaps r)
 
 let test_reassembly_holes_legacy_rejected () =
   Size_ratio.check_rejects "list-interval feed under permanent holes" ~n:500
@@ -278,7 +278,7 @@ let kernels (a, b) =
   Span_set.size (Span_set.union a b)
   + Span_set.size (Span_set.inter a b)
   + Span_set.size (Span_set.diff a b)
-  + Span_set.size (Span_set.complement ~within a)
+  + Span_set.size (Span_set.Private.complement ~within a)
 
 let test_span_set_linear () =
   Size_ratio.check "Span_set union/inter/diff/complement" ~n:20_000

@@ -404,7 +404,7 @@ let recv_for client stash id =
         Hashtbl.remove stash id;
         r
     | None -> (
-        match Client.recv_line client with
+        match Client.Private.recv_line client with
         | None -> Alcotest.failf "eof waiting for response %s" id
         | Some line -> (
             match Json.parse line with
@@ -436,8 +436,8 @@ let test_server_roundtrip () =
   let resp = rpc client [ ("cmd", Json.Str "ping"); ("id", Json.Num 1.) ] in
   Alcotest.(check bool) "ping ok" true (is_ok resp);
   (* malformed JSON: typed error, connection survives *)
-  Client.send_line client "{this is not json";
-  (match Client.recv_line client with
+  Client.Private.send_line client "{this is not json";
+  (match Client.Private.recv_line client with
   | Some line -> (
       match Json.parse line with
       | Ok resp ->
@@ -825,7 +825,7 @@ let test_server_backpressure () =
   let ctl = Client.connect addr in
   let stash = Hashtbl.create 8 in
   let sleep_req id =
-    Client.send_line work
+    Client.Private.send_line work
       (Json.to_string
          (Json.Obj
             [ ("cmd", Json.Str "sleep"); ("ms", Json.Num 300.);
@@ -862,14 +862,14 @@ let test_server_short_job_overtakes () =
   let work = Client.connect addr in
   let ctl = Client.connect addr in
   let sleep_req id ms =
-    Client.send_line work
+    Client.Private.send_line work
       (Json.to_string
          (Json.Obj
             [ ("cmd", Json.Str "sleep"); ("ms", Json.Num ms);
               ("id", Json.Num id) ]))
   in
   let recv () =
-    match Client.recv_line work with
+    match Client.Private.recv_line work with
     | Some line -> response_id line
     | None -> Alcotest.fail "eof before both responses"
   in
@@ -909,7 +909,7 @@ let test_client_recv_timeout () =
         (contains msg "no response")
   | Ok _ -> Alcotest.fail "a silent peer cannot answer");
   Alcotest.(check bool) "waited the receive timeout" true
-    (waited >= Client.recv_timeout_s -. 0.5)
+    (waited >= Client.Private.recv_timeout_s -. 0.5)
 
 (* --- server: tailing a still-growing capture ------------------------------ *)
 
@@ -1090,8 +1090,8 @@ let test_server_partial_writes () =
   in
   let client = Client.connect (`Unix sock) in
   let fetch () =
-    Client.send_line client request;
-    match Client.recv_line client with
+    Client.Private.send_line client request;
+    match Client.Private.recv_line client with
     | Some line -> line
     | None -> Alcotest.fail "eof before the response"
   in
@@ -1122,6 +1122,34 @@ let test_server_partial_writes () =
   Sys.remove path;
   Unix.rmdir dir
 
+(* --- server: a peer that stops receiving ------------------------------------ *)
+
+(* A client shuts its receiving side while its job runs.  On a Unix
+   socket the daemon's write of the answer then fails with EPIPE, while
+   its reads see no end of file, so only the write can notice.  The
+   write must drop that one connection: the daemon goes on to answer a
+   fresh one.  With SIGPIPE at its default disposition the write would
+   end the whole process instead. *)
+let test_server_peer_stops_receiving () =
+  let dir = tmpdir () in
+  let sock = Filename.concat dir "tdat.sock" in
+  let server =
+    Server.start { Server.address = `Unix sock; jobs = 1; queue_capacity = 8 }
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  raw_send fd "{\"cmd\":\"sleep\",\"ms\":100,\"id\":1}\n";
+  Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+  (* The job finishes and its answer is written while [fd] stays open. *)
+  Unix.sleepf 0.4;
+  let client = Client.connect (`Unix sock) in
+  Alcotest.(check bool) "a fresh connection is answered" true
+    (is_ok (rpc client [ ("cmd", Json.Str "ping") ]));
+  Client.close client;
+  Unix.close fd;
+  stop_server server;
+  Unix.rmdir dir
+
 (* --- server: graceful drain ---------------------------------------------- *)
 
 let test_server_shutdown_drain () =
@@ -1130,12 +1158,12 @@ let test_server_shutdown_drain () =
   let server = start_server ~jobs:1 () in
   let client = Client.connect (Server.address server) in
   let stash = Hashtbl.create 8 in
-  Client.send_line client
+  Client.Private.send_line client
     (Json.to_string
        (Json.Obj
           [ ("cmd", Json.Str "sleep"); ("ms", Json.Num 300.);
             ("id", Json.Num 1.) ]));
-  Client.send_line client
+  Client.Private.send_line client
     (Json.to_string
        (Json.Obj [ ("cmd", Json.Str "shutdown"); ("id", Json.Num 2.) ]));
   let r2 = recv_for client stash "2" in
@@ -1145,7 +1173,7 @@ let test_server_shutdown_drain () =
     (is_ok r1);
   (* After the drain the server closes the connection. *)
   Alcotest.(check bool) "connection closed after drain" true
-    (Client.recv_line client = None);
+    (Client.Private.recv_line client = None);
   Client.close client;
   Server.wait server
 
@@ -1175,7 +1203,7 @@ let test_server_sigterm_drain () =
   in
   let client = connect 250 in
   let stash = Hashtbl.create 8 in
-  Client.send_line client
+  Client.Private.send_line client
     (Json.to_string
        (Json.Obj
           [ ("cmd", Json.Str "sleep"); ("ms", Json.Num 400.);
@@ -1185,7 +1213,7 @@ let test_server_sigterm_drain () =
   let r1 = recv_for client stash "1" in
   Alcotest.(check bool) "job survived SIGTERM" true (is_ok r1);
   Alcotest.(check bool) "orderly EOF after drain" true
-    (Client.recv_line client = None);
+    (Client.Private.recv_line client = None);
   Client.close client;
   (match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
@@ -1827,7 +1855,7 @@ let test_sigterm_flushes_trace () =
   in
   let client = connect 250 in
   let stash = Hashtbl.create 8 in
-  Client.send_line client
+  Client.Private.send_line client
     (Json.to_string
        (Json.Obj
           [
@@ -1839,7 +1867,7 @@ let test_sigterm_flushes_trace () =
   let r1 = recv_for client stash "1" in
   Alcotest.(check bool) "job survived SIGTERM" true (is_ok r1);
   Alcotest.(check bool) "orderly EOF after drain" true
-    (Client.recv_line client = None);
+    (Client.Private.recv_line client = None);
   Client.close client;
   (match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
@@ -1897,6 +1925,8 @@ let suite =
       test_client_recv_timeout;
     Alcotest.test_case "a response larger than the socket buffers" `Quick
       test_server_partial_writes;
+    Alcotest.test_case "a peer that stops receiving drops only itself" `Quick
+      test_server_peer_stops_receiving;
     Alcotest.test_case "tail a growing capture" `Quick
       test_server_follow_tail;
     Alcotest.test_case "pipelined requests split at every byte" `Quick

@@ -34,13 +34,13 @@ let test_slow_threshold () =
 
 let test_cdf () =
   let c = Cdf.of_samples [ 1.; 1.; 2.; 3. ] in
-  Alcotest.(check (float 1e-9)) "eval below" 0. (Cdf.eval c 0.5);
-  Alcotest.(check (float 1e-9)) "eval at dup" 0.5 (Cdf.eval c 1.);
-  Alcotest.(check (float 1e-9)) "eval top" 1. (Cdf.eval c 3.);
-  Alcotest.(check (float 1e-9)) "quantile 0.5" 1. (Cdf.quantile c 0.5);
-  Alcotest.(check (float 1e-9)) "quantile 1.0" 3. (Cdf.quantile c 1.0);
+  Alcotest.(check (float 1e-9)) "eval below" 0. (Cdf.Private.eval c 0.5);
+  Alcotest.(check (float 1e-9)) "eval at dup" 0.5 (Cdf.Private.eval c 1.);
+  Alcotest.(check (float 1e-9)) "eval top" 1. (Cdf.Private.eval c 3.);
+  Alcotest.(check (float 1e-9)) "quantile 0.5" 1. (Cdf.Private.quantile c 0.5);
+  Alcotest.(check (float 1e-9)) "quantile 1.0" 3. (Cdf.Private.quantile c 1.0);
   Alcotest.(check int) "points dedup" 3 (List.length (Cdf.points c));
-  let lo, hi = Cdf.support c in
+  let lo, hi = Cdf.Private.support c in
   Alcotest.(check (float 1e-9)) "support lo" 1. lo;
   Alcotest.(check (float 1e-9)) "support hi" 3. hi
 
@@ -55,7 +55,7 @@ let test_histogram () =
 
 let test_linear_fit () =
   let points = Array.init 10 (fun i -> (float_of_int i, (2. *. float_of_int i) +. 1.)) in
-  let f = Knee.linear_fit points in
+  let f = Knee.Private.linear_fit points in
   Alcotest.(check (float 1e-6)) "slope" 2. f.Knee.slope;
   Alcotest.(check (float 1e-6)) "intercept" 1. f.Knee.intercept;
   Alcotest.(check (float 1e-6)) "rmse" 0. f.Knee.rmse
@@ -106,7 +106,7 @@ let qcheck_suite =
     prop "cdf eval monotone" arb_samples (fun xs ->
         QCheck.assume (xs <> []);
         let c = Cdf.of_samples xs in
-        Cdf.eval c 100. <= Cdf.eval c 500.);
+        Cdf.Private.eval c 100. <= Cdf.Private.eval c 500.);
     prop "welford mean matches naive" arb_samples (fun xs ->
         QCheck.assume (xs <> []);
         let naive =

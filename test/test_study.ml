@@ -81,7 +81,7 @@ let sample_entries =
 (* --- MRT entry codec ------------------------------------------------------ *)
 
 let test_entry_roundtrip () =
-  let r = Mrt.decode_result (Mrt.encode_entries sample_entries) in
+  let r = Archive_file.read (Archive_file.encode sample_entries) in
   Alcotest.(check bool) "entries" true (r.Mrt.entries = sample_entries);
   Alcotest.(check bool) "no diags" true (r.Mrt.diags = []);
   Alcotest.(check int) "records" 5 r.Mrt.stats.Mrt.records;
@@ -92,7 +92,7 @@ let test_entry_roundtrip () =
 let test_legacy_decode_skips_state_changes () =
   let records =
     Mrt.messages
-      (Mrt.decode_result ~strict:true (Mrt.encode_entries sample_entries))
+      (Archive_file.read ~strict:true (Archive_file.encode sample_entries))
         .Mrt.entries
   in
   Alcotest.(check int) "messages only" 3 (List.length records);
@@ -107,7 +107,7 @@ let codes (r : Mrt.result) =
 let has_code c r = List.exists (fun x -> String.equal x c) (codes r)
 
 let strict_message data =
-  match Mrt.decode_result ~strict:true data with
+  match Archive_file.read ~strict:true data with
   | _ -> None
   | exception Bgp_error.Decode_error { context; message } ->
       Some (context, message)
@@ -130,11 +130,11 @@ let raw_record ?(sec = 1) ?(ty = 17) ~subtype body =
   Buffer.add_string b body;
   Buffer.contents b
 
-let good_record ts = Mrt.encode_entries [ message ts Msg.Keepalive ]
+let good_record ts = Archive_file.encode [ message ts Msg.Keepalive ]
 
 let test_truncated_header () =
   let data = good_record 1_000_000 ^ String.sub (good_record 2_000_000) 0 7 in
-  let r = Mrt.decode_result data in
+  let r = Archive_file.read data in
   Alcotest.(check int) "salvaged" 1 (List.length r.Mrt.entries);
   Alcotest.(check bool) "M001" true (has_code "M001" r);
   Alcotest.(check (option (pair string string))) "strict raises legacy message"
@@ -146,7 +146,7 @@ let test_truncated_record () =
   let data =
     good_record 1_000_000 ^ String.sub second 0 (String.length second - 3)
   in
-  let r = Mrt.decode_result data in
+  let r = Archive_file.read data in
   Alcotest.(check int) "salvaged" 1 (List.length r.Mrt.entries);
   Alcotest.(check bool) "M002" true (has_code "M002" r);
   Alcotest.(check (option (pair string string))) "strict raises legacy message"
@@ -167,7 +167,7 @@ let test_bad_embedded_message () =
   Buffer.add_string body (String.make 19 '\xAA');
   let bad = raw_record ~subtype:1 (Buffer.contents body) in
   let data = good_record 1_000_000 ^ bad ^ good_record 2_000_000 in
-  let r = Mrt.decode_result data in
+  let r = Archive_file.read data in
   Alcotest.(check int) "salvaged around" 2 (List.length r.Mrt.entries);
   Alcotest.(check bool) "M004" true (has_code "M004" r);
   Alcotest.(check int) "skipped" 1 r.Mrt.stats.Mrt.skipped;
@@ -178,7 +178,7 @@ let test_bad_embedded_message () =
 let test_short_body () =
   let bad = raw_record ~subtype:1 (String.make 10 '\x00') in
   let data = good_record 1_000_000 ^ bad ^ good_record 2_000_000 in
-  let r = Mrt.decode_result data in
+  let r = Archive_file.read data in
   Alcotest.(check int) "salvaged around" 2 (List.length r.Mrt.entries);
   Alcotest.(check bool) "M003" true (has_code "M003" r);
   Alcotest.(check (option (pair string string))) "strict raises legacy message"
@@ -190,7 +190,7 @@ let test_unsupported_type_skipped () =
      only, and the legacy strict decoder must not raise (it never did). *)
   let dump = raw_record ~ty:12 ~subtype:1 (String.make 24 '\x00') in
   let data = good_record 1_000_000 ^ dump ^ good_record 2_000_000 in
-  let r = Mrt.decode_result data in
+  let r = Archive_file.read data in
   Alcotest.(check int) "salvaged around" 2 (List.length r.Mrt.entries);
   Alcotest.(check bool) "M005" true (has_code "M005" r);
   Alcotest.(check bool) "info only" true
@@ -202,7 +202,7 @@ let test_unsupported_type_skipped () =
        r.Mrt.diags);
   Alcotest.(check int) "strict still decodes" 2
     (List.length
-       (Mrt.messages (Mrt.decode_result ~strict:true data).Mrt.entries))
+       (Mrt.messages (Archive_file.read ~strict:true data).Mrt.entries))
 
 let test_bad_state_change () =
   let body = Buffer.create 64 in
@@ -217,7 +217,7 @@ let test_bad_state_change () =
   put_u16be body 9 (* not an FSM state *);
   let bad = raw_record ~subtype:0 (Buffer.contents body) in
   let data = good_record 1_000_000 ^ bad ^ good_record 2_000_000 in
-  let r = Mrt.decode_result data in
+  let r = Archive_file.read data in
   Alcotest.(check int) "salvaged around" 2 (List.length r.Mrt.entries);
   Alcotest.(check bool) "M006" true (has_code "M006" r)
 
@@ -228,11 +228,11 @@ let test_oversized_record () =
   put_u16be b 1;
   put_u32be b 20_000_000 (* > 16 MiB cap *);
   let data = good_record 1_000_000 ^ Buffer.contents b in
-  let r = Mrt.decode_result data in
+  let r = Archive_file.read data in
   Alcotest.(check int) "salvaged prior" 1 (List.length r.Mrt.entries);
   Alcotest.(check bool) "M007" true (has_code "M007" r)
 
-let test_fold_file_matches_decode_result () =
+let test_fold_file_matches_read_file () =
   let dir = tmpdir () in
   let path = Filename.concat dir "a.mrt" in
   Mrt.to_file_entries path sample_entries;
@@ -249,16 +249,16 @@ let test_fold_file_matches_decode_result () =
 (* A file fold reads in 16 KiB chunks: records straddle chunk
    boundaries, one record (an unsupported type, skipped) is larger than
    a chunk, and the file ends mid-record.  Both file folds must see what
-   the string folds see. *)
+   the frozen string folds see. *)
 let test_file_folds_across_chunks () =
   let updates k =
     List.init 400 (fun i ->
         message ((k * 10_000_000) + (i * 1_000)) (update_msg (i * 7) 7))
   in
   let data =
-    Mrt.encode_entries (updates 0)
+    Archive_file.encode (updates 0)
     ^ raw_record ~ty:12 ~subtype:1 (String.make 150_000 '\x01')
-    ^ Mrt.encode_entries (updates 1)
+    ^ Archive_file.encode (updates 1)
   in
   let data = String.sub data 0 (String.length data - 3) in
   let path = Filename.concat (tmpdir ()) "chunks.mrt" in
@@ -281,26 +281,28 @@ let test_file_folds_across_chunks () =
     (List.rev acc, List.rev !diags, stats)
   in
   let ((entries, _, stats) as from_string) =
-    collect (fun ~on_diag ~init f -> Mrt.fold_string ~on_diag data ~init f)
+    collect (fun ~on_diag ~init f ->
+        Legacy_ref.Mrt_fill.fold_string ~on_diag data ~init f)
   in
   Alcotest.(check bool) "archive spans several chunks" true
     (String.length data > 3 * 65536 && List.length entries = 799);
   Alcotest.(check int) "the large record is skipped" 1 stats.Mrt.skipped;
-  Alcotest.(check bool) "fold_file == fold_string" true
+  Alcotest.(check bool) "fold_file == the frozen string fold" true
     (collect (fun ~on_diag ~init f -> Mrt.fold_file ~on_diag path ~init f)
     = from_string);
-  Alcotest.(check bool) "fold_summary_file == fold_summary_string" true
+  Alcotest.(check bool) "fold_summary_file == the frozen string fold" true
     (summary (fun ~on_diag ~init f ->
          Mrt.fold_summary_file ~on_diag path ~init f)
     = summary (fun ~on_diag ~init f ->
-          Mrt.fold_summary_string ~on_diag data ~init f))
+          Legacy_ref.Mrt_fill.fold_summary_string ~on_diag data ~init f))
 
-let test_fold_fd_pipe_fed () =
+let test_fold_file_fifo_fed () =
   (* A pipe delivers the archive in dribs and drabs — short reads land
      mid-header and mid-record, and the writer pacing makes some reads
-     return nothing yet.  [fold_fd] must reassemble every record. *)
+     return nothing yet.  [fold_file] over a named pipe must reassemble
+     every record. *)
   let archive =
-    Mrt.encode_entries
+    Archive_file.encode
       (List.concat_map
          (fun k ->
            [
@@ -310,9 +312,11 @@ let test_fold_fd_pipe_fed () =
            ])
          (List.init 40 Fun.id))
   in
-  let r, w = Unix.pipe ~cloexec:false () in
+  let path = Filename.concat (tmpdir ()) "fifo.mrt" in
+  Unix.mkfifo path 0o600;
   let writer =
     Domain.spawn (fun () ->
+        let w = Unix.openfile path [ Unix.O_WRONLY ] 0 in
         let len = String.length archive in
         let pos = ref 0 in
         while !pos < len do
@@ -326,12 +330,11 @@ let test_fold_fd_pipe_fed () =
         done;
         Unix.close w)
   in
-  let entries, stats = Mrt.fold_fd r ~init:[] (fun acc e -> e :: acc) in
+  let entries, stats = Mrt.fold_file path ~init:[] (fun acc e -> e :: acc) in
   Domain.join writer;
-  Unix.close r;
   Alcotest.(check int) "all records seen" 120 stats.Mrt.records;
   Alcotest.(check bool) "byte-identical re-encode" true
-    (String.equal (Mrt.encode_entries (List.rev entries)) archive)
+    (String.equal (Archive_file.encode (List.rev entries)) archive)
 
 (* --- qcheck: entry codec under random archives ---------------------------- *)
 
@@ -424,7 +427,7 @@ let qcheck_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"mrt entry codec roundtrip (random archives)"
        ~count:150 arb_entries (fun entries ->
-         let r = Mrt.decode_result (Mrt.encode_entries entries) in
+         let r = Archive_file.read (Archive_file.encode entries) in
          r.Mrt.entries = entries
          && r.Mrt.diags = []
          && r.Mrt.stats.Mrt.records = List.length entries))
@@ -460,7 +463,7 @@ let test_detect_anchored () =
   | ts -> Alcotest.failf "expected 1 transfer, got %d" (List.length ts)
 
 let test_detect_gap_split () =
-  let gap = Study.Detect.default_config.Study.Detect.quiet_gap in
+  let gap = Study.Detect.Private.default_config.Study.Detect.quiet_gap in
   let t0 = 1_000_000 in
   let t1 = t0 + gap + 10_000_000 in
   let entries =
@@ -486,7 +489,7 @@ let test_detect_gap_exact_boundary () =
   (* The paper counts "gaps of 200 s or more" as transfer boundaries, so
      the comparison is inclusive: silence of exactly [quiet_gap] splits,
      one microsecond less does not. *)
-  let gap = Study.Detect.default_config.Study.Detect.quiet_gap in
+  let gap = Study.Detect.Private.default_config.Study.Detect.quiet_gap in
   let t0 = 1_000_000 in
   let entries_at dt =
     [ message t0 (update_msg 0 40); message (t0 + dt) (update_msg 40 40) ]
@@ -538,7 +541,7 @@ let test_detect_churn_filtered () =
     [ message 1_000_000 (update_msg 0 5); message 2_000_000 (update_msg 5 5) ]
   in
   Alcotest.(check int) "churn dropped" 0 (List.length (detect entries));
-  let config = { Study.Detect.default_config with Study.Detect.min_prefixes = 8 } in
+  let config = { Study.Detect.Private.default_config with Study.Detect.min_prefixes = 8 } in
   Alcotest.(check int) "threshold is configurable" 1
     (List.length (detect ~config entries))
 
@@ -767,13 +770,13 @@ let boundary_gaps entries =
    [Detect.observe]) must equal the in-memory scan of the strict
    whole-buffer decode (the test copy of [Archive.scan_entries],
    [Legacy_ref.Entry_scan], over
-   [Mrt.decode_result ~strict:true]): the same transfers under the
+   [Archive_file.read ~strict:true]): the same transfers under the
    default config and under boundary configs, and the decode's stats
    with no diagnostics on a clean archive. *)
 let check_scans_agree path =
-  let r = Mrt.decode_result ~strict:true (read_all path) in
+  let r = Archive_file.read ~strict:true (read_all path) in
   let configs =
-    Study.Detect.default_config
+    Study.Detect.Private.default_config
     :: List.map
          (fun gap -> { Study.Detect.quiet_gap = gap; min_prefixes = 1 })
          (boundary_gaps r.Mrt.entries)
@@ -812,9 +815,9 @@ let test_scans_agree_random () =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Mrt.to_file_entries path entries;
-          let r = Mrt.decode_result ~strict:true (read_all path) in
+          let r = Archive_file.read ~strict:true (read_all path) in
           let configs =
-            Study.Detect.default_config
+            Study.Detect.Private.default_config
             :: List.concat_map
                  (fun gap ->
                    List.map
@@ -863,10 +866,10 @@ let test_scans_agree_damaged () =
       let path = Filename.concat dir (name ^ ".mrt") in
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc bytes);
-      let r = Mrt.decode_result bytes in
+      let r = Archive_file.read bytes in
       Alcotest.(check bool) (name ^ ": damaged") true (r.Mrt.diags <> []);
       let configs =
-        Study.Detect.default_config
+        Study.Detect.Private.default_config
         :: List.map
              (fun gap -> { Study.Detect.quiet_gap = gap; min_prefixes = 1 })
              (boundary_gaps r.Mrt.entries)
@@ -920,7 +923,7 @@ let test_ground_truth_recall () =
     (fun (t : Study.Truth.t) ->
       match
         List.find_opt
-          (fun d -> Study.Truth.matches t d)
+          (fun d -> Study.Truth.Private.matches t d)
           report.Study.Aggregate.transfers
       with
       | None -> Alcotest.failf "no match for %s" t.Study.Truth.source
@@ -1205,10 +1208,11 @@ let suite =
     Alcotest.test_case "oversized record stops salvage" `Quick
       test_oversized_record;
     Alcotest.test_case "fold_file streaming" `Quick
-      test_fold_file_matches_decode_result;
+      test_fold_file_matches_read_file;
     Alcotest.test_case "file folds across read chunks" `Quick
       test_file_folds_across_chunks;
-    Alcotest.test_case "fold_fd pipe-fed stream" `Quick test_fold_fd_pipe_fed;
+    Alcotest.test_case "fold_file over a pipe-fed FIFO" `Quick
+      test_fold_file_fifo_fed;
     qcheck_roundtrip;
     Alcotest.test_case "detector: anchored start" `Quick test_detect_anchored;
     Alcotest.test_case "detector: quiet-gap split" `Quick

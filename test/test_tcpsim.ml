@@ -50,7 +50,7 @@ let test_small_transfer () =
   Sender.write (Connection.sender h.conn) data;
   run h;
   let rcv = Connection.receiver h.conn in
-  Alcotest.(check int) "all bytes delivered" 10_000 (Receiver.rcv_nxt rcv);
+  Alcotest.(check int) "all bytes delivered" 10_000 (Receiver.Private.rcv_nxt rcv);
   Alcotest.(check bool) "all acked" true
     (Sender.all_acked (Connection.sender h.conn))
 
@@ -79,7 +79,7 @@ let test_transfer_with_loss () =
   Sender.write (Connection.sender h.conn) data;
   run h;
   Alcotest.(check int) "all bytes delivered despite loss" 200_000
-    (Receiver.rcv_nxt (Connection.receiver h.conn));
+    (Receiver.Private.rcv_nxt (Connection.receiver h.conn));
   let c = Sender.counters (Connection.sender h.conn) in
   Alcotest.(check bool) "retransmissions happened" true
     (c.Sender.retransmissions > 0)
@@ -98,7 +98,7 @@ let test_heavy_loss_recovery () =
   Sender.write (Connection.sender h.conn) (payload 150_000);
   run h;
   Alcotest.(check int) "delivered through bursty loss" 150_000
-    (Receiver.rcv_nxt (Connection.receiver h.conn))
+    (Receiver.Private.rcv_nxt (Connection.receiver h.conn))
 
 let test_ack_loss_recovery () =
   let rng = Tdat_rng.Rng.create 11 in
@@ -111,7 +111,7 @@ let test_ack_loss_recovery () =
   Sender.write (Connection.sender h.conn) (payload 100_000);
   run h;
   Alcotest.(check int) "delivered through ACK loss" 100_000
-    (Receiver.rcv_nxt (Connection.receiver h.conn))
+    (Receiver.Private.rcv_nxt (Connection.receiver h.conn))
 
 let test_flow_control_limits_flight () =
   (* A receiver that never drains: the sender must stop at the advertised
@@ -121,7 +121,7 @@ let test_flow_control_limits_flight () =
   Connection.start h.conn;
   Sender.write (Connection.sender h.conn) (payload 100_000);
   Engine.run ~until:5_000_000 h.engine;
-  let rcvd = Receiver.rcv_nxt (Connection.receiver h.conn) in
+  let rcvd = Receiver.Private.rcv_nxt (Connection.receiver h.conn) in
   Alcotest.(check bool) "window respected"
     true
     (rcvd <= 8_000 + Tcp_types.default.Tcp_types.mss)
@@ -142,7 +142,7 @@ let test_slow_drain_completes () =
   Sender.write (Connection.sender h.conn) (payload 60_000);
   Engine.run ~until:60_000_000 h.engine;
   Alcotest.(check int) "all delivered under slow drain" 60_000
-    (Receiver.rcv_nxt rcv)
+    (Receiver.Private.rcv_nxt rcv)
 
 let test_zero_window_probe () =
   (* Application stalls for 2 s with a tiny buffer; probing must resume the
@@ -162,7 +162,7 @@ let test_zero_window_probe () =
   Sender.write (Connection.sender h.conn) (payload 50_000);
   Engine.run ~until:120_000_000 h.engine;
   Alcotest.(check int) "completed after zero-window stall" 50_000
-    (Receiver.rcv_nxt rcv)
+    (Receiver.Private.rcv_nxt rcv)
 
 let test_rto_backoff () =
   let rto = Rto.create ~min_rto:200_000 ~max_rto:60_000_000 ~backoff_factor:2. in
@@ -213,7 +213,7 @@ let test_tahoe_and_reno_complete () =
       Sender.write (Connection.sender h.conn) (payload 120_000);
       run h;
       Alcotest.(check int) "delivered" 120_000
-        (Receiver.rcv_nxt (Connection.receiver h.conn)))
+        (Receiver.Private.rcv_nxt (Connection.receiver h.conn)))
     [ Tcp_types.Tahoe; Tcp_types.Reno; Tcp_types.New_reno ]
 
 let test_sniffer_sees_both_directions () =
@@ -241,7 +241,7 @@ let test_local_overflow_drops () =
   Alcotest.(check bool) "local drops happened" true
     (Connection.Site.local_drops h.site > 0);
   Alcotest.(check int) "recovered regardless" 120_000
-    (Receiver.rcv_nxt (Connection.receiver h.conn))
+    (Receiver.Private.rcv_nxt (Connection.receiver h.conn))
 
 let suite =
   [

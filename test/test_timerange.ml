@@ -5,7 +5,16 @@
 open Tdat_timerange
 
 let span = Alcotest.testable Span.pp Span.equal
-let span_set = Alcotest.testable Span_set.pp Span_set.equal
+(* Span sets compared and printed through their canonical span lists. *)
+let span_set_equal a b =
+  List.equal Span.equal (Span_set.to_list a) (Span_set.to_list b)
+
+let pp_span_set ppf s =
+  Format.fprintf ppf "{@[%a@]}"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space Span.pp)
+    (Span_set.to_list s)
+
+let span_set = Alcotest.testable pp_span_set span_set_equal
 
 (* --- Span ------------------------------------------------------------ *)
 
@@ -14,7 +23,6 @@ let test_span_basics () =
   Alcotest.(check int) "length" 10 (Span.length s);
   Alcotest.(check bool) "contains start" true (Span.contains s 10);
   Alcotest.(check bool) "excludes stop" false (Span.contains s 20);
-  Alcotest.check span "shift" (Span.v 15 25) (Span.shift 5 s);
   Alcotest.(check int) "point length" 1 (Span.length (Span.point 7));
   Alcotest.check_raises "empty span rejected"
     (Invalid_argument "Span.v: stop (5) must be greater than start (5)")
@@ -36,7 +44,7 @@ let set spans = Span_set.of_spans spans
 
 let test_set_coalescing () =
   let s = set [ Span.v 0 10; Span.v 5 15; Span.v 15 20; Span.v 30 40 ] in
-  Alcotest.(check int) "coalesced cardinal" 2 (Span_set.cardinal s);
+  Alcotest.(check int) "coalesced cardinal" 2 (Span_set.Private.cardinal s);
   Alcotest.(check int) "size" 30 (Span_set.size s);
   Alcotest.check span_set "order independent" s
     (set [ Span.v 30 40; Span.v 15 20; Span.v 5 15; Span.v 0 10 ])
@@ -46,9 +54,7 @@ let test_set_queries () =
   Alcotest.(check bool) "mem inside" true (Span_set.mem 5 s);
   Alcotest.(check bool) "mem in gap" false (Span_set.mem 15 s);
   Alcotest.(check bool) "mem at stop" false (Span_set.mem 10 s);
-  Alcotest.(check (option span)) "span_at" (Some (Span.v 20 30))
-    (Span_set.span_at 25 s);
-  Alcotest.(check (option span)) "hull" (Some (Span.v 0 30)) (Span_set.hull s)
+  Alcotest.(check (option span)) "hull" (Some (Span.v 0 30)) (Span_set.Private.hull s)
 
 let test_set_algebra () =
   let a = set [ Span.v 0 10; Span.v 20 30 ] in
@@ -62,16 +68,16 @@ let test_set_algebra () =
     (Span_set.diff a b);
   Alcotest.check span_set "complement"
     (set [ Span.v 10 20 ])
-    (Span_set.complement ~within:(Span.v 0 30) a)
+    (Span_set.Private.complement ~within:(Span.v 0 30) a)
 
 let test_set_clip_filter () =
   let s = set [ Span.v 0 10; Span.v 20 30; Span.v 40 41 ] in
   Alcotest.check span_set "clip"
     (set [ Span.v 5 10; Span.v 20 25 ])
     (Span_set.clip (Span.v 5 25) s);
-  Alcotest.check span_set "longer_than"
+  Alcotest.check span_set "filter"
     (set [ Span.v 0 10; Span.v 20 30 ])
-    (Span_set.longer_than 5 s)
+    (Span_set.Private.filter (fun sp -> Span.length sp > 5) s)
 
 (* Property tests: the algebra laws factor attribution depends on. *)
 
@@ -84,7 +90,7 @@ let gen_span_list =
 
 let arb_set =
   QCheck.make
-    ~print:(fun s -> Format.asprintf "%a" Span_set.pp s)
+    ~print:(fun s -> Format.asprintf "%a" pp_span_set s)
     QCheck.Gen.(map Span_set.of_spans gen_span_list)
 
 let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:300 arb f)
@@ -110,11 +116,11 @@ let qcheck_suite =
         = Span_set.size a);
     prop "complement complements" arb_set (fun a ->
         let within = Span.v (-10) 1200 in
-        let c = Span_set.complement ~within a in
+        let c = Span_set.Private.complement ~within a in
         Span_set.size c + Span_set.size (Span_set.clip within a)
         = Span.length within);
     prop "union idempotent" arb_set (fun a ->
-        Span_set.equal a (Span_set.union a a));
+        span_set_equal a (Span_set.union a a));
     prop "canonical: no touching spans" arb_set (fun a ->
         let rec ok = function
           | x :: (y :: _ as rest) -> (not (Span.touches x y)) && ok rest
@@ -136,15 +142,13 @@ let test_series_basics () =
   Alcotest.(check int) "cardinal" 3 (Series.cardinal s);
   Alcotest.(check int) "size collapses overlap" 25 (Series.size s);
   Alcotest.(check (list string)) "sorted payloads" [ "a"; "b"; "c" ]
-    (List.map snd (Series.to_list s))
+    (List.map snd (Series.Private.to_list s))
 
 let test_series_clip_and_query () =
   let s = Series.of_list [ (Span.v 0 10, 1); (Span.v 20 30, 2) ] in
   let clipped = Series.clip (Span.v 5 25) s in
   Alcotest.(check int) "clip keeps overlapping" 2 (Series.cardinal clipped);
-  Alcotest.(check int) "clip trims" 10 (Series.size clipped);
-  Alcotest.(check int) "events_in" 1
-    (List.length (Series.events_in (Span.v 0 4) s))
+  Alcotest.(check int) "clip trims" 10 (Series.size clipped)
 
 let test_series_builder () =
   let b = Series.builder () in
@@ -152,10 +156,9 @@ let test_series_builder () =
   Series.add b (Span.v 0 5) "y";
   let s = Series.build b in
   Alcotest.(check (list string)) "builder sorts" [ "y"; "x" ]
-    (List.map snd (Series.to_list s))
+    (List.map snd (Series.Private.to_list s))
 
 let test_time_units () =
-  Alcotest.(check int) "of_ms" 1_500 (Time_us.of_ms 1.5);
   Alcotest.(check int) "of_s" 2_000_000 (Time_us.of_s 2.0);
   Alcotest.(check (float 1e-9)) "to_s roundtrip" 0.25
     (Time_us.to_s (Time_us.of_s 0.25))
@@ -187,17 +190,19 @@ let qcheck_suite2 =
     prop "clip bounded by window length" arb_set (fun a ->
         let w = Span.v 100 600 in
         Span_set.size (Span_set.clip w a) <= Span.length w);
-    prop "longer_than only removes" (QCheck.pair arb_set QCheck.small_nat)
+    prop "filter only removes" (QCheck.pair arb_set QCheck.small_nat)
       (fun (a, d) ->
-        Span_set.size (Span_set.longer_than d a) <= Span_set.size a);
+        Span_set.size
+          (Span_set.Private.filter (fun sp -> Span.length sp > d) a)
+        <= Span_set.size a);
     prop "union associative" (QCheck.triple arb_set arb_set arb_set)
       (fun (a, b, c) ->
-        Span_set.equal
+        span_set_equal
           (Span_set.union a (Span_set.union b c))
           (Span_set.union (Span_set.union a b) c));
     prop "inter distributes over union" (QCheck.triple arb_set arb_set arb_set)
       (fun (a, b, c) ->
-        Span_set.equal
+        span_set_equal
           (Span_set.inter a (Span_set.union b c))
           (Span_set.union (Span_set.inter a b) (Span_set.inter a c)));
     prop "series merge size sub-additive"
@@ -269,36 +274,37 @@ let arb_span =
 let kernel_model_suite =
   [
     prop "union matches reference model" (QCheck.pair arb_set arb_set)
-      (fun (a, b) -> Span_set.equal (Span_set.union a b) (ref_union a b));
+      (fun (a, b) -> span_set_equal (Span_set.union a b) (ref_union a b));
     prop "inter matches reference model" (QCheck.pair arb_set arb_set)
-      (fun (a, b) -> Span_set.equal (Span_set.inter a b) (ref_inter a b));
+      (fun (a, b) -> span_set_equal (Span_set.inter a b) (ref_inter a b));
     prop "diff matches reference model" (QCheck.pair arb_set arb_set)
-      (fun (a, b) -> Span_set.equal (Span_set.diff a b) (ref_diff a b));
-    prop "add sp = union of singleton" (QCheck.pair arb_span arb_set)
-      (fun (sp, s) ->
-        Span_set.equal (Span_set.add sp s)
+      (fun (a, b) -> span_set_equal (Span_set.diff a b) (ref_diff a b));
+    prop "of_spans with one more span = union of singleton"
+      (QCheck.pair arb_span arb_set) (fun (sp, s) ->
+        span_set_equal
+          (Span_set.of_spans (sp :: Span_set.to_list s))
           (Span_set.union (Span_set.of_span sp) s));
     prop "clip = inter with singleton window" (QCheck.pair arb_span arb_set)
       (fun (w, s) ->
-        Span_set.equal (Span_set.clip w s)
+        span_set_equal (Span_set.clip w s)
           (Span_set.inter (Span_set.of_span w) s));
     prop "complement membership flips inside the window"
       (QCheck.pair arb_set QCheck.small_nat) (fun (a, t) ->
         let within = Span.v (-10) 1200 in
-        let c = Span_set.complement ~within a in
+        let c = Span_set.Private.complement ~within a in
         (not (Span.contains within t)) || Span_set.mem t c <> Span_set.mem t a);
     prop "filter keeps exactly the matching spans" arb_set (fun a ->
         let pred sp = Span.length sp > 20 in
-        Span_set.equal (Span_set.filter pred a)
+        span_set_equal (Span_set.Private.filter pred a)
           (Span_set.of_spans (List.filter pred (Span_set.to_list a))));
     prop "kernel outputs are canonical"
       (QCheck.triple arb_span arb_set arb_set) (fun (sp, a, b) ->
         canonical (Span_set.union a b)
         && canonical (Span_set.inter a b)
         && canonical (Span_set.diff a b)
-        && canonical (Span_set.add sp a)
+        && canonical (Span_set.of_spans (sp :: Span_set.to_list a))
         && canonical (Span_set.clip sp a)
-        && canonical (Span_set.complement ~within:(Span.v (-10) 1200) a));
+        && canonical (Span_set.Private.complement ~within:(Span.v (-10) 1200) a));
   ]
 
 (* --- sorted by construction: equivalence with the sort-based code ------- *)
@@ -389,18 +395,18 @@ let sorted_construction_suite =
   [
     prop "Series.build == stable sort" arb_events (fun evs ->
         same_events
-          (Series.to_list (built evs))
+          (Series.Private.to_list (built evs))
           (List.stable_sort compare_event evs));
     prop "Series.of_list == stable sort" arb_events (fun evs ->
         same_events
-          (Series.to_list (Series.of_list evs))
+          (Series.Private.to_list (Series.of_list evs))
           (List.stable_sort compare_event evs));
     prop "Series.clip == the old clip"
       (QCheck.pair arb_window arb_events) (fun (w, evs) ->
         let s = Series.of_list evs in
         same_events
-          (Series.to_list (Series.clip w s))
-          (ref_clip w (Series.to_list s)));
+          (Series.Private.to_list (Series.clip w s))
+          (ref_clip w (Series.Private.to_list s)));
     (* Clipped inputs too: trimming to the window's start can leave a
        series out of order, which the merge must still sort. *)
     prop "Series.merge == append + stable sort"
@@ -408,9 +414,9 @@ let sorted_construction_suite =
         List.for_all
           (fun (a, b) ->
             same_events
-              (Series.to_list (Series.merge a b))
+              (Series.Private.to_list (Series.merge a b))
               (List.stable_sort compare_event
-                 (Series.to_list a @ Series.to_list b)))
+                 (Series.Private.to_list a @ Series.Private.to_list b)))
           (let a = Series.of_list ea and b = Series.of_list eb in
            [ (a, b); (b, a); (Series.clip w a, b); (a, Series.clip w b);
              (Series.clip w a, Series.clip w b); (a, Series.empty);
@@ -421,7 +427,7 @@ let sorted_construction_suite =
           (fun s ->
             List.equal Span.equal
               (Span_set.to_list (Series.to_span_set s))
-              (ref_coalesce (List.map fst (Series.to_list s))))
+              (ref_coalesce (List.map fst (Series.Private.to_list s))))
           [ Series.of_list evs; Series.clip w (Series.of_list evs) ]);
     prop "Span_set.of_span_array == sort + coalesce" arb_events (fun evs ->
         let spans = List.map fst evs in
@@ -540,7 +546,7 @@ let always_sorted (p : Conn_profile.t) infos =
       done;
       k := !k + f.Ack_shift.n_acks)
     infos;
-  Array.sort Seg.compare_ts a;
+  Array.sort Legacy_ref.compare_ts a;
   a
 
 let ack_shift_suite =
